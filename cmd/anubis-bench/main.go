@@ -66,10 +66,6 @@ func main() {
 		n     = flag.Int("n", 40000, "requests per (app, scheme) simulation")
 		epoch = flag.Int("epoch", 0,
 			"epoch pipeline window in write requests (coalesced integrity-tree updates); 0 or 1 = legacy eager path, byte-identical to pre-epoch builds")
-		shards = flag.Int("shard", 0,
-			"intra-trial shard workers per simulation (content-plane precompute; simulated metrics byte-identical at any count); 0 = legacy single-plane engine")
-		fastpath = flag.Bool("fastpath", false,
-			"enable the hit-burst fast path (batched closed-form retirement of steady-state full-hit requests; simulated metrics byte-identical to the stepped engine)")
 		mem     = flag.Uint64("mem", 256<<20, "simulated memory bytes for performance runs")
 		apps    = flag.String("apps", "", "comma-separated app subset (default: all 11)")
 		seed    = flag.Int64("seed", 99, "trace generator seed")
@@ -137,8 +133,6 @@ func main() {
 	rc.Seed = *seed
 	rc.Parallel = *workers
 	rc.Epoch = *epoch
-	rc.Shard = *shards
-	rc.Fastpath = *fastpath
 	if *apps != "" {
 		rc.Apps = strings.Split(*apps, ",")
 	}

@@ -59,12 +59,6 @@ func runSuite(rep *Report, out io.Writer, seed int64, trials int, hooks func(*fi
 		} {
 			rc := scale.rc
 			rc.Parallel = par.workers
-			// The matrix runs with the hit-burst fast path on: it is the
-			// steady-state engine now, and its simulated metrics are
-			// contractually byte-identical to the stepped path — which the
-			// fastpath sweep below (and scripts/bench_compare's
-			// -fastpath-sweep gate) verifies against these very records.
-			rc.Fastpath = true
 			hooks(&rc)
 			name := scale.label + "_" + par.label
 			nApps := rc.NumApps()
@@ -132,137 +126,6 @@ func runSuite(rep *Report, out io.Writer, seed int64, trials int, hooks func(*fi
 	}
 	fmt.Fprintln(out, "epoch sweep: done")
 
-	// Intra-trial shard sweep: the quick fig10 matrix at growing shard
-	// worker counts, sequential cell fan-out so the shard workers are
-	// the only intra-run concurrency being measured. Unlike the epoch
-	// sweep, *every* record here must carry identical simulated metrics:
-	// sharding splits the content plane across host cores without
-	// touching the timing plane, so shard:1 anchors to the legacy
-	// quick_seq:fig10 record and shard:{2,4,8} anchor to shard:1 —
-	// scripts/bench_compare's -shard-sweep mode enforces both. Wall
-	// times across the records are the host-side scaling curve.
-	for _, sh := range []int{1, 2, 4, 8} {
-		src := suiteQuick(seed)
-		src.Parallel = 1
-		src.Shard = sh
-		hooks(&src)
-		var mu sync.Mutex
-		var execTotal uint64
-		inner := src.OnCell
-		src.OnCell = func(res sim.Result) {
-			if inner != nil {
-				inner(res)
-			}
-			mu.Lock()
-			execTotal += res.ExecNS
-			mu.Unlock()
-		}
-		name := fmt.Sprintf("shard:%d", sh)
-		if err := rep.record(name, src.NumApps()*len(figures.Fig10Schemes), func() (map[string]float64, error) {
-			_, avg, err := figures.Fig10(src)
-			if err != nil {
-				return nil, err
-			}
-			m := avgMetrics(avg)
-			mu.Lock()
-			m["exec_ns_total"] = float64(execTotal)
-			mu.Unlock()
-			return m, nil
-		}); err != nil {
-			return err
-		}
-	}
-	// Host scaling summary: shard:1 vs shard:8 wall time plus the host
-	// core count — the honest context for the scaling curve (a 1-core
-	// host cannot show a speedup however well the engine shards).
-	var shard1MS, shard8MS float64
-	for _, f := range rep.Figures {
-		switch f.Name {
-		case "shard:1":
-			shard1MS = f.WallMS
-		case "shard:8":
-			shard8MS = f.WallMS
-		}
-	}
-	if err := rep.record("shard_speedup", 0, func() (map[string]float64, error) {
-		m := map[string]float64{
-			"shard1_ms":  shard1MS,
-			"shard8_ms":  shard8MS,
-			"host_cores": float64(runtime.NumCPU()),
-		}
-		if shard8MS > 0 {
-			m["speedup"] = shard1MS / shard8MS
-		}
-		return m, nil
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "shard sweep: done (%d host cores; shard:1 %.0f ms vs shard:8 %.0f ms)\n",
-		runtime.NumCPU(), shard1MS, shard8MS)
-
-	// Hit-burst fast-path sweep: the quick fig10 matrix with the lane
-	// off (fastpath:0 — the stepped reference) and on (fastpath:1),
-	// sequential so the wall-time ratio is the lane's speedup on one
-	// core. Like the shard sweep, every simulated metric must be
-	// byte-identical: fastpath:0 anchors to the legacy quick_seq:fig10
-	// record and fastpath:1 anchors to fastpath:0 —
-	// scripts/bench_compare's -fastpath-sweep mode enforces both. The
-	// wall times are the honest before/after for the closed-form burst
-	// retirement.
-	for _, fp := range []bool{false, true} {
-		frc := suiteQuick(seed)
-		frc.Parallel = 1
-		frc.Fastpath = fp
-		hooks(&frc)
-		var mu sync.Mutex
-		var execTotal uint64
-		inner := frc.OnCell
-		frc.OnCell = func(res sim.Result) {
-			if inner != nil {
-				inner(res)
-			}
-			mu.Lock()
-			execTotal += res.ExecNS
-			mu.Unlock()
-		}
-		name := "fastpath:0"
-		if fp {
-			name = "fastpath:1"
-		}
-		if err := rep.record(name, frc.NumApps()*len(figures.Fig10Schemes), func() (map[string]float64, error) {
-			_, avg, err := figures.Fig10(frc)
-			if err != nil {
-				return nil, err
-			}
-			m := avgMetrics(avg)
-			mu.Lock()
-			m["exec_ns_total"] = float64(execTotal)
-			mu.Unlock()
-			return m, nil
-		}); err != nil {
-			return err
-		}
-	}
-	var fp0MS, fp1MS float64
-	for _, f := range rep.Figures {
-		switch f.Name {
-		case "fastpath:0":
-			fp0MS = f.WallMS
-		case "fastpath:1":
-			fp1MS = f.WallMS
-		}
-	}
-	if err := rep.record("fastpath_speedup", 0, func() (map[string]float64, error) {
-		m := map[string]float64{"fastpath0_ms": fp0MS, "fastpath1_ms": fp1MS}
-		if fp1MS > 0 {
-			m["speedup"] = fp0MS / fp1MS
-		}
-		return m, nil
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "fastpath sweep: done (off %.0f ms vs on %.0f ms)\n", fp0MS, fp1MS)
-
 	// Forked-vs-cold recovery sweep: identical trials (asserted by the
 	// figures tests), so the wall-time ratio isolates the fork layer's
 	// amortization of the warm-up fill. The shape mirrors the paper's
@@ -274,7 +137,6 @@ func runSuite(rep *Report, out io.Writer, seed int64, trials int, hooks func(*fi
 	rrc.MemoryBytes = 32 << 20
 	rrc.Apps = []string{"libquantum"}
 	rrc.Parallel = runtime.GOMAXPROCS(0)
-	rrc.Fastpath = true // fills/windows ride the hit-burst lane (byte-identical)
 	hooks(&rrc)
 	sweep := func(cold bool) (map[string]float64, error) {
 		res, err := figures.RecoverySweep(figures.RecoverySweepConfig{

@@ -27,15 +27,11 @@ import (
 
 func main() {
 	var (
-		trials = flag.Int("trials", 500, "number of random schedules to execute")
-		seed   = flag.Int64("seed", 99, "master seed: schedule stream and trace seed")
-		scheme = flag.String("scheme", "all", "restrict to one combo (e.g. bonsai/agit-plus, sgx/asit) or 'all'")
-		model  = flag.String("model", "all", "restrict to one crash model (full-adr, partial-drain, torn-block) or 'all'")
-		replay = flag.String("replay", "", "replay a single schedule token (skips random generation)")
-		shard  = flag.Int("shard", -1,
-			"force every trial's warm fill through the sharded engine at this worker count (0 = legacy engine; -1 = let schedules draw it randomly)")
-		fastpath = flag.Int("fastpath", -1,
-			"force every trial's warm fill's hit-burst fast path: 1 = on, 0 = stepped engine, -1 = let schedules draw it randomly")
+		trials  = flag.Int("trials", 500, "number of random schedules to execute")
+		seed    = flag.Int64("seed", 99, "master seed: schedule stream and trace seed")
+		scheme  = flag.String("scheme", "all", "restrict to one combo (e.g. bonsai/agit-plus, sgx/asit) or 'all'")
+		model   = flag.String("model", "all", "restrict to one crash model (full-adr, partial-drain, torn-block) or 'all'")
+		replay  = flag.String("replay", "", "replay a single schedule token (skips random generation)")
 		verbose = flag.Bool("v", false,
 			"print every schedule as it runs and a campaign summary (per-trial wall-time histogram, trial/violation counters by policy class and crash model)")
 		metricsAddr = flag.String("metrics-addr", "",
@@ -109,12 +105,6 @@ func main() {
 		}
 		if modelFilter != nil {
 			s.Model = *modelFilter
-		}
-		if *shard >= 0 {
-			s.Shard = *shard
-		}
-		if *fastpath >= 0 {
-			s.Fastpath = *fastpath
 		}
 		if *verbose {
 			fmt.Printf("trial %4d: %s\n", i, s)

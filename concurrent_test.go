@@ -144,9 +144,9 @@ func TestWriteBlocksMatchesSequential(t *testing.T) {
 // TestSafeSystemForkUnderLoad hammers SafeSystem.Fork while writer
 // goroutines are mutating the parent: each fork must observe a
 // consistent snapshot (audit-clean, serviceable) and stay fully
-// independent of the parent afterwards. This is the shard engine's host
-// concurrency pattern (many goroutines around one controller family),
-// and it runs under -race in CI via `make race`.
+// independent of the parent afterwards. This is how anubis-serve forks
+// a live tenant while its clients keep writing, and it runs under -race
+// in CI via `make race`.
 func TestSafeSystemForkUnderLoad(t *testing.T) {
 	s, err := NewSafe(Config{Scheme: AGITPlus, MemoryBytes: 1 << 20})
 	if err != nil {

@@ -5,10 +5,7 @@
 // power failure, so recovery correctness must be a continuously searched
 // property, not a handful of golden tests. A fuzz trial is a seeded
 // random schedule: workload profile × controller scheme × crash point ×
-// crash model × epoch coalescing-window size × intra-trial shard worker
-// count (the warm fill runs through sim.RunSharded, which must leave
-// byte-identical recoverable state) × hit-burst fast-path setting (ditto
-// for sim.RunFast's closed-form burst retirement) × optional post-crash ECC
+// crash model × epoch coalescing-window size × optional post-crash ECC
 // faults, optionally landing the crash inside a two-stage commit group
 // (the SetPushBudget mid-drain hook — which, with an epoch window
 // armed, can tear the close's coalesced commit group half-drained). The trial forks a warmed controller copy-on-write (PR 3), runs
@@ -155,23 +152,6 @@ type Schedule struct {
 	// the epoch journal, or inside a half-drained close commit group.
 	Epoch int
 
-	// Shard is the intra-trial shard worker count for the warm fill
-	// (sim.RunSharded): 0 runs the legacy single-plane engine; larger
-	// values precompute the content plane across that many workers. The
-	// sharded engine's metric- and state-neutrality contract means the
-	// crash/recovery behavior must be identical at every count — this
-	// dimension continuously audits that contract against the
-	// differential oracle.
-	Shard int
-
-	// Fastpath, when nonzero, runs the warm fill with the hit-burst
-	// fast path enabled (sim.RunFast / sim.RunShardedFast). The lane's
-	// byte-identity contract means the warmed state — and therefore
-	// every downstream crash/recovery outcome — must be identical with
-	// the lane on or off; this dimension audits that contract against
-	// the differential oracle, continuously.
-	Fastpath int
-
 	Warm  int // requests the shared warm parent executes before forking
 	Extra int // requests the forked child executes before the crash
 
@@ -202,16 +182,14 @@ func (s Schedule) String() string {
 	if s.Epoch != 0 {
 		tok += fmt.Sprintf(" epoch=%d", s.Epoch)
 	}
-	if s.Shard != 0 {
-		tok += fmt.Sprintf(" shard=%d", s.Shard)
-	}
-	if s.Fastpath != 0 {
-		tok += fmt.Sprintf(" fastpath=%d", s.Fastpath)
-	}
 	return tok
 }
 
 // ParseSchedule parses a replay token produced by Schedule.String.
+// Tokens from builds that still had the sharded warm fill or the
+// hit-burst fast lane may carry shard=N and fastpath=N; both engines
+// were byte-identical to the one warm fill that remains, so the keys
+// are accepted and ignored and those repros keep replaying.
 func ParseSchedule(tok string) (Schedule, error) {
 	fields := strings.Fields(strings.TrimSpace(tok))
 	if len(fields) == 0 || fields[0] != "v1" {
@@ -262,10 +240,6 @@ func ParseSchedule(tok string) (Schedule, error) {
 				s.CrashSeed = n
 			case "epoch":
 				s.Epoch = int(n)
-			case "shard":
-				s.Shard = int(n)
-			case "fastpath":
-				s.Fastpath = int(n)
 			}
 		default:
 			return Schedule{}, fmt.Errorf("crashfuzz: unknown token field %q", k)
@@ -281,7 +255,7 @@ func (s *Schedule) validate() error {
 	if s.Profile == "" {
 		return errors.New("crashfuzz: schedule has no profile")
 	}
-	if s.Warm < 0 || s.Faults < 0 || s.Epoch < 0 || s.Shard < 0 || s.Fastpath < 0 {
+	if s.Warm < 0 || s.Faults < 0 || s.Epoch < 0 {
 		return errors.New("crashfuzz: negative schedule dimension")
 	}
 	if s.Extra < 1 || s.Extra > MaxExtra {
@@ -296,15 +270,11 @@ func RandomSchedule(rng *rand.Rand, traceSeed int64) Schedule {
 	combos := Combos()
 	warms := []int{64, 256}
 	epochs := []int{0, 4, 16} // legacy eager path plus two coalescing-window sizes
-	shards := []int{0, 4}     // legacy single-plane engine plus a sharded warm fill
 	s := Schedule{
-		Profile:  Profiles[rng.Intn(len(Profiles))],
-		Combo:    combos[rng.Intn(len(combos))],
-		Model:    nvm.CrashModel(rng.Intn(len(nvm.CrashModels()))),
-		Epoch:    epochs[rng.Intn(len(epochs))],
-		Shard:    shards[rng.Intn(len(shards))],
-		Fastpath: rng.Intn(2), // stepped warm fill or hit-burst fast lane
-
+		Profile:   Profiles[rng.Intn(len(Profiles))],
+		Combo:     combos[rng.Intn(len(combos))],
+		Model:     nvm.CrashModel(rng.Intn(len(nvm.CrashModels()))),
+		Epoch:     epochs[rng.Intn(len(epochs))],
 		Warm:      warms[rng.Intn(len(warms))],
 		Extra:     1 + rng.Intn(MaxExtra),
 		MidCommit: -1,
@@ -349,13 +319,11 @@ type parent struct {
 }
 
 type parentKey struct {
-	profile  string
-	combo    Combo
-	epoch    int
-	shard    int
-	fastpath int
-	warm     int
-	tseed    int64
+	profile string
+	combo   Combo
+	epoch   int
+	warm    int
+	tseed   int64
 }
 
 // Runner executes trials, caching warm parents between them. Not safe
@@ -390,7 +358,7 @@ func NewRunner() *Runner {
 func arenaLen(warm int) int { return warm + MaxExtra + 1 + PostRunRequests }
 
 func (r *Runner) parent(s Schedule) (*parent, error) {
-	key := parentKey{profile: s.Profile, combo: s.Combo, epoch: s.Epoch, shard: s.Shard, fastpath: s.Fastpath, warm: s.Warm, tseed: s.TraceSeed}
+	key := parentKey{profile: s.Profile, combo: s.Combo, epoch: s.Epoch, warm: s.Warm, tseed: s.TraceSeed}
 	if p, ok := r.parents[key]; ok {
 		return p, nil
 	}
@@ -406,23 +374,7 @@ func (r *Runner) parent(s Schedule) (*parent, error) {
 	}
 	arena := r.arenas.Get(prof, s.TraceSeed, arenaLen(s.Warm))
 	if s.Warm > 0 {
-		switch {
-		case s.Shard > 0 && s.Fastpath != 0:
-			_, err = sim.RunShardedFast(ctrl, arena.Source(), s.Warm, s.Shard)
-		case s.Shard > 0:
-			// Sharded warm fill: the content-plane oracle must leave the
-			// controller in byte-identical state, so crash/recovery trials
-			// on top of it audit the sharding engine's neutrality contract.
-			_, err = sim.RunSharded(ctrl, arena.Source(), s.Warm, s.Shard, nil)
-		case s.Fastpath != 0:
-			// Fast-lane warm fill: burst retirement must leave the same
-			// recoverable state as the stepped engine (byte-identity
-			// contract), audited here by every downstream oracle check.
-			_, err = sim.RunFast(ctrl, arena.Source(), s.Warm)
-		default:
-			_, err = sim.Run(ctrl, arena.Source(), s.Warm)
-		}
-		if err != nil {
+		if _, err := sim.Run(ctrl, arena.Source(), s.Warm); err != nil {
 			return nil, fmt.Errorf("crashfuzz: warm fill (%s): %w", s.Combo, err)
 		}
 	}

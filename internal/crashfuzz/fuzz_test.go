@@ -175,39 +175,52 @@ func TestEpochReplayTokens(t *testing.T) {
 	}
 }
 
-// TestFastpathWarmFillTrials pins the fast-path schedule dimension:
-// every combo warms through the hit-burst lane (plain and sharded, with
-// and without an epoch window) and must satisfy the full differential
-// oracle — the byte-identity contract extended through crash, recovery
-// and post-run service. Tokens carrying fastpath=1 must round-trip, and
-// epoch-less/fastpath-less corpora must still parse to the legacy path.
-func TestFastpathWarmFillTrials(t *testing.T) {
-	r := NewRunner()
-	cseed := int64(9000)
-	for _, combo := range Combos() {
-		for _, variant := range []struct{ shard, epoch int }{{0, 0}, {4, 0}, {0, 4}} {
-			s := Schedule{
-				Profile: "libquantum", Combo: combo, Model: nvm.CrashFullADR,
-				Epoch: variant.epoch, Shard: variant.shard, Fastpath: 1,
-				Warm: 256, Extra: 16, MidCommit: -1,
-				TraceSeed: 99, CrashSeed: cseed,
+// TestRetiredEngineKeysReplay pins replay-token compatibility with
+// builds that had the sharded warm fill and the hit-burst fast lane:
+// a token carrying shard=N fastpath=N parses to the same Schedule as the
+// token without them, and both replay to the same verdict — a clean
+// pass, an expected refusal, or a violation from a broken controller.
+func TestRetiredEngineKeysReplay(t *testing.T) {
+	tokens := []string{
+		"v1 profile=libquantum combo=bonsai/agit-plus model=full-adr warm=256 extra=16 mid=-1 faults=0 tseed=99 cseed=9000",
+		"v1 profile=libquantum combo=sgx/asit model=full-adr warm=256 extra=16 mid=-1 faults=0 tseed=99 cseed=9001 epoch=4",
+		"v1 profile=mcf combo=bonsai/writeback model=torn-block warm=64 extra=9 mid=2 faults=1 tseed=99 cseed=9002",
+	}
+	broken := NewRunner()
+	broken.NewController = func(f sim.Family, cfg memctrl.Config) (memctrl.Controller, error) {
+		c, err := sim.NewController(f, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &panickyRecover{Controller: c}, nil
+	}
+	for _, r := range []*Runner{NewRunner(), broken} {
+		for _, tok := range tokens {
+			plain, err := ParseSchedule(tok)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cseed++
-			rt, err := ParseSchedule(s.String())
-			if err != nil || rt != s {
-				t.Fatalf("fastpath token %q did not round-trip: %+v (%v)", s.String(), rt, err)
+			for _, extra := range []string{" shard=4 fastpath=1", " shard=0 fastpath=0", " fastpath=1 shard=8"} {
+				old, err := ParseSchedule(tok + extra)
+				if err != nil {
+					t.Fatalf("token with%s rejected: %v", extra, err)
+				}
+				if old != plain {
+					t.Fatalf("token with%s parsed to %+v, want %+v", extra, old, plain)
+				}
+				if old.String() != tok {
+					t.Fatalf("re-encoded token %q, want %q", old.String(), tok)
+				}
 			}
-			if v := r.RunTrial(s); v != nil {
-				t.Fatalf("%v", v)
+			old, _ := ParseSchedule(tok + " shard=4 fastpath=1")
+			want, got := r.RunTrial(plain), r.RunTrial(old)
+			if (want == nil) == (r == broken) {
+				t.Fatalf("%s: unexpected verdict %v", tok, want)
+			}
+			if (want == nil) != (got == nil) || (want != nil && (want.Phase != got.Phase || want.Schedule != got.Schedule)) {
+				t.Fatalf("%s: verdicts differ: %v vs %v", tok, want, got)
 			}
 		}
-	}
-	s, err := ParseSchedule("v1 profile=mcf combo=bonsai/strict model=full-adr warm=64 extra=5 mid=-1 faults=0 tseed=99 cseed=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Fastpath != 0 {
-		t.Fatalf("fastpath-less token parsed to Fastpath=%d, want 0", s.Fastpath)
 	}
 }
 
@@ -236,7 +249,7 @@ func TestFuzzerCatchesRecoveryPanicAndShrinks(t *testing.T) {
 	s := Schedule{
 		Profile: "libquantum", Combo: Combo{sim.FamilyBonsai, memctrl.SchemeStrict},
 		Model: nvm.CrashTornBlock, Warm: 256, Extra: 77, MidCommit: 4, Faults: 3,
-		Fastpath: 1, TraceSeed: 99, CrashSeed: 7,
+		TraceSeed: 99, CrashSeed: 7,
 	}
 	v := r.RunTrial(s)
 	if v == nil || v.Phase != "recover" {
@@ -249,7 +262,7 @@ func TestFuzzerCatchesRecoveryPanicAndShrinks(t *testing.T) {
 	if mv == nil {
 		t.Fatal("shrink lost the failure")
 	}
-	if min.Faults != 0 || min.MidCommit != -1 || min.Model != nvm.CrashFullADR || min.Fastpath != 0 {
+	if min.Faults != 0 || min.MidCommit != -1 || min.Model != nvm.CrashFullADR {
 		t.Fatalf("shrink kept irrelevant features: %+v", min)
 	}
 	if min.Extra != 1 || min.Warm != 0 {
@@ -326,10 +339,10 @@ var fuzzRunner = NewRunner()
 // mutates the schedule dimensions and every execution must satisfy the
 // differential oracle.
 func FuzzTrial(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(10), int8(-1), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(99), uint8(4), uint8(1), uint8(2), uint16(33), int8(3), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(7), uint8(10), uint8(2), uint8(1), uint16(80), int8(0), uint8(2), uint8(2), uint8(1))
-	f.Fuzz(func(t *testing.T, cseed int64, combo, model, profile uint8, extra uint16, mid int8, faults, epoch, fastpath uint8) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(10), int8(-1), uint8(0), uint8(0))
+	f.Add(int64(99), uint8(4), uint8(1), uint8(2), uint16(33), int8(3), uint8(1), uint8(1))
+	f.Add(int64(7), uint8(10), uint8(2), uint8(1), uint16(80), int8(0), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, cseed int64, combo, model, profile uint8, extra uint16, mid int8, faults, epoch uint8) {
 		combos := Combos()
 		epochs := []int{0, 4, 16}
 		s := Schedule{
@@ -337,7 +350,6 @@ func FuzzTrial(f *testing.F) {
 			Combo:     combos[int(combo)%len(combos)],
 			Model:     nvm.CrashModel(int(model) % len(nvm.CrashModels())),
 			Epoch:     epochs[int(epoch)%len(epochs)],
-			Fastpath:  int(fastpath) % 2,
 			Warm:      64,
 			Extra:     1 + int(extra)%MaxExtra,
 			MidCommit: -1,

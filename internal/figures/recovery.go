@@ -159,14 +159,6 @@ func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 	}
 	cfg := c.Run.config(c.Scheme)
 
-	// Fill and window phases honor the RunConfig's hit-burst fast path:
-	// RunFast is contractually byte-identical to Run, so the trials (and
-	// the forked-equals-cold property) are unchanged, only faster.
-	run := sim.Run
-	if c.Run.Fastpath {
-		run = sim.RunFast
-	}
-
 	out := &RecoverySweepResult{Scheme: c.Scheme, App: c.App, Warm: c.Warm, Cold: c.ColdStart}
 	out.Trials = make([]RecoveryTrial, c.Trials)
 
@@ -177,7 +169,7 @@ func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := run(warm, arena.Source(), c.Warm); err != nil {
+		if _, err := sim.Run(warm, arena.Source(), c.Warm); err != nil {
 			return nil, fmt.Errorf("figures: recovery warm-up: %w", err)
 		}
 	}
@@ -202,12 +194,12 @@ func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 			if err != nil {
 				return RecoveryTrial{}, err
 			}
-			if _, err := run(cold, arena.Source(), c.Warm); err != nil {
+			if _, err := sim.Run(cold, arena.Source(), c.Warm); err != nil {
 				return RecoveryTrial{}, fmt.Errorf("figures: trial %d cold fill: %w", t, err)
 			}
 			ctrl = cold
 		}
-		window, err := run(ctrl, arena.SourceAt(c.Warm), extra)
+		window, err := sim.Run(ctrl, arena.SourceAt(c.Warm), extra)
 		if err != nil {
 			return RecoveryTrial{}, fmt.Errorf("figures: trial %d window: %w", t, err)
 		}

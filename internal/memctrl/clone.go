@@ -39,9 +39,6 @@ import (
 
 // Clone implements Controller.
 func (b *Bonsai) Clone() Controller {
-	// Close any open fast-lane burst: its run state holds a pointer into
-	// the parent's cache, which the shallow copy below must never share.
-	b.flushFastRun()
 	n := new(Bonsai)
 	*n = *b
 	n.dev = b.dev.Fork()
@@ -74,7 +71,6 @@ func (b *Bonsai) Clone() Controller {
 
 // Clone implements Controller.
 func (c *SGX) Clone() Controller {
-	c.flushFastRun() // see Bonsai.Clone
 	n := new(SGX)
 	*n = *c
 	n.dev = c.dev.Fork()

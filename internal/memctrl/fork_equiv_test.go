@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -131,5 +132,50 @@ func TestForkFanOut(t *testing.T) {
 		equivWorkloadRange(t, child, warm, total)
 		got := observeTrial(t, child)
 		checkObservation(t, "fan-out child", got, want)
+	}
+}
+
+// TestRecoveryDeterministicAcrossForks forks one warm parent eight
+// times, crashes and recovers every child, then drives the same
+// post-recovery requests through each. Recovery must rebuild identical
+// volatile state — cache contents and recency included — so every
+// child ends with equal run statistics and an identical persistent
+// image. The fork-equivalence tests above stop at Recover, where cache
+// recency is not yet visible; the post-recovery requests make it
+// visible through eviction order.
+func TestRecoveryDeterministicAcrossForks(t *testing.T) {
+	const warm, post, forks = 2000, 1500, 8
+	for _, tc := range []struct {
+		name string
+		mk   func() (Controller, error)
+	}{
+		{"agit-plus", func() (Controller, error) { return NewBonsai(TestConfig(SchemeAGITPlus)) }},
+		{"agit-read", func() (Controller, error) { return NewBonsai(TestConfig(SchemeAGITRead)) }},
+		{"osiris", func() (Controller, error) { return NewBonsai(TestConfig(SchemeOsiris)) }},
+		{"asit", func() (Controller, error) { return NewSGX(TestConfig(SchemeASIT)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parent, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			equivWorkloadRange(t, parent, 0, warm)
+			var want forkObservation
+			for i := 0; i < forks; i++ {
+				child := parent.Clone()
+				child.Crash()
+				rep, err := child.Recover()
+				if err != nil {
+					t.Fatalf("fork %d: recover: %v", i, err)
+				}
+				equivWorkloadRange(t, child, warm, warm+post)
+				got := forkObservation{stats: child.Stats(), rep: *rep, image: child.Device().StateDigest()}
+				if i == 0 {
+					want = got
+					continue
+				}
+				checkObservation(t, fmt.Sprintf("fork %d vs fork 0", i), got, want)
+			}
+		})
 	}
 }

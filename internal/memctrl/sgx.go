@@ -12,7 +12,6 @@ import (
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
 	"anubis/internal/shadow"
-	"anubis/internal/shard"
 )
 
 const (
@@ -74,11 +73,6 @@ type SGX struct {
 	probe obs.Probe
 
 	pending []nvm.PendingWrite
-
-	// oe is the shard-oracle entry for the in-flight request (see
-	// Bonsai.oe and internal/shard). Nil outside sharded runs.
-	oe *shard.Entry
-
 	// wbq is the volatile writeback buffer: dirty victims wait here
 	// until the end of the operation, when drainWBQ rebinds their MACs
 	// and stages them. A demand fetch for a queued block pulls it back
@@ -96,10 +90,6 @@ type SGX struct {
 	epochSlots  map[uint64]struct{}
 	epochOrder  []uint64 // close-time scratch
 	epochHash   []uint64 // close-time scratch
-
-	// fp is the hit-burst fast lane (sgx_fastpath.go). Disabled by
-	// default; every legacy entry point flushes it defensively.
-	fp sgxFastLane
 }
 
 // NewSGX constructs an SGX-family controller for cfg.Scheme, which must
@@ -496,7 +486,6 @@ func (c *SGX) checkAddr(idx uint64) error {
 
 // ReadBlock decrypts and verifies one data block.
 func (c *SGX) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
-	c.flushFastRun()
 	var zero [BlockBytes]byte
 	if err := c.checkAddr(idx); err != nil {
 		return zero, err
@@ -532,12 +521,6 @@ func (c *SGX) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 	if !has {
 		return zero, nil
 	}
-	if e := c.oe; e != nil && e.Has {
-		// Shard oracle: plaintext derived from the write history by the
-		// owning worker; decrypt + ECC + MAC recomputation skipped with
-		// latency charged above exactly as on the legacy path.
-		return e.PT, nil
-	}
 	ctr := g.Ctr[lane]
 	var pt [BlockBytes]byte
 	c.eng.DecryptTo(pt[:], ct[:], idx, ctr)
@@ -554,7 +537,6 @@ func (c *SGX) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 // WriteBlock encrypts and persists one data block plus the metadata
 // updates of the configured scheme, atomically.
 func (c *SGX) WriteBlock(idx uint64, data [BlockBytes]byte) error {
-	c.flushFastRun()
 	if err := c.checkAddr(idx); err != nil {
 		return err
 	}
@@ -611,19 +593,11 @@ func (c *SGX) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 		c.mCache.MarkDirty(c.keyOf(r))
 	}
 
-	if e := c.oe; e != nil {
-		// Shard oracle: ciphertext + sideband were precomputed under the
-		// same lane counter (counters evolve purely in trace order; only
-		// the leaf's embedded MAC, rebound at writeback, is cache-state
-		// dependent and is still handled above/by drainWBQ).
-		c.pending = append(c.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: c.wl.phys(idx), Block: e.CT, HasSide: true, Side: e.Side})
-	} else {
-		ctr := g.Ctr[lane]
-		var ctBlk [BlockBytes]byte
-		c.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
-		side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: c.eng.DataMAC(idx, ctr, data[:])}
-		c.pending = append(c.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: c.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
-	}
+	ctr := g.Ctr[lane]
+	var ctBlk [BlockBytes]byte
+	c.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
+	side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: c.eng.DataMAC(idx, ctr, data[:])}
+	c.pending = append(c.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: c.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
 
 	c.now += c.cfg.HashNS
 	c.dev.Attr().Add(obs.CompCrypto, c.cfg.HashNS)
@@ -744,7 +718,6 @@ func (c *SGX) commitPending() {
 // eviction path (parent nonces are bumped and MACs rebound), leaving
 // NVM fully consistent.
 func (c *SGX) FlushCaches() {
-	c.flushFastRun()
 	// Iterate until stable: writing a block back dirties its parent.
 	for {
 		var dirty []uint64
@@ -787,9 +760,6 @@ func (c *SGX) Crash() { c.CrashWith(nvm.CrashFullADR, nil) }
 // nvm.CrashModel). Volatile controller state is lost identically under
 // every model.
 func (c *SGX) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
-	// See Bonsai.CrashWith: the deferred fast-lane work is timeless and
-	// must land before power dies.
-	c.flushFastRun()
 	c.dev.CrashWith(model, rng)
 	c.mCache.DropAll()
 	c.updateCount.Reset()
@@ -839,7 +809,6 @@ func (c *SGX) SetProbe(p obs.Probe) { c.probe = p }
 
 // Stats returns run-time statistics.
 func (c *SGX) Stats() RunStats {
-	c.flushFastRun()
 	s := c.stats
 	s.NVM = c.dev.Stats()
 	s.TreeCache = c.mCache.Stats()

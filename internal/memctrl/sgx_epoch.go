@@ -106,7 +106,6 @@ func (c *SGX) closeEpoch() error {
 // is always nil today (the close is pure on-chip work); the signature
 // matches the harness's epochFlusher contract shared with Bonsai.
 func (c *SGX) FlushEpoch() error {
-	c.flushFastRun()
 	if c.crashed || c.epochSlots == nil {
 		return nil
 	}

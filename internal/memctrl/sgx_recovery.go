@@ -183,8 +183,20 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
 			best[e.Key] = candidate{g: g, slot: slot}
 		}
 	}
+	// Reinstall in ascending slot order: install order sets the cache's
+	// recency, so ranging over best (random map order) would make
+	// post-recovery evictions differ from run to run.
 	recs := make([]recovered, 0, len(best))
-	for key, cand := range best {
+	for slot := 0; slot < c.st.NumSlots(); slot++ {
+		e, ok := c.st.Get(slot)
+		if !ok {
+			continue
+		}
+		key := e.Key
+		cand, ok := best[key]
+		if !ok || cand.slot != slot {
+			continue
+		}
 		// Reinstall the block in exactly the slot its live entry tracks:
 		// the shadow table mirrors the cache's data array slot-for-slot,
 		// so a block placed in a different way would desynchronize every

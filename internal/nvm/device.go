@@ -268,20 +268,6 @@ func (d *Device) bankOf(r Region, idx uint64) int {
 // reason about which banks a coalesced drain will occupy.
 func (d *Device) BankOf(r Region, idx uint64) int { return d.bankOf(r, idx) }
 
-// ShardOf hashes an index onto one of n shards with the same
-// multiply-mix bankOf uses for bank interleaving, so any shard
-// assignment built on it follows the device's bank distribution: pages
-// that interleave across banks interleave across shards the same way.
-// The intra-trial execution sharder (internal/shard) uses this to
-// assign metadata pages to precompute workers.
-func ShardOf(idx uint64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := idx * 0x9e3779b97f4a7c15
-	return int(h>>32) % n
-}
-
 // EarliestBankFree reports the earliest instant at which a write drain
 // touching any bank of the given set could begin: the soonest-free bank
 // of the set combined with the earliest-free write port. Neither the

@@ -106,11 +106,6 @@ type Ledger [NumComps]uint64
 // Add charges ns to component c.
 func (l *Ledger) Add(c Comp, ns uint64) { l[c] += ns }
 
-// AddN charges n occurrences of a fixed per-event cost in one step:
-// identical to calling Add(c, per) n times. The hit-burst fast lane and
-// test helpers use it for bulk closed-form charges.
-func (l *Ledger) AddN(c Comp, per, n uint64) { l[c] += per * n }
-
 // Get returns the accumulated time of component c.
 func (l *Ledger) Get(c Comp) uint64 { return l[c] }
 
