@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-smoke bench-device bench-epoch bench-json bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke fmt clean
+.PHONY: all build vet test race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke fmt clean
 
 all: verify
 
@@ -17,9 +17,10 @@ race:
 	$(GO) test -race ./...
 
 # Tier-1 gate: everything compiles, vets clean, and the full suite
-# passes both plainly (where the zero-alloc assertions run) and under
-# the race detector (where they are skipped). bench-tools/fuzz-tools
-# are build-only smokes for the tooling — no wall-clock gate.
+# passes both plainly (where the zero-alloc assertions and the seed-99
+# golden test, internal/figures TestGoldenSeed99, run) and under the
+# race detector (where they are skipped). bench-tools/fuzz-tools are
+# build-only smokes for the tooling — no wall-clock gate.
 verify: build vet test race bench-tools fuzz-tools serve-tools dash-smoke
 
 bench:
@@ -30,50 +31,12 @@ bench:
 bench-device:
 	$(GO) test -run xxx -bench 'BenchmarkDevice' -benchmem ./internal/nvm/
 
-# Reduced parallel sweep: a quick end-to-end run of the evaluation
-# harness that exercises the worker pool and the JSON reporter. The
-# report lands on the gitignored smoke path — never in the checked-in
-# results/BENCH_<n>.json record set (which only `make bench-json`
-# regenerates, deliberately).
-bench-smoke:
-	mkdir -p results
-	$(GO) run ./cmd/anubis-bench -fig10 -fig11 -n 2000 \
-		-apps mcf,lbm,libquantum -parallel 4 -json results/smoke.json
-
-# Determinism smoke: run the reduced fig10 sweep at two settings of a
-# contractually metric-neutral knob, write both JSON reports, and gate
-# with bench_compare -exact-metrics — every simulated metric and the
-# per-component attribution ledger must be bit-identical (smoke
-# reports are transient, see .gitignore).
-SMOKE_RUN = $(GO) run ./cmd/anubis-bench -fig10 -n 2000 -apps mcf,lbm,libquantum -parallel 1 -seed 99
-
-# Epoch-pipeline smoke: coalescing window 1 must match the legacy eager
-# path (window 0 — the epoch<=1 bypass contract), and a real window
-# must complete the same sweep end to end.
-bench-epoch:
-	mkdir -p results
-	$(SMOKE_RUN) -epoch 0 -json results/smoke_epoch0.json > /dev/null
-	$(SMOKE_RUN) -epoch 1 -json results/smoke_epoch1.json > /dev/null
-	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_epoch0.json results/smoke_epoch1.json
-	$(SMOKE_RUN) -epoch 16 > /dev/null
-
-# PR-tracking benchmark record: the fixed suite matrix (quick + full
-# scale, sequential + parallel, epoch-pipeline sweep, forked-vs-cold
-# recovery sweep with per-phase attribution) written to
-# results/BENCH_13.json. CI gates a fresh suite record against it:
-#   go run ./scripts/bench_compare -epoch-sweep -max-attr-regress 0.1 -max-recovery-phase-regress 0.1 results/BENCH_13.json results/suite.json
-bench-json:
-	mkdir -p results
-	$(GO) run ./cmd/anubis-bench -suite -trials 50 -json results/BENCH_13.json
-
-# Build-only smoke: the suite driver and the comparison tool keep
-# compiling, and the perfbench module (its own go.mod, so `go build
-# ./...` never sees it) vets and passes its unit tests against the
-# current packages. Deliberately runs no benchmarks (wall-clock is too
-# noisy to gate tier-1 on).
+# Build-only smoke: anubis-bench keeps compiling, and the perfbench
+# module (its own go.mod, so `go build ./...` never sees it) vets and
+# passes its unit tests against the current packages. Deliberately runs
+# no benchmarks (wall-clock is too noisy to gate tier-1 on).
 bench-tools:
 	$(GO) build -o /dev/null ./cmd/anubis-bench
-	$(GO) build -o /dev/null ./scripts/bench_compare
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Build-only smoke: the crash-injection fuzzer CLI keeps compiling.
@@ -119,5 +82,7 @@ fuzz:
 fmt:
 	gofmt -w .
 
+# Removes build and profiling output only; results/BENCH_*.json are
+# checked-in history.
 clean:
-	rm -rf results
+	rm -rf .bench_build *.pprof trace.out

@@ -13,13 +13,14 @@
 //	anubis-bench -fig10 -n 40000      # one figure at a given scale
 //	anubis-bench -fig10 -apps mcf,lbm # restrict the benchmark list
 //	anubis-bench -all -parallel 8     # 8 concurrent simulation cells
-//	anubis-bench -all -json perf/     # write BENCH_<ts>.json report
 //	anubis-bench -recovery -trials 200  # crash-point sweep off one warm fork
-//	anubis-bench -suite -json results/  # PR-tracking benchmark matrix (make bench-json)
+//
+// The seed-99 numbers these tables print are pinned by the golden test
+// in internal/figures (TestGoldenSeed99).
 //
 // Observability (see DESIGN.md § Observability):
 //
-//	anubis-bench -all -metrics-addr :9090        # live Prometheus /metrics + /vars
+//	anubis-bench -all -metrics-addr :9090        # live Prometheus /metrics
 //	anubis-bench -fig10 -trace-events out.json   # Chrome trace of sampled requests
 //	anubis-bench -fig10 -trace-events out.json -trace-sample 1  # every request
 //
@@ -41,9 +42,8 @@ import (
 	"time"
 
 	"anubis/internal/figures"
-	"anubis/internal/memctrl"
 	"anubis/internal/obs"
-	"anubis/internal/recmodel"
+	"anubis/internal/sim"
 )
 
 func main() {
@@ -59,9 +59,7 @@ func main() {
 		headline = flag.Bool("headline", false, "headline recovery comparison")
 		ablation = flag.Bool("ablations", false, "design-choice ablations (stop-loss, recovery backend, endurance)")
 		recovery = flag.Bool("recovery", false, "recovery-time distribution from many crash points (forked warm state)")
-		suite    = flag.Bool("suite", false,
-			"run the PR-tracking benchmark matrix (quick+full scale, seq+parallel, forked-vs-cold recovery sweep) — see `make bench-json`")
-		trials = flag.Int("trials", 100,
+		trials   = flag.Int("trials", 100,
 			"crash points per recovery sweep (forking a warm controller makes 10x the old per-trial-fill count affordable)")
 		n     = flag.Int("n", 40000, "requests per (app, scheme) simulation")
 		epoch = flag.Int("epoch", 0,
@@ -71,14 +69,12 @@ func main() {
 		seed    = flag.Int64("seed", 99, "trace generator seed")
 		workers = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"concurrent simulation cells (1 = sequential legacy path; output is identical for any value)")
-		jsonOut = flag.String("json", "",
-			"write a machine-readable benchmark report; a directory (or trailing slash) gets BENCH_<timestamp>.json")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		traceOut   = flag.String("trace", "", "write a runtime execution trace to this file")
 
 		metricsAddr = flag.String("metrics-addr", "",
-			"serve live telemetry on this address while the run executes (/metrics Prometheus text, /vars JSON)")
+			"serve live telemetry on this address while the run executes (/metrics Prometheus text)")
 		traceEvents = flag.String("trace-events", "",
 			"write sampled simulation events (requests with stall attribution, evictions, commits, recovery) as Chrome trace-event JSON to this file")
 		traceSample = flag.Int("trace-sample", 64,
@@ -143,12 +139,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "anubis-bench:", err)
 		os.Exit(1)
 	}
-	rep := newReport(*workers, *n, *mem, *seed, rc.Apps)
 
-	// Observability: a cell observer always aggregates the per-component
-	// stall ledger into the JSON report; -metrics-addr additionally
-	// publishes it live, and -trace-events records sampled probe events.
-	watch := newCellWatch()
+	// Observability: -metrics-addr publishes every completed cell live,
+	// and -trace-events records sampled probe events.
 	if *metricsAddr != "" {
 		tel := obs.NewTelemetry()
 		msrv, err := obs.Serve(*metricsAddr, tel)
@@ -156,9 +149,8 @@ func main() {
 			fail(err)
 		}
 		defer msrv.Close()
-		watch.tel = tel
-		bound := msrv.Addr()
-		fmt.Fprintf(out, "telemetry: http://%s/metrics (Prometheus), http://%s/vars (JSON)\n", bound, bound)
+		rc.OnCell = observeCells(tel)
+		fmt.Fprintf(out, "telemetry: http://%s/metrics (Prometheus)\n", msrv.Addr())
 	}
 	var tracer *obs.Tracer
 	if *traceEvents != "" {
@@ -166,19 +158,91 @@ func main() {
 			fail(fmt.Errorf("-trace-sample must be >= 1 (got %d)", *traceSample))
 		}
 		tracer = obs.NewTracer(*traceSample)
-	}
-	hooks := func(rc *figures.RunConfig) {
-		rc.OnCell = watch.observe
 		rc.Trace = tracer
 	}
-	hooks(&rc)
-	// finishObs folds the aggregated attribution into the report and
-	// flushes the event trace; called once before any report is written.
-	finishObs := func() {
-		watch.finish(rep)
-		if tracer == nil {
-			return
+
+	var wall time.Duration
+	cells := 0
+	section := func(n int, fn func() error) {
+		any = true
+		start := time.Now()
+		if err := fn(); err != nil {
+			fail(err)
 		}
+		wall += time.Since(start)
+		cells += n
+		fmt.Fprintln(out)
+	}
+	nApps := rc.NumApps()
+
+	if *all || *table1 {
+		section(0, func() error {
+			figures.Table1(out)
+			return nil
+		})
+	}
+	if *all || *fig5 {
+		section(0, func() error {
+			figures.PrintFig5(out)
+			return nil
+		})
+	}
+	if *all || *fig7 {
+		section(nApps, func() error { return figures.PrintFig7(out, rc) })
+	}
+	if *all || *fig10 {
+		section(nApps*len(figures.Fig10Schemes), func() error {
+			rows, avg, err := figures.Fig10(rc)
+			if err != nil {
+				return err
+			}
+			figures.PrintPerf(out, "Figure 10: AGIT Performance (normalized to write-back)", rows, avg, figures.Fig10Schemes)
+			return nil
+		})
+	}
+	if *all || *fig11 {
+		section(nApps*len(figures.Fig11Schemes), func() error {
+			rows, avg, err := figures.Fig11(rc)
+			if err != nil {
+				return err
+			}
+			figures.PrintPerf(out, "Figure 11: ASIT Performance (normalized to write-back)", rows, avg, figures.Fig11Schemes)
+			return nil
+		})
+	}
+	if *all || *fig12 {
+		section(0, func() error {
+			figures.PrintFig12(out)
+			return nil
+		})
+	}
+	if *all || *fig13 {
+		// 5 sizes × apps × (2 write-back baselines + 3 schemes).
+		section(5*nApps*(2+len(figures.Fig13Schemes)), func() error { return figures.PrintFig13(out, rc) })
+	}
+	if *all || *ablation {
+		section(5, func() error { return figures.PrintAblationStopLoss(out, rc) })
+		section(2, func() error { return figures.PrintAblationRecoveryBackend(out, rc) })
+		section(7, func() error { return figures.PrintAblationEndurance(out, rc) })
+		section(4, func() error { return figures.PrintAblationTriad(out, rc) })
+	}
+	if *all || *recovery {
+		// One fill per scheme plus trials × (window + recovery); the
+		// fills are the only whole-trace simulations, so the cell count
+		// reported is 2 (AGIT-Plus + ASIT warm-ups).
+		section(2, func() error { return figures.PrintRecoverySweep(out, rc, *trials) })
+	}
+	if *all || *headline {
+		section(0, func() error {
+			figures.PrintHeadline(out)
+			return nil
+		})
+	}
+	if !any {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if tracer != nil {
 		f, err := os.Create(*traceEvents)
 		if err != nil {
 			fail(err)
@@ -193,146 +257,22 @@ func main() {
 		fmt.Fprintf(out, "wrote %d trace events to %s\n", tracer.Len(), *traceEvents)
 	}
 
-	if *suite {
-		if err := runSuite(rep, out, *seed, *trials, hooks); err != nil {
-			fail(err)
-		}
-		finishObs()
-		fmt.Fprintf(out, "total: %.0f ms wall, %d simulation cells\n", rep.TotalWallMS, rep.TotalCells)
-		if *jsonOut != "" {
-			path := resolvePath(*jsonOut, time.Now())
-			if err := rep.write(path); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(out, "wrote %s\n", path)
-		}
-		return
-	}
-
-	section := func(name string, cells int, fn func() (map[string]float64, error)) {
-		any = true
-		if err := rep.record(name, cells, fn); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-	}
-	nApps := rc.NumApps()
-
-	if *all || *table1 {
-		section("table1", 0, func() (map[string]float64, error) {
-			figures.Table1(out)
-			return nil, nil
-		})
-	}
-	if *all || *fig5 {
-		section("fig5", 0, func() (map[string]float64, error) {
-			figures.PrintFig5(out)
-			rows := figures.Fig5()
-			return map[string]float64{
-				"osiris_8tb_recovery_s": recmodel.Seconds(rows[len(rows)-1].NS),
-			}, nil
-		})
-	}
-	if *all || *fig7 {
-		section("fig7", nApps, func() (map[string]float64, error) {
-			rows, err := figures.Fig7(rc)
-			if err != nil {
-				return nil, err
-			}
-			figures.PrintFig7Rows(out, rows)
-			var mean float64
-			for _, r := range rows {
-				mean += r.CleanFrac / float64(len(rows))
-			}
-			return map[string]float64{"mean_clean_frac": mean}, nil
-		})
-	}
-	if *all || *fig10 {
-		section("fig10", nApps*len(figures.Fig10Schemes), func() (map[string]float64, error) {
-			rows, avg, err := figures.Fig10(rc)
-			if err != nil {
-				return nil, err
-			}
-			figures.PrintPerf(out, "Figure 10: AGIT Performance (normalized to write-back)", rows, avg, figures.Fig10Schemes)
-			return avgMetrics(avg), nil
-		})
-	}
-	if *all || *fig11 {
-		section("fig11", nApps*len(figures.Fig11Schemes), func() (map[string]float64, error) {
-			rows, avg, err := figures.Fig11(rc)
-			if err != nil {
-				return nil, err
-			}
-			figures.PrintPerf(out, "Figure 11: ASIT Performance (normalized to write-back)", rows, avg, figures.Fig11Schemes)
-			return avgMetrics(avg), nil
-		})
-	}
-	if *all || *fig12 {
-		section("fig12", 0, func() (map[string]float64, error) {
-			figures.PrintFig12(out)
-			return nil, nil
-		})
-	}
-	if *all || *fig13 {
-		// 5 sizes × apps × (2 write-back baselines + 3 schemes).
-		section("fig13", 5*nApps*(2+len(figures.Fig13Schemes)), func() (map[string]float64, error) {
-			return nil, figures.PrintFig13(out, rc)
-		})
-	}
-	if *all || *ablation {
-		section("ablation_stoploss", 5, func() (map[string]float64, error) {
-			return nil, figures.PrintAblationStopLoss(out, rc)
-		})
-		section("ablation_backend", 2, func() (map[string]float64, error) {
-			return nil, figures.PrintAblationRecoveryBackend(out, rc)
-		})
-		section("ablation_endurance", 7, func() (map[string]float64, error) {
-			return nil, figures.PrintAblationEndurance(out, rc)
-		})
-		section("ablation_triad", 4, func() (map[string]float64, error) {
-			return nil, figures.PrintAblationTriad(out, rc)
-		})
-	}
-	if *all || *recovery {
-		// One fill per scheme plus trials × (window + recovery); the
-		// fills are the only whole-trace simulations, so the cell count
-		// reported is 2 (AGIT-Plus + ASIT warm-ups).
-		section("recovery_sweep", 2, func() (map[string]float64, error) {
-			return nil, figures.PrintRecoverySweep(out, rc, *trials)
-		})
-	}
-	if *all || *headline {
-		section("headline", 0, func() (map[string]float64, error) {
-			figures.PrintHeadline(out)
-			osiris := recmodel.OsirisFullNS(8<<40, 1.05)
-			agit := recmodel.AGITNS(256<<10, 256<<10)
-			return map[string]float64{
-				"agit_speedup": recmodel.Speedup(osiris, agit),
-			}, nil
-		})
-	}
-	if !any {
-		flag.Usage()
-		os.Exit(2)
-	}
-	finishObs()
-
 	fmt.Fprintf(out, "total: %.0f ms wall, %d simulation cells, parallel=%d\n",
-		rep.TotalWallMS, rep.TotalCells, *workers)
-	if *jsonOut != "" {
-		path := resolvePath(*jsonOut, time.Now())
-		if err := rep.write(path); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", path)
-	}
+		float64(wall.Microseconds())/1000, cells, *workers)
 }
 
-// avgMetrics flattens a per-scheme average map into JSON metric keys.
-func avgMetrics(avg map[memctrl.Scheme]float64) map[string]float64 {
-	m := make(map[string]float64, len(avg))
-	for _, s := range figures.SortSchemes(avg) {
-		m["avg_"+s.String()] = avg[s]
+// observeCells returns a cell observer that publishes each completed
+// simulation cell to the live telemetry registry. It runs on the
+// parallel engine's worker goroutines; Telemetry.Update serializes
+// them, and one call per cell keeps it far off the hot path.
+func observeCells(tel *obs.Telemetry) func(sim.Result) {
+	return func(res sim.Result) {
+		tel.Update(func(r *obs.Registry) {
+			r.Counter("anubis_cells_completed_total", 1)
+			r.Counter("anubis_requests_simulated_total", uint64(res.Requests))
+			r.MergeLedger("anubis_stall_ns_total", &res.Stats.Attribution)
+			r.Observe("anubis_cell_exec_ns", res.ExecNS)
+			r.Observe("anubis_cell_nvm_writes", res.Stats.NVM.Writes)
+		})
 	}
-	return m
 }

@@ -35,7 +35,7 @@ func main() {
 		verbose = flag.Bool("v", false,
 			"print every schedule as it runs and a campaign summary (per-trial wall-time histogram, trial/violation counters by policy class and crash model)")
 		metricsAddr = flag.String("metrics-addr", "",
-			"serve live campaign telemetry on this address (/metrics Prometheus text, /vars JSON)")
+			"serve live campaign telemetry on this address (/metrics Prometheus text)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
@@ -58,8 +58,7 @@ func main() {
 		}
 		defer msrv.Close()
 		camp.tel = tel
-		bound := msrv.Addr()
-		fmt.Printf("telemetry: http://%s/metrics (Prometheus), http://%s/vars (JSON)\n", bound, bound)
+		fmt.Printf("telemetry: http://%s/metrics (Prometheus)\n", msrv.Addr())
 	}
 
 	if *replay != "" {

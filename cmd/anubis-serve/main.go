@@ -41,7 +41,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "API listen address")
-		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry on this address (/metrics Prometheus text, /vars JSON)")
+		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry on this address (/metrics Prometheus text)")
 		stateDir    = flag.String("state-dir", "", "save tenant NVM images here on shutdown and reattach them on start")
 		maxTenants  = flag.Int("max-tenants", 64, "tenant-count quota")
 		maxBytes    = flag.Uint64("max-tenant-bytes", 64<<20, "per-tenant protected-capacity quota (bytes)")

@@ -36,6 +36,9 @@ type StopLossRow struct {
 // Each stop-loss point is one independent cell (baseline + Osiris run +
 // reduced-scale crash/recovery) and the points run concurrently.
 func AblationStopLoss(rc RunConfig) ([]StopLossRow, error) {
+	if err := rc.check(); err != nil {
+		return nil, err
+	}
 	prof, _ := trace.ByName("libquantum")
 	limits := []int{1, 2, 4, 8, 16}
 	return parallel.Map(rc.pool(), len(limits), func(_ context.Context, i int) (StopLossRow, error) {
@@ -119,6 +122,9 @@ type BackendRow struct {
 // against phase-bit recovery (§2.4's data-bus extension) under the
 // AGIT-Plus scheme.
 func AblationRecoveryBackend(rc RunConfig) ([]BackendRow, error) {
+	if err := rc.check(); err != nil {
+		return nil, err
+	}
 	prof, _ := trace.ByName("libquantum")
 	base, err := runWith(rc.config(memctrl.SchemeWriteBack), prof, rc)
 	if err != nil {
@@ -175,6 +181,9 @@ type EnduranceRow struct {
 // quantified. LifetimeFactor < 1 means the scheme wears the device out
 // faster than plain write-back.
 func AblationEndurance(rc RunConfig) ([]EnduranceRow, error) {
+	if err := rc.check(); err != nil {
+		return nil, err
+	}
 	prof, _ := trace.ByName("libquantum")
 	type entry struct {
 		s    memctrl.Scheme
@@ -271,6 +280,9 @@ type TriadRow struct {
 // divides the remaining rebuild work by the tree arity — but recovery
 // stays memory-bound at every setting.
 func AblationTriad(rc RunConfig) ([]TriadRow, error) {
+	if err := rc.check(); err != nil {
+		return nil, err
+	}
 	prof, _ := trace.ByName("libquantum")
 	base, err := runWith(rc.config(memctrl.SchemeWriteBack), prof, rc)
 	if err != nil {

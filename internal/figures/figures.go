@@ -95,18 +95,33 @@ func QuickRunConfig() RunConfig {
 	return rc
 }
 
-func (rc RunConfig) profiles() []trace.Profile {
-	all := trace.SPEC2006()
+// check rejects a configuration no sweep can run. Every sweep entry
+// point calls it (directly or through profiles) before any cell starts.
+func (rc RunConfig) check() error {
+	if rc.Requests <= 0 {
+		return fmt.Errorf("figures: requests per cell must be positive, got %d", rc.Requests)
+	}
+	return nil
+}
+
+// profiles checks the configuration and resolves Apps to trace
+// profiles (nil = all 11); an unknown app name is an error.
+func (rc RunConfig) profiles() ([]trace.Profile, error) {
+	if err := rc.check(); err != nil {
+		return nil, err
+	}
 	if rc.Apps == nil {
-		return all
+		return trace.SPEC2006(), nil
 	}
-	var out []trace.Profile
+	out := make([]trace.Profile, 0, len(rc.Apps))
 	for _, name := range rc.Apps {
-		if p, ok := trace.ByName(name); ok {
-			out = append(out, p)
+		p, ok := trace.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("figures: unknown app %q", name)
 		}
+		out = append(out, p)
 	}
-	return out
+	return out, nil
 }
 
 func (rc RunConfig) config(s memctrl.Scheme) memctrl.Config {
@@ -179,8 +194,12 @@ func (rc RunConfig) run(f sim.Family, s memctrl.Scheme, p trace.Profile) (sim.Re
 }
 
 // NumApps reports how many application profiles the configuration runs
-// (used by cmd/anubis-bench to derive cell counts for the JSON report).
-func (rc RunConfig) NumApps() int { return len(rc.profiles()) }
+// (used by cmd/anubis-bench to count simulation cells); 0 when the
+// configuration is invalid, which the sweep itself then reports.
+func (rc RunConfig) NumApps() int {
+	ps, _ := rc.profiles()
+	return len(ps)
+}
 
 // --- Table 1 -------------------------------------------------------------------
 
@@ -251,7 +270,10 @@ type Fig7Row struct {
 // Apps run concurrently on the evaluation pool; rows come back in
 // profile order.
 func Fig7(rc RunConfig) ([]Fig7Row, error) {
-	profiles := rc.profiles()
+	profiles, err := rc.profiles()
+	if err != nil {
+		return nil, err
+	}
 	results, err := parallel.Map(rc.pool(), len(profiles), func(_ context.Context, i int) (sim.Result, error) {
 		res, err := rc.run(sim.FamilyBonsai, memctrl.SchemeWriteBack, profiles[i])
 		if err != nil {
@@ -281,18 +303,12 @@ func PrintFig7(w io.Writer, rc RunConfig) error {
 	if err != nil {
 		return err
 	}
-	PrintFig7Rows(w, rows)
-	return nil
-}
-
-// PrintFig7Rows renders already-computed Figure 7 rows (used by
-// cmd/anubis-bench, which also feeds the rows into its JSON report).
-func PrintFig7Rows(w io.Writer, rows []Fig7Row) {
 	fmt.Fprintln(w, "Figure 7: Fraction of Clean Counter-Cache Evictions")
 	fmt.Fprintf(w, "  %-12s %10s %12s\n", "app", "clean", "evictions")
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-12s %9.1f%% %12d\n", r.App, 100*r.CleanFrac, r.Evictions)
 	}
+	return nil
 }
 
 // --- Figures 10 and 11 ------------------------------------------------------------
@@ -323,7 +339,10 @@ var Fig11Schemes = []memctrl.Scheme{
 // first), so the output — including the floating-point accumulation of
 // the averages — is identical for any worker count.
 func perfFigure(rc RunConfig, f sim.Family, schemes []memctrl.Scheme) ([]PerfRow, map[memctrl.Scheme]float64, error) {
-	profiles := rc.profiles()
+	profiles, err := rc.profiles()
+	if err != nil {
+		return nil, nil, err
+	}
 	nS := len(schemes)
 	results, err := parallel.Map(rc.pool(), len(profiles)*nS, func(_ context.Context, i int) (sim.Result, error) {
 		p, s := profiles[i/nS], schemes[i%nS]
@@ -423,11 +442,15 @@ func PrintFig12(w io.Writer) {
 // returns the recovery report — validating the analytic op counts with
 // the actual implementation.
 func MeasuredRecovery(scheme memctrl.Scheme, family sim.Family, rc RunConfig) (*memctrl.RecoveryReport, error) {
+	profiles, err := rc.profiles()
+	if err != nil {
+		return nil, err
+	}
 	ctrl, err := sim.NewController(family, rc.config(scheme))
 	if err != nil {
 		return nil, err
 	}
-	prof := rc.profiles()[0]
+	prof := profiles[0]
 	if _, err := sim.Run(ctrl, rc.source(prof), rc.Requests); err != nil {
 		return nil, err
 	}
@@ -475,7 +498,10 @@ func Fig13(rc RunConfig) ([]Fig13Row, error) {
 		}
 		cells = append(cells, cell{fam, s})
 	}
-	profiles := rc.profiles()
+	profiles, err := rc.profiles()
+	if err != nil {
+		return nil, err
+	}
 	nP, nC := len(profiles), len(cells)
 	withCaches := func(size uint64) RunConfig {
 		cc := rc

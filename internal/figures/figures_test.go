@@ -211,12 +211,66 @@ func TestMemName(t *testing.T) {
 
 func TestRunConfigProfiles(t *testing.T) {
 	rc := DefaultRunConfig()
-	if len(rc.profiles()) != 11 {
-		t.Fatalf("default profiles = %d", len(rc.profiles()))
+	if ps, err := rc.profiles(); err != nil || len(ps) != 11 {
+		t.Fatalf("default profiles = %d, %v", len(ps), err)
 	}
 	rc.Apps = []string{"mcf", "bogus"}
-	if len(rc.profiles()) != 1 {
-		t.Fatal("unknown app names must be skipped")
+	if _, err := rc.profiles(); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("unknown app name must be an error naming it, got %v", err)
+	}
+}
+
+// TestSweepsRejectBadInput: every sweep entry point returns an error
+// for an unknown app or a non-positive request count, before any cell
+// runs, instead of panicking or printing an empty table. The ablations
+// always run libquantum, so only the request count applies to them.
+func TestSweepsRejectBadInput(t *testing.T) {
+	entries := []struct {
+		name  string
+		apps  bool
+		sweep func(RunConfig) error
+	}{
+		{"Fig7", true, func(rc RunConfig) error { _, err := Fig7(rc); return err }},
+		{"Fig10", true, func(rc RunConfig) error { _, _, err := Fig10(rc); return err }},
+		{"Fig11", true, func(rc RunConfig) error { _, _, err := Fig11(rc); return err }},
+		{"Fig13", true, func(rc RunConfig) error { _, err := Fig13(rc); return err }},
+		{"RecoverySweep", true, func(rc RunConfig) error {
+			_, err := RecoverySweep(RecoverySweepConfig{Run: rc, Scheme: memctrl.SchemeAGITPlus, Family: sim.FamilyBonsai})
+			return err
+		}},
+		{"MeasuredRecovery", true, func(rc RunConfig) error {
+			_, err := MeasuredRecovery(memctrl.SchemeASIT, sim.FamilySGX, rc)
+			return err
+		}},
+		{"AblationStopLoss", false, func(rc RunConfig) error { _, err := AblationStopLoss(rc); return err }},
+		{"AblationRecoveryBackend", false, func(rc RunConfig) error { _, err := AblationRecoveryBackend(rc); return err }},
+		{"AblationEndurance", false, func(rc RunConfig) error { _, err := AblationEndurance(rc); return err }},
+		{"AblationTriad", false, func(rc RunConfig) error { _, err := AblationTriad(rc); return err }},
+	}
+	inputs := []struct {
+		name string
+		apps bool
+		edit func(*RunConfig)
+		want string
+	}{
+		{"unknown_app", true, func(rc *RunConfig) { rc.Apps = []string{"nosuchapp"} }, `unknown app "nosuchapp"`},
+		{"one_unknown_app", true, func(rc *RunConfig) { rc.Apps = []string{"mcf", "nosuch"} }, `unknown app "nosuch"`},
+		{"zero_requests", false, func(rc *RunConfig) { rc.Requests = 0 }, "must be positive, got 0"},
+		{"negative_requests", false, func(rc *RunConfig) { rc.Requests = -5 }, "must be positive, got -5"},
+	}
+	for _, e := range entries {
+		for _, in := range inputs {
+			if in.apps && !e.apps {
+				continue
+			}
+			t.Run(e.name+"/"+in.name, func(t *testing.T) {
+				rc := QuickRunConfig()
+				in.edit(&rc)
+				if err := e.sweep(rc); err == nil || !strings.Contains(err.Error(), in.want) {
+					t.Fatalf("err = %v, want one containing %q", err, in.want)
+				}
+			})
+		}
 	}
 }
 

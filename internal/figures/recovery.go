@@ -119,6 +119,10 @@ func (r *RecoverySweepResult) RecoveryPercentileNS(p float64) uint64 {
 }
 
 func (c *RecoverySweepConfig) defaults() (trace.Profile, error) {
+	profiles, err := c.Run.profiles()
+	if err != nil {
+		return trace.Profile{}, err
+	}
 	if c.Warm <= 0 {
 		c.Warm = c.Run.Requests
 	}
@@ -129,7 +133,7 @@ func (c *RecoverySweepConfig) defaults() (trace.Profile, error) {
 		c.ExtraPerTrial = 200
 	}
 	if c.App == "" {
-		c.App = c.Run.profiles()[0].Name
+		c.App = profiles[0].Name
 	}
 	p, ok := trace.ByName(c.App)
 	if !ok {

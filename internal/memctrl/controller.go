@@ -25,6 +25,7 @@ import (
 	"anubis/internal/cache"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
+	"anubis/internal/recmodel"
 )
 
 // BlockBytes is the data access granularity (one cache line).
@@ -351,21 +352,18 @@ func (r *RecoveryReport) enterPhaseSplit(fetchP, cryptoP obs.RecPhase) {
 // success and failure alike) so the ledger always covers the full pass.
 func (r *RecoveryReport) settlePhases() {
 	if d := r.FetchOps - r.seenFetch; d > 0 {
-		r.Phases.Add(r.phase, d*OpNS)
+		r.Phases.Add(r.phase, d*recmodel.OpNS)
 	}
 	if d := r.CryptoOps - r.seenCrypto; d > 0 {
-		r.Phases.Add(r.cryptoPhase, d*OpNS)
+		r.Phases.Add(r.cryptoPhase, d*recmodel.OpNS)
 	}
 	r.seenFetch, r.seenCrypto = r.FetchOps, r.CryptoOps
 }
 
-// OpNS is the paper's per-operation recovery cost model (100 ns per
-// fetched/updated block, bundling the fetch with its hash/decryption).
-const OpNS = 100
-
-// ModeledNS returns the modeled recovery time in nanoseconds.
+// ModeledNS returns the modeled recovery time in nanoseconds, priced
+// with the paper's per-operation cost (recmodel.OpNS).
 func (r *RecoveryReport) ModeledNS() uint64 {
-	return (r.FetchOps + r.CryptoOps) * OpNS
+	return (r.FetchOps + r.CryptoOps) * recmodel.OpNS
 }
 
 // Controller is the common interface of both controller families.

@@ -119,7 +119,7 @@ func TestRecoveryAttributionSumExact(t *testing.T) {
 }
 
 // TestRecoveryPhasesJSONShape pins the report field name and the named
-// phase keys (schema_version 3).
+// phase keys that anubis-recover and anubis-fsck -json emit.
 func TestRecoveryPhasesJSONShape(t *testing.T) {
 	b, err := NewBonsai(TestConfig(SchemeAGITPlus))
 	if err != nil {

@@ -8,8 +8,9 @@ import (
 )
 
 func TestRecPhaseNamesStable(t *testing.T) {
-	// The names are part of the schema_version-3 report format: any
-	// rename is a breaking change and must bump the schema.
+	// The names are JSON keys of every RecoveryReport (anubis-recover
+	// and anubis-fsck -json) and of the frozen results/BENCH_*.json
+	// records: a rename is a breaking change.
 	want := []string{
 		"image_load", "counter_osiris_scan", "shadow_table_replay",
 		"merkle_rebuild", "epoch_journal_passA", "epoch_journal_passB",

@@ -2,12 +2,10 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -21,7 +19,6 @@ import (
 //
 //	/metrics      — Prometheus text exposition (plus process gauges:
 //	                heap bytes, goroutines, uptime) for scraping.
-//	/vars         — expvar-style JSON snapshot of every metric + memstats.
 //	/debug/events — flight-recorder tail as JSON lines (404 when no
 //	                recorder is attached).
 //	/dash         — embedded live dashboard (dash.go).
@@ -68,8 +65,6 @@ func (t *Telemetry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch req.URL.Path {
 	case "/metrics":
 		t.serveMetrics(w)
-	case "/vars", "/debug/vars":
-		t.serveVars(w)
 	case "/debug/events":
 		rec := t.recorder()
 		if rec == nil {
@@ -84,7 +79,7 @@ func (t *Telemetry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		t.serveDashJSON(w)
 	case "/":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "anubis telemetry: /metrics (Prometheus), /vars (JSON), /dash (dashboard), /debug/events (flight recorder)")
+		fmt.Fprintln(w, "anubis telemetry: /metrics (Prometheus), /dash (dashboard), /debug/dash.json (JSON), /debug/events (flight recorder)")
 	default:
 		http.NotFound(w, req)
 	}
@@ -109,35 +104,6 @@ func (t *Telemetry) serveMetrics(w http.ResponseWriter) {
 	t.processGauges(snap)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap.WritePrometheus(w)
-}
-
-func (t *Telemetry) serveVars(w http.ResponseWriter) {
-	t.mu.Lock()
-	vars := t.reg.Snapshot()
-	t.mu.Unlock()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	vars["heap_alloc_bytes"] = float64(ms.HeapAlloc)
-	vars["goroutines"] = float64(runtime.NumGoroutine())
-	vars["uptime_seconds"] = time.Since(t.start).Seconds()
-
-	// Deterministic key order for readable diffs.
-	names := make([]string, 0, len(vars))
-	for k := range vars {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, "{")
-	for i, k := range names {
-		comma := ","
-		if i == len(names)-1 {
-			comma = ""
-		}
-		kb, _ := json.Marshal(k)
-		fmt.Fprintf(w, "  %s: %s%s\n", kb, formatFloat(vars[k]), comma)
-	}
-	fmt.Fprintln(w, "}")
 }
 
 // Server is a handle to a running telemetry HTTP server: the bound

@@ -57,43 +57,17 @@ func TestTelemetryMetricsEndpoint(t *testing.T) {
 	})
 }
 
-func TestTelemetryVarsEndpoint(t *testing.T) {
-	tel := NewTelemetry()
-	tel.Update(func(r *Registry) {
-		r.Counter("trials_total", 9)
-		r.Observe("trial_wall_ns", 128)
-	})
-	for _, path := range []string{"/vars", "/debug/vars"} {
-		code, body, ct := get(t, tel, path)
-		if code != 200 {
-			t.Fatalf("%s status %d", path, code)
-		}
-		if !strings.HasPrefix(ct, "application/json") {
-			t.Fatalf("%s content type %q", path, ct)
-		}
-		var m map[string]float64
-		if err := json.Unmarshal([]byte(body), &m); err != nil {
-			t.Fatalf("%s invalid JSON: %v\n%s", path, err, body)
-		}
-		if m["trials_total"] != 9 {
-			t.Fatalf("trials_total = %v", m["trials_total"])
-		}
-		if m["trial_wall_ns_count"] != 1 {
-			t.Fatalf("hist count = %v", m["trial_wall_ns_count"])
-		}
-		if _, ok := m["uptime_seconds"]; !ok {
-			t.Fatalf("%s missing uptime_seconds: %v", path, m)
-		}
-	}
-}
-
 func TestTelemetryIndexAnd404(t *testing.T) {
 	tel := NewTelemetry()
 	if code, body, _ := get(t, tel, "/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Fatalf("index: %d %q", code, body)
 	}
-	if code, _, _ := get(t, tel, "/nope"); code != 404 {
-		t.Fatalf("want 404, got %d", code)
+	// /vars and /debug/vars were removed: /metrics and /debug/dash.json
+	// carry everything they served.
+	for _, path := range []string{"/nope", "/vars", "/debug/vars"} {
+		if code, _, _ := get(t, tel, path); code != 404 {
+			t.Fatalf("%s: want 404, got %d", path, code)
+		}
 	}
 }
 
@@ -146,12 +120,11 @@ func TestServeCloseReleasesPort(t *testing.T) {
 
 // TestTelemetryConcurrentMergeAndScrape hammers a Telemetry from both
 // sides at once — writer goroutines folding registries in through
-// Update while scraper goroutines GET /metrics, /vars, and
-// /debug/dash.json — and strictly parses every scraped body: each
-// sample line must be well-formed, no line may be torn, and counters
-// must be monotone across a single scraper's successive reads. Run
-// with -race this doubles as the data-race proof for the serving
-// boundary.
+// Update while scraper goroutines GET /metrics and /debug/dash.json —
+// and strictly parses every scraped body: each sample line must be
+// well-formed, no line may be torn, and counters must be monotone
+// across a single scraper's successive reads. Run with -race this
+// doubles as the data-race proof for the serving boundary.
 func TestTelemetryConcurrentMergeAndScrape(t *testing.T) {
 	tel := NewTelemetry()
 	rec := NewRecorder(64)
@@ -178,8 +151,8 @@ func TestTelemetryConcurrentMergeAndScrape(t *testing.T) {
 		}(wkr)
 	}
 
-	scrapeErr := make(chan error, 3)
-	paths := []string{"/metrics", "/vars", "/debug/dash.json"}
+	paths := []string{"/metrics", "/debug/dash.json"}
+	scrapeErr := make(chan error, len(paths))
 	for _, path := range paths {
 		wg.Add(1)
 		go func(path string) {

@@ -7,44 +7,24 @@
 // report the same op categories at test scale, validating the counts.
 package recmodel
 
-import "fmt"
+import (
+	"fmt"
 
-// OpNS is the modeled cost of one recovery operation: fetching a block
-// from memory bundled with its hash calculation and/or decryption.
-const OpNS = 100
-
-// BlockBytes and PageBytes mirror the system geometry.
-const (
-	BlockBytes = 64
-	PageBytes  = 4096
-	Arity      = 8
+	"anubis/internal/merkle"
 )
 
-// treeNodes returns the total node count of an 8-ary tree over `leaves`
-// leaf blocks (matching merkle.Geometry).
-func treeNodes(leaves uint64) uint64 {
-	var total uint64
-	n := (leaves + Arity - 1) / Arity
-	for {
-		total += n
-		if n == 1 {
-			return total
-		}
-		n = (n + Arity - 1) / Arity
-	}
-}
+// OpNS is the modeled cost of one recovery operation: fetching a block
+// from memory bundled with its hash calculation and/or decryption. The
+// executed recovery paths in internal/memctrl price their op counts
+// with it too.
+const OpNS = 100
 
-// treeLevels returns the number of levels of that tree.
-func treeLevels(leaves uint64) int {
-	levels := 0
-	n := (leaves + Arity - 1) / Arity
-	for {
-		levels++
-		if n == 1 {
-			return levels
-		}
-		n = (n + Arity - 1) / Arity
-	}
+// PageBytes is the memory one counter block (one tree leaf) covers.
+const PageBytes = 4096
+
+// tree returns the integrity tree over the counter blocks of memBytes.
+func tree(memBytes uint64) merkle.Geometry {
+	return merkle.NewGeometry(memBytes / PageBytes)
 }
 
 // OsirisFullOps returns the operation count of a whole-memory Osiris
@@ -53,13 +33,12 @@ func treeLevels(leaves uint64) int {
 // already persisted), then the entire Merkle tree is reconstructed from
 // the counter blocks (one hash per child plus the node update).
 func OsirisFullOps(memBytes uint64, avgTrials float64) uint64 {
-	dataBlocks := memBytes / BlockBytes
-	pages := memBytes / PageBytes
+	dataBlocks := memBytes / merkle.BlockBytes
 	counterOps := float64(dataBlocks) * (1 + avgTrials) // fetch + trials
 	// Tree build: each node hashes its children (total children ≈ pages
 	// + internal nodes) and is written once.
-	nodes := treeNodes(pages)
-	buildOps := float64(pages) + 2*float64(nodes)
+	g := tree(memBytes)
+	buildOps := float64(g.Leaves()) + 2*float64(g.TotalNodes())
 	return uint64(counterOps + buildOps)
 }
 
@@ -74,10 +53,10 @@ func OsirisFullNS(memBytes uint64, avgTrials float64) uint64 {
 // its decrypt+ECC check); every SMT entry names a tree node rebuilt
 // from its 8 children plus the node update.
 func AGITOps(counterCacheBytes, treeCacheBytes uint64) uint64 {
-	sctEntries := counterCacheBytes / BlockBytes
-	smtEntries := treeCacheBytes / BlockBytes
+	sctEntries := counterCacheBytes / merkle.BlockBytes
+	smtEntries := treeCacheBytes / merkle.BlockBytes
 	counterOps := sctEntries * 64 // one data-block fetch+check per counter
-	nodeOps := smtEntries * (Arity + 1)
+	nodeOps := smtEntries * (merkle.Arity + 1)
 	return counterOps + nodeOps
 }
 
@@ -91,7 +70,7 @@ func AGITNS(counterCacheBytes, treeCacheBytes uint64) uint64 {
 // one parent fetch for the MAC check; SGX blocks hold only 8 counters
 // and no ECC trials are needed.
 func ASITOps(metaCacheBytes uint64) uint64 {
-	stEntries := metaCacheBytes / BlockBytes
+	stEntries := metaCacheBytes / merkle.BlockBytes
 	return stEntries * 3
 }
 
@@ -108,25 +87,20 @@ func ASITNS(metaCacheBytes uint64) uint64 {
 // levels=0 is far below a full Osiris recovery — but the cost is still
 // O(memory/8^levels), unlike Anubis's cache-bound recovery.
 func TriadOps(memBytes uint64, levels int) uint64 {
-	pages := memBytes / PageBytes
+	g := tree(memBytes)
 	var ops uint64
-	n := pages
-	level := 0
-	for {
-		parents := (n + Arity - 1) / Arity
-		if level >= levels {
-			// Read n children + write `parents` nodes.
-			ops += n + parents
+	children := g.Leaves()
+	for l := 0; l < g.Levels(); l++ {
+		if l >= levels {
+			// Read the level's children + write its nodes.
+			ops += children + g.NodesAt(l)
 		}
-		if parents == 1 {
-			if level < levels {
-				ops++ // at minimum the root is re-hashed for the register check
-			}
-			return ops
-		}
-		n = parents
-		level++
+		children = g.NodesAt(l)
 	}
+	if levels >= g.Levels() {
+		ops++ // at minimum the root is re-hashed for the register check
+	}
+	return ops
 }
 
 // TriadNS prices TriadOps in nanoseconds.
@@ -168,4 +142,7 @@ func FormatDuration(ns uint64) string {
 
 // Levels16GB is a sanity anchor used in docs/tests: the tree depth for
 // the paper's 16 GB configuration.
-func Levels16GB() int { return treeLevels((16 << 30) / PageBytes) }
+func Levels16GB() int {
+	g := tree(16 << 30)
+	return g.Levels()
+}

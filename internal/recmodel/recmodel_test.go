@@ -104,12 +104,19 @@ func TestRecoveryLinearInCacheSize(t *testing.T) {
 	}
 }
 
+// TestTreeHelpers pins the tree-derived op counts at a scale small
+// enough to count by hand: 256 KB is 64 counter blocks under an 8-ary
+// tree of 8 + 1 nodes on 2 levels.
 func TestTreeHelpers(t *testing.T) {
-	if n := treeNodes(64); n != 9 {
-		t.Fatalf("treeNodes(64) = %d, want 9", n)
+	const mem = 64 * PageBytes
+	// 4096 data blocks x (fetch + 1 trial) + 64 leaves + 2 x 9 nodes.
+	if ops := OsirisFullOps(mem, 1); ops != 8192+64+18 {
+		t.Fatalf("OsirisFullOps(256KB) = %d, want %d", ops, 8192+64+18)
 	}
-	if l := treeLevels(64); l != 2 {
-		t.Fatalf("treeLevels(64) = %d, want 2", l)
+	for levels, want := range []uint64{64 + 8 + 8 + 1, 8 + 1, 1} {
+		if ops := TriadOps(mem, levels); ops != want {
+			t.Fatalf("TriadOps(256KB, %d) = %d, want %d", levels, ops, want)
+		}
 	}
 	if Levels16GB() != 8 {
 		t.Fatalf("16GB levels = %d, want 8", Levels16GB())

@@ -18,9 +18,9 @@ import (
 	"anubis/internal/trace"
 )
 
-// Result summarizes one simulation run. The JSON field names are part
-// of the stable report schema documented in EXPERIMENTS.md — rename
-// only with a schema_version bump in cmd/anubis-bench.
+// Result summarizes one simulation run. The JSON field names match the
+// frozen results/BENCH_*.json records and feed perfbench's output
+// digests, so keep them stable.
 type Result struct {
 	Workload string           `json:"workload"`
 	Scheme   memctrl.Scheme   `json:"scheme"`
