@@ -63,7 +63,7 @@ func main() {
 			"crash points per recovery sweep (forking a warm controller makes 10x the old per-trial-fill count affordable)")
 		n     = flag.Int("n", 40000, "requests per (app, scheme) simulation")
 		epoch = flag.Int("epoch", 0,
-			"epoch pipeline window in write requests (coalesced integrity-tree updates); 0 or 1 = legacy eager path, byte-identical to pre-epoch builds")
+			"epoch pipeline window in write requests (coalesced integrity-tree updates, Fig 10 schemes only: Fig 11 is epoch-invariant); 0 or 1 = eager path")
 		mem     = flag.Uint64("mem", 256<<20, "simulated memory bytes for performance runs")
 		apps    = flag.String("apps", "", "comma-separated app subset (default: all 11)")
 		seed    = flag.Int64("seed", 99, "trace generator seed")

@@ -146,7 +146,7 @@ func newCampaign() *campaign {
 // trial records one completed trial (v == nil means it passed).
 func (c *campaign) trial(s crashfuzz.Schedule, wall time.Duration, v *crashfuzz.Violation) {
 	rec := func(r *obs.Registry) {
-		policy, model := string(crashfuzz.PolicyOf(s.Combo)), s.Model.String()
+		policy, model := crashfuzz.PolicyOf(s.Combo).String(), s.Model.String()
 		r.Counter(obs.Label("anubis_fuzz_trials_total", "policy", policy, "model", model), 1)
 		r.Observe("anubis_fuzz_trial_wall_us", uint64(wall.Microseconds()))
 		if v != nil {

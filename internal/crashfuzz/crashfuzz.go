@@ -7,7 +7,7 @@
 // random schedule: workload profile × controller scheme × crash point ×
 // crash model × epoch coalescing-window size × optional post-crash ECC
 // faults, optionally landing the crash inside a two-stage commit group
-// (the SetPushBudget mid-drain hook — which, with an epoch window
+// (the SetPushBudget mid-drain hook — which, with a Bonsai epoch window
 // armed, can tear the close's coalesced commit group half-drained). The trial forks a warmed controller copy-on-write (PR 3), runs
 // the schedule, and checks a differential oracle against a golden
 // shadow copy of every value the workload wrote:
@@ -146,10 +146,12 @@ type Schedule struct {
 	Model   nvm.CrashModel
 
 	// Epoch is the controller's coalescing-window size
-	// (memctrl.Config.EpochRequests): 0 (or 1) runs the legacy eager
-	// path; larger values arm the bank-parallel epoch pipeline, so
-	// crashes can land mid-window with deferred tree updates only in
-	// the epoch journal, or inside a half-drained close commit group.
+	// (memctrl.Config.EpochRequests): 0 (or 1) runs the eager path;
+	// larger values arm the Bonsai family's epoch pipeline, so crashes
+	// can land mid-window with deferred tree updates only in the epoch
+	// journal, or inside a half-drained close commit group. SGX combos
+	// ignore it and run eager; it is drawn for every combo anyway so the
+	// seeded schedule stream stays the same.
 	Epoch int
 
 	Warm  int // requests the shared warm parent executes before forking

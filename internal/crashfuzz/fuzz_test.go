@@ -110,18 +110,20 @@ func TestTrialDeterminism(t *testing.T) {
 // failure lands mid-window (deferred tree updates only in the epoch
 // journal, stale root register) and — on crash points that close a
 // window — inside the close's coalesced commit group, half-drained.
-// Every deferring combo must satisfy the oracle under all three crash
-// models; these are the seeds that caught torn close groups during
-// development, kept as a deterministic regression net.
+// The two Bonsai combos defer; ASIT ignores the window, so its row pins
+// the eager path under the same crashes. Every combo must satisfy the
+// oracle under all three crash models; these are the seeds that caught
+// torn close groups during development, kept as a deterministic
+// regression net.
 func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 	r := NewRunner()
-	deferring := []Combo{
+	combos := []Combo{
 		{sim.FamilyBonsai, memctrl.SchemeStrict},
 		{sim.FamilyBonsai, memctrl.SchemeAGITPlus},
 		{sim.FamilySGX, memctrl.SchemeASIT},
 	}
 	cseed := int64(4242)
-	for _, combo := range deferring {
+	for _, combo := range combos {
 		for _, model := range nvm.CrashModels() {
 			for _, mid := range []int{0, 1, 2, 3, 4, 5} {
 				for _, extra := range []int{4, 9} {
@@ -142,14 +144,18 @@ func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 
 // TestEpochReplayTokens replays checked-in epoch-pipeline repro tokens
 // (the epoch=N token extension; absent = legacy path for old corpora)
-// and requires a clean run on the fixed controllers.
+// and requires a clean run on the fixed controllers. ASIT ignores the
+// window, so the sgx/asit tokens pin its eager path under the same
+// crashes.
 func TestEpochReplayTokens(t *testing.T) {
 	r := NewRunner()
 	tokens := []string{
-		// Mid-epoch crash, window open: journal replay path.
+		// Crash with a window open: bonsai/agit-plus replays the journal,
+		// sgx/asit recovers its eager state.
 		"v1 profile=libquantum combo=sgx/asit model=full-adr warm=64 extra=13 mid=-1 faults=0 tseed=99 cseed=11 epoch=16",
 		"v1 profile=mcf combo=bonsai/agit-plus model=torn-block warm=64 extra=21 mid=-1 faults=0 tseed=99 cseed=12 epoch=16",
-		// Half-drained close group: DONE_BIT redo must retire the window.
+		// Half-drained group: DONE_BIT redo must retire it (for
+		// bonsai/strict, the window's close group).
 		"v1 profile=libquantum combo=bonsai/strict model=full-adr warm=64 extra=8 mid=1 faults=0 tseed=99 cseed=13 epoch=4",
 		"v1 profile=libquantum combo=sgx/asit model=partial-drain warm=64 extra=8 mid=1 faults=0 tseed=99 cseed=14 epoch=4",
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/pprof"
-	"sort"
 
 	"anubis/internal/memctrl"
 	"anubis/internal/obs"
@@ -37,9 +36,9 @@ type RunConfig struct {
 	TreeCacheBytes    int
 	MetaCacheBytes    int
 	// Epoch is the bank-parallel epoch pipeline's window size in write
-	// requests (memctrl.Config.EpochRequests). 0 or 1 selects the legacy
-	// eager path, byte-identical to pre-epoch builds; the zero value
-	// deliberately stays legacy so existing sweeps reproduce exactly.
+	// requests (memctrl.Config.EpochRequests). 0 or 1 selects the eager
+	// path. It moves Fig 10 (Bonsai family) only: Fig 11's SGX schemes
+	// ignore it, so Fig 11 is epoch-invariant.
 	Epoch int
 	// Parallel is the evaluation engine's worker count: how many
 	// (scheme, app, size) simulation cells run concurrently. 0 means
@@ -590,14 +589,4 @@ func memName(b uint64) string {
 	default:
 		return fmt.Sprintf("%dKB", b>>10)
 	}
-}
-
-// SortSchemes returns schemes in a stable display order.
-func SortSchemes(m map[memctrl.Scheme]float64) []memctrl.Scheme {
-	out := make([]memctrl.Scheme, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -273,11 +273,3 @@ func TestSweepsRejectBadInput(t *testing.T) {
 		}
 	}
 }
-
-func TestSortSchemes(t *testing.T) {
-	m := map[memctrl.Scheme]float64{memctrl.SchemeASIT: 1, memctrl.SchemeWriteBack: 1}
-	got := SortSchemes(m)
-	if len(got) != 2 || got[0] != memctrl.SchemeWriteBack {
-		t.Fatalf("SortSchemes = %v", got)
-	}
-}

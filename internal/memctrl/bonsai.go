@@ -414,18 +414,12 @@ func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 }
 
 // WriteBlock encrypts and persists one data block with all metadata
-// updates the configured scheme requires, atomically (§2.7). With
-// cfg.EpochRequests > 1 the eager tree update is deferred into the
-// epoch pipeline (bonsai_epoch.go); otherwise the legacy lockstep path
-// runs, byte-identical to pre-epoch builds.
+// updates the configured scheme requires, atomically (§2.7). Only the
+// tree update and the window's close depend on cfg.EpochRequests: the
+// eager path propagates the leaf change to the root register in this
+// commit group, while the epoch pipeline (bonsai_epoch.go) defers it to
+// the close.
 func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
-	if b.cfg.EpochRequests > 1 {
-		return b.writeBlockEpoch(idx, data)
-	}
-	return b.writeBlockLegacy(idx, data)
-}
-
-func (b *Bonsai) writeBlockLegacy(idx uint64, data [BlockBytes]byte) error {
 	if err := b.checkAddr(idx); err != nil {
 		return err
 	}
@@ -436,9 +430,24 @@ func (b *Bonsai) writeBlockLegacy(idx uint64, data [BlockBytes]byte) error {
 	if err != nil {
 		return err
 	}
+	s := counter.UnpackSplit(line.Data)
+	deferTree := b.epochDirty != nil
+	if deferTree && s.Minors[lane] == counter.MinorMax {
+		// Page overflow ahead: the re-encryption rewrites every lane of
+		// the page, which the coalescing window cannot express. Close
+		// the window and update the tree eagerly for this one write.
+		if err := b.closeEpoch(); err != nil {
+			return err
+		}
+		deferTree = false
+		if line, err = b.getCounterBlock(page); err != nil {
+			return err
+		}
+		s = counter.UnpackSplit(line.Data)
+	}
 	b.pending = b.pending[:0]
 
-	s := counter.UnpackSplit(line.Data)
+	prev := line.Data
 	old := s
 	if s.Increment(lane) {
 		// Minor overflow: the page is re-encrypted under the new major
@@ -456,7 +465,7 @@ func (b *Bonsai) writeBlockLegacy(idx uint64, data [BlockBytes]byte) error {
 		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
 	} else if b.cfg.Scheme == SchemeTriad {
 		// Triad-NVM: counters persist on every write (the tree path up
-		// to TriadLevels is handled in updateTreePath).
+		// to TriadLevels is handled in persistTreeNode).
 		b.stats.StrictWrites++
 		b.cCache.MarkDirty(page)
 		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
@@ -497,27 +506,42 @@ func (b *Bonsai) writeBlockLegacy(idx uint64, data [BlockBytes]byte) error {
 	side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: b.eng.DataMAC(idx, ctr, data[:]), Phase: uint8(ctr)}
 	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
 
-	// Eager tree update: propagate the leaf change to the on-chip root.
-	if err := b.updateTreePath(page, line.Data); err != nil {
-		return err
+	if deferTree {
+		// Deferred tree update: remember the page and journal the change.
+		// Old pins the epoch-start content (sticky across the window: a
+		// later note for the same page refreshes only New), so the stale
+		// root register plus the journal always describe a recoverable
+		// state, under every crash model.
+		b.epochDirty[page] = struct{}{}
+		b.pending = append(b.pending, nvm.PendingWrite{JOp: nvm.JournalNote, JKey: page, JOld: prev, Block: line.Data})
+	} else {
+		// Eager tree update: propagate the leaf change to the on-chip
+		// root. The root register joins the atomic group so NVM content
+		// and the root can never disagree across a crash.
+		if err := b.updateTreePath(page, line.Data); err != nil {
+			return err
+		}
+		var rootBlk [BlockBytes]byte
+		putU64(rootBlk[:], b.rootHash)
+		b.pending = append(b.pending, nvm.PendingWrite{RegName: regBonsaiRoot, Block: rootBlk})
 	}
-
-	// Root register joins the atomic group so NVM content and the root
-	// can never disagree across a crash.
-	var rootBlk [BlockBytes]byte
-	putU64(rootBlk[:], b.rootHash)
-	b.pending = append(b.pending, nvm.PendingWrite{RegName: regBonsaiRoot, Block: rootBlk})
 
 	b.now += b.cfg.HashNS // pipelined encrypt+MAC engine occupancy
 	b.dev.Attr().Add(obs.CompCrypto, b.cfg.HashNS)
 	b.commitPending()
 	b.now = b.wl.recordWrite(b.now)
+
+	if deferTree {
+		b.epochWrites++
+		if b.epochWrites >= b.cfg.EpochRequests {
+			return b.closeEpoch()
+		}
+	}
 	return nil
 }
 
 // updateTreePath applies the eager update policy: every ancestor of the
-// counter block is updated in cache (strict persistence additionally
-// stages each updated node for write-out and keeps the lines clean).
+// counter block is updated in cache and handed to persistTreeNode.
 func (b *Bonsai) updateTreePath(page uint64, counterBlock [BlockBytes]byte) error {
 	childHash := b.eng.ContentHash(counterBlock[:])
 	childIdx := page
@@ -531,24 +555,31 @@ func (b *Bonsai) updateTreePath(page uint64, counterBlock [BlockBytes]byte) erro
 		gn := merkle.GNode(line.Data)
 		gn.SetHash(slot, childHash)
 		line.Data = gn
-		flat := b.geom.Flat(level, nodeIdx)
-		if b.cfg.Scheme == SchemeStrict || (b.cfg.Scheme == SchemeTriad && level < b.cfg.TriadLevels) {
-			b.stats.StrictWrites++
-			b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionTree, Index: flat, Block: line.Data})
-			if b.cfg.Scheme == SchemeTriad {
-				b.tCache.MarkDirty(flat)
-			}
-		} else {
-			firstDirty := b.tCache.MarkDirty(flat)
-			if firstDirty && b.cfg.Scheme == SchemeAGITPlus {
-				b.shadowTreeSlot(line.Slot(), flat)
-			}
-		}
+		b.persistTreeNode(level, nodeIdx, line)
 		childHash = b.eng.ContentHash(line.Data[:])
 		childIdx = nodeIdx
 	}
 	b.rootHash = childHash
 	return nil
+}
+
+// persistTreeNode applies the scheme's per-node persistence policy to a
+// freshly updated tree node, for the eager path and the epoch close
+// alike. Strict, and Triad below TriadLevels, stage the node in the
+// current commit group (Triad keeps its cached copy dirty); every other
+// scheme only dirties the cached line, which AGIT-Plus tracks in the
+// SMT on its first dirtying.
+func (b *Bonsai) persistTreeNode(level int, nodeIdx uint64, line *cache.Line) {
+	flat := b.geom.Flat(level, nodeIdx)
+	if b.cfg.Scheme == SchemeStrict || (b.cfg.Scheme == SchemeTriad && level < b.cfg.TriadLevels) {
+		b.stats.StrictWrites++
+		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionTree, Index: flat, Block: line.Data})
+		if b.cfg.Scheme == SchemeTriad {
+			b.tCache.MarkDirty(flat)
+		}
+	} else if b.tCache.MarkDirty(flat) && b.cfg.Scheme == SchemeAGITPlus {
+		b.shadowTreeSlot(line.Slot(), flat)
+	}
 }
 
 // reencryptPage handles a split-counter page overflow: all lines of the

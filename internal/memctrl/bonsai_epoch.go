@@ -2,14 +2,15 @@ package memctrl
 
 // Bank-parallel epoch pipeline with coalesced integrity-tree updates.
 //
-// The legacy write path updates every Merkle ancestor of the written
-// counter block eagerly, once per request: a write to a hot page costs
-// Levels() tree-node hashes and, under strict persistence, Levels()
-// staged node writes, even though consecutive writes share almost all
-// of their root path. The epoch pipeline defers those ancestor updates
-// into a per-epoch dirty set and drains them in one coalesced commit
-// group every cfg.EpochRequests writes: each dirty ancestor is hashed
-// and persisted once per epoch, however many child updates it absorbed.
+// The eager write path updates every Merkle ancestor of the written
+// counter block once per request: a write to a hot page costs Levels()
+// tree-node hashes and, under strict persistence, Levels() staged node
+// writes, even though consecutive writes share almost all of their root
+// path. With cfg.EpochRequests > 1, WriteBlock instead adds the page to
+// a per-epoch dirty set, and closeEpoch drains it in one coalesced
+// commit group every cfg.EpochRequests writes: each dirty ancestor is
+// hashed and persisted once per epoch, however many child updates it
+// absorbed.
 //
 // Crash safety ("coalescing buffer persistence contract"): while a
 // window is open, the on-chip root register still anchors the
@@ -24,103 +25,16 @@ package memctrl
 // window atomically: the coalesced node writes, the fresh root register
 // and the journal clear ride one commit group.
 //
-// With cfg.EpochRequests <= 1 none of this code runs: WriteBlock
-// dispatches to the legacy path, byte-identical to pre-epoch builds.
+// Only this family defers: the SGX family ignores cfg.EpochRequests
+// (see DESIGN.md §12).
 
 import (
 	"sort"
 
-	"anubis/internal/counter"
-	"anubis/internal/ecc"
 	"anubis/internal/merkle"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
 )
-
-// writeBlockEpoch is WriteBlock under the epoch pipeline: the counter
-// update and the encrypted data block still persist atomically per
-// request, but the eager tree-path update is deferred into the epoch's
-// dirty set, made crash-safe by the journal note riding in the same
-// commit group.
-func (b *Bonsai) writeBlockEpoch(idx uint64, data [BlockBytes]byte) error {
-	if err := b.checkAddr(idx); err != nil {
-		return err
-	}
-	page, lane := idx/counter.SplitMinors, int(idx%counter.SplitMinors)
-	line, err := b.getCounterBlock(page)
-	if err != nil {
-		return err
-	}
-	s := counter.UnpackSplit(line.Data)
-	if s.Minors[lane] == counter.MinorMax {
-		// Page overflow ahead: the re-encryption rewrites every lane of
-		// the page, which the coalescing window cannot express. Close
-		// the window and take the legacy path for this one write (the
-		// counter line is cached, so the retraced prefix costs nothing).
-		if err := b.closeEpoch(); err != nil {
-			return err
-		}
-		return b.writeBlockLegacy(idx, data)
-	}
-	b.stats.WriteRequests++
-	b.pending = b.pending[:0]
-
-	epochStart := line.Data
-	s.Increment(lane) // cannot overflow: pre-checked above
-	line.Data = s.Pack()
-	if b.cfg.Scheme == SchemeStrict {
-		b.stats.StrictWrites++
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
-	} else if b.cfg.Scheme == SchemeTriad {
-		b.stats.StrictWrites++
-		b.cCache.MarkDirty(page)
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
-	} else if b.cfg.Scheme == SchemeSelective && b.inPersistentRegion(idx) {
-		b.stats.StrictWrites++
-		b.cCache.MarkDirty(page)
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
-	} else {
-		first := b.cCache.MarkDirty(page)
-		if first && b.cfg.Scheme == SchemeAGITPlus {
-			b.shadowCounterSlot(line.Slot(), page)
-		}
-	}
-
-	// Osiris stop-loss, unchanged from the legacy path.
-	if b.cfg.Scheme != SchemeWriteBack && b.cfg.Scheme != SchemeStrict &&
-		b.cfg.Scheme != SchemeSelective && b.cfg.Recovery != RecoveryPhase {
-		if b.updateCount.Inc(page) >= b.cfg.StopLoss {
-			b.updateCount.Set(page, 0)
-			b.stats.StopLossWrites++
-			b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
-		}
-	}
-
-	ctr := s.Counter(lane)
-	var ctBlk [BlockBytes]byte
-	b.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
-	side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: b.eng.DataMAC(idx, ctr, data[:]), Phase: uint8(ctr)}
-	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
-
-	// Deferred tree update: remember the page and journal the change.
-	// Old pins the epoch-start content (sticky across the window: a
-	// later note for the same page refreshes only New), so the stale
-	// root register plus the journal always describe a recoverable
-	// state, under every crash model.
-	b.epochDirty[page] = struct{}{}
-	b.pending = append(b.pending, nvm.PendingWrite{JOp: nvm.JournalNote, JKey: page, JOld: epochStart, Block: line.Data})
-
-	b.now += b.cfg.HashNS // pipelined encrypt+MAC engine occupancy
-	b.dev.Attr().Add(obs.CompCrypto, b.cfg.HashNS)
-	b.commitPending()
-	b.now = b.wl.recordWrite(b.now)
-
-	b.epochWrites++
-	if b.epochWrites >= b.cfg.EpochRequests {
-		return b.closeEpoch()
-	}
-	return nil
-}
 
 // closeEpoch drains the coalescing buffer: every dirty ancestor of the
 // window's written pages is recomputed exactly once, persisted per the
@@ -156,7 +70,6 @@ func (b *Bonsai) closeEpoch() error {
 	b.epochHash = hashes
 
 	b.pending = b.pending[:0]
-	var treeWrites []nvm.PendingWrite
 	nodes := 0
 	idxs := pages
 	for level := 0; level < b.geom.Levels(); level++ {
@@ -176,19 +89,7 @@ func (b *Bonsai) closeEpoch() error {
 			}
 			line.Data = gn
 			nodes++
-			flat := b.geom.Flat(level, nodeIdx)
-			if b.cfg.Scheme == SchemeStrict || (b.cfg.Scheme == SchemeTriad && level < b.cfg.TriadLevels) {
-				b.stats.StrictWrites++
-				treeWrites = append(treeWrites, nvm.PendingWrite{Region: nvm.RegionTree, Index: flat, Block: line.Data})
-				if b.cfg.Scheme == SchemeTriad {
-					b.tCache.MarkDirty(flat)
-				}
-			} else {
-				firstDirty := b.tCache.MarkDirty(flat)
-				if firstDirty && b.cfg.Scheme == SchemeAGITPlus {
-					b.shadowTreeSlot(line.Slot(), flat)
-				}
-			}
+			b.persistTreeNode(level, nodeIdx, line)
 			parents = append(parents, nodeIdx)
 			parentHashes = append(parentHashes, b.eng.ContentHash(line.Data[:]))
 		}
@@ -196,11 +97,11 @@ func (b *Bonsai) closeEpoch() error {
 	}
 	b.rootHash = hashes[0]
 
-	// Drain-window placement: order the coalesced node writes so the
-	// banks that free up earliest drain first (nvm.Device.EarliestBankFree
-	// over singleton bank sets; deterministic, ties broken by bank then
-	// node index).
-	if len(treeWrites) > 1 {
+	// Drain-window placement: order the coalesced node writes (all of
+	// b.pending so far) so the banks that free up earliest drain first
+	// (nvm.Device.EarliestBankFree over singleton bank sets;
+	// deterministic, ties broken by bank then node index).
+	if treeWrites := b.pending; len(treeWrites) > 1 {
 		banks := b.dev.Timing().Banks
 		free := make([]uint64, banks)
 		order := make([]int, banks)
@@ -228,7 +129,6 @@ func (b *Bonsai) closeEpoch() error {
 			return treeWrites[i].Index < treeWrites[j].Index
 		})
 	}
-	b.pending = append(b.pending, treeWrites...)
 
 	var rootBlk [BlockBytes]byte
 	putU64(rootBlk[:], b.rootHash)

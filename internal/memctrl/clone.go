@@ -86,14 +86,6 @@ func (c *SGX) Clone() Controller {
 	n.wl = c.wl.clone(n.dev)
 	n.pending = append([]nvm.PendingWrite(nil), c.pending...)
 	n.wbq = append([]cache.Victim(nil), c.wbq...)
-	if c.epochSlots != nil {
-		n.epochSlots = make(map[uint64]struct{}, len(c.epochSlots))
-		for s := range c.epochSlots {
-			n.epochSlots[s] = struct{}{}
-		}
-	}
-	// Close-time scratch is rebuilt on demand; see Bonsai.Clone.
-	n.epochOrder, n.epochHash = nil, nil
 	n.probe = nil // see Bonsai.Clone
 	return n
 }

@@ -158,14 +158,14 @@ type Config struct {
 	// HashNS is the hash/MAC engine latency charged on the critical path.
 	HashNS uint64
 
-	// EpochRequests enables the bank-parallel epoch pipeline when > 1:
-	// integrity-tree updates (Bonsai eager tree path, ASIT shadow-tree
-	// refresh) are deferred into a coalescing buffer and drained as one
-	// commit group every EpochRequests data writes — one persisted
-	// ancestor per epoch instead of one per request. The window between
-	// drains is covered by the persistent epoch journal (nvm.JournalEntry),
-	// which keeps recovery exact. 0 or 1 selects the legacy per-request
-	// lockstep path, byte-identical to pre-epoch builds.
+	// EpochRequests enables the Bonsai family's bank-parallel epoch
+	// pipeline when > 1: eager tree-path updates are deferred into a
+	// coalescing buffer and drained as one commit group every
+	// EpochRequests data writes — one persisted ancestor per epoch
+	// instead of one per request. The window between drains is covered
+	// by the persistent epoch journal (nvm.JournalEntry), which keeps
+	// recovery exact. 0 or 1 selects the eager per-request path. The SGX
+	// family (Fig 11, ASIT included) ignores it and always runs eager.
 	EpochRequests int
 
 	// Timing parameterizes the NVM device.
@@ -311,9 +311,9 @@ type RecoveryReport struct {
 
 	RedoneWrites int `json:"redone_writes"` // commit-group writes replayed via DONE_BIT
 
-	// JournalPages counts epoch-journal entries replayed by the two-pass
-	// mid-epoch recovery (0 when the crash fell between epoch windows or
-	// the epoch pipeline was off).
+	// JournalPages counts epoch-journal entries replayed by the Bonsai
+	// family's two-pass mid-epoch recovery (0 when the crash fell
+	// between epoch windows or the epoch pipeline was off).
 	JournalPages uint64 `json:"journal_pages,omitempty"`
 
 	// Phases decomposes the modeled recovery time into the recovery

@@ -80,16 +80,6 @@ type SGX struct {
 	// standard writeback-buffer-hit behaviour, and the reason fills can
 	// never observe a block that is mid-writeback.
 	wbq []cache.Victim
-
-	// Epoch pipeline state (ASIT only — see sgx_epoch.go). epochSlots is
-	// non-nil exactly when the pipeline is active; it collects the
-	// shadow-table slots whose protection-tree path update is deferred
-	// until the window closes. All volatile: a crash empties them and the
-	// epoch journal takes over.
-	epochWrites int
-	epochSlots  map[uint64]struct{}
-	epochOrder  []uint64 // close-time scratch
-	epochHash   []uint64 // close-time scratch
 }
 
 // NewSGX constructs an SGX-family controller for cfg.Scheme, which must
@@ -118,9 +108,6 @@ func NewSGX(cfg Config) (*SGX, error) {
 		c.st = shadow.NewSTTable(c.mCache.NumSlots())
 		c.stGeom = merkle.NewGeometry(uint64(c.st.NumSlots()))
 		c.initShadowTree()
-		if cfg.EpochRequests > 1 {
-			c.epochSlots = make(map[uint64]struct{}, cfg.EpochRequests)
-		}
 	}
 	c.reserveRegions()
 	c.dev.ResetStats()
@@ -213,10 +200,7 @@ func (c *SGX) parentOf(r metaRef) (parent metaRef, slot int, isRoot bool) {
 func (c *SGX) nvmRead(region nvm.Region, idx uint64, timed bool) [BlockBytes]byte {
 	for i := len(c.pending) - 1; i >= 0; i-- {
 		w := c.pending[i]
-		// Journal notes are on-chip ops whose Region/Index fields are
-		// meaningless; without the JOp guard a note would masquerade as a
-		// write to region 0, block 0.
-		if w.RegName == "" && w.JOp == nvm.JournalNone && w.Region == region && w.Index == idx {
+		if w.RegName == "" && w.Region == region && w.Index == idx {
 			return w.Block
 		}
 	}
@@ -436,25 +420,10 @@ func (c *SGX) shadowMeta(r metaRef, line *cache.Line, g *counter.SGX) error {
 		}
 	}
 	slot := line.Slot()
-	var epochStart [BlockBytes]byte
-	if c.epochSlots != nil {
-		epochStart = c.st.Block(slot)
-	}
 	bi, blk := c.st.Set(slot, e)
 	c.stats.ShadowWrites++
 	c.pending = append(c.pending, nvm.PendingWrite{Region: nvm.RegionST, Index: bi, Block: blk})
-	if c.epochSlots != nil {
-		// Epoch pipeline: defer the protection-tree path recompute into
-		// the window's dirty set and journal the table block instead. Old
-		// pins the epoch-start content (sticky across the window) — the
-		// state the stale SHADOW_TREE_ROOT still covers — while New
-		// tracks the authoritative latest entry; the note rides this
-		// operation's atomic commit group. See sgx_epoch.go.
-		c.epochSlots[bi] = struct{}{}
-		c.pending = append(c.pending, nvm.PendingWrite{JOp: nvm.JournalNote, JKey: bi, JOld: epochStart, Block: blk})
-	} else {
-		c.refreshShadowPath(slot)
-	}
+	c.refreshShadowPath(slot)
 	if overflow {
 		// Persist the node so recovery's MSB splice stays exact. The
 		// NVM copy needs a run-time MAC bound to the parent counter to
@@ -605,12 +574,6 @@ func (c *SGX) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 		return err
 	}
 	c.now = c.wl.recordWrite(c.now)
-	if c.epochSlots != nil {
-		c.epochWrites++
-		if c.epochWrites >= c.cfg.EpochRequests {
-			return c.closeEpoch()
-		}
-	}
 	return nil
 }
 
@@ -745,12 +708,6 @@ func (c *SGX) FlushCaches() {
 		}
 		c.commitPending()
 	}
-	// The writebacks above refresh shadow entries, which under the epoch
-	// pipeline defer their tree-path updates; close the window so NVM
-	// (table, root register, empty journal) is left fully consistent.
-	if err := c.FlushEpoch(); err != nil {
-		panic("memctrl: flush epoch close failed: " + err.Error())
-	}
 }
 
 // Crash models a power failure.
@@ -766,10 +723,6 @@ func (c *SGX) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
 	c.pending = c.pending[:0]
 	c.wbq = c.wbq[:0]
 	c.rootNode = counter.SGX{}
-	c.epochWrites = 0
-	for s := range c.epochSlots {
-		delete(c.epochSlots, s)
-	}
 	if c.cfg.Scheme == SchemeASIT {
 		c.st = shadow.NewSTTable(c.mCache.NumSlots())
 		c.stRoot = 0

@@ -66,31 +66,18 @@ func (c *SGX) doRecover() (*RecoveryReport, error) {
 
 // recoverASIT implements Algorithm 2 of the paper.
 func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
+	// ASIT refreshes SHADOW_TREE_ROOT with every shadow-table write and
+	// never writes the epoch journal. An entry there describes no ASIT
+	// state the register can vouch for, so recovery fails closed.
+	if n := c.dev.JournalLen(); n > 0 {
+		return rep, fmt.Errorf("%w: ASIT device holds %d epoch journal entries", ErrUnrecoverable, n)
+	}
+
 	// 1. Read the Shadow Table from NVM and verify its integrity by
 	// regenerating SHADOW_TREE_ROOT and comparing with the on-chip copy.
-	//
-	// With an epoch window open at the crash (sgx_epoch.go), the
-	// register still anchors the epoch-start table while every block the
-	// window touched sits in the on-chip journal. Pass A substitutes
-	// each journaled block's epoch-start content (Old) — the state the
-	// stale register covers — so the verification also authenticates
-	// every *untouched* media block.
-	entries := c.dev.JournalEntries()
-	for _, je := range entries {
-		if je.Key >= uint64(c.mCache.NumSlots()) {
-			return rep, fmt.Errorf("%w: epoch journal tracks shadow-table block %d beyond the table (%d slots)",
-				ErrUnrecoverable, je.Key, c.mCache.NumSlots())
-		}
-	}
-	rep.JournalPages = uint64(len(entries))
-	// The table restore (with pass A's Old substitution riding the same
-	// reads) and its root verification are one phase: shadow replay.
 	rep.enterPhase(obs.RPShadowReplay)
 	c.st = shadow.RestoreSTTable(c.mCache.NumSlots(), func(bi uint64) [BlockBytes]byte {
 		rep.FetchOps++
-		if je, ok := c.dev.JournalLookup(bi); ok {
-			return je.Old
-		}
 		return c.dev.Read(nvm.RegionST, bi)
 	})
 	c.stRoot = merkle.BuildGeneral(c.stGeom, c.eng,
@@ -102,31 +89,6 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
 	want, _ := c.dev.GetReg64(regShadowTreeRoot)
 	if c.stRoot != want {
 		return rep, fmt.Errorf("%w: shadow table root %#x != SHADOW_TREE_ROOT %#x", ErrUnrecoverable, c.stRoot, want)
-	}
-
-	// Pass B: replay the journaled New content — the table state the
-	// crash actually interrupted. The journal is on-chip and survives
-	// every crash model, so New is authoritative even where the media
-	// copy is torn; write it through, rebuild the protection tree, and
-	// retire the window by anchoring the fresh root.
-	if len(entries) > 0 {
-		rep.enterPhase(obs.RPJournalPassB)
-		for _, je := range entries {
-			c.dev.WriteRaw(nvm.RegionST, je.Key, je.New)
-			if e := shadow.UnpackSTEntry(je.New); e.Valid {
-				c.st.Set(int(je.Key), e)
-			} else {
-				c.st.Clear(int(je.Key))
-			}
-		}
-		c.stRoot = merkle.BuildGeneral(c.stGeom, c.eng,
-			func(i uint64) [BlockBytes]byte { return c.st.Block(int(i)) },
-			func(flat uint64, n merkle.GNode) {
-				l, i := c.stGeom.Unflat(flat)
-				c.stNodes[l][i] = n
-			}, &rep.CryptoOps)
-		c.dev.SetReg64(regShadowTreeRoot, c.stRoot)
-		c.dev.JournalReset()
 	}
 
 	// 2. Recover tree nodes: splice the shadow LSBs and MAC onto each

@@ -502,3 +502,74 @@ func TestSGXCrashedControllerRefusesIO(t *testing.T) {
 		t.Fatal("read accepted on crashed controller")
 	}
 }
+
+// TestSGXEpochOneIsStructurallyLegacy checks that the SGX family
+// ignores EpochRequests: at windows 1, 4 and 16 every scheme, ASIT
+// included, runs the eager path of window 0, with identical timing,
+// statistics and persistent state.
+func TestSGXEpochOneIsStructurallyLegacy(t *testing.T) {
+	for _, s := range sgxSchemes {
+		t.Run(s.String(), func(t *testing.T) {
+			run := func(epoch int) *SGX {
+				cfg := TestConfig(s)
+				cfg.EpochRequests = epoch
+				c, err := NewSGX(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < 120; i++ {
+					addr := (i * 37) % c.NumBlocks()
+					if err := c.WriteBlock(addr, pattern(i)); err != nil {
+						t.Fatal(err)
+					}
+					if i%3 == 0 {
+						if _, err := c.ReadBlock(addr); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return c
+			}
+			base := run(0)
+			for _, e := range []int{1, 4, 16} {
+				other := run(e)
+				if base.Now() != other.Now() {
+					t.Fatalf("epoch %d: virtual clocks diverge: %d vs %d", e, base.Now(), other.Now())
+				}
+				if base.Stats() != other.Stats() {
+					t.Fatalf("epoch %d: stats diverge:\n%+v\n%+v", e, base.Stats(), other.Stats())
+				}
+				if base.Device().StateDigest() != other.Device().StateDigest() {
+					t.Fatalf("epoch %d: persistent state diverges", e)
+				}
+			}
+		})
+	}
+}
+
+// TestSGXASITJournalEntryFailsClosed: ASIT never writes the epoch
+// journal, so a journal entry found at recovery is state that
+// SHADOW_TREE_ROOT cannot vouch for. Recovery must refuse it rather
+// than replay it.
+func TestSGXASITJournalEntryFailsClosed(t *testing.T) {
+	c := newSGX(t, SchemeASIT)
+	for i := uint64(0); i < 40; i++ {
+		if err := c.WriteBlock(i*counter.SGXCounters, pattern(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := c.Device()
+	blocks := dev.BlocksIn(nvm.RegionST)
+	if len(blocks) == 0 {
+		t.Fatal("no shadow table blocks written")
+	}
+	// A well-formed note: both sides equal the block's media content.
+	blk := dev.Read(nvm.RegionST, blocks[0])
+	dev.BeginCommit()
+	dev.Stage(nvm.PendingWrite{JOp: nvm.JournalNote, JKey: blocks[0], JOld: blk, Block: blk})
+	dev.CommitGroup(c.Now())
+	c.Crash()
+	if _, err := c.Recover(); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("Recover with a journal entry = %v, want ErrUnrecoverable", err)
+	}
+}

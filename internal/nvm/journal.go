@@ -44,8 +44,8 @@ const (
 )
 
 // JournalEntry is one journaled metadata block. Key is an opaque
-// controller-chosen identifier (the controllers use counter-page and
-// shadow-table block indices; the device never interprets it).
+// controller-chosen identifier: a counter-page index, since the Bonsai
+// family is the only one that journals. The device never interprets it.
 type JournalEntry struct {
 	Key uint64
 	Old [BlockBytes]byte // content at first epoch touch (covered by the stale root register)

@@ -171,8 +171,8 @@ func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 }
 
 // epochFlusher is implemented by controllers with a deferred-update
-// epoch pipeline; matched by assertion like probeSetter, so the
-// Controller interface stays family-agnostic.
+// epoch pipeline (the Bonsai family); matched by assertion like
+// probeSetter, so the Controller interface stays family-agnostic.
 type epochFlusher interface{ FlushEpoch() error }
 
 // FillBlock writes deterministic content so every write has distinct
