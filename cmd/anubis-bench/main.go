@@ -13,7 +13,7 @@
 //	anubis-bench -fig10 -n 40000      # one figure at a given scale
 //	anubis-bench -fig10 -apps mcf,lbm # restrict the benchmark list
 //	anubis-bench -all -parallel 8     # 8 concurrent simulation cells
-//	anubis-bench -recovery -trials 200  # crash-point sweep off one warm fork
+//	anubis-bench -recovery -trials 200  # crash points forked off one advancing warm controller
 //
 // The seed-99 numbers these tables print are pinned by the golden test
 // in internal/figures (TestGoldenSeed99).
@@ -60,7 +60,7 @@ func main() {
 		ablation = flag.Bool("ablations", false, "design-choice ablations (stop-loss, recovery backend, endurance)")
 		recovery = flag.Bool("recovery", false, "recovery-time distribution from many crash points (forked warm state)")
 		trials   = flag.Int("trials", 100,
-			"crash points per recovery sweep (forking a warm controller makes 10x the old per-trial-fill count affordable)")
+			"crash points per recovery sweep: one warm controller advances through them and each is forked off it, so a trial costs one stride of requests plus one recovery")
 		n     = flag.Int("n", 40000, "requests per (app, scheme) simulation")
 		epoch = flag.Int("epoch", 0,
 			"epoch pipeline window in write requests (coalesced integrity-tree updates, Fig 10 schemes only: Fig 11 is epoch-invariant); 0 or 1 = eager path")
@@ -227,7 +227,7 @@ func main() {
 		section(4, func() error { return figures.PrintAblationTriad(out, rc) })
 	}
 	if *all || *recovery {
-		// One fill per scheme plus trials × (window + recovery); the
+		// One fill per scheme plus trials × (stride + recovery); the
 		// fills are the only whole-trace simulations, so the cell count
 		// reported is 2 (AGIT-Plus + ASIT warm-ups).
 		section(2, func() error { return figures.PrintRecoverySweep(out, rc, *trials) })

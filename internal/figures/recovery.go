@@ -3,6 +3,7 @@ package figures
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"anubis/internal/memctrl"
@@ -20,11 +21,14 @@ import (
 // Phoenix/Triad-NVM evaluation shape). Re-building a controller and
 // replaying the fill phase per trial makes the fill dominate the sweep;
 // instead, RecoverySweep warms ONE controller per (scheme, app, seed)
-// and forks it per trial via Controller.Clone — the NVM image is shared
-// copy-on-write, so N trials pay one fill plus N×(measurement window +
-// recovery). Forked trials are byte-identical to cold-started ones
-// (asserted by TestRecoverySweepForkEqualsCold), so ColdStart exists
-// only for that equivalence check and for timing A/B runs.
+// and advances it — the spine — through the crash points, one stride
+// at a time. At each crash point it forks the spine via Controller.Clone
+// (the NVM image is shared copy-on-write), closes the measurement
+// window on the fork, then crashes and recovers the fork. N trials
+// therefore pay one fill, N×stride window requests and N recoveries.
+// Forked trials are byte-identical to cold-started ones (asserted by
+// TestRecoverySweepForkEqualsCold), so ColdStart exists only for that
+// equivalence check and for timing A/B runs.
 
 // RecoverySweepConfig parameterizes a crash/recovery sweep.
 type RecoverySweepConfig struct {
@@ -39,15 +43,18 @@ type RecoverySweepConfig struct {
 	// Warm is the fill-phase length in requests: the state every trial
 	// starts from. Defaults to Run.Requests.
 	Warm int
-	// Trials is the number of crash points. Trial t executes
-	// (t+1)*ExtraPerTrial requests past the warm point, crashes, and
-	// recovers, so crash points spread over a growing window.
+	// Trials is the number of crash points. Trial t's window holds the
+	// (t+1)*ExtraPerTrial requests past the warm point; the trial then
+	// crashes and recovers, so crash points spread over a growing
+	// window. A forked sweep simulates each window request once and
+	// keeps at most one trial controller per worker alive.
 	Trials int
 	// ExtraPerTrial is the crash-point stride (default 200 requests).
 	ExtraPerTrial int
 	// ColdStart disables forking: every trial re-fills a fresh
-	// controller from scratch. Exists for the fork-vs-cold golden
-	// equivalence tests and for timing A/B; results are byte-identical.
+	// controller from scratch and runs its whole window. Exists for the
+	// fork-vs-cold golden equivalence tests and for timing A/B; results
+	// are byte-identical.
 	ColdStart bool
 }
 
@@ -97,8 +104,10 @@ func (r *RecoverySweepResult) ModeledRecoveryNS() (min, mean, max uint64) {
 	return min, sum / uint64(len(r.Trials)), max
 }
 
-// RecoveryPercentileNS returns the p-th percentile of the modeled
-// recovery-time distribution across trials.
+// RecoveryPercentileNS returns the p-th percentile (0 < p <= 100) of
+// the modeled recovery-time distribution across trials, by nearest
+// rank: the ceil(n·p/100)-th smallest value, as LatencyHist.Percentile
+// ranks its samples.
 func (r *RecoverySweepResult) RecoveryPercentileNS(p float64) uint64 {
 	if len(r.Trials) == 0 {
 		return 0
@@ -108,7 +117,7 @@ func (r *RecoverySweepResult) RecoveryPercentileNS(p float64) uint64 {
 		ns[i] = t.Report.ModeledNS()
 	}
 	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	k := int(float64(len(ns))*p/100) - 1
+	k := int(math.Ceil(float64(len(ns))*p/100)) - 1
 	if k < 0 {
 		k = 0
 	}
@@ -145,14 +154,15 @@ func (c *RecoverySweepConfig) defaults() (trace.Profile, error) {
 // RecoverySweep executes the sweep and returns the per-trial recovery
 // reports plus the merged measurement-window histograms. Results are
 // deterministic and independent of the worker count, and identical
-// between forked and cold-started modes.
+// between forked and cold-started modes. Cancelling Run.Ctx stops the
+// sweep between trials.
 func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 	prof, err := c.defaults()
 	if err != nil {
 		return nil, err
 	}
 	maxReq := c.Warm + c.Trials*c.ExtraPerTrial
-	// Forked trials resume consumption mid-stream, which needs a
+	// Trial windows resume consumption mid-stream, which needs a
 	// materialized arena; build a private one if the RunConfig doesn't
 	// carry a cache.
 	var arena *trace.Arena
@@ -163,67 +173,104 @@ func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 	}
 	cfg := c.Run.config(c.Scheme)
 
-	out := &RecoverySweepResult{Scheme: c.Scheme, App: c.App, Warm: c.Warm, Cold: c.ColdStart}
-	out.Trials = make([]RecoveryTrial, c.Trials)
-
-	var warm memctrl.Controller
-	if !c.ColdStart {
-		// One fill for the whole sweep.
-		warm, err = sim.NewController(c.Family, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sim.Run(warm, arena.Source(), c.Warm); err != nil {
-			return nil, fmt.Errorf("figures: recovery warm-up: %w", err)
-		}
+	var trials []RecoveryTrial
+	if c.ColdStart {
+		trials, err = c.coldTrials(arena, cfg)
+	} else {
+		trials, err = c.forkedTrials(arena, cfg)
 	}
-	// Clone sequentially (Fork freezes the parent's page stores, which
-	// must not race), then run the trials on the pool: forked children
-	// only read the shared frozen pages and copy-on-write into their own
-	// directories, so trials are mutually independent.
-	children := make([]memctrl.Controller, c.Trials)
-	if !c.ColdStart {
-		for t := range children {
-			children[t] = warm.Clone()
-		}
-	}
-	trials, err := parallel.Map(c.Run.pool(), c.Trials, func(_ context.Context, t int) (RecoveryTrial, error) {
-		extra := (t + 1) * c.ExtraPerTrial
-		ctrl := children[t]
-		if c.ColdStart {
-			// Cold start replays the identical fill phase as its own
-			// first Run call, matching the forked path request-for-
-			// request and fill-pattern-for-fill-pattern.
-			cold, err := sim.NewController(c.Family, cfg)
-			if err != nil {
-				return RecoveryTrial{}, err
-			}
-			if _, err := sim.Run(cold, arena.Source(), c.Warm); err != nil {
-				return RecoveryTrial{}, fmt.Errorf("figures: trial %d cold fill: %w", t, err)
-			}
-			ctrl = cold
-		}
-		window, err := sim.Run(ctrl, arena.SourceAt(c.Warm), extra)
-		if err != nil {
-			return RecoveryTrial{}, fmt.Errorf("figures: trial %d window: %w", t, err)
-		}
-		ctrl.Crash()
-		rep, err := ctrl.Recover()
-		if err != nil {
-			return RecoveryTrial{}, fmt.Errorf("figures: trial %d recovery: %w", t, err)
-		}
-		return RecoveryTrial{Extra: extra, Window: window, Report: *rep}, nil
-	})
 	if err != nil {
 		return nil, err
 	}
+	out := &RecoverySweepResult{Scheme: c.Scheme, App: c.App, Warm: c.Warm, Cold: c.ColdStart, Trials: trials}
 	for t := range trials {
-		out.Trials[t] = trials[t]
 		out.ReadLat.Merge(&trials[t].Window.ReadLat)
 		out.WriteLat.Merge(&trials[t].Window.WriteLat)
 		out.PhaseTotals.Merge(&trials[t].Report.Phases)
 	}
 	return out, nil
+}
+
+// forkedTrials fills one warm controller, then advances it as the
+// spine: each crash point is ExtraPerTrial more requests, forked off
+// with its window closed on the fork (sim.Runner.Fork), so the spine
+// itself never flushes an epoch. Forks are taken sequentially in
+// batches of the pool's size — forking freezes the spine's page
+// stores, which must not race with the spine advancing — and each
+// batch is crashed and recovered on the pool before the next is
+// taken; the pool checks Run.Ctx before each trial. Forks only read
+// the shared frozen pages and copy-on-write into their own
+// directories, so a batch's trials are independent.
+func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Config) ([]RecoveryTrial, error) {
+	warm, err := sim.NewController(c.Family, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sim.Run(warm, arena.Source(), c.Warm); err != nil {
+		return nil, fmt.Errorf("figures: recovery warm-up: %w", err)
+	}
+	spine := sim.NewRunner(warm, arena.SourceAt(c.Warm))
+	pool := c.Run.pool()
+	trials := make([]RecoveryTrial, c.Trials)
+	forks := make([]memctrl.Controller, min(pool.Size(), c.Trials))
+	for first := 0; first < c.Trials; first += len(forks) {
+		n := min(len(forks), c.Trials-first)
+		for k := 0; k < n; k++ {
+			t := first + k
+			if err := spine.Step(c.ExtraPerTrial); err != nil {
+				return nil, fmt.Errorf("figures: trial %d window: %w", t, err)
+			}
+			fork, window, err := spine.Fork()
+			if err != nil {
+				return nil, fmt.Errorf("figures: trial %d window: %w", t, err)
+			}
+			forks[k] = fork
+			trials[t] = RecoveryTrial{Extra: (t + 1) * c.ExtraPerTrial, Window: window}
+		}
+		err := parallel.Do(pool, n, func(_ context.Context, k int) error {
+			t := first + k
+			rep, err := crashRecover(t, forks[k])
+			forks[k] = nil // recovered: let the fork's pages go
+			trials[t].Report = rep
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return trials, nil
+}
+
+// coldTrials is the reference path: every trial builds a fresh
+// controller, replays the identical fill phase as its own first Run
+// call, then runs its whole window in one Run call.
+func (c *RecoverySweepConfig) coldTrials(arena *trace.Arena, cfg memctrl.Config) ([]RecoveryTrial, error) {
+	return parallel.Map(c.Run.pool(), c.Trials, func(_ context.Context, t int) (RecoveryTrial, error) {
+		extra := (t + 1) * c.ExtraPerTrial
+		ctrl, err := sim.NewController(c.Family, cfg)
+		if err != nil {
+			return RecoveryTrial{}, err
+		}
+		if _, err := sim.Run(ctrl, arena.Source(), c.Warm); err != nil {
+			return RecoveryTrial{}, fmt.Errorf("figures: trial %d cold fill: %w", t, err)
+		}
+		window, err := sim.Run(ctrl, arena.SourceAt(c.Warm), extra)
+		if err != nil {
+			return RecoveryTrial{}, fmt.Errorf("figures: trial %d window: %w", t, err)
+		}
+		rep, err := crashRecover(t, ctrl)
+		return RecoveryTrial{Extra: extra, Window: window, Report: rep}, err
+	})
+}
+
+// crashRecover crashes trial t's controller and recovers it.
+func crashRecover(t int, ctrl memctrl.Controller) (memctrl.RecoveryReport, error) {
+	ctrl.Crash()
+	rep, err := ctrl.Recover()
+	if err != nil {
+		return memctrl.RecoveryReport{}, fmt.Errorf("figures: trial %d recovery: %w", t, err)
+	}
+	return *rep, nil
 }
 
 // PrintRecoverySweep renders a sweep for both Anubis schemes.

@@ -2,10 +2,14 @@ package figures
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"anubis/internal/memctrl"
+	"anubis/internal/recmodel"
 	"anubis/internal/sim"
 )
 
@@ -30,43 +34,110 @@ func sweepQuick(scheme memctrl.Scheme, family sim.Family, cold bool) RecoverySwe
 
 // TestRecoverySweepForkEqualsCold is the harness-level golden
 // equivalence check promised in the RecoverySweep doc comment: every
-// trial of a forked-from-warm sweep — measurement-window results,
-// recovery reports, and merged latency histograms — must be identical
-// to the cold-start sweep that re-fills a fresh controller per trial.
+// trial of a spine-forked sweep — measurement-window results, recovery
+// reports, and merged histograms — must be identical to the cold-start
+// sweep that re-fills a fresh controller per trial and runs its whole
+// window at once. At epoch 16 the windows end mid-epoch, so a spine
+// that flushed at a crash point (instead of only the fork) would shift
+// every later trial. Seven trials leave a partial last batch at four
+// workers.
 func TestRecoverySweepForkEqualsCold(t *testing.T) {
-	for _, tc := range []struct {
+	for _, sc := range []struct {
 		name   string
 		scheme memctrl.Scheme
 		family sim.Family
 	}{
 		{"agit-plus", memctrl.SchemeAGITPlus, sim.FamilyBonsai},
 		{"asit", memctrl.SchemeASIT, sim.FamilySGX},
+		{"osiris", memctrl.SchemeOsiris, sim.FamilyBonsai},
+		{"agit-read", memctrl.SchemeAGITRead, sim.FamilyBonsai},
+		{"strict", memctrl.SchemeStrict, sim.FamilyBonsai},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			forked, err := RecoverySweep(sweepQuick(tc.scheme, tc.family, false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := RecoverySweep(sweepQuick(tc.scheme, tc.family, true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(forked.Trials) != len(cold.Trials) {
-				t.Fatalf("trial counts differ: %d vs %d", len(forked.Trials), len(cold.Trials))
-			}
-			for i := range forked.Trials {
-				if !reflect.DeepEqual(forked.Trials[i], cold.Trials[i]) {
-					t.Errorf("trial %d diverged\nforked: %+v\ncold:   %+v",
-						i, forked.Trials[i], cold.Trials[i])
+		t.Run(sc.name, func(t *testing.T) {
+			for _, epoch := range []int{0, 16} {
+				cfg := sweepQuick(sc.scheme, sc.family, true)
+				cfg.Run.Epoch = epoch
+				cfg.Trials = 7
+				cold, err := RecoverySweep(cfg)
+				if err != nil {
+					t.Fatalf("epoch %d cold: %v", epoch, err)
+				}
+				for _, workers := range []int{1, 4} {
+					t.Run(fmt.Sprintf("epoch%d-parallel%d", epoch, workers), func(t *testing.T) {
+						fc := cfg
+						fc.ColdStart = false
+						fc.Run.Parallel = workers
+						forked, err := RecoverySweep(fc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(forked.Trials) != len(cold.Trials) {
+							t.Fatalf("trial counts differ: %d vs %d", len(forked.Trials), len(cold.Trials))
+						}
+						for i := range forked.Trials {
+							if !reflect.DeepEqual(forked.Trials[i], cold.Trials[i]) {
+								t.Errorf("trial %d diverged\nforked: %+v\ncold:   %+v",
+									i, forked.Trials[i], cold.Trials[i])
+							}
+						}
+						if !reflect.DeepEqual(forked.ReadLat, cold.ReadLat) {
+							t.Error("merged read-latency histograms diverged")
+						}
+						if !reflect.DeepEqual(forked.WriteLat, cold.WriteLat) {
+							t.Error("merged write-latency histograms diverged")
+						}
+						if forked.PhaseTotals != cold.PhaseTotals {
+							t.Error("merged recovery-phase ledgers diverged")
+						}
+					})
 				}
 			}
-			if !reflect.DeepEqual(forked.ReadLat, cold.ReadLat) {
-				t.Error("merged read-latency histograms diverged")
-			}
-			if !reflect.DeepEqual(forked.WriteLat, cold.WriteLat) {
-				t.Error("merged write-latency histograms diverged")
-			}
 		})
+	}
+}
+
+// TestRecoverySweepCancelled checks that a cancelled Run.Ctx stops both
+// sweep modes between trials with the context's error.
+func TestRecoverySweepCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, cold := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			c := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai, cold)
+			c.Run.Ctx = ctx
+			c.Run.Parallel = workers
+			if _, err := RecoverySweep(c); !errors.Is(err, context.Canceled) {
+				t.Errorf("cold=%v parallel=%d: err = %v, want context.Canceled", cold, workers, err)
+			}
+		}
+	}
+}
+
+// TestRecoveryPercentileNearestRank pins RecoveryPercentileNS to the
+// nearest-rank definition LatencyHist.Percentile uses: the p-th
+// percentile of n trials is the ceil(n·p/100)-th smallest.
+func TestRecoveryPercentileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		rank int // 1-based
+	}{
+		{1, 50, 1}, {1, 95, 1}, {1, 100, 1},
+		{5, 50, 3}, {5, 95, 5}, {5, 100, 5},
+		{10, 50, 5}, {10, 95, 10}, {10, 100, 10},
+		{50, 50, 25}, {50, 95, 48}, {50, 100, 50},
+		{100, 50, 50}, {100, 95, 95}, {100, 100, 100},
+	} {
+		// Trial i models (n-i)*100 ns: descending, so the helper must
+		// sort before ranking.
+		r := &RecoverySweepResult{Trials: make([]RecoveryTrial, tc.n)}
+		for i := range r.Trials {
+			r.Trials[i].Report.FetchOps = uint64(tc.n - i)
+		}
+		want := uint64(tc.rank) * recmodel.OpNS
+		if got := r.RecoveryPercentileNS(tc.p); got != want {
+			t.Errorf("n=%d p%.0f = %d ns, want rank %d (%d ns)", tc.n, tc.p, got, tc.rank, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"anubis/internal/counter"
@@ -136,20 +137,24 @@ func (b *Bonsai) osirisFixLane(idx, stored uint64, rep *RecoveryReport) (uint64,
 	return 0, false
 }
 
-// fixCounterBlock repairs every lane of one counter block, rewriting it
-// to NVM when anything changed. It reports failure when no candidate
-// within the stop-loss window matches a lane's data.
+// fixCounterBlock repairs every written lane of one counter block,
+// rewriting it to NVM when anything changed. It reports failure when no
+// candidate within the stop-loss window matches a lane's data. A lane
+// whose data block was never written needs no repair (its counter must
+// be current), so only the written lanes are visited, in lane order.
 func (b *Bonsai) fixCounterBlock(page uint64, rep *RecoveryReport) error {
-	blk := b.dev.Read(nvm.RegionCounter, page)
+	blk, _ := b.dev.ReadPtr(nvm.RegionCounter, page)
 	rep.FetchOps++
-	s := counter.UnpackSplit(blk)
+	lanes := b.writtenLanes(page)
+	if lanes == 0 {
+		return nil
+	}
+	s := counter.UnpackSplit(*blk)
 	changed := false
 	base := page * counter.SplitMinors
-	for lane := 0; lane < counter.SplitMinors; lane++ {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		lane := bits.TrailingZeros64(lanes)
 		idx := base + uint64(lane)
-		if !b.dev.Has(nvm.RegionData, b.wl.phys(idx)) {
-			continue // never written: counter must be current
-		}
 		stored := s.Counter(lane)
 		cand, ok := b.osirisFixLane(idx, stored, rep)
 		if !ok {
@@ -169,6 +174,25 @@ func (b *Bonsai) fixCounterBlock(page uint64, rep *RecoveryReport) error {
 		rep.FetchOps++
 	}
 	return nil
+}
+
+// writtenLanes returns, as a bitmask, the lanes of a counter page whose
+// data block is present in NVM. Without wear leveling the page's 64
+// data blocks are one aligned device group; Start-Gap remaps each block
+// on its own, so that case asks the device lane by lane.
+func (b *Bonsai) writtenLanes(page uint64) uint64 {
+	// One lane per group block: fails to compile unless SplitMinors == 64.
+	const _ = uint(counter.SplitMinors-64) + uint(64-counter.SplitMinors)
+	if b.wl == nil {
+		return b.dev.Has64(nvm.RegionData, page)
+	}
+	var lanes uint64
+	for lane := uint64(0); lane < counter.SplitMinors; lane++ {
+		if b.dev.Has(nvm.RegionData, b.wl.phys(page*counter.SplitMinors+lane)) {
+			lanes |= 1 << lane
+		}
+	}
+	return lanes
 }
 
 // recoverOsirisFull is the no-Anubis baseline: every counter block in

@@ -410,7 +410,8 @@ type Controller interface {
 	// image copy-on-write and value-clones all volatile state (caches,
 	// shadow mirrors, wear state, clocks, stats), so it behaves
 	// byte-for-byte like a controller that lived through the parent's
-	// entire history. Crash/recovery sweeps fork one warm controller
-	// per trial instead of re-filling each trial from cold.
+	// entire history. Crash/recovery sweeps fork each crash point off
+	// one advancing warm controller instead of re-filling each trial
+	// from cold.
 	Clone() Controller
 }

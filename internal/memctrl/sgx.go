@@ -724,7 +724,7 @@ func (c *SGX) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
 	c.wbq = c.wbq[:0]
 	c.rootNode = counter.SGX{}
 	if c.cfg.Scheme == SchemeASIT {
-		c.st = shadow.NewSTTable(c.mCache.NumSlots())
+		c.st.Reset()
 		c.stRoot = 0
 		// Volatile protection tree is lost; recovery rebuilds it.
 		for l := range c.stNodes {

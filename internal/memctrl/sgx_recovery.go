@@ -7,7 +7,6 @@ import (
 	"anubis/internal/merkle"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
-	"anubis/internal/shadow"
 )
 
 // Recover brings the SGX-family controller back to a verified state.
@@ -76,7 +75,7 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
 	// 1. Read the Shadow Table from NVM and verify its integrity by
 	// regenerating SHADOW_TREE_ROOT and comparing with the on-chip copy.
 	rep.enterPhase(obs.RPShadowReplay)
-	c.st = shadow.RestoreSTTable(c.mCache.NumSlots(), func(bi uint64) [BlockBytes]byte {
+	c.st.Restore(func(bi uint64) [BlockBytes]byte {
 		rep.FetchOps++
 		return c.dev.Read(nvm.RegionST, bi)
 	})

@@ -170,35 +170,37 @@ type Hasher interface {
 // paper's recovery-time accounting.
 func BuildGeneral(g Geometry, h Hasher, readLeaf func(i uint64) [BlockBytes]byte, store func(flat uint64, node GNode), ops *uint64) uint64 {
 	// Build level by level, keeping the just-built level in memory to
-	// hash upward without re-reading stored nodes.
+	// hash upward without re-reading stored nodes. Every block handed
+	// to the Hasher is sliced from storage the build allocates once (the
+	// leaf scratch, the level slices): slicing a per-iteration local
+	// instead moves it to the heap, because the slice escapes through
+	// the interface call — one allocation per block hashed.
+	leaf := new([BlockBytes]byte)
 	var prev []GNode
 	for level := 0; level < g.Levels(); level++ {
 		cur := make([]GNode, g.NodesAt(level))
-		for i := uint64(0); i < g.NodesAt(level); i++ {
-			first, n := g.ChildrenOf(level, i)
-			var node GNode
+		for i := range cur {
+			first, n := g.ChildrenOf(level, uint64(i))
+			node := &cur[i]
 			for s := 0; s < n; s++ {
 				if ops != nil {
 					*ops++
 				}
 				var hv uint64
 				if level == 0 {
-					b := readLeaf(first + uint64(s))
-					hv = h.ContentHash(b[:])
+					*leaf = readLeaf(first + uint64(s))
+					hv = h.ContentHash(leaf[:])
 				} else {
-					child := prev[first+uint64(s)]
-					hv = h.ContentHash(child[:])
+					hv = h.ContentHash(prev[first+uint64(s)][:])
 				}
 				node.SetHash(s, hv)
 			}
-			cur[i] = node
-			store(g.Flat(level, i), node)
+			store(g.Flat(level, uint64(i)), *node)
 		}
 		prev = cur
 	}
-	rootNode := prev[0]
 	if ops != nil {
 		*ops++
 	}
-	return h.ContentHash(rootNode[:])
+	return h.ContentHash(prev[0][:])
 }

@@ -232,6 +232,25 @@ func TestBuildGeneralOpCount(t *testing.T) {
 	}
 }
 
+// TestBuildGeneralAllocs pins BuildGeneral's allocations to one slice
+// per level plus one leaf scratch, independent of the leaf count: the
+// hashed blocks must not escape to the heap one by one through the
+// Hasher interface (an Osiris rebuild at 32 MiB hashes ~9,400 blocks).
+func TestBuildGeneralAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates on instrumented accesses; counts are not meaningful")
+	}
+	eng := cryptoeng.NewTestEngine()
+	g := NewGeometry(4096)
+	leaf := func(i uint64) (blk [BlockBytes]byte) { blk[0] = byte(i); return blk }
+	allocs := testing.AllocsPerRun(10, func() {
+		BuildGeneral(g, eng, leaf, func(uint64, GNode) {}, nil)
+	})
+	if want := float64(g.Levels() + 1); allocs > want {
+		t.Fatalf("BuildGeneral: %.0f allocs per build, want at most %.0f", allocs, want)
+	}
+}
+
 func BenchmarkBuildGeneral4K(b *testing.B) {
 	eng := cryptoeng.NewTestEngine()
 	g := NewGeometry(4096)

@@ -28,6 +28,7 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"anubis/internal/obs"
 )
@@ -401,6 +402,26 @@ func (d *Device) Has(r Region, idx uint64) bool {
 	return d.store[r].has(idx)
 }
 
+// Has64 is Has for the 64 aligned blocks group*64 .. group*64+63 as one
+// bitmask: bit i is Has(r, group*64+i). It resolves 8 pages instead of
+// 64 blocks, so a scan over a sparsely written region (Osiris counter
+// recovery visits every lane of every counter page) pays per page, and
+// the caller iterates only the set bits.
+func (d *Device) Has64(r Region, group uint64) uint64 {
+	// A page's presence bits fit present[0] because pageBlocks <= 64
+	// (the constant below fails to compile otherwise).
+	const _ = uint(64/pageBlocks - 1)
+	s := &d.store[r]
+	base := group << 6
+	var mask uint64
+	for k := uint64(0); k < 64; k += pageBlocks {
+		if p := s.pageAt(base + k); p != nil {
+			mask |= p.present[0] << k
+		}
+	}
+	return mask
+}
+
 // Push makes a write durable (it enters the ADR domain) and schedules
 // its drain to media. It returns the time at which the caller proceeds:
 // normally `now`, later if the WPQ was full and the caller had to stall.
@@ -579,26 +600,14 @@ func (d *Device) BlocksIn(r Region) []uint64 {
 	s := &d.store[r]
 	out := make([]uint64, 0, s.count)
 	s.forEachPage(func(base uint64, p *page) {
-		for w, bits := range p.present {
-			for bits != 0 {
-				o := uint64(w)<<6 | uint64(trailingZeros64(bits))
+		for w, present := range p.present {
+			for ; present != 0; present &= present - 1 {
+				o := uint64(w)<<6 | uint64(bits.TrailingZeros64(present))
 				out = append(out, base+o)
-				bits &= bits - 1
 			}
 		}
 	})
 	return out
-}
-
-// trailingZeros64 is math/bits.TrailingZeros64 (kept local to avoid the
-// import for one call site).
-func trailingZeros64(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // --- two-stage commit (persistent registers + DONE_BIT) -------------------

@@ -170,6 +170,60 @@ func TestBlocksIn(t *testing.T) {
 	}
 }
 
+// TestHas64MatchesHas pins Has64 to 64 Has calls: on never-touched
+// pages, on partly written pages, after erases, on a forked child, and
+// on groups past the dense directory's cap (the overflow map). No
+// block sits just below the cap: that would allocate the full 2^24-entry
+// directory.
+func TestHas64MatchesHas(t *testing.T) {
+	d := newDev()
+	over := uint64(maxDirPages) * pageBlocks / 64 // first group in the overflow map
+	written := map[uint64][]uint64{
+		1:        {0, 7, 8, 13, 63},        // partly written pages
+		2:        {0, 1, 2, 3, 4, 5, 6, 7}, // one full page
+		over:     {0, 9, 40},               // overflow map
+		over + 7: {63},                     // overflow map, far page
+	}
+	for g, lanes := range written {
+		for _, l := range lanes {
+			d.WriteRaw(RegionData, g*64+l, blk(byte(l)))
+		}
+	}
+	d.Erase(RegionData, 1*64+8)    // erased block in a written page
+	d.Erase(RegionData, over*64+9) // erased block in the overflow map
+	d.Erase(RegionData, 4*64+3)    // erase of a never-written block
+	child := d.Fork()
+	child.Erase(RegionData, 2*64+4) // copy-on-write erase in the child
+	child.WriteRaw(RegionData, 3*64+33, blk(1))
+
+	check := func(name string, dev *Device, g uint64) {
+		t.Helper()
+		var want uint64
+		for i := uint64(0); i < 64; i++ {
+			if dev.Has(RegionData, g*64+i) {
+				want |= 1 << i
+			}
+		}
+		if got := dev.Has64(RegionData, g); got != want {
+			t.Errorf("%s group %d: Has64 = %#x, 64 Has calls = %#x", name, g, got, want)
+		}
+	}
+	groups := []uint64{0, 1, 2, 3, 4, 1000, over - 1, over, over + 1, over + 7}
+	for _, g := range groups {
+		check("parent", d, g)
+		check("child", child, g)
+	}
+	if got := d.Has64(RegionData, 1); got != 1<<0|1<<7|1<<13|1<<63 {
+		t.Errorf("group 1 = %#x, want lanes 0, 7, 13, 63", got)
+	}
+	if got := child.Has64(RegionData, 2); got != 0xef {
+		t.Errorf("child group 2 = %#x, want 0xef", got)
+	}
+	if got := d.Has64(RegionCounter, 1); got != 0 {
+		t.Errorf("counter region group 1 = %#x, want 0 (regions are separate)", got)
+	}
+}
+
 // --- two-stage commit ---
 
 func TestCommitGroupAllOrNothing(t *testing.T) {

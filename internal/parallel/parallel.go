@@ -36,8 +36,8 @@ type Pool struct {
 	Ctx     context.Context
 }
 
-// workers resolves the effective worker count.
-func (p Pool) workers() int {
+// Size resolves the effective worker count.
+func (p Pool) Size() int {
 	if p.Workers > 0 {
 		return p.Workers
 	}
@@ -67,7 +67,7 @@ func (p Pool) ctx() context.Context {
 func Map[T any](p Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	parent := p.ctx()
-	w := p.workers()
+	w := p.Size()
 	if w > n {
 		w = n
 	}

@@ -57,13 +57,13 @@ func TestMapEmpty(t *testing.T) {
 }
 
 func TestMapDefaultWorkers(t *testing.T) {
-	if (Pool{}).workers() != runtime.GOMAXPROCS(0) {
+	if (Pool{}).Size() != runtime.GOMAXPROCS(0) {
 		t.Fatal("default workers != GOMAXPROCS")
 	}
-	if (Pool{Workers: -3}).workers() != runtime.GOMAXPROCS(0) {
+	if (Pool{Workers: -3}).Size() != runtime.GOMAXPROCS(0) {
 		t.Fatal("negative workers != GOMAXPROCS")
 	}
-	if (Pool{Workers: 7}).workers() != 7 {
+	if (Pool{Workers: 7}).Size() != 7 {
 		t.Fatal("explicit workers not honoured")
 	}
 }

@@ -244,13 +244,18 @@ func (t *STTable) Clone() *STTable {
 	return &STTable{entries: append([]STEntry(nil), t.entries...)}
 }
 
-// RestoreSTTable rebuilds the mirror from NVM after a crash.
-func RestoreSTTable(numSlots int, read func(blockIdx uint64) [BlockBytes]byte) *STTable {
-	t := NewSTTable(numSlots)
-	for i := 0; i < numSlots; i++ {
+// Reset empties every slot in place: a crash loses the volatile
+// mirror, and the storage is reused instead of reallocated.
+func (t *STTable) Reset() {
+	clear(t.entries)
+}
+
+// Restore rebuilds the mirror in place from NVM after a crash, reading
+// every slot's block.
+func (t *STTable) Restore(read func(blockIdx uint64) [BlockBytes]byte) {
+	for i := range t.entries {
 		t.entries[i] = UnpackSTEntry(read(uint64(i)))
 	}
-	return t
 }
 
 // Live returns every valid entry in slot order.

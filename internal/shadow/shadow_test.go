@@ -173,7 +173,11 @@ func TestSTTableRestore(t *testing.T) {
 	bi, blk = tab.Set(4, e2)
 	store[bi] = blk
 
-	got := RestoreSTTable(6, func(bi uint64) [BlockBytes]byte { return store[bi] })
+	// Restore runs in place over a mirror holding stale state: every
+	// slot must come from NVM, including the ones NVM holds empty.
+	got := NewSTTable(6)
+	got.Set(2, STEntry{Key: 7})
+	got.Restore(func(bi uint64) [BlockBytes]byte { return store[bi] })
 	live := got.Live()
 	if len(live) != 2 || live[0].Slot != 1 || live[1].Slot != 4 {
 		t.Fatalf("restored live = %+v", live)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -22,7 +23,7 @@ type LatencyHist struct {
 func (h *LatencyHist) Add(ns uint64) {
 	i := 0
 	if ns > 0 {
-		i = 64 - leadingZeros(ns)
+		i = bits.Len64(ns)
 		if i >= len(h.Buckets) {
 			i = len(h.Buckets) - 1
 		}
@@ -33,15 +34,6 @@ func (h *LatencyHist) Add(ns uint64) {
 	if ns > h.Max {
 		h.Max = ns
 	}
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return 64 - n
 }
 
 // Merge folds another histogram into this one, as if every sample of

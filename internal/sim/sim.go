@@ -93,38 +93,86 @@ type probeSetter interface{ SetProbe(obs.Probe) }
 // simulated timing is byte-identical either way (probes only ever
 // receive completed facts).
 func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.Probe) (Result, error) {
-	res := Result{Workload: gen.Name(), Scheme: ctrl.Scheme(), Family: FamilyOf(ctrl), Requests: nReq}
-	nBlocks := ctrl.NumBlocks()
 	if probe != nil {
 		if ps, ok := ctrl.(probeSetter); ok {
 			ps.SetProbe(probe)
 			defer ps.SetProbe(nil)
 		}
 	}
-	att := ctrl.Device().Attr()
-	// One scratch block for the whole run: fill overwrites all 64 bytes
-	// per write request, so re-zeroing a fresh array every iteration
-	// (the old per-iteration `var data`) was pure waste on the hot loop.
-	var data [memctrl.BlockBytes]byte
-	// Arena-backed runs that start at position zero share the arena's
-	// memoized payload table instead of regenerating plaintext per cell:
-	// payload content is a pure function of (block, position), and a
-	// sweep replays one stream across many cells. Mid-stream cursors
-	// (forked recovery windows) keep calling FillBlock — their per-run
-	// counter does not line up with the table's positions.
-	var payloads [][memctrl.BlockBytes]byte
-	if cur, ok := gen.(*trace.Cursor); ok && cur.Pos() == 0 {
-		payloads = cur.Payloads(FillBlock)
+	// A stack Runner: Step and finish keep it from escaping, so the
+	// probe-free path stays allocation-free.
+	var r Runner
+	r.init(ctrl, gen, probe)
+	if err := r.Step(nReq); err != nil {
+		return r.res, err
 	}
+	return r.finish(ctrl)
+}
+
+// Runner is the request loop in resumable form. Step issues requests
+// and accumulates their latency histograms. Run and RunObserved are
+// one Step that then closes the run on the runner's controller. A
+// recovery sweep instead keeps one Runner on its warm controller,
+// Steps it from crash point to crash point, and closes each point's
+// window on a Fork, so every window request is simulated once and the
+// advancing controller never flushes.
+//
+// The request counter that seeds FillBlock continues across Steps, so
+// Step(a) then Step(b) writes exactly the data of one Step(a+b).
+type Runner struct {
+	ctrl     memctrl.Controller
+	gen      trace.Source
+	probe    obs.Probe
+	nBlocks  uint64
+	att      *obs.Ledger
+	payloads [][memctrl.BlockBytes]byte
 	// snap/delta are heap state for the probe path only: &delta crosses
 	// the Probe interface boundary, so a plain stack var would escape —
 	// and be allocated — even on probe-free runs. Two fixed allocations
 	// when observing, zero when not.
-	var snap, delta *obs.Ledger
-	if probe != nil {
-		snap, delta = new(obs.Ledger), new(obs.Ledger)
+	snap, delta *obs.Ledger
+	// res accumulates the histograms; Requests counts issued requests.
+	res Result
+}
+
+// NewRunner starts an unobserved run of ctrl over gen.
+func NewRunner(ctrl memctrl.Controller, gen trace.Source) *Runner {
+	r := new(Runner)
+	r.init(ctrl, gen, nil)
+	return r
+}
+
+// init starts the run; a non-nil probe receives every completed
+// request (RunObserved also attaches it to the controller).
+func (r *Runner) init(ctrl memctrl.Controller, gen trace.Source, probe obs.Probe) {
+	r.ctrl, r.gen, r.probe = ctrl, gen, probe
+	r.nBlocks = ctrl.NumBlocks()
+	r.att = ctrl.Device().Attr()
+	r.res = Result{Workload: gen.Name(), Scheme: ctrl.Scheme(), Family: FamilyOf(ctrl)}
+	// Arena-backed runs that start at position zero share the arena's
+	// memoized payload table instead of regenerating plaintext per cell:
+	// payload content is a pure function of (block, position), and a
+	// sweep replays one stream across many cells. Mid-stream cursors
+	// (recovery windows) keep calling FillBlock — their run counter
+	// does not line up with the table's positions.
+	if cur, ok := gen.(*trace.Cursor); ok && cur.Pos() == 0 {
+		r.payloads = cur.Payloads(FillBlock)
 	}
-	for i := 0; i < nReq; i++ {
+	if probe != nil {
+		r.snap, r.delta = new(obs.Ledger), new(obs.Ledger)
+	}
+}
+
+// Step issues the next n requests, stopping at the first that fails.
+func (r *Runner) Step(n int) error {
+	ctrl, gen, probe, att := r.ctrl, r.gen, r.probe, r.att
+	nBlocks, payloads, snap, delta := r.nBlocks, r.payloads, r.snap, r.delta
+	res := &r.res
+	// One scratch block per Step: fill overwrites all 64 bytes per
+	// write request, so nothing carries over between requests.
+	var data [memctrl.BlockBytes]byte
+	i := res.Requests
+	for end := i + n; i < end; i++ {
 		req := gen.Next()
 		ctrl.AdvanceTo(ctrl.Now() + req.GapNS)
 		addr := req.Block % nBlocks
@@ -139,7 +187,8 @@ func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 				FillBlock(&data, req.Block, uint64(i))
 			}
 			if err := ctrl.WriteBlock(addr, data); err != nil {
-				return res, fmt.Errorf("sim: request %d (write %d): %w", i, addr, err)
+				res.Requests = i
+				return fmt.Errorf("sim: request %d (write %d): %w", i, addr, err)
 			}
 			res.WriteLat.Add(ctrl.Now() - issue)
 			if probe != nil {
@@ -148,7 +197,8 @@ func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 			}
 		} else {
 			if _, err := ctrl.ReadBlock(addr); err != nil {
-				return res, fmt.Errorf("sim: request %d (read %d): %w", i, addr, err)
+				res.Requests = i
+				return fmt.Errorf("sim: request %d (read %d): %w", i, addr, err)
 			}
 			res.ReadLat.Add(ctrl.Now() - issue)
 			if probe != nil {
@@ -157,9 +207,28 @@ func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 			}
 		}
 	}
-	// Close any open epoch window (bank-parallel epoch pipeline) so the
-	// reported execution time and device state cover the whole workload;
-	// legacy controllers and configs don't implement or no-op it.
+	res.Requests = i
+	return nil
+}
+
+// Fork clones the runner's controller and closes the run on the clone:
+// the epoch flush, ExecNS and Stats all happen there, and the Result
+// carries the histograms accumulated so far: the clone and its Result
+// are what one Run of every request issued so far would have produced
+// from the controller the runner started on. The runner's controller
+// is left unflushed, so Step may continue it toward the next fork.
+func (r *Runner) Fork() (memctrl.Controller, Result, error) {
+	c := r.ctrl.Clone()
+	res, err := r.finish(c)
+	return c, res, err
+}
+
+// finish closes the run on ctrl and returns its Result. Any open epoch
+// window (bank-parallel epoch pipeline) is flushed so the execution
+// time and device state cover the whole workload; controllers without
+// the pipeline don't implement it or no-op it.
+func (r *Runner) finish(ctrl memctrl.Controller) (Result, error) {
+	res := r.res
 	if f, ok := ctrl.(epochFlusher); ok {
 		if err := f.FlushEpoch(); err != nil {
 			return res, fmt.Errorf("sim: epoch flush: %w", err)

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"anubis/internal/memctrl"
+	"anubis/internal/nvm"
 	"anubis/internal/trace"
 )
 
@@ -192,4 +194,70 @@ func runSchemeFor(t *testing.T, f Family, scheme string, p trace.Profile, n int)
 		t.Fatalf("unknown scheme %s", scheme)
 	}
 	return runOne(t, f, s, p, n)
+}
+
+// TestRunnerStepsEqualOneRun pins the resumable loop to Run: a Runner
+// stepped in uneven pieces and closed on a Fork must give Run's Result
+// and leave the same NVM data image, and a second Fork after more
+// steps must match a longer Run (the first Fork left the runner's
+// controller unflushed). The data image is what checks that FillBlock's
+// request counter continues across Steps; no timing figure depends on
+// the payload bytes. Sources cover a generator, a mid-stream arena
+// cursor (FillBlock path) and a cursor at position zero (memoized
+// payload path), at epoch 0 and 16.
+func TestRunnerStepsEqualOneRun(t *testing.T) {
+	prof, _ := trace.ByName("libquantum")
+	arena := trace.NewArena(prof, 99, 3000)
+	sources := map[string]func() trace.Source{
+		"generator":  func() trace.Source { return trace.NewGenerator(prof, 99) },
+		"cursor-mid": func() trace.Source { return arena.SourceAt(500) },
+		"cursor-0":   func() trace.Source { return arena.Source() },
+	}
+	for name, src := range sources {
+		for _, epoch := range []int{0, 16} {
+			cfg := memctrl.DefaultConfig(memctrl.SchemeAGITPlus)
+			cfg.MemoryBytes = 4 << 20
+			cfg.EpochRequests = epoch
+			newCtrl := func() memctrl.Controller {
+				c, err := NewController(FamilyBonsai, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			r := NewRunner(newCtrl(), src())
+			issued := 0
+			for _, steps := range [][]int{{1, 299, 0, 700}, {5, 495}} {
+				for _, n := range steps {
+					if err := r.Step(n); err != nil {
+						t.Fatal(err)
+					}
+					issued += n
+				}
+				fork, got, err := r.Fork()
+				if err != nil {
+					t.Fatal(err)
+				}
+				one := newCtrl()
+				want, err := Run(one, src(), issued)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s epoch %d: fork after %d requests differs from Run\ngot:  %+v\nwant: %+v",
+						name, epoch, issued, got, want)
+				}
+				blocks := one.Device().BlocksIn(nvm.RegionData)
+				if !reflect.DeepEqual(fork.Device().BlocksIn(nvm.RegionData), blocks) {
+					t.Fatalf("%s epoch %d: fork after %d requests wrote other data blocks than Run", name, epoch, issued)
+				}
+				for _, idx := range blocks {
+					if fork.Device().Read(nvm.RegionData, idx) != one.Device().Read(nvm.RegionData, idx) {
+						t.Errorf("%s epoch %d: fork after %d requests: data block %d differs from Run's", name, epoch, issued, idx)
+						break
+					}
+				}
+			}
+		}
+	}
 }
