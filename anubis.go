@@ -18,11 +18,13 @@
 //	rep, _ := sys.Recover()     // milliseconds-equivalent metadata repair
 //	got, _ := sys.ReadBlock(0)  // verified against the on-chip root
 //
-// Six schemes are available, matching the paper's evaluation: the
+// Eight schemes are available. Six match the paper's evaluation: the
 // WriteBack baseline (unrecoverable), Strict persistence, Osiris
 // (counters recoverable; tree rebuild is O(memory) on general trees and
 // impossible on SGX trees), and the Anubis schemes AGITRead, AGITPlus
-// (general tree) and ASIT (SGX tree).
+// (general tree) and ASIT (SGX tree). Two are related-work baselines on
+// the general tree: Triad (Triad-NVM) and Selective (selective counter
+// atomicity).
 package anubis
 
 import (
@@ -282,8 +284,7 @@ type BlockWrite struct {
 // (earlier writes remain applied — identical semantics to issuing the
 // WriteBlock calls one by one). Batching exists for callers that want
 // one round trip — and, through SafeSystem, one lock acquisition — per
-// group of writes; with an epoch pipeline configured it also keeps a
-// burst inside as few coalescing windows as possible.
+// group of writes.
 func (s *System) WriteBlocks(writes []BlockWrite) error {
 	for _, w := range writes {
 		if err := s.ctrl.WriteBlock(w.Block, w.Data); err != nil {

@@ -63,7 +63,7 @@ func main() {
 			"crash points per recovery sweep: one warm controller advances through them and each is forked off it, so a trial costs one stride of requests plus one recovery")
 		n     = flag.Int("n", 40000, "requests per (app, scheme) simulation")
 		epoch = flag.Int("epoch", 0,
-			"epoch pipeline window in write requests (coalesced integrity-tree updates, Fig 10 schemes only: Fig 11 is epoch-invariant); 0 or 1 = eager path")
+			"epoch pipeline window in write requests (coalesced integrity-tree updates, general-tree strict only: every other Fig 10 column and Fig 11 are epoch-invariant); 0 or 1 = eager path")
 		mem     = flag.Uint64("mem", 256<<20, "simulated memory bytes for performance runs")
 		apps    = flag.String("apps", "", "comma-separated app subset (default: all 11)")
 		seed    = flag.Int64("seed", 99, "trace generator seed")

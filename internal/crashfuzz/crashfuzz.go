@@ -147,11 +147,12 @@ type Schedule struct {
 
 	// Epoch is the controller's coalescing-window size
 	// (memctrl.Config.EpochRequests): 0 (or 1) runs the eager path;
-	// larger values arm the Bonsai family's epoch pipeline, so crashes
-	// can land mid-window with deferred tree updates only in the epoch
-	// journal, or inside a half-drained close commit group. SGX combos
-	// ignore it and run eager; it is drawn for every combo anyway so the
-	// seeded schedule stream stays the same.
+	// larger values arm the epoch pipeline of bonsai/strict and
+	// bonsai/triad, so crashes can land mid-window with deferred tree
+	// updates only in the epoch journal, or inside a half-drained close
+	// commit group. Every other combo ignores it and runs eager; it is
+	// drawn for every combo anyway so the seeded schedule stream stays
+	// the same.
 	Epoch int
 
 	Warm  int // requests the shared warm parent executes before forking

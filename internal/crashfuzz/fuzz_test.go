@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -27,6 +28,26 @@ func TestReplayTokenRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseSchedule("v1 combo=bogus/zap extra=1 profile=mcf"); err == nil {
 		t.Fatal("bad combo accepted")
+	}
+}
+
+// TestScheduleStreamPinned pins the seed-99 schedule stream that
+// anubis-fuzz draws by default: 500 RandomSchedules from one
+// rand.NewSource(99), trace seed 99. Its tokens hash to the value
+// below. A change to RandomSchedule's draws, or to the token format,
+// changes the campaign every earlier fuzz result was found with, so it
+// must be deliberate.
+func TestScheduleStreamPinned(t *testing.T) {
+	const want = 0x2f00ef2f03d865e1 // FNV-1a 64 of the newline-joined tokens
+	rng := rand.New(rand.NewSource(99))
+	toks := make([]string, 500)
+	for i := range toks {
+		toks[i] = RandomSchedule(rng, 99).String()
+	}
+	h := fnv.New64a()
+	h.Write([]byte(strings.Join(toks, "\n")))
+	if got := h.Sum64(); got != want {
+		t.Fatalf("seed-99 schedule stream hashes to %#016x, want %#016x", got, want)
 	}
 }
 
@@ -110,11 +131,11 @@ func TestTrialDeterminism(t *testing.T) {
 // failure lands mid-window (deferred tree updates only in the epoch
 // journal, stale root register) and — on crash points that close a
 // window — inside the close's coalesced commit group, half-drained.
-// The two Bonsai combos defer; ASIT ignores the window, so its row pins
-// the eager path under the same crashes. Every combo must satisfy the
-// oracle under all three crash models; these are the seeds that caught
-// torn close groups during development, kept as a deterministic
-// regression net.
+// bonsai/strict defers; AGIT-Plus and ASIT ignore the window, so their
+// rows pin the eager path under the same crashes. Every combo must
+// satisfy the oracle under all three crash models; these are the seeds
+// that caught torn close groups during development, kept as a
+// deterministic regression net.
 func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 	r := NewRunner()
 	combos := []Combo{
@@ -144,14 +165,14 @@ func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 
 // TestEpochReplayTokens replays checked-in epoch-pipeline repro tokens
 // (the epoch=N token extension; absent = legacy path for old corpora)
-// and requires a clean run on the fixed controllers. ASIT ignores the
-// window, so the sgx/asit tokens pin its eager path under the same
+// and requires a clean run on the fixed controllers. AGIT-Plus and ASIT
+// ignore the window, so their tokens pin the eager path under the same
 // crashes.
 func TestEpochReplayTokens(t *testing.T) {
 	r := NewRunner()
 	tokens := []string{
-		// Crash with a window open: bonsai/agit-plus replays the journal,
-		// sgx/asit recovers its eager state.
+		// Epoch set on schemes that ignore it: both recover their eager
+		// state.
 		"v1 profile=libquantum combo=sgx/asit model=full-adr warm=64 extra=13 mid=-1 faults=0 tseed=99 cseed=11 epoch=16",
 		"v1 profile=mcf combo=bonsai/agit-plus model=torn-block warm=64 extra=21 mid=-1 faults=0 tseed=99 cseed=12 epoch=16",
 		// Half-drained group: DONE_BIT redo must retire it (for

@@ -37,8 +37,9 @@ type RunConfig struct {
 	MetaCacheBytes    int
 	// Epoch is the bank-parallel epoch pipeline's window size in write
 	// requests (memctrl.Config.EpochRequests). 0 or 1 selects the eager
-	// path. It moves Fig 10 (Bonsai family) only: Fig 11's SGX schemes
-	// ignore it, so Fig 11 is epoch-invariant.
+	// path. It moves only Fig 10's strict column (the only Fig 10 scheme
+	// that defers tree updates); every other column and all of Fig 11
+	// are epoch-invariant.
 	Epoch int
 	// Parallel is the evaluation engine's worker count: how many
 	// (scheme, app, size) simulation cells run concurrently. 0 means

@@ -37,9 +37,9 @@ func sweepQuick(scheme memctrl.Scheme, family sim.Family, cold bool) RecoverySwe
 // trial of a spine-forked sweep — measurement-window results, recovery
 // reports, and merged histograms — must be identical to the cold-start
 // sweep that re-fills a fresh controller per trial and runs its whole
-// window at once. At epoch 16 the windows end mid-epoch, so a spine
-// that flushed at a crash point (instead of only the fork) would shift
-// every later trial. Seven trials leave a partial last batch at four
+// window at once. At epoch 16 strict's windows end mid-epoch, so a
+// spine that flushed at a crash point (instead of only the fork) would
+// shift every later trial; the other schemes ignore the window. Seven trials leave a partial last batch at four
 // workers.
 func TestRecoverySweepForkEqualsCold(t *testing.T) {
 	for _, sc := range []struct {

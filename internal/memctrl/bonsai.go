@@ -23,7 +23,8 @@ const regBonsaiRoot = "bonsai_mt_root"
 // Bonsai is the general-integrity-tree controller family: split-counter
 // encryption, Bonsai Merkle tree (counters as leaves, data protected by
 // a MAC over data+counter), eager tree updates. Supports the schemes of
-// Figure 10: WriteBack, Strict, Osiris, AGIT-Read, AGIT-Plus.
+// Figure 10 (WriteBack, Strict, Osiris, AGIT-Read, AGIT-Plus) and the
+// Triad and Selective baselines.
 type Bonsai struct {
 	cfg  Config
 	dev  *nvm.Device
@@ -69,11 +70,12 @@ type Bonsai struct {
 	// pending accumulates the current operation's atomic write group.
 	pending []nvm.PendingWrite
 
-	// Epoch pipeline state (cfg.EpochRequests > 1 only; see
-	// bonsai_epoch.go): writes since the last close, the set of counter
-	// pages with deferred tree-path updates, and reusable close-time
-	// scratch. All volatile — lost at crash; the device-side epoch
-	// journal is the persistent record of the open window.
+	// Epoch pipeline state (see bonsai_epoch.go; epochDirty is nil
+	// unless NewBonsai armed the pipeline): writes since the last close,
+	// the set of counter pages with deferred tree-path updates, and
+	// reusable close-time scratch. All volatile — lost at crash; the
+	// device-side epoch journal is the persistent record of the open
+	// window.
 	epochWrites int
 	epochDirty  map[uint64]struct{}
 	epochPages  []uint64
@@ -81,7 +83,9 @@ type Bonsai struct {
 }
 
 // NewBonsai constructs a Bonsai-family controller for cfg.Scheme, which
-// must be one of WriteBack, Strict, Osiris, AGITRead, AGITPlus.
+// must be one of WriteBack, Strict, Osiris, AGITRead, AGITPlus, Triad,
+// Selective. The epoch pipeline is armed only for the schemes
+// defersTreeUpdates names; the others ignore cfg.EpochRequests.
 func NewBonsai(cfg Config) (*Bonsai, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -106,7 +110,7 @@ func NewBonsai(cfg Config) (*Bonsai, error) {
 		b.sct = shadow.NewAddrTable(b.cCache.NumSlots())
 		b.smt = shadow.NewAddrTable(b.tCache.NumSlots())
 	}
-	if cfg.EpochRequests > 1 {
+	if cfg.EpochRequests > 1 && defersTreeUpdates(cfg.Scheme) {
 		b.epochDirty = make(map[uint64]struct{}, cfg.EpochRequests)
 	}
 	b.reserveRegions()
@@ -292,9 +296,6 @@ func (b *Bonsai) getCounterBlock(page uint64) (*cache.Line, error) {
 			// the persistence domain, so no tree verification applies.
 			line, victim := b.cCache.Insert(page, je.New)
 			b.writeBackCounterVictim(victim)
-			if b.cfg.Scheme == SchemeAGITRead {
-				b.shadowCounterSlot(line.Slot(), page)
-			}
 			return line, nil
 		}
 	}
@@ -415,10 +416,10 @@ func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 
 // WriteBlock encrypts and persists one data block with all metadata
 // updates the configured scheme requires, atomically (§2.7). Only the
-// tree update and the window's close depend on cfg.EpochRequests: the
-// eager path propagates the leaf change to the root register in this
-// commit group, while the epoch pipeline (bonsai_epoch.go) defers it to
-// the close.
+// tree update and the window's close depend on whether the epoch
+// pipeline is armed: the eager path propagates the leaf change to the
+// root register in this commit group, while the pipeline
+// (bonsai_epoch.go) defers it to the close.
 func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 	if err := b.checkAddr(idx); err != nil {
 		return err

@@ -3,14 +3,14 @@ package memctrl
 // Bank-parallel epoch pipeline with coalesced integrity-tree updates.
 //
 // The eager write path updates every Merkle ancestor of the written
-// counter block once per request: a write to a hot page costs Levels()
-// tree-node hashes and, under strict persistence, Levels() staged node
-// writes, even though consecutive writes share almost all of their root
-// path. With cfg.EpochRequests > 1, WriteBlock instead adds the page to
-// a per-epoch dirty set, and closeEpoch drains it in one coalesced
-// commit group every cfg.EpochRequests writes: each dirty ancestor is
-// hashed and persisted once per epoch, however many child updates it
-// absorbed.
+// counter block once per request, and Strict (every level) and Triad
+// (the lowest TriadLevels) persist each updated node, even though
+// consecutive writes share almost all of their root path. With
+// cfg.EpochRequests > 1 those two schemes (defersTreeUpdates) instead
+// add the page to a per-epoch dirty set in WriteBlock, and closeEpoch
+// drains it in one coalesced commit group every cfg.EpochRequests
+// writes: each dirty ancestor is recomputed and persisted once per
+// epoch, however many child updates it absorbed.
 //
 // Crash safety ("coalescing buffer persistence contract"): while a
 // window is open, the on-chip root register still anchors the
@@ -25,8 +25,9 @@ package memctrl
 // window atomically: the coalesced node writes, the fresh root register
 // and the journal clear ride one commit group.
 //
-// Only this family defers: the SGX family ignores cfg.EpochRequests
-// (see DESIGN.md §12).
+// Every other scheme, and the whole SGX family, ignores
+// cfg.EpochRequests and runs eager: they persist no tree node per
+// write, so a window has nothing to coalesce (see DESIGN.md §12).
 
 import (
 	"sort"
@@ -35,6 +36,15 @@ import (
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
 )
+
+// defersTreeUpdates reports whether scheme s runs the epoch pipeline
+// when cfg.EpochRequests > 1: Strict and Triad, the schemes that
+// persist tree nodes on every write and so gain from coalescing them
+// (Triad keeps it at TriadLevels 0 too, where it loses). Every other
+// scheme's recovery fails closed on a journal entry.
+func defersTreeUpdates(s Scheme) bool {
+	return s == SchemeStrict || s == SchemeTriad
+}
 
 // closeEpoch drains the coalescing buffer: every dirty ancestor of the
 // window's written pages is recomputed exactly once, persisted per the
@@ -146,11 +156,11 @@ func (b *Bonsai) closeEpoch() error {
 }
 
 // FlushEpoch closes any open epoch window, draining the deferred tree
-// updates. A no-op for legacy configs, empty windows, and crashed
+// updates. A no-op for eager controllers, empty windows, and crashed
 // controllers. The harness calls it at end-of-run so the reported
 // state and timings cover the whole workload.
 func (b *Bonsai) FlushEpoch() error {
-	if b.crashed || b.cfg.EpochRequests <= 1 {
+	if b.crashed || b.epochDirty == nil {
 		return nil
 	}
 	return b.closeEpoch()

@@ -7,14 +7,40 @@ import (
 	"anubis/internal/counter"
 )
 
-var epochSchemes = []Scheme{
-	SchemeWriteBack, SchemeStrict, SchemeOsiris, SchemeAGITRead,
-	SchemeAGITPlus, SchemeSelective, SchemeTriad,
+// epochCase is one Bonsai configuration under the epoch tests: every
+// scheme, plus Triad with two persisted tree levels.
+type epochCase struct {
+	name   string
+	scheme Scheme
+	levels int // TriadLevels
 }
 
-func newEpochBonsai(t *testing.T, s Scheme, epoch int) *Bonsai {
+var epochCases = []epochCase{
+	{"writeback", SchemeWriteBack, 0},
+	{"strict", SchemeStrict, 0},
+	{"osiris", SchemeOsiris, 0},
+	{"agit-read", SchemeAGITRead, 0},
+	{"agit-plus", SchemeAGITPlus, 0},
+	{"selective", SchemeSelective, 0},
+	{"triad", SchemeTriad, 0},
+	{"triad-2", SchemeTriad, 2},
+}
+
+// deferringCases are the epochCases that arm the pipeline.
+func deferringCases() []epochCase {
+	var out []epochCase
+	for _, c := range epochCases {
+		if defersTreeUpdates(c.scheme) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func (c epochCase) new(t *testing.T, epoch int) *Bonsai {
 	t.Helper()
-	cfg := TestConfig(s)
+	cfg := TestConfig(c.scheme)
+	cfg.TriadLevels = c.levels
 	cfg.EpochRequests = epoch
 	b, err := NewBonsai(cfg)
 	if err != nil {
@@ -24,9 +50,9 @@ func newEpochBonsai(t *testing.T, s Scheme, epoch int) *Bonsai {
 }
 
 func TestEpochWriteReadRoundTrip(t *testing.T) {
-	for _, s := range epochSchemes {
-		t.Run(s.String(), func(t *testing.T) {
-			b := newEpochBonsai(t, s, 4)
+	for _, c := range epochCases {
+		t.Run(c.name, func(t *testing.T) {
+			b := c.new(t, 4)
 			n := b.NumBlocks()
 			// One block per page: far more pages than the tiny caches
 			// hold, so mid-epoch evictions and journal-override refetches
@@ -52,13 +78,15 @@ func TestEpochWriteReadRoundTrip(t *testing.T) {
 }
 
 // TestEpochOneIsStructurallyLegacy checks the byte-identity contract:
-// EpochRequests 0 and 1 both select the legacy path, producing identical
-// timing, statistics, and persistent device state.
+// EpochRequests 0 and 1 both select the eager path, producing identical
+// timing, statistics, and persistent device state. The schemes that do
+// not defer tree updates ignore the window altogether, so windows 4 and
+// 16 must equal window 0 for them too.
 func TestEpochOneIsStructurallyLegacy(t *testing.T) {
-	for _, s := range epochSchemes {
-		t.Run(s.String(), func(t *testing.T) {
+	for _, c := range epochCases {
+		t.Run(c.name, func(t *testing.T) {
 			run := func(epoch int) *Bonsai {
-				b := newEpochBonsai(t, s, epoch)
+				b := c.new(t, epoch)
 				for i := uint64(0); i < 120; i++ {
 					addr := (i * 37) % b.NumBlocks()
 					if err := b.WriteBlock(addr, pattern(i)); err != nil {
@@ -72,15 +100,22 @@ func TestEpochOneIsStructurallyLegacy(t *testing.T) {
 				}
 				return b
 			}
-			a, c := run(0), run(1)
-			if a.Now() != c.Now() {
-				t.Fatalf("virtual clocks diverge: %d vs %d", a.Now(), c.Now())
+			windows := []int{1}
+			if !defersTreeUpdates(c.scheme) {
+				windows = []int{1, 4, 16}
 			}
-			if a.Stats() != c.Stats() {
-				t.Fatalf("stats diverge:\n%+v\n%+v", a.Stats(), c.Stats())
-			}
-			if a.Device().StateDigest() != c.Device().StateDigest() {
-				t.Fatal("persistent state diverges")
+			base := run(0)
+			for _, e := range windows {
+				other := run(e)
+				if base.Now() != other.Now() {
+					t.Fatalf("epoch %d: virtual clocks diverge: %d vs %d", e, base.Now(), other.Now())
+				}
+				if base.Stats() != other.Stats() {
+					t.Fatalf("epoch %d: stats diverge:\n%+v\n%+v", e, base.Stats(), other.Stats())
+				}
+				if base.Device().StateDigest() != other.Device().StateDigest() {
+					t.Fatalf("epoch %d: persistent state diverges", e)
+				}
 			}
 		})
 	}
@@ -91,8 +126,8 @@ func TestEpochOneIsStructurallyLegacy(t *testing.T) {
 // per-write path would have: the tree is a function of counter content
 // only.
 func TestEpochRootMatchesLegacyAfterClose(t *testing.T) {
-	for _, s := range epochSchemes {
-		t.Run(s.String(), func(t *testing.T) {
+	for _, c := range epochCases {
+		t.Run(c.name, func(t *testing.T) {
 			write := func(b *Bonsai) {
 				for i := uint64(0); i < 100; i++ {
 					addr := (i * counter.SplitMinors * 3) % b.NumBlocks()
@@ -101,7 +136,7 @@ func TestEpochRootMatchesLegacyAfterClose(t *testing.T) {
 					}
 				}
 			}
-			legacy, epoch := newEpochBonsai(t, s, 0), newEpochBonsai(t, s, 16)
+			legacy, epoch := c.new(t, 0), c.new(t, 16)
 			write(legacy)
 			write(epoch)
 			if err := epoch.FlushEpoch(); err != nil {
@@ -122,31 +157,36 @@ func TestEpochRootMatchesLegacyAfterClose(t *testing.T) {
 // TestEpochJournalLifecycle checks the journal mirrors the open window:
 // entries accumulate mid-epoch and the close's atomic group clears them.
 func TestEpochJournalLifecycle(t *testing.T) {
-	b := newEpochBonsai(t, SchemeAGITPlus, 4)
-	for i := uint64(0); i < 3; i++ {
-		if err := b.WriteBlock(i*counter.SplitMinors, pattern(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := b.Device().JournalLen(); got != 3 {
-		t.Fatalf("mid-epoch journal has %d entries, want 3", got)
-	}
-	if err := b.WriteBlock(3*counter.SplitMinors, pattern(3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Device().JournalLen(); got != 0 {
-		t.Fatalf("journal survived the close: %d entries", got)
+	for _, c := range deferringCases() {
+		t.Run(c.name, func(t *testing.T) {
+			b := c.new(t, 4)
+			for i := uint64(0); i < 3; i++ {
+				if err := b.WriteBlock(i*counter.SplitMinors, pattern(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := b.Device().JournalLen(); got != 3 {
+				t.Fatalf("mid-epoch journal has %d entries, want 3", got)
+			}
+			if err := b.WriteBlock(3*counter.SplitMinors, pattern(3)); err != nil {
+				t.Fatal(err)
+			}
+			if got := b.Device().JournalLen(); got != 0 {
+				t.Fatalf("journal survived the close: %d entries", got)
+			}
+		})
 	}
 }
 
 // TestEpochMidWindowCrashRecovery is the heart of the coalescing
 // buffer's persistence contract: a crash with the window open (deferred
 // tree updates not yet drained) must recover through the two-pass
-// journal replay for every root-anchored scheme.
+// journal replay for the deferring schemes. The other schemes open no
+// window, so the same crash recovers through their eager recovery.
 func TestEpochMidWindowCrashRecovery(t *testing.T) {
-	for _, s := range epochSchemes {
-		t.Run(s.String(), func(t *testing.T) {
-			b := newEpochBonsai(t, s, 1<<20) // window never closes on its own
+	for _, c := range epochCases {
+		t.Run(c.name, func(t *testing.T) {
+			b := c.new(t, 1<<20) // window never closes on its own
 			n := b.NumBlocks()
 			for i := uint64(0); i < 60; i++ {
 				addr := (i * counter.SplitMinors) % n
@@ -154,12 +194,13 @@ func TestEpochMidWindowCrashRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if b.Device().JournalLen() == 0 {
-				t.Fatal("window closed unexpectedly")
+			deferring := defersTreeUpdates(c.scheme)
+			if got := b.Device().JournalLen(); deferring != (got > 0) {
+				t.Fatalf("journal holds %d entries with deferral %v", got, deferring)
 			}
 			b.Crash()
 			rep, err := b.Recover()
-			if s == SchemeWriteBack {
+			if c.scheme == SchemeWriteBack {
 				if !errors.Is(err, ErrNotRecoverable) {
 					t.Fatalf("write-back recovery: %v", err)
 				}
@@ -168,8 +209,8 @@ func TestEpochMidWindowCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
-			if rep.JournalPages == 0 {
-				t.Fatal("recovery did not replay the epoch journal")
+			if deferring != (rep.JournalPages > 0) {
+				t.Fatalf("recovery replayed %d journal pages with deferral %v", rep.JournalPages, deferring)
 			}
 			if b.Device().JournalLen() != 0 {
 				t.Fatal("journal not cleared after recovery")
@@ -193,9 +234,9 @@ func TestEpochMidWindowCrashRecovery(t *testing.T) {
 // redo must replay the full group — node writes, root register, journal
 // clear — before scheme recovery runs.
 func TestEpochHalfDrainedCloseRecovers(t *testing.T) {
-	for _, s := range []Scheme{SchemeStrict, SchemeTriad, SchemeAGITPlus} {
-		t.Run(s.String(), func(t *testing.T) {
-			b := newEpochBonsai(t, s, 4)
+	for _, c := range deferringCases() {
+		t.Run(c.name, func(t *testing.T) {
+			b := c.new(t, 4)
 			for i := uint64(0); i < 3; i++ {
 				if err := b.WriteBlock(i*counter.SplitMinors, pattern(i)); err != nil {
 					t.Fatal(err)
@@ -205,10 +246,7 @@ func TestEpochHalfDrainedCloseRecovers(t *testing.T) {
 			// group drains fully, then power dies after the close group's
 			// first entry — every close group has at least two (the root
 			// register and the journal clear), so the group always tears.
-			req := 2 // data + journal note
-			if s == SchemeStrict || s == SchemeTriad {
-				req++ // per-write counter persist
-			}
+			const req = 3 // data, journal note and counter persist
 			b.Device().SetPushBudget(req + 1)
 			if err := b.WriteBlock(3*counter.SplitMinors, pattern(3)); err != nil {
 				t.Fatal(err)
@@ -237,28 +275,33 @@ func TestEpochHalfDrainedCloseRecovers(t *testing.T) {
 // overflow inside a window closes it and re-encrypts via the legacy
 // path.
 func TestEpochPageOverflowFallsBackToLegacy(t *testing.T) {
-	b := newEpochBonsai(t, SchemeOsiris, 1<<20)
-	for i := 0; i <= counter.MinorMax+1; i++ {
-		if err := b.WriteBlock(0, pattern(uint64(i))); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if b.Stats().PageOverflows == 0 {
-		t.Fatal("overflow did not happen")
-	}
-	got, err := b.ReadBlock(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != pattern(uint64(counter.MinorMax+1)) {
-		t.Fatal("post-overflow value lost")
-	}
-	// The overflow write ran outside the window; later writes reopen it.
-	if err := b.WriteBlock(counter.SplitMinors, pattern(7)); err != nil {
-		t.Fatal(err)
-	}
-	if b.Device().JournalLen() == 0 {
-		t.Fatal("window did not reopen after the overflow fallback")
+	for _, c := range deferringCases() {
+		t.Run(c.name, func(t *testing.T) {
+			b := c.new(t, 1<<20)
+			for i := 0; i <= counter.MinorMax+1; i++ {
+				if err := b.WriteBlock(0, pattern(uint64(i))); err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+			}
+			if b.Stats().PageOverflows == 0 {
+				t.Fatal("overflow did not happen")
+			}
+			got, err := b.ReadBlock(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != pattern(uint64(counter.MinorMax+1)) {
+				t.Fatal("post-overflow value lost")
+			}
+			// The overflow write ran outside the window; later writes
+			// reopen it.
+			if err := b.WriteBlock(counter.SplitMinors, pattern(7)); err != nil {
+				t.Fatal(err)
+			}
+			if b.Device().JournalLen() == 0 {
+				t.Fatal("window did not reopen after the overflow fallback")
+			}
+		})
 	}
 }
 
@@ -267,7 +310,7 @@ func TestEpochPageOverflowFallsBackToLegacy(t *testing.T) {
 // each shared ancestor once per epoch, not once per write.
 func TestEpochCoalescingReducesStrictTraffic(t *testing.T) {
 	run := func(epoch int) uint64 {
-		b := newEpochBonsai(t, SchemeStrict, epoch)
+		b := epochCase{"strict", SchemeStrict, 0}.new(t, epoch)
 		for i := uint64(0); i < 64; i++ {
 			if err := b.WriteBlock(i%8, pattern(i)); err != nil {
 				t.Fatal(err)

@@ -23,6 +23,11 @@ import (
 //   - AGIT-Read / AGIT-Plus run Algorithm 1: scan SCT and SMT, fix only
 //     tracked counters, recompute only tracked tree nodes level by
 //     level, then compare the resulting root with the on-chip root.
+//   - Triad rebuilds the tree levels it does not persist; Selective
+//     rebuilds the whole tree and re-anchors the root to it.
+//
+// Strict and Triad also replay the epoch journal of a window the crash
+// left open; every other recoverable scheme fails closed on an entry.
 func (b *Bonsai) Recover() (*RecoveryReport, error) {
 	rep, err := b.doRecover()
 	if rep != nil {
@@ -47,8 +52,7 @@ func (b *Bonsai) doRecover() (*RecoveryReport, error) {
 	}
 	b.wl = wl
 
-	switch b.cfg.Scheme {
-	case SchemeWriteBack:
+	if b.cfg.Scheme == SchemeWriteBack {
 		// No recovery mechanism. The controller is returned to service
 		// so that reads can demonstrate the resulting state: consistent
 		// only if the caches happened to be clean (e.g. after an orderly
@@ -58,6 +62,14 @@ func (b *Bonsai) doRecover() (*RecoveryReport, error) {
 		}
 		b.crashed = false
 		return rep, fmt.Errorf("%w: write-back persists no security metadata", ErrNotRecoverable)
+	}
+	// Only the deferring schemes write the epoch journal. For the others
+	// an entry describes no state the root register can vouch for, so
+	// recovery fails closed rather than replay it.
+	if n := b.dev.JournalLen(); n > 0 && !defersTreeUpdates(b.cfg.Scheme) {
+		return rep, fmt.Errorf("%w: %v device holds %d epoch journal entries", ErrUnrecoverable, b.cfg.Scheme, n)
+	}
+	switch b.cfg.Scheme {
 	case SchemeStrict:
 		root, ok := b.dev.GetReg64(regBonsaiRoot)
 		if !ok {
@@ -69,20 +81,15 @@ func (b *Bonsai) doRecover() (*RecoveryReport, error) {
 			// still describe the epoch start. Two-pass journal recovery:
 			// roll journaled counters back to Old, check the stale
 			// register, then replay New and re-anchor.
-			entries, _, err := b.epochJournal(rep)
+			entries, levels, err := b.journalPassA(rep)
 			if err != nil {
 				return rep, err
 			}
-			levels := b.epochAncestorLevels(entries)
-			rep.enterPhase(obs.RPJournalPassA)
-			b.epochWriteCounters(entries, true, rep)
-			b.epochRecompute(levels, rep)
 			rep.enterPhase(obs.RPRootAnchor)
-			if got := b.epochRootNVM(rep); got != root {
+			if got := b.rootNVM(rep); got != root {
 				return rep, fmt.Errorf("%w: epoch-start root %#x != stored root %#x", ErrUnrecoverable, got, root)
 			}
-			rep.enterPhase(obs.RPJournalPassB)
-			b.epochReplayAndAnchor(entries, levels, rep)
+			b.journalPassB(entries, levels, rep)
 			b.crashed = false
 			return rep, nil
 		}
@@ -197,46 +204,21 @@ func (b *Bonsai) writtenLanes(page uint64) uint64 {
 
 // recoverOsirisFull is the no-Anubis baseline: every counter block in
 // the whole memory is repaired, then the complete tree is rebuilt.
-// Counter pages tracked by the epoch journal skip the ECC trials — the
-// journal records their exact content — and go through the two-pass
-// rollback/replay instead.
 func (b *Bonsai) recoverOsirisFull(rep *RecoveryReport) (*RecoveryReport, error) {
-	entries, journaled, err := b.epochJournal(rep)
-	if err != nil {
-		return rep, err
-	}
-	rep.enterPhase(obs.RPJournalPassA)
-	b.epochWriteCounters(entries, true, rep) // pass A: epoch-start content
 	// The scan's media fetches are the counter scan; the per-candidate
 	// decrypt+check trials inside it are ECC verification work.
 	rep.enterPhaseSplit(obs.RPCounterScan, obs.RPECCVerify)
 	for page := uint64(0); page < b.numPages; page++ {
-		if journaled[page] {
-			continue
-		}
 		if err := b.fixCounterBlock(page, rep); err != nil {
 			return rep, err
 		}
 	}
-	rep.enterPhase(obs.RPMerkleRebuild)
-	root := merkle.BuildGeneral(b.geom, b.eng,
-		func(i uint64) [BlockBytes]byte { return b.dev.Read(nvm.RegionCounter, i) },
-		func(flat uint64, n merkle.GNode) {
-			b.dev.WriteRaw(nvm.RegionTree, flat, n)
-			rep.FetchOps++
-		},
-		&rep.CryptoOps)
-	rep.NodesRebuilt += b.geom.TotalNodes()
+	root := b.rebuildTree(rep)
 	want, _ := b.dev.GetReg64(regBonsaiRoot)
 	if root != want {
 		return rep, fmt.Errorf("%w: rebuilt root %#x != stored root %#x", ErrUnrecoverable, root, want)
 	}
-	if len(entries) > 0 {
-		rep.enterPhase(obs.RPJournalPassB)
-		b.epochReplayAndAnchor(entries, b.epochAncestorLevels(entries), rep)
-	} else {
-		b.rootHash = root
-	}
+	b.rootHash = root
 	b.crashed = false
 	return rep, nil
 }
@@ -254,14 +236,10 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
 	// only land at epoch close — NVM's lower tree describes the epoch
 	// start. Roll journaled counters back and restore their lower paths
 	// before the upper rebuild checks the (stale) register.
-	entries, _, jerr := b.epochJournal(rep)
-	if jerr != nil {
-		return rep, jerr
+	entries, jLevels, err := b.journalPassA(rep)
+	if err != nil {
+		return rep, err
 	}
-	jLevels := b.epochAncestorLevels(entries)
-	rep.enterPhase(obs.RPJournalPassA)
-	b.epochWriteCounters(entries, true, rep)
-	b.epochRecompute(jLevels, rep)
 	rep.enterPhase(obs.RPMerkleRebuild)
 	start := b.cfg.TriadLevels
 	if start > b.geom.Levels() {
@@ -273,14 +251,13 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
 		}
 	}
 	rep.enterPhase(obs.RPRootAnchor)
-	root := b.epochRootNVM(rep)
+	root := b.rootNVM(rep)
 	want, _ := b.dev.GetReg64(regBonsaiRoot)
 	if root != want {
 		return rep, fmt.Errorf("%w: rebuilt root %#x != stored root %#x", ErrUnrecoverable, root, want)
 	}
 	if len(entries) > 0 {
-		rep.enterPhase(obs.RPJournalPassB)
-		b.epochReplayAndAnchor(entries, jLevels, rep)
+		b.journalPassB(entries, jLevels, rep)
 	} else {
 		b.rootHash = root
 	}
@@ -299,25 +276,7 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
 // data so that old values verify as current — a replay. Recovery is
 // also O(memory): the whole tree must be reconstructed.
 func (b *Bonsai) recoverSelective(rep *RecoveryReport) (*RecoveryReport, error) {
-	// Trust-on-boot has no stale-root check to satisfy, so there is no
-	// pass A: the journal's latest content is applied directly before
-	// the rebuild re-anchors the register.
-	entries, _, jerr := b.epochJournal(rep)
-	if jerr != nil {
-		return rep, jerr
-	}
-	rep.enterPhase(obs.RPJournalPassB)
-	b.epochWriteCounters(entries, false, rep)
-	b.dev.JournalReset()
-	rep.enterPhase(obs.RPMerkleRebuild)
-	root := merkle.BuildGeneral(b.geom, b.eng,
-		func(i uint64) [BlockBytes]byte { return b.dev.Read(nvm.RegionCounter, i) },
-		func(flat uint64, n merkle.GNode) {
-			b.dev.WriteRaw(nvm.RegionTree, flat, n)
-			rep.FetchOps++
-		},
-		&rep.CryptoOps)
-	rep.NodesRebuilt += b.geom.TotalNodes()
+	root := b.rebuildTree(rep)
 	// Trust on boot: unlike every root-anchored scheme, the register is
 	// overwritten with the rebuilt value instead of being compared.
 	b.rootHash = root
@@ -326,22 +285,8 @@ func (b *Bonsai) recoverSelective(rep *RecoveryReport) (*RecoveryReport, error) 
 	return rep, nil
 }
 
-// recoverAGIT implements Algorithm 1 of the paper, extended with the
-// epoch journal's two-pass rollback/replay: journaled counter blocks
-// have exact content on chip (no ECC trials), and their deferred root
-// paths — which may have no SMT entry, since mid-epoch writes touch no
-// tree nodes — join the recompute set.
+// recoverAGIT implements Algorithm 1 of the paper.
 func (b *Bonsai) recoverAGIT(rep *RecoveryReport) (*RecoveryReport, error) {
-	// 0. Epoch-journal pass A: roll journaled counters back to their
-	// epoch-start content, the state the stale root register covers.
-	entries, journaled, jerr := b.epochJournal(rep)
-	if jerr != nil {
-		return rep, jerr
-	}
-	jLevels := b.epochAncestorLevels(entries)
-	rep.enterPhase(obs.RPJournalPassA)
-	b.epochWriteCounters(entries, true, rep)
-
 	// 1. Read the SCT and repair every tracked counter block. The
 	// restored tables also become the controller's live mirrors: a
 	// mirror that disagreed with NVM would corrupt neighbouring entries
@@ -365,9 +310,6 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) (*RecoveryReport, error) {
 		// deep in the wear-leveling map during repair.
 		if tr.Key >= b.numPages {
 			return rep, fmt.Errorf("%w: SCT tracks counter page %#x beyond memory (%d pages)", ErrUnrecoverable, tr.Key, b.numPages)
-		}
-		if journaled[tr.Key] {
-			continue // exact content came from the epoch journal
 		}
 		if err := b.fixCounterBlock(tr.Key, rep); err != nil {
 			return rep, err
@@ -399,40 +341,41 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) (*RecoveryReport, error) {
 	}
 
 	// 3. Recompute affected nodes bottom-up: repairing a level relies on
-	// the level below being already fixed (Algorithm 1, line 9+). The
-	// journaled pages' root paths join the set: their updates were
-	// deferred, so no SMT entry tracks them.
+	// the level below being already fixed (Algorithm 1, line 9+).
 	rep.enterPhase(obs.RPMerkleRebuild)
 	for level := 0; level < b.geom.Levels(); level++ {
-		idxs := append(byLevel[level], jLevels[level]...)
+		idxs := byLevel[level]
 		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		prev := uint64(0)
-		for k, idx := range idxs {
-			if k > 0 && idx == prev {
-				continue
-			}
-			prev = idx
+		for _, idx := range idxs {
 			b.recomputeNode(level, idx, rep)
 		}
 	}
 
 	// 4. Compare the resulting root against the on-chip root register.
 	rep.enterPhase(obs.RPRootAnchor)
-	root := b.epochRootNVM(rep)
+	root := b.rootNVM(rep)
 	want, _ := b.dev.GetReg64(regBonsaiRoot)
 	if root != want {
 		return rep, fmt.Errorf("%w: recovered root %#x != stored root %#x", ErrUnrecoverable, root, want)
 	}
-
-	// 5. Epoch-journal pass B: replay the latest content and re-anchor.
-	if len(entries) > 0 {
-		rep.enterPhase(obs.RPJournalPassB)
-		b.epochReplayAndAnchor(entries, jLevels, rep)
-	} else {
-		b.rootHash = root
-	}
+	b.rootHash = root
 	b.crashed = false
 	return rep, nil
+}
+
+// rebuildTree rebuilds the whole tree from the counters in NVM, writes
+// every node back and returns the root hash.
+func (b *Bonsai) rebuildTree(rep *RecoveryReport) uint64 {
+	rep.enterPhase(obs.RPMerkleRebuild)
+	root := merkle.BuildGeneral(b.geom, b.eng,
+		func(i uint64) [BlockBytes]byte { return b.dev.Read(nvm.RegionCounter, i) },
+		func(flat uint64, n merkle.GNode) {
+			b.dev.WriteRaw(nvm.RegionTree, flat, n)
+			rep.FetchOps++
+		},
+		&rep.CryptoOps)
+	rep.NodesRebuilt += b.geom.TotalNodes()
+	return root
 }
 
 // recomputeNode rebuilds one tree node from its (already repaired)
@@ -460,6 +403,14 @@ func (b *Bonsai) recomputeNode(level int, idx uint64, rep *RecoveryReport) {
 	rep.NodesRebuilt++
 }
 
+// rootNVM hashes the root node currently in NVM.
+func (b *Bonsai) rootNVM(rep *RecoveryReport) uint64 {
+	rootNode := b.treeNodeNVM(b.geom.Flat(b.geom.RootLevel(), 0))
+	rep.FetchOps++
+	rep.CryptoOps++
+	return b.eng.ContentHash(rootNode[:])
+}
+
 // --- epoch-journal two-pass recovery helpers --------------------------------
 //
 // A crash inside an open epoch window (bonsai_epoch.go) leaves the root
@@ -474,24 +425,34 @@ func (b *Bonsai) recomputeNode(level int, idx uint64, rep *RecoveryReport) {
 //	pass B  write New, recompute the same paths, anchor the fresh
 //	        root, and clear the journal.
 
-// epochJournal returns the journal's entries with their keys
-// bounds-checked, plus the journaled-page set, and records the count in
-// the report. Empty (not an error) when no window was open.
-func (b *Bonsai) epochJournal(rep *RecoveryReport) ([]nvm.JournalEntry, map[uint64]bool, error) {
-	if b.dev.JournalLen() == 0 {
-		return nil, nil, nil
-	}
+// journalPassA is pass A. It bounds-checks the journal's keys, records
+// their count in the report, and returns the entries with their root
+// paths for journalPassB; both are empty when no window was open.
+func (b *Bonsai) journalPassA(rep *RecoveryReport) ([]nvm.JournalEntry, [][]uint64, error) {
 	entries := b.dev.JournalEntries()
-	pages := make(map[uint64]bool, len(entries))
 	for i := range entries {
 		if entries[i].Key >= b.numPages {
 			return nil, nil, fmt.Errorf("%w: epoch journal tracks counter page %#x beyond memory (%d pages)",
 				ErrUnrecoverable, entries[i].Key, b.numPages)
 		}
-		pages[entries[i].Key] = true
 	}
 	rep.JournalPages = uint64(len(entries))
-	return entries, pages, nil
+	levels := b.epochAncestorLevels(entries)
+	rep.enterPhase(obs.RPJournalPassA)
+	b.epochWriteCounters(entries, true, rep)
+	b.epochRecompute(levels, rep)
+	return entries, levels, nil
+}
+
+// journalPassB is pass B.
+func (b *Bonsai) journalPassB(entries []nvm.JournalEntry, levels [][]uint64, rep *RecoveryReport) {
+	rep.enterPhase(obs.RPJournalPassB)
+	b.epochWriteCounters(entries, false, rep)
+	b.epochRecompute(levels, rep)
+	root := b.rootNVM(rep)
+	b.rootHash = root
+	b.dev.SetReg64(regBonsaiRoot, root)
+	b.dev.JournalReset()
 }
 
 // epochAncestorLevels returns, per tree level, the sorted deduplicated
@@ -538,24 +499,4 @@ func (b *Bonsai) epochRecompute(levels [][]uint64, rep *RecoveryReport) {
 			b.recomputeNode(level, idx, rep)
 		}
 	}
-}
-
-// epochRootNVM hashes the root node currently in NVM.
-func (b *Bonsai) epochRootNVM(rep *RecoveryReport) uint64 {
-	rootNode := b.treeNodeNVM(b.geom.Flat(b.geom.RootLevel(), 0))
-	rep.FetchOps++
-	rep.CryptoOps++
-	return b.eng.ContentHash(rootNode[:])
-}
-
-// epochReplayAndAnchor is pass B: replay the journal's latest content,
-// recompute the journaled root paths, install the fresh root and clear
-// the journal.
-func (b *Bonsai) epochReplayAndAnchor(entries []nvm.JournalEntry, levels [][]uint64, rep *RecoveryReport) {
-	b.epochWriteCounters(entries, false, rep)
-	b.epochRecompute(levels, rep)
-	root := b.epochRootNVM(rep)
-	b.rootHash = root
-	b.dev.SetReg64(regBonsaiRoot, root)
-	b.dev.JournalReset()
 }

@@ -7,7 +7,7 @@
 //   - Bonsai (NewBonsai): split counters + general non-parallelizable
 //     8-ary Merkle tree with an eager (root-always-fresh) update policy.
 //     Schemes: WriteBack (baseline, unrecoverable), Strict, Osiris,
-//     AGIT-Read, AGIT-Plus.
+//     AGIT-Read, AGIT-Plus, and the Triad and Selective baselines.
 //   - SGX (NewSGX): SGX-style counter blocks + parallelizable nonce tree
 //     with a lazy (Vault/Synergy) update policy and a combined metadata
 //     cache. Schemes: WriteBack, Strict, Osiris (unrecoverable on this
@@ -158,14 +158,16 @@ type Config struct {
 	// HashNS is the hash/MAC engine latency charged on the critical path.
 	HashNS uint64
 
-	// EpochRequests enables the Bonsai family's bank-parallel epoch
-	// pipeline when > 1: eager tree-path updates are deferred into a
-	// coalescing buffer and drained as one commit group every
+	// EpochRequests enables the bank-parallel epoch pipeline of Bonsai
+	// Strict and Triad when > 1: eager tree-path updates are deferred
+	// into a coalescing buffer and drained as one commit group every
 	// EpochRequests data writes — one persisted ancestor per epoch
 	// instead of one per request. The window between drains is covered
 	// by the persistent epoch journal (nvm.JournalEntry), which keeps
-	// recovery exact. 0 or 1 selects the eager per-request path. The SGX
-	// family (Fig 11, ASIT included) ignores it and always runs eager.
+	// recovery exact. 0 or 1 selects the eager per-request path. Every
+	// other scheme, and the whole SGX family (Fig 11), ignores it and
+	// always runs eager: they persist no tree node per write, so there
+	// is nothing to coalesce (DESIGN.md §12).
 	EpochRequests int
 
 	// Timing parameterizes the NVM device.
@@ -311,9 +313,9 @@ type RecoveryReport struct {
 
 	RedoneWrites int `json:"redone_writes"` // commit-group writes replayed via DONE_BIT
 
-	// JournalPages counts epoch-journal entries replayed by the Bonsai
-	// family's two-pass mid-epoch recovery (0 when the crash fell
-	// between epoch windows or the epoch pipeline was off).
+	// JournalPages counts epoch-journal entries replayed by Bonsai
+	// Strict's and Triad's two-pass mid-epoch recovery (0 when the crash
+	// fell between epoch windows or the epoch pipeline was off).
 	JournalPages uint64 `json:"journal_pages,omitempty"`
 
 	// Phases decomposes the modeled recovery time into the recovery

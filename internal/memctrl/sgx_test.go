@@ -546,30 +546,3 @@ func TestSGXEpochOneIsStructurallyLegacy(t *testing.T) {
 		})
 	}
 }
-
-// TestSGXASITJournalEntryFailsClosed: ASIT never writes the epoch
-// journal, so a journal entry found at recovery is state that
-// SHADOW_TREE_ROOT cannot vouch for. Recovery must refuse it rather
-// than replay it.
-func TestSGXASITJournalEntryFailsClosed(t *testing.T) {
-	c := newSGX(t, SchemeASIT)
-	for i := uint64(0); i < 40; i++ {
-		if err := c.WriteBlock(i*counter.SGXCounters, pattern(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dev := c.Device()
-	blocks := dev.BlocksIn(nvm.RegionST)
-	if len(blocks) == 0 {
-		t.Fatal("no shadow table blocks written")
-	}
-	// A well-formed note: both sides equal the block's media content.
-	blk := dev.Read(nvm.RegionST, blocks[0])
-	dev.BeginCommit()
-	dev.Stage(nvm.PendingWrite{JOp: nvm.JournalNote, JKey: blocks[0], JOld: blk, Block: blk})
-	dev.CommitGroup(c.Now())
-	c.Crash()
-	if _, err := c.Recover(); !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("Recover with a journal entry = %v, want ErrUnrecoverable", err)
-	}
-}

@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 	"testing/quick"
 )
@@ -384,6 +386,33 @@ func TestNewDevicePanicsOnBadTiming(t *testing.T) {
 			}()
 			NewDevice(tm)
 		}()
+	}
+}
+
+// TestLoadDeviceRejectsBadTiming: a damaged image's saved timing must
+// come back as an error, not a NewDevice panic or an allocation that
+// kills the process.
+func TestLoadDeviceRejectsBadTiming(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Timing)
+	}{
+		{"zero banks", func(tm *Timing) { tm.Banks = 0 }},
+		{"zero wpq entries", func(tm *Timing) { tm.WPQEntries = 0 }},
+		{"huge banks", func(tm *Timing) { tm.Banks = 1 << 40 }},
+		{"huge write ports", func(tm *Timing) { tm.WritePorts = 1 << 40 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tm := DefaultTiming()
+			tc.set(&tm)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(deviceImage{Magic: imageMagic, Timing: tm}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadDevice(&buf); err == nil {
+				t.Fatalf("LoadDevice accepted timing %+v", tm)
+			}
+		})
 	}
 }
 

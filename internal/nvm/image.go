@@ -198,6 +198,15 @@ func LoadDevice(r io.Reader) (*Device, error) {
 	if img.Magic != imageMagic {
 		return nil, fmt.Errorf("nvm: not an NVM image (magic %q)", img.Magic)
 	}
+	// NewDevice allocates per bank, WPQ entry and write port, so a
+	// damaged count would panic it (below one) or exhaust memory (huge,
+	// which no recover can catch). The bounds sit far above any modeled
+	// configuration (Table 1: 4 banks, 32 WPQ entries, 2 write ports).
+	if t := img.Timing; t.Banks < 1 || t.Banks > 1<<10 ||
+		t.WPQEntries < 1 || t.WPQEntries > 1<<16 || t.WritePorts > 1<<10 {
+		return nil, fmt.Errorf("nvm: image timing out of bounds: %d banks (1..1024), %d WPQ entries (1..65536), %d write ports (at most 1024)",
+			t.Banks, t.WPQEntries, t.WritePorts)
+	}
 	d := NewDevice(img.Timing)
 	for reg := Region(0); reg < numRegions; reg++ {
 		s := &d.store[reg]

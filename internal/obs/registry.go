@@ -339,7 +339,7 @@ func (h *Hist) Mean() float64 {
 }
 
 // Percentile approximates the p-th percentile by the geometric
-// midpoint of the containing bucket.
+// midpoint of the containing bucket, clamped to Max.
 func (h *Hist) Percentile(p float64) uint64 {
 	if h.Count == 0 {
 		return 0
@@ -356,7 +356,7 @@ func (h *Hist) Percentile(p float64) uint64 {
 				return 0
 			}
 			lo := uint64(1) << uint(i) // bucket i covers [2^i, 2^(i+1))
-			return lo + lo/2
+			return min(lo+lo/2, h.Max)
 		}
 	}
 	return h.Max

@@ -174,6 +174,11 @@ func TestHistPercentileAndMean(t *testing.T) {
 	if h.Count != 1001 || h.Max != 1<<20 {
 		t.Fatalf("merge wrong: %+v", h)
 	}
+	// The top sample sits at the bottom of its bucket, below the
+	// bucket's midpoint: no percentile may exceed it.
+	if p100 := h.Percentile(100); p100 > h.Max {
+		t.Fatalf("p100 %d exceeds max %d", p100, h.Max)
+	}
 }
 
 func TestRegistryMergeLedger(t *testing.T) {

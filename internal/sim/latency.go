@@ -11,7 +11,7 @@ import (
 // (i >= 1) counts request latencies in [2^(i-1), 2^i) nanoseconds, and
 // bucket 0 counts zero-latency completions. Percentiles are
 // approximated by the geometric midpoint of the containing bucket,
-// which is plenty for comparing schemes.
+// clamped to Max, which is plenty for comparing schemes.
 type LatencyHist struct {
 	Buckets [40]uint64 `json:"buckets"`
 	Count   uint64     `json:"count"`
@@ -76,7 +76,7 @@ func (h *LatencyHist) Percentile(p float64) uint64 {
 				return 0
 			}
 			lo := uint64(1) << uint(i-1)
-			return lo + lo/2 // geometric midpoint of [2^(i-1), 2^i)
+			return min(lo+lo/2, h.Max) // geometric midpoint of [2^(i-1), 2^i)
 		}
 	}
 	return h.Max

@@ -83,9 +83,7 @@ func TestLatencyHistPercentileMonotone(t *testing.T) {
 			}
 			prev = v
 		}
-		// The estimate is a bucket midpoint, so it can exceed Max by at
-		// most the top bucket's width; it must never exceed 2*Max.
-		if max := h.Percentile(100); h.Max > 0 && max >= 2*h.Max {
+		if max := h.Percentile(100); max > h.Max {
 			t.Fatalf("trial %d: Percentile(100)=%d with Max=%d", trial, max, h.Max)
 		}
 	}

@@ -204,7 +204,8 @@ func runSchemeFor(t *testing.T, f Family, scheme string, p trace.Profile, n int)
 // request counter continues across Steps; no timing figure depends on
 // the payload bytes. Sources cover a generator, a mid-stream arena
 // cursor (FillBlock path) and a cursor at position zero (memoized
-// payload path), at epoch 0 and 16.
+// payload path), at epoch 0 and 16 on Strict, a scheme that defers
+// tree updates, so the epoch-16 forks land inside open windows.
 func TestRunnerStepsEqualOneRun(t *testing.T) {
 	prof, _ := trace.ByName("libquantum")
 	arena := trace.NewArena(prof, 99, 3000)
@@ -215,7 +216,7 @@ func TestRunnerStepsEqualOneRun(t *testing.T) {
 	}
 	for name, src := range sources {
 		for _, epoch := range []int{0, 16} {
-			cfg := memctrl.DefaultConfig(memctrl.SchemeAGITPlus)
+			cfg := memctrl.DefaultConfig(memctrl.SchemeStrict)
 			cfg.MemoryBytes = 4 << 20
 			cfg.EpochRequests = epoch
 			newCtrl := func() memctrl.Controller {
