@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke fmt clean
+.PHONY: all build vet test race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke surface-smoke fmt clean
 
 all: verify
 
@@ -21,7 +21,7 @@ race:
 # golden test, internal/figures TestGoldenSeed99, run) and under the
 # race detector (where they are skipped). bench-tools/fuzz-tools are
 # build-only smokes for the tooling — no wall-clock gate.
-verify: build vet test race bench-tools fuzz-tools serve-tools dash-smoke
+verify: build vet test race bench-tools fuzz-tools serve-tools dash-smoke surface-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -65,6 +65,20 @@ serve-smoke:
 dash-smoke:
 	$(GO) test -count=1 -run 'TestDash' ./internal/obs/
 	$(GO) test -count=1 -run 'TestFlightRecorder|TestServeWithoutRecorder' ./internal/serve/
+
+# Library-surface smoke: the examples and CLIs a user drives first,
+# each of which exits non-zero on failure — quickstart, the four
+# attacks (each must be detected), checkpoint, anubis-recover over every
+# scheme name, and an anubis-fsck create → audit round trip of a Triad
+# image in a temp dir.
+surface-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/attacks
+	$(GO) run ./examples/checkpoint
+	$(GO) run ./cmd/anubis-recover
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/anubis-fsck -scheme triad -create "$$tmp/triad.img" && \
+		$(GO) run ./cmd/anubis-fsck -scheme triad "$$tmp/triad.img"
 
 # Short native-fuzz run: each crashfuzz target gets 10 s of coverage-
 # guided mutation on top of its seed corpus. Failures are shrunk by

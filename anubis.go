@@ -24,13 +24,16 @@
 // impossible on SGX trees), and the Anubis schemes AGITRead, AGITPlus
 // (general tree) and ASIT (SGX tree). Two are related-work baselines on
 // the general tree: Triad (Triad-NVM) and Selective (selective counter
-// atomicity).
+// atomicity). WriteBack, Strict and Osiris run on either tree, which
+// makes eleven (scheme, tree) pairs; SchemeNames lists their names and
+// ParseScheme resolves one.
 package anubis
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"anubis/internal/memctrl"
 	"anubis/internal/nvm"
@@ -41,76 +44,75 @@ import (
 // BlockSize is the protected access granularity in bytes.
 const BlockSize = memctrl.BlockBytes
 
-// Scheme selects the persistence/recovery mechanism.
-type Scheme int
+// Scheme selects the persistence/recovery mechanism. It aliases the
+// controllers' enum, so it JSON-encodes as its name ("agit-plus").
+type Scheme = memctrl.Scheme
 
 const (
 	// WriteBack is the unprotected-against-crashes baseline.
-	WriteBack Scheme = iota
+	WriteBack = memctrl.SchemeWriteBack
 	// Strict persists every metadata update immediately (recoverable,
 	// highest overhead).
-	Strict
+	Strict = memctrl.SchemeStrict
 	// Osiris adds stop-loss counter persistence; recovery is
 	// whole-memory (hours at TB scale) and only works on general trees.
-	Osiris
+	Osiris = memctrl.SchemeOsiris
 	// AGITRead is Anubis for general integrity trees, tracking metadata
 	// cache fills in shadow tables.
-	AGITRead
+	AGITRead = memctrl.SchemeAGITRead
 	// AGITPlus tracks only first modifications (the paper's best
 	// general-tree scheme: ~3.4% overhead).
-	AGITPlus
+	AGITPlus = memctrl.SchemeAGITPlus
 	// ASIT is Anubis for SGX-style parallelizable trees: the only
 	// practical scheme that makes them recoverable.
-	ASIT
+	ASIT = memctrl.SchemeASIT
 	// Triad is a Triad-NVM-style baseline (§7's concurrent work):
 	// counters plus the first TriadLevels tree levels persist on every
 	// write; recovery rebuilds only the levels above. The knob trades
 	// run-time overhead for recovery time — but recovery stays
 	// memory-bound, unlike Anubis.
-	Triad
+	Triad = memctrl.SchemeTriad
 	// Selective is the selective counter atomicity baseline (HPCA'18):
 	// only a designated persistent region's counters are written
 	// through, recovery rebuilds the whole tree and re-anchors the root.
 	// Relaxed counters open a post-crash replay window (see the tests) —
 	// the weakness that motivated Osiris and Anubis.
-	Selective
+	Selective = memctrl.SchemeSelective
 )
-
-func (s Scheme) String() string { return s.internal().String() }
-
-func (s Scheme) internal() memctrl.Scheme {
-	switch s {
-	case WriteBack:
-		return memctrl.SchemeWriteBack
-	case Strict:
-		return memctrl.SchemeStrict
-	case Osiris:
-		return memctrl.SchemeOsiris
-	case AGITRead:
-		return memctrl.SchemeAGITRead
-	case AGITPlus:
-		return memctrl.SchemeAGITPlus
-	case ASIT:
-		return memctrl.SchemeASIT
-	case Selective:
-		return memctrl.SchemeSelective
-	case Triad:
-		return memctrl.SchemeTriad
-	}
-	return memctrl.Scheme(-1)
-}
 
 // TreeKind selects the integrity tree family for the baseline schemes
 // (WriteBack, Strict, Osiris exist in both of the paper's evaluations).
-// AGIT schemes force GeneralTree; ASIT forces SGXTree.
-type TreeKind int
+// A scheme that exists on one tree only runs there whatever
+// Config.Tree says: AGIT, Triad and Selective on GeneralTree, ASIT on
+// SGXTree.
+type TreeKind = memctrl.Family
 
 const (
 	// GeneralTree is the non-parallelizable Bonsai Merkle tree.
-	GeneralTree TreeKind = iota
+	GeneralTree = memctrl.FamilyBonsai
 	// SGXTree is the parallelizable SGX-style nonce tree.
-	SGXTree
+	SGXTree = memctrl.FamilySGX
 )
+
+// ParseScheme resolves one of SchemeNames() to its scheme and tree:
+// "strict" is Strict on GeneralTree, "strict-sgx" Strict on SGXTree.
+func ParseScheme(name string) (Scheme, TreeKind, error) {
+	v, ok := memctrl.VariantByName(name)
+	if !ok {
+		return 0, 0, fmt.Errorf("anubis: unknown scheme %q (want one of: %s)", name, strings.Join(SchemeNames(), ", "))
+	}
+	return v.Scheme, v.Family, nil
+}
+
+// SchemeNames lists every (scheme, tree) pair by the name ParseScheme
+// accepts — the eleven names every tool's -scheme flag takes.
+func SchemeNames() []string {
+	names := make([]string, len(memctrl.Variants))
+	for i, v := range memctrl.Variants {
+		names[i] = v.Name
+	}
+	return names
+}
 
 // Config parameterizes a System. Zero values take the paper's Table 1
 // defaults (except MemoryBytes, which defaults to 1 GB to keep casual
@@ -155,8 +157,7 @@ type Config struct {
 // crash-recoverable per the configured scheme. Not safe for concurrent
 // use.
 type System struct {
-	ctrl   memctrl.Controller
-	scheme Scheme
+	ctrl memctrl.Controller
 }
 
 // ErrUnrecoverable reports that recovery failed verification.
@@ -179,7 +180,7 @@ func IsIntegrityViolation(err error) bool {
 // toInternal converts the public configuration to the controller's and
 // resolves the effective tree kind.
 func (cfg Config) toInternal() (memctrl.Config, TreeKind) {
-	mc := memctrl.DefaultConfig(cfg.Scheme.internal())
+	mc := memctrl.DefaultConfig(cfg.Scheme)
 	if cfg.MemoryBytes == 0 {
 		cfg.MemoryBytes = 1 << 30
 	}
@@ -204,11 +205,13 @@ func (cfg Config) toInternal() (memctrl.Config, TreeKind) {
 	mc.TriadLevels = cfg.TriadLevels
 
 	tree := cfg.Tree
-	switch cfg.Scheme {
-	case AGITRead, AGITPlus, Selective, Triad:
-		tree = GeneralTree
-	case ASIT:
-		tree = SGXTree
+	if !memctrl.Supports(tree, cfg.Scheme) {
+		for _, v := range memctrl.Variants {
+			if v.Scheme == cfg.Scheme {
+				tree = v.Family
+				break
+			}
+		}
 	}
 	return mc, tree
 }
@@ -216,23 +219,15 @@ func (cfg Config) toInternal() (memctrl.Config, TreeKind) {
 // New constructs a System over a fresh, zeroed NVM.
 func New(cfg Config) (*System, error) {
 	mc, tree := cfg.toInternal()
-	var (
-		ctrl memctrl.Controller
-		err  error
-	)
-	if tree == SGXTree {
-		ctrl, err = memctrl.NewSGX(mc)
-	} else {
-		ctrl, err = memctrl.NewBonsai(mc)
-	}
+	ctrl, err := memctrl.New(tree, mc)
 	if err != nil {
 		return nil, err
 	}
-	return &System{ctrl: ctrl, scheme: cfg.Scheme}, nil
+	return &System{ctrl: ctrl}, nil
 }
 
 // Scheme returns the configured scheme.
-func (s *System) Scheme() Scheme { return s.scheme }
+func (s *System) Scheme() Scheme { return s.ctrl.Scheme() }
 
 // NumBlocks returns the number of 64-byte blocks.
 func (s *System) NumBlocks() uint64 { return s.ctrl.NumBlocks() }
@@ -402,7 +397,7 @@ func (s *System) StateDigest() uint64 { return s.ctrl.Device().StateDigest() }
 // again; a single Fork call must not race with operations on the
 // parent (clone first, then run the two on separate goroutines).
 func (s *System) Fork() *System {
-	return &System{ctrl: s.ctrl.Clone(), scheme: s.scheme}
+	return &System{ctrl: s.ctrl.Clone()}
 }
 
 // Crash simulates a power failure: all volatile state (metadata caches,
@@ -501,16 +496,11 @@ func OpenImage(cfg Config, r io.Reader) (*System, RecoveryReport, error) {
 		return nil, RecoveryReport{}, err
 	}
 	mc, tree := cfg.toInternal()
-	var ctrl memctrl.Controller
-	if tree == SGXTree {
-		ctrl, err = memctrl.OpenSGX(mc, dev)
-	} else {
-		ctrl, err = memctrl.OpenBonsai(mc, dev)
-	}
+	ctrl, err := memctrl.Open(tree, mc, dev)
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	sys := &System{ctrl: ctrl, scheme: cfg.Scheme}
+	sys := &System{ctrl: ctrl}
 	rep, err := sys.Recover()
 	if err != nil {
 		return nil, rep, err
@@ -576,15 +566,10 @@ func (s *System) SnapshotCounter(counterBlock uint64) [BlockSize]byte {
 // CountersPerBlock returns how many data blocks one counter block
 // covers (64 for the general split-counter layout, 8 for SGX-style).
 func (s *System) CountersPerBlock() uint64 {
-	switch s.scheme {
-	case ASIT:
+	if memctrl.FamilyOf(s.ctrl) == SGXTree {
 		return 8
-	default:
-		if _, ok := s.ctrl.(*memctrl.SGX); ok {
-			return 8
-		}
-		return 64
 	}
+	return 64
 }
 
 // EstimateRecoveryNS returns the analytic recovery-time model for a

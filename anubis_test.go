@@ -56,6 +56,52 @@ func TestSchemeStrings(t *testing.T) {
 	}
 }
 
+// TestParseSchemeRoundtrip checks the scheme table: every name parses
+// to its own (scheme, tree) pair and is spelled Scheme.String(), plus
+// "-sgx" on the SGX tree for a scheme both trees run; every bare
+// Scheme.String() parses to its scheme; an unknown name errors with
+// the list of valid names.
+func TestParseSchemeRoundtrip(t *testing.T) {
+	type pair struct {
+		s    Scheme
+		tree TreeKind
+	}
+	named := map[pair]string{}
+	for _, name := range SchemeNames() {
+		s, tree, err := ParseScheme(name)
+		if err != nil {
+			t.Fatalf("ParseScheme(%q): %v", name, err)
+		}
+		if prev, dup := named[pair{s, tree}]; dup {
+			t.Fatalf("%q and %q both name %v on %v", prev, name, s, tree)
+		}
+		named[pair{s, tree}] = name
+	}
+	for p, name := range named {
+		want := p.s.String()
+		if _, both := named[pair{p.s, GeneralTree}]; both && p.tree == SGXTree {
+			want += "-sgx"
+		}
+		if name != want {
+			t.Errorf("%v on %v is named %q, want %q", p.s, p.tree, name, want)
+		}
+	}
+	for s := WriteBack; s <= Selective; s++ {
+		if got, _, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	_, _, err := ParseScheme("bogus")
+	if err == nil {
+		t.Fatal("bogus scheme parsed")
+	}
+	for _, name := range SchemeNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	sys, err := New(Config{Scheme: AGITPlus})
 	if err != nil {

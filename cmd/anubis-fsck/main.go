@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"anubis"
 )
@@ -25,7 +26,7 @@ func main() {
 	var (
 		create  = flag.String("create", "", "create a demo image at this path instead of auditing")
 		corrupt = flag.String("corrupt", "", "with -create: inject a fault (data | counter)")
-		scheme  = flag.String("scheme", "agit-plus", "agit-plus | agit-read | asit | strict | osiris | selective")
+		scheme  = flag.String("scheme", "agit-plus", strings.Join(anubis.SchemeNames(), " | "))
 		mem     = flag.Uint64("mem", 8<<20, "memory size in bytes")
 		writes  = flag.Int("w", 2000, "writes when creating a demo image")
 		verbose = flag.Bool("v", false, "print the per-phase recovery-time breakdown after reattach")
@@ -33,24 +34,19 @@ func main() {
 	)
 	flag.Parse()
 
-	schemes := map[string]anubis.Scheme{
-		"writeback": anubis.WriteBack, "strict": anubis.Strict, "osiris": anubis.Osiris,
-		"agit-read": anubis.AGITRead, "agit-plus": anubis.AGITPlus, "asit": anubis.ASIT,
-		"selective": anubis.Selective,
-	}
-	s, ok := schemes[*scheme]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "anubis-fsck: unknown scheme %q\n", *scheme)
+	s, tree, err := anubis.ParseScheme(*scheme)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "anubis-fsck:", err)
 		os.Exit(2)
 	}
-	cfg := anubis.Config{Scheme: s, MemoryBytes: *mem}
+	cfg := anubis.Config{Scheme: s, Tree: tree, MemoryBytes: *mem}
 
 	if *create != "" {
 		if err := createImage(cfg, *create, *corrupt, *writes); err != nil {
 			fmt.Fprintln(os.Stderr, "anubis-fsck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("image written to %s (%s, %d MB, %d writes", *create, s, *mem>>20, *writes)
+		fmt.Printf("image written to %s (%s, %d MB, %d writes", *create, *scheme, *mem>>20, *writes)
 		if *corrupt != "" {
 			fmt.Printf(", %s fault injected", *corrupt)
 		}

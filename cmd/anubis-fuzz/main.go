@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"anubis"
 	"anubis/internal/crashfuzz"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
@@ -29,7 +30,7 @@ func main() {
 	var (
 		trials  = flag.Int("trials", 500, "number of random schedules to execute")
 		seed    = flag.Int64("seed", 99, "master seed: schedule stream and trace seed")
-		scheme  = flag.String("scheme", "all", "restrict to one combo (e.g. bonsai/agit-plus, sgx/asit) or 'all'")
+		scheme  = flag.String("scheme", "all", "restrict to one scheme (e.g. agit-plus, osiris-sgx) or 'all'")
 		model   = flag.String("model", "all", "restrict to one crash model (full-adr, partial-drain, torn-block) or 'all'")
 		replay  = flag.String("replay", "", "replay a single schedule token (skips random generation)")
 		verbose = flag.Bool("v", false,
@@ -39,10 +40,10 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: anubis-fuzz [-trials N] [-seed S] [-scheme combo] [-model m] [-replay token]\n\n")
+			"usage: anubis-fuzz [-trials N] [-seed S] [-scheme name] [-model m] [-replay token]\n\n")
 		flag.PrintDefaults()
-		fmt.Fprintf(flag.CommandLine.Output(), "\ncombos: %s\nmodels: %s\n",
-			comboNames(), modelNames())
+		fmt.Fprintf(flag.CommandLine.Output(), "\nschemes: %s\nmodels: %s\n",
+			strings.Join(anubis.SchemeNames(), " "), modelNames())
 	}
 	flag.Parse()
 
@@ -78,12 +79,12 @@ func main() {
 
 	var comboFilter *crashfuzz.Combo
 	if *scheme != "all" {
-		c, ok := crashfuzz.ComboByName(*scheme)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown combo %q (want one of: %s)\n", *scheme, comboNames())
+		s, tree, err := anubis.ParseScheme(*scheme)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "anubis-fuzz:", err)
 			os.Exit(2)
 		}
-		comboFilter = &c
+		comboFilter = &crashfuzz.Combo{Family: tree, Scheme: s}
 	}
 	var modelFilter *nvm.CrashModel
 	if *model != "all" {
@@ -207,14 +208,6 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-func comboNames() string {
-	names := make([]string, 0, len(crashfuzz.Combos()))
-	for _, c := range crashfuzz.Combos() {
-		names = append(names, c.String())
-	}
-	return strings.Join(names, " ")
 }
 
 func modelNames() string {

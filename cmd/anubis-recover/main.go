@@ -1,31 +1,34 @@
 // Command anubis-recover demonstrates crash recovery end-to-end: it
-// runs a workload against a secure memory, verifies a sample of the
-// data, pulls the plug, recovers, and verifies again — printing the
-// recovery report and the modeled recovery time for each scheme.
+// runs a workload against a secure memory, pulls the plug, recovers,
+// and verifies every written block — printing the recovery report and
+// the modeled recovery time for each scheme.
 //
 // Usage:
 //
-//	anubis-recover                     # compare all recoverable schemes
+//	anubis-recover                     # compare every scheme
 //	anubis-recover -scheme asit -w 5000
+//
+// Exit status is 1 when any scheme's recovery fails or a recovered
+// scheme reads a block back wrong; schemes without a recovery
+// mechanism ("no-recovery") do not count as failures.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 
-	"anubis/internal/memctrl"
-	"anubis/internal/obs"
-	"anubis/internal/recmodel"
-	"anubis/internal/sim"
+	"anubis"
 )
 
 func main() {
 	var (
-		schemeName = flag.String("scheme", "", "restrict to one scheme (strict, osiris, agit-read, agit-plus, asit)")
+		schemeName = flag.String("scheme", "", "restrict to one scheme: "+strings.Join(anubis.SchemeNames(), " | "))
 		writes     = flag.Int("w", 2000, "writes before the crash")
 		mem        = flag.Uint64("mem", 32<<20, "memory size in bytes")
 		verbose    = flag.Bool("v", false, "print the per-phase recovery-time breakdown under each scheme")
@@ -33,154 +36,147 @@ func main() {
 	)
 	flag.Parse()
 
-	type entry struct {
-		name   string
-		scheme memctrl.Scheme
-		family sim.Family
-	}
-	all := []entry{
-		{"strict", memctrl.SchemeStrict, sim.FamilyBonsai},
-		{"osiris", memctrl.SchemeOsiris, sim.FamilyBonsai},
-		{"agit-read", memctrl.SchemeAGITRead, sim.FamilyBonsai},
-		{"agit-plus", memctrl.SchemeAGITPlus, sim.FamilyBonsai},
-		{"asit", memctrl.SchemeASIT, sim.FamilySGX},
-		{"selective", memctrl.SchemeSelective, sim.FamilyBonsai},
-		{"triad-2", memctrl.SchemeTriad, sim.FamilyBonsai},
-		{"writeback", memctrl.SchemeWriteBack, sim.FamilyBonsai},
-		{"osiris-sgx", memctrl.SchemeOsiris, sim.FamilySGX},
-	}
-	var list []entry
-	for _, e := range all {
-		if *schemeName == "" || e.name == *schemeName {
-			list = append(list, e)
+	names := anubis.SchemeNames()
+	if *schemeName != "" {
+		if _, _, err := anubis.ParseScheme(*schemeName); err != nil {
+			fmt.Fprintln(os.Stderr, "anubis-recover:", err)
+			os.Exit(2)
 		}
-	}
-	if len(list) == 0 {
-		fmt.Fprintf(os.Stderr, "anubis-recover: unknown scheme %q\n", *schemeName)
-		os.Exit(2)
+		names = []string{*schemeName}
 	}
 
 	if !*jsonOut {
-		fmt.Printf("%-12s %-12s %10s %10s %10s %12s  %s\n",
+		fmt.Printf("%-13s %-12s %10s %10s %10s %12s  %s\n",
 			"scheme", "result", "fetchOps", "cryptoOps", "fixed", "modeled", "data")
 	}
 	enc := json.NewEncoder(os.Stdout)
-	for _, e := range list {
-		row := runOne(e.name, e.scheme, e.family, *writes, *mem, *jsonOut, *verbose)
-		if *jsonOut && row != nil {
+	failed := false
+	for _, name := range names {
+		row, err := runOne(name, *writes, *mem)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%-13s error: %v\n", name, err)
+			failed = true
+			continue
+		}
+		failed = failed || row.failed()
+		if *jsonOut {
 			_ = enc.Encode(row)
+			continue
+		}
+		fmt.Printf("%-13s %-12s %10d %10d %10d %12s  %d/%d blocks verified\n",
+			name, row.Result, row.FetchOps, row.CryptoOps, row.CountersFixed,
+			anubis.FormatDuration(row.ModeledNS), row.DataVerified, row.DataVerified+row.DataBad)
+		if *verbose {
+			printPhases(row)
 		}
 	}
-	if *jsonOut {
-		return
+	if !*jsonOut {
+		fmt.Println()
+		fmt.Println("For scale: analytic recovery-time model at production sizes —")
+		fmt.Printf("  Osiris, 8 TB NVM:                 %s\n",
+			anubis.FormatDuration(anubis.EstimateRecoveryNS(anubis.Osiris, 8<<40, 0, 0)))
+		fmt.Printf("  Anubis AGIT, 256 KB caches:       %s\n",
+			anubis.FormatDuration(anubis.EstimateRecoveryNS(anubis.AGITPlus, 0, 256<<10, 256<<10)))
+		fmt.Printf("  Anubis ASIT, 512 KB cache:        %s\n",
+			anubis.FormatDuration(anubis.EstimateRecoveryNS(anubis.ASIT, 0, 256<<10, 256<<10)))
 	}
-
-	fmt.Println()
-	fmt.Println("For scale: analytic recovery-time model at production sizes —")
-	fmt.Printf("  Osiris, 8 TB NVM:                 %s\n",
-		recmodel.FormatDuration(recmodel.OsirisFullNS(8<<40, 1.05)))
-	fmt.Printf("  Anubis AGIT, 256 KB caches:       %s\n",
-		recmodel.FormatDuration(recmodel.AGITNS(256<<10, 256<<10)))
-	fmt.Printf("  Anubis ASIT, 512 KB cache:        %s\n",
-		recmodel.FormatDuration(recmodel.ASITNS(512<<10)))
+	if failed {
+		os.Exit(1)
+	}
 }
 
 // recoverRow is the -json shape of one scheme's run.
 type recoverRow struct {
-	Scheme        string         `json:"scheme"`
-	Result        string         `json:"result"`
-	FetchOps      uint64         `json:"fetch_ops"`
-	CryptoOps     uint64         `json:"crypto_ops"`
-	CountersFixed uint64         `json:"counters_fixed"`
-	ModeledNS     uint64         `json:"modeled_ns"`
-	Phases        *obs.RecLedger `json:"recovery_phase_ns"`
-	DataVerified  int            `json:"data_blocks_verified"`
-	DataBad       int            `json:"data_blocks_bad"`
+	Scheme        string            `json:"scheme"`
+	Result        string            `json:"result"`
+	FetchOps      uint64            `json:"fetch_ops"`
+	CryptoOps     uint64            `json:"crypto_ops"`
+	CountersFixed uint64            `json:"counters_fixed"`
+	ModeledNS     uint64            `json:"modeled_ns"`
+	Phases        map[string]uint64 `json:"recovery_phase_ns"`
+	DataVerified  int               `json:"data_blocks_verified"`
+	DataBad       int               `json:"data_blocks_bad"`
 }
 
-func runOne(name string, scheme memctrl.Scheme, family sim.Family, writes int, mem uint64, jsonOut, verbose bool) *recoverRow {
-	cfg := memctrl.DefaultConfig(scheme)
-	cfg.MemoryBytes = mem
-	cfg.TriadLevels = 2
-	cfg.CounterCacheBlocks = 512
-	cfg.TreeCacheBlocks = 512
-	cfg.MetaCacheBlocks = 1024
-	ctrl, err := sim.NewController(family, cfg)
+// failed reports whether the row fails the run: recovery returned an
+// error, or it succeeded and a block reads back wrong. A scheme with no
+// recovery mechanism reads back whatever survived and fails nothing.
+func (r *recoverRow) failed() bool {
+	return r.Result == "FAILED" || (r.Result == "RECOVERED" && r.DataBad > 0)
+}
+
+// runOne writes, crashes, recovers and reads back one scheme's memory.
+// An error means the run never reached the crash.
+func runOne(name string, writes int, mem uint64) (*recoverRow, error) {
+	scheme, tree, err := anubis.ParseScheme(name)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%-12s error: %v\n", name, err)
-		return nil
+		return nil, err
+	}
+	sys, err := anubis.New(anubis.Config{
+		Scheme:            scheme,
+		Tree:              tree,
+		MemoryBytes:       mem,
+		CounterCacheBytes: 32 << 10,
+		TreeCacheBytes:    32 << 10,
+		MetaCacheBytes:    64 << 10,
+		TriadLevels:       2,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	expect := map[uint64][64]byte{}
+	expect := map[uint64][]byte{}
 	for i := 0; i < writes; i++ {
-		addr := uint64(rng.Intn(int(ctrl.NumBlocks())))
-		var d [64]byte
-		rng.Read(d[:])
-		if err := ctrl.WriteBlock(addr, d); err != nil {
-			fmt.Fprintf(os.Stderr, "%-12s write error: %v\n", name, err)
-			return nil
+		addr := uint64(rng.Intn(int(sys.NumBlocks())))
+		d := make([]byte, anubis.BlockSize)
+		rng.Read(d)
+		if err := sys.WriteBlock(addr, d); err != nil {
+			return nil, fmt.Errorf("write: %w", err)
 		}
 		expect[addr] = d
 	}
 
-	ctrl.Crash()
-	rep, err := ctrl.Recover()
+	sys.Crash()
+	rep, err := sys.Recover()
 
-	result := "RECOVERED"
-	switch {
-	case errors.Is(err, memctrl.ErrNotRecoverable):
-		result = "no-recovery"
-	case err != nil:
-		result = "FAILED"
+	row := &recoverRow{
+		Scheme: name, Result: "RECOVERED",
+		FetchOps: rep.FetchOps, CryptoOps: rep.CryptoOps,
+		CountersFixed: rep.CountersFixed, ModeledNS: rep.ModeledNS, Phases: rep.Phases,
 	}
-
-	dataOK := 0
-	dataBad := 0
-	if err == nil || errors.Is(err, memctrl.ErrNotRecoverable) {
-		for addr, want := range expect {
-			got, rerr := ctrl.ReadBlock(addr)
-			if rerr != nil || got != want {
-				dataBad++
-			} else {
-				dataOK++
-			}
+	switch {
+	case errors.Is(err, anubis.ErrNotRecoverable):
+		row.Result = "no-recovery"
+	case err != nil:
+		row.Result = "FAILED"
+		return row, nil
+	}
+	for addr, want := range expect {
+		got, rerr := sys.ReadBlock(addr)
+		if rerr != nil || !bytes.Equal(got, want) {
+			row.DataBad++
+		} else {
+			row.DataVerified++
 		}
 	}
-	row := &recoverRow{
-		Scheme: name, Result: result,
-		FetchOps: rep.FetchOps, CryptoOps: rep.CryptoOps,
-		CountersFixed: rep.CountersFixed, ModeledNS: rep.ModeledNS(),
-		Phases: &rep.Phases, DataVerified: dataOK, DataBad: dataBad,
-	}
-	if jsonOut {
-		return row
-	}
-	dataStr := fmt.Sprintf("%d/%d blocks verified", dataOK, dataOK+dataBad)
-	fmt.Printf("%-12s %-12s %10d %10d %10d %12s  %s\n",
-		name, result, rep.FetchOps, rep.CryptoOps, rep.CountersFixed,
-		recmodel.FormatDuration(rep.ModeledNS()), dataStr)
-	if verbose {
-		printPhases(rep.Phases)
-	}
-	return row
+	return row, nil
 }
 
 // printPhases renders the non-zero recovery phases as an indented
 // table with a share-of-total column; the phase values sum exactly to
 // the modeled recovery time by construction (DESIGN.md §16).
-func printPhases(l obs.RecLedger) {
-	total := l.Total()
-	if total == 0 {
-		fmt.Printf("             %-22s (no modeled recovery work)\n", "phases:")
+func printPhases(row *recoverRow) {
+	if row.ModeledNS == 0 {
+		fmt.Printf("              %-22s (no modeled recovery work)\n", "phases:")
 		return
 	}
-	for _, p := range obs.RecPhases() {
-		v := l.Get(p)
+	for _, p := range anubis.RecoveryPhases() {
+		v := row.Phases[p]
 		if v == 0 {
 			continue
 		}
-		fmt.Printf("             %-22s %12s  %5.1f%%\n",
-			p.String(), recmodel.FormatDuration(v), 100*float64(v)/float64(total))
+		fmt.Printf("              %-22s %12s  %5.1f%%\n",
+			p, anubis.FormatDuration(v), 100*float64(v)/float64(row.ModeledNS))
 	}
 }

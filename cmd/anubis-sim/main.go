@@ -12,43 +12,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"anubis"
 	"anubis/internal/memctrl"
 	"anubis/internal/sim"
 	"anubis/internal/trace"
 )
 
-func schemeByName(name string) (memctrl.Scheme, sim.Family, bool) {
-	switch name {
-	case "writeback":
-		return memctrl.SchemeWriteBack, sim.FamilyBonsai, true
-	case "writeback-sgx":
-		return memctrl.SchemeWriteBack, sim.FamilySGX, true
-	case "strict":
-		return memctrl.SchemeStrict, sim.FamilyBonsai, true
-	case "strict-sgx":
-		return memctrl.SchemeStrict, sim.FamilySGX, true
-	case "osiris":
-		return memctrl.SchemeOsiris, sim.FamilyBonsai, true
-	case "osiris-sgx":
-		return memctrl.SchemeOsiris, sim.FamilySGX, true
-	case "agit-read":
-		return memctrl.SchemeAGITRead, sim.FamilyBonsai, true
-	case "agit-plus":
-		return memctrl.SchemeAGITPlus, sim.FamilyBonsai, true
-	case "asit":
-		return memctrl.SchemeASIT, sim.FamilySGX, true
-	case "selective":
-		return memctrl.SchemeSelective, sim.FamilyBonsai, true
-	case "triad":
-		return memctrl.SchemeTriad, sim.FamilyBonsai, true
-	}
-	return 0, 0, false
-}
-
 func main() {
 	var (
-		schemeName = flag.String("scheme", "agit-plus", "writeback[-sgx] | strict[-sgx] | osiris[-sgx] | agit-read | agit-plus | asit | selective | triad")
+		schemeName = flag.String("scheme", "agit-plus", strings.Join(anubis.SchemeNames(), " | "))
 		app        = flag.String("app", "milc", "workload profile (SPEC 2006 name)")
 		n          = flag.Int("n", 50000, "number of memory requests")
 		mem        = flag.Uint64("mem", 256<<20, "memory size in bytes")
@@ -57,9 +31,9 @@ func main() {
 	)
 	flag.Parse()
 
-	scheme, family, ok := schemeByName(*schemeName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "anubis-sim: unknown scheme %q\n", *schemeName)
+	scheme, family, err := anubis.ParseScheme(*schemeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "anubis-sim:", err)
 		os.Exit(2)
 	}
 	prof, ok := trace.ByName(*app)

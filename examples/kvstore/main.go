@@ -35,6 +35,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"strings"
 	"time"
 
 	"anubis"
@@ -393,24 +394,24 @@ func main() {
 		addr   = flag.String("addr", "", "anubis-serve address; empty runs the in-process store")
 		tenant = flag.String("tenant", "kv", "tenant id (HTTP mode)")
 		n      = flag.Int("n", 2000, "transactions to commit")
-		scheme = flag.String("scheme", "asit", "persistence scheme")
+		scheme = flag.String("scheme", "asit", "persistence scheme: "+strings.Join(anubis.SchemeNames(), " | "))
 		mem    = flag.Uint64("mem", 8<<20, "protected capacity in bytes")
 		crash  = flag.Bool("crash", true, "power-fail after the workload and recover")
 	)
 	flag.Parse()
+	sc, tree, err := anubis.ParseScheme(*scheme)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *addr == "" {
-		runLocal(*scheme, *mem, *n, *crash)
+		runLocal(anubis.Config{Scheme: sc, Tree: tree, MemoryBytes: *mem}, *n, *crash)
 		return
 	}
 	runHTTP(*addr, *tenant, *scheme, *mem, *n, *crash)
 }
 
-func runLocal(scheme string, memBytes uint64, n int, crash bool) {
-	sc, err := parseScheme(scheme)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mem, err := anubis.New(anubis.Config{Scheme: sc, MemoryBytes: memBytes})
+func runLocal(cfg anubis.Config, n int, crash bool) {
+	mem, err := anubis.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -472,16 +473,4 @@ func runHTTP(addr, tenant, scheme string, memBytes uint64, n int, crash bool) {
 	}
 	fmt.Printf("tenant %s: all %d surviving records verified (%d sheds absorbed) ✓\n",
 		tenant, checked, m.sheds)
-}
-
-func parseScheme(name string) (anubis.Scheme, error) {
-	for _, s := range []anubis.Scheme{
-		anubis.WriteBack, anubis.Strict, anubis.Osiris, anubis.AGITRead,
-		anubis.AGITPlus, anubis.ASIT, anubis.Selective, anubis.Triad,
-	} {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("kvstore: unknown scheme %q", name)
 }

@@ -68,21 +68,13 @@ type Combo struct {
 func (c Combo) String() string { return c.Family.String() + "/" + c.Scheme.String() }
 
 // Combos lists every controller configuration the fuzzer exercises:
-// all Bonsai schemes and all SGX schemes.
+// one per memctrl.Variants row, in the table's order.
 func Combos() []Combo {
-	return []Combo{
-		{sim.FamilyBonsai, memctrl.SchemeWriteBack},
-		{sim.FamilyBonsai, memctrl.SchemeStrict},
-		{sim.FamilyBonsai, memctrl.SchemeOsiris},
-		{sim.FamilyBonsai, memctrl.SchemeAGITRead},
-		{sim.FamilyBonsai, memctrl.SchemeAGITPlus},
-		{sim.FamilyBonsai, memctrl.SchemeTriad},
-		{sim.FamilyBonsai, memctrl.SchemeSelective},
-		{sim.FamilySGX, memctrl.SchemeWriteBack},
-		{sim.FamilySGX, memctrl.SchemeStrict},
-		{sim.FamilySGX, memctrl.SchemeOsiris},
-		{sim.FamilySGX, memctrl.SchemeASIT},
+	combos := make([]Combo, len(memctrl.Variants))
+	for i, v := range memctrl.Variants {
+		combos[i] = Combo{v.Family, v.Scheme}
 	}
+	return combos
 }
 
 // ComboByName inverts Combo.String ("bonsai/agit-plus", "sgx/asit", …).

@@ -3,13 +3,10 @@ package memctrl
 import (
 	"fmt"
 
-	"anubis/internal/cache"
 	"anubis/internal/counter"
-	"anubis/internal/cryptoeng"
 	"anubis/internal/ecc"
 	"anubis/internal/merkle"
 	"anubis/internal/nvm"
-	"anubis/internal/shadow"
 )
 
 // AuditReport summarizes a whole-memory integrity audit (fsck).
@@ -29,73 +26,6 @@ func (r *AuditReport) violate(format string, args ...interface{}) {
 	if len(r.Violations) < maxViolations {
 		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 	}
-}
-
-// --- opening controllers over existing NVM images ---------------------------
-
-// OpenBonsai attaches a Bonsai controller to an existing NVM device
-// (e.g. one restored with nvm.LoadDevice). The controller starts in the
-// crashed state: call Recover before issuing I/O.
-func OpenBonsai(cfg Config, dev *nvm.Device) (*Bonsai, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	switch cfg.Scheme {
-	case SchemeWriteBack, SchemeStrict, SchemeOsiris, SchemeAGITRead, SchemeAGITPlus, SchemeSelective:
-	default:
-		return nil, fmt.Errorf("memctrl: scheme %v is not a general-tree scheme", cfg.Scheme)
-	}
-	b := &Bonsai{
-		cfg:       cfg,
-		dev:       dev,
-		eng:       cryptoeng.NewTestEngine(),
-		numBlocks: cfg.MemoryBytes / BlockBytes,
-		numPages:  cfg.MemoryBytes / PageBytes,
-		cCache:    cache.New(cfg.CounterCacheBlocks, cfg.CounterCacheWays),
-		tCache:    cache.New(cfg.TreeCacheBlocks, cfg.TreeCacheWays),
-		crashed:   true,
-	}
-	b.geom = merkle.NewGeometry(b.numPages)
-	if b.agit() {
-		b.sct = shadow.NewAddrTable(b.cCache.NumSlots())
-		b.smt = shadow.NewAddrTable(b.tCache.NumSlots())
-	}
-	b.reserveRegions()
-	b.computeTreeDefaults()
-	return b, nil
-}
-
-// OpenSGX attaches an SGX-family controller to an existing NVM device.
-// The controller starts crashed: call Recover before issuing I/O.
-func OpenSGX(cfg Config, dev *nvm.Device) (*SGX, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	switch cfg.Scheme {
-	case SchemeWriteBack, SchemeStrict, SchemeOsiris, SchemeASIT:
-	default:
-		return nil, fmt.Errorf("memctrl: scheme %v is not an SGX-tree scheme", cfg.Scheme)
-	}
-	c := &SGX{
-		cfg:       cfg,
-		dev:       dev,
-		eng:       cryptoeng.NewTestEngine(),
-		numBlocks: cfg.MemoryBytes / BlockBytes,
-		mCache:    cache.New(cfg.MetaCacheBlocks, cfg.MetaCacheWays),
-		crashed:   true,
-	}
-	c.numLeaves = c.numBlocks / counter.SGXCounters
-	c.geom = merkle.NewGeometry(c.numLeaves)
-	if cfg.Scheme == SchemeASIT {
-		c.st = shadow.NewSTTable(c.mCache.NumSlots())
-		c.stGeom = merkle.NewGeometry(uint64(c.st.NumSlots()))
-		c.stNodes = make([][]merkle.GNode, c.stGeom.Levels())
-		for l := range c.stNodes {
-			c.stNodes[l] = make([]merkle.GNode, c.stGeom.NodesAt(l))
-		}
-	}
-	c.reserveRegions()
-	return c, nil
 }
 
 // --- whole-memory audits ------------------------------------------------------

@@ -82,22 +82,44 @@ type Bonsai struct {
 	epochHash   []uint64
 }
 
-// NewBonsai constructs a Bonsai-family controller for cfg.Scheme, which
-// must be one of WriteBack, Strict, Osiris, AGITRead, AGITPlus, Triad,
-// Selective. The epoch pipeline is armed only for the schemes
-// defersTreeUpdates names; the others ignore cfg.EpochRequests.
+// NewBonsai constructs a Bonsai-family controller over a fresh, zeroed
+// device for cfg.Scheme, which must be a FamilyBonsai row of Variants.
+// The epoch pipeline is armed only for the schemes defersTreeUpdates
+// names; the others ignore cfg.EpochRequests.
 func NewBonsai(cfg Config) (*Bonsai, error) {
-	if err := cfg.validate(); err != nil {
+	b, err := buildBonsai(cfg, nvm.NewDevice(cfg.Timing))
+	if err != nil {
 		return nil, err
 	}
-	switch cfg.Scheme {
-	case SchemeWriteBack, SchemeStrict, SchemeOsiris, SchemeAGITRead, SchemeAGITPlus, SchemeSelective, SchemeTriad:
-	default:
-		return nil, fmt.Errorf("memctrl: scheme %v is not a general-tree scheme", cfg.Scheme)
+	b.wl = newWearLeveler(b.dev, b.numBlocks, cfg.WearPeriod)
+	b.initTree()
+	b.dev.ResetStats()
+	return b, nil
+}
+
+// OpenBonsai attaches a Bonsai controller to an existing NVM device
+// (e.g. one restored with nvm.LoadDevice). The controller starts in the
+// crashed state: call Recover, which reloads the wear leveler, before
+// issuing I/O.
+func OpenBonsai(cfg Config, dev *nvm.Device) (*Bonsai, error) {
+	b, err := buildBonsai(cfg, dev)
+	if err != nil {
+		return nil, err
+	}
+	b.crashed = true
+	return b, nil
+}
+
+// buildBonsai validates cfg and builds the controller state both a fresh
+// device and a reopened image need: geometry, caches, shadow tables,
+// the epoch buffer, and the zero-memory tree defaults.
+func buildBonsai(cfg Config, dev *nvm.Device) (*Bonsai, error) {
+	if err := cfg.validate(FamilyBonsai); err != nil {
+		return nil, err
 	}
 	b := &Bonsai{
 		cfg:       cfg,
-		dev:       nvm.NewDevice(cfg.Timing),
+		dev:       dev,
 		eng:       cryptoeng.NewTestEngine(),
 		numBlocks: cfg.MemoryBytes / BlockBytes,
 		numPages:  cfg.MemoryBytes / PageBytes,
@@ -105,7 +127,6 @@ func NewBonsai(cfg Config) (*Bonsai, error) {
 		tCache:    cache.New(cfg.TreeCacheBlocks, cfg.TreeCacheWays),
 	}
 	b.geom = merkle.NewGeometry(b.numPages)
-	b.wl = newWearLeveler(b.dev, b.numBlocks, cfg.WearPeriod)
 	if b.agit() {
 		b.sct = shadow.NewAddrTable(b.cCache.NumSlots())
 		b.smt = shadow.NewAddrTable(b.tCache.NumSlots())
@@ -114,8 +135,7 @@ func NewBonsai(cfg Config) (*Bonsai, error) {
 		b.epochDirty = make(map[uint64]struct{}, cfg.EpochRequests)
 	}
 	b.reserveRegions()
-	b.initTreeDefaults()
-	b.dev.ResetStats()
+	b.computeTreeDefaults()
 	return b, nil
 }
 
@@ -138,8 +158,8 @@ func (b *Bonsai) reserveRegions() {
 }
 
 // computeTreeDefaults derives the per-level default node contents and
-// hashes of the zero-memory tree — a pure computation shared by fresh
-// construction and by opening an existing image.
+// hashes of the zero-memory tree — a pure computation both a fresh
+// device and a reopened image need.
 func (b *Bonsai) computeTreeDefaults() {
 	var zero [BlockBytes]byte
 	b.defLeafHash = b.eng.ContentHash(zero[:])
@@ -157,12 +177,11 @@ func (b *Bonsai) computeTreeDefaults() {
 	}
 }
 
-// initTreeDefaults initializes a FRESH zero memory in O(depth): all
-// leaves are zero counter blocks, so every full node of a level is
-// identical; only the ragged right-edge nodes (fewer than 8 children)
+// initTree initializes a FRESH zero memory in O(depth): all leaves are
+// zero counter blocks, so every full node of a level is the level's
+// default; only the ragged right-edge nodes (fewer than 8 children)
 // are materialized in NVM, and the root register is seeded.
-func (b *Bonsai) initTreeDefaults() {
-	b.computeTreeDefaults()
+func (b *Bonsai) initTree() {
 	childDefHash := b.defLeafHash
 	lastChildHash := b.defLeafHash
 	for l := 0; l < b.geom.Levels(); l++ {

@@ -568,8 +568,33 @@ func TestBonsaiWriteBackHasNoMetadataWriteTraffic(t *testing.T) {
 }
 
 func TestBonsaiRejectsASITScheme(t *testing.T) {
-	if _, err := NewBonsai(TestConfig(SchemeASIT)); err == nil {
+	cfg := TestConfig(SchemeASIT)
+	if _, err := NewBonsai(cfg); err == nil {
 		t.Fatal("Bonsai accepted the ASIT scheme")
+	}
+	if _, err := OpenBonsai(cfg, nvm.NewDevice(cfg.Timing)); err == nil {
+		t.Fatal("OpenBonsai accepted the ASIT scheme")
+	}
+}
+
+// TestConstructorsAcceptExactlyTheTable runs every family × scheme
+// through New and Open: a pair must build exactly when it is a row of
+// Variants, and an unknown family never builds.
+func TestConstructorsAcceptExactlyTheTable(t *testing.T) {
+	for _, f := range []Family{FamilyBonsai, FamilySGX, Family(2)} {
+		for s := SchemeWriteBack; s <= SchemeSelective; s++ {
+			want := Supports(f, s)
+			cfg := TestConfig(s)
+			if _, err := New(f, cfg); (err == nil) != want {
+				t.Errorf("New(%v, %v): err = %v, want accepted = %v", f, s, err, want)
+			}
+			if _, err := Open(f, cfg, nvm.NewDevice(cfg.Timing)); (err == nil) != want {
+				t.Errorf("Open(%v, %v): err = %v, want accepted = %v", f, s, err, want)
+			}
+		}
+	}
+	if n := len(Variants); n != 11 {
+		t.Fatalf("Variants has %d rows, want 11", n)
 	}
 }
 

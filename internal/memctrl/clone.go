@@ -26,7 +26,7 @@ import (
 //     run on different goroutines of a sweep pool.
 //   - geom/stGeom: merkle.Geometry contains slices but is immutable
 //     after construction — shared by value copy.
-//   - defNode/defNodeHash: immutable after initTreeDefaults, but tiny
+//   - defNode/defNodeHash: immutable after computeTreeDefaults, but tiny
 //     (one entry per tree level); copied for full independence.
 //   - caches, shadow mirrors, update counters, wear state, pending
 //     write group, writeback queue: exact value clones.

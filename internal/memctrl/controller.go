@@ -13,8 +13,12 @@
 //     cache. Schemes: WriteBack, Strict, Osiris (unrecoverable on this
 //     tree — the paper's motivating observation), ASIT.
 //
-// Both expose the same Controller interface; the trace-driven simulator
-// (internal/sim) and the recovery experiments drive them through it.
+// Variants is the one table of those eleven (family, scheme) pairs and
+// their names; every constructor checks it and every tool parses
+// through it. Both families expose the same Controller interface,
+// built by New or, over an existing image, Open; the trace-driven
+// simulator (internal/sim) and the recovery experiments drive them
+// through it.
 package memctrl
 
 import (
@@ -114,6 +118,127 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
+// Family selects a controller family: the counter layout and integrity
+// tree a scheme runs on.
+type Family int
+
+const (
+	// FamilyBonsai selects split counters + general Merkle tree (§6.1).
+	FamilyBonsai Family = iota
+	// FamilySGX selects SGX-style counters + parallelizable tree (§6.2).
+	FamilySGX
+)
+
+func (f Family) String() string {
+	if f == FamilySGX {
+		return "sgx"
+	}
+	return "bonsai"
+}
+
+// MarshalText renders the family name, so JSON reports say "bonsai"
+// and "sgx" instead of enum ordinals.
+func (f Family) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText parses a family name.
+func (f *Family) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "bonsai":
+		*f = FamilyBonsai
+	case "sgx":
+		*f = FamilySGX
+	default:
+		return fmt.Errorf("memctrl: unknown family %q", b)
+	}
+	return nil
+}
+
+// Variant is one (family, scheme) pair a controller implements, under
+// the name every tool's -scheme flag and serve's scheme field accept.
+type Variant struct {
+	Name   string
+	Family Family
+	Scheme Scheme
+}
+
+// Variants is the scheme table: every (family, scheme) pair that
+// exists, and nothing else. A name is Scheme.String(), plus "-sgx" for
+// the three baselines both families run. crashfuzz draws its schedules
+// in this order.
+var Variants = []Variant{
+	{"writeback", FamilyBonsai, SchemeWriteBack},
+	{"strict", FamilyBonsai, SchemeStrict},
+	{"osiris", FamilyBonsai, SchemeOsiris},
+	{"agit-read", FamilyBonsai, SchemeAGITRead},
+	{"agit-plus", FamilyBonsai, SchemeAGITPlus},
+	{"triad", FamilyBonsai, SchemeTriad},
+	{"selective", FamilyBonsai, SchemeSelective},
+	{"writeback-sgx", FamilySGX, SchemeWriteBack},
+	{"strict-sgx", FamilySGX, SchemeStrict},
+	{"osiris-sgx", FamilySGX, SchemeOsiris},
+	{"asit", FamilySGX, SchemeASIT},
+}
+
+// VariantByName returns the Variants row called name.
+func VariantByName(name string) (Variant, bool) {
+	for _, v := range Variants {
+		if v.Name == name {
+			return v, true
+		}
+	}
+	return Variant{}, false
+}
+
+// Supports reports whether (f, s) is a row of Variants.
+func Supports(f Family, s Scheme) bool {
+	for _, v := range Variants {
+		if v.Family == f && v.Scheme == s {
+			return true
+		}
+	}
+	return false
+}
+
+// New builds a controller of family f over a fresh, zeroed device.
+func New(f Family, cfg Config) (Controller, error) {
+	switch f {
+	case FamilyBonsai:
+		return asController(NewBonsai(cfg))
+	case FamilySGX:
+		return asController(NewSGX(cfg))
+	}
+	return nil, fmt.Errorf("memctrl: unknown family %d", f)
+}
+
+// Open attaches a controller of family f to an existing device (e.g.
+// one restored with nvm.LoadDevice). The controller starts crashed:
+// call Recover before issuing I/O.
+func Open(f Family, cfg Config, dev *nvm.Device) (Controller, error) {
+	switch f {
+	case FamilyBonsai:
+		return asController(OpenBonsai(cfg, dev))
+	case FamilySGX:
+		return asController(OpenSGX(cfg, dev))
+	}
+	return nil, fmt.Errorf("memctrl: unknown family %d", f)
+}
+
+// asController returns a nil interface, not a typed nil, on error.
+func asController[C Controller](c C, err error) (Controller, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// FamilyOf reports which controller family a controller belongs to.
+func FamilyOf(ctrl Controller) Family {
+	if _, ok := ctrl.(*SGX); ok {
+		return FamilySGX
+	}
+	return FamilyBonsai
+}
+
 // Config parameterizes a controller. DefaultConfig matches Table 1 of
 // the paper.
 type Config struct {
@@ -210,12 +335,17 @@ func TestConfig(s Scheme) Config {
 	return c
 }
 
-func (c *Config) validate() error {
+// validate checks c for a controller of family f, whose scheme must be
+// one f runs.
+func (c *Config) validate(f Family) error {
 	if c.MemoryBytes == 0 || c.MemoryBytes%PageBytes != 0 {
 		return fmt.Errorf("memctrl: memory size %d must be a positive multiple of %d", c.MemoryBytes, PageBytes)
 	}
 	if c.StopLoss <= 0 {
 		return errors.New("memctrl: stop-loss must be positive")
+	}
+	if !Supports(f, c.Scheme) {
+		return fmt.Errorf("memctrl: the %v family does not run scheme %v", f, c.Scheme)
 	}
 	return nil
 }

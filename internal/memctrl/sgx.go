@@ -82,35 +82,58 @@ type SGX struct {
 	wbq []cache.Victim
 }
 
-// NewSGX constructs an SGX-family controller for cfg.Scheme, which must
-// be one of WriteBack, Strict, Osiris, ASIT.
+// NewSGX constructs an SGX-family controller over a fresh, zeroed
+// device for cfg.Scheme, which must be a FamilySGX row of Variants.
 func NewSGX(cfg Config) (*SGX, error) {
-	if err := cfg.validate(); err != nil {
+	c, err := buildSGX(cfg, nvm.NewDevice(cfg.Timing))
+	if err != nil {
 		return nil, err
 	}
-	switch cfg.Scheme {
-	case SchemeWriteBack, SchemeStrict, SchemeOsiris, SchemeASIT:
-	default:
-		return nil, fmt.Errorf("memctrl: scheme %v is not an SGX-tree scheme", cfg.Scheme)
+	c.wl = newWearLeveler(c.dev, c.numBlocks, cfg.WearPeriod)
+	c.dev.SetReg(regSGXRoot, packSGX(&c.rootNode))
+	if c.st != nil {
+		c.initShadowTree()
+	}
+	c.dev.ResetStats()
+	return c, nil
+}
+
+// OpenSGX attaches an SGX-family controller to an existing NVM device.
+// The controller starts crashed: call Recover before issuing I/O.
+func OpenSGX(cfg Config, dev *nvm.Device) (*SGX, error) {
+	c, err := buildSGX(cfg, dev)
+	if err != nil {
+		return nil, err
+	}
+	c.crashed = true
+	return c, nil
+}
+
+// buildSGX validates cfg and builds the controller state both a fresh
+// device and a reopened image need: geometry, the metadata cache, and
+// ASIT's shadow table with its protection-tree levels.
+func buildSGX(cfg Config, dev *nvm.Device) (*SGX, error) {
+	if err := cfg.validate(FamilySGX); err != nil {
+		return nil, err
 	}
 	c := &SGX{
 		cfg:       cfg,
-		dev:       nvm.NewDevice(cfg.Timing),
+		dev:       dev,
 		eng:       cryptoeng.NewTestEngine(),
 		numBlocks: cfg.MemoryBytes / BlockBytes,
 		mCache:    cache.New(cfg.MetaCacheBlocks, cfg.MetaCacheWays),
 	}
 	c.numLeaves = c.numBlocks / counter.SGXCounters
 	c.geom = merkle.NewGeometry(c.numLeaves)
-	c.wl = newWearLeveler(c.dev, c.numBlocks, cfg.WearPeriod)
-	c.dev.SetReg(regSGXRoot, packSGX(&c.rootNode))
 	if cfg.Scheme == SchemeASIT {
 		c.st = shadow.NewSTTable(c.mCache.NumSlots())
 		c.stGeom = merkle.NewGeometry(uint64(c.st.NumSlots()))
-		c.initShadowTree()
+		c.stNodes = make([][]merkle.GNode, c.stGeom.Levels())
+		for l := range c.stNodes {
+			c.stNodes[l] = make([]merkle.GNode, c.stGeom.NodesAt(l))
+		}
 	}
 	c.reserveRegions()
-	c.dev.ResetStats()
 	return c, nil
 }
 
@@ -365,10 +388,6 @@ func toBlock(b []byte) (out [BlockBytes]byte) {
 // initShadowTree builds the volatile protection tree over the (empty)
 // shadow table and persists its root.
 func (c *SGX) initShadowTree() {
-	c.stNodes = make([][]merkle.GNode, c.stGeom.Levels())
-	for l := range c.stNodes {
-		c.stNodes[l] = make([]merkle.GNode, c.stGeom.NodesAt(l))
-	}
 	c.stRoot = merkle.BuildGeneral(c.stGeom, c.eng,
 		func(i uint64) [BlockBytes]byte { return c.st.Block(int(i)) },
 		func(flat uint64, n merkle.GNode) {

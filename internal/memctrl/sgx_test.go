@@ -479,8 +479,12 @@ func TestSGXLazyVsStrictTraffic(t *testing.T) {
 }
 
 func TestSGXRejectsAGITScheme(t *testing.T) {
-	if _, err := NewSGX(TestConfig(SchemeAGITRead)); err == nil {
+	cfg := TestConfig(SchemeAGITRead)
+	if _, err := NewSGX(cfg); err == nil {
 		t.Fatal("SGX controller accepted an AGIT scheme")
+	}
+	if _, err := OpenSGX(cfg, nvm.NewDevice(cfg.Timing)); err == nil {
+		t.Fatal("OpenSGX accepted an AGIT scheme")
 	}
 }
 

@@ -118,27 +118,12 @@ func (c Config) withDefaults() Config {
 // TenantConfig is the per-tenant creation request (the PUT /t/{id}
 // body). Zero values take serving defaults, not the library's 1 GB.
 type TenantConfig struct {
-	// Scheme names the persistence scheme ("agit-plus", "asit", ...;
-	// default "agit-plus").
+	// Scheme names the persistence scheme, one of anubis.SchemeNames()
+	// ("agit-plus", "strict-sgx", ...; default "agit-plus").
 	Scheme string `json:"scheme,omitempty"`
 	// MemoryBytes is the protected capacity (default 8 MiB; must be a
 	// multiple of 4096 and within the block quota).
 	MemoryBytes uint64 `json:"memory_bytes,omitempty"`
-}
-
-// ParseScheme maps a scheme name (as produced by Scheme.String) back to
-// the scheme constant.
-func ParseScheme(name string) (anubis.Scheme, error) {
-	all := []anubis.Scheme{
-		anubis.WriteBack, anubis.Strict, anubis.Osiris, anubis.AGITRead,
-		anubis.AGITPlus, anubis.ASIT, anubis.Selective, anubis.Triad,
-	}
-	for _, s := range all {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown scheme %q", name)
 }
 
 func (tc TenantConfig) resolve() (anubis.Config, TenantConfig, error) {
@@ -148,14 +133,14 @@ func (tc TenantConfig) resolve() (anubis.Config, TenantConfig, error) {
 	if tc.MemoryBytes == 0 {
 		tc.MemoryBytes = 8 << 20
 	}
-	scheme, err := ParseScheme(tc.Scheme)
+	scheme, tree, err := anubis.ParseScheme(tc.Scheme)
 	if err != nil {
 		return anubis.Config{}, tc, err
 	}
 	if tc.MemoryBytes%4096 != 0 {
 		return anubis.Config{}, tc, fmt.Errorf("serve: memory_bytes %d not a multiple of 4096", tc.MemoryBytes)
 	}
-	return anubis.Config{Scheme: scheme, MemoryBytes: tc.MemoryBytes}, tc, nil
+	return anubis.Config{Scheme: scheme, Tree: tree, MemoryBytes: tc.MemoryBytes}, tc, nil
 }
 
 // task is one unit of tenant work: the worker runs fn against the

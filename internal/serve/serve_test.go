@@ -242,11 +242,12 @@ func TestForkTenant(t *testing.T) {
 func TestShutdownFlushesAndPersistsState(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{})
-	mustCreate(t, s, "a", TenantConfig{Scheme: "agit-plus", MemoryBytes: 1 << 20})
-	mustCreate(t, s, "b", TenantConfig{Scheme: "asit", MemoryBytes: 1 << 20})
-	for b := uint64(0); b < 100; b++ {
-		mustWrite(t, s, "a", b, []byte(fmt.Sprintf("a%d", b)))
-		mustWrite(t, s, "b", b, []byte(fmt.Sprintf("b%d", b)))
+	schemes := map[string]string{"a": "agit-plus", "b": "asit", "c": "triad", "d": "strict-sgx"}
+	for id, scheme := range schemes {
+		mustCreate(t, s, id, TenantConfig{Scheme: scheme, MemoryBytes: 1 << 20})
+		for b := uint64(0); b < 100; b++ {
+			mustWrite(t, s, id, b, []byte(fmt.Sprintf("%s%d", id, b)))
+		}
 	}
 	if err := s.Shutdown(dir); err != nil {
 		t.Fatal(err)
@@ -265,32 +266,20 @@ func TestShutdownFlushesAndPersistsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Shutdown("")
-	for _, id := range []string{"a", "b"} {
+	for id, scheme := range schemes {
 		rep, err := s2.Audit(id)
 		if err != nil || !rep.OK() {
-			t.Fatalf("tenant %s audit after restart: %v %v", id, err, rep.Violations)
+			t.Fatalf("tenant %s (%s) audit after restart: %v %v", id, scheme, err, rep.Violations)
 		}
 		got, err := s2.ReadBlock(id, 99)
 		if err != nil || string(got[:3]) != id+"99" {
-			t.Fatalf("tenant %s data after restart: %v %q", id, err, got[:3])
+			t.Fatalf("tenant %s (%s) data after restart: %v %q", id, scheme, err, got[:3])
+		}
+		if info, err := s2.TenantInfo(id); err != nil || info.Scheme != scheme {
+			t.Fatalf("tenant %s scheme after restart: %+v %v, want %s", id, info, err, scheme)
 		}
 	}
-	if got := counterValue(s2, "anubis_serve_recoveries_total"); got != 2 {
-		t.Fatalf("restart recoveries = %d, want 2", got)
-	}
-}
-
-func TestParseSchemeRoundtrip(t *testing.T) {
-	for _, sc := range []anubis.Scheme{
-		anubis.WriteBack, anubis.Strict, anubis.Osiris, anubis.AGITRead,
-		anubis.AGITPlus, anubis.ASIT, anubis.Selective, anubis.Triad,
-	} {
-		got, err := ParseScheme(sc.String())
-		if err != nil || got != sc {
-			t.Fatalf("ParseScheme(%q) = %v, %v", sc.String(), got, err)
-		}
-	}
-	if _, err := ParseScheme("bogus"); err == nil {
-		t.Fatal("bogus scheme parsed")
+	if got := counterValue(s2, "anubis_serve_recoveries_total"); got != uint64(len(schemes)) {
+		t.Fatalf("restart recoveries = %v, want %d", got, len(schemes))
 	}
 }

@@ -257,59 +257,21 @@ func FillBlock(d *[memctrl.BlockBytes]byte, block, n uint64) {
 	}
 }
 
-// NewController constructs the right controller family for a scheme:
-// AGIT schemes and the general-tree baselines use Bonsai; ASIT uses the
-// SGX family. For WriteBack/Strict/Osiris the family must be chosen by
-// the caller (both exist in the paper's two evaluations), so this helper
-// takes it explicitly.
-type Family int
+// Family aliases memctrl.Family: memctrl.Variants lists the schemes
+// each family runs.
+type Family = memctrl.Family
 
 const (
 	// FamilyBonsai selects split counters + general Merkle tree (§6.1).
-	FamilyBonsai Family = iota
+	FamilyBonsai = memctrl.FamilyBonsai
 	// FamilySGX selects SGX-style counters + parallelizable tree (§6.2).
-	FamilySGX
+	FamilySGX = memctrl.FamilySGX
 )
 
-func (f Family) String() string {
-	if f == FamilySGX {
-		return "sgx"
-	}
-	return "bonsai"
-}
-
-// MarshalText renders the family name, so JSON reports say "bonsai"
-// and "sgx" instead of enum ordinals.
-func (f Family) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
-
-// UnmarshalText parses a family name.
-func (f *Family) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "bonsai":
-		*f = FamilyBonsai
-	case "sgx":
-		*f = FamilySGX
-	default:
-		return fmt.Errorf("sim: unknown family %q", b)
-	}
-	return nil
-}
-
 // FamilyOf reports which controller family a controller belongs to.
-func FamilyOf(ctrl memctrl.Controller) Family {
-	if _, ok := ctrl.(*memctrl.SGX); ok {
-		return FamilySGX
-	}
-	return FamilyBonsai
-}
+func FamilyOf(ctrl memctrl.Controller) Family { return memctrl.FamilyOf(ctrl) }
 
 // NewController builds a controller of the given family and config.
 func NewController(f Family, cfg memctrl.Config) (memctrl.Controller, error) {
-	switch f {
-	case FamilyBonsai:
-		return memctrl.NewBonsai(cfg)
-	case FamilySGX:
-		return memctrl.NewSGX(cfg)
-	}
-	return nil, fmt.Errorf("sim: unknown family %d", f)
+	return memctrl.New(f, cfg)
 }

@@ -6,7 +6,9 @@
 #
 #   1. 8 tenants run the kvstore workload concurrently; one of them
 #      (t3) power-fails mid-workload via the API and recovers
-#      in-process while the other 7 keep serving.
+#      in-process while the other 7 keep serving. t0 and t3 run
+#      kvstore's default asit, the other six one recoverable scheme
+#      each (strict, triad, agit-plus, osiris, strict-sgx, selective).
 #   2. A 9th tenant create is shed with 429 (tenant quota), and a pure
 #      write burst trips WPQ back-pressure with 429 + Retry-After.
 #   3. Both shed families and the in-process recovery show up in
@@ -15,7 +17,7 @@
 #      (/debug/events) serve live observability for all of the above.
 #   5. SIGTERM flushes and saves every tenant (dumping the event log to
 #      the state dir); a restarted server reattaches all 8 through
-#      recovery and every tenant audits clean.
+#      their schemes' recovery and every tenant audits clean.
 #
 # Ports are overridable for parallel CI runs:
 #   SERVE_SMOKE_ADDR=127.0.0.1:18080 SERVE_SMOKE_METRICS=127.0.0.1:19090
@@ -58,11 +60,13 @@ start_server() {
 start_server
 
 # --- 1: 8 concurrent tenants, one mid-workload crash ------------------------
+# t0 (the WPQ-shed target of step 2) and t3 (the crash) keep asit.
+schemes=(asit strict triad asit agit-plus osiris strict-sgx selective)
 pids=()
 for i in $(seq 0 7); do
   crash=false
   [ "$i" -eq 3 ] && crash=true
-  "$TMP/kvstore" -addr "$API" -tenant "t$i" -n 400 -mem 1048576 \
+  "$TMP/kvstore" -addr "$API" -tenant "t$i" -scheme "${schemes[$i]}" -n 400 -mem 1048576 \
     -crash=$crash >"$TMP/client$i.log" 2>&1 &
   pids+=($!)
 done
@@ -144,7 +148,7 @@ count=$(curl -fsS "http://$API/tenants" | grep -o '"t[0-9]*"' | wc -l)
 [ "$count" -eq 8 ] || { echo "FAIL: restarted server has $count tenants, want 8" >&2; exit 1; }
 for i in $(seq 0 7); do
   curl -fsS -X POST "http://$API/t/t$i/audit" | grep -q '"ok":true' ||
-    { echo "FAIL: tenant t$i audit unclean after restart" >&2; exit 1; }
+    { echo "FAIL: tenant t$i (${schemes[$i]}) audit unclean after restart" >&2; exit 1; }
 done
 kill -TERM "$SRV_PID"
 wait "$SRV_PID"
