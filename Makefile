@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke surface-smoke fmt clean
+.PHONY: all build vet test race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke surface-smoke loc fmt clean
 
 all: verify
 
@@ -92,6 +92,11 @@ fuzz-smoke:
 # scheme × crash model combination (the PR acceptance run).
 fuzz:
 	$(GO) run ./cmd/anubis-fuzz -trials 500 -seed 99
+
+# Non-test Go lines outside perfbench/: the size figure each change
+# reports in CHANGES.md. Informational; nothing gates on it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 fmt:
 	gofmt -w .

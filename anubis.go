@@ -343,8 +343,9 @@ func (s *System) WriteRange(off uint64, data []byte) error {
 	return nil
 }
 
-// Flush writes back all dirty metadata (orderly shutdown).
-func (s *System) Flush() { s.ctrl.FlushCaches() }
+// Flush writes back all dirty metadata (orderly shutdown). An error is
+// an integrity violation met on the way: the memory image is damaged.
+func (s *System) Flush() error { return s.ctrl.FlushCaches() }
 
 // PushBudget reports how many block writes the Write Pending Queue can
 // absorb at the controller's current virtual clock without stalling:

@@ -157,7 +157,9 @@ func createImage(cfg anubis.Config, path, corrupt string, writes int) error {
 			return err
 		}
 	}
-	sys.Flush()
+	if err := sys.Flush(); err != nil {
+		return fmt.Errorf("flush: %w", err)
+	}
 	switch corrupt {
 	case "":
 	case "data":

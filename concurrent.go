@@ -72,11 +72,11 @@ func (s *SafeSystem) WriteRange(off uint64, data []byte) error {
 	return s.sys.WriteRange(off, data)
 }
 
-// Flush writes back all dirty metadata.
-func (s *SafeSystem) Flush() {
+// Flush writes back all dirty metadata (see System.Flush).
+func (s *SafeSystem) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sys.Flush()
+	return s.sys.Flush()
 }
 
 // Fork returns an independent, thread-safe copy-on-write clone of the

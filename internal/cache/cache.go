@@ -29,6 +29,14 @@ type Line struct {
 	Valid bool
 	Dirty bool
 
+	// Unpersisted counts the updates to Data since its copy in memory
+	// was last written: the Osiris stop-loss count a controller keeps
+	// per counter line. The cache zeroes it whenever the line's content
+	// stops being this residency's (Insert, InsertAtSlot, DropAll) or
+	// reaches memory (FlushAll); the controller bumps it on each update
+	// and zeroes it when it persists the line itself.
+	Unpersisted int32
+
 	lru  uint64
 	pins int
 	slot int
@@ -220,6 +228,7 @@ func (c *Cache) Insert(key uint64, data [BlockBytes]byte) (*Line, *Victim) {
 	target.Data = data
 	target.Valid = true
 	target.Dirty = false
+	target.Unpersisted = 0
 	target.pins = 0
 	target.lru = c.tick
 	c.stats.Insertions++
@@ -270,6 +279,7 @@ func (c *Cache) InsertAtSlot(slot int, key uint64, data [BlockBytes]byte) *Line 
 	l.Data = data
 	l.Valid = true
 	l.Dirty = false
+	l.Unpersisted = 0
 	l.pins = 0
 	l.lru = c.tick
 	c.stats.Insertions++
@@ -329,7 +339,8 @@ func (c *Cache) Invalidate(key uint64) bool {
 }
 
 // FlushAll invokes fn for every dirty line (in slot order) and marks it
-// clean. Used for orderly shutdown.
+// clean; afterwards no line holds an unpersisted update. Used for
+// orderly shutdown.
 func (c *Cache) FlushAll(fn func(key uint64, data [BlockBytes]byte)) {
 	for i := range c.lines {
 		l := &c.lines[i]
@@ -337,6 +348,7 @@ func (c *Cache) FlushAll(fn func(key uint64, data [BlockBytes]byte)) {
 			fn(l.Key, l.Data)
 			l.Dirty = false
 		}
+		l.Unpersisted = 0
 	}
 }
 
@@ -359,10 +371,11 @@ func (c *Cache) Iterate(fn func(l *Line)) {
 }
 
 // Clone returns an independent deep copy: same geometry, same resident
-// lines in the same slots with identical LRU ordering, dirty bits, pin
-// counts, and statistics. A cloned cache and its source evolve exactly
-// alike under identical request streams, which is what makes forked
-// warm controllers byte-equivalent to cold-started ones.
+// lines in the same slots with identical LRU ordering, dirty bits,
+// unpersisted counts, pin counts, and statistics. A cloned cache and
+// its source evolve exactly alike under identical request streams,
+// which is what makes forked warm controllers byte-equivalent to
+// cold-started ones.
 func (c *Cache) Clone() *Cache {
 	n := *c
 	n.lines = append([]Line(nil), c.lines...)

@@ -174,9 +174,10 @@ func TestDoubleInsertPanics(t *testing.T) {
 
 func TestFlushAllWritesOnlyDirty(t *testing.T) {
 	c := New(8, 2)
-	c.Insert(1, blockOf(1))
-	c.Insert(2, blockOf(2))
+	l1, _ := c.Insert(1, blockOf(1))
+	l2, _ := c.Insert(2, blockOf(2))
 	c.MarkDirty(2)
+	l1.Unpersisted, l2.Unpersisted = 1, 3
 	flushed := map[uint64]bool{}
 	c.FlushAll(func(k uint64, _ [BlockBytes]byte) { flushed[k] = true })
 	if flushed[1] || !flushed[2] {
@@ -184,6 +185,9 @@ func TestFlushAllWritesOnlyDirty(t *testing.T) {
 	}
 	if c.DirtyCount() != 0 {
 		t.Fatal("dirty lines remain after flush")
+	}
+	if l1.Unpersisted != 0 || l2.Unpersisted != 0 {
+		t.Fatalf("unpersisted counts %d, %d after flush, want 0", l1.Unpersisted, l2.Unpersisted)
 	}
 	// Data must still be resident after flush.
 	if !c.Contains(2) {
@@ -193,17 +197,21 @@ func TestFlushAllWritesOnlyDirty(t *testing.T) {
 
 func TestDropAllLosesEverything(t *testing.T) {
 	c := New(8, 2)
-	c.Insert(1, blockOf(1))
+	l, _ := c.Insert(1, blockOf(1))
 	c.MarkDirty(1)
+	l.Unpersisted = 2
 	c.DropAll()
 	if c.Contains(1) {
 		t.Fatal("line survived DropAll")
+	}
+	if l.Unpersisted != 0 {
+		t.Fatalf("unpersisted count %d survived DropAll", l.Unpersisted)
 	}
 	if c.DirtyCount() != 0 {
 		t.Fatal("dirty count nonzero after DropAll")
 	}
 	// Slots must be reusable with correct indices.
-	l, _ := c.Insert(2, blockOf(2))
+	l, _ = c.Insert(2, blockOf(2))
 	if l.Slot() < 0 || l.Slot() >= 8 {
 		t.Fatalf("bad slot after DropAll: %d", l.Slot())
 	}

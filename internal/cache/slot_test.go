@@ -7,9 +7,15 @@ func TestInsertAtSlotBasic(t *testing.T) {
 	// Determine the set of a key, then place it into a specific way.
 	set := c.setOf(77)
 	slot := set*c.Ways() + 2
+	// A previous residency's unpersisted count must not carry over.
+	c.InsertAtSlot(slot, 77, blockOf(1)).Unpersisted = 5
+	c.Invalidate(77)
 	l := c.InsertAtSlot(slot, 77, blockOf(9))
 	if l.Slot() != slot {
 		t.Fatalf("slot = %d, want %d", l.Slot(), slot)
+	}
+	if l.Unpersisted != 0 {
+		t.Fatalf("unpersisted count %d carried into the new residency", l.Unpersisted)
 	}
 	got, ok := c.Lookup(77)
 	if !ok || got.Data != blockOf(9) {

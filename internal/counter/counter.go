@@ -88,6 +88,14 @@ func UnpackSplit(b [BlockBytes]byte) Split {
 	return s
 }
 
+// SplitCounterAt returns the full encryption counter of line i of a
+// packed split-counter block: Pack's layout read for one line, without
+// unpacking the other 63 minors (a read needs only its own lane).
+func SplitCounterAt(b *[BlockBytes]byte, i int) uint64 {
+	w := get56(b[8+i/8*7:])
+	return binary.LittleEndian.Uint64(b[0:8])<<MinorBits | w>>uint(MinorBits*(i%8))&MinorMax
+}
+
 // --- SGX-style counter block ----------------------------------------------
 
 // SGXCounters is the number of counters per SGX-style block.

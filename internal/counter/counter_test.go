@@ -14,8 +14,13 @@ func TestSplitPackUnpackRoundTrip(t *testing.T) {
 		for i := range s.Minors {
 			s.Minors[i] = uint8(rng.Intn(MinorMax + 1))
 		}
-		got := UnpackSplit(s.Pack())
-		return got == s
+		packed := s.Pack()
+		for i := range s.Minors {
+			if SplitCounterAt(&packed, i) != s.Counter(i) {
+				return false
+			}
+		}
+		return UnpackSplit(packed) == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"anubis/internal/counter"
-	"anubis/internal/ecc"
 	"anubis/internal/merkle"
 	"anubis/internal/nvm"
 )
@@ -28,19 +27,65 @@ func (r *AuditReport) violate(format string, args ...interface{}) {
 	}
 }
 
+// startAudit opens an audit: it refuses a crashed controller, then
+// writes dirty metadata back with flush so the audit covers the ground
+// truth in NVM. A flush that meets an integrity error fails the audit.
+func (c *core) startAudit(flush func() error) (*AuditReport, error) {
+	if c.crashed {
+		return nil, fmt.Errorf("memctrl: audit requires a recovered controller: %w", ErrCrashed)
+	}
+	if err := flush(); err != nil {
+		return nil, fmt.Errorf("memctrl: audit flush: %w", err)
+	}
+	return &AuditReport{}, nil
+}
+
+// auditData verifies the stored copy of logical block idx under its
+// counter; a block never written has nothing to verify.
+func (c *core) auditData(rep *AuditReport, idx, ctr uint64) {
+	phys := c.wl.phys(idx)
+	if !c.dev.Has(nvm.RegionData, phys) {
+		return
+	}
+	rep.DataBlocks++
+	ct, _ := c.dev.ReadPtr(nvm.RegionData, phys)
+	side := c.dev.ReadSideband(phys)
+	var pt [BlockBytes]byte
+	if fail := c.open(&pt, ct, &side, idx, ctr); fail != "" {
+		rep.violate("data block %d fails %s", idx, fail)
+	}
+}
+
+// inGeometry returns the stored blocks of region r below n, the
+// region's extent, and reports every block at or beyond it: no
+// controller writes there, so such a block means a damaged image.
+func (c *core) inGeometry(rep *AuditReport, r nvm.Region, n uint64) []uint64 {
+	blocks := c.dev.BlocksIn(r)
+	k := 0
+	for _, i := range blocks {
+		if i < n {
+			blocks[k] = i
+			k++
+		} else {
+			rep.violate("%v block %d outside the geometry (%d blocks)", r, i, n)
+		}
+	}
+	return blocks[:k]
+}
+
 // --- whole-memory audits ------------------------------------------------------
 
 // AuditNVM performs a full consistency check of the NVM image against
 // the on-chip roots (fsck for secure memory). Dirty metadata is flushed
-// first so the audit covers the ground truth in NVM. The audit is
-// read-only with respect to logical content and reports every class of
-// violation it finds (capped).
+// first (startAudit). The audit is read-only with respect to logical
+// content and reports every class of violation it finds (capped).
 func (b *Bonsai) AuditNVM() (*AuditReport, error) {
-	if b.crashed {
-		return nil, fmt.Errorf("memctrl: audit requires a recovered controller: %w", ErrCrashed)
+	rep, err := b.startAudit(b.FlushCaches)
+	if err != nil {
+		return nil, err
 	}
-	b.FlushCaches()
-	rep := &AuditReport{}
+	b.inGeometry(rep, nvm.RegionCounter, b.numPages)
+	b.inGeometry(rep, nvm.RegionTree, b.geom.TotalNodes())
 
 	// 1. Recompute the tree from the counters; compare the root and
 	// every materialized node.
@@ -66,23 +111,7 @@ func (b *Bonsai) AuditNVM() (*AuditReport, error) {
 		s := counter.UnpackSplit(b.dev.Read(nvm.RegionCounter, page))
 		base := page * counter.SplitMinors
 		for lane := 0; lane < counter.SplitMinors; lane++ {
-			idx := base + uint64(lane)
-			phys := b.wl.phys(idx)
-			if !b.dev.Has(nvm.RegionData, phys) {
-				continue
-			}
-			rep.DataBlocks++
-			ct := b.dev.Read(nvm.RegionData, phys)
-			side := b.dev.ReadSideband(phys)
-			var pt [BlockBytes]byte
-			b.eng.DecryptTo(pt[:], ct[:], idx, s.Counter(lane))
-			if !ecc.CheckBlock(pt[:], side.ECC) {
-				rep.violate("data block %d fails ECC", idx)
-				continue
-			}
-			if b.eng.DataMAC(idx, s.Counter(lane), pt[:]) != side.MAC {
-				rep.violate("data block %d fails MAC", idx)
-			}
+			b.auditData(rep, base+uint64(lane), s.Counter(lane))
 		}
 	}
 	return rep, nil
@@ -93,11 +122,12 @@ func (b *Bonsai) AuditNVM() (*AuditReport, error) {
 // on-chip root node), and every data block must decrypt and verify
 // under its leaf counter.
 func (c *SGX) AuditNVM() (*AuditReport, error) {
-	if c.crashed {
-		return nil, fmt.Errorf("memctrl: audit requires a recovered controller: %w", ErrCrashed)
+	rep, err := c.startAudit(c.FlushCaches)
+	if err != nil {
+		return nil, err
 	}
-	c.FlushCaches()
-	rep := &AuditReport{}
+	leaves := c.inGeometry(rep, nvm.RegionCounter, c.numLeaves)
+	nodes := c.inGeometry(rep, nvm.RegionTree, c.geom.TotalNodes())
 
 	parentCtr := func(r metaRef) uint64 {
 		parent, slot, isRoot := c.parentOf(r)
@@ -122,37 +152,21 @@ func (c *SGX) AuditNVM() (*AuditReport, error) {
 			rep.violate("metadata block %#x fails MAC", c.addrOf(r))
 		}
 	}
-	for _, idx := range c.dev.BlocksIn(nvm.RegionCounter) {
+	for _, idx := range leaves {
 		rep.CounterBlocks++
 		check(metaRef{isLeaf: true, idx: idx})
 	}
-	for _, flat := range c.dev.BlocksIn(nvm.RegionTree) {
+	for _, flat := range nodes {
 		rep.TreeNodes++
 		level, i := c.geom.Unflat(flat)
 		check(metaRef{level: level, idx: i})
 	}
 
-	for _, leaf := range c.dev.BlocksIn(nvm.RegionCounter) {
+	for _, leaf := range leaves {
 		g := counter.UnpackSGX(c.dev.Read(nvm.RegionCounter, leaf))
 		base := leaf * counter.SGXCounters
 		for lane := 0; lane < counter.SGXCounters; lane++ {
-			idx := base + uint64(lane)
-			phys := c.wl.phys(idx)
-			if !c.dev.Has(nvm.RegionData, phys) {
-				continue
-			}
-			rep.DataBlocks++
-			ct := c.dev.Read(nvm.RegionData, phys)
-			side := c.dev.ReadSideband(phys)
-			var pt [BlockBytes]byte
-			c.eng.DecryptTo(pt[:], ct[:], idx, g.Ctr[lane])
-			if !ecc.CheckBlock(pt[:], side.ECC) {
-				rep.violate("data block %d fails ECC", idx)
-				continue
-			}
-			if c.eng.DataMAC(idx, g.Ctr[lane], pt[:]) != side.MAC {
-				rep.violate("data block %d fails MAC", idx)
-			}
+			c.auditData(rep, base+uint64(lane), g.Ctr[lane])
 		}
 	}
 	return rep, nil

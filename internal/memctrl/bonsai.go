@@ -1,13 +1,10 @@
 package memctrl
 
 import (
-	"fmt"
 	"math/rand"
 
 	"anubis/internal/cache"
 	"anubis/internal/counter"
-	"anubis/internal/cryptoeng"
-	"anubis/internal/ecc"
 	"anubis/internal/merkle"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
@@ -26,24 +23,15 @@ const regBonsaiRoot = "bonsai_mt_root"
 // Figure 10 (WriteBack, Strict, Osiris, AGIT-Read, AGIT-Plus) and the
 // Triad and Selective baselines.
 type Bonsai struct {
-	cfg  Config
-	dev  *nvm.Device
-	eng  *cryptoeng.Engine
-	geom merkle.Geometry
+	core
 
-	numBlocks uint64 // data blocks
-	numPages  uint64 // counter blocks / tree leaves
+	numPages uint64 // counter blocks / tree leaves
 
 	cCache *cache.Cache // counter cache
 	tCache *cache.Cache // Merkle tree cache
 
 	sct *shadow.AddrTable // AGIT schemes only
 	smt *shadow.AddrTable
-
-	// updateCount tracks un-persisted updates per cached counter block
-	// for the Osiris stop-loss rule. Paged (see nvm.Counters): the write
-	// hot path pays two slice indexations instead of a map hash.
-	updateCount nvm.Counters
 
 	// Volatile mirror of the on-chip root register.
 	rootHash uint64
@@ -53,22 +41,6 @@ type Bonsai struct {
 	defLeafHash uint64
 	defNode     []merkle.GNode
 	defNodeHash []uint64
-
-	// wl is the optional Start-Gap wear leveler over the data region.
-	wl *wearLeveler
-
-	now     uint64
-	stats   RunStats
-	crashed bool
-
-	// probe observes simulation events (evictions, commits, overflows,
-	// recovery). Nil by default: every emission site is a single
-	// predictable nil-check branch, so the disabled path costs nothing
-	// and cannot perturb simulated timing.
-	probe obs.Probe
-
-	// pending accumulates the current operation's atomic write group.
-	pending []nvm.PendingWrite
 
 	// Epoch pipeline state (see bonsai_epoch.go; epochDirty is nil
 	// unless NewBonsai armed the pipeline): writes since the last close,
@@ -118,43 +90,29 @@ func buildBonsai(cfg Config, dev *nvm.Device) (*Bonsai, error) {
 		return nil, err
 	}
 	b := &Bonsai{
-		cfg:       cfg,
-		dev:       dev,
-		eng:       cryptoeng.NewTestEngine(),
-		numBlocks: cfg.MemoryBytes / BlockBytes,
-		numPages:  cfg.MemoryBytes / PageBytes,
-		cCache:    cache.New(cfg.CounterCacheBlocks, cfg.CounterCacheWays),
-		tCache:    cache.New(cfg.TreeCacheBlocks, cfg.TreeCacheWays),
+		core:     newCore(cfg, dev),
+		numPages: cfg.MemoryBytes / PageBytes,
+		cCache:   cache.New(cfg.CounterCacheBlocks, cfg.CounterCacheWays),
+		tCache:   cache.New(cfg.TreeCacheBlocks, cfg.TreeCacheWays),
 	}
+	b.phased = true
 	b.geom = merkle.NewGeometry(b.numPages)
+	b.reserve(b.numPages)
 	if b.agit() {
 		b.sct = shadow.NewAddrTable(b.cCache.NumSlots())
 		b.smt = shadow.NewAddrTable(b.tCache.NumSlots())
+		b.dev.Reserve(nvm.RegionSCT, b.sct.NumBlocks())
+		b.dev.Reserve(nvm.RegionSMT, b.smt.NumBlocks())
 	}
 	if cfg.EpochRequests > 1 && defersTreeUpdates(cfg.Scheme) {
 		b.epochDirty = make(map[uint64]struct{}, cfg.EpochRequests)
 	}
-	b.reserveRegions()
 	b.computeTreeDefaults()
 	return b, nil
 }
 
 func (b *Bonsai) agit() bool {
 	return b.cfg.Scheme == SchemeAGITRead || b.cfg.Scheme == SchemeAGITPlus
-}
-
-// reserveRegions declares every region's extent to the device so page
-// directories are allocated once at final size (the +1 on the data
-// region covers the Start-Gap spare line).
-func (b *Bonsai) reserveRegions() {
-	b.dev.Reserve(nvm.RegionData, b.numBlocks+1)
-	b.dev.Reserve(nvm.RegionCounter, b.numPages)
-	b.dev.Reserve(nvm.RegionTree, b.geom.TotalNodes())
-	if b.sct != nil {
-		b.dev.Reserve(nvm.RegionSCT, b.sct.NumBlocks())
-		b.dev.Reserve(nvm.RegionSMT, b.smt.NumBlocks())
-	}
-	b.updateCount.Reserve(b.numPages)
 }
 
 // computeTreeDefaults derives the per-level default node contents and
@@ -204,37 +162,11 @@ func (b *Bonsai) initTree() {
 	b.dev.SetReg64(regBonsaiRoot, b.rootHash)
 }
 
-// Scheme returns the configured scheme.
-func (b *Bonsai) Scheme() Scheme { return b.cfg.Scheme }
-
-// NumBlocks returns the data block count.
-func (b *Bonsai) NumBlocks() uint64 { return b.numBlocks }
-
-// Device exposes the NVM device.
-func (b *Bonsai) Device() *nvm.Device { return b.dev }
-
-// Now returns the controller's virtual time.
-func (b *Bonsai) Now() uint64 { return b.now }
-
-// AdvanceTo moves virtual time forward (CPU think time between
-// requests, attributed as cpu_gap).
-func (b *Bonsai) AdvanceTo(t uint64) {
-	if t > b.now {
-		b.dev.Attr().Add(obs.CompCPUGap, t-b.now)
-		b.now = t
-	}
-}
-
-// SetProbe attaches (or detaches, with nil) an event probe.
-func (b *Bonsai) SetProbe(p obs.Probe) { b.probe = p }
-
 // Stats returns run-time statistics.
 func (b *Bonsai) Stats() RunStats {
-	s := b.stats
-	s.NVM = b.dev.Stats()
+	s := b.baseStats()
 	s.CounterCache = b.cCache.Stats()
 	s.TreeCache = b.tCache.Stats()
-	s.Attribution = *b.dev.Attr()
 	return s
 }
 
@@ -290,7 +222,7 @@ func (b *Bonsai) getTreeNode(level int, idx uint64) (*cache.Line, error) {
 		}
 	}
 	line, victim := b.tCache.Insert(flat, node)
-	b.writeBackTreeVictim(victim)
+	b.writeBackVictim(nvm.RegionTree, victim)
 	if b.cfg.Scheme == SchemeAGITRead {
 		b.shadowTreeSlot(line.Slot(), flat)
 	}
@@ -314,7 +246,7 @@ func (b *Bonsai) getCounterBlock(page uint64) (*cache.Line, error) {
 			// still describe the epoch start). The journal lives inside
 			// the persistence domain, so no tree verification applies.
 			line, victim := b.cCache.Insert(page, je.New)
-			b.writeBackCounterVictim(victim)
+			b.writeBackVictim(nvm.RegionCounter, victim)
 			return line, nil
 		}
 	}
@@ -329,34 +261,21 @@ func (b *Bonsai) getCounterBlock(page uint64) (*cache.Line, error) {
 		return nil, &IntegrityError{What: "counter block hash mismatch", Addr: page}
 	}
 	line, victim := b.cCache.Insert(page, *blk)
-	b.writeBackCounterVictim(victim)
+	b.writeBackVictim(nvm.RegionCounter, victim)
 	if b.cfg.Scheme == SchemeAGITRead {
 		b.shadowCounterSlot(line.Slot(), page)
 	}
 	return line, nil
 }
 
-func (b *Bonsai) writeBackTreeVictim(v *cache.Victim) {
+// writeBackVictim persists a dirty line a fill evicted from the cache of
+// region r's blocks.
+func (b *Bonsai) writeBackVictim(r nvm.Region, v *cache.Victim) {
 	if v == nil || !v.Dirty {
 		return
 	}
 	start := b.now
-	b.now = b.dev.Push(nvm.PendingWrite{Region: nvm.RegionTree, Index: v.Key, Block: v.Data}, b.now)
-	if b.probe != nil {
-		b.probe.Event(obs.EvEviction, start, b.now, v.Key)
-	}
-}
-
-func (b *Bonsai) writeBackCounterVictim(v *cache.Victim) {
-	if v == nil {
-		return
-	}
-	b.updateCount.Set(v.Key, 0)
-	if !v.Dirty {
-		return
-	}
-	start := b.now
-	b.now = b.dev.Push(nvm.PendingWrite{Region: nvm.RegionCounter, Index: v.Key, Block: v.Data}, b.now)
+	b.now = b.dev.Push(nvm.PendingWrite{Region: r, Index: v.Key, Block: v.Data}, b.now)
 	if b.probe != nil {
 		b.probe.Event(obs.EvEviction, start, b.now, v.Key)
 	}
@@ -378,16 +297,6 @@ func (b *Bonsai) shadowTreeSlot(slot int, flat uint64) {
 
 // --- data path -----------------------------------------------------------------
 
-func (b *Bonsai) checkAddr(idx uint64) error {
-	if b.crashed {
-		return ErrCrashed
-	}
-	if idx >= b.numBlocks {
-		return fmt.Errorf("memctrl: block %d out of range (%d blocks)", idx, b.numBlocks)
-	}
-	return nil
-}
-
 // ReadBlock decrypts and verifies one data block.
 func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 	var zero [BlockBytes]byte
@@ -397,40 +306,13 @@ func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 	b.stats.ReadRequests++
 	page, lane := idx/counter.SplitMinors, int(idx%counter.SplitMinors)
 
-	// Data fetch overlaps the metadata walk: both start now. The
-	// zero-copy pointer stays valid across the metadata walk because
-	// nothing in it writes the data region.
-	start := b.now
-	phys := b.wl.phys(idx)
-	// Quiet read: the fetch overlaps the (attributed) metadata walk, so
-	// only the visible residual below is charged, as data_read.
-	ct, has, dataDone := b.dev.ReadAtPtrQuiet(nvm.RegionData, phys, start)
+	f := b.fetchData(idx)
 	line, err := b.getCounterBlock(page)
 	if err != nil {
 		return zero, err
 	}
-	if dataDone > b.now {
-		b.dev.Attr().Add(obs.CompDataRead, dataDone-b.now)
-		b.now = dataDone
-	}
-	b.now += b.cfg.HashNS // MAC verification (path verifications overlap)
-	b.dev.Attr().Add(obs.CompCrypto, b.cfg.HashNS)
-
-	if !has {
-		return zero, nil // never written: logical zeros
-	}
-	s := counter.UnpackSplit(line.Data)
-	ctr := s.Counter(lane)
-	var pt [BlockBytes]byte
-	b.eng.DecryptTo(pt[:], ct[:], idx, ctr)
-	side := b.dev.ReadSideband(phys)
-	if !ecc.CheckBlock(pt[:], side.ECC) {
-		return zero, &IntegrityError{What: "data ECC mismatch", Addr: idx}
-	}
-	if b.eng.DataMAC(idx, ctr, pt[:]) != side.MAC {
-		return zero, &IntegrityError{What: "data MAC mismatch", Addr: idx}
-	}
-	return pt, nil
+	b.chargeData(&f)
+	return b.openData(&f, counter.SplitCounterAt(&line.Data, lane))
 }
 
 // WriteBlock encrypts and persists one data block with all metadata
@@ -476,6 +358,7 @@ func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 		if err := b.reencryptPage(page, &old, &s); err != nil {
 			return err
 		}
+		line.Unpersisted = 0
 	}
 	line.Data = s.Pack()
 	if b.cfg.Scheme == SchemeStrict {
@@ -511,20 +394,14 @@ func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 	// without any extra counter writes.
 	if b.cfg.Scheme != SchemeWriteBack && b.cfg.Scheme != SchemeStrict &&
 		b.cfg.Scheme != SchemeSelective && b.cfg.Recovery != RecoveryPhase {
-		if b.updateCount.Inc(page) >= b.cfg.StopLoss {
-			b.updateCount.Set(page, 0)
+		if line.Unpersisted++; int(line.Unpersisted) >= b.cfg.StopLoss {
+			line.Unpersisted = 0
 			b.stats.StopLossWrites++
 			b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
 		}
 	}
 
-	// Encrypt the data under the fresh counter; ECC covers the plaintext
-	// (the Osiris sanity check), the MAC binds data to counter+address.
-	ctr := s.Counter(lane)
-	var ctBlk [BlockBytes]byte
-	b.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
-	side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: b.eng.DataMAC(idx, ctr, data[:]), Phase: uint8(ctr)}
-	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
+	b.seal(idx, s.Counter(lane), &data)
 
 	if deferTree {
 		// Deferred tree update: remember the page and journal the change.
@@ -603,8 +480,10 @@ func (b *Bonsai) persistTreeNode(level int, nodeIdx uint64, line *cache.Line) {
 }
 
 // reencryptPage handles a split-counter page overflow: all lines of the
-// page are decrypted under the old counters and re-encrypted under the
-// new major counter, and the counter block is force-persisted.
+// page are opened and verified under the old counters and sealed under
+// the new major counter, and the counter block is force-persisted. A
+// block that fails verification fails the write: sealing it afresh
+// would launder a forgery into a block that verifies.
 func (b *Bonsai) reencryptPage(page uint64, old, fresh *counter.Split) error {
 	b.stats.PageOverflows++
 	ovStart := b.now
@@ -618,19 +497,13 @@ func (b *Bonsai) reencryptPage(page uint64, old, fresh *counter.Split) error {
 		ct, _, done := b.dev.ReadAtPtr(nvm.RegionData, phys, b.now)
 		b.now = done
 		var pt [BlockBytes]byte
-		b.eng.DecryptTo(pt[:], ct[:], idx, old.Counter(lane))
 		side := b.dev.ReadSideband(phys)
-		if !ecc.CheckBlock(pt[:], side.ECC) {
-			return &IntegrityError{What: "page re-encryption ECC mismatch", Addr: idx}
+		if fail := b.open(&pt, ct, &side, idx, old.Counter(lane)); fail != "" {
+			return &IntegrityError{What: "page re-encryption " + fail + " mismatch", Addr: idx}
 		}
-		nctr := fresh.Counter(lane)
-		var blk [BlockBytes]byte
-		b.eng.EncryptTo(blk[:], pt[:], idx, nctr)
-		nside := nvm.Sideband{ECC: side.ECC, MAC: b.eng.DataMAC(idx, nctr, pt[:]), Phase: uint8(nctr)}
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: phys, Block: blk, HasSide: true, Side: nside})
+		b.seal(idx, fresh.Counter(lane), &pt)
 	}
 	// Force-persist the fresh counter block (drift resets to zero).
-	b.updateCount.Set(page, 0)
 	b.stats.StopLossWrites++
 	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: fresh.Pack()})
 	if b.probe != nil {
@@ -645,48 +518,23 @@ func (b *Bonsai) inPersistentRegion(idx uint64) bool {
 	return b.cfg.PersistentBlocks == 0 || idx < b.cfg.PersistentBlocks
 }
 
-// commitPending drains the operation's atomic group through the
-// persistent registers and WPQ (two-stage commit, Figure 4).
-func (b *Bonsai) commitPending() {
-	if len(b.pending) == 0 {
-		return
-	}
-	if b.dev.DoneBit() {
-		// A simulated mid-drain power loss froze an earlier group in the
-		// staging area (the SetPushBudget hook): the persistence domain
-		// accepts nothing more, so later groups are dropped on the floor
-		// — after the crash, RedoCommitted governs what lands.
-		b.pending = b.pending[:0]
-		return
-	}
-	b.dev.BeginCommit()
-	for _, w := range b.pending {
-		b.dev.Stage(w)
-	}
-	start, n := b.now, uint64(len(b.pending))
-	b.now = b.dev.CommitGroup(b.now)
-	b.pending = b.pending[:0]
-	if b.probe != nil {
-		b.probe.Event(obs.EvCommit, start, b.now, n)
-	}
-}
-
 // --- lifecycle -------------------------------------------------------------------
 
 // FlushCaches writes back all dirty metadata (orderly shutdown).
-func (b *Bonsai) FlushCaches() {
+func (b *Bonsai) FlushCaches() error {
 	// An open epoch window drains first: flushed counter lines may carry
-	// content the stale root register does not cover yet. A close
-	// failure here is an integrity error that every subsequent
-	// verification would also surface, so best-effort is enough.
-	_ = b.FlushEpoch()
+	// content the stale root register does not cover yet, so a close
+	// that fails verification flushes nothing.
+	if err := b.FlushEpoch(); err != nil {
+		return err
+	}
 	b.cCache.FlushAll(func(page uint64, data [BlockBytes]byte) {
 		b.now = b.dev.Push(nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: data}, b.now)
 	})
 	b.tCache.FlushAll(func(flat uint64, data [BlockBytes]byte) {
 		b.now = b.dev.Push(nvm.PendingWrite{Region: nvm.RegionTree, Index: flat, Block: data}, b.now)
 	})
-	b.updateCount.Reset()
+	return nil
 }
 
 // Crash models a power failure: caches, shadow mirrors, and in-flight
@@ -699,17 +547,14 @@ func (b *Bonsai) Crash() { b.CrashWith(nvm.CrashFullADR, nil) }
 // nvm.CrashModel). Volatile controller state is lost identically under
 // every model.
 func (b *Bonsai) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
-	b.dev.CrashWith(model, rng)
+	b.crash(model, rng)
 	b.cCache.DropAll()
 	b.tCache.DropAll()
-	b.updateCount.Reset()
-	b.pending = b.pending[:0]
 	b.epochWrites = 0
 	for p := range b.epochDirty {
 		delete(b.epochDirty, p)
 	}
 	b.rootHash = 0
-	b.crashed = true
 }
 
 func putU64(dst []byte, v uint64) {

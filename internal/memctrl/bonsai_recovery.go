@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"anubis/internal/counter"
-	"anubis/internal/ecc"
 	"anubis/internal/merkle"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
@@ -28,30 +27,9 @@ import (
 //
 // Strict and Triad also replay the epoch journal of a window the crash
 // left open; every other recoverable scheme fails closed on an entry.
-func (b *Bonsai) Recover() (*RecoveryReport, error) {
-	rep, err := b.doRecover()
-	if rep != nil {
-		// Attribute any ops counted since the last phase boundary so the
-		// phase ledger covers the whole pass, success or failure.
-		rep.settlePhases()
-	}
-	if b.probe != nil && rep != nil {
-		b.probe.Event(obs.EvRecovery, b.now, b.now+rep.ModeledNS(), rep.FetchOps+rep.CryptoOps)
-	}
-	return rep, err
-}
+func (b *Bonsai) Recover() (*RecoveryReport, error) { return b.recoverFrame(b.recoverScheme) }
 
-func (b *Bonsai) doRecover() (*RecoveryReport, error) {
-	rep := &RecoveryReport{Scheme: b.cfg.Scheme}
-	rep.RedoneWrites = b.dev.RedoCommitted()
-
-	// Restore the wear-leveling map before any data-region access.
-	wl, err := reloadWearLeveler(b.dev, b.cfg.WearPeriod)
-	if err != nil {
-		return rep, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
-	}
-	b.wl = wl
-
+func (b *Bonsai) recoverScheme(rep *RecoveryReport) error {
 	if b.cfg.Scheme == SchemeWriteBack {
 		// No recovery mechanism. The controller is returned to service
 		// so that reads can demonstrate the resulting state: consistent
@@ -61,19 +39,19 @@ func (b *Bonsai) doRecover() (*RecoveryReport, error) {
 			b.rootHash = root
 		}
 		b.crashed = false
-		return rep, fmt.Errorf("%w: write-back persists no security metadata", ErrNotRecoverable)
+		return fmt.Errorf("%w: write-back persists no security metadata", ErrNotRecoverable)
 	}
 	// Only the deferring schemes write the epoch journal. For the others
 	// an entry describes no state the root register can vouch for, so
 	// recovery fails closed rather than replay it.
 	if n := b.dev.JournalLen(); n > 0 && !defersTreeUpdates(b.cfg.Scheme) {
-		return rep, fmt.Errorf("%w: %v device holds %d epoch journal entries", ErrUnrecoverable, b.cfg.Scheme, n)
+		return fmt.Errorf("%w: %v device holds %d epoch journal entries", ErrUnrecoverable, b.cfg.Scheme, n)
 	}
 	switch b.cfg.Scheme {
 	case SchemeStrict:
 		root, ok := b.dev.GetReg64(regBonsaiRoot)
 		if !ok {
-			return rep, fmt.Errorf("%w: missing root register", ErrUnrecoverable)
+			return fmt.Errorf("%w: missing root register", ErrUnrecoverable)
 		}
 		if b.dev.JournalLen() > 0 {
 			// The crash fell inside an open epoch window: NVM counters
@@ -83,19 +61,19 @@ func (b *Bonsai) doRecover() (*RecoveryReport, error) {
 			// register, then replay New and re-anchor.
 			entries, levels, err := b.journalPassA(rep)
 			if err != nil {
-				return rep, err
+				return err
 			}
 			rep.enterPhase(obs.RPRootAnchor)
 			if got := b.rootNVM(rep); got != root {
-				return rep, fmt.Errorf("%w: epoch-start root %#x != stored root %#x", ErrUnrecoverable, got, root)
+				return fmt.Errorf("%w: epoch-start root %#x != stored root %#x", ErrUnrecoverable, got, root)
 			}
 			b.journalPassB(entries, levels, rep)
 			b.crashed = false
-			return rep, nil
+			return nil
 		}
 		b.rootHash = root
 		b.crashed = false
-		return rep, nil
+		return nil
 	case SchemeOsiris:
 		return b.recoverOsirisFull(rep)
 	case SchemeAGITRead, SchemeAGITPlus:
@@ -105,7 +83,7 @@ func (b *Bonsai) doRecover() (*RecoveryReport, error) {
 	case SchemeTriad:
 		return b.recoverTriad(rep)
 	}
-	return rep, fmt.Errorf("%w: no recovery for scheme %v", ErrUnrecoverable, b.cfg.Scheme)
+	return fmt.Errorf("%w: no recovery for scheme %v", ErrUnrecoverable, b.cfg.Scheme)
 }
 
 // osirisFixLane recovers the encryption counter of one data block.
@@ -116,14 +94,13 @@ func (b *Bonsai) doRecover() (*RecoveryReport, error) {
 // the candidate is reconstructed directly and verified once.
 func (b *Bonsai) osirisFixLane(idx, stored uint64, rep *RecoveryReport) (uint64, bool) {
 	phys := b.wl.phys(idx)
-	ct := b.dev.Read(nvm.RegionData, phys)
+	ct, _ := b.dev.ReadPtr(nvm.RegionData, phys)
 	rep.FetchOps++
 	side := b.dev.ReadSideband(phys)
 	var pt [BlockBytes]byte // reused across candidate trials: no per-trial alloc
 	verify := func(cand uint64) bool {
 		rep.CryptoOps++
-		b.eng.DecryptTo(pt[:], ct[:], idx, cand)
-		return ecc.CheckBlock(pt[:], side.ECC) && b.eng.DataMAC(idx, cand, pt[:]) == side.MAC
+		return b.open(&pt, ct, &side, idx, cand) == ""
 	}
 	if b.cfg.Recovery == RecoveryPhase {
 		// stored never exceeds the true counter, and the drift is below
@@ -204,23 +181,23 @@ func (b *Bonsai) writtenLanes(page uint64) uint64 {
 
 // recoverOsirisFull is the no-Anubis baseline: every counter block in
 // the whole memory is repaired, then the complete tree is rebuilt.
-func (b *Bonsai) recoverOsirisFull(rep *RecoveryReport) (*RecoveryReport, error) {
+func (b *Bonsai) recoverOsirisFull(rep *RecoveryReport) error {
 	// The scan's media fetches are the counter scan; the per-candidate
 	// decrypt+check trials inside it are ECC verification work.
 	rep.enterPhaseSplit(obs.RPCounterScan, obs.RPECCVerify)
 	for page := uint64(0); page < b.numPages; page++ {
 		if err := b.fixCounterBlock(page, rep); err != nil {
-			return rep, err
+			return err
 		}
 	}
 	root := b.rebuildTree(rep)
 	want, _ := b.dev.GetReg64(regBonsaiRoot)
 	if root != want {
-		return rep, fmt.Errorf("%w: rebuilt root %#x != stored root %#x", ErrUnrecoverable, root, want)
+		return fmt.Errorf("%w: rebuilt root %#x != stored root %#x", ErrUnrecoverable, root, want)
 	}
 	b.rootHash = root
 	b.crashed = false
-	return rep, nil
+	return nil
 }
 
 // recoverTriad rebuilds only the tree levels Triad-NVM does not persist
@@ -230,7 +207,7 @@ func (b *Bonsai) recoverOsirisFull(rep *RecoveryReport) (*RecoveryReport, error)
 // — far below a full Osiris rebuild (no data reads, no ECC trials), but
 // still memory-bound, which is the contrast with Anubis the paper draws
 // in §7.
-func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
+func (b *Bonsai) recoverTriad(rep *RecoveryReport) error {
 	// Epoch-journal pass A: with the pipeline on, the per-write counter
 	// persists are current but the coalesced lower-level node persists
 	// only land at epoch close — NVM's lower tree describes the epoch
@@ -238,7 +215,7 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
 	// before the upper rebuild checks the (stale) register.
 	entries, jLevels, err := b.journalPassA(rep)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	rep.enterPhase(obs.RPMerkleRebuild)
 	start := b.cfg.TriadLevels
@@ -254,7 +231,7 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
 	root := b.rootNVM(rep)
 	want, _ := b.dev.GetReg64(regBonsaiRoot)
 	if root != want {
-		return rep, fmt.Errorf("%w: rebuilt root %#x != stored root %#x", ErrUnrecoverable, root, want)
+		return fmt.Errorf("%w: rebuilt root %#x != stored root %#x", ErrUnrecoverable, root, want)
 	}
 	if len(entries) > 0 {
 		b.journalPassB(entries, jLevels, rep)
@@ -262,7 +239,7 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
 		b.rootHash = root
 	}
 	b.crashed = false
-	return rep, nil
+	return nil
 }
 
 // recoverSelective implements the selective counter atomicity baseline's
@@ -275,18 +252,18 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) (*RecoveryReport, error) {
 // counter), and an attacker can pair a stale counter with equally stale
 // data so that old values verify as current — a replay. Recovery is
 // also O(memory): the whole tree must be reconstructed.
-func (b *Bonsai) recoverSelective(rep *RecoveryReport) (*RecoveryReport, error) {
+func (b *Bonsai) recoverSelective(rep *RecoveryReport) error {
 	root := b.rebuildTree(rep)
 	// Trust on boot: unlike every root-anchored scheme, the register is
 	// overwritten with the rebuilt value instead of being compared.
 	b.rootHash = root
 	b.dev.SetReg64(regBonsaiRoot, root)
 	b.crashed = false
-	return rep, nil
+	return nil
 }
 
 // recoverAGIT implements Algorithm 1 of the paper.
-func (b *Bonsai) recoverAGIT(rep *RecoveryReport) (*RecoveryReport, error) {
+func (b *Bonsai) recoverAGIT(rep *RecoveryReport) error {
 	// 1. Read the SCT and repair every tracked counter block. The
 	// restored tables also become the controller's live mirrors: a
 	// mirror that disagreed with NVM would corrupt neighbouring entries
@@ -309,10 +286,10 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) (*RecoveryReport, error) {
 		// crash: a key outside the counter region would otherwise panic
 		// deep in the wear-leveling map during repair.
 		if tr.Key >= b.numPages {
-			return rep, fmt.Errorf("%w: SCT tracks counter page %#x beyond memory (%d pages)", ErrUnrecoverable, tr.Key, b.numPages)
+			return fmt.Errorf("%w: SCT tracks counter page %#x beyond memory (%d pages)", ErrUnrecoverable, tr.Key, b.numPages)
 		}
 		if err := b.fixCounterBlock(tr.Key, rep); err != nil {
-			return rep, err
+			return err
 		}
 	}
 
@@ -334,7 +311,7 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) (*RecoveryReport, error) {
 		// Same defense as the SCT scan: a corrupt SMT key outside the
 		// tree would panic inside Geometry.Unflat.
 		if tr.Key >= b.geom.TotalNodes() {
-			return rep, fmt.Errorf("%w: SMT tracks tree node %#x beyond the tree (%d nodes)", ErrUnrecoverable, tr.Key, b.geom.TotalNodes())
+			return fmt.Errorf("%w: SMT tracks tree node %#x beyond the tree (%d nodes)", ErrUnrecoverable, tr.Key, b.geom.TotalNodes())
 		}
 		level, idx := b.geom.Unflat(tr.Key)
 		byLevel[level] = append(byLevel[level], idx)
@@ -356,11 +333,11 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) (*RecoveryReport, error) {
 	root := b.rootNVM(rep)
 	want, _ := b.dev.GetReg64(regBonsaiRoot)
 	if root != want {
-		return rep, fmt.Errorf("%w: recovered root %#x != stored root %#x", ErrUnrecoverable, root, want)
+		return fmt.Errorf("%w: recovered root %#x != stored root %#x", ErrUnrecoverable, root, want)
 	}
 	b.rootHash = root
 	b.crashed = false
-	return rep, nil
+	return nil
 }
 
 // rebuildTree rebuilds the whole tree from the counters in NVM, writes

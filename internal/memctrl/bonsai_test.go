@@ -540,14 +540,41 @@ func TestBonsaiAGITShadowTraffic(t *testing.T) {
 	}
 }
 
+// TestBonsaiOsirisStopLoss: with StopLoss 4, a counter block persists on
+// every fourth update since its copy in NVM was written. The count lives
+// in the counter's cache line, so an eviction, which writes the line
+// back, restarts it.
 func TestBonsaiOsirisStopLoss(t *testing.T) {
-	b := newBonsai(t, SchemeOsiris)
-	// StopLoss=4: 8 updates to one page must persist the counter twice.
-	for i := 0; i < 8; i++ {
-		b.WriteBlock(uint64(i%4), pattern(uint64(i))) // all in page 0
-	}
-	if got := b.Stats().StopLossWrites; got != 2 {
-		t.Fatalf("stop-loss persists = %d, want 2", got)
+	for _, tc := range []struct {
+		name        string
+		first, then int
+		evict       bool
+		want        uint64
+	}{
+		{"8 updates", 8, 0, false, 2},
+		{"6 updates", 3, 3, false, 1},
+		{"3 updates, eviction, 3 updates", 3, 3, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newBonsai(t, SchemeOsiris)
+			write := func(n int) {
+				for i := 0; i < n; i++ {
+					if err := b.WriteBlock(uint64(i%4), pattern(uint64(i))); err != nil { // all in page 0
+						t.Fatal(err)
+					}
+				}
+			}
+			write(tc.first)
+			for page := uint64(1); tc.evict && b.cCache.Contains(0); page++ {
+				if _, err := b.ReadBlock(page * counter.SplitMinors); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write(tc.then)
+			if got := b.Stats().StopLossWrites; got != tc.want {
+				t.Fatalf("stop-loss persists = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package memctrl
 import (
 	"anubis/internal/cache"
 	"anubis/internal/merkle"
-	"anubis/internal/nvm"
 )
 
 // Controller forking.
@@ -13,7 +12,7 @@ import (
 // cost of copying only the volatile state (on-chip caches, shadow
 // mirrors, wear mapping, clocks, statistics) plus the NVM device's
 // page directories: the multi-megabyte stored image itself is shared
-// copy-on-write through nvm.Device.Fork, and a 16-block page is
+// copy-on-write through nvm.Device.Fork, and an 8-block page is
 // duplicated only when parent or child first writes to it.
 //
 // Sharing rules (why each field is copied the way it is):
@@ -28,8 +27,9 @@ import (
 //     after construction — shared by value copy.
 //   - defNode/defNodeHash: immutable after computeTreeDefaults, but tiny
 //     (one entry per tree level); copied for full independence.
-//   - caches, shadow mirrors, update counters, wear state, pending
-//     write group, writeback queue: exact value clones.
+//   - caches (with each counter line's stop-loss count), shadow
+//     mirrors, wear state, pending write group, writeback queue: exact
+//     value clones.
 //
 // After Clone, parent and child may both keep running, crash, recover,
 // and be cloned again, in any order; on different goroutines they may
@@ -41,18 +41,15 @@ import (
 func (b *Bonsai) Clone() Controller {
 	n := new(Bonsai)
 	*n = *b
-	n.dev = b.dev.Fork()
+	n.core = b.fork()
 	n.cCache = b.cCache.Clone()
 	n.tCache = b.tCache.Clone()
 	if b.sct != nil {
 		n.sct = b.sct.Clone()
 		n.smt = b.smt.Clone()
 	}
-	n.updateCount = b.updateCount.Clone()
 	n.defNode = append([]merkle.GNode(nil), b.defNode...)
 	n.defNodeHash = append([]uint64(nil), b.defNodeHash...)
-	n.wl = b.wl.clone(n.dev)
-	n.pending = append([]nvm.PendingWrite(nil), b.pending...)
 	if b.epochDirty != nil {
 		n.epochDirty = make(map[uint64]struct{}, len(b.epochDirty))
 		for p := range b.epochDirty {
@@ -62,10 +59,6 @@ func (b *Bonsai) Clone() Controller {
 	// Close-time scratch is rebuilt on demand; sharing the backing
 	// arrays across goroutines would race.
 	n.epochPages, n.epochHash = nil, nil
-	// Probes are per-controller observers (a trace Scope's sampling
-	// counter is not goroutine-safe); clones start unobserved and the
-	// caller attaches its own probe if it wants one.
-	n.probe = nil
 	return n
 }
 
@@ -73,9 +66,8 @@ func (b *Bonsai) Clone() Controller {
 func (c *SGX) Clone() Controller {
 	n := new(SGX)
 	*n = *c
-	n.dev = c.dev.Fork()
+	n.core = c.fork()
 	n.mCache = c.mCache.Clone()
-	n.updateCount = c.updateCount.Clone()
 	if c.st != nil {
 		n.st = c.st.Clone()
 		n.stNodes = make([][]merkle.GNode, len(c.stNodes))
@@ -83,9 +75,6 @@ func (c *SGX) Clone() Controller {
 			n.stNodes[i] = append([]merkle.GNode(nil), lvl...)
 		}
 	}
-	n.wl = c.wl.clone(n.dev)
-	n.pending = append([]nvm.PendingWrite(nil), c.pending...)
 	n.wbq = append([]cache.Victim(nil), c.wbq...)
-	n.probe = nil // see Bonsai.Clone
 	return n
 }

@@ -13,6 +13,11 @@
 //     cache. Schemes: WriteBack, Strict, Osiris (unrecoverable on this
 //     tree — the paper's motivating observation), ASIT.
 //
+// Everything else the two share is one unexported core (core.go) both
+// embed: counter-mode encryption and the data-block format with its
+// ECC + data-MAC sideband, the DONE_BIT two-stage commit, Start-Gap
+// wear leveling, the virtual clock and the recovery frame.
+//
 // Variants is the one table of those eleven (family, scheme) pairs and
 // their names; every constructor checks it and every tool parses
 // through it. Both families expose the same Controller interface,
@@ -512,8 +517,9 @@ type Controller interface {
 	// AdvanceTo moves the virtual clock forward (CPU think time).
 	AdvanceTo(t uint64)
 
-	// FlushCaches writes back all dirty metadata (orderly shutdown).
-	FlushCaches()
+	// FlushCaches writes back all dirty metadata (orderly shutdown). An
+	// error is an integrity violation met on the way: a damaged image.
+	FlushCaches() error
 	// Crash models a power failure: all volatile state is lost.
 	Crash()
 	// CrashWith models a power failure under a relaxed-persistence

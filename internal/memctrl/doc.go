@@ -10,10 +10,12 @@ package memctrl
 //
 //  I1. Persistence atomicity. Every logical operation's NVM effects are
 //      staged into one commit group drained through the persistent
-//      registers (DONE_BIT). A crash observes either none of the group
-//      or — after the recovery redo — all of it. On-chip root registers
-//      join the group, so a root can never disagree with the NVM state
-//      it authenticates across a crash.
+//      registers (DONE_BIT) by core.commitPending, the one commit path
+//      of both families. A crash observes either none of the group or —
+//      after the recovery redo, which core.recoverFrame runs before any
+//      scheme's recovery — all of it. On-chip root registers join the
+//      group, so a root can never disagree with the NVM state it
+//      authenticates across a crash.
 //
 //  I2. Single-block side effects (shadow-table fills, eviction
 //      writebacks in the Bonsai family) may bypass the group: each is
@@ -34,10 +36,13 @@ package memctrl
 //      rebuilt tree against it.
 //
 //  B2. Counter drift bound. With ECC recovery, a counter block's NVM
-//      copy lags its cache copy by at most StopLoss updates (stop-loss
-//      persists), so Osiris trials terminate. With phase recovery, the
-//      drift is bounded by a page overflow (which force-persists), and
-//      the 8 phase bits pin the counter exactly.
+//      copy lags its cache copy by at most StopLoss updates, so Osiris
+//      trials terminate. The count of updates since the last persist is
+//      the counter line's cache.Line.Unpersisted: a stop-loss persist or
+//      page overflow zeroes it, and so does every eviction (a dirty line
+//      is written back), flush and crash. With phase recovery, the drift
+//      is bounded by a page overflow (which force-persists), and the 8
+//      phase bits pin the counter exactly.
 //
 //  B3. Overflow barrier. A minor-counter overflow re-encrypts the page
 //      and persists the fresh counter block in the same group, so no

@@ -6,8 +6,6 @@ import (
 
 	"anubis/internal/cache"
 	"anubis/internal/counter"
-	"anubis/internal/cryptoeng"
-	"anubis/internal/ecc"
 	"anubis/internal/merkle"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
@@ -39,12 +37,8 @@ const (
 // is bumped, and the child's MAC rebound, when the child is written
 // back. Schemes: WriteBack, Strict, Osiris (unrecoverable here), ASIT.
 type SGX struct {
-	cfg  Config
-	dev  *nvm.Device
-	eng  *cryptoeng.Engine
-	geom merkle.Geometry
+	core
 
-	numBlocks uint64 // data blocks
 	numLeaves uint64 // SGX counter blocks
 
 	mCache *cache.Cache // combined metadata cache
@@ -52,27 +46,12 @@ type SGX struct {
 	// Volatile mirror of the on-chip root node register.
 	rootNode counter.SGX
 
-	// Osiris stop-loss bookkeeping (per cached leaf block). Paged (see
-	// nvm.Counters): no map hashing on the write hot path.
-	updateCount nvm.Counters
-
 	// ASIT state: shadow table mirror plus its volatile protection tree.
 	st      *shadow.STTable
 	stGeom  merkle.Geometry
 	stNodes [][]merkle.GNode
 	stRoot  uint64
 
-	// wl is the optional Start-Gap wear leveler over the data region.
-	wl *wearLeveler
-
-	now     uint64
-	stats   RunStats
-	crashed bool
-
-	// probe observes simulation events; nil by default (see Bonsai.probe).
-	probe obs.Probe
-
-	pending []nvm.PendingWrite
 	// wbq is the volatile writeback buffer: dirty victims wait here
 	// until the end of the operation, when drainWBQ rebinds their MACs
 	// and stages them. A demand fetch for a queued block pulls it back
@@ -117,42 +96,27 @@ func buildSGX(cfg Config, dev *nvm.Device) (*SGX, error) {
 		return nil, err
 	}
 	c := &SGX{
-		cfg:       cfg,
-		dev:       dev,
-		eng:       cryptoeng.NewTestEngine(),
-		numBlocks: cfg.MemoryBytes / BlockBytes,
-		mCache:    cache.New(cfg.MetaCacheBlocks, cfg.MetaCacheWays),
+		core:   newCore(cfg, dev),
+		mCache: cache.New(cfg.MetaCacheBlocks, cfg.MetaCacheWays),
 	}
 	c.numLeaves = c.numBlocks / counter.SGXCounters
 	c.geom = merkle.NewGeometry(c.numLeaves)
+	c.reserve(c.numLeaves)
 	if cfg.Scheme == SchemeASIT {
 		c.st = shadow.NewSTTable(c.mCache.NumSlots())
+		c.dev.Reserve(nvm.RegionST, uint64(c.st.NumSlots()))
 		c.stGeom = merkle.NewGeometry(uint64(c.st.NumSlots()))
 		c.stNodes = make([][]merkle.GNode, c.stGeom.Levels())
 		for l := range c.stNodes {
 			c.stNodes[l] = make([]merkle.GNode, c.stGeom.NodesAt(l))
 		}
 	}
-	c.reserveRegions()
 	return c, nil
 }
 
 func packSGX(g *counter.SGX) []byte {
 	b := g.Pack()
 	return b[:]
-}
-
-// reserveRegions declares every region's extent to the device so page
-// directories are allocated once at final size (the +1 on the data
-// region covers the Start-Gap spare line).
-func (c *SGX) reserveRegions() {
-	c.dev.Reserve(nvm.RegionData, c.numBlocks+1)
-	c.dev.Reserve(nvm.RegionCounter, c.numLeaves)
-	c.dev.Reserve(nvm.RegionTree, c.geom.TotalNodes())
-	if c.st != nil {
-		c.dev.Reserve(nvm.RegionST, uint64(c.st.NumSlots()))
-	}
-	c.updateCount.Reserve(c.numLeaves)
 }
 
 // --- metadata block references ------------------------------------------------
@@ -332,9 +296,6 @@ func (c *SGX) writeBackVictim(v *cache.Victim) error {
 		return nil
 	}
 	r := c.refOfKey(v.Key)
-	if r.isLeaf {
-		c.updateCount.Set(r.idx, 0)
-	}
 	g := counter.UnpackSGX(v.Data)
 
 	parent, slot, isRoot := c.parentOf(r)
@@ -462,16 +423,6 @@ func (c *SGX) shadowMeta(r metaRef, line *cache.Line, g *counter.SGX) error {
 
 // --- data path --------------------------------------------------------------------
 
-func (c *SGX) checkAddr(idx uint64) error {
-	if c.crashed {
-		return ErrCrashed
-	}
-	if idx >= c.numBlocks {
-		return fmt.Errorf("memctrl: block %d out of range (%d blocks)", idx, c.numBlocks)
-	}
-	return nil
-}
-
 // ReadBlock decrypts and verifies one data block.
 func (c *SGX) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 	var zero [BlockBytes]byte
@@ -481,45 +432,20 @@ func (c *SGX) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 	c.stats.ReadRequests++
 	leaf, lane := idx/counter.SGXCounters, int(idx%counter.SGXCounters)
 
-	// Zero-copy data fetch overlapping the metadata walk. The pointer
-	// (and the presence bit) stay valid across getMeta/finishOp: a read
-	// operation's atomic group only ever contains metadata writes, never
-	// data-region writes.
-	start := c.now
-	phys := c.wl.phys(idx)
-	// Quiet read: the fetch overlaps the (attributed) metadata walk, so
-	// only the visible residual below is charged, as data_read.
-	ct, has, dataDone := c.dev.ReadAtPtrQuiet(nvm.RegionData, phys, start)
+	// The data pointer stays valid across finishOp too: a read
+	// operation's atomic group only ever holds metadata writes.
+	f := c.fetchData(idx)
 	line, err := c.getMeta(metaRef{isLeaf: true, idx: leaf})
 	if err != nil {
 		c.finishOp()
 		return zero, err
 	}
 	g := counter.UnpackSGX(line.Data)
-	if dataDone > c.now {
-		c.dev.Attr().Add(obs.CompDataRead, dataDone-c.now)
-		c.now = dataDone
-	}
-	c.now += c.cfg.HashNS
-	c.dev.Attr().Add(obs.CompCrypto, c.cfg.HashNS)
+	c.chargeData(&f)
 	if err := c.finishOp(); err != nil {
 		return zero, err
 	}
-
-	if !has {
-		return zero, nil
-	}
-	ctr := g.Ctr[lane]
-	var pt [BlockBytes]byte
-	c.eng.DecryptTo(pt[:], ct[:], idx, ctr)
-	side := c.dev.ReadSideband(phys)
-	if !ecc.CheckBlock(pt[:], side.ECC) {
-		return zero, &IntegrityError{What: "data ECC mismatch", Addr: idx}
-	}
-	if c.eng.DataMAC(idx, ctr, pt[:]) != side.MAC {
-		return zero, &IntegrityError{What: "data MAC mismatch", Addr: idx}
-	}
-	return pt, nil
+	return c.openData(&f, g.Ctr[lane])
 }
 
 // WriteBlock encrypts and persists one data block plus the metadata
@@ -551,8 +477,8 @@ func (c *SGX) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 		}
 	case SchemeOsiris:
 		c.mCache.MarkDirty(c.keyOf(r))
-		if c.updateCount.Inc(leaf) >= c.cfg.StopLoss {
-			c.updateCount.Set(leaf, 0)
+		if line.Unpersisted++; int(line.Unpersisted) >= c.cfg.StopLoss {
+			line.Unpersisted = 0
 			c.stats.StopLossWrites++
 			c.mCache.Pin(c.keyOf(r))
 			pc, err := c.parentCounterOf(r)
@@ -581,11 +507,7 @@ func (c *SGX) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 		c.mCache.MarkDirty(c.keyOf(r))
 	}
 
-	ctr := g.Ctr[lane]
-	var ctBlk [BlockBytes]byte
-	c.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
-	side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: c.eng.DataMAC(idx, ctr, data[:])}
-	c.pending = append(c.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: c.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
+	c.seal(idx, g.Ctr[lane], &data)
 
 	c.now += c.cfg.HashNS
 	c.dev.Attr().Add(obs.CompCrypto, c.cfg.HashNS)
@@ -669,37 +591,13 @@ func (c *SGX) finishOp() error {
 	return err
 }
 
-// commitPending drains the operation's atomic group (two-stage commit).
-func (c *SGX) commitPending() {
-	if len(c.pending) == 0 {
-		return
-	}
-	// A frozen DONE_BIT means a previous group's drain was cut short by
-	// the (test-injected) power budget: power is already lost, so later
-	// groups in this doomed run are dropped rather than tripping the
-	// two-stage commit's reentry check.
-	if c.dev.DoneBit() {
-		c.pending = c.pending[:0]
-		return
-	}
-	c.dev.BeginCommit()
-	for _, w := range c.pending {
-		c.dev.Stage(w)
-	}
-	start, n := c.now, uint64(len(c.pending))
-	c.now = c.dev.CommitGroup(c.now)
-	c.pending = c.pending[:0]
-	if c.probe != nil {
-		c.probe.Event(obs.EvCommit, start, c.now, n)
-	}
-}
-
 // --- lifecycle ----------------------------------------------------------------------
 
 // FlushCaches writes back all dirty metadata through the regular
 // eviction path (parent nonces are bumped and MACs rebound), leaving
-// NVM fully consistent.
-func (c *SGX) FlushCaches() {
+// NVM fully consistent. It stops at the first integrity error a
+// writeback's parent fetch reports.
+func (c *SGX) FlushCaches() error {
 	// Iterate until stable: writing a block back dirties its parent.
 	for {
 		var dirty []uint64
@@ -717,16 +615,19 @@ func (c *SGX) FlushCaches() {
 				continue
 			}
 			v := &cache.Victim{Key: key, Data: l.Data, Dirty: true, Slot: l.Slot()}
-			l.Dirty = false
-			if err := c.writeBackVictim(v); err != nil {
-				panic("memctrl: flush writeback failed: " + err.Error())
+			l.Dirty, l.Unpersisted = false, 0
+			err := c.writeBackVictim(v)
+			if err == nil {
+				err = c.drainWBQ()
 			}
-			if err := c.drainWBQ(); err != nil {
-				panic("memctrl: flush drain failed: " + err.Error())
+			if err != nil {
+				c.finishOp()
+				return err
 			}
 		}
 		c.commitPending()
 	}
+	return nil
 }
 
 // Crash models a power failure.
@@ -736,10 +637,8 @@ func (c *SGX) Crash() { c.CrashWith(nvm.CrashFullADR, nil) }
 // nvm.CrashModel). Volatile controller state is lost identically under
 // every model.
 func (c *SGX) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
-	c.dev.CrashWith(model, rng)
+	c.crash(model, rng)
 	c.mCache.DropAll()
-	c.updateCount.Reset()
-	c.pending = c.pending[:0]
 	c.wbq = c.wbq[:0]
 	c.rootNode = counter.SGX{}
 	if c.cfg.Scheme == SchemeASIT {
@@ -752,38 +651,11 @@ func (c *SGX) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
 			}
 		}
 	}
-	c.crashed = true
 }
-
-// Scheme returns the configured scheme.
-func (c *SGX) Scheme() Scheme { return c.cfg.Scheme }
-
-// NumBlocks returns the data block count.
-func (c *SGX) NumBlocks() uint64 { return c.numBlocks }
-
-// Device exposes the NVM device.
-func (c *SGX) Device() *nvm.Device { return c.dev }
-
-// Now returns the controller's virtual time.
-func (c *SGX) Now() uint64 { return c.now }
-
-// AdvanceTo moves virtual time forward (CPU think time between
-// requests, attributed as cpu_gap).
-func (c *SGX) AdvanceTo(t uint64) {
-	if t > c.now {
-		c.dev.Attr().Add(obs.CompCPUGap, t-c.now)
-		c.now = t
-	}
-}
-
-// SetProbe attaches (or detaches, with nil) an event probe.
-func (c *SGX) SetProbe(p obs.Probe) { c.probe = p }
 
 // Stats returns run-time statistics.
 func (c *SGX) Stats() RunStats {
-	s := c.stats
-	s.NVM = c.dev.Stats()
+	s := c.baseStats()
 	s.TreeCache = c.mCache.Stats()
-	s.Attribution = *c.dev.Attr()
 	return s
 }

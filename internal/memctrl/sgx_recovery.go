@@ -21,30 +21,9 @@ import (
 //     SHADOW_TREE_ROOT, splice each tracked node's counter LSBs and MAC
 //     onto its stale NVM copy, re-insert the result dirty, and verify
 //     every recovered node's MAC against its parent counter.
-func (c *SGX) Recover() (*RecoveryReport, error) {
-	rep, err := c.doRecover()
-	if rep != nil {
-		// Attribute any ops counted since the last phase boundary so the
-		// phase ledger covers the whole pass, success or failure.
-		rep.settlePhases()
-	}
-	if c.probe != nil && rep != nil {
-		c.probe.Event(obs.EvRecovery, c.now, c.now+rep.ModeledNS(), rep.FetchOps+rep.CryptoOps)
-	}
-	return rep, err
-}
+func (c *SGX) Recover() (*RecoveryReport, error) { return c.recoverFrame(c.recoverScheme) }
 
-func (c *SGX) doRecover() (*RecoveryReport, error) {
-	rep := &RecoveryReport{Scheme: c.cfg.Scheme}
-	rep.RedoneWrites = c.dev.RedoCommitted()
-
-	// Restore the wear-leveling map before any data-region access.
-	wl, err := reloadWearLeveler(c.dev, c.cfg.WearPeriod)
-	if err != nil {
-		return rep, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
-	}
-	c.wl = wl
-
+func (c *SGX) recoverScheme(rep *RecoveryReport) error {
 	// The on-chip root node survives in its persistent register.
 	if blk, ok := c.dev.GetReg(regSGXRoot); ok {
 		c.rootNode = counter.UnpackSGX(blk)
@@ -53,23 +32,23 @@ func (c *SGX) doRecover() (*RecoveryReport, error) {
 	switch c.cfg.Scheme {
 	case SchemeWriteBack, SchemeOsiris:
 		c.crashed = false
-		return rep, fmt.Errorf("%w: SGX-style tree cannot be rebuilt from encryption counters", ErrNotRecoverable)
+		return fmt.Errorf("%w: SGX-style tree cannot be rebuilt from encryption counters", ErrNotRecoverable)
 	case SchemeStrict:
 		c.crashed = false
-		return rep, nil
+		return nil
 	case SchemeASIT:
 		return c.recoverASIT(rep)
 	}
-	return rep, fmt.Errorf("%w: no recovery for scheme %v", ErrUnrecoverable, c.cfg.Scheme)
+	return fmt.Errorf("%w: no recovery for scheme %v", ErrUnrecoverable, c.cfg.Scheme)
 }
 
 // recoverASIT implements Algorithm 2 of the paper.
-func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
+func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 	// ASIT refreshes SHADOW_TREE_ROOT with every shadow-table write and
 	// never writes the epoch journal. An entry there describes no ASIT
 	// state the register can vouch for, so recovery fails closed.
 	if n := c.dev.JournalLen(); n > 0 {
-		return rep, fmt.Errorf("%w: ASIT device holds %d epoch journal entries", ErrUnrecoverable, n)
+		return fmt.Errorf("%w: ASIT device holds %d epoch journal entries", ErrUnrecoverable, n)
 	}
 
 	// 1. Read the Shadow Table from NVM and verify its integrity by
@@ -87,7 +66,7 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
 		}, &rep.CryptoOps)
 	want, _ := c.dev.GetReg64(regShadowTreeRoot)
 	if c.stRoot != want {
-		return rep, fmt.Errorf("%w: shadow table root %#x != SHADOW_TREE_ROOT %#x", ErrUnrecoverable, c.stRoot, want)
+		return fmt.Errorf("%w: shadow table root %#x != SHADOW_TREE_ROOT %#x", ErrUnrecoverable, c.stRoot, want)
 	}
 
 	// 2. Recover tree nodes: splice the shadow LSBs and MAC onto each
@@ -117,7 +96,7 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
 		// fail typed, never crash, on any image a power failure (or a
 		// tamperer racing one) can produce.
 		if !c.validMetaKey(e.Key) {
-			return rep, fmt.Errorf("%w: shadow table slot %d tracks invalid metadata key %#x", ErrUnrecoverable, slot, e.Key)
+			return fmt.Errorf("%w: shadow table slot %d tracks invalid metadata key %#x", ErrUnrecoverable, slot, e.Key)
 		}
 		r := c.refOfKey(e.Key)
 		region, idx := c.regionIdx(r)
@@ -165,7 +144,7 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
 		// illegal placement (its contract is programming error, not bad
 		// input), so validate the untrusted placement first.
 		if !c.mCache.CanInsertAtSlot(cand.slot, key) {
-			return rep, fmt.Errorf("%w: shadow table places key %#x in illegal slot %d", ErrUnrecoverable, key, cand.slot)
+			return fmt.Errorf("%w: shadow table places key %#x in illegal slot %d", ErrUnrecoverable, key, cand.slot)
 		}
 		c.mCache.InsertAtSlot(cand.slot, key, cand.g.Pack())
 		c.mCache.MarkDirty(key)
@@ -183,14 +162,14 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) (*RecoveryReport, error) {
 	for _, rc := range recs {
 		rep.CryptoOps++
 		if c.eng.STMAC(c.addrOf(rc.ref), rc.g.Ctr[:]) != rc.g.MAC {
-			return rep, fmt.Errorf("%w: recovered node MAC mismatch at %#x", ErrUnrecoverable, c.addrOf(rc.ref))
+			return fmt.Errorf("%w: recovered node MAC mismatch at %#x", ErrUnrecoverable, c.addrOf(rc.ref))
 		}
 	}
 
 	// Recovered nodes sit dirty in the cache and propagate to NVM
 	// through natural eviction, as in the paper (§4.3.2).
 	c.crashed = false
-	return rep, nil
+	return nil
 }
 
 // validMetaKey reports whether a (possibly crash-corrupted) shadow

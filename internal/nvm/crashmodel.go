@@ -154,27 +154,10 @@ func (d *Device) recordInflight(w *PendingWrite, now, done uint64) {
 func (d *Device) revertInflight(e *inflightWrite) {
 	s := &d.store[e.region]
 	p, o := s.slot(e.idx)
-	was := p.present[o>>6]&(1<<(o&63)) != 0
-	if e.prevPresent {
-		if !was {
-			p.present[o>>6] |= 1 << (o & 63)
-			s.count++
-		}
-		p.data[o] = e.prevBlk
-	} else {
-		if was {
-			p.present[o>>6] &^= 1 << (o & 63)
-			s.count--
-		}
-		p.data[o] = zeroBlock
-	}
-	if e.region == RegionData {
-		if p.side != nil {
-			p.side[o] = e.prevSide
-		} else if e.prevSide != (Sideband{}) {
-			p.side = new([pageBlocks]Sideband)
-			p.side[o] = e.prevSide
-		}
+	s.mark(p, o, e.prevPresent)
+	p.data[o] = e.prevBlk // zero when the block was absent
+	if e.region == RegionData && (p.side != nil || e.prevSide != (Sideband{})) {
+		p.setSide(o, e.prevSide)
 	}
 }
 
@@ -187,18 +170,12 @@ func (d *Device) tearInflight(e *inflightWrite, atoms int) {
 	}
 	s := &d.store[e.region]
 	p, o := s.slot(e.idx)
-	if p.present[o>>6]&(1<<(o&63)) == 0 {
-		// A partial write still marks the cell as written: the media now
-		// holds (garbage) content, not the pristine erased state.
-		p.present[o>>6] |= 1 << (o & 63)
-		s.count++
-	}
+	// A partial write still marks the cell as written: the media now
+	// holds (garbage) content, not the pristine erased state.
+	s.mark(p, o, true)
 	copy(p.data[o][:atoms*8], e.blk[:atoms*8])
 	if atoms >= BlockAtoms && e.hasSide && e.region == RegionData {
-		if p.side == nil {
-			p.side = new([pageBlocks]Sideband)
-		}
-		p.side[o] = e.side
+		p.setSide(o, e.side)
 	}
 }
 

@@ -481,41 +481,33 @@ func (d *Device) apply(w *PendingWrite) {
 		d.regs[w.RegName] = w.Block
 		return
 	}
-	d.stats.Writes++
-	d.stats.WritesByRegion[w.Region]++
-	s := &d.store[w.Region]
-	p, o := s.slot(w.Index)
-	p.wear[o]++
-	if p.present[o>>6]&(1<<(o&63)) == 0 {
-		p.present[o>>6] |= 1 << (o & 63)
-		s.count++
-	}
-	p.data[o] = w.Block
+	p, o := d.write(w.Region, w.Index, &w.Block)
 	if w.HasSide {
 		if w.Region != RegionData {
 			panic("nvm: sideband write outside the data region")
 		}
-		if p.side == nil {
-			p.side = new([pageBlocks]Sideband)
-		}
-		p.side[o] = w.Side
+		p.setSide(o, w.Side)
 	}
+}
+
+// write lands blk at (r, idx) as one media write: stats, wear, the
+// presence bit and the content. It returns the cell, for a sideband.
+func (d *Device) write(r Region, idx uint64, blk *[BlockBytes]byte) (*page, uint64) {
+	d.stats.Writes++
+	d.stats.WritesByRegion[r]++
+	s := &d.store[r]
+	p, o := s.slot(idx)
+	p.wear[o]++
+	s.mark(p, o, true)
+	p.data[o] = *blk
+	return p, o
 }
 
 // WriteRaw bypasses WPQ and timing, installing a block directly. It is
 // intended for initialization (pre-filling memory images) and for
 // recovery code, which accounts its own time.
 func (d *Device) WriteRaw(r Region, idx uint64, blk [BlockBytes]byte) {
-	d.stats.Writes++
-	d.stats.WritesByRegion[r]++
-	s := &d.store[r]
-	p, o := s.slot(idx)
-	p.wear[o]++
-	if p.present[o>>6]&(1<<(o&63)) == 0 {
-		p.present[o>>6] |= 1 << (o & 63)
-		s.count++
-	}
-	p.data[o] = blk
+	d.write(r, idx, &blk)
 }
 
 // WearOf returns the number of media writes a block has absorbed.
@@ -548,28 +540,16 @@ func (d *Device) MaxWearAll() (r Region, idx, count uint64) {
 
 // WriteRawData installs a data block with sideband, bypassing timing.
 func (d *Device) WriteRawData(idx uint64, blk [BlockBytes]byte, s Sideband) {
-	d.WriteRaw(RegionData, idx, blk)
-	p, o := d.store[RegionData].slot(idx)
-	if p.side == nil {
-		p.side = new([pageBlocks]Sideband)
-	}
-	p.side[o] = s
+	p, o := d.write(RegionData, idx, &blk)
+	p.setSide(o, s)
 }
 
 // Erase removes a block from the medium (used by wear leveling when an
 // empty line rotates: the destination must not retain stale content).
-// It costs one media write.
+// It costs one media write, of zeros, and leaves the block absent.
 func (d *Device) Erase(r Region, idx uint64) {
-	d.stats.Writes++
-	d.stats.WritesByRegion[r]++
-	s := &d.store[r]
-	p, o := s.slot(idx)
-	p.wear[o]++
-	if p.present[o>>6]&(1<<(o&63)) != 0 {
-		p.present[o>>6] &^= 1 << (o & 63)
-		s.count--
-	}
-	p.data[o] = zeroBlock
+	p, o := d.write(r, idx, &zeroBlock)
+	d.store[r].mark(p, o, false)
 	if p.side != nil {
 		p.side[o] = Sideband{}
 	}
@@ -628,9 +608,6 @@ func (d *Device) BeginCommit() {
 func (d *Device) Stage(w PendingWrite) {
 	d.staged = append(d.staged, w)
 }
-
-// StagedLen returns the number of writes in the open group.
-func (d *Device) StagedLen() int { return len(d.staged) }
 
 // CommitGroup sets DONE_BIT (the group is now atomically durable in the
 // persistent registers) and drains the group into the WPQ. It returns
@@ -738,20 +715,6 @@ func (d *Device) GetReg64(name string) (uint64, bool) {
 }
 
 // --- snapshot / fork --------------------------------------------------------
-
-// Snapshot freezes the device's stored image copy-on-write: every
-// currently allocated page in every region becomes immutable in place,
-// and the next write to any of them first duplicates that
-// page. O(regions) — no page data is touched. Snapshot is implied by
-// Fork; calling it directly is only useful to bound when a long-lived
-// reference (e.g. an image Save in another goroutine) stops observing
-// new writes... which this simulator does not do, so Fork is the
-// expected entry point.
-func (d *Device) Snapshot() {
-	for r := range d.store {
-		d.store[r].freeze()
-	}
-}
 
 // Fork snapshots the device and returns an independent child sharing
 // the frozen stored image copy-on-write. Everything else — timing

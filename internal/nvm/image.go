@@ -211,8 +211,9 @@ func LoadDevice(r io.Reader) (*Device, error) {
 	for reg := Region(0); reg < numRegions; reg++ {
 		s := &d.store[reg]
 		for idx, blk := range img.Store[reg] {
-			b := blk
-			s.setPresent(idx, &b)
+			p, o := s.slot(idx)
+			s.mark(p, o, true)
+			p.data[o] = blk
 		}
 		for idx, c := range img.Wear[reg] {
 			p, o := s.slot(idx)
@@ -221,10 +222,7 @@ func LoadDevice(r io.Reader) (*Device, error) {
 	}
 	for idx, sb := range img.Side {
 		p, o := d.store[RegionData].slot(idx)
-		if p.side == nil {
-			p.side = new([pageBlocks]Sideband)
-		}
-		p.side[o] = sb
+		p.setSide(o, sb)
 	}
 	if img.Regs != nil {
 		d.regs = img.Regs

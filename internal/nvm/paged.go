@@ -46,10 +46,11 @@ const (
 	// presentWords sizes the presence bitmap (at least one word).
 	presentWords = (pageBlocks + 63) / 64
 
-	// maxDirPages caps the dense directory (2^24 pages = 2^28 blocks =
-	// 16 GB of 64-byte blocks per region). Blocks above the cap land
-	// in an overflow map so a stray huge index cannot force a giant
-	// directory allocation.
+	// maxDirPages caps the dense directory (2^24 pages × 8 blocks =
+	// 2^27 blocks = 8 GiB of 64-byte blocks per region). Blocks above
+	// the cap land in an overflow map so a stray huge index cannot force
+	// a giant directory allocation; the upper half of the default
+	// 16 GiB data region lives there.
 	maxDirPages = 1 << 24
 )
 
@@ -286,28 +287,26 @@ func (s *pagedStore) has(idx uint64) bool {
 	return p.present[o>>6]&(1<<(o&63)) != 0
 }
 
-// setPresent installs blk at idx (no wear accounting — callers that
-// model media writes bump wear themselves).
-func (s *pagedStore) setPresent(idx uint64, blk *[BlockBytes]byte) {
-	p, o := s.slot(idx)
-	if p.present[o>>6]&(1<<(o&63)) == 0 {
-		p.present[o>>6] |= 1 << (o & 63)
+// mark sets (on) or clears the presence bit of cell o of p, a page of
+// s, keeping the store's block count.
+func (s *pagedStore) mark(p *page, o uint64, on bool) {
+	bit := uint64(1) << (o & 63)
+	if was := p.present[o>>6]&bit != 0; on && !was {
+		p.present[o>>6] |= bit
 		s.count++
-	}
-	p.data[o] = *blk
-}
-
-// erase clears the presence bit and zeroes the cell, preserving wear.
-func (s *pagedStore) erase(idx uint64) {
-	p, o := s.slot(idx)
-	if p.present[o>>6]&(1<<(o&63)) != 0 {
-		p.present[o>>6] &^= 1 << (o & 63)
+	} else if !on && was {
+		p.present[o>>6] &^= bit
 		s.count--
 	}
-	p.data[o] = zeroBlock
-	if p.side != nil {
-		p.side[o] = Sideband{}
+}
+
+// setSide stores the sideband of cell o, allocating the page's sideband
+// array on first use.
+func (p *page) setSide(o uint64, sb Sideband) {
+	if p.side == nil {
+		p.side = new([pageBlocks]Sideband)
 	}
+	p.side[o] = sb
 }
 
 // wearOf returns the media-write count of one block.
@@ -344,146 +343,4 @@ func (s *pagedStore) forEachPage(fn func(base uint64, p *page)) {
 // content survives power loss).
 func (s *pagedStore) reset() {
 	*s = pagedStore{}
-}
-
-// --- paged update counters (exported) ----------------------------------------
-
-// counterPage mirrors the block-page geometry for small per-block
-// integer counters.
-type counterPage [pageBlocks]int32
-
-// Counters is a paged replacement for map[uint64]int keyed by block
-// index: the memory controllers track per-counter-block update drift
-// (the Osiris stop-loss rule) on the write hot path, and a Go map there
-// costs a hash plus, under growth, an allocation per request. Counters
-// shares the device's page machinery: dense noscan handle directory +
-// fixed pages, zero allocations steady-state.
-//
-// The zero Counters is ready to use.
-type Counters struct {
-	dir   []int32 // 1-based handles (noscan)
-	pages []*counterPage
-	over  map[uint64]*counterPage
-}
-
-func (c *Counters) pageAt(idx uint64) *counterPage {
-	pi := idx >> pageShift
-	if pi < uint64(len(c.dir)) {
-		if h := c.dir[pi]; h != 0 {
-			return c.pages[h-1]
-		}
-		return nil
-	}
-	if pi >= maxDirPages {
-		return c.over[pi]
-	}
-	return nil
-}
-
-func (c *Counters) slot(idx uint64) *int32 {
-	pi := idx >> pageShift
-	if pi < maxDirPages {
-		if pi >= uint64(len(c.dir)) {
-			n := uint64(len(c.dir))*2 + 1
-			if n <= pi {
-				n = pi + 1
-			}
-			if n > maxDirPages {
-				n = maxDirPages
-			}
-			grown := make([]int32, n)
-			copy(grown, c.dir)
-			c.dir = grown
-		}
-		h := c.dir[pi]
-		if h == 0 {
-			c.pages = append(c.pages, &counterPage{})
-			h = int32(len(c.pages))
-			c.dir[pi] = h
-		}
-		return &c.pages[h-1][idx&pageMask]
-	}
-	if c.over == nil {
-		c.over = make(map[uint64]*counterPage)
-	}
-	p := c.over[pi]
-	if p == nil {
-		p = &counterPage{}
-		c.over[pi] = p
-	}
-	return &p[idx&pageMask]
-}
-
-// Get returns the counter at idx (0 if never set).
-func (c *Counters) Get(idx uint64) int {
-	p := c.pageAt(idx)
-	if p == nil {
-		return 0
-	}
-	return int(p[idx&pageMask])
-}
-
-// Inc increments the counter at idx and returns the new value.
-func (c *Counters) Inc(idx uint64) int {
-	s := c.slot(idx)
-	*s++
-	return int(*s)
-}
-
-// Set stores v at idx. Set(idx, 0) is the paged analogue of map delete.
-func (c *Counters) Set(idx uint64, v int) {
-	// Avoid allocating a page just to record the default value.
-	if v == 0 && c.pageAt(idx) == nil {
-		return
-	}
-	*c.slot(idx) = int32(v)
-}
-
-// Reserve pre-sizes the directory for indices [0, n): like
-// Device.Reserve, it removes geometric regrowth from the hot path.
-func (c *Counters) Reserve(n uint64) {
-	pages := (n + pageMask) >> pageShift
-	if pages > maxDirPages {
-		pages = maxDirPages
-	}
-	if pages > uint64(len(c.dir)) {
-		grown := make([]int32, pages)
-		copy(grown, c.dir)
-		c.dir = grown
-	}
-}
-
-// Reset drops every counter (the analogue of clearing the map). The
-// directory reservation is kept.
-func (c *Counters) Reset() {
-	for i := range c.dir {
-		c.dir[i] = 0
-	}
-	c.pages = c.pages[:0]
-	c.over = nil
-}
-
-// Clone returns an exact, fully independent deep copy. Counter pages
-// are small (64 B) and mutated on nearly every write request, so a COW
-// scheme would copy almost everything almost immediately; an eager
-// value clone is simpler and no slower.
-func (c *Counters) Clone() Counters {
-	n := Counters{
-		dir:   append([]int32(nil), c.dir...),
-		pages: make([]*counterPage, len(c.pages)),
-	}
-	for i, p := range c.pages {
-		np := new(counterPage)
-		*np = *p
-		n.pages[i] = np
-	}
-	if len(c.over) > 0 {
-		n.over = make(map[uint64]*counterPage, len(c.over))
-		for pi, p := range c.over {
-			np := new(counterPage)
-			*np = *p
-			n.over[pi] = np
-		}
-	}
-	return n
 }

@@ -324,11 +324,14 @@ func (s *Server) CloseTenant(id string) error {
 	}
 	t.stopWorker()
 	<-t.done
-	t.sys.Flush()
-	s.countOp(id, "close", nil)
+	err := t.sys.Flush()
+	if err != nil {
+		err = fmt.Errorf("serve: flush tenant %q: %w", id, err)
+	}
+	s.countOp(id, "close", err)
 	s.rec.Record(obs.Event{Kind: obs.EvtClose, Tenant: id, Op: "close"})
 	s.publishGauges()
-	return nil
+	return err
 }
 
 // Tenants returns the live tenant ids (unordered).
@@ -365,10 +368,12 @@ func (s *Server) Shutdown(dir string) error {
 	s.wg.Wait()
 	var firstErr error
 	for _, t := range tenants {
-		t.sys.Flush()
+		if err := t.sys.Flush(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("serve: flush tenant %q: %w", t.id, err)
+		}
 	}
 	if dir != "" {
-		if err := s.saveState(dir, tenants); err != nil {
+		if err := s.saveState(dir, tenants); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -677,8 +682,7 @@ func (s *Server) WriteRange(id string, off uint64, data []byte) error {
 // Flush writes back a tenant's dirty metadata.
 func (s *Server) Flush(id string) error {
 	return s.Do(id, "flush", func(sys *anubis.SafeSystem) error {
-		sys.Flush()
-		return nil
+		return sys.Flush()
 	})
 }
 
