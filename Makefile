@@ -83,10 +83,15 @@ surface-smoke:
 # Short native-fuzz run: each crashfuzz target gets 10 s of coverage-
 # guided mutation on top of its seed corpus. Failures are shrunk by
 # re-running the printed token through `anubis-fuzz -replay` (see
-# EXPERIMENTS.md "Crash-injection fuzzing").
+# EXPERIMENTS.md "Crash-injection fuzzing"). Then each word-parallel
+# block kernel (SECDED, counter blocks, ASIT shadow entries) gets 5 s
+# against the reference implementation in its test file.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzTrial$$' -fuzztime 10s ./internal/crashfuzz/
 	$(GO) test -run xxx -fuzz 'FuzzParseSchedule$$' -fuzztime 10s ./internal/crashfuzz/
+	$(GO) test -run xxx -fuzz 'FuzzBlockKernels$$' -fuzztime 5s ./internal/ecc/
+	$(GO) test -run xxx -fuzz 'FuzzCodecs$$' -fuzztime 5s ./internal/counter/
+	$(GO) test -run xxx -fuzz 'FuzzSTEntryCodec$$' -fuzztime 5s ./internal/shadow/
 
 # Long differential fuzz: 500 seeded random schedules across every
 # scheme × crash model combination (the PR acceptance run).

@@ -257,7 +257,9 @@ func main() {
 		fmt.Fprintf(out, "wrote %d trace events to %s\n", tracer.Len(), *traceEvents)
 	}
 
-	fmt.Fprintf(out, "total: %.0f ms wall, %d simulation cells, parallel=%d\n",
+	// Wall time varies run to run, so it goes to stderr: stdout holds
+	// only the deterministic tables and compares byte for byte.
+	fmt.Fprintf(os.Stderr, "total: %.0f ms wall, %d simulation cells, parallel=%d\n",
 		float64(wall.Microseconds())/1000, cells, *workers)
 }
 

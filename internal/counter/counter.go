@@ -58,20 +58,19 @@ func (s *Split) Increment(i int) (pageOverflow bool) {
 
 // Pack serializes the block into the 64-byte memory layout: the major
 // counter in the first 8 bytes, then the 64 minor counters packed 7 bits
-// each into the remaining 56 bytes. Eight consecutive minors occupy
-// exactly 56 bits, so the packing runs in byte-aligned 7-byte groups —
-// one word store per group instead of one branch per bit (this codec is
-// on the per-write hot path of every general-tree scheme).
+// each into the remaining 56 bytes (minor i at bit 7i). Eight
+// consecutive minors fill one 56-bit field, built from the minors'
+// eight bytes by compacting 7-bit lanes, so the block is eight 56-bit
+// fields written as seven words (this codec is on the per-write hot
+// path of every general-tree scheme).
 func (s *Split) Pack() [BlockBytes]byte {
 	var out [BlockBytes]byte
 	binary.LittleEndian.PutUint64(out[0:8], s.Major)
-	for g := 0; g < SplitMinors/8; g++ {
-		var w uint64
-		for j := 7; j >= 0; j-- {
-			w = w<<MinorBits | uint64(s.Minors[g*8+j]&MinorMax)
-		}
-		put56(out[8+g*7:], w)
+	var f [8]uint64
+	for g := range f {
+		f[g] = pack7x8(binary.LittleEndian.Uint64(s.Minors[g*8:]))
 	}
+	put56x8(out[8:], &f)
 	return out
 }
 
@@ -79,21 +78,38 @@ func (s *Split) Pack() [BlockBytes]byte {
 func UnpackSplit(b [BlockBytes]byte) Split {
 	var s Split
 	s.Major = binary.LittleEndian.Uint64(b[0:8])
-	for g := 0; g < SplitMinors/8; g++ {
-		w := get56(b[8+g*7:])
-		for j := 0; j < 8; j++ {
-			s.Minors[g*8+j] = uint8(w >> uint(MinorBits*j) & MinorMax)
-		}
+	f := get56x8(b[8:])
+	for g := range f {
+		binary.LittleEndian.PutUint64(s.Minors[g*8:], unpack7x8(f[g]))
 	}
 	return s
 }
 
 // SplitCounterAt returns the full encryption counter of line i of a
 // packed split-counter block: Pack's layout read for one line, without
-// unpacking the other 63 minors (a read needs only its own lane).
+// unpacking the other 63 minors (a read needs only its own lane). The
+// word loaded ends at the last byte of the line's 56-bit field, so it
+// stays inside the block for every line.
 func SplitCounterAt(b *[BlockBytes]byte, i int) uint64 {
-	w := get56(b[8+i/8*7:])
-	return binary.LittleEndian.Uint64(b[0:8])<<MinorBits | w>>uint(MinorBits*(i%8))&MinorMax
+	w := binary.LittleEndian.Uint64(b[7+i/8*7:])
+	return binary.LittleEndian.Uint64(b[0:8])<<MinorBits | w>>uint(8+MinorBits*(i%8))&MinorMax
+}
+
+// pack7x8 compacts eight bytes of 7-bit values (byte j of m holds
+// value j; bit 7 of each byte is dropped) into one 56-bit field with
+// value j at bit 7j, halving the lane count at each step.
+func pack7x8(m uint64) uint64 {
+	m &= 0x7f7f7f7f7f7f7f7f
+	m = m&0x007f007f007f007f | m>>1&0x3f803f803f803f80
+	m = m&0x00003fff00003fff | m>>2&0x0fffc0000fffc000
+	return m&0x000000000fffffff | m>>4&0x00fffffff0000000
+}
+
+// unpack7x8 inverts pack7x8: value j of a 56-bit field into byte j.
+func unpack7x8(f uint64) uint64 {
+	f = f&0x000000000fffffff | f<<4&0x0fffffff00000000
+	f = f&0x00003fff00003fff | f<<2&0x3fff00003fff0000
+	return f&0x007f007f007f007f | f<<1&0x7f007f007f007f00
 }
 
 // --- SGX-style counter block ----------------------------------------------
@@ -127,25 +143,14 @@ func (g *SGX) Increment(i int) (wrapped bool) {
 // little endian) followed by the 56-bit MAC; the final byte is zero.
 func (g *SGX) Pack() [BlockBytes]byte {
 	var out [BlockBytes]byte
-	off := 0
-	for i := 0; i < SGXCounters; i++ {
-		put56(out[off:], g.Ctr[i])
-		off += 7
-	}
-	put56(out[off:], g.MAC)
+	put56x8(out[:56], &g.Ctr)
+	binary.LittleEndian.PutUint64(out[56:], g.MAC&SGXCounterMask)
 	return out
 }
 
 // UnpackSGX parses a 64-byte SGX-style counter block.
 func UnpackSGX(b [BlockBytes]byte) SGX {
-	var g SGX
-	off := 0
-	for i := 0; i < SGXCounters; i++ {
-		g.Ctr[i] = get56(b[off:])
-		off += 7
-	}
-	g.MAC = get56(b[off:])
-	return g
+	return SGX{Ctr: get56x8(b[:56]), MAC: binary.LittleEndian.Uint64(b[56:]) & SGXCounterMask}
 }
 
 // --- ASIT counter LSB splicing ---------------------------------------------
@@ -165,73 +170,49 @@ func SpliceLSB(stale, lsb uint64) uint64 {
 	return (stale &^ uint64(LSBMask)) | (lsb & LSBMask)
 }
 
-// --- bit packing helpers ----------------------------------------------------
+// --- 56-bit field codec ------------------------------------------------------
 
-// putBits writes the low `width` bits of v at bit offset off in buf,
-// as one masked 64-bit read-modify-write instead of a branch per bit.
-// width must be at most 57 so the field plus any intra-byte shift fits
-// in one word (every caller packs 7- or 49-bit fields).
-func putBits(buf []byte, off, width int, v uint64) {
-	i, shift := off>>3, uint(off&7)
-	mask := uint64(1)<<uint(width) - 1
-	v &= mask
-	if i+8 <= len(buf) {
-		w := binary.LittleEndian.Uint64(buf[i:])
-		binary.LittleEndian.PutUint64(buf[i:], w&^(mask<<shift)|v<<shift)
-		return
-	}
-	// Tail: fewer than 8 bytes left, so the field ends inside them.
-	var w uint64
-	n := len(buf) - i
-	for j := 0; j < n; j++ {
-		w |= uint64(buf[i+j]) << uint(8*j)
-	}
-	w = w&^(mask<<shift) | v<<shift
-	for j := 0; j < n; j++ {
-		buf[i+j] = byte(w >> uint(8*j))
-	}
+// Both block formats hold eight 56-bit fields back to back in 56 bytes
+// (field k at bit 56k): the split block's eight groups of eight minors
+// and the SGX block's eight counters. 448 bits are exactly seven 64-bit
+// words, so the codec moves whole words and splits them with shifts;
+// field k straddles words k-1 and k.
+
+// put56x8 writes the low 56 bits of each field of f into the first 56
+// bytes of dst as seven little-endian words.
+func put56x8(dst []byte, f *[8]uint64) {
+	const m = 1<<56 - 1
+	_ = dst[55]
+	f0, f1, f2, f3 := f[0]&m, f[1]&m, f[2]&m, f[3]&m
+	f4, f5, f6, f7 := f[4]&m, f[5]&m, f[6]&m, f[7]&m
+	binary.LittleEndian.PutUint64(dst[0:], f0|f1<<56)
+	binary.LittleEndian.PutUint64(dst[8:], f1>>8|f2<<48)
+	binary.LittleEndian.PutUint64(dst[16:], f2>>16|f3<<40)
+	binary.LittleEndian.PutUint64(dst[24:], f3>>24|f4<<32)
+	binary.LittleEndian.PutUint64(dst[32:], f4>>32|f5<<24)
+	binary.LittleEndian.PutUint64(dst[40:], f5>>40|f6<<16)
+	binary.LittleEndian.PutUint64(dst[48:], f6>>48|f7<<8)
 }
 
-// getBits reads `width` (≤ 57) bits at bit offset off in buf with one
-// word load; see putBits.
-func getBits(buf []byte, off, width int) uint64 {
-	i, shift := off>>3, uint(off&7)
-	var w uint64
-	if i+8 <= len(buf) {
-		w = binary.LittleEndian.Uint64(buf[i:])
-	} else {
-		for j := i; j < len(buf); j++ {
-			w |= uint64(buf[j]) << uint(8*(j-i))
-		}
+// get56x8 reads the eight 56-bit fields of the first 56 bytes of src.
+func get56x8(src []byte) [8]uint64 {
+	const m = 1<<56 - 1
+	_ = src[55]
+	w0 := binary.LittleEndian.Uint64(src[0:])
+	w1 := binary.LittleEndian.Uint64(src[8:])
+	w2 := binary.LittleEndian.Uint64(src[16:])
+	w3 := binary.LittleEndian.Uint64(src[24:])
+	w4 := binary.LittleEndian.Uint64(src[32:])
+	w5 := binary.LittleEndian.Uint64(src[40:])
+	w6 := binary.LittleEndian.Uint64(src[48:])
+	return [8]uint64{
+		w0 & m,
+		(w0>>56 | w1<<8) & m,
+		(w1>>48 | w2<<16) & m,
+		(w2>>40 | w3<<24) & m,
+		(w3>>32 | w4<<32) & m,
+		(w4>>24 | w5<<40) & m,
+		(w5>>16 | w6<<48) & m,
+		w6 >> 8,
 	}
-	return w >> shift & (uint64(1)<<uint(width) - 1)
-}
-
-// put56 writes a 56-bit little-endian value into 7 bytes, preserving
-// the byte after the field (word-wise read-modify-write when the
-// buffer allows it).
-func put56(buf []byte, v uint64) {
-	const mask = uint64(1)<<56 - 1
-	v &= mask
-	if len(buf) >= 8 {
-		w := binary.LittleEndian.Uint64(buf)
-		binary.LittleEndian.PutUint64(buf, w&^mask|v)
-		return
-	}
-	for i := 0; i < 7; i++ {
-		buf[i] = byte(v >> uint(8*i))
-	}
-}
-
-// get56 reads a 56-bit little-endian value from 7 bytes.
-func get56(buf []byte) uint64 {
-	const mask = uint64(1)<<56 - 1
-	if len(buf) >= 8 {
-		return binary.LittleEndian.Uint64(buf) & mask
-	}
-	var v uint64
-	for i := 0; i < 7; i++ {
-		v |= uint64(buf[i]) << uint(8*i)
-	}
-	return v
 }

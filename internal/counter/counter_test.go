@@ -1,6 +1,8 @@
 package counter
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,24 +171,6 @@ func TestSpliceLSBProperty(t *testing.T) {
 	}
 }
 
-func TestBitPackingHelpers(t *testing.T) {
-	buf := make([]byte, 16)
-	putBits(buf, 3, 7, 0x55)
-	if got := getBits(buf, 3, 7); got != 0x55 {
-		t.Fatalf("getBits = %#x, want 0x55", got)
-	}
-	// Overwrite with a different value: putBits must clear old bits.
-	putBits(buf, 3, 7, 0x2a)
-	if got := getBits(buf, 3, 7); got != 0x2a {
-		t.Fatalf("after overwrite getBits = %#x, want 0x2a", got)
-	}
-	// Neighbouring fields must not interfere.
-	putBits(buf, 10, 7, 0x7f)
-	if got := getBits(buf, 3, 7); got != 0x2a {
-		t.Fatalf("neighbour write clobbered field: %#x", got)
-	}
-}
-
 func TestSplitPackDensity(t *testing.T) {
 	// Exactly 8 + 56 bytes are used: byte layout must consume the whole
 	// block when all minors are saturated.
@@ -204,6 +188,14 @@ func TestSplitPackDensity(t *testing.T) {
 	}
 }
 
+// Sinks keep each benchmarked result live, so the compiler cannot
+// delete a codec call whose value is never used.
+var (
+	sinkBlock [BlockBytes]byte
+	sinkSplit Split
+	sinkSGX   SGX
+)
+
 func BenchmarkSplitPack(b *testing.B) {
 	var s Split
 	s.Major = 12345
@@ -211,7 +203,7 @@ func BenchmarkSplitPack(b *testing.B) {
 		s.Minors[i] = uint8(i & MinorMax)
 	}
 	for i := 0; i < b.N; i++ {
-		_ = s.Pack()
+		sinkBlock = s.Pack()
 	}
 }
 
@@ -220,7 +212,7 @@ func BenchmarkSplitUnpack(b *testing.B) {
 	s.Major = 12345
 	packed := s.Pack()
 	for i := 0; i < b.N; i++ {
-		_ = UnpackSplit(packed)
+		sinkSplit = UnpackSplit(packed)
 	}
 }
 
@@ -230,6 +222,134 @@ func BenchmarkSGXPack(b *testing.B) {
 		g.Ctr[i] = uint64(i) * 99991
 	}
 	for i := 0; i < b.N; i++ {
-		_ = g.Pack()
+		sinkBlock = g.Pack()
 	}
+}
+
+func BenchmarkSGXUnpack(b *testing.B) {
+	var g SGX
+	for i := range g.Ctr {
+		g.Ctr[i] = uint64(i) * 99991
+	}
+	packed := g.Pack()
+	for i := 0; i < b.N; i++ {
+		sinkSGX = UnpackSGX(packed)
+	}
+}
+
+// --- reference codecs ----------------------------------------------------------
+
+// The references below are the field-at-a-time codecs the word-parallel
+// ones replaced: one 7-byte read-modify-write per 56-bit field. The new
+// codecs must produce the same bytes and fields on every input.
+
+// put56Ref writes a 56-bit little-endian value into 7 bytes, preserving
+// the byte after the field (word-wise read-modify-write when the
+// buffer allows it).
+func put56Ref(buf []byte, v uint64) {
+	const mask = uint64(1)<<56 - 1
+	v &= mask
+	if len(buf) >= 8 {
+		w := binary.LittleEndian.Uint64(buf)
+		binary.LittleEndian.PutUint64(buf, w&^mask|v)
+		return
+	}
+	for i := 0; i < 7; i++ {
+		buf[i] = byte(v >> uint(8*i))
+	}
+}
+
+// get56Ref reads a 56-bit little-endian value from 7 bytes.
+func get56Ref(buf []byte) uint64 {
+	const mask = uint64(1)<<56 - 1
+	if len(buf) >= 8 {
+		return binary.LittleEndian.Uint64(buf) & mask
+	}
+	var v uint64
+	for i := 0; i < 7; i++ {
+		v |= uint64(buf[i]) << uint(8*i)
+	}
+	return v
+}
+
+func packSplitRef(s *Split) [BlockBytes]byte {
+	var out [BlockBytes]byte
+	binary.LittleEndian.PutUint64(out[0:8], s.Major)
+	for g := 0; g < SplitMinors/8; g++ {
+		var w uint64
+		for j := 7; j >= 0; j-- {
+			w = w<<MinorBits | uint64(s.Minors[g*8+j]&MinorMax)
+		}
+		put56Ref(out[8+g*7:], w)
+	}
+	return out
+}
+
+func unpackSplitRef(b [BlockBytes]byte) Split {
+	var s Split
+	s.Major = binary.LittleEndian.Uint64(b[0:8])
+	for g := 0; g < SplitMinors/8; g++ {
+		w := get56Ref(b[8+g*7:])
+		for j := 0; j < 8; j++ {
+			s.Minors[g*8+j] = uint8(w >> uint(MinorBits*j) & MinorMax)
+		}
+	}
+	return s
+}
+
+func packSGXRef(g *SGX) [BlockBytes]byte {
+	var out [BlockBytes]byte
+	for i := 0; i < SGXCounters; i++ {
+		put56Ref(out[i*7:], g.Ctr[i])
+	}
+	put56Ref(out[SGXCounters*7:], g.MAC)
+	return out
+}
+
+func unpackSGXRef(b [BlockBytes]byte) SGX {
+	var g SGX
+	for i := 0; i < SGXCounters; i++ {
+		g.Ctr[i] = get56Ref(b[i*7:])
+	}
+	g.MAC = get56Ref(b[SGXCounters*7:])
+	return g
+}
+
+// FuzzCodecs pins both block codecs to their references: any 64 bytes
+// unpack to the same fields, every lane reads the same counter, and
+// structs with out-of-range minors, counters and MAC pack to the same
+// bytes (Pack masks each field to its width).
+func FuzzCodecs(f *testing.F) {
+	f.Add([]byte{}, uint64(0), uint64(0))
+	f.Add(bytes.Repeat([]byte{0xff}, BlockBytes), ^uint64(0), ^uint64(0))
+	f.Add([]byte{0x80, 0x7f, 0x01, 0xfe}, uint64(12345), uint64(1)<<56)
+	f.Fuzz(func(t *testing.T, raw []byte, major, mac uint64) {
+		var b [BlockBytes]byte
+		copy(b[:], raw)
+		want := unpackSplitRef(b)
+		if got := UnpackSplit(b); got != want {
+			t.Fatalf("UnpackSplit(%x) = %+v, want %+v", b, got, want)
+		}
+		for i := 0; i < SplitMinors; i++ {
+			if got := SplitCounterAt(&b, i); got != want.Counter(i) {
+				t.Fatalf("SplitCounterAt(%x, %d) = %#x, want %#x", b, i, got, want.Counter(i))
+			}
+		}
+		if got, want := UnpackSGX(b), unpackSGXRef(b); got != want {
+			t.Fatalf("UnpackSGX(%x) = %+v, want %+v", b, got, want)
+		}
+
+		s := Split{Major: major}
+		copy(s.Minors[:], b[:])
+		if got, want := s.Pack(), packSplitRef(&s); got != want {
+			t.Fatalf("Split%+v.Pack() = %x, want %x", s, got, want)
+		}
+		g := SGX{MAC: mac}
+		for i := range g.Ctr {
+			g.Ctr[i] = binary.LittleEndian.Uint64(b[i*8:])
+		}
+		if got, want := g.Pack(), packSGXRef(&g); got != want {
+			t.Fatalf("SGX%+v.Pack() = %x, want %x", g, got, want)
+		}
+	})
 }

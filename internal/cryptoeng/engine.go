@@ -46,6 +46,7 @@ package cryptoeng
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"math/bits"
 	"sync"
@@ -198,9 +199,7 @@ func (e *Engine) EncryptTo(dst, src []byte, addr, counter uint64) {
 	}
 	s := e.get()
 	e.padInto(s, addr, counter)
-	for i := 0; i < BlockBytes; i++ {
-		dst[i] = src[i] ^ s.pad[i]
-	}
+	subtle.XORBytes(dst, src, s.pad[:])
 	e.put(s)
 }
 

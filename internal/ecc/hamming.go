@@ -30,23 +30,19 @@ const WordsPerBlock = BlockBytes / WordBytes
 // hold the Hamming parity bits; the remaining 64 positions hold data bits
 // in increasing position order.
 
-// parityPositions lists the Hamming parity bit positions.
-var parityPositions = [7]uint{1, 2, 4, 8, 16, 32, 64}
-
 // dataPositions[i] is the codeword position of data bit i.
 var dataPositions [64]uint
 
 // positionOfData maps a codeword position to its data bit index, or -1.
 var positionOfData [72]int
 
-// parityMasks[pi] has data bit di set iff that bit participates in the
-// Hamming parity at position parityPositions[pi]
-// (dataPositions[di] & parityPositions[pi] != 0). Each parity is then a
-// single POPCNT of word & mask instead of a 64-iteration bit loop —
-// Encode sits on the Osiris/Anubis recovery discriminator path and on
-// every data write's sideband generation, where the bit-serial version
-// dominated whole-sweep profiles.
-var parityMasks [7]uint64
+// byteECC[k][v] is the check byte of the word whose byte k is v and
+// whose other bytes are zero. The code is linear over GF(2), so the
+// check byte of any word is the XOR of its eight bytes' entries: eight
+// table loads instead of a parity computation per check bit. Encode
+// sits on every data write's sideband and on each candidate counter of
+// Osiris/Anubis recovery, where it dominated whole-sweep profiles.
+var byteECC [WordBytes][256]uint8
 
 func init() {
 	for i := range positionOfData {
@@ -64,14 +60,19 @@ func init() {
 	if di != 64 {
 		panic("ecc: internal layout error")
 	}
-	for pi, pp := range parityPositions {
-		var m uint64
-		for i, pos := range dataPositions {
-			if pos&pp != 0 {
-				m |= 1 << uint(i)
-			}
+	// A lone data bit at codeword position pos feeds the parity at 2^i
+	// exactly when bit i of pos is set, so its seven Hamming check bits
+	// are pos itself (pos < 72); its overall parity covers the data bit
+	// and those check bits.
+	var bitECC [64]uint8
+	for i, pos := range dataPositions {
+		bitECC[i] = uint8(pos) | uint8(1^bits.OnesCount(pos)&1)<<7
+	}
+	for k := range byteECC {
+		for v := 1; v < 256; v++ {
+			low := bits.TrailingZeros(uint(v))
+			byteECC[k][v] = byteECC[k][v&(v-1)] ^ bitECC[8*k+low]
 		}
-		parityMasks[pi] = m
 	}
 }
 
@@ -106,17 +107,13 @@ func (r CheckResult) String() string {
 // Encode computes the 8 check bits for a 64-bit word.
 //
 // Bit i (0..6) of the result is the Hamming parity for position 2^i;
-// bit 7 is the overall parity over all 72 codeword bits.
+// bit 7 is the overall parity over all 72 codeword bits, including the
+// seven Hamming parities, so that a flipped parity bit is also caught.
 func Encode(word uint64) uint8 {
-	var ecc uint8
-	for pi := range parityMasks {
-		ecc |= uint8(bits.OnesCount64(word&parityMasks[pi])&1) << uint(pi)
-	}
-	// Overall parity covers every codeword bit including the seven
-	// Hamming parities, so that a flipped parity bit is also caught.
-	all := (bits.OnesCount64(word) + bits.OnesCount8(ecc)) & 1
-	ecc |= uint8(all) << 7
-	return ecc
+	return byteECC[0][uint8(word)] ^ byteECC[1][uint8(word>>8)] ^
+		byteECC[2][uint8(word>>16)] ^ byteECC[3][uint8(word>>24)] ^
+		byteECC[4][uint8(word>>32)] ^ byteECC[5][uint8(word>>40)] ^
+		byteECC[6][uint8(word>>48)] ^ byteECC[7][uint8(word>>56)]
 }
 
 // Check verifies a (word, ecc) pair without attempting correction.
@@ -137,8 +134,10 @@ func Correct(word uint64, ecc uint8) (uint64, CheckResult) {
 	syndrome := uint((expect ^ ecc) & 0x7f)
 	// Overall parity is evaluated over the *received* codeword (data bits
 	// plus all eight received check bits); a valid or double-error word
-	// has even parity, any single-bit error has odd parity.
-	overallMismatch := (bits.OnesCount64(word)+bits.OnesCount8(ecc))&1 != 0
+	// has even parity, any single-bit error has odd parity. expect's
+	// eight bits have the data bits' parity, so the received codeword's
+	// parity is that of expect^ecc.
+	overallMismatch := bits.OnesCount8(expect^ecc)&1 != 0
 	switch {
 	case syndrome == 0 && overallMismatch:
 		// Only the overall parity bit itself flipped.
@@ -175,7 +174,9 @@ func EncodeBlock(block []byte) [WordsPerBlock]uint8 {
 
 // CheckBlock reports whether every word of a 64-byte block is consistent
 // with its ECC byte. This is the Osiris sanity check: a block decrypted
-// with the wrong counter fails with probability ~1-2^-56 per word.
+// with the wrong counter is pseudo-random, so each word passes with
+// probability 2^-8 and the whole block with 2^-64; recovery still checks
+// the data MAC of the block that passes.
 func CheckBlock(block []byte, ecc [WordsPerBlock]uint8) bool {
 	if len(block) != BlockBytes {
 		panic("ecc: CheckBlock needs a 64-byte block")

@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -211,9 +212,17 @@ func TestCheckResultString(t *testing.T) {
 	}
 }
 
+// Sinks keep each benchmarked result live, so the compiler cannot
+// delete an inlined kernel whose value is never used.
+var (
+	sinkECC   uint8
+	sinkBlock [WordsPerBlock]uint8
+	sinkOK    bool
+)
+
 func BenchmarkEncodeWord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Encode(uint64(i) * 0x9e3779b97f4a7c15)
+		sinkECC = Encode(uint64(i) * 0x9e3779b97f4a7c15)
 	}
 }
 
@@ -222,13 +231,28 @@ func BenchmarkEncodeBlock(b *testing.B) {
 	binary.LittleEndian.PutUint64(block, 0x123456789)
 	b.SetBytes(BlockBytes)
 	for i := 0; i < b.N; i++ {
-		EncodeBlock(block)
+		sinkBlock = EncodeBlock(block)
 	}
 }
 
-// encodeRef is the bit-serial reference implementation Encode was
-// derived from: one XOR per participating data bit per parity. The
-// popcount-based Encode must agree with it on every input.
+// BenchmarkCheckBlock checks a clean block, so every word is encoded
+// (a wrong recovery candidate usually stops at its first word).
+func BenchmarkCheckBlock(b *testing.B) {
+	block := make([]byte, BlockBytes)
+	rand.New(rand.NewSource(5)).Read(block)
+	ecc := EncodeBlock(block)
+	b.SetBytes(BlockBytes)
+	for i := 0; i < b.N; i++ {
+		sinkOK = CheckBlock(block, ecc)
+	}
+}
+
+// parityPositions lists the Hamming parity bit positions.
+var parityPositions = [7]uint{1, 2, 4, 8, 16, 32, 64}
+
+// encodeRef is the bit-serial definition of the code: one XOR per
+// participating data bit per parity. The table-driven Encode must
+// agree with it on every input.
 func encodeRef(word uint64) uint8 {
 	var ecc uint8
 	for pi, pp := range parityPositions {
@@ -251,9 +275,9 @@ func encodeRef(word uint64) uint8 {
 	return ecc
 }
 
-// TestEncodeMatchesReference pins the popcount fast path to the
-// bit-serial definition: single-bit words (which isolate every mask
-// column), edge patterns, and a quick-check sweep.
+// TestEncodeMatchesReference pins the table-driven Encode to the
+// bit-serial definition: single-bit words (which isolate each data
+// bit's check bits), edge patterns, and a quick-check sweep.
 func TestEncodeMatchesReference(t *testing.T) {
 	for di := 0; di < 64; di++ {
 		w := uint64(1) << uint(di)
@@ -271,4 +295,71 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// correctRef is Correct computed from encodeRef, with the overall
+// parity of the received codeword counted bit by bit.
+func correctRef(word uint64, ecc uint8) (uint64, CheckResult) {
+	expect := encodeRef(word)
+	if expect == ecc {
+		return word, OK
+	}
+	syndrome := uint((expect ^ ecc) & 0x7f)
+	overallMismatch := (bits.OnesCount64(word)+bits.OnesCount8(ecc))&1 != 0
+	switch {
+	case syndrome == 0 && overallMismatch:
+		return word, CorrectedECC
+	case syndrome != 0 && overallMismatch:
+		if syndrome >= 72 {
+			return word, Uncorrectable
+		}
+		if di := positionOfData[syndrome]; di >= 0 {
+			return word ^ (1 << uint(di)), CorrectedData
+		}
+		return word, CorrectedECC
+	default:
+		return word, Uncorrectable
+	}
+}
+
+// checkBlockRef is CheckBlock word by word under encodeRef.
+func checkBlockRef(block []byte, ecc [WordsPerBlock]uint8) bool {
+	for w := 0; w < WordsPerBlock; w++ {
+		if encodeRef(binary.LittleEndian.Uint64(block[w*WordBytes:])) != ecc[w] {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzBlockKernels pins Encode, Correct and CheckBlock to their
+// references on arbitrary blocks and check bytes, and checks that a
+// block passes under its own EncodeBlock.
+func FuzzBlockKernels(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{0xff, 0x01, 0x80}, ^uint64(0))
+	f.Add(make([]byte, BlockBytes), uint64(0x0123456789abcdef))
+	f.Fuzz(func(t *testing.T, raw []byte, eccWord uint64) {
+		block := make([]byte, BlockBytes)
+		copy(block, raw)
+		var ecc [WordsPerBlock]uint8
+		binary.LittleEndian.PutUint64(ecc[:], eccWord)
+		for w := 0; w < WordsPerBlock; w++ {
+			word := binary.LittleEndian.Uint64(block[w*WordBytes:])
+			if got, want := Encode(word), encodeRef(word); got != want {
+				t.Fatalf("Encode(%#x) = %#x, want %#x", word, got, want)
+			}
+			gw, gr := Correct(word, ecc[w])
+			ww, wr := correctRef(word, ecc[w])
+			if gw != ww || gr != wr {
+				t.Fatalf("Correct(%#x, %#x) = (%#x, %v), want (%#x, %v)", word, ecc[w], gw, gr, ww, wr)
+			}
+		}
+		if got, want := CheckBlock(block, ecc), checkBlockRef(block, ecc); got != want {
+			t.Fatalf("CheckBlock = %v, reference %v", got, want)
+		}
+		if !CheckBlock(block, EncodeBlock(block)) {
+			t.Fatal("block fails its own EncodeBlock")
+		}
+	})
 }

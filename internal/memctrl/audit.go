@@ -119,8 +119,9 @@ func (b *Bonsai) AuditNVM() (*AuditReport, error) {
 
 // AuditNVM performs the SGX-family audit: every persisted metadata
 // block's MAC must verify against its current parent counter (up to the
-// on-chip root node), and every data block must decrypt and verify
-// under its leaf counter.
+// on-chip root node), every block a non-zero parent counter covers must
+// be stored, and every data block must decrypt and verify under its
+// leaf counter.
 func (c *SGX) AuditNVM() (*AuditReport, error) {
 	rep, err := c.startAudit(c.FlushCaches)
 	if err != nil {
@@ -138,28 +139,31 @@ func (c *SGX) AuditNVM() (*AuditReport, error) {
 		pg := counter.UnpackSGX(c.dev.Read(pregion, pidx))
 		return pg.Ctr[slot]
 	}
-	check := func(r metaRef) {
+	check := func(r metaRef) counter.SGX {
 		region, idx := c.regionIdx(r)
-		if !c.dev.Has(region, idx) {
-			return
-		}
 		g := counter.UnpackSGX(c.dev.Read(region, idx))
 		pc := parentCtr(r)
 		if g == (counter.SGX{}) && pc == 0 {
-			return
+			return g
 		}
 		if c.eng.SGXMAC(c.addrOf(r), g.Ctr[:], pc) != g.MAC {
 			rep.violate("metadata block %#x fails MAC", c.addrOf(r))
 		}
+		return g
 	}
 	for _, idx := range leaves {
 		rep.CounterBlocks++
 		check(metaRef{isLeaf: true, idx: idx})
 	}
+	rootLevel := c.geom.RootLevel()
+	c.auditChildren(rep, rootLevel, 0, &c.rootNode)
 	for _, flat := range nodes {
 		rep.TreeNodes++
 		level, i := c.geom.Unflat(flat)
-		check(metaRef{level: level, idx: i})
+		g := check(metaRef{level: level, idx: i})
+		if level < rootLevel {
+			c.auditChildren(rep, level, i, &g)
+		}
 	}
 
 	for _, leaf := range leaves {
@@ -170,4 +174,24 @@ func (c *SGX) AuditNVM() (*AuditReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// auditChildren reports each child of tree node (level, i), whose
+// content is g, that g's counter marks as written but NVM does not
+// hold: a child's counter in its parent becomes non-zero only when the
+// child is written back, so the child was lost.
+func (c *SGX) auditChildren(rep *AuditReport, level int, i uint64, g *counter.SGX) {
+	first, n := c.geom.ChildrenOf(level, i)
+	for slot := 0; slot < n; slot++ {
+		if g.Ctr[slot] == 0 {
+			continue
+		}
+		child := metaRef{level: level - 1, idx: first + uint64(slot)}
+		if level == 0 {
+			child = metaRef{isLeaf: true, idx: first + uint64(slot)}
+		}
+		if region, idx := c.regionIdx(child); !c.dev.Has(region, idx) {
+			rep.violate("metadata block %#x missing under parent counter %d", c.addrOf(child), g.Ctr[slot])
+		}
+	}
 }

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -150,6 +151,53 @@ func TestAuditReportsStrayBlocks(t *testing.T) {
 				}
 				if !found {
 					t.Fatalf("stray %v block not reported: %v", region, rep.Violations)
+				}
+			})
+		}
+	}
+}
+
+// TestSGXAuditReportsLostMetadata: a counter or tree block erased after
+// its write-back leaves a non-zero counter in its parent, and the data
+// below it no longer reads back. The audit must report the lost block
+// instead of skipping it as never written.
+func TestSGXAuditReportsLostMetadata(t *testing.T) {
+	for _, s := range []Scheme{SchemeWriteBack, SchemeStrict, SchemeOsiris, SchemeASIT} {
+		for _, region := range []nvm.Region{nvm.RegionCounter, nvm.RegionTree} {
+			t.Run(s.String()+"/"+region.String(), func(t *testing.T) {
+				c := newSGX(t, s)
+				for i := uint64(0); i < 300; i++ {
+					if err := c.WriteBlock(i*7%c.NumBlocks(), pattern(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.FlushCaches(); err != nil {
+					t.Fatal(err)
+				}
+				const idx = 7 * 42
+				lost := metaRef{isLeaf: true, idx: idx / counter.SGXCounters}
+				if region == nvm.RegionTree {
+					lost, _, _ = c.parentOf(lost)
+				}
+				lr, li := c.regionIdx(lost)
+				if !c.Device().Has(lr, li) {
+					t.Fatalf("%v block %d never reached NVM", lr, li)
+				}
+				c.Device().Erase(lr, li)
+				if _, err := c.ReadBlock(idx); err == nil {
+					t.Fatal("block under the erased metadata reads back")
+				}
+				rep, err := c.AuditNVM()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fmt.Sprintf("metadata block %#x missing", c.addrOf(lost))
+				found := false
+				for _, v := range rep.Violations {
+					found = found || strings.HasPrefix(v, want)
+				}
+				if !found {
+					t.Fatalf("audit of an image missing %v block %d: %v", lr, li, rep.Violations)
 				}
 			})
 		}

@@ -150,6 +150,10 @@ const STMACMask = 1<<56 - 1
 //	bytes 0..7   tracked block key + 1 (0 = slot empty)
 //	bytes 8..14  56-bit MAC over the updated counters
 //	bits 120..511  eight 49-bit counter LSBs
+//
+// The fields fill the block's eight little-endian words exactly, so the
+// codec builds and splits whole words with shifts; a field that
+// straddles two words takes its low bits from the first.
 type STEntry struct {
 	Valid bool
 	Key   uint64
@@ -163,36 +167,49 @@ func (e STEntry) Pack() [BlockBytes]byte {
 	if !e.Valid {
 		return b
 	}
-	binary.LittleEndian.PutUint64(b[0:8], e.Key+1)
-	for i := 0; i < 7; i++ {
-		b[8+i] = byte(e.MAC >> uint(8*i))
-	}
-	off := 120
-	for i := 0; i < STCounters; i++ {
-		putBits(b[:], off, STLSBBits, e.LSBs[i]&STLSBMask)
-		off += STLSBBits
-	}
+	const m = STLSBMask
+	l0, l1, l2, l3 := e.LSBs[0]&m, e.LSBs[1]&m, e.LSBs[2]&m, e.LSBs[3]&m
+	l4, l5, l6, l7 := e.LSBs[4]&m, e.LSBs[5]&m, e.LSBs[6]&m, e.LSBs[7]&m
+	binary.LittleEndian.PutUint64(b[0:], e.Key+1)
+	binary.LittleEndian.PutUint64(b[8:], e.MAC&STMACMask|l0<<56)
+	binary.LittleEndian.PutUint64(b[16:], l0>>8|l1<<41)
+	binary.LittleEndian.PutUint64(b[24:], l1>>23|l2<<26)
+	binary.LittleEndian.PutUint64(b[32:], l2>>38|l3<<11|l4<<60)
+	binary.LittleEndian.PutUint64(b[40:], l4>>4|l5<<45)
+	binary.LittleEndian.PutUint64(b[48:], l5>>19|l6<<30)
+	binary.LittleEndian.PutUint64(b[56:], l6>>34|l7<<15)
 	return b
 }
 
 // UnpackSTEntry parses an ST block.
 func UnpackSTEntry(b [BlockBytes]byte) STEntry {
-	var e STEntry
 	raw := binary.LittleEndian.Uint64(b[0:8])
 	if raw == 0 {
-		return e
+		return STEntry{}
 	}
-	e.Valid = true
-	e.Key = raw - 1
-	for i := 0; i < 7; i++ {
-		e.MAC |= uint64(b[8+i]) << uint(8*i)
+	const m = STLSBMask
+	w1 := binary.LittleEndian.Uint64(b[8:])
+	w2 := binary.LittleEndian.Uint64(b[16:])
+	w3 := binary.LittleEndian.Uint64(b[24:])
+	w4 := binary.LittleEndian.Uint64(b[32:])
+	w5 := binary.LittleEndian.Uint64(b[40:])
+	w6 := binary.LittleEndian.Uint64(b[48:])
+	w7 := binary.LittleEndian.Uint64(b[56:])
+	return STEntry{
+		Valid: true,
+		Key:   raw - 1,
+		MAC:   w1 & STMACMask,
+		LSBs: [STCounters]uint64{
+			(w1>>56 | w2<<8) & m,
+			(w2>>41 | w3<<23) & m,
+			(w3>>26 | w4<<38) & m,
+			w4 >> 11 & m,
+			(w4>>60 | w5<<4) & m,
+			(w5>>45 | w6<<19) & m,
+			(w6>>30 | w7<<34) & m,
+			w7 >> 15,
+		},
 	}
-	off := 120
-	for i := 0; i < STCounters; i++ {
-		e.LSBs[i] = getBits(b[:], off, STLSBBits)
-		off += STLSBBits
-	}
-	return e
 }
 
 // STTable is the controller-side mirror of the ASIT Shadow Table: one
@@ -267,45 +284,4 @@ func (t *STTable) Live() []Tracked {
 		}
 	}
 	return out
-}
-
-// --- bit helpers -------------------------------------------------------------
-
-// putBits writes the low `width` (≤ 57) bits of v at bit offset off as
-// one masked 64-bit read-modify-write instead of a branch per bit: the
-// ST entry codec packs eight 49-bit fields per block and sits on
-// ASIT's per-write hot path.
-func putBits(buf []byte, off, width int, v uint64) {
-	i, shift := off>>3, uint(off&7)
-	mask := uint64(1)<<uint(width) - 1
-	v &= mask
-	if i+8 <= len(buf) {
-		w := binary.LittleEndian.Uint64(buf[i:])
-		binary.LittleEndian.PutUint64(buf[i:], w&^(mask<<shift)|v<<shift)
-		return
-	}
-	var w uint64
-	n := len(buf) - i
-	for j := 0; j < n; j++ {
-		w |= uint64(buf[i+j]) << uint(8*j)
-	}
-	w = w&^(mask<<shift) | v<<shift
-	for j := 0; j < n; j++ {
-		buf[i+j] = byte(w >> uint(8*j))
-	}
-}
-
-// getBits reads `width` (≤ 57) bits at bit offset off with one word
-// load; see putBits.
-func getBits(buf []byte, off, width int) uint64 {
-	i, shift := off>>3, uint(off&7)
-	var w uint64
-	if i+8 <= len(buf) {
-		w = binary.LittleEndian.Uint64(buf[i:])
-	} else {
-		for j := i; j < len(buf); j++ {
-			w |= uint64(buf[j]) << uint(8*(j-i))
-		}
-	}
-	return w >> shift & (uint64(1)<<uint(width) - 1)
 }

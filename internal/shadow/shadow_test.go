@@ -1,6 +1,8 @@
 package shadow
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -219,13 +221,32 @@ func TestSTMaskWidths(t *testing.T) {
 	}
 }
 
-func BenchmarkSTEntryPack(b *testing.B) {
+// Sinks keep each benchmarked result live, so the compiler cannot
+// delete a codec call whose value is never used.
+var (
+	sinkBlock [BlockBytes]byte
+	sinkEntry STEntry
+)
+
+func benchEntry() STEntry {
 	e := STEntry{Valid: true, Key: 123, MAC: 456}
 	for i := range e.LSBs {
 		e.LSBs[i] = uint64(i) * 999983
 	}
+	return e
+}
+
+func BenchmarkSTEntryPack(b *testing.B) {
+	e := benchEntry()
 	for i := 0; i < b.N; i++ {
-		_ = e.Pack()
+		sinkBlock = e.Pack()
+	}
+}
+
+func BenchmarkUnpackSTEntry(b *testing.B) {
+	packed := benchEntry().Pack()
+	for i := 0; i < b.N; i++ {
+		sinkEntry = UnpackSTEntry(packed)
 	}
 }
 
@@ -234,4 +255,114 @@ func BenchmarkAddrTableSet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab.Set(i&4095, uint64(i))
 	}
+}
+
+// --- reference codec --------------------------------------------------------
+
+// The reference ST codec is the field-at-a-time one the word-parallel
+// codec replaced: one masked word read-modify-write per field. The new
+// codec must produce the same bytes and fields on every input.
+
+// putBitsRef writes the low `width` (≤ 57) bits of v at bit offset off
+// as one masked 64-bit read-modify-write, or byte by byte when fewer
+// than 8 bytes remain.
+func putBitsRef(buf []byte, off, width int, v uint64) {
+	i, shift := off>>3, uint(off&7)
+	mask := uint64(1)<<uint(width) - 1
+	v &= mask
+	if i+8 <= len(buf) {
+		w := binary.LittleEndian.Uint64(buf[i:])
+		binary.LittleEndian.PutUint64(buf[i:], w&^(mask<<shift)|v<<shift)
+		return
+	}
+	var w uint64
+	n := len(buf) - i
+	for j := 0; j < n; j++ {
+		w |= uint64(buf[i+j]) << uint(8*j)
+	}
+	w = w&^(mask<<shift) | v<<shift
+	for j := 0; j < n; j++ {
+		buf[i+j] = byte(w >> uint(8*j))
+	}
+}
+
+// getBitsRef reads `width` (≤ 57) bits at bit offset off with one word
+// load; see putBitsRef.
+func getBitsRef(buf []byte, off, width int) uint64 {
+	i, shift := off>>3, uint(off&7)
+	var w uint64
+	if i+8 <= len(buf) {
+		w = binary.LittleEndian.Uint64(buf[i:])
+	} else {
+		for j := i; j < len(buf); j++ {
+			w |= uint64(buf[j]) << uint(8*(j-i))
+		}
+	}
+	return w >> shift & (uint64(1)<<uint(width) - 1)
+}
+
+func packSTRef(e STEntry) [BlockBytes]byte {
+	var b [BlockBytes]byte
+	if !e.Valid {
+		return b
+	}
+	binary.LittleEndian.PutUint64(b[0:8], e.Key+1)
+	for i := 0; i < 7; i++ {
+		b[8+i] = byte(e.MAC >> uint(8*i))
+	}
+	off := 120
+	for i := 0; i < STCounters; i++ {
+		putBitsRef(b[:], off, STLSBBits, e.LSBs[i]&STLSBMask)
+		off += STLSBBits
+	}
+	return b
+}
+
+func unpackSTRef(b [BlockBytes]byte) STEntry {
+	var e STEntry
+	raw := binary.LittleEndian.Uint64(b[0:8])
+	if raw == 0 {
+		return e
+	}
+	e.Valid = true
+	e.Key = raw - 1
+	for i := 0; i < 7; i++ {
+		e.MAC |= uint64(b[8+i]) << uint(8*i)
+	}
+	off := 120
+	for i := 0; i < STCounters; i++ {
+		e.LSBs[i] = getBitsRef(b[:], off, STLSBBits)
+		off += STLSBBits
+	}
+	return e
+}
+
+// FuzzSTEntryCodec pins the ST codec to its reference: any 64 bytes
+// unpack to the same entry (a zero key word is an empty slot whatever
+// the other bytes hold), and entries with out-of-range MAC and LSBs
+// pack to the same bytes (Pack masks each field to its width).
+func FuzzSTEntryCodec(f *testing.F) {
+	f.Add([]byte{}, uint64(0), uint64(0), true)
+	f.Add(bytes.Repeat([]byte{0xff}, BlockBytes), ^uint64(0), ^uint64(0), true)
+	f.Add(append(make([]byte, 8), 0xde, 0xad, 0xbe, 0xef), uint64(7), uint64(1)<<56, false)
+	f.Fuzz(func(t *testing.T, raw []byte, key, mac uint64, valid bool) {
+		var b [BlockBytes]byte
+		copy(b[:], raw)
+		if got, want := UnpackSTEntry(b), unpackSTRef(b); got != want {
+			t.Fatalf("UnpackSTEntry(%x) = %+v, want %+v", b, got, want)
+		}
+		empty := b
+		clear(empty[:8])
+		if got := UnpackSTEntry(empty); got != (STEntry{}) {
+			t.Fatalf("UnpackSTEntry(%x) = %+v, want the empty entry", empty, got)
+		}
+
+		e := STEntry{Valid: valid, Key: key, MAC: mac}
+		for i := range e.LSBs {
+			e.LSBs[i] = binary.LittleEndian.Uint64(b[i*8:])
+		}
+		if got, want := e.Pack(), packSTRef(e); got != want {
+			t.Fatalf("%+v.Pack() = %x, want %x", e, got, want)
+		}
+	})
 }
