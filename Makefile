@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke surface-smoke loc fmt clean
+.PHONY: all build vet test race serve-race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke surface-smoke loc fmt clean
 
 all: verify
 
@@ -16,12 +16,21 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The serving plane runs every tenant operation on its request's
+# goroutine under the tenant's lock, so its concurrency tests get five
+# race-detector passes instead of the one `make race` gives them: the
+# multi-tenant hammer, panic quarantine, the queue-depth shed and
+# fork-under-load.
+serve-race:
+	$(GO) test -race -count=5 -run 'TestMultiTenantHammer|TestPanicQuarantinesTenant|TestQueueShedAtDepth|TestForkTenantUnderLoad' ./internal/serve/
+
 # Tier-1 gate: everything compiles, vets clean, and the full suite
 # passes both plainly (where the zero-alloc assertions and the seed-99
 # golden test, internal/figures TestGoldenSeed99, run) and under the
-# race detector (where they are skipped). bench-tools/fuzz-tools are
-# build-only smokes for the tooling — no wall-clock gate.
-verify: build vet test race bench-tools fuzz-tools serve-tools dash-smoke surface-smoke
+# race detector (where they are skipped), with serve's concurrency tests
+# repeated under it (serve-race). bench-tools/fuzz-tools are build-only
+# smokes for the tooling — no wall-clock gate.
+verify: build vet test race serve-race bench-tools fuzz-tools serve-tools dash-smoke surface-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -155,7 +155,8 @@ type Config struct {
 
 // System is a secure NVM memory: encrypted, integrity-protected,
 // crash-recoverable per the configured scheme. Not safe for concurrent
-// use.
+// use: goroutines that share one serialize their calls, as
+// internal/serve does with one mutex per tenant.
 type System struct {
 	ctrl memctrl.Controller
 }
@@ -278,8 +279,7 @@ type BlockWrite struct {
 // WriteBlocks applies the batch in order, stopping at the first error
 // (earlier writes remain applied — identical semantics to issuing the
 // WriteBlock calls one by one). Batching exists for callers that want
-// one round trip — and, through SafeSystem, one lock acquisition — per
-// group of writes.
+// one round trip, and one lock acquisition, per group of writes.
 func (s *System) WriteBlocks(writes []BlockWrite) error {
 	for _, w := range writes {
 		if err := s.ctrl.WriteBlock(w.Block, w.Data); err != nil {

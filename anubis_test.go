@@ -412,3 +412,121 @@ func TestTriadPublicAPI(t *testing.T) {
 		t.Fatalf("recovery landscape wrong: osiris=%d triad=%d agit=%d", osiris, triad, agit)
 	}
 }
+
+// TestWriteBlocksMatchesSequential checks the batched write path is a
+// pure pass-through: the same writes issued as one WriteBlocks batch
+// and as individual WriteBlock calls must leave byte-identical
+// persistent state (device digest), the same virtual clock, and the
+// same statistics — and ReadBlockInto must agree with ReadBlock.
+func TestWriteBlocksMatchesSequential(t *testing.T) {
+	for _, scheme := range []Scheme{AGITPlus, ASIT} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			seq, err := New(Config{Scheme: scheme, MemoryBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bat, err := New(Config{Scheme: scheme, MemoryBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes := make([]BlockWrite, 0, 300)
+			for i := uint64(0); i < 300; i++ {
+				var d [BlockSize]byte
+				d[0], d[1] = byte(i), byte(i>>8)
+				writes = append(writes, BlockWrite{Block: (i * 97) % 4096, Data: d})
+			}
+			for _, w := range writes {
+				if err := seq.WriteBlock(w.Block, w.Data[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bat.WriteBlocks(writes); err != nil {
+				t.Fatal(err)
+			}
+			if seq.Stats() != bat.Stats() {
+				t.Fatalf("stats diverge:\n%+v\n%+v", seq.Stats(), bat.Stats())
+			}
+			if sd, bd := seq.StateDigest(), bat.StateDigest(); sd != bd {
+				t.Fatalf("persistent state diverges: %#x vs %#x", sd, bd)
+			}
+			// ReadBlockInto agrees with ReadBlock on the batched system.
+			for _, w := range writes[:20] {
+				var got [BlockSize]byte
+				if err := bat.ReadBlockInto(w.Block, &got); err != nil {
+					t.Fatal(err)
+				}
+				want, err := seq.ReadBlock(w.Block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got[:]) != string(want) {
+					t.Fatalf("block %d: ReadBlockInto disagrees with ReadBlock", w.Block)
+				}
+			}
+		})
+	}
+}
+
+// TestSystemAccessors smoke-tests the accessors the serving layer and
+// the experiments use: geometry, the WPQ back-pressure probes, clock
+// advance, digest, image save, and the tamper/replay hooks.
+func TestSystemAccessors(t *testing.T) {
+	s, err := New(Config{Scheme: AGITPlus, MemoryBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Scheme(), AGITPlus; got != want {
+		t.Fatalf("Scheme = %v, want %v", got, want)
+	}
+	if got, want := s.Size(), uint64(1<<20); got != want {
+		t.Fatalf("Size = %d, want %d", got, want)
+	}
+	if s.CountersPerBlock() == 0 {
+		t.Fatal("CountersPerBlock = 0")
+	}
+	if b := s.PushBudget(); b <= 0 {
+		t.Fatalf("fresh system PushBudget = %d, want > 0", b)
+	}
+	// A write burst with no intervening reads must consume WPQ budget...
+	for i := uint64(0); i < 64; i++ {
+		if err := s.WriteBlock(i, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.WPQDrainNS() == 0 {
+		t.Fatal("WPQDrainNS = 0 right after a write burst")
+	}
+	// ...and advancing the clock past the drain point must restore it.
+	s.AdvanceClock(s.WPQDrainNS())
+	if got, want := s.PushBudget(), s.PushBudget(); got != want {
+		t.Fatalf("PushBudget unstable at rest: %d then %d", got, want)
+	}
+	if s.WPQDrainNS() != 0 {
+		t.Fatalf("WPQDrainNS = %d after draining advance, want 0", s.WPQDrainNS())
+	}
+	d1 := s.StateDigest()
+	if err := s.WriteBlock(9, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if d2 := s.StateDigest(); d2 == d1 {
+		t.Fatal("StateDigest did not change across a write")
+	}
+	var img bytes.Buffer
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	if img.Len() == 0 {
+		t.Fatal("SaveImage wrote nothing")
+	}
+	snap := s.SnapshotCounter(0)
+	s.ReplayCounter(0, snap) // same value: harmless
+	if !s.TamperData(9, 0, 0xFF) {
+		t.Fatal("TamperData: block 9 missing from NVM")
+	}
+	if _, err := s.ReadBlock(9); !IsIntegrityViolation(err) {
+		t.Fatalf("read of a tampered block: %v, want an integrity violation", err)
+	}
+}

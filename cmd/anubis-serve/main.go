@@ -16,14 +16,17 @@
 //
 //	go run ./examples/kvstore -addr 127.0.0.1:8080 -tenant alice
 //
-// Graceful shutdown (SIGINT/SIGTERM) stops admission, drains every
-// tenant worker, flushes all metadata, and — with -state-dir — saves
-// each tenant's NVM image plus a manifest so the next start reattaches
-// every tenant through the scheme's recovery path.
+// Graceful shutdown (SIGINT/SIGTERM) stops admission, waits for each
+// tenant's running operation, flushes all metadata, and — with
+// -state-dir — saves each tenant's NVM image plus a manifest so the
+// next start reattaches every tenant through the scheme's recovery
+// path. A tenant that fails to reattach is reported on stderr, and the
+// server serves the rest; an unreadable manifest stops the start.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -70,7 +73,14 @@ func main() {
 	if *stateDir != "" {
 		if _, err := os.Stat(filepath.Join(*stateDir, "manifest.json")); err == nil {
 			if err := s.LoadState(*stateDir); err != nil {
-				fail(err)
+				// Per-tenant failures come joined. Any other error is an
+				// unreadable manifest, which the next shutdown would
+				// overwrite, orphaning every saved image.
+				var perTenant interface{ Unwrap() []error }
+				if !errors.As(err, &perTenant) {
+					fail(err)
+				}
+				fmt.Fprintln(os.Stderr, "anubis-serve:", err)
 			}
 			fmt.Printf("reattached %d tenants from %s (recovery ran per tenant)\n",
 				len(s.Tenants()), *stateDir)

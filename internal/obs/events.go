@@ -15,8 +15,8 @@ import (
 type EvtKind uint8
 
 const (
-	// EvtEnqueue records a request passing admission control into a
-	// tenant's queue.
+	// EvtEnqueue records a request passing admission control; it then
+	// waits for its tenant's lock.
 	EvtEnqueue EvtKind = iota
 	// EvtShed records a request rejected by admission control; Reason
 	// carries the shed family (inflight, queue, wpq, tenant_quota,
@@ -25,8 +25,10 @@ const (
 	// EvtExec records a request completing execution; DurNS is the wall
 	// time from admission to completion, Err a typed error if any.
 	EvtExec
-	// EvtDrain records a tenant worker draining its queue and stopping.
-	EvtDrain
+	// EvtQuarantine records a tenant operation that panicked: the
+	// tenant refuses every later operation until it is closed. Err
+	// carries the panic value.
+	EvtQuarantine
 	// EvtCreate / EvtFork / EvtClose are tenant lifecycle events.
 	EvtCreate
 	EvtFork
@@ -43,7 +45,7 @@ const (
 )
 
 var evtKindNames = [numEvtKinds]string{
-	"enqueue", "shed", "exec", "drain", "create", "fork", "close",
+	"enqueue", "shed", "exec", "quarantine", "create", "fork", "close",
 	"crash", "recover", "audit",
 }
 

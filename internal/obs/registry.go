@@ -290,10 +290,10 @@ func writeFamilies[V uint64 | float64](w io.Writer, m map[string]V, typ string, 
 	}
 }
 
-// Hist is a power-of-two log-bucket histogram — the same shape as
-// sim.LatencyHist (bucket i counts samples in [2^i, 2^(i+1)), bucket 0
-// also absorbs zero) so the two merge views stay comparable, but
-// defined here so the observability layer has no simulator dependency.
+// Hist is a power-of-two log-bucket histogram: bucket 0 counts 0 and
+// 1, bucket i counts [2^i, 2^(i+1)). sim.LatencyHist differs (bucket 0
+// counts only 0, bucket i counts [2^(i-1), 2^i)), so the two do not
+// merge bucket by bucket. Hist keeps obs free of simulator imports.
 type Hist struct {
 	Buckets [40]uint64 `json:"buckets"`
 	Count   uint64     `json:"count"`

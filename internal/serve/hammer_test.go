@@ -33,7 +33,7 @@ func TestMultiTenantHammer(t *testing.T) {
 	)
 	s := newTestServer(t, Config{
 		MaxTenants: chaosTenants + forkTenants + 2 + 2, // head-room for 2 forks
-		QueueDepth: 2,                                  // small, to provoke "queue" sheds under contention
+		QueueDepth: 1,                                  // below workers-1, so contention provokes "queue" sheds
 	})
 
 	// Quiescent witnesses: written once, untouched during the hammer.

@@ -34,7 +34,8 @@ import (
 //	GET    /t/{id}/digest           deterministic device-state digest (JSON)
 //
 // Admission-control rejections surface as 429 with a Retry-After
-// header; a crashed tenant answers 409 until POST /recover.
+// header; a crashed tenant answers 409 until POST /recover, and a
+// quarantined one 503 until DELETE.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -94,7 +95,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusConflict, map[string]any{
 			"error": err.Error(), "hint": "tenant is crashed; POST /t/{id}/recover",
 		})
-	case errors.Is(err, ErrShutdown), errors.Is(err, ErrTenantClosed):
+	case errors.Is(err, ErrShutdown), errors.Is(err, ErrTenantClosed), errors.Is(err, ErrTenantQuarantined):
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
 	case errors.Is(err, ErrBadTenantID):
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})

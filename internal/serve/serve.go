@@ -1,28 +1,21 @@
 // Package serve multiplexes many independent secure-NVM tenants behind
 // one long-running service: the paper's deployment story made concrete.
-// Each tenant is a full anubis.SafeSystem (controller + device) that can
-// be created, written, forked, crashed, recovered, audited, and closed
+// Each tenant is a full anubis.System (controller + device) that can be
+// created, written, forked, crashed, recovered, audited, and closed
 // while every other tenant keeps serving — Anubis recovery is fast
 // enough that a mid-traffic crash is an in-process event, not an outage.
 //
-// The serving plane is deliberately boring and explicit:
-//
-//   - A registry maps tenant id → tenant, guarded by one mutex that is
-//     held only for lookups and lifecycle changes, never during I/O.
-//   - Every tenant owns ONE bounded worker goroutine draining a task
-//     queue. Operations on a tenant serialize (the controller models a
-//     single memory-controller pipeline anyway); a hot tenant saturates
-//     its own queue and its own worker, and nothing else.
-//   - Admission control sheds instead of queueing unboundedly, with
-//     three signals: the global in-flight cap (process-wide), the
-//     per-tenant queue depth (one slow tenant), and — for writes — the
-//     tenant's WPQ back-pressure probe (SafeSystem.PushBudget == 0
-//     means the next write would stall on a drain). Shed requests get
-//     a typed ShedError carrying a retry-after hint; the HTTP layer
-//     maps it to 429 + Retry-After, and every shed is counted in the
-//     obs registry by tenant and reason.
-//   - Quotas bound the blast radius: a tenant-count cap and a
-//     per-tenant block-count cap, both rejected as sheds.
+// A registry mutex guards the id → tenant map and is never held during
+// I/O. Each tenant has one mutex beside its System, and every operation
+// runs on its caller's goroutine under that lock: a tenant's operations
+// serialize (the controller models one memory-controller pipeline), and
+// a hot tenant contends only with itself. Admission control sheds
+// instead of queueing unboundedly, on a global in-flight cap, a
+// per-tenant queue depth, and for writes the tenant's WPQ back-pressure
+// probe; quotas cap the tenant count and each tenant's size. A shed is
+// a typed ShedError with a retry-after hint, which the HTTP layer maps
+// to 429 + Retry-After. A panic inside an operation quarantines its
+// tenant and no other. DESIGN.md §15 has the details.
 //
 // Metrics flow into an obs.Telemetry (shared with -metrics-addr), with
 // aggregate families (anubis_serve_requests_total, ..._tenants) and
@@ -35,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +45,9 @@ var (
 	ErrNoTenant = errors.New("serve: no such tenant")
 	// ErrTenantClosed reports a request that raced with tenant close.
 	ErrTenantClosed = errors.New("serve: tenant closed")
+	// ErrTenantQuarantined reports a request on a tenant whose earlier
+	// operation panicked; only CloseTenant still acts on it.
+	ErrTenantQuarantined = errors.New("serve: tenant quarantined")
 	// ErrShutdown reports a request after Shutdown began.
 	ErrShutdown = errors.New("serve: server is shut down")
 	// ErrBadTenantID reports an empty or oversized tenant id.
@@ -59,10 +56,10 @@ var (
 
 // ShedError is an admission-control rejection: the request was not
 // executed and should be retried after RetryAfter. Reason is one of
-// "inflight" (global in-flight cap), "queue" (per-tenant worker queue
-// full), "wpq" (tenant's write-pending-queue back-pressure),
-// "tenant_quota" (tenant-count cap), or "blocks_quota" (per-tenant
-// block-count cap).
+// "inflight" (global in-flight cap), "queue" (QueueDepth operations
+// already wait for the tenant), "wpq" (tenant's write-pending-queue
+// back-pressure), "tenant_quota" (tenant-count cap), or "blocks_quota"
+// (per-tenant block-count cap).
 type ShedError struct {
 	Tenant     string
 	Reason     string
@@ -80,7 +77,8 @@ type Config struct {
 	// MaxBlocksPerTenant caps each tenant's protected capacity in
 	// 64-byte blocks (default 1<<18 blocks = 16 MiB).
 	MaxBlocksPerTenant uint64
-	// QueueDepth bounds each tenant's pending-task queue (default 64).
+	// QueueDepth bounds how many operations may wait for one tenant
+	// behind the one it is running (default 64).
 	QueueDepth int
 	// MaxInflight caps requests admitted process-wide at one moment
 	// (default 256).
@@ -89,7 +87,7 @@ type Config struct {
 	// (exposed via Server.Telemetry for a -metrics-addr endpoint).
 	Telemetry *obs.Telemetry
 	// Recorder is the flight recorder receiving structured request and
-	// lifecycle events (enqueue/shed/exec/drain, create/fork/close,
+	// lifecycle events (enqueue/shed/exec/quarantine, create/fork/close,
 	// crash/recover/audit). nil disables recording at zero hot-path
 	// cost. The recorder is auto-attached to Telemetry so /debug/events
 	// and the dashboard's event tail see it.
@@ -143,26 +141,37 @@ func (tc TenantConfig) resolve() (anubis.Config, TenantConfig, error) {
 	return anubis.Config{Scheme: scheme, Tree: tree, MemoryBytes: tc.MemoryBytes}, tc, nil
 }
 
-// task is one unit of tenant work: the worker runs fn against the
-// tenant's system and sends the result on reply (buffered, never
-// blocking the worker).
-type task struct {
-	fn    func(sys *anubis.SafeSystem) error
-	reply chan error
-}
-
+// tenant is one registered System and the lock that serializes it.
 type tenant struct {
-	id    string
-	tc    TenantConfig // resolved (scheme/bytes filled in)
-	cfg   anubis.Config
-	sys   *anubis.SafeSystem
-	tasks chan task
-	quit  chan struct{} // closed to stop the worker
-	done  chan struct{} // closed when the worker has exited
-	stop  sync.Once     // guards quit against CloseTenant/Shutdown racing
+	id  string
+	tc  TenantConfig // resolved (scheme/bytes filled in)
+	cfg anubis.Config
+
+	// waiting counts the operations holding or waiting for mu; admission
+	// sheds an operation that would make it exceed QueueDepth+1.
+	waiting atomic.Int64
+
+	mu  sync.Mutex // guards sys and refusal
+	sys *anubis.System
+	// refusal is nil while t serves; after that it is what every
+	// operation gets: ErrTenantQuarantined or ErrTenantClosed.
+	refusal error
 }
 
-func (t *tenant) stopWorker() { t.stop.Do(func() { close(t.quit) }) }
+// retire closes a serving t and flushes its metadata, and reports
+// whether t was serving. A quarantined t stays quarantined and is not
+// flushed: its controller may have stopped halfway through an update.
+// Call with t.mu held.
+func (t *tenant) retire() (serving bool, err error) {
+	if t.refusal != nil {
+		return false, nil
+	}
+	t.refusal = ErrTenantClosed
+	if err := t.sys.Flush(); err != nil {
+		return true, fmt.Errorf("serve: flush tenant %q: %w", t.id, err)
+	}
+	return true, nil
+}
 
 // Server is the multi-tenant registry plus admission control. Create
 // one with New; serve it over HTTP with Handler.
@@ -176,7 +185,6 @@ type Server struct {
 	closed  bool
 
 	inflight atomic.Int64
-	wg       sync.WaitGroup
 }
 
 // New returns an empty server.
@@ -239,7 +247,7 @@ func (s *Server) CreateTenant(id string, tc TenantConfig) error {
 	if blocks := cfg.MemoryBytes / anubis.BlockSize; blocks > s.cfg.MaxBlocksPerTenant {
 		return s.shed(id, "create", "blocks_quota", time.Second)
 	}
-	sys, err := anubis.NewSafe(cfg)
+	sys, err := anubis.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -255,14 +263,20 @@ func (s *Server) ForkTenant(parent, child string) error {
 		return ErrBadTenantID
 	}
 	p, err := s.lookup(parent)
+	var sys *anubis.System
+	if err == nil {
+		// The clone is taken under the parent's lock, between two of its
+		// operations, and outside the registry mutex.
+		p.mu.Lock()
+		if err = p.refusal; err == nil {
+			sys = p.sys.Fork()
+		}
+		p.mu.Unlock()
+	}
 	if err != nil {
 		s.countOp(parent, "fork", err)
 		return err
 	}
-	// SafeSystem.Fork is lock-consistent against live traffic; taking it
-	// outside the registry mutex keeps lifecycle changes from blocking
-	// behind tenant I/O.
-	sys := p.sys.Fork()
 	if err := s.add(child, p.tc, p.cfg, sys, "fork"); err != nil {
 		return err
 	}
@@ -274,8 +288,8 @@ func (s *Server) ForkTenant(parent, child string) error {
 }
 
 // add registers a live system under id, enforcing the tenant-count
-// quota, and starts its worker.
-func (s *Server) add(id string, tc TenantConfig, cfg anubis.Config, sys *anubis.SafeSystem, op string) error {
+// quota.
+func (s *Server) add(id string, tc TenantConfig, cfg anubis.Config, sys *anubis.System, op string) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -289,18 +303,7 @@ func (s *Server) add(id string, tc TenantConfig, cfg anubis.Config, sys *anubis.
 		s.mu.Unlock()
 		return s.shed(id, op, "tenant_quota", time.Second)
 	}
-	t := &tenant{
-		id:    id,
-		tc:    tc,
-		cfg:   cfg,
-		sys:   sys,
-		tasks: make(chan task, s.cfg.QueueDepth),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	s.tenants[id] = t
-	s.wg.Add(1)
-	go s.worker(t)
+	s.tenants[id] = &tenant{id: id, tc: tc, cfg: cfg, sys: sys}
 	s.mu.Unlock()
 	s.countOp(id, op, nil)
 	if op != "fork" { // fork is recorded by ForkTenant with its parent
@@ -310,8 +313,8 @@ func (s *Server) add(id string, tc TenantConfig, cfg anubis.Config, sys *anubis.
 	return nil
 }
 
-// CloseTenant stops a tenant's worker, flushes its metadata, and drops
-// it from the registry.
+// CloseTenant drops a tenant from the registry, then retires it under
+// its lock, so an operation already past lookup is refused.
 func (s *Server) CloseTenant(id string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[id]
@@ -322,12 +325,9 @@ func (s *Server) CloseTenant(id string) error {
 	if !ok {
 		return ErrNoTenant
 	}
-	t.stopWorker()
-	<-t.done
-	err := t.sys.Flush()
-	if err != nil {
-		err = fmt.Errorf("serve: flush tenant %q: %w", id, err)
-	}
+	t.mu.Lock()
+	_, err := t.retire()
+	t.mu.Unlock()
 	s.countOp(id, "close", err)
 	s.rec.Record(obs.Event{Kind: obs.EvtClose, Tenant: id, Op: "close"})
 	s.publishGauges()
@@ -345,10 +345,12 @@ func (s *Server) Tenants() []string {
 	return out
 }
 
-// Shutdown stops admission, drains and stops every tenant worker, and
-// flushes all metadata — the graceful counterpart of kill -9. If dir is
-// non-empty, each tenant's NVM image plus a manifest are saved there
-// for a later LoadState (a served power cycle).
+// Shutdown stops admission, closes every tenant once its running
+// operation ends, and flushes all metadata — the graceful counterpart
+// of kill -9. If dir is non-empty, each tenant's NVM image plus a
+// manifest sorted by tenant id are saved there for a later LoadState
+// (a served power cycle). Quarantined tenants are neither flushed nor
+// saved.
 func (s *Server) Shutdown(dir string) error {
 	s.mu.Lock()
 	if s.closed {
@@ -361,19 +363,25 @@ func (s *Server) Shutdown(dir string) error {
 		tenants = append(tenants, t)
 	}
 	s.mu.Unlock()
+	sort.Slice(tenants, func(i, j int) bool { return tenants[i].id < tenants[j].id })
 
-	for _, t := range tenants {
-		t.stopWorker()
-	}
-	s.wg.Wait()
 	var firstErr error
+	serving := make([]*tenant, 0, len(tenants))
 	for _, t := range tenants {
-		if err := t.sys.Flush(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("serve: flush tenant %q: %w", t.id, err)
+		// Held until Shutdown returns; operations that wait for it then
+		// find the tenant closed.
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		ok, err := t.retire()
+		if ok {
+			serving = append(serving, t)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if dir != "" {
-		if err := s.saveState(dir, tenants); err != nil && firstErr == nil {
+		if err := s.saveState(dir, serving); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -388,6 +396,8 @@ type manifestEntry struct {
 	MemoryBytes uint64 `json:"memory_bytes"`
 }
 
+// saveState writes each tenant's image and then the manifest. Call
+// with every tenant's lock held.
 func (s *Server) saveState(dir string, tenants []*tenant) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -414,10 +424,14 @@ func (s *Server) saveState(dir string, tenants []*tenant) error {
 	return os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644)
 }
 
-// LoadState restores every tenant recorded in dir's manifest: each NVM
-// image is reattached with anubis.OpenImage, which runs the scheme's
-// recovery (images are by definition post-power-cycle). Recoveries are
-// counted in the metrics registry. Call before serving traffic.
+// LoadState reattaches every tenant recorded in dir's manifest: each NVM
+// image is reopened with anubis.OpenImage, which runs the scheme's
+// recovery (images are by definition post-power-cycle). A tenant that
+// fails is skipped, counted as an "open" error and recorded as a failed
+// recover event; the returned error joins (errors.Join) one error per
+// such tenant, each naming it. A manifest that cannot be read or parsed
+// is returned unjoined, and nothing is attached. Call before serving
+// traffic.
 func (s *Server) LoadState(dir string) error {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -427,58 +441,44 @@ func (s *Server) LoadState(dir string) error {
 	if err := json.Unmarshal(raw, &manifest); err != nil {
 		return fmt.Errorf("serve: manifest: %w", err)
 	}
+	var errs []error
 	for _, e := range manifest {
-		cfg, rtc, err := TenantConfig{Scheme: e.Scheme, MemoryBytes: e.MemoryBytes}.resolve()
-		if err != nil {
-			return fmt.Errorf("serve: tenant %q: %w", e.ID, err)
+		if err := s.reattach(dir, e); err != nil {
+			err = fmt.Errorf("serve: reattaching tenant %q: %w", e.ID, err)
+			s.countOp(e.ID, "open", err)
+			s.rec.Record(obs.Event{Kind: obs.EvtRecover, Tenant: e.ID, Op: "open", Err: err.Error()})
+			errs = append(errs, err)
 		}
-		f, err := os.Open(filepath.Join(dir, e.ID+".img"))
-		if err != nil {
-			return err
-		}
-		sys, rep, err := anubis.OpenImage(cfg, f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("serve: reattaching tenant %q: %w", e.ID, err)
-		}
-		if err := s.add(e.ID, rtc, cfg, anubis.Wrap(sys), "open"); err != nil {
-			return err
-		}
-		phases := recLedgerFromMap(rep.Phases)
-		s.tel.Update(func(r *obs.Registry) {
-			r.Counter("anubis_serve_recoveries_total", 1)
-			r.Counter(obs.Label("anubis_serve_tenant_recoveries_total", "tenant", e.ID), 1)
-			r.MergeRecLedger("anubis_serve_recovery_phase_ns_total", &phases)
-		})
-		s.rec.Record(obs.Event{Kind: obs.EvtRecover, Tenant: e.ID, Op: "open", DurNS: rep.ModeledNS, Phases: phases})
 	}
+	return errors.Join(errs...)
+}
+
+// reattach reopens one saved tenant image and registers it.
+func (s *Server) reattach(dir string, e manifestEntry) error {
+	if !validID(e.ID) {
+		return ErrBadTenantID
+	}
+	cfg, rtc, err := TenantConfig{Scheme: e.Scheme, MemoryBytes: e.MemoryBytes}.resolve()
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(filepath.Join(dir, e.ID+".img"))
+	if err != nil {
+		return err
+	}
+	sys, rep, err := anubis.OpenImage(cfg, f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	if err := s.add(e.ID, rtc, cfg, sys, "open"); err != nil {
+		return err
+	}
+	s.countRecovery(e.ID, "open", rep)
 	return nil
 }
 
-// --- worker + admission ----------------------------------------------------
-
-func (s *Server) worker(t *tenant) {
-	defer s.wg.Done()
-	defer close(t.done)
-	for {
-		select {
-		case tk := <-t.tasks:
-			tk.reply <- tk.fn(t.sys)
-		case <-t.quit:
-			// Reject stragglers that raced with close; their callers are
-			// also watching t.done, so nobody is left waiting.
-			for {
-				select {
-				case tk := <-t.tasks:
-					tk.reply <- ErrTenantClosed
-				default:
-					s.rec.Record(obs.Event{Kind: obs.EvtDrain, Tenant: t.id})
-					return
-				}
-			}
-		}
-	}
-}
+// --- admission + execution -----------------------------------------------
 
 func (s *Server) lookup(id string) (*tenant, error) {
 	s.mu.Lock()
@@ -493,22 +493,24 @@ func (s *Server) lookup(id string) (*tenant, error) {
 	return t, nil
 }
 
-// Do admits, enqueues, and waits for one read-like operation on a
-// tenant. fn runs on the tenant's worker goroutine.
-func (s *Server) Do(id, op string, fn func(sys *anubis.SafeSystem) error) error {
+// Do admits one read-like operation on a tenant and runs fn on the
+// caller's goroutine under the tenant's lock. fn must not call back
+// into the server for the same tenant: the lock is not reentrant.
+func (s *Server) Do(id, op string, fn func(sys *anubis.System) error) error {
 	return s.do(id, op, false, fn)
 }
 
-// DoWrite is Do plus the WPQ back-pressure admission check: when the
-// tenant's write-pending queue has no free slot at the current virtual
-// clock, the request is shed and the tenant's clock is advanced by the
-// drain time — modeling a client that honors Retry-After, during which
-// the queue empties.
-func (s *Server) DoWrite(id, op string, fn func(sys *anubis.SafeSystem) error) error {
+// DoWrite is Do plus the WPQ back-pressure admission check, made under
+// the tenant's lock just before fn runs: when the tenant's
+// write-pending queue has no free slot at the current virtual clock,
+// the request is shed and the tenant's clock is advanced by the drain
+// time — modeling a client that honors Retry-After, during which the
+// queue empties.
+func (s *Server) DoWrite(id, op string, fn func(sys *anubis.System) error) error {
 	return s.do(id, op, true, fn)
 }
 
-func (s *Server) do(id, op string, write bool, fn func(sys *anubis.SafeSystem) error) error {
+func (s *Server) do(id, op string, write bool, fn func(sys *anubis.System) error) error {
 	start := time.Now()
 	if n := s.inflight.Add(1); n > int64(s.cfg.MaxInflight) {
 		s.inflight.Add(-1)
@@ -521,33 +523,15 @@ func (s *Server) do(id, op string, write bool, fn func(sys *anubis.SafeSystem) e
 		s.countOp(id, op, err)
 		return err
 	}
-	if write && t.sys.PushBudget() == 0 {
-		drain := t.sys.WPQDrainNS()
-		// The shed response tells the client to back off; virtual time
-		// keeps flowing while they do, so the queue it is waiting on has
-		// drained by the retry. Without this advance a write-only tenant
-		// would wedge at budget 0 forever (virtual clocks only move when
-		// operations run).
-		t.sys.AdvanceClock(drain)
-		return s.shed(id, op, "wpq", retryAfter(drain))
-	}
-	tk := task{fn: fn, reply: make(chan error, 1)}
-	select {
-	case t.tasks <- tk:
-		s.rec.Record(obs.Event{Kind: obs.EvtEnqueue, Tenant: id, Op: op})
-	default:
+	if n := t.waiting.Add(1); n > int64(s.cfg.QueueDepth)+1 {
+		t.waiting.Add(-1)
 		return s.shed(id, op, "queue", time.Second)
 	}
-	select {
-	case err = <-tk.reply:
-	case <-t.done:
-		// The worker exited while our task was queued; it drains the
-		// queue with ErrTenantClosed on the way out, so check once more.
-		select {
-		case err = <-tk.reply:
-		default:
-			err = ErrTenantClosed
-		}
+	s.rec.Record(obs.Event{Kind: obs.EvtEnqueue, Tenant: id, Op: op})
+	retry, err := s.exec(t, op, write, fn)
+	t.waiting.Add(-1)
+	if retry > 0 {
+		return s.shed(id, op, "wpq", retry)
 	}
 	s.countOp(id, op, err)
 	wall := uint64(time.Since(start).Nanoseconds())
@@ -564,16 +548,35 @@ func (s *Server) do(id, op string, write bool, fn func(sys *anubis.SafeSystem) e
 	return err
 }
 
-// retryAfter converts a virtual drain time into a client-facing hint:
-// virtual nanoseconds are treated as real nanoseconds (the modeled
-// hardware's own timescale), floored at one millisecond so a retry is
-// never a busy spin.
-func retryAfter(drainNS uint64) time.Duration {
-	d := time.Duration(drainNS)
-	if d < time.Millisecond {
-		d = time.Millisecond
+// exec runs one admitted operation under t's lock; a positive retry
+// means the WPQ check shed the write instead. A panic in fn quarantines
+// t, since its controller may have stopped halfway through an update.
+func (s *Server) exec(t *tenant, op string, write bool, fn func(sys *anubis.System) error) (retry time.Duration, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.refusal != nil {
+		return 0, t.refusal
 	}
-	return d
+	if write && t.sys.PushBudget() == 0 {
+		drain := t.sys.WPQDrainNS()
+		// The shed response tells the client to back off; virtual time
+		// keeps flowing while they do, so the queue it is waiting on has
+		// drained by the retry. Without this advance a write-only tenant
+		// would wedge at budget 0 forever (virtual clocks only move when
+		// operations run).
+		t.sys.AdvanceClock(drain)
+		// The hint reads virtual nanoseconds as real ones (the modeled
+		// hardware's own timescale), floored so a retry never busy-spins.
+		return max(time.Duration(drain), time.Millisecond), nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.refusal = ErrTenantQuarantined
+			err = fmt.Errorf("%w: %s panicked: %v", ErrTenantQuarantined, op, r)
+			s.rec.Record(obs.Event{Kind: obs.EvtQuarantine, Tenant: t.id, Op: op, Err: fmt.Sprint(r)})
+		}
+	}()
+	return 0, fn(t.sys)
 }
 
 // --- metrics ---------------------------------------------------------------
@@ -595,6 +598,18 @@ func (s *Server) countOp(id, op string, err error) {
 			r.Counter(obs.Label("anubis_serve_tenant_errors_total", "tenant", id, "op", op), 1)
 		}
 	})
+}
+
+// countRecovery counts a completed recovery with its phase breakdown
+// and records it.
+func (s *Server) countRecovery(id, op string, rep anubis.RecoveryReport) {
+	phases := recLedgerFromMap(rep.Phases)
+	s.tel.Update(func(r *obs.Registry) {
+		r.Counter("anubis_serve_recoveries_total", 1)
+		r.Counter(obs.Label("anubis_serve_tenant_recoveries_total", "tenant", id), 1)
+		r.MergeRecLedger("anubis_serve_recovery_phase_ns_total", &phases)
+	})
+	s.rec.Record(obs.Event{Kind: obs.EvtRecover, Tenant: id, Op: op, DurNS: rep.ModeledNS, Phases: phases})
 }
 
 func (s *Server) countBytes(id, dir string, n int) {
@@ -622,11 +637,9 @@ func (s *Server) publishGauges() {
 // accounting can never be bypassed.
 
 // ReadBlock returns the verified plaintext of a tenant block.
-func (s *Server) ReadBlock(id string, addr uint64) ([]byte, error) {
-	var out []byte
-	err := s.Do(id, "read_block", func(sys *anubis.SafeSystem) error {
-		b, err := sys.ReadBlock(addr)
-		out = b
+func (s *Server) ReadBlock(id string, addr uint64) (out []byte, err error) {
+	err = s.Do(id, "read_block", func(sys *anubis.System) (err error) {
+		out, err = sys.ReadBlock(addr)
 		return err
 	})
 	s.countBytes(id, "read", len(out))
@@ -635,7 +648,7 @@ func (s *Server) ReadBlock(id string, addr uint64) ([]byte, error) {
 
 // WriteBlock encrypts and persists one tenant block.
 func (s *Server) WriteBlock(id string, addr uint64, data []byte) error {
-	err := s.DoWrite(id, "write_block", func(sys *anubis.SafeSystem) error {
+	err := s.DoWrite(id, "write_block", func(sys *anubis.System) error {
 		return sys.WriteBlock(addr, data)
 	})
 	if err == nil {
@@ -644,10 +657,10 @@ func (s *Server) WriteBlock(id string, addr uint64, data []byte) error {
 	return err
 }
 
-// WriteBlocks applies a batch under one queue slot and one lock
+// WriteBlocks applies a batch under one admission and one lock
 // acquisition.
 func (s *Server) WriteBlocks(id string, writes []anubis.BlockWrite) error {
-	err := s.DoWrite(id, "write_blocks", func(sys *anubis.SafeSystem) error {
+	err := s.DoWrite(id, "write_blocks", func(sys *anubis.System) error {
 		return sys.WriteBlocks(writes)
 	})
 	if err == nil {
@@ -657,11 +670,9 @@ func (s *Server) WriteBlocks(id string, writes []anubis.BlockWrite) error {
 }
 
 // ReadRange reads n bytes at byte offset off.
-func (s *Server) ReadRange(id string, off uint64, n int) ([]byte, error) {
-	var out []byte
-	err := s.Do(id, "read_range", func(sys *anubis.SafeSystem) error {
-		b, err := sys.ReadRange(off, n)
-		out = b
+func (s *Server) ReadRange(id string, off uint64, n int) (out []byte, err error) {
+	err = s.Do(id, "read_range", func(sys *anubis.System) (err error) {
+		out, err = sys.ReadRange(off, n)
 		return err
 	})
 	s.countBytes(id, "read", len(out))
@@ -670,7 +681,7 @@ func (s *Server) ReadRange(id string, off uint64, n int) ([]byte, error) {
 
 // WriteRange writes data at byte offset off.
 func (s *Server) WriteRange(id string, off uint64, data []byte) error {
-	err := s.DoWrite(id, "write_range", func(sys *anubis.SafeSystem) error {
+	err := s.DoWrite(id, "write_range", func(sys *anubis.System) error {
 		return sys.WriteRange(off, data)
 	})
 	if err == nil {
@@ -681,7 +692,7 @@ func (s *Server) WriteRange(id string, off uint64, data []byte) error {
 
 // Flush writes back a tenant's dirty metadata.
 func (s *Server) Flush(id string) error {
-	return s.Do(id, "flush", func(sys *anubis.SafeSystem) error {
+	return s.Do(id, "flush", func(sys *anubis.System) error {
 		return sys.Flush()
 	})
 }
@@ -689,7 +700,7 @@ func (s *Server) Flush(id string) error {
 // Crash power-fails one tenant. Its subsequent requests fail with
 // anubis.ErrCrashed until Recover; every other tenant is untouched.
 func (s *Server) Crash(id string) error {
-	err := s.Do(id, "crash", func(sys *anubis.SafeSystem) error {
+	err := s.Do(id, "crash", func(sys *anubis.System) error {
 		sys.Crash()
 		return nil
 	})
@@ -700,30 +711,20 @@ func (s *Server) Crash(id string) error {
 }
 
 // Recover runs the tenant's recovery algorithm and counts it.
-func (s *Server) Recover(id string) (anubis.RecoveryReport, error) {
-	var rep anubis.RecoveryReport
-	err := s.Do(id, "recover", func(sys *anubis.SafeSystem) error {
-		var err error
+func (s *Server) Recover(id string) (rep anubis.RecoveryReport, err error) {
+	err = s.Do(id, "recover", func(sys *anubis.System) (err error) {
 		rep, err = sys.Recover()
 		return err
 	})
 	if err == nil {
-		phases := recLedgerFromMap(rep.Phases)
-		s.tel.Update(func(r *obs.Registry) {
-			r.Counter("anubis_serve_recoveries_total", 1)
-			r.Counter(obs.Label("anubis_serve_tenant_recoveries_total", "tenant", id), 1)
-			r.MergeRecLedger("anubis_serve_recovery_phase_ns_total", &phases)
-		})
-		s.rec.Record(obs.Event{Kind: obs.EvtRecover, Tenant: id, Op: "recover", DurNS: rep.ModeledNS, Phases: phases})
+		s.countRecovery(id, "recover", rep)
 	}
 	return rep, err
 }
 
 // Audit runs the tenant's whole-memory integrity check.
-func (s *Server) Audit(id string) (anubis.AuditReport, error) {
-	var rep anubis.AuditReport
-	err := s.Do(id, "audit", func(sys *anubis.SafeSystem) error {
-		var err error
+func (s *Server) Audit(id string) (rep anubis.AuditReport, err error) {
+	err = s.Do(id, "audit", func(sys *anubis.System) (err error) {
 		rep, err = sys.Audit()
 		return err
 	})
@@ -739,9 +740,8 @@ func (s *Server) Audit(id string) (anubis.AuditReport, error) {
 }
 
 // Stats returns the tenant's accumulated statistics.
-func (s *Server) Stats(id string) (anubis.Stats, error) {
-	var st anubis.Stats
-	err := s.Do(id, "stats", func(sys *anubis.SafeSystem) error {
+func (s *Server) Stats(id string) (st anubis.Stats, err error) {
+	err = s.Do(id, "stats", func(sys *anubis.System) error {
 		st = sys.Stats()
 		return nil
 	})
@@ -751,9 +751,8 @@ func (s *Server) Stats(id string) (anubis.Stats, error) {
 // Digest returns the tenant's deterministic device-state digest — the
 // isolation oracle (one tenant's crash/recover must never move another
 // tenant's digest).
-func (s *Server) Digest(id string) (uint64, error) {
-	var d uint64
-	err := s.Do(id, "digest", func(sys *anubis.SafeSystem) error {
+func (s *Server) Digest(id string) (d uint64, err error) {
+	err = s.Do(id, "digest", func(sys *anubis.System) error {
 		d = sys.StateDigest()
 		return nil
 	})
@@ -774,6 +773,11 @@ func (s *Server) TenantInfo(id string) (Info, error) {
 	t, err := s.lookup(id)
 	if err != nil {
 		return Info{}, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.refusal != nil {
+		return Info{}, t.refusal
 	}
 	return Info{
 		ID:          t.id,

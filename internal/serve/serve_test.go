@@ -36,22 +36,28 @@ func mustCreate(t *testing.T, s *Server, id string, tc TenantConfig) {
 	}
 }
 
-// mustWrite writes one block, honoring back-pressure: a WPQ shed
-// advances the tenant's virtual clock past the drain point, so a
-// bounded retry always lands.
-func mustWrite(t *testing.T, s *Server, id string, addr uint64, data []byte) {
-	t.Helper()
+// writeRetry writes one block from any goroutine, honoring
+// back-pressure: a WPQ shed advances the tenant's virtual clock past the
+// drain point, so a bounded retry always lands.
+func writeRetry(s *Server, id string, addr uint64, data []byte) error {
+	var err error
 	for attempt := 0; attempt < 4; attempt++ {
-		err := s.WriteBlock(id, addr, data)
-		if err == nil {
-			return
+		if err = s.WriteBlock(id, addr, data); err == nil {
+			return nil
 		}
 		var shed *ShedError
-		if !errors.As(err, &shed) {
-			t.Fatalf("write %s[%d]: %v", id, addr, err)
+		if !errors.As(err, &shed) || shed.Reason != "wpq" {
+			return err
 		}
 	}
-	t.Fatalf("write %s[%d]: shed persisted across retries", id, addr)
+	return err
+}
+
+func mustWrite(t *testing.T, s *Server, id string, addr uint64, data []byte) {
+	t.Helper()
+	if err := writeRetry(s, id, addr, data); err != nil {
+		t.Fatalf("write %s[%d]: %v", id, addr, err)
+	}
 }
 
 func TestCreateWriteReadRoundtrip(t *testing.T) {
@@ -155,7 +161,7 @@ func TestGlobalInflightCapSheds(t *testing.T) {
 	mustCreate(t, s, "a", TenantConfig{MemoryBytes: 1 << 20})
 	// Saturate the single in-flight slot from inside an operation: the
 	// nested call must shed on the global cap.
-	err := s.Do("a", "outer", func(sys *anubis.SafeSystem) error {
+	err := s.Do("a", "outer", func(sys *anubis.System) error {
 		return s.Flush("a")
 	})
 	var shed *ShedError
