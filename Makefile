@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race serve-race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke surface-smoke loc fmt clean
+.PHONY: all build vet test race serve-race fork-race verify bench bench-device bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke surface-smoke loc fmt clean
 
 all: verify
 
@@ -24,13 +24,22 @@ race:
 serve-race:
 	$(GO) test -race -count=5 -run 'TestMultiTenantHammer|TestPanicQuarantinesTenant|TestQueueShedAtDepth|TestForkTenantUnderLoad' ./internal/serve/
 
+# A forked controller shares its metadata caches with its parent
+# copy-on-write, and an atomic holder count decides which side copies,
+# so the fork tests get three race-detector passes: the cache's clone
+# tests, the controller fork and crash-cost tests, and the recovery
+# sweeps that fork one warm controller per crash point.
+fork-race:
+	$(GO) test -race -count=3 -run 'Clone|Fork|DropAll|RecoverySweep|RecoveryDeterministic' ./internal/cache/ ./internal/memctrl/ ./internal/figures/
+
 # Tier-1 gate: everything compiles, vets clean, and the full suite
 # passes both plainly (where the zero-alloc assertions and the seed-99
 # golden test, internal/figures TestGoldenSeed99, run) and under the
 # race detector (where they are skipped), with serve's concurrency tests
-# repeated under it (serve-race). bench-tools/fuzz-tools are build-only
-# smokes for the tooling — no wall-clock gate.
-verify: build vet test race serve-race bench-tools fuzz-tools serve-tools dash-smoke surface-smoke
+# and the fork tests repeated under it (serve-race, fork-race).
+# bench-tools/fuzz-tools are build-only smokes for the tooling — no
+# wall-clock gate.
+verify: build vet test race serve-race fork-race bench-tools fuzz-tools serve-tools dash-smoke surface-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -20,8 +20,9 @@
 // tenant's running operation, flushes all metadata, and — with
 // -state-dir — saves each tenant's NVM image plus a manifest so the
 // next start reattaches every tenant through the scheme's recovery
-// path. A tenant that fails to reattach is reported on stderr, and the
-// server serves the rest; an unreadable manifest stops the start.
+// path. A tenant that fails to reattach is reported on stderr and kept
+// in the next manifest, and the server serves the rest; an unreadable
+// manifest stops the start.
 package main
 
 import (

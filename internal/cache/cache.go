@@ -16,7 +16,10 @@
 // a fill cannot evict a block that is being worked on.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // BlockBytes is the cached block size.
 const BlockBytes = 64
@@ -66,13 +69,23 @@ type Stats struct {
 }
 
 // Cache is a set-associative write-back cache keyed by 64-bit block
-// addresses. It is not safe for concurrent use.
+// addresses. It is not safe for concurrent use, but a cache and its
+// clones may run on different goroutines (see Clone).
+//
+// A *Line returned by Lookup, Peek, Insert, InsertAtSlot or Iterate
+// stays valid until the cache is next cloned or dropped (Clone,
+// DropAll): after a Clone the line array is shared, and a write through
+// an older pointer would reach every cache that shares it.
 type Cache struct {
 	sets  int
 	ways  int
-	lines []Line // sets*ways entries; slot = set*ways + way
+	lines []Line // sets*ways entries; slot = set*ways + way; nil after a shared DropAll until the next fill
 	tick  uint64
 	stats Stats
+
+	// holders, when non-nil, counts the caches that share lines (see
+	// Clone).
+	holders *atomic.Int32
 
 	// victim is the scratch cell Insert returns a pointer to on
 	// eviction. Reusing one cell keeps the eviction path allocation-free
@@ -106,7 +119,7 @@ func New(numBlocks, ways int) *Cache {
 }
 
 // NumSlots returns the total number of lines (the shadow table size).
-func (c *Cache) NumSlots() int { return len(c.lines) }
+func (c *Cache) NumSlots() int { return c.sets * c.ways }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -129,15 +142,70 @@ func (c *Cache) set(key uint64) []Line {
 	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
-// Lookup finds a cached block, updating LRU state and hit/miss counters.
-func (c *Cache) Lookup(key uint64) (*Line, bool) {
+// find returns key's resident line, or nil. The line may sit in an
+// array shared with clones: read it only.
+func (c *Cache) find(key uint64) *Line {
+	if c.lines == nil {
+		return nil
+	}
 	set := c.set(key)
 	for i := range set {
 		if set[i].Valid && set[i].Key == key {
-			c.tick++
-			set[i].lru = c.tick
-			c.stats.Hits++
-			return &set[i], true
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+// own ends c's share of its line array, if it has one: c takes the
+// array over if every partner has let go, and copies it otherwise. The
+// copy is made before c lets go, so the last holder never writes an
+// array a partner is still reading.
+func (c *Cache) own() {
+	h := c.holders
+	if h == nil {
+		return
+	}
+	c.holders = nil
+	if h.Load() == 1 {
+		return
+	}
+	c.lines = append([]Line(nil), c.lines...)
+	h.Add(-1)
+}
+
+// writable returns l, a line of c's shared array, as the same line of
+// an array c holds alone. It reads l before c lets go of l's array.
+func (c *Cache) writable(l *Line) *Line {
+	slot := l.slot
+	c.own()
+	return &c.lines[slot]
+}
+
+// fill readies the line array for an insertion: allocated, and held by
+// c alone.
+func (c *Cache) fill() {
+	if c.lines == nil {
+		c.lines = make([]Line, c.sets*c.ways)
+	}
+	c.own()
+}
+
+// Lookup finds a cached block, updating LRU state and hit/miss counters.
+func (c *Cache) Lookup(key uint64) (*Line, bool) {
+	if c.lines != nil {
+		set := c.set(key)
+		for i := range set {
+			if set[i].Valid && set[i].Key == key {
+				l := &set[i]
+				if c.holders != nil {
+					l = c.writable(l)
+				}
+				c.tick++
+				l.lru = c.tick
+				c.stats.Hits++
+				return l, true
+			}
 		}
 	}
 	c.stats.Misses++
@@ -145,26 +213,29 @@ func (c *Cache) Lookup(key uint64) (*Line, bool) {
 }
 
 // Peek finds a cached block without disturbing LRU state or statistics.
+// The caller may mutate the returned line.
 func (c *Cache) Peek(key uint64) (*Line, bool) {
-	set := c.set(key)
-	for i := range set {
-		if set[i].Valid && set[i].Key == key {
-			return &set[i], true
-		}
+	l := c.find(key)
+	if l == nil {
+		return nil, false
 	}
-	return nil, false
+	if c.holders != nil {
+		l = c.writable(l)
+	}
+	return l, true
 }
 
 // Contains reports whether the key is cached, without side effects.
-func (c *Cache) Contains(key uint64) bool {
-	_, ok := c.Peek(key)
-	return ok
-}
+func (c *Cache) Contains(key uint64) bool { return c.find(key) != nil }
 
 // VictimFor returns the line that Insert(key, …) would evict: the LRU
 // unpinned valid line of the key's set, or nil if a free (or invalid)
-// way exists. It panics if key is already present.
+// way exists. The line is for reading only. It panics if key is already
+// present.
 func (c *Cache) VictimFor(key uint64) *Line {
+	if c.lines == nil {
+		return nil
+	}
 	set := c.set(key)
 	var victim *Line
 	for i := range set {
@@ -196,6 +267,7 @@ func (c *Cache) VictimFor(key uint64) *Line {
 // clean and unpinned. Insert panics if key is already resident; use
 // Lookup first.
 func (c *Cache) Insert(key uint64, data [BlockBytes]byte) (*Line, *Victim) {
+	c.fill()
 	s := c.setOf(key)
 	set := c.lines[s*c.ways : (s+1)*c.ways]
 	var target *Line
@@ -242,16 +314,16 @@ func (c *Cache) Insert(key uint64, data [BlockBytes]byte) (*Line, *Victim) {
 // panics are a programming-error contract that must not be reachable
 // from a corrupt NVM image.
 func (c *Cache) CanInsertAtSlot(slot int, key uint64) bool {
-	if slot < 0 || slot >= len(c.lines) {
+	if slot < 0 || slot >= c.NumSlots() {
 		return false
 	}
 	if c.setOf(key) != slot/c.ways {
 		return false
 	}
-	if _, ok := c.Peek(key); ok {
+	if c.find(key) != nil {
 		return false
 	}
-	return !c.lines[slot].Valid
+	return c.lines == nil || !c.lines[slot].Valid
 }
 
 // InsertAtSlot places a block into a specific (free) slot. Recovery
@@ -260,15 +332,16 @@ func (c *Cache) CanInsertAtSlot(slot int, key uint64) bool {
 // writes from the table. It panics if the slot is occupied, the key is
 // already resident, or the slot does not belong to the key's set.
 func (c *Cache) InsertAtSlot(slot int, key uint64, data [BlockBytes]byte) *Line {
-	if slot < 0 || slot >= len(c.lines) {
+	if slot < 0 || slot >= c.NumSlots() {
 		panic("cache: InsertAtSlot out of range")
 	}
 	if c.setOf(key) != slot/c.ways {
 		panic("cache: InsertAtSlot set mismatch")
 	}
-	if _, ok := c.Peek(key); ok {
+	if c.find(key) != nil {
 		panic("cache: InsertAtSlot of resident key")
 	}
+	c.fill()
 	l := &c.lines[slot]
 	if l.Valid {
 		panic("cache: InsertAtSlot into occupied slot")
@@ -342,6 +415,7 @@ func (c *Cache) Invalidate(key uint64) bool {
 // clean; afterwards no line holds an unpersisted update. Used for
 // orderly shutdown.
 func (c *Cache) FlushAll(fn func(key uint64, data [BlockBytes]byte)) {
+	c.own()
 	for i := range c.lines {
 		l := &c.lines[i]
 		if l.Valid && l.Dirty {
@@ -353,8 +427,18 @@ func (c *Cache) FlushAll(fn func(key uint64, data [BlockBytes]byte)) {
 }
 
 // DropAll discards every line without writeback: the power-failure
-// semantics of a volatile cache.
+// semantics of a volatile cache. A cache that still shares its array
+// only lets go of it, and allocates a fresh one at its next fill; a
+// cache that holds its array alone clears it in place.
 func (c *Cache) DropAll() {
+	if h := c.holders; h != nil {
+		c.holders = nil
+		if h.Load() > 1 {
+			c.lines = nil
+			h.Add(-1)
+			return
+		}
+	}
 	for i := range c.lines {
 		c.lines[i] = Line{slot: i}
 	}
@@ -363,6 +447,7 @@ func (c *Cache) DropAll() {
 // Iterate calls fn for every valid line in slot order; fn may mutate the
 // line's Data.
 func (c *Cache) Iterate(fn func(l *Line)) {
+	c.own()
 	for i := range c.lines {
 		if c.lines[i].Valid {
 			fn(&c.lines[i])
@@ -370,15 +455,26 @@ func (c *Cache) Iterate(fn func(l *Line)) {
 	}
 }
 
-// Clone returns an independent deep copy: same geometry, same resident
+// Clone returns an independent cache: same geometry, same resident
 // lines in the same slots with identical LRU ordering, dirty bits,
 // unpersisted counts, pin counts, and statistics. A cloned cache and
 // its source evolve exactly alike under identical request streams,
 // which is what makes forked warm controllers byte-equivalent to
 // cold-started ones.
+//
+// The line array is shared copy-on-write: Clone costs one holder-count
+// increment, and whichever side mutates first copies the array. Clone
+// and its source may then run on different goroutines.
 func (c *Cache) Clone() *Cache {
 	n := *c
-	n.lines = append([]Line(nil), c.lines...)
+	if c.lines != nil {
+		if c.holders == nil {
+			c.holders = new(atomic.Int32)
+			c.holders.Store(1)
+		}
+		c.holders.Add(1)
+		n.holders = c.holders
+	}
 	return &n
 }
 

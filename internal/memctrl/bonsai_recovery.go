@@ -3,6 +3,7 @@ package memctrl
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"anubis/internal/counter"
@@ -274,58 +275,42 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) error {
 		return b.dev.Read(nvm.RegionSCT, bi)
 	})
 	b.sct = sct
+	// The SCT lives in NVM and can be corrupted by a torn or partial
+	// crash: a key outside the counter region would otherwise panic deep
+	// in the wear-leveling map during repair, so every key is checked
+	// before any page is rewritten. Pages are independent, so repairing
+	// them in ascending order changes no outcome.
 	rep.enterPhaseSplit(obs.RPCounterScan, obs.RPECCVerify)
-	seenPages := make(map[uint64]bool)
-	for _, tr := range sct.Live() {
-		rep.EntriesScanned++
-		if seenPages[tr.Key] {
-			continue // stale duplicate entry for the same block
-		}
-		seenPages[tr.Key] = true
-		// The SCT lives in NVM and can be corrupted by a torn or partial
-		// crash: a key outside the counter region would otherwise panic
-		// deep in the wear-leveling map during repair.
-		if tr.Key >= b.numPages {
-			return fmt.Errorf("%w: SCT tracks counter page %#x beyond memory (%d pages)", ErrUnrecoverable, tr.Key, b.numPages)
-		}
-		if err := b.fixCounterBlock(tr.Key, rep); err != nil {
+	pages := trackedKeys(sct, rep)
+	if n := len(pages); n > 0 && pages[n-1] >= b.numPages {
+		return fmt.Errorf("%w: SCT tracks counter page %#x beyond memory (%d pages)", ErrUnrecoverable, pages[n-1], b.numPages)
+	}
+	for _, page := range pages {
+		if err := b.fixCounterBlock(page, rep); err != nil {
 			return err
 		}
 	}
 
-	// 2. Read the SMT and classify tracked nodes by tree level.
+	// 2. Read the SMT. Its keys are flat node indices, whose ascending
+	// order is bottom-up level order. Same defense as the SCT scan: a
+	// corrupt key outside the tree would panic inside Geometry.Unflat.
 	rep.enterPhase(obs.RPShadowReplay)
 	smt := shadow.RestoreAddrTable(b.tCache.NumSlots(), func(bi uint64) [BlockBytes]byte {
 		rep.FetchOps++
 		return b.dev.Read(nvm.RegionSMT, bi)
 	})
 	b.smt = smt
-	byLevel := make(map[int][]uint64)
-	seenNodes := make(map[uint64]bool)
-	for _, tr := range smt.Live() {
-		rep.EntriesScanned++
-		if seenNodes[tr.Key] {
-			continue
-		}
-		seenNodes[tr.Key] = true
-		// Same defense as the SCT scan: a corrupt SMT key outside the
-		// tree would panic inside Geometry.Unflat.
-		if tr.Key >= b.geom.TotalNodes() {
-			return fmt.Errorf("%w: SMT tracks tree node %#x beyond the tree (%d nodes)", ErrUnrecoverable, tr.Key, b.geom.TotalNodes())
-		}
-		level, idx := b.geom.Unflat(tr.Key)
-		byLevel[level] = append(byLevel[level], idx)
+	nodes := trackedKeys(smt, rep)
+	if n := len(nodes); n > 0 && nodes[n-1] >= b.geom.TotalNodes() {
+		return fmt.Errorf("%w: SMT tracks tree node %#x beyond the tree (%d nodes)", ErrUnrecoverable, nodes[n-1], b.geom.TotalNodes())
 	}
 
 	// 3. Recompute affected nodes bottom-up: repairing a level relies on
 	// the level below being already fixed (Algorithm 1, line 9+).
 	rep.enterPhase(obs.RPMerkleRebuild)
-	for level := 0; level < b.geom.Levels(); level++ {
-		idxs := byLevel[level]
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			b.recomputeNode(level, idx, rep)
-		}
+	for _, flat := range nodes {
+		level, idx := b.geom.Unflat(flat)
+		b.recomputeNode(level, idx, rep)
 	}
 
 	// 4. Compare the resulting root against the on-chip root register.
@@ -338,6 +323,21 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) error {
 	b.rootHash = root
 	b.crashed = false
 	return nil
+}
+
+// trackedKeys returns the keys a restored SCT or SMT tracks, ascending
+// and without the stale duplicates a block refetched into another slot
+// leaves behind, and counts every live entry as scanned.
+func trackedKeys(t *shadow.AddrTable, rep *RecoveryReport) []uint64 {
+	keys := make([]uint64, 0, t.NumSlots())
+	for slot := 0; slot < t.NumSlots(); slot++ {
+		if key, ok := t.Get(slot); ok {
+			keys = append(keys, key)
+		}
+	}
+	rep.EntriesScanned += uint64(len(keys))
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // rebuildTree rebuilds the whole tree from the counters in NVM, writes

@@ -8,12 +8,11 @@ import (
 // Controller forking.
 //
 // Clone produces a child controller that behaves byte-for-byte like a
-// controller that executed the parent's entire request history, at the
-// cost of copying only the volatile state (on-chip caches, shadow
-// mirrors, wear mapping, clocks, statistics) plus the NVM device's
-// page directories: the multi-megabyte stored image itself is shared
-// copy-on-write through nvm.Device.Fork, and an 8-block page is
-// duplicated only when parent or child first writes to it.
+// controller that executed the parent's entire request history. The
+// multi-megabyte stored image is shared copy-on-write through
+// nvm.Device.Fork (an 8-block page is duplicated only when parent or
+// child first writes to it), and so are the metadata caches; the rest
+// of the volatile state is copied.
 //
 // Sharing rules (why each field is copied the way it is):
 //
@@ -27,15 +26,23 @@ import (
 //     after construction — shared by value copy.
 //   - defNode/defNodeHash: immutable after computeTreeDefaults, but tiny
 //     (one entry per tree level); copied for full independence.
-//   - caches (with each counter line's stop-loss count), shadow
-//     mirrors, wear state, pending write group, writeback queue: exact
-//     value clones.
+//   - caches (with each counter line's stop-loss count): cache.Clone
+//     shares the line array copy-on-write under an atomic holder
+//     count. Whichever side first mutates a shared array copies it, a
+//     side whose partners have let go takes it over, and Crash lets go
+//     of it (cache.DropAll), so a fork that is crashed and recovered
+//     costs its parent no copy. No controller keeps a *cache.Line
+//     across calls, which is what makes a line pointer's lifetime
+//     (until the next Clone or DropAll of its cache) enough.
+//   - shadow mirrors, wear state, pending write group, writeback
+//     queue: exact value clones.
 //
 // After Clone, parent and child may both keep running, crash, recover,
 // and be cloned again, in any order; on different goroutines they may
-// run concurrently (the only shared mutable machinery — COW page
-// duplication — is keyed by per-store owner tags, and each side
-// installs copies only into its own directories).
+// run concurrently (the shared mutable machinery — COW page
+// duplication and cache holder counts — is keyed by per-store owner
+// tags and atomic counts, and each side installs copies only into its
+// own directories and caches).
 
 // Clone implements Controller.
 func (b *Bonsai) Clone() Controller {

@@ -73,83 +73,82 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 	// tracked node's stale NVM copy. A block that was evicted and later
 	// re-dirtied in a different slot leaves two authenticated entries;
 	// counters only ever grow, so the entry with the larger counter
-	// vector is the newer one and wins.
+	// vector is the newer one and wins (the lower slot on a tie). The
+	// shadow table mirrors the cache slot for slot, so every entry of a
+	// key lies in the key's own cache set, and the newest entry is
+	// chosen within that set.
 	type candidate struct {
+		key  uint64
 		g    counter.SGX
+		sum  uint64
 		slot int
 	}
-	type recovered struct {
-		ref metaRef
-		g   counter.SGX
-	}
 	rep.enterPhase(obs.RPMerkleRebuild)
-	best := make(map[uint64]candidate)
-	for slot := 0; slot < c.st.NumSlots(); slot++ {
-		e, ok := c.st.Get(slot)
-		if !ok {
-			continue
+	ways := c.mCache.Ways()
+	var recs []candidate              // the winners, in slot order
+	set := make([]candidate, 0, ways) // one set's candidates, in slot order
+	for base := 0; base < c.st.NumSlots(); base += ways {
+		set = set[:0]
+		for slot := base; slot < base+ways; slot++ {
+			e, ok := c.st.Get(slot)
+			if !ok {
+				continue
+			}
+			rep.EntriesScanned++
+			// The shadow table was authenticated against SHADOW_TREE_ROOT
+			// in step 1, but defense in depth: a key outside the metadata
+			// space would panic inside Geometry.Unflat below, and a key
+			// outside its slot's set would make InsertAtSlot panic; recovery
+			// must fail typed, never crash, on any image a power failure
+			// (or a tamperer racing one) can produce.
+			if !c.validMetaKey(e.Key) {
+				return fmt.Errorf("%w: shadow table slot %d tracks invalid metadata key %#x", ErrUnrecoverable, slot, e.Key)
+			}
+			if !c.mCache.CanInsertAtSlot(slot, e.Key) {
+				return fmt.Errorf("%w: shadow table places key %#x in illegal slot %d", ErrUnrecoverable, e.Key, slot)
+			}
+			region, idx := c.regionIdx(c.refOfKey(e.Key))
+			stale := counter.UnpackSGX(c.dev.Read(region, idx))
+			rep.FetchOps++
+			cand := candidate{key: e.Key, slot: slot}
+			for i := 0; i < counter.SGXCounters; i++ {
+				cand.g.Ctr[i] = counter.SpliceLSB(stale.Ctr[i], e.LSBs[i])
+			}
+			cand.g.MAC = e.MAC
+			cand.sum = ctrSum(&cand.g)
+			// A stale entry can describe a state *older* than the NVM
+			// copy: the block was written back (NVM fresh), its newer
+			// entry's slot was reused by another block, and only an
+			// outdated entry survives. States of one block are totally
+			// ordered (counters are monotone), so an entry is only worth
+			// recovering when it is strictly newer than NVM; otherwise the
+			// NVM copy is current and will be verified through the parent
+			// chain on its next fetch. (A tampered "newer-looking" NVM copy
+			// only causes a skip here and is then caught by that same
+			// fetch verification.)
+			if cand.sum > ctrSum(&stale) {
+				set = append(set, cand)
+			}
 		}
-		rep.EntriesScanned++
-		// The shadow table was authenticated against SHADOW_TREE_ROOT in
-		// step 1, but defense in depth: a key outside the metadata space
-		// would panic inside Geometry.Unflat below, and recovery must
-		// fail typed, never crash, on any image a power failure (or a
-		// tamperer racing one) can produce.
-		if !c.validMetaKey(e.Key) {
-			return fmt.Errorf("%w: shadow table slot %d tracks invalid metadata key %#x", ErrUnrecoverable, slot, e.Key)
-		}
-		r := c.refOfKey(e.Key)
-		region, idx := c.regionIdx(r)
-		stale := counter.UnpackSGX(c.dev.Read(region, idx))
-		rep.FetchOps++
-		var g counter.SGX
-		for i := 0; i < counter.SGXCounters; i++ {
-			g.Ctr[i] = counter.SpliceLSB(stale.Ctr[i], e.LSBs[i])
-		}
-		g.MAC = e.MAC
-		// A stale entry can describe a state *older* than the NVM copy:
-		// the block was written back (NVM fresh), its newer entry's slot
-		// was reused by another block, and only an outdated entry
-		// survives. States of one block are totally ordered (counters
-		// are monotone), so an entry is only worth recovering when it is
-		// strictly newer than NVM; otherwise the NVM copy is current and
-		// will be verified through the parent chain on its next fetch.
-		// (A tampered "newer-looking" NVM copy only causes a skip here
-		// and is then caught by that same fetch verification.)
-		if ctrSum(&g) <= ctrSum(&stale) {
-			continue
-		}
-		if prev, ok := best[e.Key]; !ok || ctrSum(&g) > ctrSum(&prev.g) {
-			best[e.Key] = candidate{g: g, slot: slot}
+	winners:
+		for i, cand := range set {
+			for j, other := range set {
+				if other.key == cand.key && (other.sum > cand.sum || other.sum == cand.sum && j < i) {
+					continue winners
+				}
+			}
+			recs = append(recs, cand)
 		}
 	}
-	// Reinstall in ascending slot order: install order sets the cache's
-	// recency, so ranging over best (random map order) would make
-	// post-recovery evictions differ from run to run.
-	recs := make([]recovered, 0, len(best))
-	for slot := 0; slot < c.st.NumSlots(); slot++ {
-		e, ok := c.st.Get(slot)
-		if !ok {
-			continue
-		}
-		key := e.Key
-		cand, ok := best[key]
-		if !ok || cand.slot != slot {
-			continue
-		}
-		// Reinstall the block in exactly the slot its live entry tracks:
-		// the shadow table mirrors the cache's data array slot-for-slot,
-		// so a block placed in a different way would desynchronize every
-		// future shadow write for this set. InsertAtSlot panics on an
-		// illegal placement (its contract is programming error, not bad
-		// input), so validate the untrusted placement first.
-		if !c.mCache.CanInsertAtSlot(cand.slot, key) {
-			return fmt.Errorf("%w: shadow table places key %#x in illegal slot %d", ErrUnrecoverable, key, cand.slot)
-		}
-		c.mCache.InsertAtSlot(cand.slot, key, cand.g.Pack())
-		c.mCache.MarkDirty(key)
+	// Reinstall in ascending slot order, which sets the cache's recency,
+	// in exactly the slot each winning entry tracks: a block placed in a
+	// different way would desynchronize every future shadow write for
+	// this set. The placement is legal: the slot is in the key's set,
+	// and each key and slot wins at most once.
+	for _, rc := range recs {
+		c.mCache.InsertAtSlot(rc.slot, rc.key, rc.g.Pack())
+		c.mCache.MarkDirty(rc.key)
 		rep.NodesRebuilt++
-		recs = append(recs, recovered{ref: c.refOfKey(key), g: cand.g})
 	}
 
 	// 3. Verify integrity: each recovered node's shadow MAC must match
@@ -161,8 +160,9 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 	rep.enterPhase(obs.RPECCVerify)
 	for _, rc := range recs {
 		rep.CryptoOps++
-		if c.eng.STMAC(c.addrOf(rc.ref), rc.g.Ctr[:]) != rc.g.MAC {
-			return fmt.Errorf("%w: recovered node MAC mismatch at %#x", ErrUnrecoverable, c.addrOf(rc.ref))
+		addr := c.addrOf(c.refOfKey(rc.key))
+		if c.eng.STMAC(addr, rc.g.Ctr[:]) != rc.g.MAC {
+			return fmt.Errorf("%w: recovered node MAC mismatch at %#x", ErrUnrecoverable, addr)
 		}
 	}
 

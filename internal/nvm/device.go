@@ -403,20 +403,35 @@ func (d *Device) Has(r Region, idx uint64) bool {
 }
 
 // Has64 is Has for the 64 aligned blocks group*64 .. group*64+63 as one
-// bitmask: bit i is Has(r, group*64+i). It resolves 8 pages instead of
-// 64 blocks, so a scan over a sparsely written region (Osiris counter
-// recovery visits every lane of every counter page) pays per page, and
-// the caller iterates only the set bits.
+// bitmask: bit i is Has(r, group*64+i). It reads the group's 8
+// consecutive directory handles instead of testing 64 blocks, so a scan
+// over a sparsely written region (Osiris counter recovery visits every
+// lane of every counter page) pays per page, and the caller iterates
+// only the set bits.
 func (d *Device) Has64(r Region, group uint64) uint64 {
-	// A page's presence bits fit present[0] because pageBlocks <= 64
-	// (the constant below fails to compile otherwise).
-	const _ = uint(64/pageBlocks - 1)
+	// A page's presence bits fit present[0] because pageBlocks <= 64,
+	// and a group's pages all lie below maxDirPages or all above it
+	// because maxDirPages is a multiple of groupPages (each constant
+	// below fails to compile otherwise).
+	const groupPages = 64 / pageBlocks
+	const _ = uint(groupPages - 1)
+	const _ = -uint(maxDirPages % groupPages)
 	s := &d.store[r]
-	base := group << 6
+	pi := group * groupPages
 	var mask uint64
-	for k := uint64(0); k < 64; k += pageBlocks {
-		if p := s.pageAt(base + k); p != nil {
-			mask |= p.present[0] << k
+	if pi < uint64(len(s.dir)) {
+		for k, h := range s.dir[pi:min(pi+groupPages, uint64(len(s.dir)))] {
+			if h != 0 {
+				mask |= s.pages[h-1].present[0] << (k * pageBlocks)
+			}
+		}
+		return mask
+	}
+	if pi >= maxDirPages && len(s.over) > 0 {
+		for k := uint64(0); k < groupPages; k++ {
+			if p := s.over[pi+k]; p != nil {
+				mask |= p.present[0] << (k * pageBlocks)
+			}
 		}
 	}
 	return mask

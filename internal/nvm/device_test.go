@@ -173,16 +173,22 @@ func TestBlocksIn(t *testing.T) {
 }
 
 // TestHas64MatchesHas pins Has64 to 64 Has calls: on never-touched
-// pages, on partly written pages, after erases, on a forked child, and
-// on groups past the dense directory's cap (the overflow map). No
-// block sits just below the cap: that would allocate the full 2^24-entry
-// directory.
+// pages, on partly written pages, on a fully written group, after
+// erases, on a forked child, on a group the directory's end cuts
+// through, and on groups past the dense directory's cap (the overflow
+// map). No block sits just below the cap: that would allocate the full
+// 2^24-entry directory.
 func TestHas64MatchesHas(t *testing.T) {
 	d := newDev()
 	over := uint64(maxDirPages) * pageBlocks / 64 // first group in the overflow map
+	dense := make([]uint64, 64)
+	for i := range dense {
+		dense[i] = uint64(i)
+	}
 	written := map[uint64][]uint64{
 		1:        {0, 7, 8, 13, 63},        // partly written pages
 		2:        {0, 1, 2, 3, 4, 5, 6, 7}, // one full page
+		5:        dense,                    // every lane of the group
 		over:     {0, 9, 40},               // overflow map
 		over + 7: {63},                     // overflow map, far page
 	}
@@ -210,10 +216,29 @@ func TestHas64MatchesHas(t *testing.T) {
 			t.Errorf("%s group %d: Has64 = %#x, 64 Has calls = %#x", name, g, got, want)
 		}
 	}
-	groups := []uint64{0, 1, 2, 3, 4, 1000, over - 1, over, over + 1, over + 7}
+	groups := []uint64{0, 1, 2, 3, 4, 5, 1000, over - 1, over, over + 1, over + 7}
 	for _, g := range groups {
 		check("parent", d, g)
 		check("child", child, g)
+	}
+	if got := d.Has64(RegionData, 5); got != ^uint64(0) {
+		t.Errorf("group 5 = %#x, want every lane", got)
+	}
+
+	// A directory grown on demand ends where the last touched page
+	// does: writing page 81 (group 10's second page) leaves an 82-entry
+	// directory, so group 10 straddles its end and group 11 lies past it.
+	edge := newDev()
+	edge.WriteRaw(RegionData, 81*pageBlocks+3, blk(2))
+	edge.WriteRaw(RegionData, 80*pageBlocks+1, blk(1))
+	if n := len(edge.store[RegionData].dir); n != 82 {
+		t.Fatalf("directory holds %d pages, want 82", n)
+	}
+	for _, g := range []uint64{9, 10, 11} {
+		check("edge", edge, g)
+	}
+	if got := edge.Has64(RegionData, 10); got != 1<<1|1<<(pageBlocks+3) {
+		t.Errorf("edge group 10 = %#x, want lanes 1 and %d", got, pageBlocks+3)
 	}
 	if got := d.Has64(RegionData, 1); got != 1<<0|1<<7|1<<13|1<<63 {
 		t.Errorf("group 1 = %#x, want lanes 0, 7, 13, 63", got)

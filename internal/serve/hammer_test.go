@@ -12,9 +12,11 @@ import (
 
 // TestMultiTenantHammer drives the serving plane the way the acceptance
 // scenario does, but in-process and under the race detector: many
-// goroutines per tenant doing mixed reads/writes/flushes, chaos tenants
-// being crashed and recovered mid-traffic, fork tenants spawning and
-// closing clones — all through the same admission path as HTTP.
+// goroutines per tenant doing mixed reads/writes/flushes, one more per
+// tenant issuing multi-block write bursts that fill its WPQ, chaos
+// tenants being crashed and recovered mid-traffic, fork tenants
+// spawning and closing clones — all through the same admission path as
+// HTTP.
 //
 // Two invariants are asserted at the end:
 //
@@ -22,14 +24,18 @@ import (
 //     storm keep their exact StateDigest — no cross-tenant bleed from
 //     crashes, recoveries, forks, or sheds elsewhere.
 //  2. Accounting: the number of ShedErrors observed by clients equals
-//     anubis_serve_shed_total in the registry exactly. Nothing is shed
-//     silently and nothing is double-counted.
+//     anubis_serve_shed_total in the registry exactly, and the "wpq"
+//     sheds among them, of which there is at least one, equal the
+//     per-tenant wpq counters. Nothing is shed silently and nothing is
+//     double-counted.
 func TestMultiTenantHammer(t *testing.T) {
 	const (
 		chaosTenants = 4 // crash/recover cycles mid-traffic
 		forkTenants  = 4 // fork+close clones mid-traffic
-		workers      = 3 // goroutines per tenant
+		workers      = 3 // mixed-traffic goroutines per tenant
 		iters        = 120
+		bursts       = 30 // write bursts per tenant
+		burstBlocks  = 16
 	)
 	s := newTestServer(t, Config{
 		MaxTenants: chaosTenants + forkTenants + 2 + 2, // head-room for 2 forks
@@ -63,7 +69,7 @@ func TestMultiTenantHammer(t *testing.T) {
 		mustCreate(t, s, id, TenantConfig{Scheme: "agit-plus", MemoryBytes: 1 << 20})
 	}
 
-	var sheds atomic.Uint64 // client-observed ShedErrors
+	var sheds, wpqSheds atomic.Uint64 // client-observed ShedErrors
 	// tolerate records an operation result during the storm. Sheds and
 	// crashed-window errors are expected; anything else fails the test.
 	tolerate := func(op string, err error) {
@@ -74,6 +80,9 @@ func TestMultiTenantHammer(t *testing.T) {
 		switch {
 		case errors.As(err, &shed):
 			sheds.Add(1)
+			if shed.Reason == "wpq" {
+				wpqSheds.Add(1)
+			}
 		case errors.Is(err, anubis.ErrCrashed):
 			// raced with a chaos crash on our own tenant — expected
 		case errors.Is(err, ErrTenantExists), errors.Is(err, ErrNoTenant):
@@ -118,6 +127,22 @@ func TestMultiTenantHammer(t *testing.T) {
 				}
 			}(id, w, chaos)
 		}
+		// The burst writer: each burst is one write admission that can
+		// leave the WPQ full, so the next write admitted on the tenant
+		// runs the wpq check and its AdvanceClock under the tenant lock
+		// while the other workers contend for it.
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			burst := make([]anubis.BlockWrite, burstBlocks)
+			for i := 0; i < bursts; i++ {
+				for j := range burst {
+					burst[j].Block = uint64((i*burstBlocks + j) % 256)
+					burst[j].Data[0] = byte(i)
+				}
+				tolerate("write_blocks", s.WriteBlocks(id, burst))
+			}
+		}(id)
 	}
 	wg.Wait()
 
@@ -147,4 +172,15 @@ func TestMultiTenantHammer(t *testing.T) {
 	if got, want := counterValue(s, "anubis_serve_shed_total"), sheds.Load(); got != want {
 		t.Errorf("anubis_serve_shed_total = %d, clients observed %d", got, want)
 	}
+	var wpq uint64
+	for _, id := range ids {
+		wpq += counterValue(s, fmt.Sprintf(`anubis_serve_tenant_shed_total{tenant=%q,reason="wpq"}`, id))
+	}
+	if wpq != wpqSheds.Load() {
+		t.Errorf("wpq shed counters sum to %d, clients observed %d", wpq, wpqSheds.Load())
+	}
+	if wpq == 0 {
+		t.Error("the hammer never shed a write on a full WPQ")
+	}
+	t.Logf("%d sheds, %d of them wpq", sheds.Load(), wpq)
 }

@@ -182,7 +182,13 @@ type Server struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
-	closed  bool
+	// unattached holds, by id, the manifest entries LoadState could not
+	// reattach. Shutdown writes them back, next to the live tenants and
+	// with their images untouched, until CloseTenant removes one or a
+	// new tenant takes its id, so a failed tenant is never dropped from
+	// the manifest while its image stays.
+	unattached map[string]manifestEntry
+	closed     bool
 
 	inflight atomic.Int64
 }
@@ -190,7 +196,8 @@ type Server struct {
 // New returns an empty server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, tel: cfg.Telemetry, rec: cfg.Recorder, tenants: make(map[string]*tenant)}
+	s := &Server{cfg: cfg, tel: cfg.Telemetry, rec: cfg.Recorder, tenants: make(map[string]*tenant),
+		unattached: make(map[string]manifestEntry)}
 	if s.rec != nil {
 		s.tel.AttachRecorder(s.rec)
 	}
@@ -304,6 +311,7 @@ func (s *Server) add(id string, tc TenantConfig, cfg anubis.Config, sys *anubis.
 		return s.shed(id, op, "tenant_quota", time.Second)
 	}
 	s.tenants[id] = &tenant{id: id, tc: tc, cfg: cfg, sys: sys}
+	delete(s.unattached, id)
 	s.mu.Unlock()
 	s.countOp(id, op, nil)
 	if op != "fork" { // fork is recorded by ForkTenant with its parent
@@ -314,20 +322,27 @@ func (s *Server) add(id string, tc TenantConfig, cfg anubis.Config, sys *anubis.
 }
 
 // CloseTenant drops a tenant from the registry, then retires it under
-// its lock, so an operation already past lookup is refused.
+// its lock, so an operation already past lookup is refused. Closing a
+// tenant that LoadState could not reattach removes it from the
+// manifest the next Shutdown writes.
 func (s *Server) CloseTenant(id string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[id]
 	if ok {
 		delete(s.tenants, id)
 	}
+	_, unattached := s.unattached[id]
+	delete(s.unattached, id)
 	s.mu.Unlock()
-	if !ok {
+	if !ok && !unattached {
 		return ErrNoTenant
 	}
-	t.mu.Lock()
-	_, err := t.retire()
-	t.mu.Unlock()
+	var err error
+	if ok {
+		t.mu.Lock()
+		_, err = t.retire()
+		t.mu.Unlock()
+	}
 	s.countOp(id, "close", err)
 	s.rec.Record(obs.Event{Kind: obs.EvtClose, Tenant: id, Op: "close"})
 	s.publishGauges()
@@ -350,7 +365,8 @@ func (s *Server) Tenants() []string {
 // of kill -9. If dir is non-empty, each tenant's NVM image plus a
 // manifest sorted by tenant id are saved there for a later LoadState
 // (a served power cycle). Quarantined tenants are neither flushed nor
-// saved.
+// saved. Tenants LoadState could not reattach stay in the manifest,
+// and their images are left as they are.
 func (s *Server) Shutdown(dir string) error {
 	s.mu.Lock()
 	if s.closed {
@@ -361,6 +377,12 @@ func (s *Server) Shutdown(dir string) error {
 	tenants := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		tenants = append(tenants, t)
+	}
+	kept := make([]manifestEntry, 0, len(s.unattached))
+	for id, e := range s.unattached {
+		if _, live := s.tenants[id]; !live {
+			kept = append(kept, e)
+		}
 	}
 	s.mu.Unlock()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].id < tenants[j].id })
@@ -381,7 +403,7 @@ func (s *Server) Shutdown(dir string) error {
 		}
 	}
 	if dir != "" {
-		if err := s.saveState(dir, serving); err != nil && firstErr == nil {
+		if err := s.saveState(dir, serving, kept); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -396,13 +418,14 @@ type manifestEntry struct {
 	MemoryBytes uint64 `json:"memory_bytes"`
 }
 
-// saveState writes each tenant's image and then the manifest. Call
+// saveState writes each tenant's image and then the manifest, which
+// also lists the kept entries of tenants that failed to reattach. Call
 // with every tenant's lock held.
-func (s *Server) saveState(dir string, tenants []*tenant) error {
+func (s *Server) saveState(dir string, tenants []*tenant, kept []manifestEntry) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	manifest := make([]manifestEntry, 0, len(tenants))
+	manifest := append(make([]manifestEntry, 0, len(tenants)+len(kept)), kept...)
 	for _, t := range tenants {
 		f, err := os.Create(filepath.Join(dir, t.id+".img"))
 		if err != nil {
@@ -417,6 +440,7 @@ func (s *Server) saveState(dir string, tenants []*tenant) error {
 		}
 		manifest = append(manifest, manifestEntry{ID: t.id, Scheme: t.tc.Scheme, MemoryBytes: t.tc.MemoryBytes})
 	}
+	sort.Slice(manifest, func(i, j int) bool { return manifest[i].ID < manifest[j].ID })
 	raw, err := json.MarshalIndent(manifest, "", "  ")
 	if err != nil {
 		return err
@@ -428,8 +452,9 @@ func (s *Server) saveState(dir string, tenants []*tenant) error {
 // image is reopened with anubis.OpenImage, which runs the scheme's
 // recovery (images are by definition post-power-cycle). A tenant that
 // fails is skipped, counted as an "open" error and recorded as a failed
-// recover event; the returned error joins (errors.Join) one error per
-// such tenant, each naming it. A manifest that cannot be read or parsed
+// recover event, and its entry is kept for the next Shutdown's manifest;
+// the returned error joins (errors.Join) one error per such tenant,
+// each naming it. A manifest that cannot be read or parsed
 // is returned unjoined, and nothing is attached. Call before serving
 // traffic.
 func (s *Server) LoadState(dir string) error {
@@ -447,6 +472,9 @@ func (s *Server) LoadState(dir string) error {
 			err = fmt.Errorf("serve: reattaching tenant %q: %w", e.ID, err)
 			s.countOp(e.ID, "open", err)
 			s.rec.Record(obs.Event{Kind: obs.EvtRecover, Tenant: e.ID, Op: "open", Err: err.Error()})
+			s.mu.Lock()
+			s.unattached[e.ID] = e
+			s.mu.Unlock()
 			errs = append(errs, err)
 		}
 	}

@@ -295,3 +295,70 @@ func TestLoadStateReattachesPastFailures(t *testing.T) {
 		t.Fatalf("LoadState of a garbled manifest = %v, want an unjoined error", err)
 	}
 }
+
+// TestUnattachedTenantStaysInManifest: a tenant that fails to reattach
+// stays in the manifest, with its image untouched, across any number of
+// restarts, until it is closed or a new tenant takes its id.
+func TestUnattachedTenantStaysInManifest(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{})
+	for _, tc := range []struct{ id, scheme string }{{"b-asit", "asit"}, {"a-wb", "writeback"}} {
+		mustCreate(t, s, tc.id, TenantConfig{Scheme: tc.scheme, MemoryBytes: 1 << 20})
+		for b := uint64(0); b < 20; b++ {
+			mustWrite(t, s, tc.id, b, []byte(fmt.Sprintf("%s%d", tc.id, b)))
+		}
+	}
+	if err := s.Shutdown(dir); err != nil {
+		t.Fatal(err)
+	}
+	imgPath := filepath.Join(dir, "a-wb.img")
+	img, err := os.ReadFile(imgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() *Server {
+		t.Helper()
+		s := New(Config{})
+		if err := s.LoadState(dir); !errors.Is(err, anubis.ErrNotRecoverable) || !strings.Contains(err.Error(), `"a-wb"`) {
+			t.Fatalf("LoadState = %v, want a-wb's ErrNotRecoverable", err)
+		}
+		return s
+	}
+	for restart := 1; restart <= 2; restart++ {
+		if err := load().Shutdown(dir); err != nil {
+			t.Fatal(err)
+		}
+		if ids := manifestIDs(t, dir); fmt.Sprint(ids) != "[a-wb b-asit]" {
+			t.Fatalf("restart %d: manifest = %v, want [a-wb b-asit]", restart, ids)
+		}
+		if got, err := os.ReadFile(imgPath); err != nil || string(got) != string(img) {
+			t.Fatalf("restart %d: a-wb.img changed (%v)", restart, err)
+		}
+	}
+
+	// A new tenant that takes the id replaces the entry.
+	s = load()
+	mustCreate(t, s, "a-wb", TenantConfig{Scheme: "agit-plus", MemoryBytes: 1 << 20})
+	other := t.TempDir()
+	if err := s.Shutdown(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := newTestServer(t, Config{}).LoadState(other); err != nil {
+		t.Fatalf("LoadState after a new tenant took the id: %v", err)
+	}
+
+	// Closing the entry removes it.
+	s = load()
+	if err := s.CloseTenant("a-wb"); err != nil {
+		t.Fatalf("CloseTenant of an unattached tenant: %v", err)
+	}
+	if err := s.CloseTenant("a-wb"); !errors.Is(err, ErrNoTenant) {
+		t.Fatalf("second CloseTenant = %v, want ErrNoTenant", err)
+	}
+	if err := s.Shutdown(dir); err != nil {
+		t.Fatal(err)
+	}
+	if ids := manifestIDs(t, dir); fmt.Sprint(ids) != "[b-asit]" {
+		t.Fatalf("manifest after close = %v, want [b-asit]", ids)
+	}
+}
