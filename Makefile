@@ -36,7 +36,10 @@ fork-race:
 # passes both plainly (where the zero-alloc assertions and the seed-99
 # golden test, internal/figures TestGoldenSeed99, run) and under the
 # race detector (where they are skipped), with serve's concurrency tests
-# and the fork tests repeated under it (serve-race, fork-race).
+# and the fork tests repeated under it (serve-race, fork-race). The
+# suite includes the root package's TestInternalFunctionsHaveCallers,
+# which fails on any function under internal/ that no non-test code
+# (perfbench/ included) names.
 # bench-tools/fuzz-tools are build-only smokes for the tooling — no
 # wall-clock gate.
 verify: build vet test race serve-race fork-race bench-tools fuzz-tools serve-tools dash-smoke surface-smoke
@@ -76,9 +79,9 @@ serve-smoke:
 	bash scripts/serve_smoke.sh
 
 # Headless dashboard + flight-recorder smoke: the embedded /dash page
-# serves with every section marker, /debug/dash.json stays parseable,
-# /debug/events emits valid JSON lines, and the serve plane records the
-# full request/crash/recover event life cycle. Pure `go test` — no
+# serves with every section marker, /debug/dash.json stays parseable
+# and carries the recorder's events oldest first, and the serve plane
+# records the full request/crash/recover event life cycle. Pure `go test` — no
 # browser, no server process — so it is cheap enough for tier-1.
 dash-smoke:
 	$(GO) test -count=1 -run 'TestDash' ./internal/obs/

@@ -52,7 +52,7 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 64, "per-tenant pending-request queue bound")
 		maxInflight = flag.Int("max-inflight", 256, "global in-flight request cap")
 		events      = flag.Int("events", obs.DefaultRecorderCap,
-			"flight-recorder ring capacity (last N events on /debug/events; dumped to state-dir/events.jsonl on shutdown; 0 disables)")
+			"flight-recorder ring capacity (last N events in /debug/dash.json and /dash; dumped to state-dir/events.jsonl on shutdown; 0 disables)")
 	)
 	flag.Parse()
 	fail := func(err error) {

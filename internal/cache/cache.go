@@ -124,9 +124,6 @@ func (c *Cache) NumSlots() int { return c.sets * c.ways }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Stats returns a snapshot of accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -224,9 +221,6 @@ func (c *Cache) Peek(key uint64) (*Line, bool) {
 	}
 	return l, true
 }
-
-// Contains reports whether the key is cached, without side effects.
-func (c *Cache) Contains(key uint64) bool { return c.find(key) != nil }
 
 // VictimFor returns the line that Insert(key, …) would evict: the LRU
 // unpinned valid line of the key's set, or nil if a free (or invalid)
@@ -399,7 +393,8 @@ func (c *Cache) Unpin(key uint64) {
 }
 
 // Invalidate removes a block without writeback, returning whether it was
-// present. Used when a block's home region is rewritten out of band.
+// present. No controller path calls it; tests use it to drop a cached
+// node so the next access refetches it from NVM.
 func (c *Cache) Invalidate(key uint64) bool {
 	l, ok := c.Peek(key)
 	if !ok {
@@ -476,15 +471,4 @@ func (c *Cache) Clone() *Cache {
 		n.holders = c.holders
 	}
 	return &n
-}
-
-// DirtyCount returns the number of dirty resident lines.
-func (c *Cache) DirtyCount() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid && c.lines[i].Dirty {
-			n++
-		}
-	}
-	return n
 }

@@ -5,6 +5,21 @@ import (
 	"testing/quick"
 )
 
+// contains reports whether key is resident without touching LRU
+// state, statistics or a shared line array.
+func contains(c *Cache, key uint64) bool { return c.find(key) != nil }
+
+// dirtyCount returns the number of dirty resident lines.
+func dirtyCount(c *Cache) int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].Valid && c.lines[i].Dirty {
+			n++
+		}
+	}
+	return n
+}
+
 func blockOf(b byte) (d [BlockBytes]byte) {
 	for i := range d {
 		d[i] = b
@@ -14,8 +29,8 @@ func blockOf(b byte) (d [BlockBytes]byte) {
 
 func TestNewGeometry(t *testing.T) {
 	c := New(64, 4)
-	if c.NumSlots() != 64 || c.Sets() != 16 || c.Ways() != 4 {
-		t.Fatalf("geometry = %d slots / %d sets / %d ways", c.NumSlots(), c.Sets(), c.Ways())
+	if c.NumSlots() != 64 || c.sets != 16 || c.Ways() != 4 {
+		t.Fatalf("geometry = %d slots / %d sets / %d ways", c.NumSlots(), c.sets, c.Ways())
 	}
 }
 
@@ -183,14 +198,14 @@ func TestFlushAllWritesOnlyDirty(t *testing.T) {
 	if flushed[1] || !flushed[2] {
 		t.Fatalf("flushed = %v, want only key 2", flushed)
 	}
-	if c.DirtyCount() != 0 {
+	if dirtyCount(c) != 0 {
 		t.Fatal("dirty lines remain after flush")
 	}
 	if l1.Unpersisted != 0 || l2.Unpersisted != 0 {
 		t.Fatalf("unpersisted counts %d, %d after flush, want 0", l1.Unpersisted, l2.Unpersisted)
 	}
 	// Data must still be resident after flush.
-	if !c.Contains(2) {
+	if !contains(c, 2) {
 		t.Fatal("flush evicted a line")
 	}
 }
@@ -201,13 +216,13 @@ func TestDropAllLosesEverything(t *testing.T) {
 	c.MarkDirty(1)
 	l.Unpersisted = 2
 	c.DropAll()
-	if c.Contains(1) {
+	if contains(c, 1) {
 		t.Fatal("line survived DropAll")
 	}
 	if l.Unpersisted != 0 {
 		t.Fatalf("unpersisted count %d survived DropAll", l.Unpersisted)
 	}
-	if c.DirtyCount() != 0 {
+	if dirtyCount(c) != 0 {
 		t.Fatal("dirty count nonzero after DropAll")
 	}
 	// Slots must be reusable with correct indices.
@@ -275,7 +290,7 @@ func TestQuickResidency(t *testing.T) {
 		}
 		count := 0
 		for k := range resident {
-			if !c.Contains(k) {
+			if !contains(c, k) {
 				return false
 			}
 			count++
@@ -318,7 +333,7 @@ func BenchmarkInsertEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := uint64(i)
-		if !c.Contains(k) {
+		if !contains(c, k) {
 			c.Insert(k, blockOf(byte(i)))
 		}
 	}

@@ -177,16 +177,16 @@ func TestDropAllOnSharedCache(t *testing.T) {
 	}
 
 	// No array: every query answers as for an empty cache.
-	if child.NumSlots() != 8 || child.Sets() != 4 || child.Ways() != 2 {
-		t.Fatalf("geometry without an array = %d slots / %d sets / %d ways", child.NumSlots(), child.Sets(), child.Ways())
+	if child.NumSlots() != 8 || child.sets != 4 || child.Ways() != 2 {
+		t.Fatalf("geometry without an array = %d slots / %d sets / %d ways", child.NumSlots(), child.sets, child.Ways())
 	}
-	if _, ok := child.Lookup(1); ok || child.Contains(1) || child.VictimFor(1) != nil {
+	if _, ok := child.Lookup(1); ok || contains(child, 1) || child.VictimFor(1) != nil {
 		t.Fatal("a dropped cache found a line")
 	}
 	if _, ok := child.Peek(1); ok {
 		t.Fatal("Peek found a line in a dropped cache")
 	}
-	if child.DirtyCount() != 0 {
+	if dirtyCount(child) != 0 {
 		t.Fatal("a dropped cache counts dirty lines")
 	}
 	child.Iterate(func(*Line) { t.Fatal("Iterate visited a line of a dropped cache") })
@@ -202,7 +202,7 @@ func TestDropAllOnSharedCache(t *testing.T) {
 		t.Fatal("CanInsertAtSlot accepted a slot outside the key's set")
 	}
 	l := child.InsertAtSlot(set*2+1, 42, blockOf(4))
-	if l.Slot() != set*2+1 || !child.Contains(42) || child.Contains(1) {
+	if l.Slot() != set*2+1 || !contains(child, 42) || contains(child, 1) {
 		t.Fatal("InsertAtSlot into a dropped cache misplaced the line")
 	}
 
@@ -215,7 +215,7 @@ func TestDropAllOnSharedCache(t *testing.T) {
 		t.Fatal("the remaining holder copied the array")
 	}
 	src.DropAll()
-	if &src.lines[0] != arr || src.Contains(2) {
+	if &src.lines[0] != arr || contains(src, 2) {
 		t.Fatal("an unshared DropAll did not clear in place")
 	}
 }
@@ -230,7 +230,7 @@ func TestCloneConcurrentMutation(t *testing.T) {
 			key := uint64(rng.Intn(96))
 			switch rng.Intn(6) {
 			case 0, 1:
-				if !c.Contains(key) {
+				if !contains(c, key) {
 					c.Insert(key, blockOf(byte(i)))
 				}
 			case 2:
@@ -238,13 +238,13 @@ func TestCloneConcurrentMutation(t *testing.T) {
 					l.Unpersisted++
 				}
 			case 3:
-				if c.Contains(key) {
+				if contains(c, key) {
 					c.MarkDirty(key)
 				}
 			case 4:
 				c.Invalidate(key)
 			case 5:
-				if c.Contains(key) {
+				if contains(c, key) {
 					c.Pin(key)
 					c.Unpin(key)
 				}

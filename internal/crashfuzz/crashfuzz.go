@@ -321,12 +321,11 @@ type parentKey struct {
 	tseed   int64
 }
 
-// Runner executes trials, caching warm parents between them. Not safe
-// for concurrent use; fuzz workers each own a Runner.
+// Runner executes trials, caching warm parents between them. Every
+// controller is built at memctrl.TestConfig (1 MB memory, small caches:
+// fast trials). Not safe for concurrent use; fuzz workers each own a
+// Runner.
 type Runner struct {
-	// Config overrides the controller configuration (default:
-	// memctrl.TestConfig — 1 MB memory, small caches, fast trials).
-	Config func(memctrl.Scheme) memctrl.Config
 	// NewController overrides controller construction (default:
 	// sim.NewController). Tests wrap controllers with deliberately
 	// reintroduced bugs here to prove the oracle catches them.
@@ -336,11 +335,10 @@ type Runner struct {
 	parents map[parentKey]*parent
 }
 
-// NewRunner returns a Runner with the default (TestConfig) controller
-// configuration.
+// NewRunner returns a Runner that builds controllers with
+// sim.NewController.
 func NewRunner() *Runner {
 	return &Runner{
-		Config:        memctrl.TestConfig,
 		NewController: sim.NewController,
 		arenas:        trace.NewArenaCache(),
 		parents:       make(map[parentKey]*parent),
@@ -361,7 +359,7 @@ func (r *Runner) parent(s Schedule) (*parent, error) {
 	if !ok {
 		return nil, fmt.Errorf("crashfuzz: unknown profile %q", s.Profile)
 	}
-	cfg := r.Config(s.Combo.Scheme)
+	cfg := memctrl.TestConfig(s.Combo.Scheme)
 	cfg.EpochRequests = s.Epoch
 	ctrl, err := r.NewController(s.Combo.Family, cfg)
 	if err != nil {
@@ -373,22 +371,27 @@ func (r *Runner) parent(s Schedule) (*parent, error) {
 			return nil, fmt.Errorf("crashfuzz: warm fill (%s): %w", s.Combo, err)
 		}
 	}
-	// Rebuild the warm phase's golden shadow copy without touching the
-	// controller: sim.Run's writes are a pure function of the request
-	// stream (sim.FillBlock), so replaying the stream reproduces them.
 	p := &parent{ctrl: ctrl, arena: arena, hist: make(map[uint64][][BlockBytes]byte)}
-	nBlocks := ctrl.NumBlocks()
+	history(p.hist, arena.Requests()[:s.Warm], 0, ctrl.NumBlocks())
+	r.parents[key] = p
+	return p, nil
+}
+
+// history appends to hist, in program order, the value each write of
+// reqs stored at its address, without touching the controller: a
+// sim.Runner's writes are a pure function of the request stream
+// (sim.FillBlock of the block and the run's request counter, which is
+// first at reqs[0]), so replaying the stream reproduces them.
+func history(hist map[uint64][][BlockBytes]byte, reqs []trace.Request, first, nBlocks uint64) {
 	var data [BlockBytes]byte
-	for i, req := range arena.Requests()[:s.Warm] {
+	for i, req := range reqs {
 		if req.Op != trace.OpWrite {
 			continue
 		}
-		sim.FillBlock(&data, req.Block, uint64(i))
+		sim.FillBlock(&data, req.Block, first+uint64(i))
 		addr := req.Block % nBlocks
-		p.hist[addr] = append(p.hist[addr], data)
+		hist[addr] = append(hist[addr], data)
 	}
-	r.parents[key] = p
-	return p, nil
 }
 
 // panicError marks an error that was a recovered panic (with stack).
@@ -439,9 +442,6 @@ func (r *Runner) RunTrial(s Schedule) *Violation {
 	// Overlay golden history for the trial's own writes; lookups fall
 	// back to the shared warm history.
 	overlay := make(map[uint64][][BlockBytes]byte)
-	record := func(addr uint64, d [BlockBytes]byte) {
-		overlay[addr] = append(overlay[addr], d)
-	}
 	latest := func(addr uint64) ([BlockBytes]byte, bool) {
 		if h := overlay[addr]; len(h) > 0 {
 			return h[len(h)-1], true
@@ -482,40 +482,28 @@ func (r *Runner) RunTrial(s Schedule) *Violation {
 	}
 
 	// --- phase 1: pre-crash workload window --------------------------------
-	// Mirrors sim.Run request-for-request so the golden copy matches the
-	// bytes the controller saw; the final request optionally runs with
-	// the mid-drain power-loss budget armed.
+	// One sim.Runner drives the child from the warm point through the
+	// window and, after recovery, the post-run; its request counter
+	// starts at zero here and continues, and the final window request
+	// optionally runs with the mid-drain power-loss budget armed.
 	total := s.Extra
 	if s.MidCommit >= 0 {
 		total++
 	}
-	cur := p.arena.SourceAt(s.Warm)
+	run := sim.NewRunner(child, p.arena.SourceAt(s.Warm))
 	werr := guard(func() error {
-		var data [BlockBytes]byte
-		for i := 0; i < total; i++ {
-			if s.MidCommit >= 0 && i == total-1 {
-				dev.SetPushBudget(s.MidCommit)
-			}
-			req := cur.Next()
-			child.AdvanceTo(child.Now() + req.GapNS)
-			addr := req.Block % nBlocks
-			if req.Op == trace.OpWrite {
-				sim.FillBlock(&data, req.Block, uint64(i))
-				if err := child.WriteBlock(addr, data); err != nil {
-					return fmt.Errorf("write %d: %w", addr, err)
-				}
-				record(addr, data)
-			} else if _, err := child.ReadBlock(addr); err != nil {
-				return fmt.Errorf("read %d: %w", addr, err)
-			}
+		if err := run.Step(s.Extra); err != nil || s.MidCommit < 0 {
+			return err
 		}
-		return nil
+		dev.SetPushBudget(s.MidCommit)
+		return run.Step(1)
 	})
 	if werr != nil {
 		// Nothing has been corrupted yet: the pre-crash workload must
 		// run clean on a forked warm controller.
 		return &Violation{Phase: "workload", Msg: werr.Error(), Schedule: s}
 	}
+	history(overlay, p.arena.Requests()[s.Warm:s.Warm+total], 0, nBlocks)
 
 	// --- phase 2: power failure + optional media faults --------------------
 	if cerr := guard(func() error { child.CrashWith(s.Model, rng); return nil }); cerr != nil {
@@ -610,25 +598,7 @@ func (r *Runner) RunTrial(s Schedule) *Violation {
 	// crash state leaking into the recovered run (e.g. a still-armed
 	// pushBudget silently throttling commit groups).
 	if rerr == nil {
-		post := p.arena.SourceAt(s.Warm + total)
-		perr := guard(func() error {
-			var data [BlockBytes]byte
-			for i := 0; i < PostRunRequests; i++ {
-				req := post.Next()
-				child.AdvanceTo(child.Now() + req.GapNS)
-				addr := req.Block % nBlocks
-				if req.Op == trace.OpWrite {
-					sim.FillBlock(&data, req.Block, uint64(total+i))
-					if err := child.WriteBlock(addr, data); err != nil {
-						return fmt.Errorf("write %d: %w", addr, err)
-					}
-					record(addr, data)
-				} else if _, err := child.ReadBlock(addr); err != nil {
-					return fmt.Errorf("read %d: %w", addr, err)
-				}
-			}
-			return nil
-		})
+		perr := guard(func() error { return run.Step(PostRunRequests) })
 		if isPanic(perr) {
 			return &Violation{Phase: "post-run", Msg: perr.Error(), Schedule: s}
 		}
@@ -638,6 +608,8 @@ func (r *Runner) RunTrial(s Schedule) *Violation {
 					Msg:      fmt.Sprintf("recovered controller rejected in-envelope workload: %v", perr),
 					Schedule: s}
 			}
+			start := s.Warm + total
+			history(overlay, p.arena.Requests()[start:start+PostRunRequests], uint64(total), nBlocks)
 			if v := oracle("post-run"); v != nil {
 				return v
 			}

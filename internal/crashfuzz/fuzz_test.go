@@ -1,6 +1,8 @@
 package crashfuzz
 
 import (
+	"fmt"
+	"hash"
 	"hash/fnv"
 	"math/rand"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"anubis/internal/memctrl"
 	"anubis/internal/nvm"
+	"anubis/internal/obs"
 	"anubis/internal/sim"
 )
 
@@ -48,6 +51,100 @@ func TestScheduleStreamPinned(t *testing.T) {
 	h.Write([]byte(strings.Join(toks, "\n")))
 	if got := h.Sum64(); got != want {
 		t.Fatalf("seed-99 schedule stream hashes to %#016x, want %#016x", got, want)
+	}
+}
+
+// TestTrialOutcomesPinned pins what the first 300 seed-99 fuzz trials
+// do, not only which trials are drawn: every controller they build is
+// wrapped in a digestCtrl, and every ReadBlock value or error,
+// WriteBlock error and Recover outcome, then each trial's final device
+// StateDigest, fold into one FNV-1a 64 value. A change to how a trial
+// drives its controller (or to any controller) moves it.
+func TestTrialOutcomesPinned(t *testing.T) {
+	const want uint64 = 0x858ed92634ee7906 // FNV-1a 64 of the folded trial outcomes
+	d := &trialDigest{h: fnv.New64a()}
+	r := NewRunner()
+	r.NewController = func(f sim.Family, cfg memctrl.Config) (memctrl.Controller, error) {
+		c, err := sim.NewController(f, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &digestCtrl{Controller: c, d: d}, nil
+	}
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 300; i++ {
+		s := RandomSchedule(rng, 99)
+		d.last = nil
+		if v := r.RunTrial(s); v != nil {
+			t.Fatalf("trial %d: %v", i, v)
+		}
+		if d.last == nil {
+			t.Fatalf("trial %d forked no controller", i)
+		}
+		fmt.Fprintf(d.h, "digest %x\n", d.last.Device().StateDigest())
+	}
+	if got := d.h.Sum64(); got != want {
+		t.Fatalf("seed-99 trial outcomes hash to %#016x, want %#016x", got, want)
+	}
+}
+
+// trialDigest is the hash every digestCtrl of one run folds into, and
+// the latest clone: a trial's child.
+type trialDigest struct {
+	h    hash.Hash64
+	last *digestCtrl
+}
+
+// digestCtrl records what a trial observes from the controller it
+// wraps. Clones stay wrapped, and FlushEpoch and SetProbe are
+// forwarded so that sim's type assertions still find them.
+type digestCtrl struct {
+	memctrl.Controller
+	d *trialDigest
+}
+
+func (c *digestCtrl) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
+	v, err := c.Controller.ReadBlock(idx)
+	if err != nil {
+		fmt.Fprintf(c.d.h, "read %d: %v\n", idx, err)
+	} else {
+		fmt.Fprintf(c.d.h, "read %d: %x\n", idx, v)
+	}
+	return v, err
+}
+
+func (c *digestCtrl) WriteBlock(idx uint64, data [BlockBytes]byte) error {
+	err := c.Controller.WriteBlock(idx, data)
+	fmt.Fprintf(c.d.h, "write %d: %v\n", idx, err)
+	return err
+}
+
+func (c *digestCtrl) Recover() (*memctrl.RecoveryReport, error) {
+	rep, err := c.Controller.Recover()
+	if rep != nil {
+		fmt.Fprintf(c.d.h, "recover %+v: %v\n", *rep, err)
+	} else {
+		fmt.Fprintf(c.d.h, "recover: %v\n", err)
+	}
+	return rep, err
+}
+
+func (c *digestCtrl) Clone() memctrl.Controller {
+	child := &digestCtrl{Controller: c.Controller.Clone(), d: c.d}
+	c.d.last = child
+	return child
+}
+
+func (c *digestCtrl) FlushEpoch() error {
+	if f, ok := c.Controller.(interface{ FlushEpoch() error }); ok {
+		return f.FlushEpoch()
+	}
+	return nil
+}
+
+func (c *digestCtrl) SetProbe(p obs.Probe) {
+	if ps, ok := c.Controller.(interface{ SetProbe(obs.Probe) }); ok {
+		ps.SetProbe(p)
 	}
 }
 

@@ -21,7 +21,7 @@
 // Encryption uses the standard library's AES-128. Hashes and MACs use a
 // keyed multiply-mix construction (wyhash-style folded 64×64→128
 // multiplies) rather than SHA-256/HMAC: the simulator charges
-// cryptographic latency through the modeled HashNS cost, so the
+// cryptographic latency through the modeled memctrl.HashNS cost, so the
 // functional hash contributes nothing to simulated timing — it only
 // needs determinism, full-width avalanche (tamper and differential
 // tests must see every bit flip), and per-key separation, all of which
@@ -40,7 +40,7 @@
 // the Engine safe for concurrent use: parallel evaluation cells
 // (internal/parallel) may share one Engine, and each in-flight
 // operation checks out its own scratch state.
-// BenchmarkPad/BenchmarkDataMAC/BenchmarkTreeHash prove 0 allocs/op.
+// BenchmarkPad/BenchmarkDataMAC/BenchmarkContentHash prove 0 allocs/op.
 package cryptoeng
 
 import (
@@ -54,10 +54,6 @@ import (
 
 // BlockBytes is the memory block (cache line) size.
 const BlockBytes = 64
-
-// TreeHashBytes is the size of one general-tree hash entry; eight such
-// entries form one 64-byte Merkle tree node.
-const TreeHashBytes = 8
 
 // SGXMACBits is the width of the MAC embedded in SGX-style counter and
 // tree blocks (Figure 3 of the paper; 56-bit as in Intel's MEE).
@@ -94,11 +90,10 @@ const (
 	mixK3 = 0x589965cc75374cc3
 	mixK4 = 0x1d8e4e27c47d124f
 
-	// Fixed seeds of the two unkeyed hashes. ContentHash must be
+	// Fixed seed of the unkeyed hash. ContentHash must be
 	// engine-independent (default tree nodes are shared across
-	// controllers); TreeHash gets its own domain.
+	// controllers).
 	contentSeed = 0x2d358dccaa6c78a5
-	treeSeed    = 0x8bb84b93962eacc9
 
 	// stDomainSeed separates shadow-table MACs from node MACs computed
 	// under the same MAC key.
@@ -209,29 +204,6 @@ func (e *Engine) DecryptTo(dst, src []byte, addr, counter uint64) {
 	e.EncryptTo(dst, src, addr, counter)
 }
 
-// Encrypt XORs a 64-byte plaintext with the OTP for (addr, counter),
-// returning the ciphertext in a freshly allocated slice. Hot paths
-// should prefer EncryptTo / XorInPlace, which do not allocate.
-func (e *Engine) Encrypt(addr, counter uint64, plaintext []byte) []byte {
-	if len(plaintext) != BlockBytes {
-		panic("cryptoeng: Encrypt needs a 64-byte block")
-	}
-	out := make([]byte, BlockBytes)
-	e.EncryptTo(out, plaintext, addr, counter)
-	return out
-}
-
-// Decrypt is counter-mode decryption: identical to Encrypt.
-func (e *Engine) Decrypt(addr, counter uint64, ciphertext []byte) []byte {
-	return e.Encrypt(addr, counter, ciphertext)
-}
-
-// XorInPlace applies the OTP for (addr, counter) to buf in place,
-// avoiding the allocation of Encrypt. buf must be 64 bytes.
-func (e *Engine) XorInPlace(addr, counter uint64, buf []byte) {
-	e.EncryptTo(buf, buf, addr, counter)
-}
-
 // DataMAC computes the 64-bit Bonsai data MAC over (addr, counter, data).
 // Together with a Merkle tree over the counters this yields Bonsai
 // Merkle Tree protection (Rogers et al., MICRO 2007).
@@ -241,16 +213,6 @@ func (e *Engine) DataMAC(addr, counter uint64, data []byte) uint64 {
 	}
 	h := hashBlock(e.macSeed, data)
 	return mix(mix(addr^mixK1, counter^e.macSeed)^h, mixK2^e.macSeed)
-}
-
-// TreeHash computes the 64-bit hash of a child node stored in its parent
-// general-tree node. The node address is mixed in so identical contents
-// at different tree positions hash differently.
-func (e *Engine) TreeHash(nodeAddr uint64, node []byte) uint64 {
-	if len(node) != BlockBytes {
-		panic("cryptoeng: TreeHash needs a 64-byte node")
-	}
-	return mix(hashBlock(treeSeed, node)^mixK0, nodeAddr^treeSeed)
 }
 
 // STMAC computes the 56-bit MAC stored in an ASIT shadow-table entry

@@ -2,6 +2,8 @@ package cryptoeng
 
 import (
 	"bytes"
+	"crypto/aes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,12 +17,21 @@ func testBlock(seed int64) []byte {
 	return b
 }
 
+// encrypt returns EncryptTo's output in a new slice.
+func encrypt(e *Engine, addr, counter uint64, src []byte) []byte {
+	dst := make([]byte, BlockBytes)
+	e.EncryptTo(dst, src, addr, counter)
+	return dst
+}
+
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	e := NewTestEngine()
 	f := func(addr, counter uint64, seed int64) bool {
 		pt := testBlock(seed)
-		ct := e.Encrypt(addr, counter, pt)
-		return bytes.Equal(e.Decrypt(addr, counter, ct), pt)
+		ct := encrypt(e, addr, counter, pt)
+		got := make([]byte, BlockBytes)
+		e.DecryptTo(got, ct, addr, counter)
+		return bytes.Equal(got, pt)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -30,7 +41,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 func TestCiphertextDiffersFromPlaintext(t *testing.T) {
 	e := NewTestEngine()
 	pt := testBlock(1)
-	ct := e.Encrypt(42, 7, pt)
+	ct := encrypt(e, 42, 7, pt)
 	if bytes.Equal(ct, pt) {
 		t.Fatal("ciphertext equals plaintext")
 	}
@@ -40,7 +51,7 @@ func TestSpatialUniqueness(t *testing.T) {
 	// Same plaintext and counter at two addresses must encrypt differently.
 	e := NewTestEngine()
 	pt := testBlock(2)
-	if bytes.Equal(e.Encrypt(1, 5, pt), e.Encrypt(2, 5, pt)) {
+	if bytes.Equal(encrypt(e, 1, 5, pt), encrypt(e, 2, 5, pt)) {
 		t.Fatal("pads collide across addresses")
 	}
 }
@@ -49,7 +60,7 @@ func TestTemporalUniqueness(t *testing.T) {
 	// Same plaintext and address with two counters must encrypt differently.
 	e := NewTestEngine()
 	pt := testBlock(3)
-	if bytes.Equal(e.Encrypt(9, 1, pt), e.Encrypt(9, 2, pt)) {
+	if bytes.Equal(encrypt(e, 9, 1, pt), encrypt(e, 9, 2, pt)) {
 		t.Fatal("pads collide across counter values")
 	}
 }
@@ -57,21 +68,28 @@ func TestTemporalUniqueness(t *testing.T) {
 func TestWrongCounterGarbles(t *testing.T) {
 	e := NewTestEngine()
 	pt := testBlock(4)
-	ct := e.Encrypt(100, 10, pt)
-	if bytes.Equal(e.Decrypt(100, 11, ct), pt) {
+	ct := encrypt(e, 100, 10, pt)
+	if bytes.Equal(encrypt(e, 100, 11, ct), pt) {
 		t.Fatal("decryption with the wrong counter recovered plaintext")
 	}
 }
 
+// TestXorInPlaceMatchesEncrypt applies the pad in place (dst and src
+// alias, as the controller's decrypt does) and compares it with the
+// out-of-place result; decrypting in place restores the plaintext.
 func TestXorInPlaceMatchesEncrypt(t *testing.T) {
 	e := NewTestEngine()
 	pt := testBlock(5)
-	want := e.Encrypt(77, 3, pt)
+	want := encrypt(e, 77, 3, pt)
 	buf := make([]byte, BlockBytes)
 	copy(buf, pt)
-	e.XorInPlace(77, 3, buf)
+	e.EncryptTo(buf, buf, 77, 3)
 	if !bytes.Equal(buf, want) {
-		t.Fatal("XorInPlace disagrees with Encrypt")
+		t.Fatal("in-place EncryptTo disagrees with out-of-place")
+	}
+	e.DecryptTo(buf, buf, 77, 3)
+	if !bytes.Equal(buf, pt) {
+		t.Fatal("in-place DecryptTo did not round-trip")
 	}
 }
 
@@ -82,7 +100,7 @@ func TestKeySeparation(t *testing.T) {
 	e1 := NewEngine(k1, mk)
 	e2 := NewEngine(k2, mk)
 	pt := testBlock(6)
-	if bytes.Equal(e1.Encrypt(0, 0, pt), e2.Encrypt(0, 0, pt)) {
+	if bytes.Equal(encrypt(e1, 0, 0, pt), encrypt(e2, 0, 0, pt)) {
 		t.Fatal("different AES keys produced identical ciphertext")
 	}
 }
@@ -116,19 +134,27 @@ func TestDataMACKeyed(t *testing.T) {
 	}
 }
 
+// TestTreeHashProperties checks ContentHash, the general Merkle tree's
+// node hash: deterministic, sensitive to every content bit tried, and
+// independent of the engine's keys, so default nodes are shared.
 func TestTreeHashProperties(t *testing.T) {
 	e := NewTestEngine()
 	node := testBlock(9)
-	h := e.TreeHash(3, node)
-	if e.TreeHash(3, node) != h {
-		t.Fatal("TreeHash not deterministic")
+	h := e.ContentHash(node)
+	if e.ContentHash(node) != h {
+		t.Fatal("ContentHash not deterministic")
 	}
-	if e.TreeHash(4, node) == h {
-		t.Fatal("TreeHash ignores node address")
+	var ak [16]byte
+	var mk [32]byte
+	if NewEngine(ak, mk).ContentHash(node) != h {
+		t.Fatal("ContentHash depends on the engine's keys")
 	}
-	node[63] ^= 0x80
-	if e.TreeHash(3, node) == h {
-		t.Fatal("TreeHash ignores contents")
+	for _, bit := range []int{0, 255, 511} {
+		node[bit/8] ^= 1 << (bit % 8)
+		if e.ContentHash(node) == h {
+			t.Fatalf("ContentHash ignores content bit %d", bit)
+		}
+		node[bit/8] ^= 1 << (bit % 8)
 	}
 }
 
@@ -163,10 +189,9 @@ func TestPanicsOnWrongSizes(t *testing.T) {
 	e := NewTestEngine()
 	short := make([]byte, 10)
 	for name, fn := range map[string]func(){
-		"Encrypt":    func() { e.Encrypt(0, 0, short) },
-		"XorInPlace": func() { e.XorInPlace(0, 0, short) },
-		"DataMAC":    func() { e.DataMAC(0, 0, short) },
-		"TreeHash":   func() { e.TreeHash(0, short) },
+		"DecryptTo":   func() { e.DecryptTo(short, short, 0, 0) },
+		"DataMAC":     func() { e.DataMAC(0, 0, short) },
+		"ContentHash": func() { e.ContentHash(short) },
 	} {
 		func() {
 			defer func() {
@@ -179,25 +204,33 @@ func TestPanicsOnWrongSizes(t *testing.T) {
 	}
 }
 
+// TestEncryptToMatchesEncrypt pins EncryptTo to counter mode built
+// directly on AES-128 under NewTestEngine's key: AES block i of the pad
+// encrypts the IV (address, counter<<2 | i).
 func TestEncryptToMatchesEncrypt(t *testing.T) {
 	e := NewTestEngine()
+	var key [16]byte
+	for i := range key {
+		key[i] = byte(i + 1)
+	}
+	blk, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const addr, counter = 31, 12
 	pt := testBlock(13)
-	want := e.Encrypt(31, 12, pt)
-	dst := make([]byte, BlockBytes)
-	e.EncryptTo(dst, pt, 31, 12)
-	if !bytes.Equal(dst, want) {
-		t.Fatal("EncryptTo disagrees with Encrypt")
+	want := make([]byte, BlockBytes)
+	var iv [aes.BlockSize]byte
+	binary.LittleEndian.PutUint64(iv[0:8], addr)
+	for i := 0; i < BlockBytes/aes.BlockSize; i++ {
+		binary.LittleEndian.PutUint64(iv[8:16], counter<<2|uint64(i))
+		blk.Encrypt(want[i*aes.BlockSize:], iv[:])
 	}
-	// In-place (aliased dst/src) must give the same result.
-	buf := make([]byte, BlockBytes)
-	copy(buf, pt)
-	e.EncryptTo(buf, buf, 31, 12)
-	if !bytes.Equal(buf, want) {
-		t.Fatal("aliased EncryptTo disagrees with Encrypt")
+	for i := range want {
+		want[i] ^= pt[i]
 	}
-	e.DecryptTo(buf, buf, 31, 12)
-	if !bytes.Equal(buf, pt) {
-		t.Fatal("DecryptTo did not round-trip")
+	if got := encrypt(e, addr, counter, pt); !bytes.Equal(got, want) {
+		t.Fatal("EncryptTo disagrees with the counter-mode reference")
 	}
 }
 
@@ -233,13 +266,12 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	dst := make([]byte, BlockBytes)
 	ctrs := make([]uint64, 8)
 	cases := map[string]func(){
-		"pad/XorInPlace": func() { e.XorInPlace(3, 9, buf) },
-		"EncryptTo":      func() { e.EncryptTo(dst, buf, 3, 9) },
-		"DataMAC":        func() { e.DataMAC(3, 9, buf) },
-		"TreeHash":       func() { e.TreeHash(3, buf) },
-		"ContentHash":    func() { e.ContentHash(buf) },
-		"SGXMAC":         func() { e.SGXMAC(3, ctrs, 1) },
-		"STMAC":          func() { e.STMAC(3, ctrs) },
+		"pad/in place": func() { e.EncryptTo(buf, buf, 3, 9) },
+		"EncryptTo":    func() { e.EncryptTo(dst, buf, 3, 9) },
+		"DataMAC":      func() { e.DataMAC(3, 9, buf) },
+		"ContentHash":  func() { e.ContentHash(buf) },
+		"SGXMAC":       func() { e.SGXMAC(3, ctrs, 1) },
+		"STMAC":        func() { e.STMAC(3, ctrs) },
 	}
 	for name, fn := range cases {
 		fn() // warm the scratch pool outside the measurement
@@ -255,9 +287,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 func TestConcurrentEngineSharing(t *testing.T) {
 	e := NewTestEngine()
 	pt := testBlock(15)
-	wantCT := e.Encrypt(77, 13, pt)
+	wantCT := encrypt(e, 77, 13, pt)
 	wantMAC := e.DataMAC(77, 13, pt)
-	wantTH := e.TreeHash(42, pt)
+	wantTH := e.ContentHash(pt)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
@@ -272,7 +304,7 @@ func TestConcurrentEngineSharing(t *testing.T) {
 					done <- fmt.Errorf("iter %d: MAC mismatch", i)
 					return
 				}
-				if e.TreeHash(42, pt) != wantTH {
+				if e.ContentHash(pt) != wantTH {
 					done <- fmt.Errorf("iter %d: tree hash mismatch", i)
 					return
 				}
@@ -293,7 +325,7 @@ func BenchmarkEncryptBlock(b *testing.B) {
 	b.SetBytes(BlockBytes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.XorInPlace(uint64(i), uint64(i), pt)
+		e.EncryptTo(pt, pt, uint64(i), uint64(i))
 	}
 }
 
@@ -317,16 +349,6 @@ func BenchmarkDataMAC(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.DataMAC(uint64(i), 1, data)
-	}
-}
-
-func BenchmarkTreeHash(b *testing.B) {
-	e := NewTestEngine()
-	node := testBlock(12)
-	b.SetBytes(BlockBytes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.TreeHash(uint64(i), node)
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package ecc implements the (72,64) Hamming SECDED code used by ECC
-// DIMMs: 8 check bits per 64-bit word, able to correct any single-bit
-// error and detect any double-bit error.
+// Package ecc implements the encoder and checker of the (72,64)
+// Hamming SECDED code used by ECC DIMMs: 8 check bits per 64-bit word,
+// enough to correct any single-bit error and detect any double-bit
+// error. Nothing here corrects: every caller only asks whether a block
+// matches its check bits, so the package encodes and checks.
 //
 // Osiris-style counter recovery (Ye et al., MICRO 2018) relies on ECC
 // bits that are encrypted together with the data: decrypting a block
@@ -33,9 +35,6 @@ const WordsPerBlock = BlockBytes / WordBytes
 // dataPositions[i] is the codeword position of data bit i.
 var dataPositions [64]uint
 
-// positionOfData maps a codeword position to its data bit index, or -1.
-var positionOfData [72]int
-
 // byteECC[k][v] is the check byte of the word whose byte k is v and
 // whose other bytes are zero. The code is linear over GF(2), so the
 // check byte of any word is the XOR of its eight bytes' entries: eight
@@ -45,16 +44,12 @@ var positionOfData [72]int
 var byteECC [WordBytes][256]uint8
 
 func init() {
-	for i := range positionOfData {
-		positionOfData[i] = -1
-	}
 	di := 0
 	for pos := uint(1); pos < 72; pos++ {
 		if pos&(pos-1) == 0 { // power of two: parity position
 			continue
 		}
 		dataPositions[di] = pos
-		positionOfData[pos] = di
 		di++
 	}
 	if di != 64 {
@@ -76,34 +71,6 @@ func init() {
 	}
 }
 
-// CheckResult classifies the outcome of a SECDED check.
-type CheckResult int
-
-const (
-	// OK means the codeword is consistent.
-	OK CheckResult = iota
-	// CorrectedData means a single-bit error in the data was corrected.
-	CorrectedData
-	// CorrectedECC means a single-bit error in the check bits was corrected.
-	CorrectedECC
-	// Uncorrectable means a multi-bit error was detected.
-	Uncorrectable
-)
-
-func (r CheckResult) String() string {
-	switch r {
-	case OK:
-		return "ok"
-	case CorrectedData:
-		return "corrected-data"
-	case CorrectedECC:
-		return "corrected-ecc"
-	case Uncorrectable:
-		return "uncorrectable"
-	}
-	return "unknown"
-}
-
 // Encode computes the 8 check bits for a 64-bit word.
 //
 // Bit i (0..6) of the result is the Hamming parity for position 2^i;
@@ -120,42 +87,6 @@ func Encode(word uint64) uint8 {
 // It returns true iff the pair is a valid codeword with no error.
 func Check(word uint64, ecc uint8) bool {
 	return Encode(word) == ecc
-}
-
-// Correct verifies a (word, ecc) pair, correcting a single-bit error if
-// present. It returns the (possibly corrected) word and the check result.
-func Correct(word uint64, ecc uint8) (uint64, CheckResult) {
-	expect := Encode(word)
-	if expect == ecc {
-		return word, OK
-	}
-	// Syndrome: recomputed Hamming parities of the received data vs the
-	// received parity bits.
-	syndrome := uint((expect ^ ecc) & 0x7f)
-	// Overall parity is evaluated over the *received* codeword (data bits
-	// plus all eight received check bits); a valid or double-error word
-	// has even parity, any single-bit error has odd parity. expect's
-	// eight bits have the data bits' parity, so the received codeword's
-	// parity is that of expect^ecc.
-	overallMismatch := bits.OnesCount8(expect^ecc)&1 != 0
-	switch {
-	case syndrome == 0 && overallMismatch:
-		// Only the overall parity bit itself flipped.
-		return word, CorrectedECC
-	case syndrome != 0 && overallMismatch:
-		// Single-bit error at codeword position = syndrome.
-		if syndrome >= 72 {
-			return word, Uncorrectable
-		}
-		if di := positionOfData[syndrome]; di >= 0 {
-			return word ^ (1 << uint(di)), CorrectedData
-		}
-		// The error hit one of the parity positions.
-		return word, CorrectedECC
-	default:
-		// syndrome != 0 with matching overall parity: double error.
-		return word, Uncorrectable
-	}
 }
 
 // EncodeBlock computes the 8 ECC bytes protecting a 64-byte block,
@@ -187,24 +118,4 @@ func CheckBlock(block []byte, ecc [WordsPerBlock]uint8) bool {
 		}
 	}
 	return true
-}
-
-// CorrectBlock corrects up to one flipped bit per word in place and
-// returns the worst CheckResult observed across the block.
-func CorrectBlock(block []byte, ecc [WordsPerBlock]uint8) CheckResult {
-	if len(block) != BlockBytes {
-		panic("ecc: CorrectBlock needs a 64-byte block")
-	}
-	worst := OK
-	for w := 0; w < WordsPerBlock; w++ {
-		word := binary.LittleEndian.Uint64(block[w*WordBytes:])
-		fixed, res := Correct(word, ecc[w])
-		if fixed != word {
-			binary.LittleEndian.PutUint64(block[w*WordBytes:], fixed)
-		}
-		if res > worst {
-			worst = res
-		}
-	}
-	return worst
 }

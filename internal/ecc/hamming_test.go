@@ -29,8 +29,8 @@ func TestCheckRoundTrip(t *testing.T) {
 
 func TestCorrectNoError(t *testing.T) {
 	f := func(word uint64) bool {
-		got, res := Correct(word, Encode(word))
-		return got == word && res == OK
+		got, res := correctRef(word, Encode(word))
+		return got == word && res == ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -38,16 +38,16 @@ func TestCorrectNoError(t *testing.T) {
 }
 
 // TestCorrectSingleDataBit flips each of the 64 data bits in turn and
-// checks that Correct restores the original word.
+// checks that Encode's check bits locate and restore it.
 func TestCorrectSingleDataBit(t *testing.T) {
 	words := []uint64{0, ^uint64(0), 0xdeadbeefcafebabe, 1, 1 << 63}
 	for _, w := range words {
 		ecc := Encode(w)
 		for bit := 0; bit < 64; bit++ {
 			corrupt := w ^ (1 << uint(bit))
-			got, res := Correct(corrupt, ecc)
-			if res != CorrectedData {
-				t.Fatalf("word %#x bit %d: result %v, want CorrectedData", w, bit, res)
+			got, res := correctRef(corrupt, ecc)
+			if res != correctedData {
+				t.Fatalf("word %#x bit %d: result %v, want correctedData", w, bit, res)
 			}
 			if got != w {
 				t.Fatalf("word %#x bit %d: corrected to %#x", w, bit, got)
@@ -62,9 +62,9 @@ func TestCorrectSingleECCBit(t *testing.T) {
 	w := uint64(0x0123456789abcdef)
 	ecc := Encode(w)
 	for bit := 0; bit < 8; bit++ {
-		got, res := Correct(w, ecc^(1<<uint(bit)))
-		if res != CorrectedECC {
-			t.Fatalf("ecc bit %d: result %v, want CorrectedECC", bit, res)
+		got, res := correctRef(w, ecc^(1<<uint(bit)))
+		if res != correctedECC {
+			t.Fatalf("ecc bit %d: result %v, want correctedECC", bit, res)
 		}
 		if got != w {
 			t.Fatalf("ecc bit %d: word changed to %#x", bit, got)
@@ -80,9 +80,9 @@ func TestDetectDoubleBit(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		for j := i + 1; j < 64; j++ {
 			corrupt := w ^ (1 << uint(i)) ^ (1 << uint(j))
-			_, res := Correct(corrupt, ecc)
-			if res != Uncorrectable {
-				t.Fatalf("bits %d,%d: result %v, want Uncorrectable", i, j, res)
+			_, res := correctRef(corrupt, ecc)
+			if res != uncorrectable {
+				t.Fatalf("bits %d,%d: result %v, want uncorrectable", i, j, res)
 			}
 		}
 	}
@@ -94,8 +94,8 @@ func TestDoubleBitMixed(t *testing.T) {
 	ecc := Encode(w)
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 8; j++ {
-			_, res := Correct(w^(1<<uint(i)), ecc^(1<<uint(j)))
-			if res == OK {
+			_, res := correctRef(w^(1<<uint(i)), ecc^(1<<uint(j)))
+			if res == ok {
 				t.Fatalf("data bit %d + ecc bit %d: undetected", i, j)
 			}
 		}
@@ -106,8 +106,8 @@ func TestQuickSingleBitProperty(t *testing.T) {
 	f := func(word uint64, bitSeed uint8) bool {
 		bit := uint(bitSeed) % 64
 		ecc := Encode(word)
-		got, res := Correct(word^(1<<bit), ecc)
-		return got == word && res == CorrectedData
+		got, res := correctRef(word^(1<<bit), ecc)
+		return got == word && res == correctedData
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -142,6 +142,9 @@ func TestBlockDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestBlockCorrectsSingleBitPerWord flips one bit in every word: the
+// block fails CheckBlock, and each word's EncodeBlock byte locates and
+// restores its flipped bit.
 func TestBlockCorrectsSingleBitPerWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig := make([]byte, BlockBytes)
@@ -149,17 +152,19 @@ func TestBlockCorrectsSingleBitPerWord(t *testing.T) {
 	ecc := EncodeBlock(orig)
 	block := make([]byte, BlockBytes)
 	copy(block, orig)
-	// Flip one bit in every word.
 	for w := 0; w < WordsPerBlock; w++ {
 		block[w*WordBytes+rng.Intn(WordBytes)] ^= 1 << uint(rng.Intn(8))
 	}
-	res := CorrectBlock(block, ecc)
-	if res != CorrectedData {
-		t.Fatalf("result %v, want CorrectedData", res)
+	if CheckBlock(block, ecc) {
+		t.Fatal("block with a flipped bit in every word passes CheckBlock")
 	}
-	for i := range orig {
-		if block[i] != orig[i] {
-			t.Fatalf("byte %d not restored", i)
+	for w := 0; w < WordsPerBlock; w++ {
+		got, res := correctRef(binary.LittleEndian.Uint64(block[w*WordBytes:]), ecc[w])
+		if res != correctedData {
+			t.Fatalf("word %d: result %v, want correctedData", w, res)
+		}
+		if want := binary.LittleEndian.Uint64(orig[w*WordBytes:]); got != want {
+			t.Fatalf("word %d corrected to %#x, want %#x", w, got, want)
 		}
 	}
 }
@@ -184,7 +189,6 @@ func TestPanicsOnWrongSize(t *testing.T) {
 	for _, fn := range []func(){
 		func() { EncodeBlock(make([]byte, 63)) },
 		func() { CheckBlock(make([]byte, 65), [WordsPerBlock]uint8{}) },
-		func() { CorrectBlock(make([]byte, 0), [WordsPerBlock]uint8{}) },
 	} {
 		func() {
 			defer func() {
@@ -194,21 +198,6 @@ func TestPanicsOnWrongSize(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestCheckResultString(t *testing.T) {
-	cases := map[CheckResult]string{
-		OK:             "ok",
-		CorrectedData:  "corrected-data",
-		CorrectedECC:   "corrected-ecc",
-		Uncorrectable:  "uncorrectable",
-		CheckResult(9): "unknown",
-	}
-	for r, want := range cases {
-		if r.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", r, r.String(), want)
-		}
 	}
 }
 
@@ -297,28 +286,57 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 }
 
-// correctRef is Correct computed from encodeRef, with the overall
-// parity of the received codeword counted bit by bit.
-func correctRef(word uint64, ecc uint8) (uint64, CheckResult) {
+// checkResult classifies the outcome of a SECDED decode.
+type checkResult int
+
+const (
+	ok            checkResult = iota // a consistent codeword
+	correctedData                    // a single flipped data bit, corrected
+	correctedECC                     // a single flipped check bit
+	uncorrectable                    // a multi-bit error, detected
+)
+
+// positionOfData maps a codeword position to its data bit index, or -1
+// for the parity positions 0 and 2^i.
+var positionOfData = func() (pos [72]int) {
+	di := 0
+	for p := range pos {
+		if p&(p-1) == 0 {
+			pos[p] = -1
+			continue
+		}
+		pos[p] = di
+		di++
+	}
+	return pos
+}()
+
+// correctRef is the SECDED decoder of the code, computed from encodeRef
+// with the overall parity of the received codeword counted bit by bit.
+// The controller never corrects (Osiris only checks a candidate
+// counter's plaintext against its ECC), so the decoder lives here: it
+// proves that Encode's check bits correct every single-bit error and
+// detect every double-bit error.
+func correctRef(word uint64, ecc uint8) (uint64, checkResult) {
 	expect := encodeRef(word)
 	if expect == ecc {
-		return word, OK
+		return word, ok
 	}
 	syndrome := uint((expect ^ ecc) & 0x7f)
 	overallMismatch := (bits.OnesCount64(word)+bits.OnesCount8(ecc))&1 != 0
 	switch {
 	case syndrome == 0 && overallMismatch:
-		return word, CorrectedECC
+		return word, correctedECC
 	case syndrome != 0 && overallMismatch:
 		if syndrome >= 72 {
-			return word, Uncorrectable
+			return word, uncorrectable
 		}
 		if di := positionOfData[syndrome]; di >= 0 {
-			return word ^ (1 << uint(di)), CorrectedData
+			return word ^ (1 << uint(di)), correctedData
 		}
-		return word, CorrectedECC
+		return word, correctedECC
 	default:
-		return word, Uncorrectable
+		return word, uncorrectable
 	}
 }
 
@@ -332,9 +350,10 @@ func checkBlockRef(block []byte, ecc [WordsPerBlock]uint8) bool {
 	return true
 }
 
-// FuzzBlockKernels pins Encode, Correct and CheckBlock to their
-// references on arbitrary blocks and check bytes, and checks that a
-// block passes under its own EncodeBlock.
+// FuzzBlockKernels pins Encode and CheckBlock to their references on
+// arbitrary blocks and check bytes, checks that a block passes under
+// its own EncodeBlock, and that each word's Encode byte restores the
+// word with one bit flipped.
 func FuzzBlockKernels(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{0xff, 0x01, 0x80}, ^uint64(0))
@@ -349,10 +368,9 @@ func FuzzBlockKernels(f *testing.F) {
 			if got, want := Encode(word), encodeRef(word); got != want {
 				t.Fatalf("Encode(%#x) = %#x, want %#x", word, got, want)
 			}
-			gw, gr := Correct(word, ecc[w])
-			ww, wr := correctRef(word, ecc[w])
-			if gw != ww || gr != wr {
-				t.Fatalf("Correct(%#x, %#x) = (%#x, %v), want (%#x, %v)", word, ecc[w], gw, gr, ww, wr)
+			flip := uint64(1) << (uint(ecc[w]) % 64)
+			if got, res := correctRef(word^flip, Encode(word)); got != word || res != correctedData {
+				t.Fatalf("word %#x with bit %#x flipped decodes to (%#x, %v)", word, flip, got, res)
 			}
 		}
 		if got, want := CheckBlock(block, ecc), checkBlockRef(block, ecc); got != want {

@@ -1,12 +1,10 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"anubis/internal/memctrl"
-	"anubis/internal/nvm"
 	"anubis/internal/parallel"
 	"anubis/internal/recmodel"
 	"anubis/internal/sim"
@@ -41,7 +39,7 @@ func AblationStopLoss(rc RunConfig) ([]StopLossRow, error) {
 	}
 	prof, _ := trace.ByName("libquantum")
 	limits := []int{1, 2, 4, 8, 16}
-	return parallel.Map(rc.pool(), len(limits), func(_ context.Context, i int) (StopLossRow, error) {
+	return parallel.Map(rc.pool(), len(limits), func(i int) (StopLossRow, error) {
 		sl := limits[i]
 		cfg := rc.config(memctrl.SchemeWriteBack)
 		base, err := runWith(cfg, prof, rc)
@@ -131,7 +129,7 @@ func AblationRecoveryBackend(rc RunConfig) ([]BackendRow, error) {
 		return nil, err
 	}
 	backends := []memctrl.CounterRecovery{memctrl.RecoveryECC, memctrl.RecoveryPhase}
-	return parallel.Map(rc.pool(), len(backends), func(_ context.Context, i int) (BackendRow, error) {
+	return parallel.Map(rc.pool(), len(backends), func(i int) (BackendRow, error) {
 		backend := backends[i]
 		cfg := rc.config(memctrl.SchemeAGITPlus)
 		cfg.Recovery = backend
@@ -206,7 +204,7 @@ func AblationEndurance(rc RunConfig) ([]EnduranceRow, error) {
 		res  sim.Result
 		wear uint64
 	}
-	results, err := parallel.Map(rc.pool(), len(entries), func(_ context.Context, i int) (measured, error) {
+	results, err := parallel.Map(rc.pool(), len(entries), func(i int) (measured, error) {
 		e := entries[i]
 		cfg := rc.config(e.s)
 		cfg.WearPeriod = e.wear
@@ -263,9 +261,6 @@ func PrintAblationEndurance(w io.Writer, rc RunConfig) error {
 	return nil
 }
 
-// wearRegionName is kept for test introspection.
-func wearRegionName(r nvm.Region) string { return r.String() }
-
 // TriadRow is one point of the Triad-NVM resilience sweep.
 type TriadRow struct {
 	Levels       int     `json:"levels"`
@@ -289,7 +284,7 @@ func AblationTriad(rc RunConfig) ([]TriadRow, error) {
 		return nil, err
 	}
 	allLevels := []int{0, 1, 2, 3}
-	return parallel.Map(rc.pool(), len(allLevels), func(_ context.Context, i int) (TriadRow, error) {
+	return parallel.Map(rc.pool(), len(allLevels), func(i int) (TriadRow, error) {
 		levels := allLevels[i]
 		cfg := rc.config(memctrl.SchemeTriad)
 		cfg.TriadLevels = levels

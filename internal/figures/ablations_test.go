@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"anubis/internal/memctrl"
-	"anubis/internal/nvm"
 )
 
 func ablationRC() RunConfig {
@@ -111,12 +110,6 @@ func TestAblationPrinters(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("output missing %q", want)
 		}
-	}
-}
-
-func TestWearRegionName(t *testing.T) {
-	if wearRegionName(nvm.RegionData) != "data" {
-		t.Fatal("region name passthrough broken")
 	}
 }
 

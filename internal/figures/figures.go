@@ -47,8 +47,6 @@ type RunConfig struct {
 	// Results are identical for any value — see DESIGN.md § Parallel
 	// evaluation.
 	Parallel int
-	// Ctx, when non-nil, cancels in-flight sweeps between cells.
-	Ctx context.Context
 	// Arenas, when non-nil, interns each (profile, seed) request stream
 	// into an immutable arena shared read-only across every simulation
 	// cell (and across workers), instead of re-running the trace
@@ -72,7 +70,7 @@ type RunConfig struct {
 
 // pool returns the worker pool every figure sweep fans out on.
 func (rc RunConfig) pool() parallel.Pool {
-	return parallel.Pool{Workers: rc.Parallel, Ctx: rc.Ctx}
+	return parallel.Pool{Workers: rc.Parallel}
 }
 
 // DefaultRunConfig mirrors Table 1 but at a simulation-friendly scale:
@@ -170,16 +168,12 @@ func (rc RunConfig) run(f sim.Family, s memctrl.Scheme, p trace.Profile) (sim.Re
 	if rc.Trace != nil {
 		probe = rc.Trace.Scope(fmt.Sprintf("%s/%s/%s", f, s, p.Name))
 	}
-	ctx := rc.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var res sim.Result
 	// Label the cell for CPU/heap profiles: `go tool pprof` can then
 	// slice a whole-sweep profile by app, scheme or family
 	// (-tagfocus/-tagshow). Labels only annotate samples — they never
 	// change what runs. See README § Profiling a sweep.
-	pprof.Do(ctx, pprof.Labels(
+	pprof.Do(context.Background(), pprof.Labels(
 		"cell", fmt.Sprintf("%s/%s/%s", f, s, p.Name),
 		"profile", p.Name,
 		"scheme", s.String(),
@@ -274,7 +268,7 @@ func Fig7(rc RunConfig) ([]Fig7Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := parallel.Map(rc.pool(), len(profiles), func(_ context.Context, i int) (sim.Result, error) {
+	results, err := parallel.Map(rc.pool(), len(profiles), func(i int) (sim.Result, error) {
 		res, err := rc.run(sim.FamilyBonsai, memctrl.SchemeWriteBack, profiles[i])
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("fig7 %s: %w", profiles[i].Name, err)
@@ -344,7 +338,7 @@ func perfFigure(rc RunConfig, f sim.Family, schemes []memctrl.Scheme) ([]PerfRow
 		return nil, nil, err
 	}
 	nS := len(schemes)
-	results, err := parallel.Map(rc.pool(), len(profiles)*nS, func(_ context.Context, i int) (sim.Result, error) {
+	results, err := parallel.Map(rc.pool(), len(profiles)*nS, func(i int) (sim.Result, error) {
 		p, s := profiles[i/nS], schemes[i%nS]
 		res, err := rc.run(f, s, p)
 		if err != nil {
@@ -510,7 +504,7 @@ func Fig13(rc RunConfig) ([]Fig13Row, error) {
 		cc.MetaCacheBytes = int(2 * size)
 		return cc
 	}
-	results, err := parallel.Map(rc.pool(), len(sizes)*nP*nC, func(_ context.Context, i int) (sim.Result, error) {
+	results, err := parallel.Map(rc.pool(), len(sizes)*nP*nC, func(i int) (sim.Result, error) {
 		si, rem := i/(nP*nC), i%(nP*nC)
 		pi, ci := rem/nC, rem%nC
 		cc := withCaches(sizes[si])

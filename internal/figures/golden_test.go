@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,6 +100,7 @@ func seed99Table(t *testing.T) goldenTable {
 		}
 	}
 	add(perfCells(t, quick, Fig11, "fig11/quick"))
+	add(quickTables(t, quick))
 
 	// Paper scale: all eleven apps at 40,000 requests, as the benchmark's
 	// sweep workload runs them.
@@ -145,6 +147,71 @@ func seed99Table(t *testing.T) goldenTable {
 	}
 	for _, r := range Fig12() {
 		table["fig12/"+memName(r.CacheBytes)] = goldenRow{"agit_ns": r.AGITNS, "asit_ns": r.ASITNS}
+	}
+	return table
+}
+
+// quickTables returns the rows of Fig 7, Fig 13 and the four ablations
+// at the quick scale, as anubis-bench prints them: counts as they are,
+// and each float field by its math.Float64bits, so the comparison is
+// exact.
+func quickTables(t *testing.T, rc RunConfig) goldenTable {
+	t.Helper()
+	table := goldenTable{}
+	bits := math.Float64bits
+	fig7, err := Fig7(rc)
+	if err != nil {
+		t.Fatalf("fig7: %v", err)
+	}
+	for _, r := range fig7 {
+		table["fig7/quick/"+r.App] = goldenRow{"clean_frac": bits(r.CleanFrac), "evictions": r.Evictions, "first_dirty": r.FirstDirty}
+	}
+	fig13, err := Fig13(rc)
+	if err != nil {
+		t.Fatalf("fig13: %v", err)
+	}
+	for _, r := range fig13 {
+		row := goldenRow{}
+		for _, s := range Fig13Schemes {
+			row[s.String()] = bits(r.Norm[s])
+		}
+		table["fig13/quick/"+memName(r.CacheBytes)] = row
+	}
+	stopLoss, err := AblationStopLoss(rc)
+	if err != nil {
+		t.Fatalf("stop-loss ablation: %v", err)
+	}
+	for _, r := range stopLoss {
+		table[fmt.Sprintf("ablation/stoploss/%d", r.StopLoss)] = goldenRow{
+			"normalized": bits(r.Normalized), "stop_loss_writes": r.StopLossWrites, "recovery_crypto": r.RecoveryCrypto}
+	}
+	backends, err := AblationRecoveryBackend(rc)
+	if err != nil {
+		t.Fatalf("backend ablation: %v", err)
+	}
+	for _, r := range backends {
+		table["ablation/backend/"+r.Backend.String()] = goldenRow{
+			"normalized": bits(r.Normalized), "stop_loss_writes": r.StopLossWrites, "recovery_ops": r.RecoveryOps}
+	}
+	endurance, err := AblationEndurance(rc)
+	if err != nil {
+		t.Fatalf("endurance ablation: %v", err)
+	}
+	for _, r := range endurance {
+		name := r.Scheme.String()
+		if r.WearLeveled {
+			name += "+wl"
+		}
+		table["ablation/endurance/"+name] = goldenRow{
+			"writes_per_request": bits(r.WritesPerRequest), "hottest_wear": r.HottestWear, "lifetime_factor": bits(r.LifetimeFactor)}
+	}
+	triad, err := AblationTriad(rc)
+	if err != nil {
+		t.Fatalf("Triad ablation: %v", err)
+	}
+	for _, r := range triad {
+		table[fmt.Sprintf("ablation/triad/levels%d", r.Levels)] = goldenRow{
+			"normalized": bits(r.Normalized), "recovery_8tb_s": bits(r.Recovery8TBS), "measured_ops": r.MeasuredOps}
 	}
 	return table
 }

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -154,8 +153,7 @@ func (c *RecoverySweepConfig) defaults() (trace.Profile, error) {
 // RecoverySweep executes the sweep and returns the per-trial recovery
 // reports plus the merged measurement-window histograms. Results are
 // deterministic and independent of the worker count, and identical
-// between forked and cold-started modes. Cancelling Run.Ctx stops the
-// sweep between trials.
+// between forked and cold-started modes.
 func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 	prof, err := c.defaults()
 	if err != nil {
@@ -198,7 +196,7 @@ func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 // batches of the pool's size — forking freezes the spine's page
 // stores, which must not race with the spine advancing — and each
 // batch is crashed and recovered on the pool before the next is
-// taken; the pool checks Run.Ctx before each trial. Forks only read
+// taken. Forks only read
 // the shared frozen pages and copy-on-write into their own
 // directories, so a batch's trials are independent.
 func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Config) ([]RecoveryTrial, error) {
@@ -227,7 +225,7 @@ func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Confi
 			forks[k] = fork
 			trials[t] = RecoveryTrial{Extra: (t + 1) * c.ExtraPerTrial, Window: window}
 		}
-		err := parallel.Do(pool, n, func(_ context.Context, k int) error {
+		err := parallel.Do(pool, n, func(k int) error {
 			t := first + k
 			rep, err := crashRecover(t, forks[k])
 			forks[k] = nil // recovered: let the fork's pages go
@@ -245,7 +243,7 @@ func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Confi
 // controller, replays the identical fill phase as its own first Run
 // call, then runs its whole window in one Run call.
 func (c *RecoverySweepConfig) coldTrials(arena *trace.Arena, cfg memctrl.Config) ([]RecoveryTrial, error) {
-	return parallel.Map(c.Run.pool(), c.Trials, func(_ context.Context, t int) (RecoveryTrial, error) {
+	return parallel.Map(c.Run.pool(), c.Trials, func(t int) (RecoveryTrial, error) {
 		extra := (t + 1) * c.ExtraPerTrial
 		ctrl, err := sim.NewController(c.Family, cfg)
 		if err != nil {

@@ -2,8 +2,6 @@ package figures
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -93,23 +91,6 @@ func TestRecoverySweepForkEqualsCold(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRecoverySweepCancelled checks that a cancelled Run.Ctx stops both
-// sweep modes between trials with the context's error.
-func TestRecoverySweepCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, cold := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			c := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai, cold)
-			c.Run.Ctx = ctx
-			c.Run.Parallel = workers
-			if _, err := RecoverySweep(c); !errors.Is(err, context.Canceled) {
-				t.Errorf("cold=%v parallel=%d: err = %v, want context.Canceled", cold, workers, err)
-			}
-		}
 	}
 }
 

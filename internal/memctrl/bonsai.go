@@ -423,8 +423,8 @@ func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 		b.pending = append(b.pending, nvm.PendingWrite{RegName: regBonsaiRoot, Block: rootBlk})
 	}
 
-	b.now += b.cfg.HashNS // pipelined encrypt+MAC engine occupancy
-	b.dev.Attr().Add(obs.CompCrypto, b.cfg.HashNS)
+	b.now += HashNS // pipelined encrypt+MAC engine occupancy
+	b.dev.Attr().Add(obs.CompCrypto, HashNS)
 	b.commitPending()
 	b.now = b.wl.recordWrite(b.now)
 

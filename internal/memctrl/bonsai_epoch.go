@@ -83,8 +83,8 @@ func (b *Bonsai) closeEpoch() error {
 	nodes := 0
 	idxs := pages
 	for level := 0; level < b.geom.Levels(); level++ {
-		b.now += b.cfg.HashNS // one pipelined hash pass per level
-		b.dev.Attr().Add(obs.CompCrypto, b.cfg.HashNS)
+		b.now += HashNS // one pipelined hash pass per level
+		b.dev.Attr().Add(obs.CompCrypto, HashNS)
 		var parents []uint64
 		var parentHashes []uint64
 		for i := 0; i < len(idxs); {
@@ -109,15 +109,14 @@ func (b *Bonsai) closeEpoch() error {
 
 	// Drain-window placement: order the coalesced node writes (all of
 	// b.pending so far) so the banks that free up earliest drain first
-	// (nvm.Device.EarliestBankFree over singleton bank sets;
-	// deterministic, ties broken by bank then node index).
+	// (nvm.Device.EarliestBankFree per bank; deterministic, ties broken
+	// by bank then node index).
 	if treeWrites := b.pending; len(treeWrites) > 1 {
 		banks := b.dev.Timing().Banks
 		free := make([]uint64, banks)
 		order := make([]int, banks)
 		for i := 0; i < banks; i++ {
-			bank := i
-			free[i] = b.dev.EarliestBankFree(func(x int) bool { return x == bank })
+			free[i] = b.dev.EarliestBankFree(i)
 			order[i] = i
 		}
 		sort.SliceStable(order, func(i, j int) bool {

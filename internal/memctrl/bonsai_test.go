@@ -565,7 +565,8 @@ func TestBonsaiOsirisStopLoss(t *testing.T) {
 				}
 			}
 			write(tc.first)
-			for page := uint64(1); tc.evict && b.cCache.Contains(0); page++ {
+			resident := func() bool { _, ok := b.cCache.Peek(0); return ok }
+			for page := uint64(1); tc.evict && resident(); page++ {
 				if _, err := b.ReadBlock(page * counter.SplitMinors); err != nil {
 					t.Fatal(err)
 				}
@@ -585,12 +586,12 @@ func TestBonsaiWriteBackHasNoMetadataWriteTraffic(t *testing.T) {
 		b.WriteBlock(i, pattern(i))
 	}
 	st := b.Stats()
-	if st.NVM.WritesTo(nvm.RegionCounter) != 0 || st.NVM.WritesTo(nvm.RegionTree) != 0 {
+	if st.NVM.WritesByRegion[nvm.RegionCounter] != 0 || st.NVM.WritesByRegion[nvm.RegionTree] != 0 {
 		t.Fatalf("write-back persisted metadata without eviction: ctr=%d tree=%d",
-			st.NVM.WritesTo(nvm.RegionCounter), st.NVM.WritesTo(nvm.RegionTree))
+			st.NVM.WritesByRegion[nvm.RegionCounter], st.NVM.WritesByRegion[nvm.RegionTree])
 	}
-	if st.NVM.WritesTo(nvm.RegionData) != 10 {
-		t.Fatalf("data writes = %d, want 10", st.NVM.WritesTo(nvm.RegionData))
+	if st.NVM.WritesByRegion[nvm.RegionData] != 10 {
+		t.Fatalf("data writes = %d, want 10", st.NVM.WritesByRegion[nvm.RegionData])
 	}
 }
 

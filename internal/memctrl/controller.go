@@ -43,6 +43,10 @@ const BlockBytes = 64
 // PageBytes is the page size one split-counter block covers.
 const PageBytes = 4096
 
+// HashNS is the hash/MAC engine latency (ns) charged on the critical
+// path: one pipelined encrypt+MAC of a data block, or one tree-hash pass.
+const HashNS = 40
+
 // Scheme selects the persistence/recovery mechanism of a controller.
 type Scheme int
 
@@ -285,9 +289,6 @@ type Config struct {
 	// memory is treated as persistent.
 	PersistentBlocks uint64
 
-	// HashNS is the hash/MAC engine latency charged on the critical path.
-	HashNS uint64
-
 	// EpochRequests enables the bank-parallel epoch pipeline of Bonsai
 	// Strict and Triad when > 1: eager tree-path updates are deferred
 	// into a coalescing buffer and drained as one commit group every
@@ -319,7 +320,6 @@ func DefaultConfig(s Scheme) Config {
 		MetaCacheBlocks:    512 * 1024 / BlockBytes,
 		MetaCacheWays:      8,
 		StopLoss:           4,
-		HashNS:             40,
 		Timing:             nvm.DefaultTiming(),
 		Scheme:             s,
 	}

@@ -196,8 +196,8 @@ func (c *core) chargeData(f *dataFetch) {
 		c.dev.Attr().Add(obs.CompDataRead, f.done-c.now)
 		c.now = f.done
 	}
-	c.now += c.cfg.HashNS
-	c.dev.Attr().Add(obs.CompCrypto, c.cfg.HashNS)
+	c.now += HashNS
+	c.dev.Attr().Add(obs.CompCrypto, HashNS)
 }
 
 // openData ends a read under the block's verified counter: a block

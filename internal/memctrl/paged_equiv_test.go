@@ -83,7 +83,7 @@ func observeEquiv(t *testing.T, ctrl Controller) equivGolden {
 	s := dev.Stats()
 	g.Reads, g.Writes = s.Reads, s.Writes
 	for r := nvm.RegionData; r < nvm.Region(6); r++ {
-		g.WritesByRegion[r] = s.WritesTo(r)
+		g.WritesByRegion[r] = s.WritesByRegion[r]
 	}
 
 	ctrl.Crash()

@@ -152,7 +152,7 @@ func TestSelectiveWriteThroughTraffic(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		b.WriteBlock(100, pattern(i)) // persistent region
 	}
-	persistent := b.Stats().NVM.WritesTo(nvm.RegionCounter)
+	persistent := b.Stats().NVM.WritesByRegion[nvm.RegionCounter]
 	if persistent < 50 {
 		t.Fatalf("persistent-region counter writes = %d, want >= 50", persistent)
 	}
@@ -160,7 +160,7 @@ func TestSelectiveWriteThroughTraffic(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		b2.WriteBlock(9000, pattern(i)) // relaxed region
 	}
-	if got := b2.Stats().NVM.WritesTo(nvm.RegionCounter); got != 0 {
+	if got := b2.Stats().NVM.WritesByRegion[nvm.RegionCounter]; got != 0 {
 		t.Fatalf("relaxed-region counter writes = %d, want 0", got)
 	}
 }

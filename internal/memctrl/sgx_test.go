@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"anubis/internal/cache"
 	"anubis/internal/counter"
 	"anubis/internal/nvm"
 )
@@ -91,9 +92,11 @@ func TestSGXFlushThenColdRead(t *testing.T) {
 		c.WriteBlock(i*8, pattern(i))
 	}
 	c.FlushCaches()
-	if c.mCache.DirtyCount() != 0 {
-		t.Fatal("dirty lines survive flush")
-	}
+	c.mCache.Iterate(func(l *cache.Line) {
+		if l.Dirty {
+			t.Fatal("dirty lines survive flush")
+		}
+	})
 	c.Crash()
 	if _, err := c.Recover(); !errors.Is(err, ErrNotRecoverable) {
 		t.Fatalf("Recover = %v", err)
@@ -471,8 +474,8 @@ func TestSGXLazyVsStrictTraffic(t *testing.T) {
 		asit.WriteBlock(addr, pattern(i))
 		strict.WriteBlock(addr, pattern(i))
 	}
-	aw := asit.Stats().NVM.WritesTo(nvm.RegionCounter) + asit.Stats().NVM.WritesTo(nvm.RegionTree)
-	sw := strict.Stats().NVM.WritesTo(nvm.RegionCounter) + strict.Stats().NVM.WritesTo(nvm.RegionTree)
+	aw := asit.Stats().NVM.WritesByRegion[nvm.RegionCounter] + asit.Stats().NVM.WritesByRegion[nvm.RegionTree]
+	sw := strict.Stats().NVM.WritesByRegion[nvm.RegionCounter] + strict.Stats().NVM.WritesByRegion[nvm.RegionTree]
 	if aw*2 >= sw {
 		t.Fatalf("ASIT counter+tree writes (%d) not well below strict (%d)", aw, sw)
 	}

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -152,7 +153,10 @@ func TestWearLevelGapMovesHappen(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		b.WriteBlock(i, pattern(i))
 	}
-	if b.wl.sg.Gap() == b.wl.sg.N() && b.wl.sg.Start() == 0 {
+	// The packed state's words are n, start, gap and the write count.
+	p := b.wl.sg.Pack()
+	n, start, gap := binary.LittleEndian.Uint64(p[0:]), binary.LittleEndian.Uint64(p[8:]), binary.LittleEndian.Uint64(p[16:])
+	if gap == n && start == 0 {
 		t.Fatal("gap never moved with period 1")
 	}
 }

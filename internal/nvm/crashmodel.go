@@ -114,10 +114,6 @@ func (d *Device) TrackInflight(on bool) {
 	d.inflight = d.inflight[:0]
 }
 
-// InflightLen returns the current undo-log length (writes that may
-// still be lost or torn by a relaxed-model crash). Test hook.
-func (d *Device) InflightLen() int { return len(d.inflight) }
-
 // recordInflight snapshots the pre-write media state of w before it is
 // applied. Called from Push with the caller's current time, which also
 // prunes entries whose drains have certainly completed.

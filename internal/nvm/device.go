@@ -143,12 +143,6 @@ type Stats struct {
 	DrainStallNS   uint64             `json:"drain_stall_ns"` // time reads spent blocked by write-drain mode
 }
 
-// WritesTo returns the write count for one region.
-func (s Stats) WritesTo(r Region) uint64 { return s.WritesByRegion[r] }
-
-// ReadsFrom returns the read count for one region.
-func (s Stats) ReadsFrom(r Region) uint64 { return s.ReadsByRegion[r] }
-
 // PendingWrite is one entry staged for durable write-out. A PendingWrite
 // with RegName set targets an on-chip persistent register instead of an
 // NVM block; including register updates in a commit group makes root
@@ -270,31 +264,11 @@ func (d *Device) bankOf(r Region, idx uint64) int {
 func (d *Device) BankOf(r Region, idx uint64) int { return d.bankOf(r, idx) }
 
 // EarliestBankFree reports the earliest instant at which a write drain
-// touching any bank of the given set could begin: the soonest-free bank
-// of the set combined with the earliest-free write port. Neither the
-// bank clocks nor the port heap are mutated (the port side uses the
-// heap's pruned non-mutating peek), so the epoch scheduler can place a
-// coalesced drain window without committing to it. banks == nil means
-// "any bank".
-func (d *Device) EarliestBankFree(banks func(bank int) bool) uint64 {
-	var bank uint64
-	found := false
-	for b, f := range d.bankFree {
-		if banks != nil && !banks(b) {
-			continue
-		}
-		if !found || f < bank {
-			bank, found = f, true
-		}
-	}
-	_, portFree, ok := d.ports.peekEarliest(nil)
-	if !ok || !found {
-		return 0
-	}
-	if portFree > bank {
-		return portFree
-	}
-	return bank
+// on bank could begin: the later of the bank's and the earliest-free
+// write port's free times. Nothing is mutated, so the epoch scheduler
+// can place a coalesced drain window without committing to it.
+func (d *Device) EarliestBankFree(bank int) uint64 {
+	return max(d.bankFree[bank], d.ports.minFree())
 }
 
 // readClock advances the device's read-side clocks for a request

@@ -132,11 +132,11 @@ func TestStatsPerRegion(t *testing.T) {
 	d.Push(PendingWrite{Region: RegionSCT, Index: 1}, 0)
 	d.Read(RegionTree, 0)
 	s := d.Stats()
-	if s.WritesTo(RegionSCT) != 2 || s.Writes != 2 {
-		t.Fatalf("SCT writes = %d (total %d), want 2", s.WritesTo(RegionSCT), s.Writes)
+	if s.WritesByRegion[RegionSCT] != 2 || s.Writes != 2 {
+		t.Fatalf("SCT writes = %d (total %d), want 2", s.WritesByRegion[RegionSCT], s.Writes)
 	}
-	if s.ReadsFrom(RegionTree) != 1 {
-		t.Fatalf("tree reads = %d, want 1", s.ReadsFrom(RegionTree))
+	if s.ReadsByRegion[RegionTree] != 1 {
+		t.Fatalf("tree reads = %d, want 1", s.ReadsByRegion[RegionTree])
 	}
 }
 

@@ -147,10 +147,11 @@ func TestJournalImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPeekEarliestMatchesBruteForce is the property test for the
-// non-mutating port-heap peek: after arbitrary occupancy sequences,
-// peeking any subset must agree with a brute-force scan of the heap's
-// (free, port) pairs, and must not disturb the heap.
+// TestPeekEarliestMatchesBruteForce is the property test for the write
+// port heap's peek: after arbitrary occupancy sequences, the root —
+// minFree, which EarliestBankFree reads, and the port occupyMin hands
+// the next drain — must be the lexicographic minimum of the heap's
+// (free, port) pairs.
 func TestPeekEarliestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -160,44 +161,24 @@ func TestPeekEarliestMatchesBruteForce(t *testing.T) {
 		for op := rng.Intn(32); op > 0; op-- {
 			now += uint64(rng.Intn(200))
 			h.occupyMin(now + uint64(rng.Intn(500)))
-		}
-		for sub := 0; sub < 1<<uint(n); sub++ {
-			member := func(p int) bool { return sub&(1<<uint(p)) != 0 }
-			// Brute force: lexicographic min of (free, port) over members.
-			wantPort, wantFree, wantOK := 0, uint64(0), false
+			wantPort, wantFree := h.port[0], h.free[0]
 			for i := range h.free {
-				if !member(h.port[i]) {
-					continue
-				}
-				if !wantOK || h.free[i] < wantFree ||
-					(h.free[i] == wantFree && h.port[i] < wantPort) {
-					wantPort, wantFree, wantOK = h.port[i], h.free[i], true
+				if h.free[i] < wantFree || (h.free[i] == wantFree && h.port[i] < wantPort) {
+					wantPort, wantFree = h.port[i], h.free[i]
 				}
 			}
-			free0 := append([]uint64(nil), h.free...)
-			port0 := append([]int(nil), h.port...)
-			gotPort, gotFree, gotOK := h.peekEarliest(member)
-			if gotOK != wantOK || (wantOK && (gotPort != wantPort || gotFree != wantFree)) {
-				t.Fatalf("trial %d subset %b: peek=(%d,%d,%v) brute=(%d,%d,%v)",
-					trial, sub, gotPort, gotFree, gotOK, wantPort, wantFree, wantOK)
+			if h.minFree() != wantFree || h.port[0] != wantPort {
+				t.Fatalf("trial %d: heap root (%d, %d), brute force (%d, %d)",
+					trial, h.port[0], h.minFree(), wantPort, wantFree)
 			}
-			for i := range free0 {
-				if h.free[i] != free0[i] || h.port[i] != port0[i] {
-					t.Fatal("peek mutated the heap")
-				}
-			}
-		}
-		// The nil predicate means "every port" and must agree with minFree.
-		if _, f, ok := h.peekEarliest(nil); !ok || f != h.minFree() {
-			t.Fatalf("nil-predicate peek %d disagrees with minFree %d", f, h.minFree())
 		}
 	}
 }
 
 // TestEarliestBankFreeMatchesBruteForce checks the device-level peek
-// against a brute-force reconstruction from scheduling behaviour: it
-// must be non-mutating and never later than the time an actual Push
-// would start draining on a bank of the set.
+// after each burst of pushes: for every bank it is non-mutating, stable,
+// and the later of the bank's and the earliest-free write port's free
+// times.
 func TestEarliestBankFreeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := newDev()
@@ -208,18 +189,18 @@ func TestEarliestBankFreeMatchesBruteForce(t *testing.T) {
 		if i%10 != 0 {
 			continue
 		}
-		set := map[int]bool{rng.Intn(d.Timing().Banks): true, rng.Intn(d.Timing().Banks): true}
 		dig := d.StateDigest()
-		got := d.EarliestBankFree(func(b int) bool { return set[b] })
-		if d.StateDigest() != dig {
-			t.Fatal("EarliestBankFree mutated persistent state")
-		}
-		if again := d.EarliestBankFree(func(b int) bool { return set[b] }); again != got {
-			t.Fatalf("peek not stable: %d then %d", got, again)
-		}
-		all := d.EarliestBankFree(nil)
-		if all > got {
-			t.Fatalf("unrestricted peek %d later than subset peek %d", all, got)
+		for b := 0; b < d.Timing().Banks; b++ {
+			got := d.EarliestBankFree(b)
+			if d.StateDigest() != dig {
+				t.Fatal("EarliestBankFree mutated persistent state")
+			}
+			if again := d.EarliestBankFree(b); again != got {
+				t.Fatalf("peek not stable: %d then %d", got, again)
+			}
+			if want := max(d.bankFree[b], d.ports.minFree()); got != want {
+				t.Fatalf("bank %d: peek %d, want %d (bank free %d, port free %d)", b, got, want, d.bankFree[b], d.ports.minFree())
+			}
 		}
 	}
 }

@@ -338,9 +338,3 @@ func (s *pagedStore) forEachPage(fn func(base uint64, p *page)) {
 		}
 	}
 }
-
-// reset drops every page (used by image loading, not by Crash: NVM
-// content survives power loss).
-func (s *pagedStore) reset() {
-	*s = pagedStore{}
-}

@@ -161,35 +161,6 @@ func (h *portHeap) occupyMin(done uint64) {
 	}
 }
 
-// peekEarliest returns the earliest-free port among those for which
-// member reports true, without mutating the heap. The epoch scheduler
-// uses it to place a coalesced drain window without disturbing port
-// state. The traversal prunes on the heap property: a subtree whose
-// root is already strictly later than the best candidate cannot beat
-// it (equal times still descend, so the lexicographic lowest-index
-// tie-break of occupyMin is reproduced exactly). member == nil means
-// "every port".
-func (h *portHeap) peekEarliest(member func(port int) bool) (port int, free uint64, ok bool) {
-	var walk func(i int)
-	walk = func(i int) {
-		if i >= len(h.free) {
-			return
-		}
-		if ok && h.free[i] > free {
-			return // heap property: whole subtree is >= free[i] > best
-		}
-		if member == nil || member(h.port[i]) {
-			if !ok || h.free[i] < free || (h.free[i] == free && h.port[i] < port) {
-				port, free, ok = h.port[i], h.free[i], true
-			}
-		}
-		walk(2*i + 1)
-		walk(2*i + 2)
-	}
-	walk(0)
-	return port, free, ok
-}
-
 // clone returns an independent copy with identical heap layout, so a
 // forked device schedules exactly the same ports as its parent would.
 func (h *portHeap) clone() portHeap {

@@ -119,10 +119,6 @@ func (l *Ledger) Total() uint64 {
 	return t
 }
 
-// RequestNS returns the total excluding CPU gap: the portion of the
-// ledger that is request latency.
-func (l *Ledger) RequestNS() uint64 { return l.Total() - l[CompCPUGap] }
-
 // Since returns the component-wise delta l - prev. prev must be an
 // earlier snapshot of the same ledger (components are monotone).
 func (l *Ledger) Since(prev *Ledger) Ledger {

@@ -78,28 +78,21 @@ func TestDashSmoke(t *testing.T) {
 	if !strings.Contains(string(snap.Events[1]), `"merkle_rebuild":4200`) {
 		t.Errorf("recover event lost its phase breakdown: %s", snap.Events[1])
 	}
-
-	// The JSON-lines event log.
-	w = httptest.NewRecorder()
-	tel.ServeHTTP(w, httptest.NewRequest("GET", "/debug/events", nil))
-	if w.Code != 200 {
-		t.Fatalf("GET /debug/events: status %d", w.Code)
-	}
-	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("GET /debug/events: want 2 lines, got %d:\n%s", len(lines), w.Body.String())
-	}
-	for _, ln := range lines {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(ln), &obj); err != nil {
-			t.Errorf("event line not valid JSON: %v: %s", err, ln)
+	// The feed's events are the recorder's, oldest first.
+	for i, raw := range snap.Events {
+		var e struct {
+			Seq  *uint64 `json:"seq"`
+			Kind string  `json:"kind"`
+		}
+		if err := json.Unmarshal(raw, &e); err != nil || e.Seq == nil || *e.Seq != uint64(i) || e.Kind == "" {
+			t.Errorf("event %d is not the recorder's event %d: %v: %s", i, i, err, raw)
 		}
 	}
 }
 
 // TestDashJSONWithoutRecorder: the dashboard endpoints stay up when no
-// flight recorder is attached (events are simply empty), while
-// /debug/events 404s — the page's "no flight recorder" state.
+// flight recorder is attached; events are simply empty — the page's
+// "no flight recorder" state.
 func TestDashJSONWithoutRecorder(t *testing.T) {
 	tel := NewTelemetry()
 
@@ -114,11 +107,5 @@ func TestDashJSONWithoutRecorder(t *testing.T) {
 	}
 	if len(snap.Events) != 0 || snap.RecorderTotal != 0 {
 		t.Errorf("recorder-less snapshot carries events: %+v", snap)
-	}
-
-	w = httptest.NewRecorder()
-	tel.ServeHTTP(w, httptest.NewRequest("GET", "/debug/events", nil))
-	if w.Code != 404 {
-		t.Errorf("GET /debug/events without recorder: status %d, want 404", w.Code)
 	}
 }

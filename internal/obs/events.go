@@ -148,14 +148,6 @@ func (r *Recorder) Record(e Event) {
 // Enabled reports whether events are being kept.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Cap returns the ring capacity (0 for a nil recorder).
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Total returns how many events have ever been recorded (including
 // overwritten ones).
 func (r *Recorder) Total() uint64 {
@@ -187,7 +179,7 @@ func (r *Recorder) Snapshot() []Event {
 }
 
 // WriteJSONL writes the retained events oldest → newest, one JSON
-// object per line (the /debug/events format and the SIGTERM dump).
+// object per line (anubis-serve's SIGTERM dump to events.jsonl).
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range r.Snapshot() {

@@ -93,7 +93,7 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("disabled recorder allocates %.2f allocs/op, want 0", avg)
 	}
-	if r.Enabled() || r.Cap() != 0 || r.Total() != 0 || r.Snapshot() != nil {
+	if r.Enabled() || r.Total() != 0 || r.Snapshot() != nil {
 		t.Fatal("nil recorder must read as empty and disabled")
 	}
 }

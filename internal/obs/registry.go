@@ -50,9 +50,6 @@ func (r *Registry) Gauge(name string, v float64) {
 	r.gauges[name] = v
 }
 
-// GaugeValue returns the current value of a gauge.
-func (r *Registry) GaugeValue(name string) float64 { return r.gauges[name] }
-
 // Observe records one sample into the named histogram.
 func (r *Registry) Observe(name string, v uint64) {
 	h := r.hists[name]
@@ -113,38 +110,6 @@ func EscapeLabelValue(v string) string {
 		}
 	}
 	return sb.String()
-}
-
-// UnescapeLabelValue inverts EscapeLabelValue. It reports an error on
-// any escape sequence the exposition format does not define — the
-// strictness the round-trip test leans on.
-func UnescapeLabelValue(v string) (string, error) {
-	if !strings.ContainsRune(v, '\\') {
-		return v, nil
-	}
-	var sb strings.Builder
-	sb.Grow(len(v))
-	for i := 0; i < len(v); i++ {
-		if v[i] != '\\' {
-			sb.WriteByte(v[i])
-			continue
-		}
-		i++
-		if i >= len(v) {
-			return "", fmt.Errorf("obs: dangling backslash in label value %q", v)
-		}
-		switch v[i] {
-		case '\\':
-			sb.WriteByte('\\')
-		case '"':
-			sb.WriteByte('"')
-		case 'n':
-			sb.WriteByte('\n')
-		default:
-			return "", fmt.Errorf("obs: invalid escape \\%c in label value %q", v[i], v)
-		}
-	}
-	return sb.String(), nil
 }
 
 // Label builds a metric name with a literal label set from raw label

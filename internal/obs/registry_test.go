@@ -198,7 +198,7 @@ func TestRegistryMergeLedger(t *testing.T) {
 
 // TestLabelEscapeRoundTrip feeds hostile label values through the full
 // exposition pipeline — Label → WritePrometheus → a strict line parser
-// → UnescapeLabelValue — and requires the originals back. The escaper
+// → unescapeLabelValue — and requires the originals back. The escaper
 // must cover exactly the three characters the text format defines
 // (backslash, double-quote, newline) and must NOT touch anything else:
 // Go's %q would turn tabs and unicode into \t and \uXXXX sequences,
@@ -237,7 +237,7 @@ func TestLabelEscapeRoundTrip(t *testing.T) {
 		if name != "anubis_escape_test_total" {
 			continue
 		}
-		unescaped, err := UnescapeLabelValue(raw)
+		unescaped, err := unescapeLabelValue(raw)
 		if err != nil {
 			t.Fatalf("line %q: %v", line, err)
 		}
@@ -311,16 +311,16 @@ func parseSampleLine(t *testing.T, line string) (name, rawLabelV string, value u
 // escapes the exposition format does not define.
 func TestUnescapeLabelValueRejectsUndefined(t *testing.T) {
 	for _, bad := range []string{`\t`, `\x41`, `a\`, `\é`} {
-		if got, err := UnescapeLabelValue(bad); err == nil {
-			t.Errorf("UnescapeLabelValue(%q) = %q, want error", bad, got)
+		if got, err := unescapeLabelValue(bad); err == nil {
+			t.Errorf("unescapeLabelValue(%q) = %q, want error", bad, got)
 		}
 	}
 	for raw, want := range map[string]string{
 		`\\`: `\`, `\"`: `"`, `\n`: "\n", `a\\b\"c\nd`: "a\\b\"c\nd",
 	} {
-		got, err := UnescapeLabelValue(raw)
+		got, err := unescapeLabelValue(raw)
 		if err != nil || got != want {
-			t.Errorf("UnescapeLabelValue(%q) = %q, %v; want %q", raw, got, err, want)
+			t.Errorf("unescapeLabelValue(%q) = %q, %v; want %q", raw, got, err, want)
 		}
 	}
 }
@@ -351,4 +351,37 @@ func TestLabelTameValuesByteIdentical(t *testing.T) {
 			t.Errorf("Label(%v) = %q, want %q", c, got, sb.String())
 		}
 	}
+}
+
+// unescapeLabelValue inverts EscapeLabelValue, as a strict scraper
+// reads a label value. It reports an error on any escape sequence the
+// exposition format does not define — the strictness the round-trip
+// test leans on.
+func unescapeLabelValue(v string) (string, error) {
+	if !strings.ContainsRune(v, '\\') {
+		return v, nil
+	}
+	var sb strings.Builder
+	sb.Grow(len(v))
+	for i := 0; i < len(v); i++ {
+		if v[i] != '\\' {
+			sb.WriteByte(v[i])
+			continue
+		}
+		i++
+		if i >= len(v) {
+			return "", fmt.Errorf("obs: dangling backslash in label value %q", v)
+		}
+		switch v[i] {
+		case '\\':
+			sb.WriteByte('\\')
+		case '"':
+			sb.WriteByte('"')
+		case 'n':
+			sb.WriteByte('\n')
+		default:
+			return "", fmt.Errorf("obs: invalid escape \\%c in label value %q", v[i], v)
+		}
+	}
+	return sb.String(), nil
 }

@@ -19,10 +19,10 @@ import (
 //
 //	/metrics      — Prometheus text exposition (plus process gauges:
 //	                heap bytes, goroutines, uptime) for scraping.
-//	/debug/events — flight-recorder tail as JSON lines (404 when no
-//	                recorder is attached).
 //	/dash         — embedded live dashboard (dash.go).
-//	/debug/dash.json — structured snapshot the dashboard polls.
+//	/debug/dash.json — structured snapshot the dashboard polls; its
+//	                events field is the flight recorder's retained
+//	                events, oldest first.
 //	/             — tiny index page.
 type Telemetry struct {
 	mu    sync.Mutex
@@ -31,19 +31,13 @@ type Telemetry struct {
 	rec   *Recorder // nil until AttachRecorder
 }
 
-// AttachRecorder publishes a flight recorder on /debug/events and in
-// the dashboard's event tail. Attach before serving; a nil recorder
-// detaches.
+// AttachRecorder publishes a flight recorder in /debug/dash.json's
+// events and the dashboard's event tail. Attach before serving; a nil
+// recorder detaches.
 func (t *Telemetry) AttachRecorder(r *Recorder) {
 	t.mu.Lock()
 	t.rec = r
 	t.mu.Unlock()
-}
-
-func (t *Telemetry) recorder() *Recorder {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rec
 }
 
 // NewTelemetry returns an empty live-telemetry publisher.
@@ -65,21 +59,13 @@ func (t *Telemetry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch req.URL.Path {
 	case "/metrics":
 		t.serveMetrics(w)
-	case "/debug/events":
-		rec := t.recorder()
-		if rec == nil {
-			http.Error(w, "no flight recorder attached", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		_ = rec.WriteJSONL(w)
 	case "/dash":
 		t.serveDash(w)
 	case "/debug/dash.json":
 		t.serveDashJSON(w)
 	case "/":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "anubis telemetry: /metrics (Prometheus), /dash (dashboard), /debug/dash.json (JSON), /debug/events (flight recorder)")
+		fmt.Fprintln(w, "anubis telemetry: /metrics (Prometheus), /dash (dashboard), /debug/dash.json (JSON, with the flight recorder's events)")
 	default:
 		http.NotFound(w, req)
 	}

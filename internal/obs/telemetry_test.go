@@ -51,7 +51,7 @@ func TestTelemetryMetricsEndpoint(t *testing.T) {
 	}
 	// Serving must not mutate the published registry.
 	tel.Update(func(r *Registry) {
-		if v := r.GaugeValue("anubis_goroutines"); v != 0 {
+		if v := r.gauges["anubis_goroutines"]; v != 0 {
 			t.Fatalf("process gauge leaked into published registry: %v", v)
 		}
 	})
@@ -62,9 +62,9 @@ func TestTelemetryIndexAnd404(t *testing.T) {
 	if code, body, _ := get(t, tel, "/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Fatalf("index: %d %q", code, body)
 	}
-	// /vars and /debug/vars were removed: /metrics and /debug/dash.json
-	// carry everything they served.
-	for _, path := range []string{"/nope", "/vars", "/debug/vars"} {
+	// /vars, /debug/vars and /debug/events were removed: /metrics and
+	// /debug/dash.json carry everything they served.
+	for _, path := range []string{"/nope", "/vars", "/debug/vars", "/debug/events"} {
 		if code, _, _ := get(t, tel, path); code != 404 {
 			t.Fatalf("%s: want 404, got %d", path, code)
 		}

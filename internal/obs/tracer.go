@@ -25,8 +25,6 @@ const (
 	// EvRecovery is a post-crash recovery run (duration in modeled ns,
 	// arg = fetch+crypto op count).
 	EvRecovery
-	// EvPhase is a harness-level phase marker (warm-up, sweep, trial).
-	EvPhase
 	// EvEpochClose is one coalesced epoch drain: the deferred integrity-
 	// tree updates of a whole epoch hitting the WPQ as one commit group
 	// (arg = coalesced ancestor count).
@@ -36,7 +34,7 @@ const (
 )
 
 var eventNames = [numEventKinds]string{
-	"read", "write", "eviction", "commit", "page_overflow", "recovery", "phase",
+	"read", "write", "eviction", "commit", "page_overflow", "recovery",
 	"epoch_close",
 }
 
@@ -67,7 +65,8 @@ type Probe interface {
 // Tracer collects sampled probe events and writes them as Chrome
 // trace-event JSON (the "JSON Array Format" chrome://tracing and
 // Perfetto load). Request events are sampled 1/N per scope; structural
-// events (commits, evictions, recovery, phases) are always kept.
+// events (commits, evictions, overflows, recovery, epoch closes)
+// are always kept.
 //
 // A Tracer is shared by every simulation cell of a sweep: each cell
 // attaches its own Scope (one trace "thread"), so the only

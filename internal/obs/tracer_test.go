@@ -89,17 +89,17 @@ func TestTracerSamplingDeterministic(t *testing.T) {
 func TestTracerScopesGetDistinctTIDs(t *testing.T) {
 	tr := NewTracer(1)
 	s1, s2 := tr.Scope("a"), tr.Scope("b")
-	s1.Event(EvPhase, 0, 0, 0)
-	s2.Event(EvPhase, 0, 0, 0)
+	s1.Event(EvCommit, 0, 0, 0)
+	s2.Event(EvCommit, 0, 0, 0)
 	evs := decodeTrace(t, tr)
 	tids := map[float64]bool{}
 	for _, e := range evs {
-		if e["name"] == "phase" {
+		if e["name"] == "commit" {
 			tids[e["tid"].(float64)] = true
 		}
 	}
 	if len(tids) != 2 {
-		t.Fatalf("phase events share a tid: %v", evs)
+		t.Fatalf("commit events share a tid: %v", evs)
 	}
 }
 

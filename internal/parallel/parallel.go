@@ -12,14 +12,13 @@
 // byte-identical to Workers=1 (see DESIGN.md § Parallel evaluation).
 //
 // Error handling follows the "first error wins, abort the sweep"
-// policy: the first failing cell cancels the pool's context, in-flight
-// cells finish, queued cells are skipped, and Map returns the error of
-// the lowest-indexed failed cell (deterministic under races where two
-// cells fail near-simultaneously).
+// policy: after the first failing cell, in-flight cells finish, queued
+// cells are skipped, and Map returns the error of the lowest-indexed
+// failed cell (deterministic under races where two cells fail
+// near-simultaneously).
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,12 +27,9 @@ import (
 // Pool describes a bounded fan-out.
 //
 // Workers is the maximum number of concurrently running items; zero or
-// negative means runtime.GOMAXPROCS(0). Ctx is the parent context (nil
-// means context.Background()); cancelling it aborts the sweep between
-// items.
+// negative means runtime.GOMAXPROCS(0).
 type Pool struct {
 	Workers int
-	Ctx     context.Context
 }
 
 // Size resolves the effective worker count.
@@ -44,16 +40,8 @@ func (p Pool) Size() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ctx resolves the parent context.
-func (p Pool) ctx() context.Context {
-	if p.Ctx != nil {
-		return p.Ctx
-	}
-	return context.Background()
-}
-
-// Map runs fn(ctx, i) for every i in [0, n) on up to p.Workers
-// goroutines and returns the results indexed by input position.
+// Map runs fn(i) for every i in [0, n) on up to p.Workers goroutines
+// and returns the results indexed by input position.
 //
 // With one worker, Map degenerates to the plain sequential loop (no
 // goroutines), which is the legacy evaluation path. With more, items
@@ -62,23 +50,17 @@ func (p Pool) ctx() context.Context {
 // irrelevant.
 //
 // On error, the returned slice is nil and the error is the failing
-// item's (wrapped by fn, not by Map). Cancellation of p.Ctx surfaces as
-// that context's error unless an item failed first.
-func Map[T any](p Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// item's (wrapped by fn, not by Map).
+func Map[T any](p Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	parent := p.ctx()
 	w := p.Size()
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
-		// Sequential fast path: identical to the pre-pool evaluation
-		// loop, plus cooperative cancellation between cells.
+		// Sequential fast path: identical to the pre-pool evaluation loop.
 		for i := 0; i < n; i++ {
-			if err := parent.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(parent, i)
+			v, err := fn(i)
 			if err != nil {
 				return nil, err
 			}
@@ -87,11 +69,9 @@ func Map[T any](p Pool, n int, fn func(ctx context.Context, i int) (T, error)) (
 		return out, nil
 	}
 
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
 	var (
 		cursor   atomic.Int64
+		failed   atomic.Bool
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
@@ -104,7 +84,7 @@ func Map[T any](p Pool, n int, fn func(ctx context.Context, i int) (T, error)) (
 			firstIdx, firstErr = i, err
 		}
 		mu.Unlock()
-		cancel() // abort queued cells promptly
+		failed.Store(true) // skip queued cells promptly
 	}
 	for k := 0; k < w; k++ {
 		wg.Add(1)
@@ -112,10 +92,10 @@ func Map[T any](p Pool, n int, fn func(ctx context.Context, i int) (T, error)) (
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1))
-				if i >= n || ctx.Err() != nil {
+				if i >= n || failed.Load() {
 					return
 				}
-				v, err := fn(ctx, i)
+				v, err := fn(i)
 				if err != nil {
 					fail(i, err)
 					return
@@ -128,19 +108,14 @@ func Map[T any](p Pool, n int, fn func(ctx context.Context, i int) (T, error)) (
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if err := parent.Err(); err != nil {
-		// The parent was cancelled mid-sweep: some cells were skipped,
-		// so the result slice is incomplete and must not be used.
-		return nil, err
-	}
 	return out, nil
 }
 
-// Do runs fn(ctx, i) for every i in [0, n) with the same scheduling and
+// Do runs fn(i) for every i in [0, n) with the same scheduling and
 // error semantics as Map, for item functions with no result value.
-func Do(p Pool, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(p, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
+func Do(p Pool, n int, fn func(i int) error) error {
+	_, err := Map(p, n, func(i int) (struct{}, error) {
+		return struct{}{}, fn(i)
 	})
 	return err
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,7 +12,7 @@ import (
 
 func TestMapOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 33} {
-		got, err := Map(Pool{Workers: workers}, 100, func(_ context.Context, i int) (int, error) {
+		got, err := Map(Pool{Workers: workers}, 100, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -31,7 +30,7 @@ func TestMapOrderedResults(t *testing.T) {
 }
 
 func TestMapMatchesSequential(t *testing.T) {
-	fn := func(_ context.Context, i int) (string, error) {
+	fn := func(i int) (string, error) {
 		return fmt.Sprintf("cell-%03d", i), nil
 	}
 	seq, err := Map(Pool{Workers: 1}, 57, fn)
@@ -50,7 +49,7 @@ func TestMapMatchesSequential(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(Pool{}, 0, func(_ context.Context, i int) (int, error) { return 0, nil })
+	got, err := Map(Pool{}, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty map: %v, %v", got, err)
 	}
@@ -74,7 +73,7 @@ func TestMapPoisonedCell(t *testing.T) {
 	poison := errors.New("cell 7 is poisoned")
 	var ran atomic.Int64
 	start := time.Now()
-	got, err := Map(Pool{Workers: 4}, 10_000, func(_ context.Context, i int) (int, error) {
+	got, err := Map(Pool{Workers: 4}, 10_000, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 7 {
 			return 0, poison
@@ -99,7 +98,7 @@ func TestMapPoisonedCell(t *testing.T) {
 func TestMapSequentialPoison(t *testing.T) {
 	poison := errors.New("boom")
 	var ran int
-	_, err := Map(Pool{Workers: 1}, 100, func(_ context.Context, i int) (int, error) {
+	_, err := Map(Pool{Workers: 1}, 100, func(i int) (int, error) {
 		ran++
 		if i == 3 {
 			return 0, poison
@@ -123,7 +122,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 	release.Add(1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Map(Pool{Workers: 2}, 2, func(_ context.Context, i int) (int, error) {
+		_, err := Map(Pool{Workers: 2}, 2, func(i int) (int, error) {
 			release.Wait() // both cells fail together
 			if i == 0 {
 				return 0, errA
@@ -138,49 +137,10 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 	}
 }
 
-func TestMapParentCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	done := make(chan error, 1)
-	go func() {
-		err := Do(Pool{Workers: 2, Ctx: ctx}, 1_000_000, func(ctx context.Context, i int) error {
-			ran.Add(1)
-			time.Sleep(50 * time.Microsecond)
-			return nil
-		})
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pool did not return after parent cancellation")
-	}
-	if n := ran.Load(); n >= 1_000_000 {
-		t.Fatal("cancellation did not skip any cells")
-	}
-}
-
-func TestMapSequentialParentCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Map(Pool{Workers: 1, Ctx: ctx}, 10, func(_ context.Context, i int) (int, error) {
-		t.Fatal("cell ran under a cancelled context")
-		return 0, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	err := Do(Pool{Workers: workers}, 200, func(_ context.Context, i int) error {
+	err := Do(Pool{Workers: workers}, 200, func(i int) error {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()

@@ -108,9 +108,6 @@ func TriadNS(memBytes uint64, levels int) uint64 {
 	return TriadOps(memBytes, levels) * OpNS
 }
 
-// StrictOps is zero: strict persistence needs no reconstruction.
-func StrictOps() uint64 { return 0 }
-
 // Seconds renders a nanosecond count in seconds.
 func Seconds(ns uint64) float64 { return float64(ns) / 1e9 }
 
@@ -138,11 +135,4 @@ func FormatDuration(ns uint64) string {
 	default:
 		return fmt.Sprintf("%.0f µs", s*1e6)
 	}
-}
-
-// Levels16GB is a sanity anchor used in docs/tests: the tree depth for
-// the paper's 16 GB configuration.
-func Levels16GB() int {
-	g := tree(16 << 30)
-	return g.Levels()
 }

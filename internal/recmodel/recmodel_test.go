@@ -118,14 +118,8 @@ func TestTreeHelpers(t *testing.T) {
 			t.Fatalf("TriadOps(256KB, %d) = %d, want %d", levels, ops, want)
 		}
 	}
-	if Levels16GB() != 8 {
-		t.Fatalf("16GB levels = %d, want 8", Levels16GB())
-	}
-}
-
-func TestStrictOpsZero(t *testing.T) {
-	if StrictOps() != 0 {
-		t.Fatal("strict persistence needs no recovery work")
+	if g := tree(16 << 30); g.Levels() != 8 {
+		t.Fatalf("16GB levels = %d, want 8", g.Levels())
 	}
 }
 

@@ -26,8 +26,8 @@ func kinds(evs []obs.Event, tenant string) []string {
 func TestFlightRecorderCapturesRequestLife(t *testing.T) {
 	rec := obs.NewRecorder(256)
 	s := newTestServer(t, Config{Recorder: rec})
-	if s.Recorder() != rec {
-		t.Fatal("Recorder() accessor lost the configured recorder")
+	if s.rec != rec {
+		t.Fatal("the server lost the configured recorder")
 	}
 
 	mustCreate(t, s, "t0", TenantConfig{Scheme: "agit-plus", MemoryBytes: 1 << 20})
@@ -142,12 +142,12 @@ func TestFlightRecorderShedAndFork(t *testing.T) {
 // accessor returns the nil (disabled) recorder.
 func TestServeWithoutRecorder(t *testing.T) {
 	s := newTestServer(t, Config{})
-	if s.Recorder().Enabled() {
+	if s.rec.Enabled() {
 		t.Fatal("recorder unexpectedly enabled")
 	}
 	mustCreate(t, s, "t0", TenantConfig{MemoryBytes: 1 << 20})
 	mustWrite(t, s, "t0", 0, []byte("x"))
-	if s.Recorder().Total() != 0 {
+	if s.rec.Total() != 0 {
 		t.Fatal("disabled recorder recorded something")
 	}
 }

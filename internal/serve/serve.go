@@ -17,9 +17,10 @@
 // to 429 + Retry-After. A panic inside an operation quarantines its
 // tenant and no other. DESIGN.md §15 has the details.
 //
-// Metrics flow into an obs.Telemetry (shared with -metrics-addr), with
-// aggregate families (anubis_serve_requests_total, ..._tenants) and
-// per-tenant labeled families (anubis_serve_tenant_requests_total{...}).
+// Metrics flow into the server's own obs.Telemetry (Server.Telemetry,
+// which anubis-serve serves on -metrics-addr), with aggregate families
+// (anubis_serve_requests_total, ..._tenants) and per-tenant labeled
+// families (anubis_serve_tenant_requests_total{...}).
 package serve
 
 import (
@@ -83,14 +84,11 @@ type Config struct {
 	// MaxInflight caps requests admitted process-wide at one moment
 	// (default 256).
 	MaxInflight int
-	// Telemetry receives serving metrics; nil allocates a private one
-	// (exposed via Server.Telemetry for a -metrics-addr endpoint).
-	Telemetry *obs.Telemetry
 	// Recorder is the flight recorder receiving structured request and
 	// lifecycle events (enqueue/shed/exec/quarantine, create/fork/close,
 	// crash/recover/audit). nil disables recording at zero hot-path
-	// cost. The recorder is auto-attached to Telemetry so /debug/events
-	// and the dashboard's event tail see it.
+	// cost. The recorder is auto-attached to the server's Telemetry, so
+	// /debug/dash.json's events and the dashboard's event tail see it.
 	Recorder *obs.Recorder
 }
 
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 256
-	}
-	if c.Telemetry == nil {
-		c.Telemetry = obs.NewTelemetry()
 	}
 	return c
 }
@@ -196,7 +191,7 @@ type Server struct {
 // New returns an empty server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, tel: cfg.Telemetry, rec: cfg.Recorder, tenants: make(map[string]*tenant),
+	s := &Server{cfg: cfg, tel: obs.NewTelemetry(), rec: cfg.Recorder, tenants: make(map[string]*tenant),
 		unattached: make(map[string]manifestEntry)}
 	if s.rec != nil {
 		s.tel.AttachRecorder(s.rec)
@@ -205,11 +200,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Telemetry returns the metrics sink (serve it with obs.Serve).
+// Telemetry returns the server's metrics sink (serve it with obs.Serve).
 func (s *Server) Telemetry() *obs.Telemetry { return s.tel }
-
-// Recorder returns the flight recorder (nil when disabled).
-func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
 // recLedgerFromMap rebuilds a phase ledger from the public report's
 // name → ns map (unknown names are dropped, matching UnmarshalJSON).

@@ -29,12 +29,6 @@ const BlockBytes = 64
 // AddrEntriesPerBlock is the number of AGIT address entries per block.
 const AddrEntriesPerBlock = BlockBytes / 8
 
-// Tracked reports one live shadow entry during recovery.
-type Tracked struct {
-	Slot int
-	Key  uint64
-}
-
 // --- AGIT address tables (SCT / SMT) ----------------------------------------
 
 // AddrTable is the controller-side mirror of an SCT or SMT: one address
@@ -64,14 +58,6 @@ func (t *AddrTable) NumBlocks() uint64 {
 // the NVM block (index and refreshed content) that must be persisted.
 func (t *AddrTable) Set(slot int, key uint64) (blockIdx uint64, block [BlockBytes]byte) {
 	t.entries[slot] = key + 1
-	return t.blockOf(slot)
-}
-
-// Clear empties a slot (e.g. after its block is cleanly written back,
-// though AGIT never needs to clear: stale entries only cost recovery
-// work, not correctness). It returns the NVM block to persist.
-func (t *AddrTable) Clear(slot int) (blockIdx uint64, block [BlockBytes]byte) {
-	t.entries[slot] = 0
 	return t.blockOf(slot)
 }
 
@@ -114,18 +100,6 @@ func RestoreAddrTable(numSlots int, read func(blockIdx uint64) [BlockBytes]byte)
 		}
 	}
 	return t
-}
-
-// Live returns every populated entry in slot order: the set of blocks
-// whose updates may have been lost in the crash.
-func (t *AddrTable) Live() []Tracked {
-	var out []Tracked
-	for slot, e := range t.entries {
-		if e != 0 {
-			out = append(out, Tracked{Slot: slot, Key: e - 1})
-		}
-	}
-	return out
 }
 
 // --- ASIT shadow table (ST) ---------------------------------------------------
@@ -237,13 +211,6 @@ func (t *STTable) Set(slot int, e STEntry) (blockIdx uint64, block [BlockBytes]b
 	return uint64(slot), e.Pack()
 }
 
-// Clear invalidates a slot (on clean writeback of the tracked block) and
-// returns the NVM block to persist.
-func (t *STTable) Clear(slot int) (blockIdx uint64, block [BlockBytes]byte) {
-	t.entries[slot] = STEntry{}
-	return uint64(slot), [BlockBytes]byte{}
-}
-
 // Get returns the snapshot tracked in a slot.
 func (t *STTable) Get(slot int) (STEntry, bool) {
 	e := t.entries[slot]
@@ -273,15 +240,4 @@ func (t *STTable) Restore(read func(blockIdx uint64) [BlockBytes]byte) {
 	for i := range t.entries {
 		t.entries[i] = UnpackSTEntry(read(uint64(i)))
 	}
-}
-
-// Live returns every valid entry in slot order.
-func (t *STTable) Live() []Tracked {
-	var out []Tracked
-	for slot, e := range t.entries {
-		if e.Valid {
-			out = append(out, Tracked{Slot: slot, Key: e.Key})
-		}
-	}
-	return out
 }

@@ -45,15 +45,6 @@ func TestAddrTableBlockMapping(t *testing.T) {
 	}
 }
 
-func TestAddrTableClear(t *testing.T) {
-	tab := NewAddrTable(8)
-	tab.Set(3, 99)
-	tab.Clear(3)
-	if _, ok := tab.Get(3); ok {
-		t.Fatal("cleared slot still live")
-	}
-}
-
 func TestAddrTableRestore(t *testing.T) {
 	tab := NewAddrTable(20)
 	store := map[uint64][BlockBytes]byte{}
@@ -62,27 +53,12 @@ func TestAddrTableRestore(t *testing.T) {
 		store[bi] = blk
 	}
 	got := RestoreAddrTable(20, func(bi uint64) [BlockBytes]byte { return store[bi] })
-	live := got.Live()
-	if len(live) != 3 {
-		t.Fatalf("restored %d entries, want 3", len(live))
-	}
 	want := map[int]uint64{0: 7, 9: 0, 19: 1 << 40}
-	for _, tr := range live {
-		if want[tr.Slot] != tr.Key {
-			t.Fatalf("slot %d restored key %d, want %d", tr.Slot, tr.Key, want[tr.Slot])
-		}
-	}
-}
-
-func TestAddrTableLiveOrdered(t *testing.T) {
-	tab := NewAddrTable(16)
-	for _, s := range []int{9, 2, 14} {
-		tab.Set(s, uint64(s))
-	}
-	live := tab.Live()
-	for i := 1; i < len(live); i++ {
-		if live[i].Slot <= live[i-1].Slot {
-			t.Fatal("Live not in slot order")
+	for slot := 0; slot < got.NumSlots(); slot++ {
+		key, ok := got.Get(slot)
+		wantKey, wantOK := want[slot]
+		if ok != wantOK || key != wantKey {
+			t.Fatalf("slot %d restored (%d, %v), want (%d, %v)", slot, key, ok, wantKey, wantOK)
 		}
 	}
 }
@@ -155,12 +131,12 @@ func TestSTTableSetClearGet(t *testing.T) {
 	if !ok || stored.Key != 42 {
 		t.Fatal("Get after Set failed")
 	}
-	_, blk = tab.Clear(2)
-	if blk != ([BlockBytes]byte{}) {
-		t.Fatal("Clear block not zero")
+	tab.Reset()
+	if tab.Block(2) != ([BlockBytes]byte{}) {
+		t.Fatal("Reset slot's block not zero")
 	}
 	if _, ok := tab.Get(2); ok {
-		t.Fatal("cleared slot still valid")
+		t.Fatal("Reset slot still valid")
 	}
 }
 
@@ -180,9 +156,10 @@ func TestSTTableRestore(t *testing.T) {
 	got := NewSTTable(6)
 	got.Set(2, STEntry{Key: 7})
 	got.Restore(func(bi uint64) [BlockBytes]byte { return store[bi] })
-	live := got.Live()
-	if len(live) != 2 || live[0].Slot != 1 || live[1].Slot != 4 {
-		t.Fatalf("restored live = %+v", live)
+	for slot := 0; slot < got.NumSlots(); slot++ {
+		if _, ok := got.Get(slot); ok != (slot == 1 || slot == 4) {
+			t.Fatalf("restored slot %d valid = %v", slot, ok)
+		}
 	}
 	r1, _ := got.Get(1)
 	if r1.MAC != 9 || r1.LSBs[0] != 1 {

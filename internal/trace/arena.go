@@ -27,7 +27,6 @@ const PayloadBytes = 64
 // after construction (the payload table is built under a Once).
 type Arena struct {
 	profile Profile
-	seed    int64
 	reqs    []Request
 
 	payOnce sync.Once
@@ -38,17 +37,11 @@ type Arena struct {
 // stream for (p, seed). The result is identical to what n calls of
 // NewGenerator(p, seed).Next() would produce.
 func NewArena(p Profile, seed int64, n int) *Arena {
-	return &Arena{profile: p, seed: seed, reqs: NewGenerator(p, seed).Generate(n)}
+	return &Arena{profile: p, reqs: NewGenerator(p, seed).Generate(n)}
 }
 
 // Len returns the number of materialized requests.
 func (a *Arena) Len() int { return len(a.reqs) }
-
-// Profile returns the generating profile.
-func (a *Arena) Profile() Profile { return a.profile }
-
-// Seed returns the generating seed.
-func (a *Arena) Seed() int64 { return a.seed }
 
 // Requests exposes the materialized stream. Callers must treat the
 // slice as read-only; it is shared across every cursor and goroutine.

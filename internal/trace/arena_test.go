@@ -15,9 +15,6 @@ func TestArenaMatchesGenerator(t *testing.T) {
 	if a.Len() != n {
 		t.Fatalf("arena length = %d, want %d", a.Len(), n)
 	}
-	if a.Profile().Name != "milc" || a.Seed() != 42 {
-		t.Fatal("arena metadata wrong")
-	}
 	g := NewGenerator(p, 42)
 	src := a.Source()
 	if src.Name() != "milc" {
@@ -155,32 +152,6 @@ func TestArenaCacheConcurrentGet(t *testing.T) {
 		if arenas[w] != arenas[0] {
 			t.Fatal("concurrent Gets returned distinct arenas for one key")
 		}
-	}
-}
-
-// TestZipfSameSeedByteIdentical is the synthetic-generator determinism
-// satellite: two ZipfGenerators built with identical parameters emit
-// byte-identical request streams, and a different seed diverges.
-func TestZipfSameSeedByteIdentical(t *testing.T) {
-	a := NewZipf(100000, 1.2, 0.3, 50, 77)
-	b := NewZipf(100000, 1.2, 0.3, 50, 77)
-	for i := 0; i < 20000; i++ {
-		ra, rb := a.Next(), b.Next()
-		if ra != rb {
-			t.Fatalf("request %d differs across identical zipf seeds: %+v vs %+v", i, ra, rb)
-		}
-	}
-	c := NewZipf(100000, 1.2, 0.3, 50, 78)
-	d := NewZipf(100000, 1.2, 0.3, 50, 77)
-	same := 0
-	const n = 5000
-	for i := 0; i < n; i++ {
-		if c.Next() == d.Next() {
-			same++
-		}
-	}
-	if same == n {
-		t.Fatal("different zipf seeds produced identical streams")
 	}
 }
 

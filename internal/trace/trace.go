@@ -42,6 +42,13 @@ type Request struct {
 	GapNS uint64
 }
 
+// Source produces a request stream: a profile's Generator, or a Cursor
+// into an Arena.
+type Source interface {
+	Name() string
+	Next() Request
+}
+
 // Profile parameterizes a synthetic workload.
 type Profile struct {
 	// Name identifies the workload (SPEC application names in the
@@ -109,9 +116,6 @@ func NewGenerator(p Profile, seed int64) *Generator {
 
 // Name returns the profile name.
 func (g *Generator) Name() string { return g.p.Name }
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.p }
 
 // Next produces the next request.
 func (g *Generator) Next() Request {

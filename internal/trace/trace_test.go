@@ -200,12 +200,16 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// TestGenericUniformSequential builds profiles from Profile's fields
+// alone, as a library user wanting a controlled access pattern does: a
+// uniform one (no locality knobs) and a streaming one (SeqProb 0.95)
+// both validate, and the streaming one continues its run.
 func TestGenericUniformSequential(t *testing.T) {
-	u := Uniform("u", 1000, 0.3, 50)
+	u := Profile{Name: "u", WriteFrac: 0.3, GapMeanNS: 50, FootprintBlocks: 1000}
 	if err := u.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s := Sequential("s", 1000, 0.5, 50)
+	s := Profile{Name: "s", WriteFrac: 0.5, GapMeanNS: 50, FootprintBlocks: 1000, SeqProb: 0.95}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,61 +227,8 @@ func TestGenericUniformSequential(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	g := NewZipf(100000, 1.2, 0.3, 50, 1)
-	counts := map[uint64]int{}
-	n := 50000
-	for i := 0; i < n; i++ {
-		counts[g.Next().Block]++
-	}
-	// The hottest block must absorb a disproportionate share.
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if float64(max)/float64(n) < 0.05 {
-		t.Fatalf("hottest block share %.3f; expected heavy skew", float64(max)/float64(n))
-	}
-	if len(counts) < 100 {
-		t.Fatalf("only %d distinct blocks; tail missing", len(counts))
-	}
-	if g.Name() != "zipf" {
-		t.Fatal("name wrong")
-	}
-}
-
-func TestZipfBounds(t *testing.T) {
-	g := NewZipf(512, 1.5, 1.0, 10, 2)
-	for i := 0; i < 10000; i++ {
-		r := g.Next()
-		if r.Block >= 512 {
-			t.Fatalf("block %d out of range", r.Block)
-		}
-		if r.Op != OpWrite {
-			t.Fatal("writeFrac 1.0 produced a read")
-		}
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	for _, c := range []struct {
-		n uint64
-		s float64
-	}{{0, 2}, {10, 1.0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			NewZipf(c.n, c.s, 0.5, 10, 1)
-		}()
-	}
-}
-
 func TestSourceInterface(t *testing.T) {
-	var _ Source = NewGenerator(Uniform("x", 10, 0, 1), 1)
-	var _ Source = NewZipf(10, 2, 0, 1, 1)
+	p, _ := ByName("mcf")
+	var _ Source = NewGenerator(p, 1)
+	var _ Source = NewArena(p, 1, 1).Source()
 }

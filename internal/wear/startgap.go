@@ -39,18 +39,6 @@ func New(n, period uint64) *StartGap {
 	return &StartGap{n: n, gap: n, period: period}
 }
 
-// N returns the number of logical blocks.
-func (sg *StartGap) N() uint64 { return sg.n }
-
-// PhysicalLines returns the number of physical lines (N+1).
-func (sg *StartGap) PhysicalLines() uint64 { return sg.n + 1 }
-
-// Start returns the current rotation offset.
-func (sg *StartGap) Start() uint64 { return sg.start }
-
-// Gap returns the current gap position.
-func (sg *StartGap) Gap() uint64 { return sg.gap }
-
 // Map translates a logical block index to its physical line.
 func (sg *StartGap) Map(logical uint64) uint64 {
 	if logical >= sg.n {

@@ -9,12 +9,12 @@ func TestMapBijective(t *testing.T) {
 	sg := New(100, 5)
 	for moves := 0; moves < 350; moves++ {
 		seen := map[uint64]bool{}
-		for l := uint64(0); l < sg.N(); l++ {
+		for l := uint64(0); l < sg.n; l++ {
 			p := sg.Map(l)
-			if p >= sg.PhysicalLines() {
+			if p >= sg.n+1 {
 				t.Fatalf("move %d: physical %d out of range", moves, p)
 			}
-			if p == sg.Gap() {
+			if p == sg.gap {
 				t.Fatalf("move %d: logical %d mapped onto the gap", moves, l)
 			}
 			if seen[p] {
@@ -31,13 +31,13 @@ func TestMapBijective(t *testing.T) {
 // to a line holding its content.
 func TestContentsPreservedAcrossMoves(t *testing.T) {
 	sg := New(50, 1)
-	phys := make([]uint64, sg.PhysicalLines())
+	phys := make([]uint64, sg.n+1)
 	const empty = ^uint64(0)
 	for i := range phys {
 		phys[i] = empty
 	}
 	// Install initial contents: block l holds value l.
-	for l := uint64(0); l < sg.N(); l++ {
+	for l := uint64(0); l < sg.n; l++ {
 		phys[sg.Map(l)] = l
 	}
 	for step := 0; step < 500; step++ {
@@ -47,14 +47,14 @@ func TestContentsPreservedAcrossMoves(t *testing.T) {
 		}
 		phys[mv.Dst] = phys[mv.Src] // durable copy
 		sg.Commit()
-		for l := uint64(0); l < sg.N(); l++ {
+		for l := uint64(0); l < sg.n; l++ {
 			if got := phys[sg.Map(l)]; got != l {
 				t.Fatalf("step %d: logical %d reads %d", step, l, got)
 			}
 		}
 	}
 	// The mapping must actually have rotated.
-	if sg.Start() == 0 && sg.Gap() == sg.N() {
+	if sg.start == 0 && sg.gap == sg.n {
 		t.Fatal("no rotation after 500 writes with period 1")
 	}
 }
@@ -78,21 +78,21 @@ func TestWrapMove(t *testing.T) {
 	// Drive the gap from 4 down to 0, then the wrap.
 	for i := 0; i < 4; i++ {
 		mv := sg.PendingMove()
-		if mv.Dst != sg.Gap() || mv.Src != sg.Gap()-1 {
-			t.Fatalf("move %d: %+v with gap %d", i, mv, sg.Gap())
+		if mv.Dst != sg.gap || mv.Src != sg.gap-1 {
+			t.Fatalf("move %d: %+v with gap %d", i, mv, sg.gap)
 		}
 		sg.Commit()
 	}
-	if sg.Gap() != 0 {
-		t.Fatalf("gap = %d, want 0", sg.Gap())
+	if sg.gap != 0 {
+		t.Fatalf("gap = %d, want 0", sg.gap)
 	}
 	mv := sg.PendingMove()
-	if mv.Src != sg.N() || mv.Dst != 0 {
-		t.Fatalf("wrap move = %+v, want {%d 0}", mv, sg.N())
+	if mv.Src != sg.n || mv.Dst != 0 {
+		t.Fatalf("wrap move = %+v, want {%d 0}", mv, sg.n)
 	}
 	sg.Commit()
-	if sg.Gap() != sg.N() || sg.Start() != 1 {
-		t.Fatalf("after wrap: gap=%d start=%d", sg.Gap(), sg.Start())
+	if sg.gap != sg.n || sg.start != 1 {
+		t.Fatalf("after wrap: gap=%d start=%d", sg.gap, sg.start)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestStartWraps(t *testing.T) {
 	for i := uint64(0); i < 3*4; i++ {
 		sg.Commit()
 	}
-	if sg.Start() != 0 {
-		t.Fatalf("start = %d after full cycle, want 0", sg.Start())
+	if sg.start != 0 {
+		t.Fatalf("start = %d after full cycle, want 0", sg.start)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return got.Gap() == sg.Gap() && got.Start() == sg.Start()
+		return got.gap == sg.gap && got.start == sg.start
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -183,9 +183,9 @@ func TestWearSpreading(t *testing.T) {
 			sg.Commit()
 		}
 	}
-	if len(touched) != int(sg.PhysicalLines()) {
+	if len(touched) != int(sg.n+1) {
 		t.Fatalf("hot block touched %d/%d lines over two full rotations",
-			len(touched), sg.PhysicalLines())
+			len(touched), sg.n+1)
 	}
 }
 

@@ -13,8 +13,9 @@
 #      write burst trips WPQ back-pressure with 429 + Retry-After.
 #   3. Both shed families and the in-process recovery show up in
 #      /metrics.
-#   4. The dashboard (/dash), its JSON feed, and the flight recorder
-#      (/debug/events) serve live observability for all of the above.
+#   4. The dashboard (/dash) and its JSON feed, whose events field
+#      carries the flight recorder, serve live observability for all of
+#      the above.
 #   5. SIGTERM flushes and saves every tenant (dumping the event log to
 #      the state dir); a restarted server reattaches all 8 through
 #      their schemes' recovery and every tenant audits clean.
@@ -116,17 +117,15 @@ for marker in 'anubis dashboard' 'id="tenants"' 'id="phases"' 'id="events"' '/de
   echo "$dash" | grep -qF "$marker" ||
     { echo "FAIL: /dash missing marker $marker" >&2; exit 1; }
 done
-curl -fsS "http://$MET/debug/dash.json" |
-  python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["counters"] and d["recorder_total"] > 0, d.keys()' ||
+feed=$(curl -fsS "http://$MET/debug/dash.json")
+python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["counters"] and d["recorder_total"] > 0, d.keys()' <<<"$feed" ||
   { echo "FAIL: /debug/dash.json unparseable or empty" >&2; exit 1; }
-events=$(curl -fsS "http://$MET/debug/events")
-# Herestrings, not `echo | grep -q`: grep -q exits at the first match,
-# and under pipefail echo's resulting SIGPIPE would read as a failure.
-sed -n 1p <<<"$events" | python3 -c 'import json,sys; e=json.loads(sys.stdin.read()); assert "kind" in e and "seq" in e, e' ||
-  { echo "FAIL: /debug/events first line is not an event object" >&2; exit 1; }
-grep -q '"kind":"recover"' <<<"$events" ||
+# The feed's events are the flight recorder's, oldest first.
+python3 -c 'import json,sys; e=json.load(sys.stdin)["events"][0]; assert "kind" in e and "seq" in e, e' <<<"$feed" ||
+  { echo "FAIL: /debug/dash.json's first event is not an event object" >&2; exit 1; }
+python3 -c 'import json,sys; assert "recover" in {e["kind"] for e in json.load(sys.stdin)["events"]}' <<<"$feed" ||
   { echo "FAIL: t3 recovery never reached the flight recorder" >&2; exit 1; }
-grep -q '"kind":"shed"' <<<"$events" ||
+python3 -c 'import json,sys; assert "shed" in {e["kind"] for e in json.load(sys.stdin)["events"]}' <<<"$feed" ||
   { echo "FAIL: sheds never reached the flight recorder" >&2; exit 1; }
 if [ -n "${SERVE_SMOKE_ARTIFACTS:-}" ]; then
   mkdir -p "$SERVE_SMOKE_ARTIFACTS"
