@@ -24,13 +24,16 @@ race:
 serve-race:
 	$(GO) test -race -count=5 -run 'TestMultiTenantHammer|TestPanicQuarantinesTenant|TestQueueShedAtDepth|TestForkTenantUnderLoad' ./internal/serve/
 
-# A forked controller shares its metadata caches with its parent
-# copy-on-write, and an atomic holder count decides which side copies,
-# so the fork tests get three race-detector passes: the cache's clone
-# tests, the controller fork and crash-cost tests, and the recovery
-# sweeps that fork one warm controller per crash point.
+# A forked controller shares its metadata caches and shadow mirrors
+# with its parent copy-on-write, where an atomic holder count decides
+# which side copies, and its device's page-directory chunks and pages,
+# where owner tags do. So the fork tests get three race-detector
+# passes: the cache's clone tests, the device's and the shadow
+# mirrors' three-goroutine writer tests, the controller fork and
+# crash-cost tests, and the recovery sweeps that fork one warm
+# controller per crash point.
 fork-race:
-	$(GO) test -race -count=3 -run 'Clone|Fork|DropAll|RecoverySweep|RecoveryDeterministic' ./internal/cache/ ./internal/memctrl/ ./internal/figures/
+	$(GO) test -race -count=3 -run 'Clone|Fork|DropAll|RecoverySweep|RecoveryDeterministic' ./internal/cache/ ./internal/nvm/ ./internal/shadow/ ./internal/memctrl/ ./internal/figures/
 
 # Tier-1 gate: everything compiles, vets clean, and the full suite
 # passes both plainly (where the zero-alloc assertions and the seed-99
@@ -106,13 +109,16 @@ surface-smoke:
 # re-running the printed token through `anubis-fuzz -replay` (see
 # EXPERIMENTS.md "Crash-injection fuzzing"). Then each word-parallel
 # block kernel (SECDED, counter blocks, ASIT shadow entries) gets 5 s
-# against the reference implementation in its test file.
+# against the reference implementation in its test file, and so does
+# the controller's open, which decrypts and checks one AES block at a
+# time, against decrypting the whole block first.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzTrial$$' -fuzztime 10s ./internal/crashfuzz/
 	$(GO) test -run xxx -fuzz 'FuzzParseSchedule$$' -fuzztime 10s ./internal/crashfuzz/
 	$(GO) test -run xxx -fuzz 'FuzzBlockKernels$$' -fuzztime 5s ./internal/ecc/
 	$(GO) test -run xxx -fuzz 'FuzzCodecs$$' -fuzztime 5s ./internal/counter/
 	$(GO) test -run xxx -fuzz 'FuzzSTEntryCodec$$' -fuzztime 5s ./internal/shadow/
+	$(GO) test -run xxx -fuzz 'FuzzOpen$$' -fuzztime 5s ./internal/memctrl/
 
 # Long differential fuzz: 500 seeded random schedules across every
 # scheme × crash model combination (the PR acceptance run).

@@ -35,21 +35,19 @@
 // Every simulated memory request calls into this package several times
 // (pad + MAC on the data, one tree hash per Merkle level), so the block
 // path must not allocate. The MAC/hash paths are pure register math;
-// OTP generation stages its pad and IV in a pooled scratch so the
-// AES calls never force caller buffers to escape. The pool also keeps
-// the Engine safe for concurrent use: parallel evaluation cells
-// (internal/parallel) may share one Engine, and each in-flight
-// operation checks out its own scratch state.
+// OTP generation stages its IV and pad in a Pad the caller passes in —
+// a memory controller holds one by value — so the AES calls never force
+// a per-call buffer to escape. An Engine holds no mutable state after
+// construction, so parallel evaluation cells (internal/parallel) may
+// share one as long as each goroutine passes its own Pad.
 // BenchmarkPad/BenchmarkDataMAC/BenchmarkContentHash prove 0 allocs/op.
 package cryptoeng
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/subtle"
 	"encoding/binary"
 	"math/bits"
-	"sync"
 )
 
 // BlockBytes is the memory block (cache line) size.
@@ -59,14 +57,15 @@ const BlockBytes = 64
 // tree blocks (Figure 3 of the paper; 56-bit as in Intel's MEE).
 const SGXMACBits = 56
 
-// scratch is the per-operation working state. One scratch is checked
-// out of the Engine's pool for the duration of a primitive call, so the
-// hot path performs no heap allocation and concurrent callers never
-// share buffers. Only the OTP path needs scratch; MAC and hash
-// computation is pure register math.
-type scratch struct {
-	pad [BlockBytes]byte    // OTP scratch
-	iv  [aes.BlockSize]byte // counter-mode IV scratch
+// PadBlocks is the number of AES blocks in one memory block's pad.
+const PadBlocks = BlockBytes / aes.BlockSize
+
+// Pad is the scratch of one-time-pad generation: the counter-mode IV
+// and one AES block of pad. Callers that run concurrently each pass
+// their own.
+type Pad struct {
+	iv  [aes.BlockSize]byte
+	out [aes.BlockSize]byte
 }
 
 // Engine holds the processor-resident secrets and implements every
@@ -76,7 +75,6 @@ type Engine struct {
 	aead    cipher.Block // AES-128 block cipher for OTP generation
 	macSeed uint64       // MAC-key-derived seed for data/SGX MACs
 	stSeed  uint64       // domain-separated seed for shadow-table MACs
-	pool    sync.Pool    // *scratch
 }
 
 // Mixing constants: the "secret" multipliers of the wyhash family —
@@ -148,15 +146,8 @@ func NewEngine(aesKey [16]byte, macKey [32]byte) *Engine {
 	k3 := binary.LittleEndian.Uint64(macKey[24:])
 	e.macSeed = mix(k0^mixK0, k1^mixK1) ^ mix(k2^mixK2, k3^mixK3)
 	e.stSeed = mix(e.macSeed^mixK4, stDomainSeed)
-	e.pool.New = func() any { return new(scratch) }
-	// Pre-warm one scratch so even the first operation after boot runs
-	// allocation-free.
-	e.pool.Put(new(scratch))
 	return e
 }
-
-func (e *Engine) get() *scratch  { return e.pool.Get().(*scratch) }
-func (e *Engine) put(s *scratch) { e.pool.Put(s) }
 
 // NewTestEngine returns an engine with fixed keys, for tests and
 // examples where key management is irrelevant.
@@ -172,36 +163,34 @@ func NewTestEngine() *Engine {
 	return NewEngine(aesKey, macKey)
 }
 
-// padInto computes the 64-byte one-time pad for (address, counter) into
-// the scratch pad buffer. The IV of AES block i is (address, counter,
-// i): spatial uniqueness via the address, temporal uniqueness via the
-// counter.
-func (e *Engine) padInto(s *scratch, addr, counter uint64) {
-	binary.LittleEndian.PutUint64(s.iv[0:8], addr)
-	for i := 0; i < BlockBytes/aes.BlockSize; i++ {
-		binary.LittleEndian.PutUint64(s.iv[8:16], counter<<2|uint64(i))
-		e.aead.Encrypt(s.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], s.iv[:])
-	}
+// XORPad XORs AES block i (bytes 16i..16i+15) of src with the same
+// block of the one-time pad for (addr, counter), writing dst's. The IV
+// of AES block i is (address, counter, i): spatial uniqueness via the
+// address, temporal uniqueness via the counter. Counter-mode
+// decryption is the same operation, so a caller that checks a block as
+// it decrypts it can stop after the first AES block that fails. dst
+// and src may alias.
+func (e *Engine) XORPad(p *Pad, dst, src *[BlockBytes]byte, addr, counter uint64, i int) {
+	binary.LittleEndian.PutUint64(p.iv[0:8], addr)
+	binary.LittleEndian.PutUint64(p.iv[8:16], counter<<2|uint64(i))
+	e.aead.Encrypt(p.out[:], p.iv[:])
+	d, s := dst[i*aes.BlockSize:(i+1)*aes.BlockSize], src[i*aes.BlockSize:(i+1)*aes.BlockSize]
+	binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(s[0:])^binary.LittleEndian.Uint64(p.out[0:]))
+	binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:])^binary.LittleEndian.Uint64(p.out[8:]))
 }
 
 // EncryptTo XORs the 64-byte src with the OTP for (addr, counter),
-// writing the result into the caller-provided dst. dst and src may
-// alias (in-place operation) and must both be 64 bytes. Counter-mode
-// decryption is the same operation, so DecryptTo is an alias.
-func (e *Engine) EncryptTo(dst, src []byte, addr, counter uint64) {
+// writing the result into the caller-provided dst: all PadBlocks AES
+// blocks of XORPad. dst and src may alias (in-place operation) and must
+// both be 64 bytes.
+func (e *Engine) EncryptTo(p *Pad, dst, src []byte, addr, counter uint64) {
 	if len(dst) != BlockBytes || len(src) != BlockBytes {
 		panic("cryptoeng: EncryptTo needs 64-byte blocks")
 	}
-	s := e.get()
-	e.padInto(s, addr, counter)
-	subtle.XORBytes(dst, src, s.pad[:])
-	e.put(s)
-}
-
-// DecryptTo is counter-mode decryption into a caller-provided buffer:
-// identical to EncryptTo.
-func (e *Engine) DecryptTo(dst, src []byte, addr, counter uint64) {
-	e.EncryptTo(dst, src, addr, counter)
+	d, s := (*[BlockBytes]byte)(dst), (*[BlockBytes]byte)(src)
+	for i := 0; i < PadBlocks; i++ {
+		e.XORPad(p, d, s, addr, counter, i)
+	}
 }
 
 // DataMAC computes the 64-bit Bonsai data MAC over (addr, counter, data).

@@ -19,8 +19,9 @@ func testBlock(seed int64) []byte {
 
 // encrypt returns EncryptTo's output in a new slice.
 func encrypt(e *Engine, addr, counter uint64, src []byte) []byte {
+	var p Pad
 	dst := make([]byte, BlockBytes)
-	e.EncryptTo(dst, src, addr, counter)
+	e.EncryptTo(&p, dst, src, addr, counter)
 	return dst
 }
 
@@ -29,9 +30,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	f := func(addr, counter uint64, seed int64) bool {
 		pt := testBlock(seed)
 		ct := encrypt(e, addr, counter, pt)
-		got := make([]byte, BlockBytes)
-		e.DecryptTo(got, ct, addr, counter)
-		return bytes.Equal(got, pt)
+		return bytes.Equal(encrypt(e, addr, counter, ct), pt)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -81,15 +80,16 @@ func TestXorInPlaceMatchesEncrypt(t *testing.T) {
 	e := NewTestEngine()
 	pt := testBlock(5)
 	want := encrypt(e, 77, 3, pt)
+	var p Pad
 	buf := make([]byte, BlockBytes)
 	copy(buf, pt)
-	e.EncryptTo(buf, buf, 77, 3)
+	e.EncryptTo(&p, buf, buf, 77, 3)
 	if !bytes.Equal(buf, want) {
 		t.Fatal("in-place EncryptTo disagrees with out-of-place")
 	}
-	e.DecryptTo(buf, buf, 77, 3)
+	e.EncryptTo(&p, buf, buf, 77, 3)
 	if !bytes.Equal(buf, pt) {
-		t.Fatal("in-place DecryptTo did not round-trip")
+		t.Fatal("in-place decryption did not round-trip")
 	}
 }
 
@@ -189,7 +189,6 @@ func TestPanicsOnWrongSizes(t *testing.T) {
 	e := NewTestEngine()
 	short := make([]byte, 10)
 	for name, fn := range map[string]func(){
-		"DecryptTo":   func() { e.DecryptTo(short, short, 0, 0) },
 		"DataMAC":     func() { e.DataMAC(0, 0, short) },
 		"ContentHash": func() { e.ContentHash(short) },
 	} {
@@ -239,8 +238,8 @@ func TestEncryptToPanicsOnWrongSizes(t *testing.T) {
 	short := make([]byte, 10)
 	full := make([]byte, BlockBytes)
 	for name, fn := range map[string]func(){
-		"short dst": func() { e.EncryptTo(short, full, 0, 0) },
-		"short src": func() { e.EncryptTo(full, short, 0, 0) },
+		"short dst": func() { e.EncryptTo(new(Pad), short, full, 0, 0) },
+		"short src": func() { e.EncryptTo(new(Pad), full, short, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -255,35 +254,33 @@ func TestEncryptToPanicsOnWrongSizes(t *testing.T) {
 
 // TestHotPathZeroAllocs asserts the per-block primitives are
 // allocation-free: this is what keeps the parallel evaluation engine's
-// cells from hammering the garbage collector. (A tiny tolerance absorbs
-// the rare case of the GC clearing the scratch pool mid-measurement.)
+// cells from hammering the garbage collector.
 func TestHotPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector randomizes sync.Pool; allocation counts are not meaningful")
-	}
 	e := NewTestEngine()
+	p := new(Pad)
 	buf := testBlock(14)
 	dst := make([]byte, BlockBytes)
+	blk := (*[BlockBytes]byte)(buf)
 	ctrs := make([]uint64, 8)
 	cases := map[string]func(){
-		"pad/in place": func() { e.EncryptTo(buf, buf, 3, 9) },
-		"EncryptTo":    func() { e.EncryptTo(dst, buf, 3, 9) },
+		"pad/in place": func() { e.EncryptTo(p, buf, buf, 3, 9) },
+		"EncryptTo":    func() { e.EncryptTo(p, dst, buf, 3, 9) },
+		"XORPad":       func() { e.XORPad(p, blk, blk, 3, 9, 2) },
 		"DataMAC":      func() { e.DataMAC(3, 9, buf) },
 		"ContentHash":  func() { e.ContentHash(buf) },
 		"SGXMAC":       func() { e.SGXMAC(3, ctrs, 1) },
 		"STMAC":        func() { e.STMAC(3, ctrs) },
 	}
 	for name, fn := range cases {
-		fn() // warm the scratch pool outside the measurement
-		if avg := testing.AllocsPerRun(500, fn); avg > 0.02 {
+		if avg := testing.AllocsPerRun(500, fn); avg != 0 {
 			t.Errorf("%s: %.3f allocs/op, want 0", name, avg)
 		}
 	}
 }
 
 // TestConcurrentEngineSharing exercises one Engine from many goroutines
-// (the parallel evaluation pattern) and checks the pooled scratch never
-// crosses wires: every goroutine must see self-consistent results.
+// (the parallel evaluation pattern), each with its own Pad: every
+// goroutine must see self-consistent results.
 func TestConcurrentEngineSharing(t *testing.T) {
 	e := NewTestEngine()
 	pt := testBlock(15)
@@ -293,9 +290,10 @@ func TestConcurrentEngineSharing(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
+			var p Pad
 			buf := make([]byte, BlockBytes)
 			for i := 0; i < 2000; i++ {
-				e.EncryptTo(buf, pt, 77, 13)
+				e.EncryptTo(&p, buf, pt, 77, 13)
 				if !bytes.Equal(buf, wantCT) {
 					done <- fmt.Errorf("iter %d: ciphertext mismatch", i)
 					return
@@ -322,10 +320,11 @@ func TestConcurrentEngineSharing(t *testing.T) {
 func BenchmarkEncryptBlock(b *testing.B) {
 	e := NewTestEngine()
 	pt := testBlock(10)
+	p := new(Pad)
 	b.SetBytes(BlockBytes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.EncryptTo(pt, pt, uint64(i), uint64(i))
+		e.EncryptTo(p, pt, pt, uint64(i), uint64(i))
 	}
 }
 
@@ -335,10 +334,11 @@ func BenchmarkPad(b *testing.B) {
 	e := NewTestEngine()
 	src := testBlock(10)
 	dst := make([]byte, BlockBytes)
+	p := new(Pad)
 	b.SetBytes(BlockBytes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.EncryptTo(dst, src, uint64(i), uint64(i))
+		e.EncryptTo(p, dst, src, uint64(i), uint64(i))
 	}
 }
 
@@ -381,7 +381,7 @@ func BenchmarkSTMAC(b *testing.B) {
 }
 
 // BenchmarkDataMACParallel measures MAC throughput under the parallel
-// evaluation pattern: many goroutines sharing one Engine's scratch pool.
+// evaluation pattern: many goroutines sharing one Engine.
 func BenchmarkDataMACParallel(b *testing.B) {
 	e := NewTestEngine()
 	data := testBlock(14)

@@ -102,20 +102,3 @@ func EncodeBlock(block []byte) [WordsPerBlock]uint8 {
 	}
 	return out
 }
-
-// CheckBlock reports whether every word of a 64-byte block is consistent
-// with its ECC byte. This is the Osiris sanity check: a block decrypted
-// with the wrong counter is pseudo-random, so each word passes with
-// probability 2^-8 and the whole block with 2^-64; recovery still checks
-// the data MAC of the block that passes.
-func CheckBlock(block []byte, ecc [WordsPerBlock]uint8) bool {
-	if len(block) != BlockBytes {
-		panic("ecc: CheckBlock needs a 64-byte block")
-	}
-	for w := 0; w < WordsPerBlock; w++ {
-		if !Check(binary.LittleEndian.Uint64(block[w*WordBytes:]), ecc[w]) {
-			return false
-		}
-	}
-	return true
-}

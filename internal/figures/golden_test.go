@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"anubis/internal/memctrl"
+	"anubis/internal/obs"
 	"anubis/internal/sim"
 )
 
@@ -42,8 +43,8 @@ func cellRow(res sim.Result) goldenRow {
 		"nvm_reads":  res.Stats.NVM.Reads,
 		"nvm_writes": res.Stats.NVM.Writes,
 	}
-	for name, ns := range res.Stats.Attribution.Map() {
-		row[name] = ns
+	for _, c := range obs.Comps() {
+		row[c.String()] = res.Stats.Attribution.Get(c)
 	}
 	return row
 }

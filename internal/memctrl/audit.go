@@ -48,8 +48,7 @@ func (c *core) auditData(rep *AuditReport, idx, ctr uint64) {
 		return
 	}
 	rep.DataBlocks++
-	ct, _ := c.dev.ReadPtr(nvm.RegionData, phys)
-	side := c.dev.ReadSideband(phys)
+	ct, side, _ := c.dev.ReadData(phys)
 	var pt [BlockBytes]byte
 	if fail := c.open(&pt, ct, &side, idx, ctr); fail != "" {
 		rep.violate("data block %d fails %s", idx, fail)

@@ -494,10 +494,9 @@ func (b *Bonsai) reencryptPage(page uint64, old, fresh *counter.Split) error {
 		if !b.dev.Has(nvm.RegionData, phys) {
 			continue
 		}
-		ct, _, done := b.dev.ReadAtPtr(nvm.RegionData, phys, b.now)
+		ct, side, _, done := b.dev.ReadDataAt(phys, b.now, true)
 		b.now = done
 		var pt [BlockBytes]byte
-		side := b.dev.ReadSideband(phys)
 		if fail := b.open(&pt, ct, &side, idx, old.Counter(lane)); fail != "" {
 			return &IntegrityError{What: "page re-encryption " + fail + " mismatch", Addr: idx}
 		}
@@ -550,6 +549,10 @@ func (b *Bonsai) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
 	b.crash(model, rng)
 	b.cCache.DropAll()
 	b.tCache.DropAll()
+	if b.sct != nil {
+		b.sct.Drop()
+		b.smt.Drop()
+	}
 	b.epochWrites = 0
 	for p := range b.epochDirty {
 		delete(b.epochDirty, p)

@@ -95,9 +95,8 @@ func (b *Bonsai) recoverScheme(rep *RecoveryReport) error {
 // the candidate is reconstructed directly and verified once.
 func (b *Bonsai) osirisFixLane(idx, stored uint64, rep *RecoveryReport) (uint64, bool) {
 	phys := b.wl.phys(idx)
-	ct, _ := b.dev.ReadPtr(nvm.RegionData, phys)
+	ct, side, _ := b.dev.ReadData(phys)
 	rep.FetchOps++
-	side := b.dev.ReadSideband(phys)
 	var pt [BlockBytes]byte // reused across candidate trials: no per-trial alloc
 	verify := func(cand uint64) bool {
 		rep.CryptoOps++
@@ -266,22 +265,21 @@ func (b *Bonsai) recoverSelective(rep *RecoveryReport) error {
 // recoverAGIT implements Algorithm 1 of the paper.
 func (b *Bonsai) recoverAGIT(rep *RecoveryReport) error {
 	// 1. Read the SCT and repair every tracked counter block. The
-	// restored tables also become the controller's live mirrors: a
-	// mirror that disagreed with NVM would corrupt neighbouring entries
-	// on the next 64-byte shadow block write.
+	// tables are restored into the controller's live mirrors: a mirror
+	// that disagreed with NVM would corrupt neighbouring entries on the
+	// next 64-byte shadow block write.
 	rep.enterPhase(obs.RPShadowReplay)
-	sct := shadow.RestoreAddrTable(b.cCache.NumSlots(), func(bi uint64) [BlockBytes]byte {
+	b.sct.Restore(func(bi uint64) [BlockBytes]byte {
 		rep.FetchOps++
 		return b.dev.Read(nvm.RegionSCT, bi)
 	})
-	b.sct = sct
 	// The SCT lives in NVM and can be corrupted by a torn or partial
 	// crash: a key outside the counter region would otherwise panic deep
 	// in the wear-leveling map during repair, so every key is checked
 	// before any page is rewritten. Pages are independent, so repairing
 	// them in ascending order changes no outcome.
 	rep.enterPhaseSplit(obs.RPCounterScan, obs.RPECCVerify)
-	pages := trackedKeys(sct, rep)
+	pages := trackedKeys(b.sct, rep)
 	if n := len(pages); n > 0 && pages[n-1] >= b.numPages {
 		return fmt.Errorf("%w: SCT tracks counter page %#x beyond memory (%d pages)", ErrUnrecoverable, pages[n-1], b.numPages)
 	}
@@ -295,12 +293,11 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) error {
 	// order is bottom-up level order. Same defense as the SCT scan: a
 	// corrupt key outside the tree would panic inside Geometry.Unflat.
 	rep.enterPhase(obs.RPShadowReplay)
-	smt := shadow.RestoreAddrTable(b.tCache.NumSlots(), func(bi uint64) [BlockBytes]byte {
+	b.smt.Restore(func(bi uint64) [BlockBytes]byte {
 		rep.FetchOps++
 		return b.dev.Read(nvm.RegionSMT, bi)
 	})
-	b.smt = smt
-	nodes := trackedKeys(smt, rep)
+	nodes := trackedKeys(b.smt, rep)
 	if n := len(nodes); n > 0 && nodes[n-1] >= b.geom.TotalNodes() {
 		return fmt.Errorf("%w: SMT tracks tree node %#x beyond the tree (%d nodes)", ErrUnrecoverable, nodes[n-1], b.geom.TotalNodes())
 	}

@@ -10,20 +10,23 @@ import (
 // Clone produces a child controller that behaves byte-for-byte like a
 // controller that executed the parent's entire request history. The
 // multi-megabyte stored image is shared copy-on-write through
-// nvm.Device.Fork (an 8-block page is duplicated only when parent or
-// child first writes to it), and so are the metadata caches; the rest
-// of the volatile state is copied.
+// nvm.Device.Fork (a directory chunk or an 8-block page is duplicated
+// only when parent or child first writes to it), and so are the
+// metadata caches and the shadow mirrors; the rest of the volatile
+// state is copied.
 //
 // Sharing rules (why each field is copied the way it is):
 //
-//   - dev: nvm.Device.Fork — COW image, value-cloned WPQ/bank/port
+//   - dev: nvm.Device.Fork — COW image (only the top level of each
+//     region's page directory is copied), value-cloned WPQ/bank/port
 //     clocks, commit-group state, and register file.
 //   - eng: the crypto engine is shared. It is deterministic (keyed
-//     test engine), stateless per call, and safe for concurrent use
-//     (its scratch lives in a sync.Pool), so parent and children can
-//     run on different goroutines of a sweep pool.
-//   - geom/stGeom: merkle.Geometry contains slices but is immutable
-//     after construction — shared by value copy.
+//     test engine) and holds no mutable state, so parent and children
+//     can run on different goroutines of a sweep pool.
+//   - pad: the OTP scratch every seal and open stages its AES blocks
+//     in; a value copy, so each controller has its own.
+//   - geom: merkle.Geometry contains slices but is immutable after
+//     construction — shared by value copy.
 //   - defNode/defNodeHash: immutable after computeTreeDefaults, but tiny
 //     (one entry per tree level); copied for full independence.
 //   - caches (with each counter line's stop-loss count): cache.Clone
@@ -34,15 +37,19 @@ import (
 //     costs its parent no copy. No controller keeps a *cache.Line
 //     across calls, which is what makes a line pointer's lifetime
 //     (until the next Clone or DropAll of its cache) enough.
-//   - shadow mirrors, wear state, pending write group, writeback
-//     queue: exact value clones.
+//   - shadow mirrors (AGIT's SCT and SMT, ASIT's ST with its
+//     protection tree): Clone shares them the way cache.Clone shares
+//     a line array, under an atomic holder count, and Crash lets go of
+//     them (Drop); Recover restores them from NVM in place.
+//   - wear state, pending write group, writeback queue: exact value
+//     clones.
 //
 // After Clone, parent and child may both keep running, crash, recover,
 // and be cloned again, in any order; on different goroutines they may
-// run concurrently (the shared mutable machinery — COW page
-// duplication and cache holder counts — is keyed by per-store owner
-// tags and atomic counts, and each side installs copies only into its
-// own directories and caches).
+// run concurrently (the shared mutable machinery — COW chunk and page
+// duplication, cache and mirror holder counts — is keyed by per-store
+// owner tags and atomic counts, and each side installs copies only
+// into its own directories, caches and mirrors).
 
 // Clone implements Controller.
 func (b *Bonsai) Clone() Controller {
@@ -77,10 +84,6 @@ func (c *SGX) Clone() Controller {
 	n.mCache = c.mCache.Clone()
 	if c.st != nil {
 		n.st = c.st.Clone()
-		n.stNodes = make([][]merkle.GNode, len(c.stNodes))
-		for i, lvl := range c.stNodes {
-			n.stNodes[i] = append([]merkle.GNode(nil), lvl...)
-		}
 	}
 	n.wbq = append([]cache.Victim(nil), c.wbq...)
 	return n

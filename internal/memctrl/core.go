@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -22,6 +23,7 @@ type core struct {
 	cfg  Config
 	dev  *nvm.Device
 	eng  *cryptoeng.Engine
+	pad  cryptoeng.Pad // OTP scratch of seal and open; a fork copies it
 	geom merkle.Geometry
 
 	numBlocks uint64 // data blocks
@@ -146,7 +148,7 @@ func (c *core) commitPending() {
 // counter and address.
 func (c *core) seal(idx, ctr uint64, pt *[BlockBytes]byte) {
 	var ct [BlockBytes]byte
-	c.eng.EncryptTo(ct[:], pt[:], idx, ctr)
+	c.eng.EncryptTo(&c.pad, ct[:], pt[:], idx, ctr)
 	side := nvm.Sideband{ECC: ecc.EncodeBlock(pt[:]), MAC: c.eng.DataMAC(idx, ctr, pt[:])}
 	if c.phased {
 		side.Phase = uint8(ctr)
@@ -157,11 +159,21 @@ func (c *core) seal(idx, ctr uint64, pt *[BlockBytes]byte) {
 // open decrypts ciphertext ct into pt as logical block idx under
 // counter ctr and verifies it against its sideband. It returns the name
 // of the first check that failed, "ECC" or "MAC", or "" when the block
-// is genuine.
+// is genuine. It decrypts and ECC-checks one AES block (two ECC words)
+// at a time and stops at the first word that fails: a wrong Osiris
+// candidate decrypts to pseudo-random words, so it almost always costs
+// one AES block instead of four. The verdict is that of decrypting the
+// whole block before checking it; pt is complete only when open
+// returns "" or "MAC".
 func (c *core) open(pt, ct *[BlockBytes]byte, side *nvm.Sideband, idx, ctr uint64) string {
-	c.eng.DecryptTo(pt[:], ct[:], idx, ctr)
-	if !ecc.CheckBlock(pt[:], side.ECC) {
-		return "ECC"
+	const words = BlockBytes / cryptoeng.PadBlocks / ecc.WordBytes
+	for i := 0; i < cryptoeng.PadBlocks; i++ {
+		c.eng.XORPad(&c.pad, pt, ct, idx, ctr, i)
+		for w := i * words; w < (i+1)*words; w++ {
+			if !ecc.Check(binary.LittleEndian.Uint64(pt[w*ecc.WordBytes:]), side.ECC[w]) {
+				return "ECC"
+			}
+		}
 	}
 	if c.eng.DataMAC(idx, ctr, pt[:]) != side.MAC {
 		return "MAC"
@@ -176,6 +188,7 @@ func (c *core) open(pt, ct *[BlockBytes]byte, side *nvm.Sideband, idx, ctr uint6
 type dataFetch struct {
 	idx, phys uint64
 	ct        *[BlockBytes]byte
+	side      nvm.Sideband
 	has       bool
 	done      uint64
 }
@@ -184,8 +197,8 @@ type dataFetch struct {
 // metadata walk, so chargeData bills only its visible residual.
 func (c *core) fetchData(idx uint64) dataFetch {
 	phys := c.wl.phys(idx)
-	ct, has, done := c.dev.ReadAtPtrQuiet(nvm.RegionData, phys, c.now)
-	return dataFetch{idx: idx, phys: phys, ct: ct, has: has, done: done}
+	ct, side, has, done := c.dev.ReadDataAt(phys, c.now, false)
+	return dataFetch{idx: idx, phys: phys, ct: ct, side: side, has: has, done: done}
 }
 
 // chargeData waits out whatever part of the fetch the metadata walk did
@@ -208,8 +221,7 @@ func (c *core) openData(f *dataFetch, ctr uint64) ([BlockBytes]byte, error) {
 		return [BlockBytes]byte{}, nil
 	}
 	var pt [BlockBytes]byte
-	side := c.dev.ReadSideband(f.phys)
-	if fail := c.open(&pt, f.ct, &side, f.idx, ctr); fail != "" {
+	if fail := c.open(&pt, f.ct, &f.side, f.idx, ctr); fail != "" {
 		return [BlockBytes]byte{}, &IntegrityError{What: "data " + fail + " mismatch", Addr: f.idx}
 	}
 	return pt, nil

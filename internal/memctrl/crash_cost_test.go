@@ -16,8 +16,8 @@ import (
 // copy-on-write and let go at crash, so forking a warm Bonsai
 // controller and crashing the fork copies neither cache. At
 // DefaultConfig's cache sizes an eager copy of the two caches is about
-// 850 KiB; the fork's device directories and registers stay far below
-// the bound.
+// 850 KiB; the fork's top-level page directories (one pointer per
+// 2 MiB of region) and registers stay far below the bound.
 func TestBonsaiForkCrashCopiesNoCache(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates on instrumented accesses; counts are not meaningful")
@@ -46,6 +46,57 @@ func TestBonsaiForkCrashCopiesNoCache(t *testing.T) {
 	}
 	if got, err := b.ReadBlock(7); err != nil || got != pattern(1) {
 		t.Fatalf("the parent lost block 7 after its fork crashed: %v", err)
+	}
+}
+
+// TestPaperScaleControllersCostWhatTheyTouch bounds what building a
+// controller at DefaultConfig's 16 GiB allocates, and what forking a
+// warm one and crashing the fork allocates, for the three schemes the
+// recovery sweeps fork. Neither may scale with the memory the
+// controller could address: the device reserves only its top-level
+// page directories, and a fork shares chunks, pages, caches and shadow
+// mirrors copy-on-write and lets go of the volatile ones at crash.
+func TestPaperScaleControllersCostWhatTheyTouch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates on instrumented accesses; counts are not meaningful")
+	}
+	for _, s := range []Scheme{SchemeOsiris, SchemeAGITPlus, SchemeASIT} {
+		t.Run(s.String(), func(t *testing.T) {
+			cfg := DefaultConfig(s)
+			f := FamilyBonsai
+			if s == SchemeASIT {
+				f = FamilySGX
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c, err := New(f, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+				t.Errorf("New at %d GiB allocated %d bytes, want < 4 MiB", cfg.MemoryBytes>>30, d)
+			}
+			// Scattered writes touch one directory chunk each.
+			for i := uint64(0); i < 2000; i++ {
+				if err := c.WriteBlock(i*0x9e3779b9%c.NumBlocks(), pattern(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&before)
+			child := c.Clone()
+			child.Crash()
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 2<<20 {
+				t.Errorf("Clone + Crash at %d GiB allocated %d bytes, want < 2 MiB", cfg.MemoryBytes>>30, d)
+			}
+			if _, err := child.Recover(); err != nil {
+				t.Fatalf("the crashed fork does not recover: %v", err)
+			}
+			if got, err := c.ReadBlock(0x9e3779b9 % c.NumBlocks()); err != nil || got != pattern(1) {
+				t.Fatalf("the parent lost a block after its fork crashed: %v", err)
+			}
+		})
 	}
 }
 
@@ -117,7 +168,7 @@ func TestASITRejectsEntryOutsideItsSet(t *testing.T) {
 	bi, blk := c.st.Set(dst, dup)
 	c.dev.WriteRaw(nvm.RegionST, bi, blk)
 	var ops uint64
-	root := merkle.BuildGeneral(c.stGeom, c.eng,
+	root := merkle.BuildGeneral(*c.st.Tree(), c.eng,
 		func(i uint64) [BlockBytes]byte { return c.st.Block(int(i)) },
 		func(uint64, merkle.GNode) {}, &ops)
 	c.dev.SetReg64(regShadowTreeRoot, root)

@@ -17,8 +17,8 @@ import (
 // the (72,64) Hamming code are both linear, so the forgery passes ECC;
 // only the data MAC can catch it.
 func forgeFlip(dev *nvm.Device, phys uint64) {
-	ct := dev.Read(nvm.RegionData, phys)
-	side := dev.ReadSideband(phys)
+	blk, side, _ := dev.ReadData(phys)
+	ct := *blk
 	ct[0] ^= 0x01
 	side.ECC[0] ^= ecc.Encode(binary.LittleEndian.Uint64([]byte{0x01, 0, 0, 0, 0, 0, 0, 0}))
 	dev.WriteRawData(phys, ct, side)

@@ -86,8 +86,8 @@ func TestSelectiveReplayVulnerability(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.FlushCaches()
-	oldData := b.dev.Read(nvm.RegionData, relaxed)
-	oldSide := b.dev.ReadSideband(relaxed)
+	blk, oldSide, _ := b.dev.ReadData(relaxed)
+	oldData := *blk
 
 	// Version 2 supersedes it; the data persists but the relaxed
 	// counter update stays in the cache.
@@ -118,8 +118,8 @@ func TestSelectiveReplayVulnerability(t *testing.T) {
 	}
 	a.WriteBlock(relaxed, pattern(1))
 	a.FlushCaches()
-	oldData = a.dev.Read(nvm.RegionData, relaxed)
-	oldSide = a.dev.ReadSideband(relaxed)
+	blk, oldSide, _ = a.dev.ReadData(relaxed)
+	oldData = *blk
 	a.WriteBlock(relaxed, pattern(2))
 	a.Crash()
 	a.dev.WriteRawData(relaxed, oldData, oldSide)

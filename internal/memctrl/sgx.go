@@ -46,11 +46,10 @@ type SGX struct {
 	// Volatile mirror of the on-chip root node register.
 	rootNode counter.SGX
 
-	// ASIT state: shadow table mirror plus its volatile protection tree.
-	st      *shadow.STTable
-	stGeom  merkle.Geometry
-	stNodes [][]merkle.GNode
-	stRoot  uint64
+	// ASIT state: the shadow table mirror, which holds its volatile
+	// protection tree, and that tree's root.
+	st     *shadow.STTable
+	stRoot uint64
 
 	// wbq is the volatile writeback buffer: dirty victims wait here
 	// until the end of the operation, when drainWBQ rebinds their MACs
@@ -105,11 +104,6 @@ func buildSGX(cfg Config, dev *nvm.Device) (*SGX, error) {
 	if cfg.Scheme == SchemeASIT {
 		c.st = shadow.NewSTTable(c.mCache.NumSlots())
 		c.dev.Reserve(nvm.RegionST, uint64(c.st.NumSlots()))
-		c.stGeom = merkle.NewGeometry(uint64(c.st.NumSlots()))
-		c.stNodes = make([][]merkle.GNode, c.stGeom.Levels())
-		for l := range c.stNodes {
-			c.stNodes[l] = make([]merkle.GNode, c.stGeom.NodesAt(l))
-		}
 	}
 	return c, nil
 }
@@ -349,13 +343,16 @@ func toBlock(b []byte) (out [BlockBytes]byte) {
 // initShadowTree builds the volatile protection tree over the (empty)
 // shadow table and persists its root.
 func (c *SGX) initShadowTree() {
-	c.stRoot = merkle.BuildGeneral(c.stGeom, c.eng,
-		func(i uint64) [BlockBytes]byte { return c.st.Block(int(i)) },
-		func(flat uint64, n merkle.GNode) {
-			l, i := c.stGeom.Unflat(flat)
-			c.stNodes[l][i] = n
-		}, nil)
+	c.stRoot = c.buildShadowTree(nil)
 	c.dev.SetReg64(regShadowTreeRoot, c.stRoot)
+}
+
+// buildShadowTree rebuilds the whole protection tree over the shadow
+// table mirror and returns its root, counting each hash in ops.
+func (c *SGX) buildShadowTree(ops *uint64) uint64 {
+	return merkle.BuildGeneral(*c.st.Tree(), c.eng,
+		func(i uint64) [BlockBytes]byte { return c.st.Block(int(i)) },
+		func(flat uint64, n merkle.GNode) { *c.st.Node(flat) = n }, ops)
 }
 
 // refreshShadowPath recomputes the protection tree path above ST leaf
@@ -364,11 +361,12 @@ func (c *SGX) initShadowTree() {
 func (c *SGX) refreshShadowPath(slot int) {
 	childHash := c.eng.ContentHash(blockSlice(c.st.Block(slot)))
 	childIdx := uint64(slot)
-	for level := 0; level < c.stGeom.Levels(); level++ {
+	geom := c.st.Tree()
+	for level := 0; level < geom.Levels(); level++ {
 		nodeIdx := childIdx / merkle.Arity
-		s := int(childIdx % merkle.Arity)
-		c.stNodes[level][nodeIdx].SetHash(s, childHash)
-		childHash = c.eng.ContentHash(c.stNodes[level][nodeIdx][:])
+		node := c.st.Node(geom.Flat(level, nodeIdx))
+		node.SetHash(int(childIdx%merkle.Arity), childHash)
+		childHash = c.eng.ContentHash(node[:])
 		childIdx = nodeIdx
 	}
 	c.stRoot = childHash
@@ -642,14 +640,10 @@ func (c *SGX) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
 	c.wbq = c.wbq[:0]
 	c.rootNode = counter.SGX{}
 	if c.cfg.Scheme == SchemeASIT {
-		c.st.Reset()
+		// The mirror and its protection tree are lost; recovery
+		// rebuilds both from NVM.
+		c.st.Drop()
 		c.stRoot = 0
-		// Volatile protection tree is lost; recovery rebuilds it.
-		for l := range c.stNodes {
-			for i := range c.stNodes[l] {
-				c.stNodes[l][i] = merkle.GNode{}
-			}
-		}
 	}
 }
 

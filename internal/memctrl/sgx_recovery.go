@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"anubis/internal/counter"
-	"anubis/internal/merkle"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
 )
@@ -54,16 +53,11 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 	// 1. Read the Shadow Table from NVM and verify its integrity by
 	// regenerating SHADOW_TREE_ROOT and comparing with the on-chip copy.
 	rep.enterPhase(obs.RPShadowReplay)
-	c.st.Restore(func(bi uint64) [BlockBytes]byte {
+	live := c.st.Restore(func(bi uint64) [BlockBytes]byte {
 		rep.FetchOps++
 		return c.dev.Read(nvm.RegionST, bi)
 	})
-	c.stRoot = merkle.BuildGeneral(c.stGeom, c.eng,
-		func(i uint64) [BlockBytes]byte { return c.st.Block(int(i)) },
-		func(flat uint64, n merkle.GNode) {
-			l, i := c.stGeom.Unflat(flat)
-			c.stNodes[l][i] = n
-		}, &rep.CryptoOps)
+	c.stRoot = c.buildShadowTree(&rep.CryptoOps)
 	want, _ := c.dev.GetReg64(regShadowTreeRoot)
 	if c.stRoot != want {
 		return fmt.Errorf("%w: shadow table root %#x != SHADOW_TREE_ROOT %#x", ErrUnrecoverable, c.stRoot, want)
@@ -85,8 +79,8 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 	}
 	rep.enterPhase(obs.RPMerkleRebuild)
 	ways := c.mCache.Ways()
-	var recs []candidate              // the winners, in slot order
-	set := make([]candidate, 0, ways) // one set's candidates, in slot order
+	recs := make([]candidate, 0, live) // the winners, in slot order
+	set := make([]candidate, 0, ways)  // one set's candidates, in slot order
 	for base := 0; base < c.st.NumSlots(); base += ways {
 		set = set[:0]
 		for slot := base; slot < base+ways; slot++ {
@@ -131,13 +125,15 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 			}
 		}
 	winners:
-		for i, cand := range set {
-			for j, other := range set {
+		for i := range set {
+			cand := &set[i]
+			for j := range set {
+				other := &set[j]
 				if other.key == cand.key && (other.sum > cand.sum || other.sum == cand.sum && j < i) {
 					continue winners
 				}
 			}
-			recs = append(recs, cand)
+			recs = append(recs, *cand)
 		}
 	}
 	// Reinstall in ascending slot order, which sets the cache's recency,
@@ -145,7 +141,8 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 	// different way would desynchronize every future shadow write for
 	// this set. The placement is legal: the slot is in the key's set,
 	// and each key and slot wins at most once.
-	for _, rc := range recs {
+	for i := range recs {
+		rc := &recs[i]
 		c.mCache.InsertAtSlot(rc.slot, rc.key, rc.g.Pack())
 		c.mCache.MarkDirty(rc.key)
 		rep.NodesRebuilt++
@@ -158,7 +155,8 @@ func (c *SGX) recoverASIT(rep *RecoveryReport) error {
 	// the shadow table) is caught here; the shadow table itself was
 	// already authenticated by SHADOW_TREE_ROOT in step 1.
 	rep.enterPhase(obs.RPECCVerify)
-	for _, rc := range recs {
+	for i := range recs {
+		rc := &recs[i]
 		rep.CryptoOps++
 		addr := c.addrOf(c.refOfKey(rc.key))
 		if c.eng.STMAC(addr, rc.g.Ctr[:]) != rc.g.MAC {

@@ -59,10 +59,8 @@ func (w *wearLeveler) recordWrite(now uint64) uint64 {
 		return now
 	}
 	if w.dev.Has(nvm.RegionData, mv.Src) {
-		blk, done := w.dev.ReadAt(nvm.RegionData, mv.Src, now)
-		now = done
-		side := w.dev.ReadSideband(mv.Src)
-		now = w.dev.Push(nvm.PendingWrite{Region: nvm.RegionData, Index: mv.Dst, Block: blk, HasSide: true, Side: side}, now)
+		blk, side, _, done := w.dev.ReadDataAt(mv.Src, now, true)
+		now = w.dev.Push(nvm.PendingWrite{Region: nvm.RegionData, Index: mv.Dst, Block: *blk, HasSide: true, Side: side}, done)
 	} else {
 		w.dev.Erase(nvm.RegionData, mv.Dst)
 	}

@@ -2,17 +2,17 @@ package nvm
 
 // Relaxed-persistence crash models.
 //
-// Device.Crash() implements the paper's idealized power-failure model:
-// full ADR — every write that entered the WPQ is durable, whole
-// 64-byte blocks persist atomically, and nothing between "pushed" and
-// "drained" can be lost. That is the envelope Anubis (and Osiris, and
-// strict persistence) are specified against. But the crash-consistency
-// literature the paper argues with (Triad-NVM, SuperMem) is explicit
-// that real platforms can fail *outside* that envelope: the residual
-// energy budget may drain only part of the WPQ, and PCM media writes
-// are performed in 8-byte atoms, so a write interrupted mid-drain can
-// tear — a prefix of the block's atoms lands, the rest keeps the old
-// content.
+// CrashWith(CrashFullADR, nil) implements the paper's idealized
+// power-failure model: full ADR — every write that entered the WPQ is
+// durable, whole 64-byte blocks persist atomically, and nothing between
+// "pushed" and "drained" can be lost. That is the envelope Anubis (and
+// Osiris, and strict persistence) are specified against. But the
+// crash-consistency literature the paper argues with (Triad-NVM,
+// SuperMem) is explicit that real platforms can fail *outside* that
+// envelope: the residual energy budget may drain only part of the WPQ,
+// and PCM media writes are performed in 8-byte atoms, so a write
+// interrupted mid-drain can tear — a prefix of the block's atoms lands,
+// the rest keeps the old content.
 //
 // CrashWith makes that failure envelope injectable. Under a relaxed
 // model, the writes still "in flight" (pushed into the WPQ but not yet
@@ -177,7 +177,7 @@ func (d *Device) tearInflight(e *inflightWrite, atoms int) {
 
 // CrashWith models a power failure under the given crash model.
 //
-// Every model shares the baseline Crash semantics: staged-but-
+// Every model shares the full-ADR semantics: staged-but-
 // uncommitted groups are lost, committed groups and the persistent
 // registers survive, timing state resets, and the pushBudget test hook
 // disarms (a budgeted power-loss experiment must not throttle the

@@ -10,12 +10,12 @@ import (
 func TestCrashResetsPushBudget(t *testing.T) {
 	d := newDev()
 	d.SetPushBudget(2)
-	if got := d.PushBudget(); got != 2 {
-		t.Fatalf("PushBudget = %d, want 2", got)
+	if got := d.pushBudget; got != 2 {
+		t.Fatalf("pushBudget = %d, want 2", got)
 	}
-	d.Crash()
-	if got := d.PushBudget(); got != -1 {
-		t.Fatalf("after Crash, PushBudget = %d, want -1 (disarmed)", got)
+	d.CrashWith(CrashFullADR, nil)
+	if got := d.pushBudget; got != -1 {
+		t.Fatalf("after Crash, pushBudget = %d, want -1 (disarmed)", got)
 	}
 	// The recovered run's commit groups must drain in full: stage three
 	// writes and commit — all three must land despite the pre-crash
@@ -38,8 +38,8 @@ func TestCrashWithResetsPushBudget(t *testing.T) {
 		d.TrackInflight(true)
 		d.SetPushBudget(1)
 		d.CrashWith(m, rand.New(rand.NewSource(1)))
-		if got := d.PushBudget(); got != -1 {
-			t.Fatalf("%v: after CrashWith, PushBudget = %d, want -1", m, got)
+		if got := d.pushBudget; got != -1 {
+			t.Fatalf("%v: after CrashWith, pushBudget = %d, want -1", m, got)
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestForkedFaultInjectionDoesNotLeakIntoParent(t *testing.T) {
 	if parent.Read(RegionTree, 9) != blk(11) {
 		t.Fatal("child WriteRaw leaked into parent tree")
 	}
-	if parent.ReadSideband(3).MAC != 0xfeed {
+	if sideband(parent, 3).MAC != 0xfeed {
 		t.Fatal("child corruption leaked into parent sideband")
 	}
 }
@@ -197,7 +197,7 @@ func TestCrashTornBlockPrefixSemantics(t *testing.T) {
 		if atoms < 0 {
 			t.Fatalf("seed %d: torn block is not an atom prefix: % x", seed, got[:16])
 		}
-		side := d.ReadSideband(5)
+		side := sideband(d, 5)
 		if atoms == BlockAtoms {
 			if side != newSide {
 				t.Fatalf("seed %d: whole write landed but sideband is old", seed)

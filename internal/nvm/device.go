@@ -21,9 +21,10 @@
 // no map operations and no allocations.
 //
 // Crash semantics: everything written through the WPQ, the persistent
-// registers, and the register file survive Crash(); nothing else does
-// (caches and other volatile controller state live outside this
-// package and are dropped by their owners).
+// registers, and the register file survive CrashWith(CrashFullADR,
+// nil), the paper's power-failure model; nothing else does (caches and
+// other volatile controller state live outside this package and are
+// dropped by their owners). crashmodel.go adds the relaxed models.
 package nvm
 
 import (
@@ -225,11 +226,11 @@ func NewDevice(t Timing) *Device {
 }
 
 // Reserve declares a region's extent (its number of block indices), the
-// way a real DIMM has fixed geometry. The page directory is allocated
-// once at full size, so first touches never pay geometric directory
-// regrowth. Indices beyond the reservation stay legal — the directory
-// grows, or overflows to a map, on demand — and reserving is always
-// optional.
+// way a real DIMM has fixed geometry. It sizes the page directory's top
+// level once, so first touches never pay its geometric regrowth; the
+// chunks below it are allocated by the first write into each. Indices
+// beyond the reservation stay legal — the top level grows, or overflows
+// to a map above the cap, on demand — and reserving is always optional.
 func (d *Device) Reserve(r Region, blocks uint64) {
 	d.store[r].reserve((blocks + pageMask) >> pageShift)
 }
@@ -332,17 +333,19 @@ func (d *Device) ReadAtPtr(r Region, idx uint64, now uint64) (*[BlockBytes]byte,
 	return blk, ok, done
 }
 
-// ReadAtPtrQuiet is ReadAtPtr without attribution: identical timing and
-// stats, but nothing is charged to the stall ledger. Controllers use it
-// for reads whose latency overlaps other attributed work (the data
-// fetch issued alongside the metadata walk) and charge only the
-// visible residual themselves, keeping the ledger sum-exact.
-func (d *Device) ReadAtPtrQuiet(r Region, idx uint64, now uint64) (*[BlockBytes]byte, bool, uint64) {
+// ReadDataAt is ReadData with ReadAtPtr's timing, for a request
+// arriving at now: it returns the block, its sideband, whether it is
+// present, and the completion time. With attr false nothing is charged
+// to the stall ledger: controllers read quietly when the fetch overlaps
+// other attributed work (the data fetch issued alongside the metadata
+// walk) and charge only the visible residual themselves, keeping the
+// ledger sum-exact.
+func (d *Device) ReadDataAt(idx, now uint64, attr bool) (*[BlockBytes]byte, Sideband, bool, uint64) {
 	d.stats.Reads++
-	d.stats.ReadsByRegion[r]++
-	done := d.readClock(r, idx, now, false)
-	blk, ok := d.store[r].blockPtr(idx)
-	return blk, ok, done
+	d.stats.ReadsByRegion[RegionData]++
+	done := d.readClock(RegionData, idx, now, attr)
+	blk, side, ok := d.store[RegionData].dataAt(idx)
+	return blk, side, ok, done
 }
 
 // Read reads a block without timing (recovery paths account their own
@@ -360,13 +363,12 @@ func (d *Device) ReadPtr(r Region, idx uint64) (*[BlockBytes]byte, bool) {
 	return d.store[r].blockPtr(idx)
 }
 
-// ReadSideband returns the ECC+MAC sideband of a data block.
-func (d *Device) ReadSideband(idx uint64) Sideband {
-	p := d.store[RegionData].pageAt(idx)
-	if p == nil || p.side == nil {
-		return Sideband{}
-	}
-	return p.side[idx&pageMask]
+// ReadData is ReadPtr for a data block, together with its ECC+MAC
+// sideband, from one page lookup. It counts one read, as ReadPtr does.
+func (d *Device) ReadData(idx uint64) (*[BlockBytes]byte, Sideband, bool) {
+	d.stats.Reads++
+	d.stats.ReadsByRegion[RegionData]++
+	return d.store[RegionData].dataAt(idx)
 }
 
 // Has reports whether a block was ever written. Controllers use it to
@@ -384,24 +386,27 @@ func (d *Device) Has(r Region, idx uint64) bool {
 // only the set bits.
 func (d *Device) Has64(r Region, group uint64) uint64 {
 	// A page's presence bits fit present[0] because pageBlocks <= 64,
-	// and a group's pages all lie below maxDirPages or all above it
-	// because maxDirPages is a multiple of groupPages (each constant
-	// below fails to compile otherwise).
+	// and a group's pages all lie in one chunk, or all above the cap,
+	// because chunkPages and maxDirPages are multiples of groupPages
+	// (each constant below fails to compile otherwise).
 	const groupPages = 64 / pageBlocks
 	const _ = uint(groupPages - 1)
+	const _ = -uint(chunkPages % groupPages)
 	const _ = -uint(maxDirPages % groupPages)
 	s := &d.store[r]
 	pi := group * groupPages
 	var mask uint64
-	if pi < uint64(len(s.dir)) {
-		for k, h := range s.dir[pi:min(pi+groupPages, uint64(len(s.dir)))] {
-			if h != 0 {
-				mask |= s.pages[h-1].present[0] << (k * pageBlocks)
+	if pi < maxDirPages {
+		if c := s.chunkOf(pi); c != nil {
+			for k, h := range c.dir[pi&chunkMask : pi&chunkMask+groupPages] {
+				if h != 0 {
+					mask |= c.pages[h-1].present[0] << (k * pageBlocks)
+				}
 			}
 		}
 		return mask
 	}
-	if pi >= maxDirPages && len(s.over) > 0 {
+	if len(s.over) > 0 {
 		for k := uint64(0); k < groupPages; k++ {
 			if p := s.over[pi+k]; p != nil {
 				mask |= p.present[0] << (k * pageBlocks)
@@ -648,11 +653,6 @@ func (d *Device) RedoCommitted() int {
 // will push at most n more entries. Pass -1 to disarm.
 func (d *Device) SetPushBudget(n int) { d.pushBudget = n }
 
-// PushBudget reports the current mid-drain power-loss budget (-1 when
-// disarmed). Test hook: the crash regression suite asserts Crash
-// resets it.
-func (d *Device) PushBudget() int { return d.pushBudget }
-
 // WPQOccupancy reports how many writes would still hold WPQ slots at
 // time now. Unlike the internal prune, it does not mutate the queue:
 // a serving layer can sample back-pressure between requests without
@@ -710,9 +710,9 @@ func (d *Device) GetReg64(name string) (uint64, bool) {
 // clocks, bank/port/WPQ occupancy, stats, the staged commit group,
 // DONE_BIT, and the persistent register file — is value-cloned, so the
 // child behaves byte-for-byte like a device that lived through the
-// parent's entire history. The eager cost is the per-region page
-// directories (noscan int32 slices + page-pointer slices); page
-// payloads are copied only as either side writes to them. Parent and
+// parent's entire history. The eager cost is each region's top-level
+// page directory, one pointer per 2 MiB of reserved region; chunks and
+// pages are copied only as either side writes to them. Parent and
 // child may both be forked again, any number of times.
 func (d *Device) Fork() *Device {
 	n := &Device{
@@ -737,16 +737,4 @@ func (d *Device) Fork() *Device {
 	}
 	d.cloneJournal(n)
 	return n
-}
-
-// --- crash ------------------------------------------------------------------
-
-// Crash models a power failure: ADR has already made every pushed write
-// durable; staged-but-uncommitted groups are lost; committed groups and
-// registers survive. Timing state resets (the machine is off), and the
-// pushBudget test hook disarms — a budgeted power-loss trial must not
-// throttle the recovered run. Equivalent to CrashWith(CrashFullADR, nil);
-// see crashmodel.go for the relaxed-persistence models.
-func (d *Device) Crash() {
-	d.CrashWith(CrashFullADR, nil)
 }

@@ -16,6 +16,12 @@ func blk(b byte) (d [BlockBytes]byte) {
 
 func newDev() *Device { return NewDevice(DefaultTiming()) }
 
+// sideband returns the sideband ReadData reports for a data block.
+func sideband(d *Device, idx uint64) Sideband {
+	_, side, _ := d.ReadData(idx)
+	return side
+}
+
 func TestReadUnwrittenIsZero(t *testing.T) {
 	d := newDev()
 	if d.Read(RegionData, 42) != ([BlockBytes]byte{}) {
@@ -40,7 +46,7 @@ func TestSidebandStoredWithData(t *testing.T) {
 	side := Sideband{MAC: 0xdead}
 	side.ECC[0] = 9
 	d.Push(PendingWrite{Region: RegionData, Index: 1, Block: blk(1), HasSide: true, Side: side}, 0)
-	if got := d.ReadSideband(1); got != side {
+	if got := sideband(d, 1); got != side {
 		t.Fatalf("sideband = %+v, want %+v", got, side)
 	}
 }
@@ -174,10 +180,9 @@ func TestBlocksIn(t *testing.T) {
 
 // TestHas64MatchesHas pins Has64 to 64 Has calls: on never-touched
 // pages, on partly written pages, on a fully written group, after
-// erases, on a forked child, on a group the directory's end cuts
-// through, and on groups past the dense directory's cap (the overflow
-// map). No block sits just below the cap: that would allocate the full
-// 2^24-entry directory.
+// erases, on a forked child, on groups at a directory chunk's edges,
+// and on groups past the directory's cap (the overflow map). No block
+// sits just below the cap: that would allocate the full top level.
 func TestHas64MatchesHas(t *testing.T) {
 	d := newDev()
 	over := uint64(maxDirPages) * pageBlocks / 64 // first group in the overflow map
@@ -224,21 +229,28 @@ func TestHas64MatchesHas(t *testing.T) {
 	if got := d.Has64(RegionData, 5); got != ^uint64(0) {
 		t.Errorf("group 5 = %#x, want every lane", got)
 	}
-
-	// A directory grown on demand ends where the last touched page
-	// does: writing page 81 (group 10's second page) leaves an 82-entry
-	// directory, so group 10 straddles its end and group 11 lies past it.
-	edge := newDev()
-	edge.WriteRaw(RegionData, 81*pageBlocks+3, blk(2))
-	edge.WriteRaw(RegionData, 80*pageBlocks+1, blk(1))
-	if n := len(edge.store[RegionData].dir); n != 82 {
-		t.Fatalf("directory holds %d pages, want 82", n)
+	// Writing past the cap allocated no directory up to it: only the
+	// one chunk of groups 0..5 exists.
+	if n := len(d.store[RegionData].dir); n != 1 {
+		t.Fatalf("top level holds %d chunks after writes past the cap, want 1", n)
 	}
-	for _, g := range []uint64{9, 10, 11} {
+
+	// A top level grown on demand ends where the last touched chunk
+	// does. Writing the last page of chunk 1 makes group last (chunk
+	// 1's final group) end at the directory's end, leaves chunk 0 nil
+	// below it, and puts the next group past the top level.
+	edge := newDev()
+	last := uint64(2*chunkPages)*pageBlocks/64 - 1 // chunk 1's final group
+	edge.WriteRaw(RegionData, last*64+63, blk(2))
+	edge.WriteRaw(RegionData, last*64+1, blk(1))
+	if n := len(edge.store[RegionData].dir); n != 2 || edge.store[RegionData].dir[0] != nil {
+		t.Fatalf("top level holds %d chunks, want 2 with chunk 0 unallocated", n)
+	}
+	for _, g := range []uint64{0, last - chunkPages*pageBlocks/64, last - 1, last, last + 1} {
 		check("edge", edge, g)
 	}
-	if got := edge.Has64(RegionData, 10); got != 1<<1|1<<(pageBlocks+3) {
-		t.Errorf("edge group 10 = %#x, want lanes 1 and %d", got, pageBlocks+3)
+	if got := edge.Has64(RegionData, last); got != 1<<1|1<<63 {
+		t.Errorf("edge group %d = %#x, want lanes 1 and 63", last, got)
 	}
 	if got := d.Has64(RegionData, 1); got != 1<<0|1<<7|1<<13|1<<63 {
 		t.Errorf("group 1 = %#x, want lanes 0, 7, 13, 63", got)
@@ -259,7 +271,7 @@ func TestCommitGroupAllOrNothing(t *testing.T) {
 	d.Stage(PendingWrite{Region: RegionData, Index: 0, Block: blk(1)})
 	d.Stage(PendingWrite{Region: RegionCounter, Index: 0, Block: blk(2)})
 	// Crash before CommitGroup: the group is lost entirely.
-	d.Crash()
+	d.CrashWith(CrashFullADR, nil)
 	if d.Read(RegionData, 0) != ([BlockBytes]byte{}) || d.Read(RegionCounter, 0) != ([BlockBytes]byte{}) {
 		t.Fatal("uncommitted group leaked into NVM")
 	}
@@ -273,7 +285,7 @@ func TestCommitGroupDurable(t *testing.T) {
 	d.BeginCommit()
 	d.Stage(PendingWrite{Region: RegionData, Index: 1, Block: blk(7)})
 	d.CommitGroup(0)
-	d.Crash()
+	d.CrashWith(CrashFullADR, nil)
 	if d.Read(RegionData, 1) != blk(7) {
 		t.Fatal("committed write lost")
 	}
@@ -293,7 +305,7 @@ func TestCommitInterruptedMidDrainIsRedone(t *testing.T) {
 	if !d.DoneBit() {
 		t.Fatal("DONE_BIT should be set after an interrupted drain")
 	}
-	d.Crash()
+	d.CrashWith(CrashFullADR, nil)
 	// Recovery: the whole group must be reapplied (REDO is idempotent).
 	if n := d.RedoCommitted(); n != 3 {
 		t.Fatalf("RedoCommitted redid %d writes, want 3", n)
@@ -337,7 +349,7 @@ func TestRegisterFileSurvivesCrash(t *testing.T) {
 	d := newDev()
 	d.SetReg64("mt_root", 0xabcdef)
 	d.SetReg("blob", []byte{1, 2, 3})
-	d.Crash()
+	d.CrashWith(CrashFullADR, nil)
 	if v, ok := d.GetReg64("mt_root"); !ok || v != 0xabcdef {
 		t.Fatalf("mt_root = %#x,%v", v, ok)
 	}
@@ -394,7 +406,7 @@ func TestCrashResetsTimingState(t *testing.T) {
 	tm.Banks = 1
 	d := NewDevice(tm)
 	d.ReadAt(RegionData, 0, 0)
-	d.Crash()
+	d.CrashWith(CrashFullADR, nil)
 	_, done := d.ReadAt(RegionData, 0, 0)
 	if done != tm.ReadNS {
 		t.Fatalf("bank state survived crash: done=%d", done)

@@ -1,6 +1,10 @@
 package nvm
 
-import "testing"
+import (
+	"math/rand"
+	"sync"
+	"testing"
+)
 
 // TestForkedDeviceSteadyStateZeroAllocs pins the COW fork contract
 // from the storage layer's side: after the one-time directory copy in
@@ -62,5 +66,61 @@ func TestForkedDeviceSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if sharedReads != 0 {
 		t.Errorf("reads of parent-shared pages: %.2f allocs per 64-read batch, want 0 (reads must never trigger COW)", sharedReads)
+	}
+}
+
+// TestForkConcurrentWriters drives a device and two forks of it from
+// three goroutines, all writing into the directory chunks and pages
+// they share (run it under -race). Each side must end holding exactly
+// the image of a device that made the same calls on its own.
+func TestForkConcurrentWriters(t *testing.T) {
+	const span = 3 * chunkPages * pageBlocks // blocks in three chunks
+	drive := func(d *Device, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 3000; i++ {
+			r := Region(rng.Intn(2)) // data or counter
+			idx := uint64(rng.Intn(span))
+			if i%2 == 0 {
+				idx %= 4 * pageBlocks // a few hot pages every side writes
+			}
+			switch rng.Intn(4) {
+			case 0:
+				d.Erase(r, idx)
+			case 1:
+				d.CorruptBlock(r, idx, rng.Intn(BlockBytes), 0x5a)
+			default:
+				if r == RegionData {
+					d.WriteRawData(idx, blk(byte(i)), Sideband{MAC: uint64(seed)})
+				} else {
+					d.WriteRaw(r, idx, blk(byte(i)))
+				}
+			}
+		}
+	}
+	for round := int64(0); round < 3; round++ {
+		base := newDev()
+		drive(base, 100+round)
+		sides := []*Device{base, base.Fork(), base.Fork()}
+		want := make([]uint64, len(sides))
+		for i := range sides {
+			ref := newDev()
+			drive(ref, 100+round)
+			drive(ref, round*10+int64(i))
+			want[i] = ref.StateDigest()
+		}
+		var wg sync.WaitGroup
+		for i, d := range sides {
+			wg.Add(1)
+			go func(i int, d *Device) {
+				defer wg.Done()
+				drive(d, round*10+int64(i))
+			}(i, d)
+		}
+		wg.Wait()
+		for i, d := range sides {
+			if got := d.StateDigest(); got != want[i] {
+				t.Fatalf("round %d side %d: image %#x, want %#x (a write reached a sibling)", round, i, got, want[i])
+			}
+		}
 	}
 }

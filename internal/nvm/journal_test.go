@@ -79,7 +79,7 @@ func TestJournalCommitGroupRedo(t *testing.T) {
 	if !d.DoneBit() {
 		t.Fatal("interrupted group lost its DONE_BIT")
 	}
-	d.Crash()
+	d.CrashWith(CrashFullADR, nil)
 	if got := d.Read(RegionCounter, 2); got != ([BlockBytes]byte{}) {
 		t.Fatal("unreached entry drained before redo")
 	}

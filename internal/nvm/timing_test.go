@@ -104,7 +104,7 @@ func TestRegisterWritesInCommitGroups(t *testing.T) {
 	d.Stage(PendingWrite{RegName: "root", Block: blk(7)})
 	d.SetPushBudget(0) // interrupt before anything drains
 	d.CommitGroup(0)
-	d.Crash()
+	d.CrashWith(CrashFullADR, nil)
 	// Neither the block nor the register value is visible yet...
 	if _, ok := d.GetReg("root"); ok {
 		t.Fatal("register applied before redo")

@@ -136,15 +136,6 @@ func (l *Ledger) Merge(other *Ledger) {
 	}
 }
 
-// Map returns the ledger as a name → ns map (JSON-report shape).
-func (l *Ledger) Map() map[string]uint64 {
-	m := make(map[string]uint64, NumComps)
-	for i, v := range l {
-		m[compNames[i]] = v
-	}
-	return m
-}
-
 // MarshalJSON renders the ledger as an object with stable, named keys
 // in component order, e.g. {"cpu_gap":1234,"data_read":567,...}.
 func (l Ledger) MarshalJSON() ([]byte, error) {

@@ -19,9 +19,22 @@
 //
 // The package is a pure codec plus an in-controller mirror; device I/O
 // stays in the memory controller.
+//
+// A forked controller shares its mirrors with its parent copy-on-write,
+// under an atomic holder count, the way cache.Cache.Clone shares a line
+// array: Clone costs a count increment, whichever side first writes a
+// shared mirror copies it, a side whose partners have let go takes it
+// over, and Drop — a crash — lets go of it. Recovery rebuilds a dropped
+// mirror from NVM (Restore), so a fork that is crashed and recovered
+// never copies its parent's mirrors.
 package shadow
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"sync/atomic"
+
+	"anubis/internal/merkle"
+)
 
 // BlockBytes is the NVM block size shadow tables are written in.
 const BlockBytes = 64
@@ -29,13 +42,74 @@ const BlockBytes = 64
 // AddrEntriesPerBlock is the number of AGIT address entries per block.
 const AddrEntriesPerBlock = BlockBytes / 8
 
+// --- copy-on-write sharing -----------------------------------------------------
+
+// shared is a mirror's backing slice, shared between clones (see the
+// package comment).
+type shared[T any] struct {
+	s       []T           // nil after a shared Drop, until Restore
+	holders *atomic.Int32 // when non-nil, counts the mirrors sharing s
+}
+
+// clone shares s with the returned copy.
+func (c *shared[T]) clone() shared[T] {
+	if c.s != nil {
+		if c.holders == nil {
+			c.holders = new(atomic.Int32)
+			c.holders.Store(1)
+		}
+		c.holders.Add(1)
+	}
+	return *c
+}
+
+// own readies s for a write: held alone, taken over when every partner
+// has let go, copied otherwise. The copy is made before c lets go, so
+// the last holder never writes a slice a partner is still reading.
+func (c *shared[T]) own() {
+	h := c.holders
+	if h == nil {
+		return
+	}
+	c.holders = nil
+	if h.Load() == 1 {
+		return
+	}
+	c.s = append([]T(nil), c.s...)
+	h.Add(-1)
+}
+
+// drop empties the mirror: a shared slice is let go, one held alone is
+// cleared in place.
+func (c *shared[T]) drop() {
+	if h := c.holders; h != nil {
+		c.holders = nil
+		if h.Load() > 1 {
+			c.s = nil
+			h.Add(-1)
+			return
+		}
+	}
+	clear(c.s)
+}
+
+// reset readies an empty slice of n elements held alone, without
+// copying a shared one.
+func (c *shared[T]) reset(n int) {
+	c.drop()
+	if c.s == nil {
+		c.s = make([]T, n)
+	}
+}
+
 // --- AGIT address tables (SCT / SMT) ----------------------------------------
 
 // AddrTable is the controller-side mirror of an SCT or SMT: one address
 // entry per cache slot. Entries are stored in NVM as key+1 so that zero
 // means "slot never used".
 type AddrTable struct {
-	entries []uint64 // key+1; 0 = empty
+	slots   int
+	entries shared[uint64] // key+1; 0 = empty
 }
 
 // NewAddrTable creates an empty mirror for a cache with numSlots lines.
@@ -43,27 +117,31 @@ func NewAddrTable(numSlots int) *AddrTable {
 	if numSlots <= 0 {
 		panic("shadow: table needs at least one slot")
 	}
-	return &AddrTable{entries: make([]uint64, numSlots)}
+	return &AddrTable{slots: numSlots, entries: shared[uint64]{s: make([]uint64, numSlots)}}
 }
 
 // NumSlots returns the number of tracked cache slots.
-func (t *AddrTable) NumSlots() int { return len(t.entries) }
+func (t *AddrTable) NumSlots() int { return t.slots }
 
 // NumBlocks returns the number of 64-byte NVM blocks backing the table.
 func (t *AddrTable) NumBlocks() uint64 {
-	return uint64(len(t.entries)+AddrEntriesPerBlock-1) / AddrEntriesPerBlock
+	return uint64(t.slots+AddrEntriesPerBlock-1) / AddrEntriesPerBlock
 }
 
 // Set records that cache slot `slot` now holds block `key` and returns
 // the NVM block (index and refreshed content) that must be persisted.
 func (t *AddrTable) Set(slot int, key uint64) (blockIdx uint64, block [BlockBytes]byte) {
-	t.entries[slot] = key + 1
+	t.entries.own()
+	t.entries.s[slot] = key + 1
 	return t.blockOf(slot)
 }
 
 // Get returns the tracked key of a slot.
 func (t *AddrTable) Get(slot int) (key uint64, ok bool) {
-	e := t.entries[slot]
+	if t.entries.s == nil {
+		return 0, false
+	}
+	e := t.entries.s[slot]
 	if e == 0 {
 		return 0, false
 	}
@@ -75,31 +153,34 @@ func (t *AddrTable) blockOf(slot int) (uint64, [BlockBytes]byte) {
 	var b [BlockBytes]byte
 	base := int(blockIdx) * AddrEntriesPerBlock
 	for i := 0; i < AddrEntriesPerBlock; i++ {
-		if base+i < len(t.entries) {
-			binary.LittleEndian.PutUint64(b[i*8:], t.entries[base+i])
+		if base+i < t.slots {
+			binary.LittleEndian.PutUint64(b[i*8:], t.entries.s[base+i])
 		}
 	}
 	return blockIdx, b
 }
 
-// Clone returns an independent copy of the mirror (used when a warm
-// controller is forked for crash/recovery trials).
+// Clone returns a mirror that shares t's entries copy-on-write (used
+// when a warm controller is forked for crash/recovery trials).
 func (t *AddrTable) Clone() *AddrTable {
-	return &AddrTable{entries: append([]uint64(nil), t.entries...)}
+	return &AddrTable{slots: t.slots, entries: t.entries.clone()}
 }
 
-// RestoreAddrTable rebuilds a mirror from NVM after a crash. read must
-// return block i of the table's region.
-func RestoreAddrTable(numSlots int, read func(blockIdx uint64) [BlockBytes]byte) *AddrTable {
-	t := NewAddrTable(numSlots)
+// Drop empties the mirror: a crash loses it. A shared mirror only lets
+// go of its entries.
+func (t *AddrTable) Drop() { t.entries.drop() }
+
+// Restore rebuilds the mirror in place from NVM after a crash. read
+// must return block i of the table's region.
+func (t *AddrTable) Restore(read func(blockIdx uint64) [BlockBytes]byte) {
+	t.entries.reset(t.slots)
 	for bi := uint64(0); bi < t.NumBlocks(); bi++ {
 		b := read(bi)
 		base := int(bi) * AddrEntriesPerBlock
-		for i := 0; i < AddrEntriesPerBlock && base+i < numSlots; i++ {
-			t.entries[base+i] = binary.LittleEndian.Uint64(b[i*8:])
+		for i := 0; i < AddrEntriesPerBlock && base+i < t.slots; i++ {
+			t.entries.s[base+i] = binary.LittleEndian.Uint64(b[i*8:])
 		}
 	}
-	return t
 }
 
 // --- ASIT shadow table (ST) ---------------------------------------------------
@@ -186,10 +267,16 @@ func UnpackSTEntry(b [BlockBytes]byte) STEntry {
 	}
 }
 
-// STTable is the controller-side mirror of the ASIT Shadow Table: one
-// STEntry per combined-metadata-cache slot, one NVM block per entry.
+// STTable is the controller-side mirror of the ASIT Shadow Table — one
+// STEntry per combined-metadata-cache slot, one NVM block per entry —
+// together with the volatile general tree that protects it, whose root
+// is SHADOW_TREE_ROOT (§4.3.1). It keeps each entry as its NVM block,
+// which the protection tree hashes; Get unpacks one on demand.
 type STTable struct {
-	entries []STEntry
+	slots  int
+	geom   merkle.Geometry
+	blocks shared[[BlockBytes]byte] // Pack of each slot's entry
+	nodes  shared[merkle.GNode]     // protection tree, by flat node index
 }
 
 // NewSTTable creates an empty mirror.
@@ -197,47 +284,76 @@ func NewSTTable(numSlots int) *STTable {
 	if numSlots <= 0 {
 		panic("shadow: table needs at least one slot")
 	}
-	return &STTable{entries: make([]STEntry, numSlots)}
+	t := &STTable{slots: numSlots, geom: merkle.NewGeometry(uint64(numSlots))}
+	t.blocks.s = make([][BlockBytes]byte, numSlots)
+	t.nodes.s = make([]merkle.GNode, t.geom.TotalNodes())
+	return t
 }
 
 // NumSlots returns the number of tracked cache slots (= NVM blocks).
-func (t *STTable) NumSlots() int { return len(t.entries) }
+func (t *STTable) NumSlots() int { return t.slots }
+
+// Tree returns the geometry of the protection tree over the table's
+// blocks.
+func (t *STTable) Tree() *merkle.Geometry { return &t.geom }
+
+// Node returns protection-tree node flat for writing.
+func (t *STTable) Node(flat uint64) *merkle.GNode {
+	t.nodes.own()
+	return &t.nodes.s[flat]
+}
 
 // Set records a snapshot for a slot and returns the NVM block to persist
 // (block index equals the slot).
 func (t *STTable) Set(slot int, e STEntry) (blockIdx uint64, block [BlockBytes]byte) {
 	e.Valid = true
-	t.entries[slot] = e
-	return uint64(slot), e.Pack()
+	t.blocks.own()
+	t.blocks.s[slot] = e.Pack()
+	return uint64(slot), t.blocks.s[slot]
 }
 
 // Get returns the snapshot tracked in a slot.
 func (t *STTable) Get(slot int) (STEntry, bool) {
-	e := t.entries[slot]
+	e := UnpackSTEntry(t.Block(slot))
 	return e, e.Valid
 }
 
 // Block returns the current NVM image of one table block (= slot).
 func (t *STTable) Block(slot int) [BlockBytes]byte {
-	return t.entries[slot].Pack()
-}
-
-// Clone returns an independent copy of the mirror (used when a warm
-// controller is forked for crash/recovery trials).
-func (t *STTable) Clone() *STTable {
-	return &STTable{entries: append([]STEntry(nil), t.entries...)}
-}
-
-// Reset empties every slot in place: a crash loses the volatile
-// mirror, and the storage is reused instead of reallocated.
-func (t *STTable) Reset() {
-	clear(t.entries)
-}
-
-// Restore rebuilds the mirror in place from NVM after a crash, reading
-// every slot's block.
-func (t *STTable) Restore(read func(blockIdx uint64) [BlockBytes]byte) {
-	for i := range t.entries {
-		t.entries[i] = UnpackSTEntry(read(uint64(i)))
+	if t.blocks.s == nil {
+		return [BlockBytes]byte{}
 	}
+	return t.blocks.s[slot]
+}
+
+// Clone returns a mirror that shares t's entries and protection tree
+// copy-on-write (used when a warm controller is forked for
+// crash/recovery trials).
+func (t *STTable) Clone() *STTable {
+	return &STTable{slots: t.slots, geom: t.geom, blocks: t.blocks.clone(), nodes: t.nodes.clone()}
+}
+
+// Drop empties the mirror and its protection tree: a crash loses both.
+// A shared mirror only lets go of them.
+func (t *STTable) Drop() {
+	t.blocks.drop()
+	t.nodes.drop()
+}
+
+// Restore rebuilds the mirror from NVM after a crash, reading every
+// slot's block, and readies an empty protection tree for the caller to
+// rebuild over it. It returns the number of valid entries. A block
+// whose key word is zero describes an empty slot whatever its other
+// words hold, and is kept as the zero block its entry packs to.
+func (t *STTable) Restore(read func(blockIdx uint64) [BlockBytes]byte) int {
+	t.blocks.reset(t.slots)
+	t.nodes.reset(int(t.geom.TotalNodes()))
+	live := 0
+	for i := range t.blocks.s {
+		if b := read(uint64(i)); binary.LittleEndian.Uint64(b[:8]) != 0 {
+			t.blocks.s[i] = b
+			live++
+		}
+	}
+	return live
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -52,7 +54,11 @@ func TestAddrTableRestore(t *testing.T) {
 		bi, blk := tab.Set(slot, key)
 		store[bi] = blk
 	}
-	got := RestoreAddrTable(20, func(bi uint64) [BlockBytes]byte { return store[bi] })
+	// Restore runs in place over a mirror holding stale state: every
+	// slot must come from NVM, including the ones NVM holds empty.
+	got := NewAddrTable(20)
+	got.Set(3, 11)
+	got.Restore(func(bi uint64) [BlockBytes]byte { return store[bi] })
 	want := map[int]uint64{0: 7, 9: 0, 19: 1 << 40}
 	for slot := 0; slot < got.NumSlots(); slot++ {
 		key, ok := got.Get(slot)
@@ -131,12 +137,12 @@ func TestSTTableSetClearGet(t *testing.T) {
 	if !ok || stored.Key != 42 {
 		t.Fatal("Get after Set failed")
 	}
-	tab.Reset()
+	tab.Drop()
 	if tab.Block(2) != ([BlockBytes]byte{}) {
-		t.Fatal("Reset slot's block not zero")
+		t.Fatal("dropped slot's block not zero")
 	}
 	if _, ok := tab.Get(2); ok {
-		t.Fatal("Reset slot still valid")
+		t.Fatal("dropped slot still valid")
 	}
 }
 
@@ -168,6 +174,36 @@ func TestSTTableRestore(t *testing.T) {
 	r2, _ := got.Get(4)
 	if r2.Key != 0 || r2.MAC != STMACMask {
 		t.Fatalf("entry 4 = %+v", r2)
+	}
+}
+
+// TestSTTableRestoreKeepsBlocks: the mirror keeps each restored entry
+// as the block NVM holds, which is what the protection tree hashes, so
+// that block must be exactly the Pack of the entry Get returns: any
+// block with a non-zero key word, and the zero block for one without.
+func TestSTTableRestoreKeepsBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 64
+	store := make([][BlockBytes]byte, n)
+	for i := range store {
+		rng.Read(store[i][:])
+		if i%4 == 0 {
+			binary.LittleEndian.PutUint64(store[i][:8], 0) // empty slot, garbage beyond the key
+		}
+	}
+	tab := NewSTTable(n)
+	if live := tab.Restore(func(bi uint64) [BlockBytes]byte { return store[bi] }); live != n-n/4 {
+		t.Fatalf("Restore counted %d live entries, want %d", live, n-n/4)
+	}
+	for i := range store {
+		e, ok := tab.Get(i)
+		want := store[i]
+		if i%4 == 0 {
+			want = [BlockBytes]byte{}
+		}
+		if tab.Block(i) != want || e.Pack() != want || ok != (i%4 != 0) {
+			t.Fatalf("slot %d: block, entry and NVM disagree", i)
+		}
 	}
 }
 
@@ -342,4 +378,91 @@ func FuzzSTEntryCodec(f *testing.F) {
 			t.Fatalf("%+v.Pack() = %x, want %x", e, got, want)
 		}
 	})
+}
+
+// TestCloneConcurrentWriters drives a pair of mirrors (an ST with its
+// protection tree, and an address table) and two clones of each from
+// three goroutines, all writing, and each crashing and restoring once
+// midway (run it under -race). Each side must end as a mirror driven
+// by the same calls on its own does.
+func TestCloneConcurrentWriters(t *testing.T) {
+	type side struct {
+		st *STTable
+		at *AddrTable
+	}
+	drive := func(s side, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := int(s.st.Tree().TotalNodes())
+		for i := 0; i < 2000; i++ {
+			s.st.Set(rng.Intn(s.st.NumSlots()), STEntry{Key: uint64(i), MAC: uint64(seed)})
+			s.st.Node(uint64(rng.Intn(nodes))).SetHash(rng.Intn(8), uint64(i))
+			s.at.Set(rng.Intn(s.at.NumSlots()), uint64(i)^uint64(seed))
+			if i == 1500 {
+				s.st.Drop()
+				s.at.Drop()
+				var e STEntry
+				e.Key = uint64(seed)
+				s.st.Restore(func(bi uint64) [BlockBytes]byte {
+					if bi%3 == 0 {
+						return e.Pack()
+					}
+					return [BlockBytes]byte{}
+				})
+				s.at.Restore(func(bi uint64) (b [BlockBytes]byte) {
+					b[0] = byte(bi)
+					return b
+				})
+			}
+		}
+	}
+	view := func(s side) []uint64 {
+		var v []uint64
+		for slot := 0; slot < s.st.NumSlots(); slot++ {
+			e, ok := s.st.Get(slot)
+			if ok {
+				v = append(v, uint64(slot), e.Key, e.MAC)
+			}
+		}
+		for flat := uint64(0); flat < s.st.Tree().TotalNodes(); flat++ {
+			n := s.st.Node(flat)
+			for k := 0; k < 8; k++ {
+				v = append(v, n.Hash(k))
+			}
+		}
+		for slot := 0; slot < s.at.NumSlots(); slot++ {
+			key, ok := s.at.Get(slot)
+			if ok {
+				v = append(v, uint64(slot), key)
+			}
+		}
+		return v
+	}
+	fresh := func() side { return side{NewSTTable(200), NewAddrTable(100)} }
+	for round := int64(0); round < 3; round++ {
+		base := fresh()
+		drive(base, 100+round)
+		sides := []side{base, {base.st.Clone(), base.at.Clone()}, {base.st.Clone(), base.at.Clone()}}
+		sides = append(sides, side{sides[1].st.Clone(), sides[1].at.Clone()})
+		want := make([][]uint64, len(sides))
+		for i := range sides {
+			ref := fresh()
+			drive(ref, 100+round)
+			drive(ref, round*10+int64(i))
+			want[i] = view(ref)
+		}
+		var wg sync.WaitGroup
+		for i, s := range sides {
+			wg.Add(1)
+			go func(i int, s side) {
+				defer wg.Done()
+				drive(s, round*10+int64(i))
+			}(i, s)
+		}
+		wg.Wait()
+		for i, s := range sides {
+			if got := view(s); !slices.Equal(got, want[i]) {
+				t.Fatalf("round %d side %d diverged from a mirror driven alone", round, i)
+			}
+		}
+	}
 }

@@ -44,7 +44,7 @@ func (p *sumCheckProbe) Request(op obs.EventKind, addr, issue, done uint64, attr
 	}
 	if total := attr.Total(); total != done-issue {
 		p.t.Fatalf("%v addr=%d: attribution sums to %d, latency is %d (%+v)",
-			op, addr, total, done-issue, attr.Map())
+			op, addr, total, done-issue, *attr)
 	}
 	if g := attr.Get(obs.CompCPUGap); g != 0 {
 		p.t.Fatalf("cpu gap %d leaked into a request window", g)
@@ -95,7 +95,7 @@ func TestAttributionSumExact(t *testing.T) {
 					}
 					if got := res.Stats.Attribution.Total(); got != res.ExecNS {
 						t.Fatalf("%v/%v/%s: run ledger sums to %d, ExecNS is %d (%+v)",
-							cell.family, cell.scheme, p.Name, got, res.ExecNS, res.Stats.Attribution.Map())
+							cell.family, cell.scheme, p.Name, got, res.ExecNS, res.Stats.Attribution)
 					}
 					if res.Stats.Attribution.Get(obs.CompCPUGap) == 0 {
 						t.Fatalf("%v/%v/%s: no cpu gap attributed over %d requests",
