@@ -110,8 +110,8 @@ surface-smoke:
 # EXPERIMENTS.md "Crash-injection fuzzing"). Then each word-parallel
 # block kernel (SECDED, counter blocks, ASIT shadow entries) gets 5 s
 # against the reference implementation in its test file, and so does
-# the controller's open, which decrypts and checks one AES block at a
-# time, against decrypting the whole block first.
+# the controller's open, which decrypts and SECDED-checks one 8-byte
+# word at a time, against decrypting the whole block first.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzTrial$$' -fuzztime 10s ./internal/crashfuzz/
 	$(GO) test -run xxx -fuzz 'FuzzParseSchedule$$' -fuzztime 10s ./internal/crashfuzz/

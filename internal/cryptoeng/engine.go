@@ -6,9 +6,9 @@
 // The constructions mirror the ones assumed by the paper (and by secure
 // processors generally):
 //
-//   - Encryption is counter mode: a one-time pad is derived from an IV
-//     built from the block address and its (spatially and temporally
-//     unique) encryption counter, then XORed with the plaintext. Pad
+//   - Encryption is counter mode: a one-time pad is derived from the
+//     block address and its (spatially and temporally unique)
+//     encryption counter, then XORed with the plaintext. Pad
 //     generation can overlap the data fetch, which is why secure
 //     processors use it; here it matters because the *counter value*
 //     fully determines decryption, the property Osiris recovery exploits.
@@ -18,34 +18,33 @@
 //   - Tree hashes are truncated so that eight of them pack into one
 //     64-byte node (8-ary trees), exactly as in the paper's Figure 2.
 //
-// Encryption uses the standard library's AES-128. Hashes and MACs use a
-// keyed multiply-mix construction (wyhash-style folded 64×64→128
-// multiplies) rather than SHA-256/HMAC: the simulator charges
-// cryptographic latency through the modeled memctrl.HashNS cost, so the
-// functional hash contributes nothing to simulated timing — it only
-// needs determinism, full-width avalanche (tamper and differential
-// tests must see every bit flip), and per-key separation, all of which
-// the mix provides at a tenth of the wall-clock cost. SHA-256 here
-// dominated whole-sweep profiles (~25% of samples) while adding no
-// modeling fidelity; a production memory controller's choice of hash
-// is orthogonal to everything this simulator measures.
+// The pad, the hashes and the MACs are keyed non-cryptographic PRFs
+// built from one keyed multiply-mix (wyhash-style folded 64×64→128
+// multiplies), where a processor would use AES-128 and SHA-256/HMAC.
+// The simulator charges cryptographic latency through the modeled
+// memctrl.HashNS cost, so the functional crypto contributes nothing to
+// simulated timing: it only needs determinism, full-width avalanche
+// (tamper and differential tests, and Osiris candidate trials, must see
+// every bit flip), and per-key separation, all of which the mix
+// provides at a fraction of the wall-clock cost. SHA-256 here dominated
+// whole-sweep profiles (~25% of samples) and AES-128 the pad of every
+// Osiris candidate trial, while adding no modeling fidelity; a
+// production memory controller's choice of cipher and hash is
+// orthogonal to everything this simulator measures. Nothing here is
+// meant to resist cryptanalysis.
 //
 // # Allocation-free hot path
 //
 // Every simulated memory request calls into this package several times
 // (pad + MAC on the data, one tree hash per Merkle level), so the block
-// path must not allocate. The MAC/hash paths are pure register math;
-// OTP generation stages its IV and pad in a Pad the caller passes in —
-// a memory controller holds one by value — so the AES calls never force
-// a per-call buffer to escape. An Engine holds no mutable state after
-// construction, so parallel evaluation cells (internal/parallel) may
-// share one as long as each goroutine passes its own Pad.
+// path must not allocate. Every operation is register math over caller
+// arrays, and a Keystream is a plain value, so no call needs scratch.
+// An Engine holds no mutable state after construction, so parallel
+// evaluation cells (internal/parallel) may share one.
 // BenchmarkPad/BenchmarkDataMAC/BenchmarkContentHash prove 0 allocs/op.
 package cryptoeng
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"math/bits"
 )
@@ -57,24 +56,13 @@ const BlockBytes = 64
 // tree blocks (Figure 3 of the paper; 56-bit as in Intel's MEE).
 const SGXMACBits = 56
 
-// PadBlocks is the number of AES blocks in one memory block's pad.
-const PadBlocks = BlockBytes / aes.BlockSize
-
-// Pad is the scratch of one-time-pad generation: the counter-mode IV
-// and one AES block of pad. Callers that run concurrently each pass
-// their own.
-type Pad struct {
-	iv  [aes.BlockSize]byte
-	out [aes.BlockSize]byte
-}
-
 // Engine holds the processor-resident secrets and implements every
 // cryptographic operation the memory controller needs. An Engine is
 // safe for concurrent use after construction.
 type Engine struct {
-	aead    cipher.Block // AES-128 block cipher for OTP generation
-	macSeed uint64       // MAC-key-derived seed for data/SGX MACs
-	stSeed  uint64       // domain-separated seed for shadow-table MACs
+	padSeed uint64 // pad-key-derived seed of every block's keystream
+	macSeed uint64 // MAC-key-derived seed for data/SGX MACs
+	stSeed  uint64 // domain-separated seed for shadow-table MACs
 }
 
 // Mixing constants: the "secret" multipliers of the wyhash family —
@@ -125,25 +113,21 @@ func hashBlock(seed uint64, b []byte) uint64 {
 	return mix(h0^h2^mixK4, h1^h3^seed)
 }
 
-// NewEngine derives an engine from a 16-byte processor key and a 32-byte
-// MAC key. In a real processor these are fused or generated at boot and
-// never leave the chip.
-func NewEngine(aesKey [16]byte, macKey [32]byte) *Engine {
-	blk, err := aes.NewCipher(aesKey[:])
-	if err != nil {
-		// aes.NewCipher only fails on invalid key sizes, which the
-		// fixed-size parameter rules out.
-		panic("cryptoeng: " + err.Error())
-	}
-	e := &Engine{aead: blk}
-	// Fold the 32-byte MAC key into the 64-bit seeds all keyed MACs
-	// hang off: every key bit reaches the seed through a multiply, so
-	// distinct keys give unrelated MAC families (the key-separation
-	// property the tests check).
+// NewEngine derives an engine from a 16-byte processor pad key and a
+// 32-byte MAC key. In a real processor these are fused or generated at
+// boot and never leave the chip.
+func NewEngine(padKey [16]byte, macKey [32]byte) *Engine {
+	// Fold each key into the 64-bit seeds its operations hang off: every
+	// key bit reaches a seed through a multiply, so distinct keys give
+	// unrelated pad and MAC families (the key-separation property the
+	// tests check).
+	p0 := binary.LittleEndian.Uint64(padKey[0:])
+	p1 := binary.LittleEndian.Uint64(padKey[8:])
 	k0 := binary.LittleEndian.Uint64(macKey[0:])
 	k1 := binary.LittleEndian.Uint64(macKey[8:])
 	k2 := binary.LittleEndian.Uint64(macKey[16:])
 	k3 := binary.LittleEndian.Uint64(macKey[24:])
+	e := &Engine{padSeed: mix(p0^mixK2, p1^mixK3)}
 	e.macSeed = mix(k0^mixK0, k1^mixK1) ^ mix(k2^mixK2, k3^mixK3)
 	e.stSeed = mix(e.macSeed^mixK4, stDomainSeed)
 	return e
@@ -152,44 +136,54 @@ func NewEngine(aesKey [16]byte, macKey [32]byte) *Engine {
 // NewTestEngine returns an engine with fixed keys, for tests and
 // examples where key management is irrelevant.
 func NewTestEngine() *Engine {
-	var aesKey [16]byte
+	var padKey [16]byte
 	var macKey [32]byte
-	for i := range aesKey {
-		aesKey[i] = byte(i + 1)
+	for i := range padKey {
+		padKey[i] = byte(i + 1)
 	}
 	for i := range macKey {
 		macKey[i] = byte(0xA0 + i)
 	}
-	return NewEngine(aesKey, macKey)
+	return NewEngine(padKey, macKey)
 }
 
-// XORPad XORs AES block i (bytes 16i..16i+15) of src with the same
-// block of the one-time pad for (addr, counter), writing dst's. The IV
-// of AES block i is (address, counter, i): spatial uniqueness via the
-// address, temporal uniqueness via the counter. Counter-mode
-// decryption is the same operation, so a caller that checks a block as
-// it decrypts it can stop after the first AES block that fails. dst
-// and src may alias.
-func (e *Engine) XORPad(p *Pad, dst, src *[BlockBytes]byte, addr, counter uint64, i int) {
-	binary.LittleEndian.PutUint64(p.iv[0:8], addr)
-	binary.LittleEndian.PutUint64(p.iv[8:16], counter<<2|uint64(i))
-	e.aead.Encrypt(p.out[:], p.iv[:])
-	d, s := dst[i*aes.BlockSize:(i+1)*aes.BlockSize], src[i*aes.BlockSize:(i+1)*aes.BlockSize]
-	binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(s[0:])^binary.LittleEndian.Uint64(p.out[0:]))
-	binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:])^binary.LittleEndian.Uint64(p.out[8:]))
+// Keystream is the one-time pad of one (address, counter) pair, drawn
+// one 8-byte word at a time. It is a value, so callers hold no scratch.
+type Keystream uint64
+
+// Keystream returns the pad of block addr under counter: the address
+// passes through a multiply keyed by the pad key, the counter is XORed
+// into the result, and a second keyed multiply forms the state. Pads
+// are unrelated across the counters of one address, which is what an
+// Osiris candidate trial compares, and across pad keys. Across
+// addresses the construction is not a cipher: two pairs whose counters
+// differ by exactly the XOR of their addresses' first-multiply outputs
+// share a pad. Nothing relies on pads of different addresses being
+// unrelated; each block's data MAC is checked on its own.
+func (e *Engine) Keystream(addr, counter uint64) Keystream {
+	return Keystream(mix(mix(addr^e.padSeed, mixK1)^counter, mixK2^e.padSeed))
+}
+
+// Word returns pad word w (bytes 8w..8w+7 of the block, little-endian):
+// wyrand's output step on the stream's (w+1)-th state. Counter-mode
+// decryption XORs the same words, so a caller that checks a block as
+// it decrypts it can stop after the first word that fails.
+func (k Keystream) Word(w int) uint64 {
+	x := uint64(k) + uint64(w+1)*mixK0
+	return mix(x, x^mixK1)
 }
 
 // EncryptTo XORs the 64-byte src with the OTP for (addr, counter),
-// writing the result into the caller-provided dst: all PadBlocks AES
-// blocks of XORPad. dst and src may alias (in-place operation) and must
+// writing the result into the caller-provided dst: the eight words of
+// its Keystream. dst and src may alias (in-place operation) and must
 // both be 64 bytes.
-func (e *Engine) EncryptTo(p *Pad, dst, src []byte, addr, counter uint64) {
+func (e *Engine) EncryptTo(dst, src []byte, addr, counter uint64) {
 	if len(dst) != BlockBytes || len(src) != BlockBytes {
 		panic("cryptoeng: EncryptTo needs 64-byte blocks")
 	}
-	d, s := (*[BlockBytes]byte)(dst), (*[BlockBytes]byte)(src)
-	for i := 0; i < PadBlocks; i++ {
-		e.XORPad(p, d, s, addr, counter, i)
+	k := e.Keystream(addr, counter)
+	for w := 0; w < BlockBytes/8; w++ {
+		binary.LittleEndian.PutUint64(dst[8*w:], binary.LittleEndian.Uint64(src[8*w:])^k.Word(w))
 	}
 }
 

@@ -2,9 +2,9 @@ package cryptoeng
 
 import (
 	"bytes"
-	"crypto/aes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,10 +19,19 @@ func testBlock(seed int64) []byte {
 
 // encrypt returns EncryptTo's output in a new slice.
 func encrypt(e *Engine, addr, counter uint64, src []byte) []byte {
-	var p Pad
 	dst := make([]byte, BlockBytes)
-	e.EncryptTo(&p, dst, src, addr, counter)
+	e.EncryptTo(dst, src, addr, counter)
 	return dst
+}
+
+// pad returns the 64-byte pad of (addr, counter) as eight words.
+func pad(e *Engine, addr, counter uint64) [BlockBytes / 8]uint64 {
+	var p [BlockBytes / 8]uint64
+	k := e.Keystream(addr, counter)
+	for w := range p {
+		p[w] = k.Word(w)
+	}
+	return p
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
@@ -80,14 +89,13 @@ func TestXorInPlaceMatchesEncrypt(t *testing.T) {
 	e := NewTestEngine()
 	pt := testBlock(5)
 	want := encrypt(e, 77, 3, pt)
-	var p Pad
 	buf := make([]byte, BlockBytes)
 	copy(buf, pt)
-	e.EncryptTo(&p, buf, buf, 77, 3)
+	e.EncryptTo(buf, buf, 77, 3)
 	if !bytes.Equal(buf, want) {
 		t.Fatal("in-place EncryptTo disagrees with out-of-place")
 	}
-	e.EncryptTo(&p, buf, buf, 77, 3)
+	e.EncryptTo(buf, buf, 77, 3)
 	if !bytes.Equal(buf, pt) {
 		t.Fatal("in-place decryption did not round-trip")
 	}
@@ -101,7 +109,7 @@ func TestKeySeparation(t *testing.T) {
 	e2 := NewEngine(k2, mk)
 	pt := testBlock(6)
 	if bytes.Equal(encrypt(e1, 0, 0, pt), encrypt(e2, 0, 0, pt)) {
-		t.Fatal("different AES keys produced identical ciphertext")
+		t.Fatal("different pad keys produced identical ciphertext")
 	}
 }
 
@@ -203,33 +211,104 @@ func TestPanicsOnWrongSizes(t *testing.T) {
 	}
 }
 
-// TestEncryptToMatchesEncrypt pins EncryptTo to counter mode built
-// directly on AES-128 under NewTestEngine's key: AES block i of the pad
-// encrypts the IV (address, counter<<2 | i).
-func TestEncryptToMatchesEncrypt(t *testing.T) {
+// refPad is the pad written out from mix: the address, then the
+// counter, passes through a multiply keyed by the pad key's seed, and
+// pad word w is wyrand's output step on the (w+1)-th state after that.
+// The seed folds the key's two words the way NewEngine documents.
+func refPad(padKey [16]byte, addr, counter uint64) [BlockBytes]byte {
+	seed := mix(binary.LittleEndian.Uint64(padKey[0:])^mixK2, binary.LittleEndian.Uint64(padKey[8:])^mixK3)
+	s := mix(mix(addr^seed, mixK1)^counter, mixK2^seed)
+	var out [BlockBytes]byte
+	for w := 0; w < BlockBytes/8; w++ {
+		s += mixK0
+		binary.LittleEndian.PutUint64(out[8*w:], mix(s, s^mixK1))
+	}
+	return out
+}
+
+// TestEncryptToMatchesReference pins EncryptTo, under NewTestEngine's
+// pad key, to the reference keystream above XORed into the plaintext.
+func TestEncryptToMatchesReference(t *testing.T) {
 	e := NewTestEngine()
 	var key [16]byte
 	for i := range key {
 		key[i] = byte(i + 1)
 	}
-	blk, err := aes.NewCipher(key[:])
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 256; i++ {
+		addr, counter := rng.Uint64()>>uint(rng.Intn(64)), rng.Uint64()>>uint(rng.Intn(64))
+		pt := testBlock(int64(i))
+		want := refPad(key, addr, counter)
+		for j := range want {
+			want[j] ^= pt[j]
+		}
+		if got := encrypt(e, addr, counter, pt); !bytes.Equal(got, want[:]) {
+			t.Fatalf("addr %#x counter %#x: EncryptTo disagrees with the reference keystream", addr, counter)
+		}
 	}
-	const addr, counter = 31, 12
-	pt := testBlock(13)
-	want := make([]byte, BlockBytes)
-	var iv [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(iv[0:8], addr)
-	for i := 0; i < BlockBytes/aes.BlockSize; i++ {
-		binary.LittleEndian.PutUint64(iv[8:16], counter<<2|uint64(i))
-		blk.Encrypt(want[i*aes.BlockSize:], iv[:])
+}
+
+// TestPadAvalanche flips each bit of the address and of the counter in
+// turn over 4,096 random inputs: every pad bit must flip with frequency
+// 0.5 ± 0.05. Osiris candidate trials and the tamper tests rely on a
+// neighbouring counter giving an unrelated pad.
+func TestPadAvalanche(t *testing.T) {
+	const inputs = 4096
+	e := NewTestEngine()
+	rng := rand.New(rand.NewSource(7))
+	for flip := 0; flip < 128; flip++ {
+		var counts [BlockBytes * 8]int
+		for i := 0; i < inputs; i++ {
+			addr, counter := rng.Uint64(), rng.Uint64()
+			a2, c2 := addr, counter
+			if flip < 64 {
+				a2 ^= 1 << flip
+			} else {
+				c2 ^= 1 << (flip - 64)
+			}
+			p, q := pad(e, addr, counter), pad(e, a2, c2)
+			for w := range p {
+				for d := p[w] ^ q[w]; d != 0; d &= d - 1 {
+					counts[w*64+bits.TrailingZeros64(d)]++
+				}
+			}
+		}
+		for bit, n := range counts {
+			if f := float64(n) / inputs; f < 0.45 || f > 0.55 {
+				what := fmt.Sprintf("address bit %d", flip)
+				if flip >= 64 {
+					what = fmt.Sprintf("counter bit %d", flip-64)
+				}
+				t.Fatalf("flipping %s flips pad bit %d with frequency %.3f, want 0.5 ± 0.05", what, bit, f)
+			}
+		}
 	}
-	for i := range want {
-		want[i] ^= pt[i]
+}
+
+// TestPadKeySeparation: under two pad keys that differ in one bit, the
+// pads of the same (address, counter) agree on each bit with frequency
+// 0.5 ± 0.05 over 4,096 random inputs.
+func TestPadKeySeparation(t *testing.T) {
+	const inputs = 4096
+	var k1, k2 [16]byte
+	var mk [32]byte
+	k2[15] = 0x80
+	e1, e2 := NewEngine(k1, mk), NewEngine(k2, mk)
+	rng := rand.New(rand.NewSource(8))
+	var agree [BlockBytes * 8]int
+	for i := 0; i < inputs; i++ {
+		addr, counter := rng.Uint64()>>uint(rng.Intn(64)), rng.Uint64()>>uint(rng.Intn(64))
+		p, q := pad(e1, addr, counter), pad(e2, addr, counter)
+		for w := range p {
+			for same := ^(p[w] ^ q[w]); same != 0; same &= same - 1 {
+				agree[w*64+bits.TrailingZeros64(same)]++
+			}
+		}
 	}
-	if got := encrypt(e, addr, counter, pt); !bytes.Equal(got, want) {
-		t.Fatal("EncryptTo disagrees with the counter-mode reference")
+	for bit, n := range agree {
+		if f := float64(n) / inputs; f < 0.45 || f > 0.55 {
+			t.Fatalf("two pad keys agree on pad bit %d with frequency %.3f, want 0.5 ± 0.05", bit, f)
+		}
 	}
 }
 
@@ -238,8 +317,8 @@ func TestEncryptToPanicsOnWrongSizes(t *testing.T) {
 	short := make([]byte, 10)
 	full := make([]byte, BlockBytes)
 	for name, fn := range map[string]func(){
-		"short dst": func() { e.EncryptTo(new(Pad), short, full, 0, 0) },
-		"short src": func() { e.EncryptTo(new(Pad), full, short, 0, 0) },
+		"short dst": func() { e.EncryptTo(short, full, 0, 0) },
+		"short src": func() { e.EncryptTo(full, short, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -257,15 +336,14 @@ func TestEncryptToPanicsOnWrongSizes(t *testing.T) {
 // cells from hammering the garbage collector.
 func TestHotPathZeroAllocs(t *testing.T) {
 	e := NewTestEngine()
-	p := new(Pad)
 	buf := testBlock(14)
 	dst := make([]byte, BlockBytes)
-	blk := (*[BlockBytes]byte)(buf)
 	ctrs := make([]uint64, 8)
+	var word uint64
 	cases := map[string]func(){
-		"pad/in place": func() { e.EncryptTo(p, buf, buf, 3, 9) },
-		"EncryptTo":    func() { e.EncryptTo(p, dst, buf, 3, 9) },
-		"XORPad":       func() { e.XORPad(p, blk, blk, 3, 9, 2) },
+		"pad/in place": func() { e.EncryptTo(buf, buf, 3, 9) },
+		"EncryptTo":    func() { e.EncryptTo(dst, buf, 3, 9) },
+		"Keystream":    func() { word ^= e.Keystream(3, 9).Word(2) },
 		"DataMAC":      func() { e.DataMAC(3, 9, buf) },
 		"ContentHash":  func() { e.ContentHash(buf) },
 		"SGXMAC":       func() { e.SGXMAC(3, ctrs, 1) },
@@ -279,7 +357,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 }
 
 // TestConcurrentEngineSharing exercises one Engine from many goroutines
-// (the parallel evaluation pattern), each with its own Pad: every
+// (the parallel evaluation pattern): every
 // goroutine must see self-consistent results.
 func TestConcurrentEngineSharing(t *testing.T) {
 	e := NewTestEngine()
@@ -290,10 +368,9 @@ func TestConcurrentEngineSharing(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			var p Pad
 			buf := make([]byte, BlockBytes)
 			for i := 0; i < 2000; i++ {
-				e.EncryptTo(&p, buf, pt, 77, 13)
+				e.EncryptTo(buf, pt, 77, 13)
 				if !bytes.Equal(buf, wantCT) {
 					done <- fmt.Errorf("iter %d: ciphertext mismatch", i)
 					return
@@ -320,11 +397,10 @@ func TestConcurrentEngineSharing(t *testing.T) {
 func BenchmarkEncryptBlock(b *testing.B) {
 	e := NewTestEngine()
 	pt := testBlock(10)
-	p := new(Pad)
 	b.SetBytes(BlockBytes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.EncryptTo(p, pt, pt, uint64(i), uint64(i))
+		e.EncryptTo(pt, pt, uint64(i), uint64(i))
 	}
 }
 
@@ -334,11 +410,10 @@ func BenchmarkPad(b *testing.B) {
 	e := NewTestEngine()
 	src := testBlock(10)
 	dst := make([]byte, BlockBytes)
-	p := new(Pad)
 	b.SetBytes(BlockBytes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.EncryptTo(p, dst, src, uint64(i), uint64(i))
+		e.EncryptTo(dst, src, uint64(i), uint64(i))
 	}
 }
 

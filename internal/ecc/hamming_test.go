@@ -384,7 +384,7 @@ func FuzzBlockKernels(f *testing.F) {
 
 // CheckBlock reports whether every word of a 64-byte block is consistent
 // with its ECC byte: the whole-block check that memctrl's open runs one
-// AES block at a time. This is the Osiris sanity check: a block decrypted
+// word at a time. This is the Osiris sanity check: a block decrypted
 // with the wrong counter is pseudo-random, so each word passes with
 // probability 2^-8 and the whole block with 2^-64; recovery still checks
 // the data MAC of the block that passes.

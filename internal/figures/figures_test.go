@@ -2,6 +2,8 @@ package figures
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -147,6 +149,31 @@ func TestPrintersProduceOutput(t *testing.T) {
 	for _, want := range []string{"Table 1", "Figure 5", "Figure 12", "Headline", "8TB", "Osiris"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
+		}
+	}
+}
+
+// TestTable1AndHeadlinePinned compares Table 1 and the headline, the
+// anubis-bench sections that print no simulated run, with checked-in
+// text. Table 1 prints the capacity of DefaultConfig's geometry, 16 GB,
+// though the figures simulate 256 MiB; a change to either text must
+// update the file with its reason.
+func TestTable1AndHeadlinePinned(t *testing.T) {
+	for _, tc := range []struct {
+		file  string
+		print func(io.Writer)
+	}{
+		{"testdata/table1.txt", Table1},
+		{"testdata/headline.txt", PrintHeadline},
+	} {
+		want, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		tc.print(&got)
+		if got.String() != string(want) {
+			t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", tc.file, got.String(), want)
 		}
 	}
 }

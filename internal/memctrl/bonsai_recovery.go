@@ -324,16 +324,37 @@ func (b *Bonsai) recoverAGIT(rep *RecoveryReport) error {
 
 // trackedKeys returns the keys a restored SCT or SMT tracks, ascending
 // and without the stale duplicates a block refetched into another slot
-// leaves behind, and counts every live entry as scanned.
+// leaves behind, and counts every live entry as scanned. A radix sort
+// orders them, one pass per byte up to the largest key's top bit, so
+// the cost follows the table's live entries and not the key range (the
+// size of memory or of the tree).
 func trackedKeys(t *shadow.AddrTable, rep *RecoveryReport) []uint64 {
 	keys := make([]uint64, 0, t.NumSlots())
+	var bitsSet uint64
 	for slot := 0; slot < t.NumSlots(); slot++ {
 		if key, ok := t.Get(slot); ok {
 			keys = append(keys, key)
+			bitsSet |= key
 		}
 	}
 	rep.EntriesScanned += uint64(len(keys))
-	slices.Sort(keys)
+	tmp := make([]uint64, len(keys))
+	for shift := 0; bitsSet>>shift != 0; shift += 8 {
+		var start [256]int
+		for _, k := range keys {
+			start[byte(k>>shift)]++
+		}
+		sum := 0
+		for d, n := range start {
+			start[d], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			tmp[start[d]] = k
+			start[d]++
+		}
+		keys, tmp = tmp, keys
+	}
 	return slices.Compact(keys)
 }
 

@@ -22,9 +22,9 @@ import (
 //     clocks, commit-group state, and register file.
 //   - eng: the crypto engine is shared. It is deterministic (keyed
 //     test engine) and holds no mutable state, so parent and children
-//     can run on different goroutines of a sweep pool.
-//   - pad: the OTP scratch every seal and open stages its AES blocks
-//     in; a value copy, so each controller has its own.
+//     can run on different goroutines of a sweep pool. Seal and open
+//     draw each block's pad as a cryptoeng.Keystream value, so a
+//     controller holds no pad scratch to copy.
 //   - geom: merkle.Geometry contains slices but is immutable after
 //     construction — shared by value copy.
 //   - defNode/defNodeHash: immutable after computeTreeDefaults, but tiny

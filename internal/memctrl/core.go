@@ -23,7 +23,6 @@ type core struct {
 	cfg  Config
 	dev  *nvm.Device
 	eng  *cryptoeng.Engine
-	pad  cryptoeng.Pad // OTP scratch of seal and open; a fork copies it
 	geom merkle.Geometry
 
 	numBlocks uint64 // data blocks
@@ -148,7 +147,7 @@ func (c *core) commitPending() {
 // counter and address.
 func (c *core) seal(idx, ctr uint64, pt *[BlockBytes]byte) {
 	var ct [BlockBytes]byte
-	c.eng.EncryptTo(&c.pad, ct[:], pt[:], idx, ctr)
+	c.eng.EncryptTo(ct[:], pt[:], idx, ctr)
 	side := nvm.Sideband{ECC: ecc.EncodeBlock(pt[:]), MAC: c.eng.DataMAC(idx, ctr, pt[:])}
 	if c.phased {
 		side.Phase = uint8(ctr)
@@ -159,20 +158,19 @@ func (c *core) seal(idx, ctr uint64, pt *[BlockBytes]byte) {
 // open decrypts ciphertext ct into pt as logical block idx under
 // counter ctr and verifies it against its sideband. It returns the name
 // of the first check that failed, "ECC" or "MAC", or "" when the block
-// is genuine. It decrypts and ECC-checks one AES block (two ECC words)
-// at a time and stops at the first word that fails: a wrong Osiris
-// candidate decrypts to pseudo-random words, so it almost always costs
-// one AES block instead of four. The verdict is that of decrypting the
-// whole block before checking it; pt is complete only when open
-// returns "" or "MAC".
+// is genuine. It decrypts and SECDED-checks one 8-byte word at a time
+// and stops at the first word that fails: a wrong Osiris candidate
+// decrypts to pseudo-random words, so it almost always costs the
+// keystream and one pad word, a few multiplies. The verdict is that of
+// decrypting the whole block before checking it; pt is complete only
+// when open returns "" or "MAC".
 func (c *core) open(pt, ct *[BlockBytes]byte, side *nvm.Sideband, idx, ctr uint64) string {
-	const words = BlockBytes / cryptoeng.PadBlocks / ecc.WordBytes
-	for i := 0; i < cryptoeng.PadBlocks; i++ {
-		c.eng.XORPad(&c.pad, pt, ct, idx, ctr, i)
-		for w := i * words; w < (i+1)*words; w++ {
-			if !ecc.Check(binary.LittleEndian.Uint64(pt[w*ecc.WordBytes:]), side.ECC[w]) {
-				return "ECC"
-			}
+	k := c.eng.Keystream(idx, ctr)
+	for w := 0; w < ecc.WordsPerBlock; w++ {
+		v := binary.LittleEndian.Uint64(ct[w*ecc.WordBytes:]) ^ k.Word(w)
+		binary.LittleEndian.PutUint64(pt[w*ecc.WordBytes:], v)
+		if !ecc.Check(v, side.ECC[w]) {
+			return "ECC"
 		}
 	}
 	if c.eng.DataMAC(idx, ctr, pt[:]) != side.MAC {

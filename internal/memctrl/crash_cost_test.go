@@ -3,7 +3,9 @@ package memctrl
 import (
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"anubis/internal/counter"
@@ -128,6 +130,33 @@ func TestAGITChecksSCTKeysBeforeRepair(t *testing.T) {
 	}
 	if b.dev.StateDigest() != image {
 		t.Fatal("a failed recovery rewrote the image before it checked the SCT's keys")
+	}
+}
+
+// TestTrackedKeysMatchesSortCompact pins trackedKeys' radix sort to
+// slices.Sort plus Compact: tables empty, full, with stale duplicates,
+// and with keys whose top byte is set (one pass per byte then).
+func TestTrackedKeysMatchesSortCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		slots, live int
+		span        uint64
+	}{{1, 0, 1}, {1, 1, 1}, {64, 64, 1}, {300, 200, 256}, {2048, 1500, 8192}, {2048, 2048, 1 << 40}, {500, 400, 1 << 63}} {
+		tab := shadow.NewAddrTable(tc.slots)
+		var want []uint64
+		for _, slot := range rng.Perm(tc.slots)[:tc.live] {
+			key := rng.Uint64() % tc.span
+			tab.Set(slot, key)
+			want = append(want, key)
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		var rep RecoveryReport
+		got := trackedKeys(tab, &rep)
+		if !slices.Equal(got, want) || rep.EntriesScanned != uint64(tc.live) {
+			t.Fatalf("%d of %d slots over [0, %#x): %d keys, %d scanned; want %d keys, %d scanned",
+				tc.live, tc.slots, tc.span, len(got), rep.EntriesScanned, len(want), tc.live)
+		}
 	}
 }
 

@@ -18,50 +18,50 @@ import (
 // one must say why.
 func TestSchemeDigestsPinned(t *testing.T) {
 	want := map[string]uint64{
-		"writeback/wear0/ecc":       0x08135cfb0cdb881c,
-		"writeback/wear0/phase":     0x08135cfb0cdb881c,
-		"writeback/wear7/ecc":       0x47c27f99644d3548,
-		"writeback/wear7/phase":     0x47c27f99644d3548,
-		"strict/wear0/ecc":          0x98059ffb2f0959d5,
-		"strict/wear0/phase":        0x98059ffb2f0959d5,
-		"strict/wear7/ecc":          0x288a78bd3f4813a3,
-		"strict/wear7/phase":        0x288a78bd3f4813a3,
-		"osiris/wear0/ecc":          0x2b58e4194f3af7c3,
-		"osiris/wear0/phase":        0x527c5d2ed282d503,
-		"osiris/wear7/ecc":          0x8ee2e4e102619c09,
-		"osiris/wear7/phase":        0xed7f4552d5d66f21,
-		"agit-read/wear0/ecc":       0xa7e1f51dc8ba4186,
-		"agit-read/wear0/phase":     0x14c94c2cf71f8dc0,
-		"agit-read/wear7/ecc":       0x543626527078c532,
-		"agit-read/wear7/phase":     0xb14ecec4cac845cd,
-		"agit-plus/wear0/ecc":       0x6b446a88d764687a,
-		"agit-plus/wear0/phase":     0x0c2af4f07fab8868,
-		"agit-plus/wear7/ecc":       0x4ae07971023762e1,
-		"agit-plus/wear7/phase":     0x7a252e8375204eda,
-		"triad/wear0/ecc":           0x164e575bff2caa29,
-		"triad/wear0/phase":         0x780c9daaec95c364,
-		"triad/wear7/ecc":           0x12de6ad07cb03cf9,
-		"triad/wear7/phase":         0x367c8257dd1e99cb,
-		"selective/wear0/ecc":       0xf5ecce4f63623caf,
-		"selective/wear0/phase":     0xf5ecce4f63623caf,
-		"selective/wear7/ecc":       0xa2bf2da01c604d57,
-		"selective/wear7/phase":     0xa2bf2da01c604d57,
-		"writeback-sgx/wear0/ecc":   0x3076d03fe3a10625,
-		"writeback-sgx/wear0/phase": 0x3076d03fe3a10625,
-		"writeback-sgx/wear7/ecc":   0x9444f6040f2d2b2a,
-		"writeback-sgx/wear7/phase": 0x9444f6040f2d2b2a,
-		"strict-sgx/wear0/ecc":      0xb1f8dbc40a9a2f7f,
-		"strict-sgx/wear0/phase":    0xb1f8dbc40a9a2f7f,
-		"strict-sgx/wear7/ecc":      0x49ae0a03cf740f7d,
-		"strict-sgx/wear7/phase":    0x49ae0a03cf740f7d,
-		"osiris-sgx/wear0/ecc":      0x2494be874d98a331,
-		"osiris-sgx/wear0/phase":    0x2494be874d98a331,
-		"osiris-sgx/wear7/ecc":      0x67bf0ef2dc605e7a,
-		"osiris-sgx/wear7/phase":    0x67bf0ef2dc605e7a,
-		"asit/wear0/ecc":            0xcda22101ef545207,
-		"asit/wear0/phase":          0xcda22101ef545207,
-		"asit/wear7/ecc":            0x5ec43150e02130b0,
-		"asit/wear7/phase":          0x5ec43150e02130b0,
+		"writeback/wear0/ecc":       0x84ccf528c3582c85,
+		"writeback/wear0/phase":     0x84ccf528c3582c85,
+		"writeback/wear7/ecc":       0x5fc3e35f603b8c97,
+		"writeback/wear7/phase":     0x5fc3e35f603b8c97,
+		"strict/wear0/ecc":          0x6488c0ab0f8b12fd,
+		"strict/wear0/phase":        0x6488c0ab0f8b12fd,
+		"strict/wear7/ecc":          0x54bd6ac45fde30d2,
+		"strict/wear7/phase":        0x54bd6ac45fde30d2,
+		"osiris/wear0/ecc":          0xd652a63f549ea93d,
+		"osiris/wear0/phase":        0xf2bf1b3d37bdaa46,
+		"osiris/wear7/ecc":          0x7dc7923e26c0772c,
+		"osiris/wear7/phase":        0xa2b3a399ea970d9c,
+		"agit-read/wear0/ecc":       0xad584c1a2fb279b0,
+		"agit-read/wear0/phase":     0x5102ab706582a337,
+		"agit-read/wear7/ecc":       0x0e45561e95e2a8c5,
+		"agit-read/wear7/phase":     0x084e5e80bc85a4a1,
+		"agit-plus/wear0/ecc":       0xb1b0d2f0f22d7647,
+		"agit-plus/wear0/phase":     0xd431b37e2980595d,
+		"agit-plus/wear7/ecc":       0x98c3852a4af61963,
+		"agit-plus/wear7/phase":     0xe2776eaf71f148de,
+		"triad/wear0/ecc":           0x5901fb9b4acbb3e1,
+		"triad/wear0/phase":         0x1d1be96306f7ac6f,
+		"triad/wear7/ecc":           0x3955e34b16c4e2ed,
+		"triad/wear7/phase":         0xf19ff93b53c6bc2d,
+		"selective/wear0/ecc":       0x9982f5e8bce6d07e,
+		"selective/wear0/phase":     0x9982f5e8bce6d07e,
+		"selective/wear7/ecc":       0x9722880b41970215,
+		"selective/wear7/phase":     0x9722880b41970215,
+		"writeback-sgx/wear0/ecc":   0xab66fdcbf96502a6,
+		"writeback-sgx/wear0/phase": 0xab66fdcbf96502a6,
+		"writeback-sgx/wear7/ecc":   0xfba28b244fc4df4c,
+		"writeback-sgx/wear7/phase": 0xfba28b244fc4df4c,
+		"strict-sgx/wear0/ecc":      0x6b0462e2a66afb08,
+		"strict-sgx/wear0/phase":    0x6b0462e2a66afb08,
+		"strict-sgx/wear7/ecc":      0x20c94733d0c7307d,
+		"strict-sgx/wear7/phase":    0x20c94733d0c7307d,
+		"osiris-sgx/wear0/ecc":      0x7ca9e7ad54ff74fd,
+		"osiris-sgx/wear0/phase":    0x7ca9e7ad54ff74fd,
+		"osiris-sgx/wear7/ecc":      0xc5f5f10c7109401d,
+		"osiris-sgx/wear7/phase":    0xc5f5f10c7109401d,
+		"asit/wear0/ecc":            0xc60227211145fd21,
+		"asit/wear0/phase":          0xc60227211145fd21,
+		"asit/wear7/ecc":            0x2b9d408a6a10a0a3,
+		"asit/wear7/phase":          0x2b9d408a6a10a0a3,
 	}
 	for _, v := range Variants {
 		for _, wear := range []int{0, 7} {

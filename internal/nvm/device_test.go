@@ -3,6 +3,8 @@ package nvm
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -450,6 +452,32 @@ func TestLoadDeviceRejectsBadTiming(t *testing.T) {
 				t.Fatalf("LoadDevice accepted timing %+v", tm)
 			}
 		})
+	}
+}
+
+// TestLoadDeviceRefusesV1Image: a v1 image holds data under the AES
+// pad, which no read could verify, so LoadDevice refuses it with an
+// error that names the format and wraps ErrOldImage. A current image
+// with the same contents loads.
+func TestLoadDeviceRefusesV1Image(t *testing.T) {
+	img := deviceImage{Magic: "anubis-nvm-image-v1", Timing: DefaultTiming()}
+	img.Store[RegionData] = map[uint64][BlockBytes]byte{3: blk(7)}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadDevice(&buf)
+	if !errors.Is(err, ErrOldImage) || !strings.Contains(err.Error(), "anubis-nvm-image-v1") {
+		t.Fatalf("LoadDevice(v1 image) = %v, want ErrOldImage naming anubis-nvm-image-v1", err)
+	}
+	img.Magic = imageMagic
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+		t.Fatal(err)
+	}
+	d, err := LoadDevice(&buf)
+	if err != nil || d.Read(RegionData, 3) != blk(7) {
+		t.Fatalf("LoadDevice(v2 image) = %v", err)
 	}
 }
 

@@ -7,19 +7,31 @@ package nvm
 // persistent registers, committed-but-undrained groups, and wear
 // counters. Volatile timing state is deliberately excluded.
 //
-// The on-disk format is the original map-based v1 gob encoding, so
-// images written before the paged-store rewrite still load. Save
-// flattens the paged store into maps; Load rebuilds pages from them.
+// The on-disk format is a map-based gob encoding: Save flattens the
+// paged store into maps, and Load rebuilds pages from them. Version 2
+// kept version 1's encoding and changed what the data region holds:
+// ciphertext under the keyed-mix pad instead of AES-128 (see
+// cryptoeng). A v1 image is refused with ErrOldImage, since every read
+// of its data would fail as a MAC mismatch and look like tampering.
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 )
 
-// imageMagic guards against feeding arbitrary files to Load.
-const imageMagic = "anubis-nvm-image-v1"
+// imageMagic guards against feeding arbitrary files to Load, and names
+// the format version.
+const imageMagic = "anubis-nvm-image-v2"
+
+// imageMagicV1 is the magic of the format before the keyed-mix pad.
+const imageMagicV1 = "anubis-nvm-image-v1"
+
+// ErrOldImage is wrapped by LoadDevice's error for an image in a format
+// older than the one Save writes.
+var ErrOldImage = errors.New("nvm: image format too old")
 
 // deviceImage is the serialized form of a Device.
 type deviceImage struct {
@@ -195,7 +207,12 @@ func LoadDevice(r io.Reader) (*Device, error) {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("nvm: load image: %w", err)
 	}
-	if img.Magic != imageMagic {
+	switch img.Magic {
+	case imageMagic:
+	case imageMagicV1:
+		return nil, fmt.Errorf("%w: %s holds data encrypted under the retired AES-128 pad, which %s cannot open",
+			ErrOldImage, imageMagicV1, imageMagic)
+	default:
 		return nil, fmt.Errorf("nvm: not an NVM image (magic %q)", img.Magic)
 	}
 	// NewDevice allocates per bank, WPQ entry and write port, so a

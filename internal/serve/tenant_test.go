@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"anubis"
+	"anubis/internal/nvm"
 	"anubis/internal/obs"
 )
 
@@ -360,5 +362,49 @@ func TestUnattachedTenantStaysInManifest(t *testing.T) {
 	}
 	if ids := manifestIDs(t, dir); fmt.Sprint(ids) != "[b-asit]" {
 		t.Fatalf("manifest after close = %v, want [b-asit]", ids)
+	}
+}
+
+// TestOldFormatImageStaysUnattached: a tenant whose image is in the v1
+// format, written before the keyed-mix pad, is refused at LoadState
+// with nvm.ErrOldImage rather than opened into reads that all fail as
+// MAC mismatches, and stays in the manifest, image untouched, as a
+// tenant that failed to reattach. The v1 image is a current one with
+// its magic rewritten (same length, so the gob stays well-formed).
+func TestOldFormatImageStaysUnattached(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{})
+	mustCreate(t, s, "old", TenantConfig{Scheme: "asit", MemoryBytes: 1 << 20})
+	mustWrite(t, s, "old", 3, []byte("old3"))
+	if err := s.Shutdown(dir); err != nil {
+		t.Fatal(err)
+	}
+	imgPath := filepath.Join(dir, "old.img")
+	img, err := os.ReadFile(imgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(img, []byte("anubis-nvm-image-v2"), []byte("anubis-nvm-image-v1"), 1)
+	if bytes.Equal(v1, img) {
+		t.Fatal("saved image does not carry the v2 magic")
+	}
+	if err := os.WriteFile(imgPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{})
+	if err := s2.LoadState(dir); !errors.Is(err, nvm.ErrOldImage) || !strings.Contains(err.Error(), `"old"`) {
+		t.Fatalf("LoadState = %v, want old's nvm.ErrOldImage", err)
+	}
+	if ids := s2.Tenants(); len(ids) != 0 {
+		t.Fatalf("attached tenants = %v, want none", ids)
+	}
+	if err := s2.Shutdown(dir); err != nil {
+		t.Fatal(err)
+	}
+	if ids := manifestIDs(t, dir); fmt.Sprint(ids) != "[old]" {
+		t.Fatalf("manifest = %v, want [old]", ids)
+	}
+	if got, err := os.ReadFile(imgPath); err != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("old.img changed (%v)", err)
 	}
 }
