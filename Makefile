@@ -25,12 +25,13 @@ serve-race:
 	$(GO) test -race -count=5 -run 'TestMultiTenantHammer|TestPanicQuarantinesTenant|TestQueueShedAtDepth|TestForkTenantUnderLoad' ./internal/serve/
 
 # A forked controller shares its metadata caches and shadow mirrors
-# with its parent copy-on-write, where an atomic holder count decides
-# which side copies, and its device's page-directory chunks and pages,
-# where owner tags do. So the fork tests get three race-detector
-# passes: the cache's clone tests, the device's and the shadow
-# mirrors' three-goroutine writer tests, the controller fork and
-# crash-cost tests, and the recovery sweeps that fork one warm
+# with its parent copy-on-write through cache.Shared, where an atomic
+# holder count decides which side copies, and its device's
+# page-directory chunks and pages, where owner tags do. So the fork
+# tests get three race-detector passes: cache.Shared's protocol and
+# three-writer tests, the cache's clone tests, the device's and the
+# shadow mirrors' three-goroutine writer tests, the controller fork
+# and crash-cost tests, and the recovery sweeps that fork one warm
 # controller per crash point.
 fork-race:
 	$(GO) test -race -count=3 -run 'Clone|Fork|DropAll|RecoverySweep|RecoveryDeterministic' ./internal/cache/ ./internal/nvm/ ./internal/shadow/ ./internal/memctrl/ ./internal/figures/

@@ -22,6 +22,7 @@ import (
 
 	"anubis"
 	"anubis/internal/crashfuzz"
+	"anubis/internal/memctrl"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
 )
@@ -77,14 +78,15 @@ func main() {
 		return
 	}
 
-	var comboFilter *crashfuzz.Combo
+	var variantFilter *memctrl.Variant
 	if *scheme != "all" {
-		s, tree, err := anubis.ParseScheme(*scheme)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anubis-fuzz:", err)
+		v, ok := memctrl.VariantByName(*scheme)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "anubis-fuzz: unknown scheme %q (want one of: %s)\n",
+				*scheme, strings.Join(anubis.SchemeNames(), ", "))
 			os.Exit(2)
 		}
-		comboFilter = &crashfuzz.Combo{Family: tree, Scheme: s}
+		variantFilter = &v
 	}
 	var modelFilter *nvm.CrashModel
 	if *model != "all" {
@@ -100,8 +102,8 @@ func main() {
 	violations := 0
 	for i := 0; i < *trials; i++ {
 		s := crashfuzz.RandomSchedule(rng, *seed)
-		if comboFilter != nil {
-			s.Combo = *comboFilter
+		if variantFilter != nil {
+			s.Variant = *variantFilter
 		}
 		if modelFilter != nil {
 			s.Model = *modelFilter
@@ -147,7 +149,7 @@ func newCampaign() *campaign {
 // trial records one completed trial (v == nil means it passed).
 func (c *campaign) trial(s crashfuzz.Schedule, wall time.Duration, v *crashfuzz.Violation) {
 	rec := func(r *obs.Registry) {
-		policy, model := crashfuzz.PolicyOf(s.Combo).String(), s.Model.String()
+		policy, model := crashfuzz.PolicyOf(s.Variant).String(), s.Model.String()
 		r.Counter(obs.Label("anubis_fuzz_trials_total", "policy", policy, "model", model), 1)
 		r.Observe("anubis_fuzz_trial_wall_us", uint64(wall.Microseconds()))
 		if v != nil {
@@ -171,7 +173,7 @@ func (c *campaign) summarize(w *os.File) {
 	fmt.Fprintf(w, "\ncampaign summary (%d trials, %.2fs wall)\n", h.Count, time.Since(c.start).Seconds())
 	fmt.Fprintf(w, "  per-trial wall time: mean=%.0fµs p50=%dµs p90=%dµs p99=%dµs max=%dµs\n",
 		h.Mean(), h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Max)
-	fmt.Fprintf(w, "  distribution: %s\n", h)
+	fmt.Fprintf(w, "  distribution: %s\n", h.Summary(""))
 	snap := c.reg.Snapshot()
 	names := make([]string, 0, len(snap))
 	for name := range snap {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anubis/internal/crashfuzz"
+	"anubis/internal/memctrl"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
 )
@@ -14,13 +15,13 @@ import (
 func TestCampaignPolicyLabels(t *testing.T) {
 	c := newCampaign()
 	seen := make(map[crashfuzz.Policy]bool)
-	for _, combo := range crashfuzz.Combos() {
-		p := crashfuzz.PolicyOf(combo)
+	for _, v := range memctrl.Variants {
+		p := crashfuzz.PolicyOf(v)
 		if seen[p] {
 			continue
 		}
 		seen[p] = true
-		c.trial(crashfuzz.Schedule{Combo: combo, Model: nvm.CrashFullADR}, time.Millisecond, nil)
+		c.trial(crashfuzz.Schedule{Variant: v, Model: nvm.CrashFullADR}, time.Millisecond, nil)
 	}
 	snap := c.reg.Snapshot()
 	for _, policy := range []string{"must-recover", "must-not-recover", "may-recover"} {

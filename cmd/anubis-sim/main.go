@@ -76,8 +76,8 @@ func main() {
 	fmt.Printf("stop-loss       %d\n", st.StopLossWrites)
 	fmt.Printf("wpq stalls      %.3f ms\n", float64(st.NVM.WPQStallNS)/1e6)
 	fmt.Printf("drain stalls    %.3f ms\n", float64(st.NVM.DrainStallNS)/1e6)
-	fmt.Printf("read latency    %s\n", res.ReadLat.String())
-	fmt.Printf("write latency   %s\n", res.WriteLat.String())
+	fmt.Printf("read latency    %s\n", res.ReadLat.Summary("ns"))
+	fmt.Printf("write latency   %s\n", res.WriteLat.Summary("ns"))
 	cc := st.CounterCache
 	if cc.Hits+cc.Misses > 0 {
 		fmt.Printf("counter cache   %.1f%% hit, %d evictions (%.0f%% clean)\n",

@@ -16,10 +16,7 @@
 // a fill cannot evict a block that is being worked on.
 package cache
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // BlockBytes is the cached block size.
 const BlockBytes = 64
@@ -79,13 +76,9 @@ type Stats struct {
 type Cache struct {
 	sets  int
 	ways  int
-	lines []Line // sets*ways entries; slot = set*ways + way; nil after a shared DropAll until the next fill
+	lines Shared[Line] // sets*ways entries; slot = set*ways + way (see Clone)
 	tick  uint64
 	stats Stats
-
-	// holders, when non-nil, counts the caches that share lines (see
-	// Clone).
-	holders *atomic.Int32
 
 	// victim is the scratch cell Insert returns a pointer to on
 	// eviction. Reusing one cell keeps the eviction path allocation-free
@@ -115,7 +108,9 @@ func New(numBlocks, ways int) *Cache {
 	// With lazy assignment the constructor is a single zeroing
 	// allocation, and invalid lines (the only ones with an unset slot)
 	// are never surfaced by Lookup, Iterate, FlushAll, or eviction.
-	return &Cache{sets: sets, ways: ways, lines: make([]Line, numBlocks)}
+	c := &Cache{sets: sets, ways: ways}
+	c.lines.Fill(numBlocks)
+	return c
 }
 
 // NumSlots returns the total number of lines (the shadow table size).
@@ -136,13 +131,13 @@ func (c *Cache) setOf(key uint64) int {
 
 func (c *Cache) set(key uint64) []Line {
 	s := c.setOf(key)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+	return c.lines.s[s*c.ways : (s+1)*c.ways]
 }
 
 // find returns key's resident line, or nil. The line may sit in an
 // array shared with clones: read it only.
 func (c *Cache) find(key uint64) *Line {
-	if c.lines == nil {
+	if c.lines.s == nil {
 		return nil
 	}
 	set := c.set(key)
@@ -154,48 +149,21 @@ func (c *Cache) find(key uint64) *Line {
 	return nil
 }
 
-// own ends c's share of its line array, if it has one: c takes the
-// array over if every partner has let go, and copies it otherwise. The
-// copy is made before c lets go, so the last holder never writes an
-// array a partner is still reading.
-func (c *Cache) own() {
-	h := c.holders
-	if h == nil {
-		return
-	}
-	c.holders = nil
-	if h.Load() == 1 {
-		return
-	}
-	c.lines = append([]Line(nil), c.lines...)
-	h.Add(-1)
-}
-
 // writable returns l, a line of c's shared array, as the same line of
 // an array c holds alone. It reads l before c lets go of l's array.
 func (c *Cache) writable(l *Line) *Line {
 	slot := l.slot
-	c.own()
-	return &c.lines[slot]
-}
-
-// fill readies the line array for an insertion: allocated, and held by
-// c alone.
-func (c *Cache) fill() {
-	if c.lines == nil {
-		c.lines = make([]Line, c.sets*c.ways)
-	}
-	c.own()
+	return &c.lines.Own()[slot]
 }
 
 // Lookup finds a cached block, updating LRU state and hit/miss counters.
 func (c *Cache) Lookup(key uint64) (*Line, bool) {
-	if c.lines != nil {
+	if c.lines.s != nil {
 		set := c.set(key)
 		for i := range set {
 			if set[i].Valid && set[i].Key == key {
 				l := &set[i]
-				if c.holders != nil {
+				if c.lines.holders != nil {
 					l = c.writable(l)
 				}
 				c.tick++
@@ -216,7 +184,7 @@ func (c *Cache) Peek(key uint64) (*Line, bool) {
 	if l == nil {
 		return nil, false
 	}
-	if c.holders != nil {
+	if c.lines.holders != nil {
 		l = c.writable(l)
 	}
 	return l, true
@@ -227,7 +195,7 @@ func (c *Cache) Peek(key uint64) (*Line, bool) {
 // way exists. The line is for reading only. It panics if key is already
 // present.
 func (c *Cache) VictimFor(key uint64) *Line {
-	if c.lines == nil {
+	if c.lines.s == nil {
 		return nil
 	}
 	set := c.set(key)
@@ -261,9 +229,8 @@ func (c *Cache) VictimFor(key uint64) *Line {
 // clean and unpinned. Insert panics if key is already resident; use
 // Lookup first.
 func (c *Cache) Insert(key uint64, data [BlockBytes]byte) (*Line, *Victim) {
-	c.fill()
 	s := c.setOf(key)
-	set := c.lines[s*c.ways : (s+1)*c.ways]
+	set := c.lines.Fill(c.NumSlots())[s*c.ways : (s+1)*c.ways]
 	var target *Line
 	for i := range set {
 		l := &set[i]
@@ -317,7 +284,7 @@ func (c *Cache) CanInsertAtSlot(slot int, key uint64) bool {
 	if c.find(key) != nil {
 		return false
 	}
-	return c.lines == nil || !c.lines[slot].Valid
+	return c.lines.s == nil || !c.lines.s[slot].Valid
 }
 
 // InsertAtSlot places a block into a specific (free) slot. Recovery
@@ -335,8 +302,7 @@ func (c *Cache) InsertAtSlot(slot int, key uint64, data [BlockBytes]byte) *Line 
 	if c.find(key) != nil {
 		panic("cache: InsertAtSlot of resident key")
 	}
-	c.fill()
-	l := &c.lines[slot]
+	l := &c.lines.Fill(c.NumSlots())[slot]
 	if l.Valid {
 		panic("cache: InsertAtSlot into occupied slot")
 	}
@@ -410,9 +376,9 @@ func (c *Cache) Invalidate(key uint64) bool {
 // clean; afterwards no line holds an unpersisted update. Used for
 // orderly shutdown.
 func (c *Cache) FlushAll(fn func(key uint64, data [BlockBytes]byte)) {
-	c.own()
-	for i := range c.lines {
-		l := &c.lines[i]
+	lines := c.lines.Own()
+	for i := range lines {
+		l := &lines[i]
 		if l.Valid && l.Dirty {
 			fn(l.Key, l.Data)
 			l.Dirty = false
@@ -423,29 +389,17 @@ func (c *Cache) FlushAll(fn func(key uint64, data [BlockBytes]byte)) {
 
 // DropAll discards every line without writeback: the power-failure
 // semantics of a volatile cache. A cache that still shares its array
-// only lets go of it, and allocates a fresh one at its next fill; a
-// cache that holds its array alone clears it in place.
-func (c *Cache) DropAll() {
-	if h := c.holders; h != nil {
-		c.holders = nil
-		if h.Load() > 1 {
-			c.lines = nil
-			h.Add(-1)
-			return
-		}
-	}
-	for i := range c.lines {
-		c.lines[i] = Line{slot: i}
-	}
-}
+// only lets go of it, and allocates a fresh one at its next insertion;
+// a cache that holds its array alone clears it in place.
+func (c *Cache) DropAll() { c.lines.Drop() }
 
 // Iterate calls fn for every valid line in slot order; fn may mutate the
 // line's Data.
 func (c *Cache) Iterate(fn func(l *Line)) {
-	c.own()
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			fn(&c.lines[i])
+	lines := c.lines.Own()
+	for i := range lines {
+		if lines[i].Valid {
+			fn(&lines[i])
 		}
 	}
 }
@@ -457,18 +411,11 @@ func (c *Cache) Iterate(fn func(l *Line)) {
 // which is what makes forked warm controllers byte-equivalent to
 // cold-started ones.
 //
-// The line array is shared copy-on-write: Clone costs one holder-count
-// increment, and whichever side mutates first copies the array. Clone
-// and its source may then run on different goroutines.
+// The line array is a Shared: Clone costs one holder-count increment,
+// and whichever side mutates first copies the array. Clone and its
+// source may then run on different goroutines.
 func (c *Cache) Clone() *Cache {
 	n := *c
-	if c.lines != nil {
-		if c.holders == nil {
-			c.holders = new(atomic.Int32)
-			c.holders.Store(1)
-		}
-		c.holders.Add(1)
-		n.holders = c.holders
-	}
+	n.lines = c.lines.Clone()
 	return &n
 }

@@ -12,8 +12,8 @@ func contains(c *Cache, key uint64) bool { return c.find(key) != nil }
 // dirtyCount returns the number of dirty resident lines.
 func dirtyCount(c *Cache) int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid && c.lines[i].Dirty {
+	for i := range c.lines.s {
+		if c.lines.s[i].Valid && c.lines.s[i].Dirty {
 			n++
 		}
 	}

@@ -17,7 +17,7 @@ type view struct {
 
 func viewOf(c *Cache) view {
 	v := view{tick: c.tick, stats: c.stats}
-	for _, l := range c.lines {
+	for _, l := range c.lines.s {
 		if l.Valid {
 			v.lines = append(v.lines, l)
 		}
@@ -28,8 +28,7 @@ func viewOf(c *Cache) view {
 // eager is the copy Clone made before it shared the array.
 func eager(c *Cache) *Cache {
 	n := *c
-	n.lines = append([]Line(nil), c.lines...)
-	n.holders = nil
+	n.lines = Shared[Line]{s: append([]Line(nil), c.lines.s...)}
 	return &n
 }
 
@@ -127,20 +126,20 @@ func TestCloneThreeWayShare(t *testing.T) {
 	ref := eager(a)
 	b := a.Clone()
 	c := b.Clone()
-	arr := &a.lines[0]
-	if a.holders == nil || a.holders != c.holders || a.holders.Load() != 3 {
+	arr := &a.lines.s[0]
+	if a.lines.holders == nil || a.lines.holders != c.lines.holders || a.lines.holders.Load() != 3 {
 		t.Fatal("Clone did not share one holder count among three caches")
 	}
 	b.Insert(100, blockOf(1))
-	if &b.lines[0] == arr || a.holders.Load() != 2 {
+	if &b.lines.s[0] == arr || a.lines.holders.Load() != 2 {
 		t.Fatal("the first mutator did not copy and let go")
 	}
 	a.MarkDirty(3)
-	if &a.lines[0] == arr || c.holders.Load() != 1 {
+	if &a.lines.s[0] == arr || c.lines.holders.Load() != 1 {
 		t.Fatal("the second mutator did not copy and let go")
 	}
 	c.Lookup(3)
-	if &c.lines[0] != arr || c.holders != nil {
+	if &c.lines.s[0] != arr || c.lines.holders != nil {
 		t.Fatal("the last holder copied instead of taking the array over")
 	}
 	for _, r := range []struct {
@@ -166,10 +165,10 @@ func TestCloneThreeWayShare(t *testing.T) {
 func TestDropAllOnSharedCache(t *testing.T) {
 	src := warmCache()
 	want := viewOf(src)
-	arr := &src.lines[0]
+	arr := &src.lines.s[0]
 	child := src.Clone()
 	child.DropAll()
-	if child.lines != nil || child.holders != nil {
+	if child.lines.s != nil || child.lines.holders != nil {
 		t.Fatal("a shared DropAll kept the array")
 	}
 	if got := viewOf(src); !reflect.DeepEqual(got, want) {
@@ -191,7 +190,7 @@ func TestDropAllOnSharedCache(t *testing.T) {
 	}
 	child.Iterate(func(*Line) { t.Fatal("Iterate visited a line of a dropped cache") })
 	child.FlushAll(func(uint64, [BlockBytes]byte) { t.Fatal("FlushAll flushed a line of a dropped cache") })
-	if child.lines != nil {
+	if child.lines.s != nil {
 		t.Fatal("a query allocated an array")
 	}
 	set := child.setOf(42)
@@ -211,11 +210,11 @@ func TestDropAllOnSharedCache(t *testing.T) {
 	if _, ok := src.Lookup(2); !ok {
 		t.Fatal("the source lost key 2")
 	}
-	if &src.lines[0] != arr {
+	if &src.lines.s[0] != arr {
 		t.Fatal("the remaining holder copied the array")
 	}
 	src.DropAll()
-	if &src.lines[0] != arr || contains(src, 2) {
+	if &src.lines.s[0] != arr || contains(src, 2) {
 		t.Fatal("an unshared DropAll did not clear in place")
 	}
 }

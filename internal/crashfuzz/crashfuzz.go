@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,35 +60,11 @@ const PostRunRequests = 24
 // stresser.
 var Profiles = []string{"mcf", "lbm", "libquantum"}
 
-// Combo is a (family, scheme) pair under test.
-type Combo struct {
-	Family sim.Family
-	Scheme memctrl.Scheme
-}
+// comboName spells a variant the way replay tokens name it,
+// family/scheme: "bonsai/agit-plus", "sgx/asit", …
+func comboName(v memctrl.Variant) string { return v.Family.String() + "/" + v.Scheme.String() }
 
-func (c Combo) String() string { return c.Family.String() + "/" + c.Scheme.String() }
-
-// Combos lists every controller configuration the fuzzer exercises:
-// one per memctrl.Variants row, in the table's order.
-func Combos() []Combo {
-	combos := make([]Combo, len(memctrl.Variants))
-	for i, v := range memctrl.Variants {
-		combos[i] = Combo{v.Family, v.Scheme}
-	}
-	return combos
-}
-
-// ComboByName inverts Combo.String ("bonsai/agit-plus", "sgx/asit", …).
-func ComboByName(name string) (Combo, bool) {
-	for _, c := range Combos() {
-		if c.String() == name {
-			return c, true
-		}
-	}
-	return Combo{}, false
-}
-
-// Policy classifies what Recover must report for a combo.
+// Policy classifies what Recover must report for a variant.
 type Policy uint8
 
 const (
@@ -115,13 +92,13 @@ func (p Policy) String() string {
 	return "may-recover"
 }
 
-// PolicyOf returns the recovery guarantee class of a combo.
-func PolicyOf(c Combo) Policy {
-	switch c.Scheme {
+// PolicyOf returns the recovery guarantee class of a variant.
+func PolicyOf(v memctrl.Variant) Policy {
+	switch v.Scheme {
 	case memctrl.SchemeWriteBack:
 		return MustNotRecover
 	case memctrl.SchemeOsiris:
-		if c.Family == sim.FamilySGX {
+		if v.Family == memctrl.FamilySGX {
 			return MustNotRecover
 		}
 		return MayRecover
@@ -133,8 +110,8 @@ func PolicyOf(c Combo) Policy {
 
 // Schedule is one fully deterministic fuzz trial.
 type Schedule struct {
-	Profile string // workload profile name (trace.ByName)
-	Combo   Combo
+	Profile string          // workload profile name (trace.ByName)
+	Variant memctrl.Variant // the controller under test: a memctrl.Variants row
 	Model   nvm.CrashModel
 
 	// Epoch is the controller's coalescing-window size
@@ -142,9 +119,9 @@ type Schedule struct {
 	// larger values arm the epoch pipeline of bonsai/strict and
 	// bonsai/triad, so crashes can land mid-window with deferred tree
 	// updates only in the epoch journal, or inside a half-drained close
-	// commit group. Every other combo ignores it and runs eager; it is
-	// drawn for every combo anyway so the seeded schedule stream stays
-	// the same.
+	// commit group. Every other variant ignores it and runs eager; it
+	// is drawn for every variant anyway so the seeded schedule stream
+	// stays the same.
 	Epoch int
 
 	Warm  int // requests the shared warm parent executes before forking
@@ -173,7 +150,7 @@ func (s Schedule) strictEnvelope() bool {
 // replays stay byte-identical.
 func (s Schedule) String() string {
 	tok := fmt.Sprintf("v1 profile=%s combo=%s model=%s warm=%d extra=%d mid=%d faults=%d tseed=%d cseed=%d",
-		s.Profile, s.Combo, s.Model, s.Warm, s.Extra, s.MidCommit, s.Faults, s.TraceSeed, s.CrashSeed)
+		s.Profile, comboName(s.Variant), s.Model, s.Warm, s.Extra, s.MidCommit, s.Faults, s.TraceSeed, s.CrashSeed)
 	if s.Epoch != 0 {
 		tok += fmt.Sprintf(" epoch=%d", s.Epoch)
 	}
@@ -204,11 +181,11 @@ func ParseSchedule(tok string) (Schedule, error) {
 			}
 			s.Profile = v
 		case "combo":
-			c, ok := ComboByName(v)
-			if !ok {
+			i := slices.IndexFunc(memctrl.Variants, func(c memctrl.Variant) bool { return comboName(c) == v })
+			if i < 0 {
 				return Schedule{}, fmt.Errorf("crashfuzz: unknown combo %q", v)
 			}
-			s.Combo = c
+			s.Variant = memctrl.Variants[i]
 		case "model":
 			m, ok := nvm.ParseCrashModel(v)
 			if !ok {
@@ -262,12 +239,11 @@ func (s *Schedule) validate() error {
 // RandomSchedule draws a schedule from the full trial space. traceSeed
 // is shared across a whole fuzzing run so warm parents are reused.
 func RandomSchedule(rng *rand.Rand, traceSeed int64) Schedule {
-	combos := Combos()
 	warms := []int{64, 256}
 	epochs := []int{0, 4, 16} // legacy eager path plus two coalescing-window sizes
 	s := Schedule{
 		Profile:   Profiles[rng.Intn(len(Profiles))],
-		Combo:     combos[rng.Intn(len(combos))],
+		Variant:   memctrl.Variants[rng.Intn(len(memctrl.Variants))],
 		Model:     nvm.CrashModel(rng.Intn(len(nvm.CrashModels()))),
 		Epoch:     epochs[rng.Intn(len(epochs))],
 		Warm:      warms[rng.Intn(len(warms))],
@@ -304,7 +280,7 @@ var faultRegions = []nvm.Region{
 }
 
 // parent is one warmed controller shared (via COW forking) by every
-// trial with the same (profile, combo, warm, traceSeed).
+// trial with the same (profile, variant, warm, traceSeed).
 type parent struct {
 	ctrl  memctrl.Controller
 	arena *trace.Arena
@@ -315,7 +291,7 @@ type parent struct {
 
 type parentKey struct {
 	profile string
-	combo   Combo
+	variant memctrl.Variant
 	epoch   int
 	warm    int
 	tseed   int64
@@ -351,7 +327,7 @@ func NewRunner() *Runner {
 func arenaLen(warm int) int { return warm + MaxExtra + 1 + PostRunRequests }
 
 func (r *Runner) parent(s Schedule) (*parent, error) {
-	key := parentKey{profile: s.Profile, combo: s.Combo, epoch: s.Epoch, warm: s.Warm, tseed: s.TraceSeed}
+	key := parentKey{profile: s.Profile, variant: s.Variant, epoch: s.Epoch, warm: s.Warm, tseed: s.TraceSeed}
 	if p, ok := r.parents[key]; ok {
 		return p, nil
 	}
@@ -359,16 +335,16 @@ func (r *Runner) parent(s Schedule) (*parent, error) {
 	if !ok {
 		return nil, fmt.Errorf("crashfuzz: unknown profile %q", s.Profile)
 	}
-	cfg := memctrl.TestConfig(s.Combo.Scheme)
+	cfg := memctrl.TestConfig(s.Variant.Scheme)
 	cfg.EpochRequests = s.Epoch
-	ctrl, err := r.NewController(s.Combo.Family, cfg)
+	ctrl, err := r.NewController(s.Variant.Family, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("crashfuzz: %s: %w", s.Combo, err)
+		return nil, fmt.Errorf("crashfuzz: %s: %w", comboName(s.Variant), err)
 	}
 	arena := r.arenas.Get(prof, s.TraceSeed, arenaLen(s.Warm))
 	if s.Warm > 0 {
 		if _, err := sim.Run(ctrl, arena.Source(), s.Warm); err != nil {
-			return nil, fmt.Errorf("crashfuzz: warm fill (%s): %w", s.Combo, err)
+			return nil, fmt.Errorf("crashfuzz: warm fill (%s): %w", comboName(s.Variant), err)
 		}
 	}
 	p := &parent{ctrl: ctrl, arena: arena, hist: make(map[uint64][][BlockBytes]byte)}
@@ -436,7 +412,7 @@ func (r *Runner) RunTrial(s Schedule) *Violation {
 	dev.TrackInflight(true)
 	rng := rand.New(rand.NewSource(s.CrashSeed))
 	nBlocks := child.NumBlocks()
-	policy := PolicyOf(s.Combo)
+	policy := PolicyOf(s.Variant)
 	strict := policy == MustRecover && s.strictEnvelope()
 
 	// Overlay golden history for the trial's own writes; lookups fall
@@ -527,13 +503,13 @@ func (r *Runner) RunTrial(s Schedule) *Violation {
 	case MustNotRecover:
 		if !errors.Is(rerr, memctrl.ErrNotRecoverable) {
 			return &Violation{Phase: "recover",
-				Msg:      fmt.Sprintf("%s must report ErrNotRecoverable under every model; got %v", s.Combo, rerr),
+				Msg:      fmt.Sprintf("%s must report ErrNotRecoverable under every model; got %v", comboName(s.Variant), rerr),
 				Schedule: s}
 		}
 	case MustRecover:
 		if strict && rerr != nil {
 			return &Violation{Phase: "recover",
-				Msg:      fmt.Sprintf("%s must fully recover inside its envelope (full-ADR, no faults); got %v", s.Combo, rerr),
+				Msg:      fmt.Sprintf("%s must fully recover inside its envelope (full-ADR, no faults); got %v", comboName(s.Variant), rerr),
 				Schedule: s}
 		}
 		fallthrough

@@ -148,6 +148,15 @@ func (c *digestCtrl) SetProbe(p obs.Probe) {
 	}
 }
 
+// variant returns the memctrl.Variants row called name.
+func variant(name string) memctrl.Variant {
+	v, ok := memctrl.VariantByName(name)
+	if !ok {
+		panic("crashfuzz test: unknown variant " + name)
+	}
+	return v
+}
+
 func TestPolicyTable(t *testing.T) {
 	want := map[string]Policy{
 		"bonsai/writeback": MustNotRecover,
@@ -162,24 +171,24 @@ func TestPolicyTable(t *testing.T) {
 		"bonsai/triad":     MayRecover,
 		"bonsai/selective": MayRecover,
 	}
-	for _, c := range Combos() {
-		if got := PolicyOf(c); got != want[c.String()] {
-			t.Fatalf("PolicyOf(%s) = %v, want %v", c, got, want[c.String()])
+	for _, v := range memctrl.Variants {
+		if got := PolicyOf(v); got != want[comboName(v)] {
+			t.Fatalf("PolicyOf(%s) = %v, want %v", comboName(v), got, want[comboName(v)])
 		}
 	}
 }
 
-// TestTrialMatrixSmoke runs every combo × crash model × mid-commit
+// TestTrialMatrixSmoke runs every variant × crash model × mid-commit
 // setting once: the oracle must report zero violations on the real
 // (unbroken) controllers.
 func TestTrialMatrixSmoke(t *testing.T) {
 	r := NewRunner()
 	cseed := int64(1)
-	for _, combo := range Combos() {
+	for _, v := range memctrl.Variants {
 		for _, model := range nvm.CrashModels() {
 			for _, mid := range []int{-1, 2} {
 				s := Schedule{
-					Profile: "libquantum", Combo: combo, Model: model,
+					Profile: "libquantum", Variant: v, Model: model,
 					Warm: 64, Extra: 12, MidCommit: mid, Faults: 0,
 					TraceSeed: 99, CrashSeed: cseed,
 				}
@@ -208,7 +217,7 @@ func TestTrialWithFaultsSmoke(t *testing.T) {
 
 func TestTrialDeterminism(t *testing.T) {
 	s := Schedule{
-		Profile: "mcf", Combo: Combo{sim.FamilyBonsai, memctrl.SchemeAGITPlus},
+		Profile: "mcf", Variant: variant("agit-plus"),
 		Model: nvm.CrashTornBlock, Warm: 64, Extra: 20, MidCommit: 3, Faults: 2,
 		TraceSeed: 99, CrashSeed: 12345,
 	}
@@ -229,24 +238,19 @@ func TestTrialDeterminism(t *testing.T) {
 // journal, stale root register) and — on crash points that close a
 // window — inside the close's coalesced commit group, half-drained.
 // bonsai/strict defers; AGIT-Plus and ASIT ignore the window, so their
-// rows pin the eager path under the same crashes. Every combo must
+// rows pin the eager path under the same crashes. Every variant must
 // satisfy the oracle under all three crash models; these are the seeds
 // that caught torn close groups during development, kept as a
 // deterministic regression net.
 func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 	r := NewRunner()
-	combos := []Combo{
-		{sim.FamilyBonsai, memctrl.SchemeStrict},
-		{sim.FamilyBonsai, memctrl.SchemeAGITPlus},
-		{sim.FamilySGX, memctrl.SchemeASIT},
-	}
 	cseed := int64(4242)
-	for _, combo := range combos {
+	for _, name := range []string{"strict", "agit-plus", "asit"} {
 		for _, model := range nvm.CrashModels() {
 			for _, mid := range []int{0, 1, 2, 3, 4, 5} {
 				for _, extra := range []int{4, 9} {
 					s := Schedule{
-						Profile: "libquantum", Combo: combo, Model: model,
+						Profile: "libquantum", Variant: variant(name), Model: model,
 						Epoch: 4, Warm: 64, Extra: extra, MidCommit: mid,
 						TraceSeed: 99, CrashSeed: cseed,
 					}
@@ -371,7 +375,7 @@ func TestFuzzerCatchesRecoveryPanicAndShrinks(t *testing.T) {
 		return &panickyRecover{Controller: c}, nil
 	}
 	s := Schedule{
-		Profile: "libquantum", Combo: Combo{sim.FamilyBonsai, memctrl.SchemeStrict},
+		Profile: "libquantum", Variant: variant("strict"),
 		Model: nvm.CrashTornBlock, Warm: 256, Extra: 77, MidCommit: 4, Faults: 3,
 		TraceSeed: 99, CrashSeed: 7,
 	}
@@ -433,7 +437,7 @@ func TestFuzzerCatchesPushBudgetLeak(t *testing.T) {
 		return &leakyBudget{Controller: c, armed: 0}, nil
 	}
 	s := Schedule{
-		Profile: "libquantum", Combo: Combo{sim.FamilyBonsai, memctrl.SchemeStrict},
+		Profile: "libquantum", Variant: variant("strict"),
 		Model: nvm.CrashFullADR, Warm: 64, Extra: 8, MidCommit: 2,
 		TraceSeed: 99, CrashSeed: 3,
 	}
@@ -467,11 +471,10 @@ func FuzzTrial(f *testing.F) {
 	f.Add(int64(99), uint8(4), uint8(1), uint8(2), uint16(33), int8(3), uint8(1), uint8(1))
 	f.Add(int64(7), uint8(10), uint8(2), uint8(1), uint16(80), int8(0), uint8(2), uint8(2))
 	f.Fuzz(func(t *testing.T, cseed int64, combo, model, profile uint8, extra uint16, mid int8, faults, epoch uint8) {
-		combos := Combos()
 		epochs := []int{0, 4, 16}
 		s := Schedule{
 			Profile:   Profiles[int(profile)%len(Profiles)],
-			Combo:     combos[int(combo)%len(combos)],
+			Variant:   memctrl.Variants[int(combo)%len(memctrl.Variants)],
 			Model:     nvm.CrashModel(int(model) % len(nvm.CrashModels())),
 			Epoch:     epochs[int(epoch)%len(epochs)],
 			Warm:      64,

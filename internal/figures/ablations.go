@@ -41,19 +41,18 @@ func AblationStopLoss(rc RunConfig) ([]StopLossRow, error) {
 	limits := []int{1, 2, 4, 8, 16}
 	return parallel.Map(rc.pool(), len(limits), func(i int) (StopLossRow, error) {
 		sl := limits[i]
-		cfg := rc.config(memctrl.SchemeWriteBack)
-		base, err := runWith(cfg, prof, rc)
+		_, base, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
 		if err != nil {
 			return StopLossRow{}, err
 		}
-		cfg = rc.config(memctrl.SchemeOsiris)
+		cfg := rc.config(memctrl.SchemeOsiris)
 		cfg.StopLoss = sl
-		res, err := runWith(cfg, prof, rc)
+		_, res, err := rc.run(sim.FamilyBonsai, cfg, prof)
 		if err != nil {
 			return StopLossRow{}, err
 		}
 		// Measure recovery trials at a reduced scale.
-		rep, err := miniRecovery(cfg, prof, rc)
+		rep, err := rc.miniRecovery(cfg, prof)
 		if err != nil {
 			return StopLossRow{}, err
 		}
@@ -66,32 +65,16 @@ func AblationStopLoss(rc RunConfig) ([]StopLossRow, error) {
 	})
 }
 
-// miniRecovery runs a reduced-scale workload on a fresh Bonsai
-// controller, crashes it, and returns the recovery report. The warm-up,
-// crash, and recovery are inherently sequential within one cell; the
-// warm-up stream comes from the shared arena (scaled profiles have
-// their own arena key, so all stop-loss/backend/triad points share one
+// miniRecovery runs 3000 requests on a fresh 16 MiB Bonsai controller,
+// crashes it, and returns the recovery report. The warm-up, crash, and
+// recovery are inherently sequential within one cell; the warm-up
+// stream comes from the shared arena (scaled profiles have their own
+// arena key, so all stop-loss/backend/triad points share one
 // materialization).
-func miniRecovery(cfg memctrl.Config, prof trace.Profile, rc RunConfig) (*memctrl.RecoveryReport, error) {
-	mcfg := cfg
-	mcfg.MemoryBytes = 16 << 20
-	ctrl, err := memctrl.NewBonsai(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sim.Run(ctrl, rc.sourceN(prof.Scaled(mcfg.MemoryBytes/64), 3000), 3000); err != nil {
-		return nil, err
-	}
-	ctrl.Crash()
-	return ctrl.Recover()
-}
-
-func runWith(cfg memctrl.Config, prof trace.Profile, rc RunConfig) (sim.Result, error) {
-	ctrl, err := memctrl.NewBonsai(cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(ctrl, rc.source(prof), rc.Requests)
+func (rc RunConfig) miniRecovery(cfg memctrl.Config, prof trace.Profile) (*memctrl.RecoveryReport, error) {
+	rc.Requests = 3000
+	cfg.MemoryBytes = 16 << 20
+	return rc.recoverAfter(sim.FamilyBonsai, cfg, prof.Scaled(cfg.MemoryBytes/64))
 }
 
 // PrintAblationStopLoss renders the sweep.
@@ -124,7 +107,7 @@ func AblationRecoveryBackend(rc RunConfig) ([]BackendRow, error) {
 		return nil, err
 	}
 	prof, _ := trace.ByName("libquantum")
-	base, err := runWith(rc.config(memctrl.SchemeWriteBack), prof, rc)
+	_, base, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
 	if err != nil {
 		return nil, err
 	}
@@ -133,11 +116,11 @@ func AblationRecoveryBackend(rc RunConfig) ([]BackendRow, error) {
 		backend := backends[i]
 		cfg := rc.config(memctrl.SchemeAGITPlus)
 		cfg.Recovery = backend
-		res, err := runWith(cfg, prof, rc)
+		_, res, err := rc.run(sim.FamilyBonsai, cfg, prof)
 		if err != nil {
 			return BackendRow{}, err
 		}
-		rep, err := miniRecovery(cfg, prof, rc)
+		rep, err := rc.miniRecovery(cfg, prof)
 		if err != nil {
 			return BackendRow{}, err
 		}
@@ -208,11 +191,7 @@ func AblationEndurance(rc RunConfig) ([]EnduranceRow, error) {
 		e := entries[i]
 		cfg := rc.config(e.s)
 		cfg.WearPeriod = e.wear
-		ctrl, err := sim.NewController(e.f, cfg)
-		if err != nil {
-			return measured{}, err
-		}
-		res, err := sim.Run(ctrl, rc.source(prof), rc.Requests)
+		ctrl, res, err := rc.run(e.f, cfg, prof)
 		if err != nil {
 			return measured{}, err
 		}
@@ -279,7 +258,7 @@ func AblationTriad(rc RunConfig) ([]TriadRow, error) {
 		return nil, err
 	}
 	prof, _ := trace.ByName("libquantum")
-	base, err := runWith(rc.config(memctrl.SchemeWriteBack), prof, rc)
+	_, base, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
 	if err != nil {
 		return nil, err
 	}
@@ -288,11 +267,11 @@ func AblationTriad(rc RunConfig) ([]TriadRow, error) {
 		levels := allLevels[i]
 		cfg := rc.config(memctrl.SchemeTriad)
 		cfg.TriadLevels = levels
-		res, err := runWith(cfg, prof, rc)
+		_, res, err := rc.run(sim.FamilyBonsai, cfg, prof)
 		if err != nil {
 			return TriadRow{}, err
 		}
-		rep, err := miniRecovery(cfg, prof, rc)
+		rep, err := rc.miniRecovery(cfg, prof)
 		if err != nil {
 			return TriadRow{}, err
 		}
@@ -305,7 +284,10 @@ func AblationTriad(rc RunConfig) ([]TriadRow, error) {
 	})
 }
 
-// PrintAblationTriad renders the sweep, with the Anubis row for contrast.
+// PrintAblationTriad renders the sweep, with the Anubis row for
+// contrast: its analytic 8 TB recovery. This sweep runs no Anubis
+// cell, so the row prints no normalized time (Fig 10's AGIT-Plus
+// column has it).
 func PrintAblationTriad(w io.Writer, rc RunConfig) error {
 	rows, err := AblationTriad(rc)
 	if err != nil {
@@ -317,7 +299,7 @@ func PrintAblationTriad(w io.Writer, rc RunConfig) error {
 		fmt.Fprintf(w, "  %-10d %12.3f %16s %14d\n",
 			r.Levels, r.Normalized, recmodel.FormatDuration(uint64(r.Recovery8TBS*1e9)), r.MeasuredOps)
 	}
-	fmt.Fprintf(w, "  %-10s %12s %16s\n", "anubis", "1.036 (avg)",
+	fmt.Fprintf(w, "  %-10s %12s %16s\n", "anubis", "-",
 		recmodel.FormatDuration(recmodel.AGITNS(256<<10, 256<<10)))
 	return nil
 }

@@ -2,10 +2,15 @@ package figures
 
 import (
 	"bytes"
+	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"anubis/internal/memctrl"
+	"anubis/internal/obs"
+	"anubis/internal/sim"
 )
 
 func ablationRC() RunConfig {
@@ -106,10 +111,51 @@ func TestAblationPrinters(t *testing.T) {
 	if err := PrintAblationEndurance(&buf, rc); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"stop-loss", "backend", "endurance", "lifetime"} {
+	if err := PrintAblationTriad(&buf, rc); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"stop-loss", "backend", "endurance", "lifetime", "Triad-NVM"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("output missing %q", want)
 		}
+	}
+	// The Triad sweep runs no Anubis cell: its contrast row prints the
+	// analytic recovery and no normalized time.
+	if !regexp.MustCompile(`(?m)^  anubis +- +\S`).MatchString(buf.String()) {
+		t.Fatalf("Triad ablation's anubis row is not \"-\" plus a recovery time:\n%s", buf.String())
+	}
+}
+
+// TestAblationCellsReachObservers: ablation cells, reduced-scale
+// recoveries included, run like figure cells, so each one reaches
+// OnCell and the event trace.
+func TestAblationCellsReachObservers(t *testing.T) {
+	rc := ablationRC()
+	rc.Requests = 800
+	rc.Parallel = 1
+	rc.Trace = obs.NewTracer(64)
+	var mu sync.Mutex
+	var cells []int
+	rc.OnCell = func(res sim.Result) {
+		mu.Lock()
+		cells = append(cells, res.Requests)
+		mu.Unlock()
+	}
+	if _, err := AblationRecoveryBackend(rc); err != nil {
+		t.Fatal(err)
+	}
+	// The write-back baseline and the two backends' runs at rc.Requests,
+	// then each backend's 3000-request crash-recovery cell.
+	slices.Sort(cells)
+	if want := []int{800, 800, 800, 3000, 3000}; !slices.Equal(cells, want) {
+		t.Fatalf("OnCell saw cells of %v requests, want %v", cells, want)
+	}
+	var trace bytes.Buffer
+	if err := rc.Trace.WriteJSON(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(trace.String(), `"thread_name"`); n != len(cells) {
+		t.Fatalf("trace names %d cells, want %d", n, len(cells))
 	}
 }
 

@@ -142,31 +142,31 @@ func (rc RunConfig) config(s memctrl.Scheme) memctrl.Config {
 // into the shared immutable arena when arenas are enabled, otherwise a
 // fresh per-cell generator. Both produce byte-identical streams.
 func (rc RunConfig) source(p trace.Profile) trace.Source {
-	return rc.sourceN(p, rc.Requests)
-}
-
-// sourceN is source for a cell that consumes n requests (recovery
-// trials consume more than rc.Requests; the arena must cover them).
-func (rc RunConfig) sourceN(p trace.Profile, n int) trace.Source {
 	if rc.Arenas != nil {
-		return rc.Arenas.Get(p, rc.Seed, n).Source()
+		return rc.Arenas.Get(p, rc.Seed, rc.Requests).Source()
 	}
 	return trace.NewGenerator(p, rc.Seed)
 }
 
-// run executes one simulation cell. Each cell constructs its own
-// controller and gets an independent read cursor into the shared
-// per-(profile, seed) arena (or its own generator when arenas are
-// disabled), so cells are fully independent — the property that lets
-// the worker pool run them concurrently with bit-identical results.
-func (rc RunConfig) run(f sim.Family, s memctrl.Scheme, p trace.Profile) (sim.Result, error) {
-	ctrl, err := sim.NewController(f, rc.config(s))
+// run executes one simulation cell: a controller of family f built
+// from cfg runs rc.Requests requests of p's stream. Every figure and
+// ablation cell runs here, so each gets the same trace scope, profile
+// labels and OnCell report. The controller is returned for the cells
+// that go on to read its device or crash it (recoverAfter). Each cell
+// constructs its own controller and gets an independent read cursor
+// into the shared per-(profile, seed) arena (or its own generator when
+// arenas are disabled), so cells are fully independent — the property
+// that lets the worker pool run them concurrently with bit-identical
+// results.
+func (rc RunConfig) run(f sim.Family, cfg memctrl.Config, p trace.Profile) (memctrl.Controller, sim.Result, error) {
+	ctrl, err := sim.NewController(f, cfg)
 	if err != nil {
-		return sim.Result{}, err
+		return nil, sim.Result{}, err
 	}
+	cell := fmt.Sprintf("%s/%s/%s", f, cfg.Scheme, p.Name)
 	var probe obs.Probe
 	if rc.Trace != nil {
-		probe = rc.Trace.Scope(fmt.Sprintf("%s/%s/%s", f, s, p.Name))
+		probe = rc.Trace.Scope(cell)
 	}
 	var res sim.Result
 	// Label the cell for CPU/heap profiles: `go tool pprof` can then
@@ -174,9 +174,9 @@ func (rc RunConfig) run(f sim.Family, s memctrl.Scheme, p trace.Profile) (sim.Re
 	// (-tagfocus/-tagshow). Labels only annotate samples — they never
 	// change what runs. See README § Profiling a sweep.
 	pprof.Do(context.Background(), pprof.Labels(
-		"cell", fmt.Sprintf("%s/%s/%s", f, s, p.Name),
+		"cell", cell,
 		"profile", p.Name,
-		"scheme", s.String(),
+		"scheme", cfg.Scheme.String(),
 		"family", f.String(),
 	), func(context.Context) {
 		res, err = sim.RunObserved(ctrl, rc.source(p), rc.Requests, probe)
@@ -184,7 +184,18 @@ func (rc RunConfig) run(f sim.Family, s memctrl.Scheme, p trace.Profile) (sim.Re
 	if err == nil && rc.OnCell != nil {
 		rc.OnCell(res)
 	}
-	return res, err
+	return ctrl, res, err
+}
+
+// recoverAfter runs one cell (see run), then crashes its controller
+// and recovers it.
+func (rc RunConfig) recoverAfter(f sim.Family, cfg memctrl.Config, p trace.Profile) (*memctrl.RecoveryReport, error) {
+	ctrl, _, err := rc.run(f, cfg, p)
+	if err != nil {
+		return nil, err
+	}
+	ctrl.Crash()
+	return ctrl.Recover()
 }
 
 // NumApps reports how many application profiles the configuration runs
@@ -269,7 +280,7 @@ func Fig7(rc RunConfig) ([]Fig7Row, error) {
 		return nil, err
 	}
 	results, err := parallel.Map(rc.pool(), len(profiles), func(i int) (sim.Result, error) {
-		res, err := rc.run(sim.FamilyBonsai, memctrl.SchemeWriteBack, profiles[i])
+		_, res, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), profiles[i])
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("fig7 %s: %w", profiles[i].Name, err)
 		}
@@ -340,7 +351,7 @@ func perfFigure(rc RunConfig, f sim.Family, schemes []memctrl.Scheme) ([]PerfRow
 	nS := len(schemes)
 	results, err := parallel.Map(rc.pool(), len(profiles)*nS, func(i int) (sim.Result, error) {
 		p, s := profiles[i/nS], schemes[i%nS]
-		res, err := rc.run(f, s, p)
+		_, res, err := rc.run(f, rc.config(s), p)
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("%s/%s: %w", p.Name, s, err)
 		}
@@ -440,16 +451,7 @@ func MeasuredRecovery(scheme memctrl.Scheme, family sim.Family, rc RunConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := sim.NewController(family, rc.config(scheme))
-	if err != nil {
-		return nil, err
-	}
-	prof := profiles[0]
-	if _, err := sim.Run(ctrl, rc.source(prof), rc.Requests); err != nil {
-		return nil, err
-	}
-	ctrl.Crash()
-	return ctrl.Recover()
+	return rc.recoverAfter(family, rc.config(scheme), profiles[0])
 }
 
 // --- Figure 13 -----------------------------------------------------------------
@@ -508,7 +510,7 @@ func Fig13(rc RunConfig) ([]Fig13Row, error) {
 		si, rem := i/(nP*nC), i%(nP*nC)
 		pi, ci := rem/nC, rem%nC
 		cc := withCaches(sizes[si])
-		res, err := cc.run(cells[ci].fam, cells[ci].scheme, profiles[pi])
+		_, res, err := cc.run(cells[ci].fam, cc.config(cells[ci].scheme), profiles[pi])
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("fig13 %s/%s/%s: %w",
 				memName(sizes[si]), profiles[pi].Name, cells[ci].scheme, err)

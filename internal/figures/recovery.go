@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -10,7 +11,6 @@ import (
 	"anubis/internal/parallel"
 	"anubis/internal/sim"
 	"anubis/internal/trace"
-	"io"
 )
 
 // Crash/recovery sweep with warm-state forking.
@@ -25,9 +25,9 @@ import (
 // (the NVM image is shared copy-on-write), closes the measurement
 // window on the fork, then crashes and recovers the fork. N trials
 // therefore pay one fill, N×stride window requests and N recoveries.
-// Forked trials are byte-identical to cold-started ones (asserted by
-// TestRecoverySweepForkEqualsCold), so ColdStart exists only for that
-// equivalence check and for timing A/B runs.
+// Forked trials are byte-identical to cold-started ones, which re-fill
+// a fresh controller per trial and run its whole window at once
+// (TestRecoverySweepForkEqualsCold compares the two).
 
 // RecoverySweepConfig parameterizes a crash/recovery sweep.
 type RecoverySweepConfig struct {
@@ -50,11 +50,6 @@ type RecoverySweepConfig struct {
 	Trials int
 	// ExtraPerTrial is the crash-point stride (default 200 requests).
 	ExtraPerTrial int
-	// ColdStart disables forking: every trial re-fills a fresh
-	// controller from scratch and runs its whole window. Exists for the
-	// fork-vs-cold golden equivalence tests and for timing A/B; results
-	// are byte-identical.
-	ColdStart bool
 }
 
 // RecoveryTrial is one crash point's outcome.
@@ -69,13 +64,12 @@ type RecoverySweepResult struct {
 	Scheme memctrl.Scheme  `json:"scheme"`
 	App    string          `json:"app"`
 	Warm   int             `json:"warm"`
-	Cold   bool            `json:"cold"`
 	Trials []RecoveryTrial `json:"trials"`
 
 	// ReadLat/WriteLat merge every trial's measurement-window histogram
-	// (via LatencyHist.Merge), in trial order.
-	ReadLat  sim.LatencyHist `json:"read_latency"`
-	WriteLat sim.LatencyHist `json:"write_latency"`
+	// (via obs.Hist.Merge), in trial order.
+	ReadLat  obs.Hist `json:"read_latency"`
+	WriteLat obs.Hist `json:"write_latency"`
 
 	// PhaseTotals merges every trial's recovery-phase ledger; its total
 	// equals the sum of the trials' modeled recovery times exactly
@@ -105,7 +99,7 @@ func (r *RecoverySweepResult) ModeledRecoveryNS() (min, mean, max uint64) {
 
 // RecoveryPercentileNS returns the p-th percentile (0 < p <= 100) of
 // the modeled recovery-time distribution across trials, by nearest
-// rank: the ceil(n·p/100)-th smallest value, as LatencyHist.Percentile
+// rank: the ceil(n·p/100)-th smallest value, as obs.Hist.Percentile
 // ranks its samples.
 func (r *RecoverySweepResult) RecoveryPercentileNS(p float64) uint64 {
 	if len(r.Trials) == 0 {
@@ -126,10 +120,14 @@ func (r *RecoverySweepResult) RecoveryPercentileNS(p float64) uint64 {
 	return ns[k]
 }
 
-func (c *RecoverySweepConfig) defaults() (trace.Profile, error) {
+// arena applies c's defaults and returns the request stream every
+// trial reads: the warm fill and every window. Trial windows resume
+// consumption mid-stream, which needs a materialized arena; it is a
+// private one if the RunConfig doesn't carry a cache.
+func (c *RecoverySweepConfig) arena() (*trace.Arena, error) {
 	profiles, err := c.Run.profiles()
 	if err != nil {
-		return trace.Profile{}, err
+		return nil, err
 	}
 	if c.Warm <= 0 {
 		c.Warm = c.Run.Requests
@@ -145,48 +143,39 @@ func (c *RecoverySweepConfig) defaults() (trace.Profile, error) {
 	}
 	p, ok := trace.ByName(c.App)
 	if !ok {
-		return trace.Profile{}, fmt.Errorf("figures: unknown app %q", c.App)
+		return nil, fmt.Errorf("figures: unknown app %q", c.App)
 	}
-	return p, nil
+	maxReq := c.Warm + c.Trials*c.ExtraPerTrial
+	if c.Run.Arenas != nil {
+		return c.Run.Arenas.Get(p, c.Run.Seed, maxReq), nil
+	}
+	return trace.NewArena(p, c.Run.Seed, maxReq), nil
 }
 
 // RecoverySweep executes the sweep and returns the per-trial recovery
 // reports plus the merged measurement-window histograms. Results are
-// deterministic and independent of the worker count, and identical
-// between forked and cold-started modes.
+// deterministic and independent of the worker count.
 func RecoverySweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
-	prof, err := c.defaults()
+	arena, err := c.arena()
 	if err != nil {
 		return nil, err
 	}
-	maxReq := c.Warm + c.Trials*c.ExtraPerTrial
-	// Trial windows resume consumption mid-stream, which needs a
-	// materialized arena; build a private one if the RunConfig doesn't
-	// carry a cache.
-	var arena *trace.Arena
-	if c.Run.Arenas != nil {
-		arena = c.Run.Arenas.Get(prof, c.Run.Seed, maxReq)
-	} else {
-		arena = trace.NewArena(prof, c.Run.Seed, maxReq)
+	trials, err := c.forkedTrials(arena, c.Run.config(c.Scheme))
+	if err != nil {
+		return nil, err
 	}
-	cfg := c.Run.config(c.Scheme)
+	return c.result(trials), nil
+}
 
-	var trials []RecoveryTrial
-	if c.ColdStart {
-		trials, err = c.coldTrials(arena, cfg)
-	} else {
-		trials, err = c.forkedTrials(arena, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &RecoverySweepResult{Scheme: c.Scheme, App: c.App, Warm: c.Warm, Cold: c.ColdStart, Trials: trials}
+// result aggregates a sweep's trials.
+func (c *RecoverySweepConfig) result(trials []RecoveryTrial) *RecoverySweepResult {
+	out := &RecoverySweepResult{Scheme: c.Scheme, App: c.App, Warm: c.Warm, Trials: trials}
 	for t := range trials {
 		out.ReadLat.Merge(&trials[t].Window.ReadLat)
 		out.WriteLat.Merge(&trials[t].Window.WriteLat)
 		out.PhaseTotals.Merge(&trials[t].Report.Phases)
 	}
-	return out, nil
+	return out
 }
 
 // forkedTrials fills one warm controller, then advances it as the
@@ -237,28 +226,6 @@ func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Confi
 		}
 	}
 	return trials, nil
-}
-
-// coldTrials is the reference path: every trial builds a fresh
-// controller, replays the identical fill phase as its own first Run
-// call, then runs its whole window in one Run call.
-func (c *RecoverySweepConfig) coldTrials(arena *trace.Arena, cfg memctrl.Config) ([]RecoveryTrial, error) {
-	return parallel.Map(c.Run.pool(), c.Trials, func(t int) (RecoveryTrial, error) {
-		extra := (t + 1) * c.ExtraPerTrial
-		ctrl, err := sim.NewController(c.Family, cfg)
-		if err != nil {
-			return RecoveryTrial{}, err
-		}
-		if _, err := sim.Run(ctrl, arena.Source(), c.Warm); err != nil {
-			return RecoveryTrial{}, fmt.Errorf("figures: trial %d cold fill: %w", t, err)
-		}
-		window, err := sim.Run(ctrl, arena.SourceAt(c.Warm), extra)
-		if err != nil {
-			return RecoveryTrial{}, fmt.Errorf("figures: trial %d window: %w", t, err)
-		}
-		rep, err := crashRecover(t, ctrl)
-		return RecoveryTrial{Extra: extra, Window: window, Report: rep}, err
-	})
 }
 
 // crashRecover crashes trial t's controller and recovers it.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anubis/internal/memctrl"
+	"anubis/internal/parallel"
 	"anubis/internal/recmodel"
 	"anubis/internal/sim"
 )
@@ -14,7 +15,7 @@ import (
 // sweepQuick is a small but non-trivial sweep configuration: enough
 // warm-up to dirty the caches and shadow tables, several crash points,
 // and a parallel pool so the fork path's concurrency is exercised.
-func sweepQuick(scheme memctrl.Scheme, family sim.Family, cold bool) RecoverySweepConfig {
+func sweepQuick(scheme memctrl.Scheme, family sim.Family) RecoverySweepConfig {
 	rc := QuickRunConfig()
 	rc.MemoryBytes = 32 << 20
 	rc.Requests = 2500
@@ -26,8 +27,39 @@ func sweepQuick(scheme memctrl.Scheme, family sim.Family, cold bool) RecoverySwe
 		App:           "libquantum",
 		Trials:        6,
 		ExtraPerTrial: 150,
-		ColdStart:     cold,
 	}
+}
+
+// coldSweep is the reference RecoverySweep forking is checked against:
+// every trial builds a fresh controller, replays the identical fill
+// phase as its own first Run call, then runs its whole window in one
+// Run call.
+func coldSweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
+	arena, err := c.arena()
+	if err != nil {
+		return nil, err
+	}
+	cfg := c.Run.config(c.Scheme)
+	trials, err := parallel.Map(c.Run.pool(), c.Trials, func(t int) (RecoveryTrial, error) {
+		extra := (t + 1) * c.ExtraPerTrial
+		ctrl, err := sim.NewController(c.Family, cfg)
+		if err != nil {
+			return RecoveryTrial{}, err
+		}
+		if _, err := sim.Run(ctrl, arena.Source(), c.Warm); err != nil {
+			return RecoveryTrial{}, fmt.Errorf("figures: trial %d cold fill: %w", t, err)
+		}
+		window, err := sim.Run(ctrl, arena.SourceAt(c.Warm), extra)
+		if err != nil {
+			return RecoveryTrial{}, fmt.Errorf("figures: trial %d window: %w", t, err)
+		}
+		rep, err := crashRecover(t, ctrl)
+		return RecoveryTrial{Extra: extra, Window: window, Report: rep}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c.result(trials), nil
 }
 
 // TestRecoverySweepForkEqualsCold is the harness-level golden
@@ -53,17 +85,16 @@ func TestRecoverySweepForkEqualsCold(t *testing.T) {
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, epoch := range []int{0, 16} {
-				cfg := sweepQuick(sc.scheme, sc.family, true)
+				cfg := sweepQuick(sc.scheme, sc.family)
 				cfg.Run.Epoch = epoch
 				cfg.Trials = 7
-				cold, err := RecoverySweep(cfg)
+				cold, err := coldSweep(cfg)
 				if err != nil {
 					t.Fatalf("epoch %d cold: %v", epoch, err)
 				}
 				for _, workers := range []int{1, 4} {
 					t.Run(fmt.Sprintf("epoch%d-parallel%d", epoch, workers), func(t *testing.T) {
 						fc := cfg
-						fc.ColdStart = false
 						fc.Run.Parallel = workers
 						forked, err := RecoverySweep(fc)
 						if err != nil {
@@ -95,7 +126,7 @@ func TestRecoverySweepForkEqualsCold(t *testing.T) {
 }
 
 // TestRecoveryPercentileNearestRank pins RecoveryPercentileNS to the
-// nearest-rank definition LatencyHist.Percentile uses: the p-th
+// nearest-rank definition obs.Hist.Percentile uses: the p-th
 // percentile of n trials is the ceil(n·p/100)-th smallest.
 func TestRecoveryPercentileNearestRank(t *testing.T) {
 	for _, tc := range []struct {
@@ -125,13 +156,13 @@ func TestRecoveryPercentileNearestRank(t *testing.T) {
 // TestRecoverySweepDeterministicAcrossWorkers pins the sweep output to
 // the worker count: 1 worker (sequential) and many workers must agree.
 func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
-	base := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai, false)
+	base := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai)
 	base.Run.Parallel = 1
 	seq, err := RecoverySweep(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai, false)
+	par := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai)
 	par.Run.Parallel = 8
 	got, err := RecoverySweep(par)
 	if err != nil {
@@ -146,7 +177,7 @@ func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 // growing crash windows, recovery times are positive, and the
 // percentile/mean helpers stay within [min, max].
 func TestRecoverySweepShape(t *testing.T) {
-	res, err := RecoverySweep(sweepQuick(memctrl.SchemeASIT, sim.FamilySGX, false))
+	res, err := RecoverySweep(sweepQuick(memctrl.SchemeASIT, sim.FamilySGX))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +227,19 @@ func benchSweep(b *testing.B, cold bool) {
 	rc.MemoryBytes = 32 << 20
 	rc.Requests = 20000
 	rc.Parallel = 1
+	sweep := RecoverySweep
+	if cold {
+		sweep = coldSweep
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := RecoverySweep(RecoverySweepConfig{
+		_, err := sweep(RecoverySweepConfig{
 			Run:           rc,
 			Scheme:        memctrl.SchemeAGITPlus,
 			Family:        sim.FamilyBonsai,
 			App:           "libquantum",
 			Trials:        20,
 			ExtraPerTrial: 40,
-			ColdStart:     cold,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -29,25 +29,24 @@ import (
 //     construction — shared by value copy.
 //   - defNode/defNodeHash: immutable after computeTreeDefaults, but tiny
 //     (one entry per tree level); copied for full independence.
-//   - caches (with each counter line's stop-loss count): cache.Clone
-//     shares the line array copy-on-write under an atomic holder
-//     count. Whichever side first mutates a shared array copies it, a
-//     side whose partners have let go takes it over, and Crash lets go
-//     of it (cache.DropAll), so a fork that is crashed and recovered
-//     costs its parent no copy. No controller keeps a *cache.Line
+//   - caches (with each counter line's stop-loss count) and shadow
+//     mirrors (AGIT's SCT and SMT, ASIT's ST with its protection
+//     tree): each keeps its slices in a cache.Shared, which Clone
+//     shares copy-on-write under an atomic holder count. Whichever
+//     side first mutates a shared slice copies it, a side whose
+//     partners have let go takes it over, and Crash lets go of it
+//     (cache.DropAll, the mirrors' Drop), so a fork that is crashed
+//     and recovered costs its parent no copy; Recover restores the
+//     mirrors from NVM in place. No controller keeps a *cache.Line
 //     across calls, which is what makes a line pointer's lifetime
 //     (until the next Clone or DropAll of its cache) enough.
-//   - shadow mirrors (AGIT's SCT and SMT, ASIT's ST with its
-//     protection tree): Clone shares them the way cache.Clone shares
-//     a line array, under an atomic holder count, and Crash lets go of
-//     them (Drop); Recover restores them from NVM in place.
 //   - wear state, pending write group, writeback queue: exact value
 //     clones.
 //
 // After Clone, parent and child may both keep running, crash, recover,
 // and be cloned again, in any order; on different goroutines they may
 // run concurrently (the shared mutable machinery — COW chunk and page
-// duplication, cache and mirror holder counts — is keyed by per-store
+// duplication, the cache.Shared holder counts — is keyed by per-store
 // owner tags and atomic counts, and each side installs copies only
 // into its own directories, caches and mirrors).
 

@@ -184,19 +184,18 @@ func (c *core) open(pt, ct *[BlockBytes]byte, side *nvm.Sideband, idx, ctr uint6
 // it stays valid across the walk, because a read's metadata work never
 // writes the data region.
 type dataFetch struct {
-	idx, phys uint64
-	ct        *[BlockBytes]byte
-	side      nvm.Sideband
-	has       bool
-	done      uint64
+	idx  uint64
+	ct   *[BlockBytes]byte
+	side nvm.Sideband
+	has  bool
+	done uint64
 }
 
 // fetchData issues the data fetch quietly: it overlaps the (attributed)
 // metadata walk, so chargeData bills only its visible residual.
 func (c *core) fetchData(idx uint64) dataFetch {
-	phys := c.wl.phys(idx)
-	ct, side, has, done := c.dev.ReadDataAt(phys, c.now, false)
-	return dataFetch{idx: idx, phys: phys, ct: ct, side: side, has: has, done: done}
+	ct, side, has, done := c.dev.ReadDataAt(c.wl.phys(idx), c.now, false)
+	return dataFetch{idx: idx, ct: ct, side: side, has: has, done: done}
 }
 
 // chargeData waits out whatever part of the fetch the metadata walk did

@@ -5,5 +5,5 @@ package nvm
 // raceEnabled reports whether the race detector is compiled in. The
 // race runtime instruments every memory access with extra allocations,
 // so the zero-allocation guarantees of the paged store cannot be
-// asserted there (mirrors cryptoeng's race_on/race_off gate).
+// asserted there.
 const raceEnabled = false

@@ -72,31 +72,10 @@ var compNames = [NumComps]string{
 
 // String returns the component's snake_case name (stable: part of the
 // JSON report schema).
-func (c Comp) String() string {
-	if int(c) < len(compNames) {
-		return compNames[c]
-	}
-	return fmt.Sprintf("comp(%d)", uint8(c))
-}
-
-// CompByName inverts String.
-func CompByName(name string) (Comp, bool) {
-	for i, n := range compNames {
-		if n == name {
-			return Comp(i), true
-		}
-	}
-	return 0, false
-}
+func (c Comp) String() string { return nameOf(compNames[:], int(c), "comp") }
 
 // Comps lists every component in declaration (and report) order.
-func Comps() []Comp {
-	out := make([]Comp, NumComps)
-	for i := range out {
-		out[i] = Comp(i)
-	}
-	return out
-}
+func Comps() []Comp { return seq[Comp](NumComps) }
 
 // Ledger accumulates nanoseconds per component. It is a plain value
 // type: copying snapshots it, and Since/Merge make per-request deltas
@@ -111,13 +90,7 @@ func (l *Ledger) Get(c Comp) uint64 { return l[c] }
 
 // Total returns the sum over all components (== execution time when
 // the ledger covers a whole run).
-func (l *Ledger) Total() uint64 {
-	var t uint64
-	for _, v := range l {
-		t += v
-	}
-	return t
-}
+func (l *Ledger) Total() uint64 { return total(l[:]) }
 
 // Since returns the component-wise delta l - prev. prev must be an
 // earlier snapshot of the same ledger (components are monotone).
@@ -130,37 +103,89 @@ func (l *Ledger) Since(prev *Ledger) Ledger {
 }
 
 // Merge adds another ledger component-wise (cross-cell reduction).
-func (l *Ledger) Merge(other *Ledger) {
-	for i := range l {
-		l[i] += other[i]
-	}
-}
+func (l *Ledger) Merge(other *Ledger) { merge(l[:], other[:]) }
 
 // MarshalJSON renders the ledger as an object with stable, named keys
 // in component order, e.g. {"cpu_gap":1234,"data_read":567,...}.
-func (l Ledger) MarshalJSON() ([]byte, error) {
+func (l Ledger) MarshalJSON() ([]byte, error) { return marshalNamed(compNames[:], l[:]) }
+
+// UnmarshalJSON accepts the object form produced by MarshalJSON.
+// Unknown keys are ignored so older tools can read newer reports.
+func (l *Ledger) UnmarshalJSON(data []byte) error {
+	return unmarshalNamed(data, compNames[:], l[:])
+}
+
+// --- what Ledger and RecLedger share ---------------------------------------------
+//
+// Both ledgers are fixed arrays of uint64 named by a fixed list of
+// strings, so the helpers below take the array as a slice and the
+// names alongside.
+
+// nameOf returns names[i], or kind(i) for an index past the list.
+func nameOf(names []string, i int, kind string) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s(%d)", kind, i)
+}
+
+// indexOf inverts nameOf over the list.
+func indexOf(names []string, name string) (int, bool) {
+	for i, n := range names {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// seq lists the n values of an enumeration in declaration order.
+func seq[T ~uint8](n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(i)
+	}
+	return out
+}
+
+func total(vals []uint64) uint64 {
+	var t uint64
+	for _, v := range vals {
+		t += v
+	}
+	return t
+}
+
+func merge(dst, src []uint64) {
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
+// marshalNamed renders vals as a JSON object keyed by names, in order.
+func marshalNamed(names []string, vals []uint64) ([]byte, error) {
 	var b bytes.Buffer
 	b.WriteByte('{')
-	for i, v := range l {
+	for i, v := range vals {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%q:%d", compNames[i], v)
+		fmt.Fprintf(&b, "%q:%d", names[i], v)
 	}
 	b.WriteByte('}')
 	return b.Bytes(), nil
 }
 
-// UnmarshalJSON accepts the object form produced by MarshalJSON.
-// Unknown keys are ignored so older tools can read newer reports.
-func (l *Ledger) UnmarshalJSON(data []byte) error {
+// unmarshalNamed reads the object form of marshalNamed into vals,
+// ignoring keys that are not in names.
+func unmarshalNamed(data []byte, names []string, vals []uint64) error {
 	var m map[string]uint64
 	if err := json.Unmarshal(data, &m); err != nil {
 		return err
 	}
 	for name, v := range m {
-		if c, ok := CompByName(name); ok {
-			l[c] = v
+		if i, ok := indexOf(names, name); ok {
+			vals[i] = v
 		}
 	}
 	return nil

@@ -73,12 +73,15 @@ func TestCompNames(t *testing.T) {
 			t.Fatalf("duplicate component name %q", n)
 		}
 		seen[n] = true
-		got, ok := CompByName(n)
-		if !ok || got != c {
-			t.Fatalf("CompByName(%q) = %v, %v", n, got, ok)
+		got, ok := indexOf(compNames[:], n)
+		if !ok || Comp(got) != c {
+			t.Fatalf("indexOf(compNames, %q) = %v, %v", n, got, ok)
 		}
 	}
-	if _, ok := CompByName("nope"); ok {
-		t.Fatal("CompByName accepted unknown name")
+	if _, ok := indexOf(compNames[:], "nope"); ok {
+		t.Fatal("indexOf accepted unknown name")
+	}
+	if got := Comp(NumComps).String(); got != "comp(9)" {
+		t.Fatalf("out-of-range component prints %q", got)
 	}
 }

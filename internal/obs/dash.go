@@ -173,7 +173,7 @@ function render(snap) {
     for (const name of lat) {
       const h = hists[name];
       html += "<tr><td>" + esc(name) + "</td><td>" + sparkline(h) + "</td><td>n=" + h.count +
-        "</td><td>mean=" + fmtNS(h.count ? h.sum / h.count : 0) + "</td><td>max=" + fmtNS(h.max) + "</td></tr>";
+        "</td><td>mean=" + fmtNS(h.count ? h.sum_ns / h.count : 0) + "</td><td>max=" + fmtNS(h.max_ns) + "</td></tr>";
     }
     document.getElementById("lat").outerHTML = '<div id="lat">' + html + "</table></div>";
   }

@@ -41,6 +41,7 @@ func TestDashSmoke(t *testing.T) {
 		"<!DOCTYPE html>", "anubis dashboard",
 		`id="tenants"`, `id="lat"`, `id="stalls"`, `id="phases"`, `id="events"`,
 		"/debug/dash.json", "setInterval(tick",
+		"h.sum_ns", "h.max_ns", // the histogram keys of the JSON below
 	} {
 		if !strings.Contains(body, marker) {
 			t.Errorf("GET /dash: missing marker %q", marker)
@@ -71,6 +72,11 @@ func TestDashSmoke(t *testing.T) {
 	}
 	if len(snap.Hists) != 1 {
 		t.Errorf("want 1 hist in snapshot, got %v", snap.Hists)
+	}
+	for name, raw := range snap.Hists {
+		if !strings.Contains(string(raw), `"sum_ns":1500,"max_ns":1500`) {
+			t.Errorf("hist %s lacks the sum_ns/max_ns keys the page reads: %s", name, raw)
+		}
 	}
 	if len(snap.Events) != 2 || snap.RecorderTotal != 2 {
 		t.Errorf("want 2 events / total 2, got %d events / total %d", len(snap.Events), snap.RecorderTotal)

@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-)
-
 // RecPhase names one phase of a crash-recovery pass. Recovery cost in
 // the simulator is fully modeled — every NVM fetch and crypto operation
 // a recovery performs is counted and priced at a fixed per-op latency
@@ -66,31 +60,16 @@ var recPhaseNames = [NumRecPhases]string{
 
 // String returns the phase's stable snake_case name (part of the JSON
 // report schema).
-func (p RecPhase) String() string {
-	if int(p) < len(recPhaseNames) {
-		return recPhaseNames[p]
-	}
-	return fmt.Sprintf("rec_phase(%d)", uint8(p))
-}
+func (p RecPhase) String() string { return nameOf(recPhaseNames[:], int(p), "rec_phase") }
 
 // RecPhaseByName inverts String.
 func RecPhaseByName(name string) (RecPhase, bool) {
-	for i, n := range recPhaseNames {
-		if n == name {
-			return RecPhase(i), true
-		}
-	}
-	return 0, false
+	i, ok := indexOf(recPhaseNames[:], name)
+	return RecPhase(i), ok
 }
 
 // RecPhases lists every phase in declaration (and report) order.
-func RecPhases() []RecPhase {
-	out := make([]RecPhase, NumRecPhases)
-	for i := range out {
-		out[i] = RecPhase(i)
-	}
-	return out
-}
+func RecPhases() []RecPhase { return seq[RecPhase](NumRecPhases) }
 
 // RecLedger accumulates modeled recovery nanoseconds per phase. Like
 // Ledger it is a plain value type: copying snapshots it, Merge reduces
@@ -105,20 +84,10 @@ func (l *RecLedger) Get(p RecPhase) uint64 { return l[p] }
 
 // Total returns the sum over all phases (== modeled recovery time when
 // the ledger covers a whole recovery pass).
-func (l *RecLedger) Total() uint64 {
-	var t uint64
-	for _, v := range l {
-		t += v
-	}
-	return t
-}
+func (l *RecLedger) Total() uint64 { return total(l[:]) }
 
 // Merge adds another ledger phase-wise (cross-trial reduction).
-func (l *RecLedger) Merge(other *RecLedger) {
-	for i := range l {
-		l[i] += other[i]
-	}
-}
+func (l *RecLedger) Merge(other *RecLedger) { merge(l[:], other[:]) }
 
 // Map returns the ledger as a name → ns map (JSON-report shape).
 func (l *RecLedger) Map() map[string]uint64 {
@@ -131,30 +100,10 @@ func (l *RecLedger) Map() map[string]uint64 {
 
 // MarshalJSON renders the ledger as an object with stable, named keys
 // in phase order, e.g. {"image_load":0,"counter_osiris_scan":800,...}.
-func (l RecLedger) MarshalJSON() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte('{')
-	for i, v := range l {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:%d", recPhaseNames[i], v)
-	}
-	b.WriteByte('}')
-	return b.Bytes(), nil
-}
+func (l RecLedger) MarshalJSON() ([]byte, error) { return marshalNamed(recPhaseNames[:], l[:]) }
 
 // UnmarshalJSON accepts the object form produced by MarshalJSON.
 // Unknown keys are ignored so older tools can read newer reports.
 func (l *RecLedger) UnmarshalJSON(data []byte) error {
-	var m map[string]uint64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	for name, v := range m {
-		if p, ok := RecPhaseByName(name); ok {
-			l[p] = v
-		}
-	}
-	return nil
+	return unmarshalNamed(data, recPhaseNames[:], l[:])
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -145,19 +146,21 @@ func Label(name string, kv ...string) string {
 // MergeLedger adds a ledger's components as
 // `<prefix>{component="<name>"}` counters.
 func (r *Registry) MergeLedger(prefix string, l *Ledger) {
-	for i, v := range l {
-		if v != 0 {
-			r.Counter(Label(prefix, "component", compNames[i]), v)
-		}
-	}
+	r.mergeNamed(prefix, "component", compNames[:], l[:])
 }
 
 // MergeRecLedger adds a recovery-phase ledger's phases as
 // `<prefix>{phase="<name>"}` counters.
 func (r *Registry) MergeRecLedger(prefix string, l *RecLedger) {
-	for i, v := range l {
+	r.mergeNamed(prefix, "phase", recPhaseNames[:], l[:])
+}
+
+// mergeNamed adds each nonzero entry of a ledger as a counter labelled
+// key="<its name>".
+func (r *Registry) mergeNamed(prefix, key string, names []string, vals []uint64) {
+	for i, v := range vals {
 		if v != 0 {
-			r.Counter(Label(prefix, "phase", recPhaseNames[i]), v)
+			r.Counter(Label(prefix, key, names[i]), v)
 		}
 	}
 }
@@ -224,10 +227,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 
 // bucketLE returns the inclusive upper bound label of Hist bucket i.
 func bucketLE(i int) string {
-	if i == 0 {
-		return "1"
-	}
-	return fmt.Sprintf("%d", uint64(1)<<uint(i+1)-1)
+	return fmt.Sprintf("%d", uint64(1)<<uint(i)-1)
 }
 
 func formatFloat(v float64) string {
@@ -255,27 +255,25 @@ func writeFamilies[V uint64 | float64](w io.Writer, m map[string]V, typ string, 
 	}
 }
 
-// Hist is a power-of-two log-bucket histogram: bucket 0 counts 0 and
-// 1, bucket i counts [2^i, 2^(i+1)). sim.LatencyHist differs (bucket 0
-// counts only 0, bucket i counts [2^(i-1), 2^i)), so the two do not
-// merge bucket by bucket. Hist keeps obs free of simulator imports.
+// Hist is a power-of-two histogram: bucket 0 counts zeros and bucket
+// i >= 1 counts [2^(i-1), 2^i), so a sample's bucket is its
+// bits.Len64; the last bucket also takes every larger sample.
+// Percentiles are approximated by the geometric midpoint of the
+// containing bucket, clamped to Max, which is plenty for comparing
+// schemes. sim.Result's request latencies and every Registry histogram
+// are Hists. The JSON field names are those of the frozen
+// results/BENCH_*.json latency records and feed perfbench's output
+// digests, so keep them stable.
 type Hist struct {
 	Buckets [40]uint64 `json:"buckets"`
 	Count   uint64     `json:"count"`
-	Sum     uint64     `json:"sum"`
-	Max     uint64     `json:"max"`
+	Sum     uint64     `json:"sum_ns"`
+	Max     uint64     `json:"max_ns"`
 }
 
 // Add records one sample.
 func (h *Hist) Add(v uint64) {
-	i := 0
-	for b := v; b > 1; b >>= 1 {
-		i++
-	}
-	if v > 0 && i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
+	h.Buckets[min(bits.Len64(v), len(h.Buckets)-1)]++
 	h.Count++
 	h.Sum += v
 	if v > h.Max {
@@ -283,7 +281,11 @@ func (h *Hist) Add(v uint64) {
 	}
 }
 
-// Merge folds other into h bucket-wise.
+// Merge folds other into h, as if every sample of other had been
+// Added to h: bucket-wise and counter-wise addition, max of maxima.
+// Forked crash/recovery trials record their own histograms and merge
+// them into the sweep aggregate; Registry.Merge merges per-worker
+// histograms the same way.
 func (h *Hist) Merge(other *Hist) {
 	for i := range h.Buckets {
 		h.Buckets[i] += other.Buckets[i]
@@ -303,8 +305,9 @@ func (h *Hist) Mean() float64 {
 	return float64(h.Sum) / float64(h.Count)
 }
 
-// Percentile approximates the p-th percentile by the geometric
-// midpoint of the containing bucket, clamped to Max.
+// Percentile approximates the p-th percentile (0 < p <= 100): the
+// geometric midpoint of the bucket holding the ceil(Count·p/100)-th
+// smallest sample, clamped to Max.
 func (h *Hist) Percentile(p float64) uint64 {
 	if h.Count == 0 {
 		return 0
@@ -320,15 +323,16 @@ func (h *Hist) Percentile(p float64) uint64 {
 			if i == 0 {
 				return 0
 			}
-			lo := uint64(1) << uint(i) // bucket i covers [2^i, 2^(i+1))
-			return min(lo+lo/2, h.Max)
+			lo := uint64(1) << uint(i-1)
+			return min(lo+lo/2, h.Max) // geometric midpoint of [2^(i-1), 2^i)
 		}
 	}
 	return h.Max
 }
 
-// String renders a compact summary.
-func (h *Hist) String() string {
-	return fmt.Sprintf("n=%d mean=%.0f p50=%d p95=%d p99=%d max=%d",
-		h.Count, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.Max)
+// Summary renders a compact summary, each value followed by unit.
+func (h *Hist) Summary(unit string) string {
+	return fmt.Sprintf("n=%d mean=%.0f%s p50=%d%s p95=%d%s p99=%d%s max=%d%s",
+		h.Count, h.Mean(), unit, h.Percentile(50), unit, h.Percentile(95), unit,
+		h.Percentile(99), unit, h.Max, unit)
 }

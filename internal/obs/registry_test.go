@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -178,6 +179,55 @@ func TestHistPercentileAndMean(t *testing.T) {
 	// bucket's midpoint: no percentile may exceed it.
 	if p100 := h.Percentile(100); p100 > h.Max {
 		t.Fatalf("p100 %d exceeds max %d", p100, h.Max)
+	}
+}
+
+// pinSamples covers the zero bucket, both edges of a bucket, and a
+// sample past the last bucket's lower bound.
+var pinSamples = []uint64{0, 1, 2, 3, 60, 1000, 1 << 40}
+
+// TestHistJSONPinned pins a Hist's JSON bytes: sim.Result and
+// RecoverySweepResult encode their latency histograms this way, and
+// perfbench's output digests hash that encoding.
+func TestHistJSONPinned(t *testing.T) {
+	var h Hist
+	for _, v := range pinSamples {
+		h.Add(v)
+	}
+	got, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"buckets":[1,1,2,0,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1],` +
+		`"count":7,"sum_ns":1099511628842,"max_ns":1099511627776}`
+	if string(got) != want {
+		t.Fatalf("Hist JSON:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestHistPrometheusPinned pins a histogram's /metrics lines: zeros
+// get their own le="0" bucket, empty buckets are skipped, and the
+// last finite bucket is always printed.
+func TestHistPrometheusPinned(t *testing.T) {
+	r := NewRegistry()
+	for _, v := range pinSamples {
+		r.Observe("lat_ns", v)
+	}
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	const want = `# TYPE lat_ns histogram
+lat_ns_bucket{le="0"} 1
+lat_ns_bucket{le="1"} 2
+lat_ns_bucket{le="3"} 4
+lat_ns_bucket{le="63"} 5
+lat_ns_bucket{le="1023"} 6
+lat_ns_bucket{le="549755813887"} 7
+lat_ns_bucket{le="+Inf"} 7
+lat_ns_sum 1099511628842
+lat_ns_count 7
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("/metrics lines:\n got %s\nwant %s", got, want)
 	}
 }
 

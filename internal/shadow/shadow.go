@@ -20,19 +20,19 @@
 // The package is a pure codec plus an in-controller mirror; device I/O
 // stays in the memory controller.
 //
-// A forked controller shares its mirrors with its parent copy-on-write,
-// under an atomic holder count, the way cache.Cache.Clone shares a line
-// array: Clone costs a count increment, whichever side first writes a
-// shared mirror copies it, a side whose partners have let go takes it
-// over, and Drop — a crash — lets go of it. Recovery rebuilds a dropped
-// mirror from NVM (Restore), so a fork that is crashed and recovered
-// never copies its parent's mirrors.
+// A forked controller shares its mirrors with its parent copy-on-write:
+// each mirror's slices are cache.Shared, the type that also holds the
+// cache's line array. Clone costs a holder-count increment, whichever
+// side first writes a shared mirror copies it, a side whose partners
+// have let go takes it over, and Drop — a crash — lets go of it.
+// Recovery rebuilds a dropped mirror from NVM (Restore), so a fork that
+// is crashed and recovered never copies its parent's mirrors.
 package shadow
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
+	"anubis/internal/cache"
 	"anubis/internal/merkle"
 )
 
@@ -42,66 +42,6 @@ const BlockBytes = 64
 // AddrEntriesPerBlock is the number of AGIT address entries per block.
 const AddrEntriesPerBlock = BlockBytes / 8
 
-// --- copy-on-write sharing -----------------------------------------------------
-
-// shared is a mirror's backing slice, shared between clones (see the
-// package comment).
-type shared[T any] struct {
-	s       []T           // nil after a shared Drop, until Restore
-	holders *atomic.Int32 // when non-nil, counts the mirrors sharing s
-}
-
-// clone shares s with the returned copy.
-func (c *shared[T]) clone() shared[T] {
-	if c.s != nil {
-		if c.holders == nil {
-			c.holders = new(atomic.Int32)
-			c.holders.Store(1)
-		}
-		c.holders.Add(1)
-	}
-	return *c
-}
-
-// own readies s for a write: held alone, taken over when every partner
-// has let go, copied otherwise. The copy is made before c lets go, so
-// the last holder never writes a slice a partner is still reading.
-func (c *shared[T]) own() {
-	h := c.holders
-	if h == nil {
-		return
-	}
-	c.holders = nil
-	if h.Load() == 1 {
-		return
-	}
-	c.s = append([]T(nil), c.s...)
-	h.Add(-1)
-}
-
-// drop empties the mirror: a shared slice is let go, one held alone is
-// cleared in place.
-func (c *shared[T]) drop() {
-	if h := c.holders; h != nil {
-		c.holders = nil
-		if h.Load() > 1 {
-			c.s = nil
-			h.Add(-1)
-			return
-		}
-	}
-	clear(c.s)
-}
-
-// reset readies an empty slice of n elements held alone, without
-// copying a shared one.
-func (c *shared[T]) reset(n int) {
-	c.drop()
-	if c.s == nil {
-		c.s = make([]T, n)
-	}
-}
-
 // --- AGIT address tables (SCT / SMT) ----------------------------------------
 
 // AddrTable is the controller-side mirror of an SCT or SMT: one address
@@ -109,7 +49,7 @@ func (c *shared[T]) reset(n int) {
 // means "slot never used".
 type AddrTable struct {
 	slots   int
-	entries shared[uint64] // key+1; 0 = empty
+	entries cache.Shared[uint64] // key+1; 0 = empty
 }
 
 // NewAddrTable creates an empty mirror for a cache with numSlots lines.
@@ -117,7 +57,9 @@ func NewAddrTable(numSlots int) *AddrTable {
 	if numSlots <= 0 {
 		panic("shadow: table needs at least one slot")
 	}
-	return &AddrTable{slots: numSlots, entries: shared[uint64]{s: make([]uint64, numSlots)}}
+	t := &AddrTable{slots: numSlots}
+	t.entries.Reset(numSlots)
+	return t
 }
 
 // NumSlots returns the number of tracked cache slots.
@@ -131,17 +73,17 @@ func (t *AddrTable) NumBlocks() uint64 {
 // Set records that cache slot `slot` now holds block `key` and returns
 // the NVM block (index and refreshed content) that must be persisted.
 func (t *AddrTable) Set(slot int, key uint64) (blockIdx uint64, block [BlockBytes]byte) {
-	t.entries.own()
-	t.entries.s[slot] = key + 1
+	t.entries.Own()[slot] = key + 1
 	return t.blockOf(slot)
 }
 
 // Get returns the tracked key of a slot.
 func (t *AddrTable) Get(slot int) (key uint64, ok bool) {
-	if t.entries.s == nil {
+	entries := t.entries.Get()
+	if entries == nil {
 		return 0, false
 	}
-	e := t.entries.s[slot]
+	e := entries[slot]
 	if e == 0 {
 		return 0, false
 	}
@@ -151,10 +93,11 @@ func (t *AddrTable) Get(slot int) (key uint64, ok bool) {
 func (t *AddrTable) blockOf(slot int) (uint64, [BlockBytes]byte) {
 	blockIdx := uint64(slot / AddrEntriesPerBlock)
 	var b [BlockBytes]byte
+	entries := t.entries.Get()
 	base := int(blockIdx) * AddrEntriesPerBlock
 	for i := 0; i < AddrEntriesPerBlock; i++ {
 		if base+i < t.slots {
-			binary.LittleEndian.PutUint64(b[i*8:], t.entries.s[base+i])
+			binary.LittleEndian.PutUint64(b[i*8:], entries[base+i])
 		}
 	}
 	return blockIdx, b
@@ -163,22 +106,22 @@ func (t *AddrTable) blockOf(slot int) (uint64, [BlockBytes]byte) {
 // Clone returns a mirror that shares t's entries copy-on-write (used
 // when a warm controller is forked for crash/recovery trials).
 func (t *AddrTable) Clone() *AddrTable {
-	return &AddrTable{slots: t.slots, entries: t.entries.clone()}
+	return &AddrTable{slots: t.slots, entries: t.entries.Clone()}
 }
 
 // Drop empties the mirror: a crash loses it. A shared mirror only lets
 // go of its entries.
-func (t *AddrTable) Drop() { t.entries.drop() }
+func (t *AddrTable) Drop() { t.entries.Drop() }
 
 // Restore rebuilds the mirror in place from NVM after a crash. read
 // must return block i of the table's region.
 func (t *AddrTable) Restore(read func(blockIdx uint64) [BlockBytes]byte) {
-	t.entries.reset(t.slots)
+	entries := t.entries.Reset(t.slots)
 	for bi := uint64(0); bi < t.NumBlocks(); bi++ {
 		b := read(bi)
 		base := int(bi) * AddrEntriesPerBlock
 		for i := 0; i < AddrEntriesPerBlock && base+i < t.slots; i++ {
-			t.entries.s[base+i] = binary.LittleEndian.Uint64(b[i*8:])
+			entries[base+i] = binary.LittleEndian.Uint64(b[i*8:])
 		}
 	}
 }
@@ -275,8 +218,8 @@ func UnpackSTEntry(b [BlockBytes]byte) STEntry {
 type STTable struct {
 	slots  int
 	geom   merkle.Geometry
-	blocks shared[[BlockBytes]byte] // Pack of each slot's entry
-	nodes  shared[merkle.GNode]     // protection tree, by flat node index
+	blocks cache.Shared[[BlockBytes]byte] // Pack of each slot's entry
+	nodes  cache.Shared[merkle.GNode]     // protection tree, by flat node index
 }
 
 // NewSTTable creates an empty mirror.
@@ -285,8 +228,8 @@ func NewSTTable(numSlots int) *STTable {
 		panic("shadow: table needs at least one slot")
 	}
 	t := &STTable{slots: numSlots, geom: merkle.NewGeometry(uint64(numSlots))}
-	t.blocks.s = make([][BlockBytes]byte, numSlots)
-	t.nodes.s = make([]merkle.GNode, t.geom.TotalNodes())
+	t.blocks.Reset(numSlots)
+	t.nodes.Reset(int(t.geom.TotalNodes()))
 	return t
 }
 
@@ -299,17 +242,16 @@ func (t *STTable) Tree() *merkle.Geometry { return &t.geom }
 
 // Node returns protection-tree node flat for writing.
 func (t *STTable) Node(flat uint64) *merkle.GNode {
-	t.nodes.own()
-	return &t.nodes.s[flat]
+	return &t.nodes.Own()[flat]
 }
 
 // Set records a snapshot for a slot and returns the NVM block to persist
 // (block index equals the slot).
 func (t *STTable) Set(slot int, e STEntry) (blockIdx uint64, block [BlockBytes]byte) {
 	e.Valid = true
-	t.blocks.own()
-	t.blocks.s[slot] = e.Pack()
-	return uint64(slot), t.blocks.s[slot]
+	blocks := t.blocks.Own()
+	blocks[slot] = e.Pack()
+	return uint64(slot), blocks[slot]
 }
 
 // Get returns the snapshot tracked in a slot.
@@ -320,24 +262,25 @@ func (t *STTable) Get(slot int) (STEntry, bool) {
 
 // Block returns the current NVM image of one table block (= slot).
 func (t *STTable) Block(slot int) [BlockBytes]byte {
-	if t.blocks.s == nil {
+	blocks := t.blocks.Get()
+	if blocks == nil {
 		return [BlockBytes]byte{}
 	}
-	return t.blocks.s[slot]
+	return blocks[slot]
 }
 
 // Clone returns a mirror that shares t's entries and protection tree
 // copy-on-write (used when a warm controller is forked for
 // crash/recovery trials).
 func (t *STTable) Clone() *STTable {
-	return &STTable{slots: t.slots, geom: t.geom, blocks: t.blocks.clone(), nodes: t.nodes.clone()}
+	return &STTable{slots: t.slots, geom: t.geom, blocks: t.blocks.Clone(), nodes: t.nodes.Clone()}
 }
 
 // Drop empties the mirror and its protection tree: a crash loses both.
 // A shared mirror only lets go of them.
 func (t *STTable) Drop() {
-	t.blocks.drop()
-	t.nodes.drop()
+	t.blocks.Drop()
+	t.nodes.Drop()
 }
 
 // Restore rebuilds the mirror from NVM after a crash, reading every
@@ -346,12 +289,12 @@ func (t *STTable) Drop() {
 // whose key word is zero describes an empty slot whatever its other
 // words hold, and is kept as the zero block its entry packs to.
 func (t *STTable) Restore(read func(blockIdx uint64) [BlockBytes]byte) int {
-	t.blocks.reset(t.slots)
-	t.nodes.reset(int(t.geom.TotalNodes()))
+	blocks := t.blocks.Reset(t.slots)
+	t.nodes.Reset(int(t.geom.TotalNodes()))
 	live := 0
-	for i := range t.blocks.s {
+	for i := range blocks {
 		if b := read(uint64(i)); binary.LittleEndian.Uint64(b[:8]) != 0 {
-			t.blocks.s[i] = b
+			blocks[i] = b
 			live++
 		}
 	}

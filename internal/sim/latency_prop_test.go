@@ -3,18 +3,21 @@ package sim
 import (
 	"math/rand"
 	"testing"
+
+	"anubis/internal/obs"
 )
 
-// Property tests for LatencyHist: randomized inputs, deterministic
-// seeds. These pin the algebra the sweeps rely on — RecoverySweep
-// merges per-trial histograms in trial order, the parallel engine in
-// any worker order, and both must agree.
+// Property tests for the latency histograms a Result carries
+// (obs.Hist): randomized inputs, deterministic seeds. These pin the
+// algebra the sweeps rely on — RecoverySweep merges per-trial
+// histograms in trial order, the parallel engine in any worker order,
+// and both must agree.
 
 // randHist builds a histogram from n random samples drawn with a mix
 // of magnitudes (uniform small, exponential-ish large, zeros) and
 // returns the raw samples alongside.
-func randHist(rng *rand.Rand, n int) (*LatencyHist, []uint64) {
-	h := &LatencyHist{}
+func randHist(rng *rand.Rand, n int) (*obs.Hist, []uint64) {
+	h := &obs.Hist{}
 	samples := make([]uint64, n)
 	for i := range samples {
 		var v uint64
@@ -89,7 +92,7 @@ func TestLatencyHistPercentileMonotone(t *testing.T) {
 	}
 	// Constant distribution: every percentile must fall inside the
 	// sample's power-of-two bucket [2^(k-1), 2^k).
-	var h LatencyHist
+	var h obs.Hist
 	for i := 0; i < 100; i++ {
 		h.Add(300) // bucket [256, 512)
 	}
@@ -143,16 +146,16 @@ func TestLatencyHistMergeAssociates(t *testing.T) {
 func TestLatencyHistMergeEqualsBulkAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 30; trial++ {
-		parts := make([]*LatencyHist, 1+rng.Intn(5))
+		parts := make([]*obs.Hist, 1+rng.Intn(5))
 		var all []uint64
-		merged := &LatencyHist{}
+		merged := &obs.Hist{}
 		for i := range parts {
 			h, samples := randHist(rng, rng.Intn(200))
 			parts[i] = h
 			all = append(all, samples...)
 			merged.Merge(h)
 		}
-		bulk := &LatencyHist{}
+		bulk := &obs.Hist{}
 		var sum uint64
 		for _, v := range all {
 			bulk.Add(v)
@@ -176,7 +179,7 @@ func TestLatencyHistMergeEqualsBulkAdd(t *testing.T) {
 func TestLatencyHistMergeZeroIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	h, _ := randHist(rng, 200)
-	var zero LatencyHist
+	var zero obs.Hist
 	left := zero
 	left.Merge(h)
 	right := *h

@@ -3,17 +3,22 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"anubis/internal/obs"
 )
 
+// The histogram cases below test the latency histograms a Result
+// carries, which are obs.Hist.
+
 func TestLatencyHistEmpty(t *testing.T) {
-	var h LatencyHist
+	var h obs.Hist
 	if h.Mean() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 }
 
 func TestLatencyHistBasics(t *testing.T) {
-	var h LatencyHist
+	var h obs.Hist
 	for _, v := range []uint64{0, 10, 100, 100, 100, 1000, 10000} {
 		h.Add(v)
 	}
@@ -31,13 +36,13 @@ func TestLatencyHistBasics(t *testing.T) {
 	if p99 < 4096 {
 		t.Fatalf("p99 = %d, want in the ~10µs bucket", p99)
 	}
-	if !strings.Contains(h.String(), "p95=") {
+	if !strings.Contains(h.Summary("ns"), "p95=") {
 		t.Fatal("String missing percentile fields")
 	}
 }
 
 func TestLatencyHistMonotonePercentiles(t *testing.T) {
-	var h LatencyHist
+	var h obs.Hist
 	for i := uint64(1); i < 5000; i++ {
 		h.Add(i)
 	}
@@ -47,7 +52,7 @@ func TestLatencyHistMonotonePercentiles(t *testing.T) {
 }
 
 func TestLatencyHistHugeValueClamped(t *testing.T) {
-	var h LatencyHist
+	var h obs.Hist
 	h.Add(1 << 62) // beyond the last bucket boundary
 	if h.Buckets[len(h.Buckets)-1] != 1 {
 		t.Fatal("huge value not clamped into the last bucket")
@@ -70,7 +75,7 @@ func TestLatencyHistMergeEqualsWholeStream(t *testing.T) {
 		samples[i] = x >> (x % 64) // spread across magnitudes, incl. 0
 	}
 
-	var whole LatencyHist
+	var whole obs.Hist
 	for _, s := range samples {
 		whole.Add(s)
 	}
@@ -82,9 +87,9 @@ func TestLatencyHistMergeEqualsWholeStream(t *testing.T) {
 		{100, 2500, 2600, 9000}, // ragged multi-way split
 	} {
 		bounds := append(append([]int{0}, cuts...), len(samples))
-		var merged LatencyHist
+		var merged obs.Hist
 		for i := 0; i+1 < len(bounds); i++ {
-			var part LatencyHist
+			var part obs.Hist
 			for _, s := range samples[bounds[i]:bounds[i+1]] {
 				part.Add(s)
 			}
@@ -99,7 +104,7 @@ func TestLatencyHistMergeEqualsWholeStream(t *testing.T) {
 // TestLatencyHistMergeEmptyIdentity checks that merging an empty
 // histogram is a no-op in both directions.
 func TestLatencyHistMergeEmptyIdentity(t *testing.T) {
-	var h, empty LatencyHist
+	var h, empty obs.Hist
 	for _, v := range []uint64{3, 700, 12, 0, 1 << 40} {
 		h.Add(v)
 	}
@@ -108,7 +113,7 @@ func TestLatencyHistMergeEmptyIdentity(t *testing.T) {
 	if h != want {
 		t.Fatal("merging an empty histogram changed the receiver")
 	}
-	var acc LatencyHist
+	var acc obs.Hist
 	acc.Merge(&h)
 	if acc != want {
 		t.Fatal("merging into an empty histogram did not copy the source")

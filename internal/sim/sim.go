@@ -31,8 +31,8 @@ type Result struct {
 
 	// ReadLat and WriteLat are per-request latency histograms: reads
 	// measure issue-to-data-verified, writes issue-to-persist-accepted.
-	ReadLat  LatencyHist `json:"read_latency"`
-	WriteLat LatencyHist `json:"write_latency"`
+	ReadLat  obs.Hist `json:"read_latency"`
+	WriteLat obs.Hist `json:"write_latency"`
 }
 
 // Normalized returns this run's execution time relative to a baseline
