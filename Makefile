@@ -84,12 +84,16 @@ serve-smoke:
 
 # Headless dashboard + flight-recorder smoke: the embedded /dash page
 # serves with every section marker, /debug/dash.json stays parseable
-# and carries the recorder's events oldest first, and the serve plane
-# records the full request/crash/recover event life cycle. Pure `go test` — no
-# browser, no server process — so it is cheap enough for tier-1.
+# and carries the recorder's events oldest first, the serve plane
+# records the full request/crash/recover event life cycle, and every
+# histogram anubis-bench's cell observer and anubis-fuzz's campaign
+# record holds nanoseconds under a name ending in _ns (the page renders
+# each one as a duration). Pure `go test` — no browser, no server
+# process — so it is cheap enough for tier-1.
 dash-smoke:
 	$(GO) test -count=1 -run 'TestDash' ./internal/obs/
 	$(GO) test -count=1 -run 'TestFlightRecorder|TestServeWithoutRecorder' ./internal/serve/
+	$(GO) test -count=1 -run 'TestHistogramNamesEndInNS' ./cmd/anubis-bench/ ./cmd/anubis-fuzz/
 
 # Library-surface smoke: the examples and CLIs a user drives first,
 # each of which exits non-zero on failure — quickstart, the four

@@ -356,12 +356,7 @@ func (s *System) Flush() error { return s.ctrl.FlushCaches() }
 // from the device-level SetPushBudget crash-test hook, which truncates
 // commit drains to simulate mid-commit power loss.)
 func (s *System) PushBudget() int {
-	d := s.ctrl.Device()
-	free := d.Timing().WPQEntries - d.WPQOccupancy(s.ctrl.Now())
-	if free < 0 {
-		free = 0
-	}
-	return free
+	return nvm.WPQEntries - s.ctrl.Device().WPQOccupancy(s.ctrl.Now())
 }
 
 // WPQDrainNS reports how much virtual time must pass before the Write

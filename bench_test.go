@@ -18,7 +18,6 @@ import (
 	"anubis/internal/figures"
 	"anubis/internal/memctrl"
 	"anubis/internal/recmodel"
-	"anubis/internal/sim"
 	"anubis/internal/trace"
 )
 
@@ -121,11 +120,11 @@ func BenchmarkFig12MeasuredRecovery(b *testing.B) {
 	var agit, asit *memctrl.RecoveryReport
 	for i := 0; i < b.N; i++ {
 		var err error
-		agit, err = figures.MeasuredRecovery(memctrl.SchemeAGITPlus, sim.FamilyBonsai, rc)
+		agit, err = figures.MeasuredRecovery(memctrl.SchemeAGITPlus, memctrl.FamilyBonsai, rc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		asit, err = figures.MeasuredRecovery(memctrl.SchemeASIT, sim.FamilySGX, rc)
+		asit, err = figures.MeasuredRecovery(memctrl.SchemeASIT, memctrl.FamilySGX, rc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -273,8 +273,8 @@ func observeCells(tel *obs.Telemetry) func(sim.Result) {
 			r.Counter("anubis_cells_completed_total", 1)
 			r.Counter("anubis_requests_simulated_total", uint64(res.Requests))
 			r.MergeLedger("anubis_stall_ns_total", &res.Stats.Attribution)
+			r.Counter("anubis_nvm_writes_total", res.Stats.NVM.Writes)
 			r.Observe("anubis_cell_exec_ns", res.ExecNS)
-			r.Observe("anubis_cell_nvm_writes", res.Stats.NVM.Writes)
 		})
 	}
 }

@@ -52,6 +52,38 @@ func TestCellObserverFeedsTelemetry(t *testing.T) {
 	}
 }
 
+// TestHistogramNamesEndInNS: the /dash page renders every histogram as
+// a duration, so each one the cell observer records holds nanoseconds
+// under a name ending in _ns, and the per-cell write count is a counter.
+func TestHistogramNamesEndInNS(t *testing.T) {
+	tel := obs.NewTelemetry()
+	rc := tinyRun()
+	rc.OnCell = observeCells(tel)
+	if _, err := figures.Fig7(rc); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	tel.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/dash.json", nil))
+	var snap struct {
+		Counters map[string]uint64   `json:"counters"`
+		Hists    map[string]obs.Hist `json:"hists"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Hists) == 0 {
+		t.Fatal("the cell observer recorded no histogram")
+	}
+	for name := range snap.Hists {
+		if !strings.HasSuffix(name, "_ns") {
+			t.Errorf("histogram %q does not hold nanoseconds", name)
+		}
+	}
+	if snap.Counters["anubis_nvm_writes_total"] == 0 {
+		t.Errorf("counter anubis_nvm_writes_total missing from %v", snap.Counters)
+	}
+}
+
 // TestTraceEventsOutputValid runs a traced sweep and validates the
 // -trace-events artifact end to end: parseable as a JSON array of
 // Chrome trace events, with per-cell thread metadata, request slices

@@ -151,7 +151,7 @@ func (c *campaign) trial(s crashfuzz.Schedule, wall time.Duration, v *crashfuzz.
 	rec := func(r *obs.Registry) {
 		policy, model := crashfuzz.PolicyOf(s.Variant).String(), s.Model.String()
 		r.Counter(obs.Label("anubis_fuzz_trials_total", "policy", policy, "model", model), 1)
-		r.Observe("anubis_fuzz_trial_wall_us", uint64(wall.Microseconds()))
+		r.Observe("anubis_fuzz_trial_wall_ns", uint64(wall.Nanoseconds()))
 		if v != nil {
 			r.Counter(obs.Label("anubis_fuzz_violations_total",
 				"phase", string(v.Phase), "policy", policy, "model", model), 1)
@@ -166,14 +166,15 @@ func (c *campaign) trial(s crashfuzz.Schedule, wall time.Duration, v *crashfuzz.
 // summarize prints the -v campaign report: trial wall-time percentiles
 // and the per-class counters, in deterministic order.
 func (c *campaign) summarize(w *os.File) {
-	h := c.reg.Histogram("anubis_fuzz_trial_wall_us")
+	h := c.reg.Histogram("anubis_fuzz_trial_wall_ns")
 	if h == nil || h.Count == 0 {
 		return
 	}
+	us := func(ns uint64) uint64 { return ns / 1000 }
 	fmt.Fprintf(w, "\ncampaign summary (%d trials, %.2fs wall)\n", h.Count, time.Since(c.start).Seconds())
 	fmt.Fprintf(w, "  per-trial wall time: mean=%.0fµs p50=%dµs p90=%dµs p99=%dµs max=%dµs\n",
-		h.Mean(), h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Max)
-	fmt.Fprintf(w, "  distribution: %s\n", h.Summary(""))
+		h.Mean()/1000, us(h.Percentile(50)), us(h.Percentile(90)), us(h.Percentile(99)), us(h.Max))
+	fmt.Fprintf(w, "  distribution: %s\n", h.Summary("ns"))
 	snap := c.reg.Snapshot()
 	names := make([]string, 0, len(snap))
 	for name := range snap {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +31,34 @@ func TestCampaignPolicyLabels(t *testing.T) {
 		name := obs.Label("anubis_fuzz_trials_total", "policy", policy, "model", "full-adr")
 		if snap[name] != 1 {
 			t.Errorf("%s = %v, want 1 (counters: %v)", name, snap[name], snap)
+		}
+	}
+}
+
+// TestHistogramNamesEndInNS: the /dash page renders every histogram as
+// a duration, so each one a campaign records holds nanoseconds under a
+// name ending in _ns. The -v summary still prints microseconds.
+func TestHistogramNamesEndInNS(t *testing.T) {
+	c := newCampaign()
+	c.tel = obs.NewTelemetry()
+	c.trial(crashfuzz.Schedule{Variant: memctrl.Variants[0], Model: nvm.CrashFullADR}, 264*time.Microsecond, nil)
+	rec := httptest.NewRecorder()
+	c.tel.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/dash.json", nil))
+	var snap struct {
+		Hists map[string]obs.Hist `json:"hists"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Hists) == 0 {
+		t.Fatal("the campaign recorded no histogram")
+	}
+	for name, h := range snap.Hists {
+		if !strings.HasSuffix(name, "_ns") {
+			t.Errorf("histogram %q does not hold nanoseconds", name)
+		}
+		if h.Sum != 264000 {
+			t.Errorf("histogram %q sums %d for one 264 µs trial, want 264000", name, h.Sum)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func main() {
 	run := func(s memctrl.Scheme) sim.Result {
 		c := cfg
 		c.Scheme = s
-		ctrl, err := sim.NewController(family, c)
+		ctrl, err := memctrl.New(family, c)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anubis-sim:", err)
 			os.Exit(1)

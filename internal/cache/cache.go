@@ -50,7 +50,6 @@ type Victim struct {
 	Key   uint64
 	Data  [BlockBytes]byte
 	Dirty bool
-	Slot  int
 }
 
 // Stats accumulates cache events. Clean/dirty eviction counts feed the
@@ -246,7 +245,7 @@ func (c *Cache) Insert(key uint64, data [BlockBytes]byte) (*Line, *Victim) {
 	var victim *Victim
 	if target == nil {
 		vl := c.VictimFor(key) // cannot be nil: no invalid way found
-		c.victim = Victim{Key: vl.Key, Data: vl.Data, Dirty: vl.Dirty, Slot: vl.slot}
+		c.victim = Victim{Key: vl.Key, Data: vl.Data, Dirty: vl.Dirty}
 		victim = &c.victim
 		c.stats.Evictions++
 		if vl.Dirty {

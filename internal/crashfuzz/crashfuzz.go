@@ -303,19 +303,18 @@ type parentKey struct {
 // Runner.
 type Runner struct {
 	// NewController overrides controller construction (default:
-	// sim.NewController). Tests wrap controllers with deliberately
+	// memctrl.New). Tests wrap controllers with deliberately
 	// reintroduced bugs here to prove the oracle catches them.
-	NewController func(f sim.Family, cfg memctrl.Config) (memctrl.Controller, error)
+	NewController func(f memctrl.Family, cfg memctrl.Config) (memctrl.Controller, error)
 
 	arenas  *trace.ArenaCache
 	parents map[parentKey]*parent
 }
 
-// NewRunner returns a Runner that builds controllers with
-// sim.NewController.
+// NewRunner returns a Runner that builds controllers with memctrl.New.
 func NewRunner() *Runner {
 	return &Runner{
-		NewController: sim.NewController,
+		NewController: memctrl.New,
 		arenas:        trace.NewArenaCache(),
 		parents:       make(map[parentKey]*parent),
 	}

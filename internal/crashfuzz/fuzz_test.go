@@ -11,7 +11,6 @@ import (
 	"anubis/internal/memctrl"
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
-	"anubis/internal/sim"
 )
 
 func TestReplayTokenRoundTrip(t *testing.T) {
@@ -64,8 +63,8 @@ func TestTrialOutcomesPinned(t *testing.T) {
 	const want uint64 = 0xaee284581ec610f6 // FNV-1a 64 of the folded trial outcomes
 	d := &trialDigest{h: fnv.New64a()}
 	r := NewRunner()
-	r.NewController = func(f sim.Family, cfg memctrl.Config) (memctrl.Controller, error) {
-		c, err := sim.NewController(f, cfg)
+	r.NewController = func(f memctrl.Family, cfg memctrl.Config) (memctrl.Controller, error) {
+		c, err := memctrl.New(f, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -315,8 +314,8 @@ func TestRetiredEngineKeysReplay(t *testing.T) {
 		"v1 profile=mcf combo=bonsai/writeback model=torn-block warm=64 extra=9 mid=2 faults=1 tseed=99 cseed=9002",
 	}
 	broken := NewRunner()
-	broken.NewController = func(f sim.Family, cfg memctrl.Config) (memctrl.Controller, error) {
-		c, err := sim.NewController(f, cfg)
+	broken.NewController = func(f memctrl.Family, cfg memctrl.Config) (memctrl.Controller, error) {
+		c, err := memctrl.New(f, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -367,8 +366,8 @@ func (p *panickyRecover) Clone() memctrl.Controller {
 
 func TestFuzzerCatchesRecoveryPanicAndShrinks(t *testing.T) {
 	r := NewRunner()
-	r.NewController = func(f sim.Family, cfg memctrl.Config) (memctrl.Controller, error) {
-		c, err := sim.NewController(f, cfg)
+	r.NewController = func(f memctrl.Family, cfg memctrl.Config) (memctrl.Controller, error) {
+		c, err := memctrl.New(f, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -429,8 +428,8 @@ func (l *leakyBudget) Clone() memctrl.Controller {
 
 func TestFuzzerCatchesPushBudgetLeak(t *testing.T) {
 	r := NewRunner()
-	r.NewController = func(f sim.Family, cfg memctrl.Config) (memctrl.Controller, error) {
-		c, err := sim.NewController(f, cfg)
+	r.NewController = func(f memctrl.Family, cfg memctrl.Config) (memctrl.Controller, error) {
+		c, err := memctrl.New(f, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -31,23 +31,24 @@ type StopLossRow struct {
 
 // AblationStopLoss sweeps the Osiris stop-loss limit on a write-heavy
 // workload, exposing the run-time-cost vs recovery-trials trade-off.
-// Each stop-loss point is one independent cell (baseline + Osiris run +
-// reduced-scale crash/recovery) and the points run concurrently.
+// The write-back baseline runs once; then each stop-loss point (Osiris
+// run + reduced-scale crash/recovery) is one independent cell, and the
+// points run concurrently.
 func AblationStopLoss(rc RunConfig) ([]StopLossRow, error) {
 	if err := rc.check(); err != nil {
 		return nil, err
 	}
 	prof, _ := trace.ByName("libquantum")
+	_, base, err := rc.run(memctrl.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
+	if err != nil {
+		return nil, err
+	}
 	limits := []int{1, 2, 4, 8, 16}
 	return parallel.Map(rc.pool(), len(limits), func(i int) (StopLossRow, error) {
 		sl := limits[i]
-		_, base, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
-		if err != nil {
-			return StopLossRow{}, err
-		}
 		cfg := rc.config(memctrl.SchemeOsiris)
 		cfg.StopLoss = sl
-		_, res, err := rc.run(sim.FamilyBonsai, cfg, prof)
+		_, res, err := rc.run(memctrl.FamilyBonsai, cfg, prof)
 		if err != nil {
 			return StopLossRow{}, err
 		}
@@ -74,7 +75,7 @@ func AblationStopLoss(rc RunConfig) ([]StopLossRow, error) {
 func (rc RunConfig) miniRecovery(cfg memctrl.Config, prof trace.Profile) (*memctrl.RecoveryReport, error) {
 	rc.Requests = 3000
 	cfg.MemoryBytes = 16 << 20
-	return rc.recoverAfter(sim.FamilyBonsai, cfg, prof.Scaled(cfg.MemoryBytes/64))
+	return rc.recoverAfter(memctrl.FamilyBonsai, cfg, prof.Scaled(cfg.MemoryBytes/64))
 }
 
 // PrintAblationStopLoss renders the sweep.
@@ -107,7 +108,7 @@ func AblationRecoveryBackend(rc RunConfig) ([]BackendRow, error) {
 		return nil, err
 	}
 	prof, _ := trace.ByName("libquantum")
-	_, base, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
+	_, base, err := rc.run(memctrl.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func AblationRecoveryBackend(rc RunConfig) ([]BackendRow, error) {
 		backend := backends[i]
 		cfg := rc.config(memctrl.SchemeAGITPlus)
 		cfg.Recovery = backend
-		_, res, err := rc.run(sim.FamilyBonsai, cfg, prof)
+		_, res, err := rc.run(memctrl.FamilyBonsai, cfg, prof)
 		if err != nil {
 			return BackendRow{}, err
 		}
@@ -150,7 +151,7 @@ func PrintAblationRecoveryBackend(w io.Writer, rc RunConfig) error {
 // EnduranceRow is one scheme's write-endurance footprint.
 type EnduranceRow struct {
 	Scheme           memctrl.Scheme `json:"scheme"`
-	Family           sim.Family     `json:"family"`
+	Family           memctrl.Family `json:"family"`
 	WearLeveled      bool           `json:"wear_leveled"`
 	WritesPerRequest float64        `json:"writes_per_request"` // NVM writes per CPU write request
 	HottestWear      uint64         `json:"hottest_wear"`       // writes absorbed by the hottest block
@@ -168,17 +169,17 @@ func AblationEndurance(rc RunConfig) ([]EnduranceRow, error) {
 	prof, _ := trace.ByName("libquantum")
 	type entry struct {
 		s    memctrl.Scheme
-		f    sim.Family
+		f    memctrl.Family
 		wear int // Start-Gap period; 0 = no leveling
 	}
 	entries := []entry{
-		{memctrl.SchemeWriteBack, sim.FamilyBonsai, 0},
-		{memctrl.SchemeOsiris, sim.FamilyBonsai, 0},
-		{memctrl.SchemeAGITRead, sim.FamilyBonsai, 0},
-		{memctrl.SchemeAGITPlus, sim.FamilyBonsai, 0},
-		{memctrl.SchemeAGITPlus, sim.FamilyBonsai, 64},
-		{memctrl.SchemeStrict, sim.FamilyBonsai, 0},
-		{memctrl.SchemeASIT, sim.FamilySGX, 0},
+		{memctrl.SchemeWriteBack, memctrl.FamilyBonsai, 0},
+		{memctrl.SchemeOsiris, memctrl.FamilyBonsai, 0},
+		{memctrl.SchemeAGITRead, memctrl.FamilyBonsai, 0},
+		{memctrl.SchemeAGITPlus, memctrl.FamilyBonsai, 0},
+		{memctrl.SchemeAGITPlus, memctrl.FamilyBonsai, 64},
+		{memctrl.SchemeStrict, memctrl.FamilyBonsai, 0},
+		{memctrl.SchemeASIT, memctrl.FamilySGX, 0},
 	}
 	// Every entry's simulation is independent; only the lifetime factor
 	// references entry 0's wear, so the runs fan out and the factors are
@@ -258,7 +259,7 @@ func AblationTriad(rc RunConfig) ([]TriadRow, error) {
 		return nil, err
 	}
 	prof, _ := trace.ByName("libquantum")
-	_, base, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
+	_, base, err := rc.run(memctrl.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), prof)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +268,7 @@ func AblationTriad(rc RunConfig) ([]TriadRow, error) {
 		levels := allLevels[i]
 		cfg := rc.config(memctrl.SchemeTriad)
 		cfg.TriadLevels = levels
-		_, res, err := rc.run(sim.FamilyBonsai, cfg, prof)
+		_, res, err := rc.run(memctrl.FamilyBonsai, cfg, prof)
 		if err != nil {
 			return TriadRow{}, err
 		}

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"encoding/json"
 	"regexp"
 	"slices"
 	"strings"
@@ -130,32 +131,96 @@ func TestAblationPrinters(t *testing.T) {
 // recoveries included, run like figure cells, so each one reaches
 // OnCell and the event trace.
 func TestAblationCellsReachObservers(t *testing.T) {
+	requests, threads := tracedCells(t, func(rc RunConfig) error {
+		_, err := AblationRecoveryBackend(rc)
+		return err
+	})
+	// The write-back baseline and the two backends' runs at rc.Requests,
+	// then each backend's 3000-request crash-recovery cell.
+	if want := []int{800, 800, 800, 3000, 3000}; !slices.Equal(requests, want) {
+		t.Fatalf("OnCell saw cells of %v requests, want %v", requests, want)
+	}
+	if len(threads) != len(requests) {
+		t.Fatalf("trace names %d cells, want %d", len(threads), len(requests))
+	}
+}
+
+// tracedCells runs an ablation with an OnCell observer and a tracer, and
+// returns the request count of every cell it ran, sorted, and the name
+// of every trace thread.
+func tracedCells(t *testing.T, ablation func(RunConfig) error) (requests []int, threads []string) {
+	t.Helper()
 	rc := ablationRC()
 	rc.Requests = 800
 	rc.Parallel = 1
 	rc.Trace = obs.NewTracer(64)
 	var mu sync.Mutex
-	var cells []int
 	rc.OnCell = func(res sim.Result) {
 		mu.Lock()
-		cells = append(cells, res.Requests)
+		requests = append(requests, res.Requests)
 		mu.Unlock()
 	}
-	if _, err := AblationRecoveryBackend(rc); err != nil {
+	if err := ablation(rc); err != nil {
 		t.Fatal(err)
 	}
-	// The write-back baseline and the two backends' runs at rc.Requests,
-	// then each backend's 3000-request crash-recovery cell.
-	slices.Sort(cells)
-	if want := []int{800, 800, 800, 3000, 3000}; !slices.Equal(cells, want) {
-		t.Fatalf("OnCell saw cells of %v requests, want %v", cells, want)
-	}
-	var trace bytes.Buffer
-	if err := rc.Trace.WriteJSON(&trace); err != nil {
+	slices.Sort(requests)
+	var buf bytes.Buffer
+	if err := rc.Trace.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(trace.String(), `"thread_name"`); n != len(cells) {
-		t.Fatalf("trace names %d cells, want %d", n, len(cells))
+	var events []struct {
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Name == "thread_name" {
+			threads = append(threads, e.Args["name"].(string))
+		}
+	}
+	return requests, threads
+}
+
+// TestAblationStopLossRunsBaselineOnce: the stop-loss sweep simulates
+// its write-back baseline once, not once per limit, so it runs 11 cells
+// (the baseline, five Osiris runs and their five crash-recovery cells),
+// and each has a name of its own.
+func TestAblationStopLossRunsBaselineOnce(t *testing.T) {
+	requests, threads := tracedCells(t, func(rc RunConfig) error {
+		_, err := AblationStopLoss(rc)
+		return err
+	})
+	want := []int{800, 800, 800, 800, 800, 800, 3000, 3000, 3000, 3000, 3000}
+	if !slices.Equal(requests, want) {
+		t.Fatalf("OnCell saw cells of %v requests, want %v", requests, want)
+	}
+	slices.Sort(threads)
+	if distinct := slices.Compact(threads); len(distinct) != len(want) {
+		t.Fatalf("trace names %d distinct cells, want %d: %q", len(distinct), len(want), distinct)
+	}
+}
+
+// TestAblationCellNamesDistinct: cells that differ only by a knob get
+// distinct trace (and pprof) names — here the recovery backend and the
+// crash-recovery cells' memory size — while the default-configuration
+// baseline keeps the bare family/scheme/profile name.
+func TestAblationCellNamesDistinct(t *testing.T) {
+	_, threads := tracedCells(t, func(rc RunConfig) error {
+		_, err := AblationRecoveryBackend(rc)
+		return err
+	})
+	slices.Sort(threads)
+	want := []string{
+		"bonsai/agit-plus/libquantum",
+		"bonsai/agit-plus/libquantum mem=16MB",
+		"bonsai/agit-plus/libquantum recovery=phase",
+		"bonsai/agit-plus/libquantum recovery=phase mem=16MB",
+		"bonsai/writeback/libquantum",
+	}
+	if !slices.Equal(threads, want) {
+		t.Fatalf("trace thread names %q, want %q", threads, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"runtime/pprof"
 
 	"anubis/internal/memctrl"
+	"anubis/internal/nvm"
 	"anubis/internal/obs"
 	"anubis/internal/parallel"
 	"anubis/internal/recmodel"
@@ -158,12 +159,12 @@ func (rc RunConfig) source(p trace.Profile) trace.Source {
 // arenas are disabled), so cells are fully independent — the property
 // that lets the worker pool run them concurrently with bit-identical
 // results.
-func (rc RunConfig) run(f sim.Family, cfg memctrl.Config, p trace.Profile) (memctrl.Controller, sim.Result, error) {
-	ctrl, err := sim.NewController(f, cfg)
+func (rc RunConfig) run(f memctrl.Family, cfg memctrl.Config, p trace.Profile) (memctrl.Controller, sim.Result, error) {
+	ctrl, err := memctrl.New(f, cfg)
 	if err != nil {
 		return nil, sim.Result{}, err
 	}
-	cell := fmt.Sprintf("%s/%s/%s", f, cfg.Scheme, p.Name)
+	cell := rc.cellName(f, cfg, p)
 	var probe obs.Probe
 	if rc.Trace != nil {
 		probe = rc.Trace.Scope(cell)
@@ -187,9 +188,36 @@ func (rc RunConfig) run(f sim.Family, cfg memctrl.Config, p trace.Profile) (memc
 	return ctrl, res, err
 }
 
+// cellName names a cell for its trace scope and pprof labels:
+// family/scheme/profile, then each knob in which cfg differs from
+// Table 1's configuration at the sweep's memory size. Cells that differ
+// only by a knob (an ablation's points, Fig 13's cache sizes, the
+// 16 MiB crash-recovery cells) thus get names of their own, and a cell
+// with the default configuration keeps the bare name.
+func (rc RunConfig) cellName(f memctrl.Family, cfg memctrl.Config, p trace.Profile) string {
+	def := memctrl.DefaultConfig(cfg.Scheme)
+	def.MemoryBytes = rc.MemoryBytes
+	name := fmt.Sprintf("%s/%s/%s", f, cfg.Scheme, p.Name)
+	knob := func(differs bool, key string, v any) {
+		if differs {
+			name += fmt.Sprintf(" %s=%v", key, v)
+		}
+	}
+	cacheSize := func(blocks int) string { return memName(uint64(blocks) * memctrl.BlockBytes) }
+	knob(cfg.CounterCacheBlocks != def.CounterCacheBlocks, "counter-cache", cacheSize(cfg.CounterCacheBlocks))
+	knob(cfg.TreeCacheBlocks != def.TreeCacheBlocks, "tree-cache", cacheSize(cfg.TreeCacheBlocks))
+	knob(cfg.MetaCacheBlocks != def.MetaCacheBlocks, "meta-cache", cacheSize(cfg.MetaCacheBlocks))
+	knob(cfg.StopLoss != def.StopLoss, "stop-loss", cfg.StopLoss)
+	knob(cfg.Recovery != def.Recovery, "recovery", cfg.Recovery)
+	knob(cfg.WearPeriod != def.WearPeriod, "wear", cfg.WearPeriod)
+	knob(cfg.TriadLevels != def.TriadLevels, "triad-levels", cfg.TriadLevels)
+	knob(cfg.MemoryBytes != def.MemoryBytes, "mem", memName(cfg.MemoryBytes))
+	return name
+}
+
 // recoverAfter runs one cell (see run), then crashes its controller
 // and recovers it.
-func (rc RunConfig) recoverAfter(f sim.Family, cfg memctrl.Config, p trace.Profile) (*memctrl.RecoveryReport, error) {
+func (rc RunConfig) recoverAfter(f memctrl.Family, cfg memctrl.Config, p trace.Profile) (*memctrl.RecoveryReport, error) {
 	ctrl, _, err := rc.run(f, cfg, p)
 	if err != nil {
 		return nil, err
@@ -215,9 +243,9 @@ func Table1(w io.Writer) {
 	fmt.Fprintf(w, "  %-22s %s\n", "Engine", "trace-driven secure-NVM controller model (gem5 substitute)")
 	fmt.Fprintf(w, "  %-22s %d GB (geometry; sparse backing)\n", "Capacity", cfg.MemoryBytes>>30)
 	fmt.Fprintf(w, "  %-22s read %d ns, write %d ns, %d banks, %d write ports\n", "PCM latencies",
-		cfg.Timing.ReadNS, cfg.Timing.WriteNS, cfg.Timing.Banks, cfg.Timing.WritePorts)
+		nvm.ReadNS, nvm.WriteNS, nvm.Banks, nvm.WritePorts)
 	fmt.Fprintf(w, "  %-22s %d entries (ADR-protected), drain watermark %d\n", "WPQ",
-		cfg.Timing.WPQEntries, cfg.Timing.DrainWatermark)
+		nvm.WPQEntries, nvm.DrainWatermark)
 	fmt.Fprintf(w, "  %-22s %d KB, %d-way, 64 B blocks\n", "Counter cache",
 		cfg.CounterCacheBlocks*memctrl.BlockBytes/1024, cfg.CounterCacheWays)
 	fmt.Fprintf(w, "  %-22s %d KB, %d-way, 64 B blocks\n", "Merkle tree cache",
@@ -280,7 +308,7 @@ func Fig7(rc RunConfig) ([]Fig7Row, error) {
 		return nil, err
 	}
 	results, err := parallel.Map(rc.pool(), len(profiles), func(i int) (sim.Result, error) {
-		_, res, err := rc.run(sim.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), profiles[i])
+		_, res, err := rc.run(memctrl.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), profiles[i])
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("fig7 %s: %w", profiles[i].Name, err)
 		}
@@ -343,7 +371,7 @@ var Fig11Schemes = []memctrl.Scheme{
 // sequential loop produced them (profile-major, scheme-minor, baseline
 // first), so the output — including the floating-point accumulation of
 // the averages — is identical for any worker count.
-func perfFigure(rc RunConfig, f sim.Family, schemes []memctrl.Scheme) ([]PerfRow, map[memctrl.Scheme]float64, error) {
+func perfFigure(rc RunConfig, f memctrl.Family, schemes []memctrl.Scheme) ([]PerfRow, map[memctrl.Scheme]float64, error) {
 	profiles, err := rc.profiles()
 	if err != nil {
 		return nil, nil, err
@@ -378,12 +406,12 @@ func perfFigure(rc RunConfig, f sim.Family, schemes []memctrl.Scheme) ([]PerfRow
 
 // Fig10 runs the AGIT performance evaluation (general tree family).
 func Fig10(rc RunConfig) ([]PerfRow, map[memctrl.Scheme]float64, error) {
-	return perfFigure(rc, sim.FamilyBonsai, Fig10Schemes)
+	return perfFigure(rc, memctrl.FamilyBonsai, Fig10Schemes)
 }
 
 // Fig11 runs the ASIT performance evaluation (SGX tree family).
 func Fig11(rc RunConfig) ([]PerfRow, map[memctrl.Scheme]float64, error) {
-	return perfFigure(rc, sim.FamilySGX, Fig11Schemes)
+	return perfFigure(rc, memctrl.FamilySGX, Fig11Schemes)
 }
 
 // PrintPerf renders Figure 10 or 11.
@@ -446,7 +474,7 @@ func PrintFig12(w io.Writer) {
 // MeasuredRecovery executes a real crash+recovery at the given scale and
 // returns the recovery report — validating the analytic op counts with
 // the actual implementation.
-func MeasuredRecovery(scheme memctrl.Scheme, family sim.Family, rc RunConfig) (*memctrl.RecoveryReport, error) {
+func MeasuredRecovery(scheme memctrl.Scheme, family memctrl.Family, rc RunConfig) (*memctrl.RecoveryReport, error) {
 	profiles, err := rc.profiles()
 	if err != nil {
 		return nil, err
@@ -478,19 +506,19 @@ var Fig13Schemes = []memctrl.Scheme{
 func Fig13(rc RunConfig) ([]Fig13Row, error) {
 	sizes := []uint64{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20}
 	type cell struct {
-		fam    sim.Family
+		fam    memctrl.Family
 		scheme memctrl.Scheme
 	}
 	// Per (size, profile): the two write-back baselines first, then the
 	// plotted schemes in Fig13Schemes order.
 	cells := []cell{
-		{sim.FamilyBonsai, memctrl.SchemeWriteBack},
-		{sim.FamilySGX, memctrl.SchemeWriteBack},
+		{memctrl.FamilyBonsai, memctrl.SchemeWriteBack},
+		{memctrl.FamilySGX, memctrl.SchemeWriteBack},
 	}
 	for _, s := range Fig13Schemes {
-		fam := sim.FamilyBonsai
+		fam := memctrl.FamilyBonsai
 		if s == memctrl.SchemeASIT {
-			fam = sim.FamilySGX
+			fam = memctrl.FamilySGX
 		}
 		cells = append(cells, cell{fam, s})
 	}

@@ -9,7 +9,6 @@ import (
 
 	"anubis/internal/memctrl"
 	"anubis/internal/recmodel"
-	"anubis/internal/sim"
 )
 
 func TestFig5Shape(t *testing.T) {
@@ -112,11 +111,11 @@ func TestMeasuredRecoveryAGITBelowOsiris(t *testing.T) {
 	rc := QuickRunConfig()
 	rc.MemoryBytes = 16 << 20
 	rc.Requests = 3000
-	agit, err := MeasuredRecovery(memctrl.SchemeAGITPlus, sim.FamilyBonsai, rc)
+	agit, err := MeasuredRecovery(memctrl.SchemeAGITPlus, memctrl.FamilyBonsai, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	osiris, err := MeasuredRecovery(memctrl.SchemeOsiris, sim.FamilyBonsai, rc)
+	osiris, err := MeasuredRecovery(memctrl.SchemeOsiris, memctrl.FamilyBonsai, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestMeasuredRecoveryASIT(t *testing.T) {
 	rc := QuickRunConfig()
 	rc.MemoryBytes = 16 << 20
 	rc.Requests = 3000
-	rep, err := MeasuredRecovery(memctrl.SchemeASIT, sim.FamilySGX, rc)
+	rep, err := MeasuredRecovery(memctrl.SchemeASIT, memctrl.FamilySGX, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +261,11 @@ func TestSweepsRejectBadInput(t *testing.T) {
 		{"Fig11", true, func(rc RunConfig) error { _, _, err := Fig11(rc); return err }},
 		{"Fig13", true, func(rc RunConfig) error { _, err := Fig13(rc); return err }},
 		{"RecoverySweep", true, func(rc RunConfig) error {
-			_, err := RecoverySweep(RecoverySweepConfig{Run: rc, Scheme: memctrl.SchemeAGITPlus, Family: sim.FamilyBonsai})
+			_, err := RecoverySweep(RecoverySweepConfig{Run: rc, Scheme: memctrl.SchemeAGITPlus, Family: memctrl.FamilyBonsai})
 			return err
 		}},
 		{"MeasuredRecovery", true, func(rc RunConfig) error {
-			_, err := MeasuredRecovery(memctrl.SchemeASIT, sim.FamilySGX, rc)
+			_, err := MeasuredRecovery(memctrl.SchemeASIT, memctrl.FamilySGX, rc)
 			return err
 		}},
 		{"AblationStopLoss", false, func(rc RunConfig) error { _, err := AblationStopLoss(rc); return err }},

@@ -117,11 +117,11 @@ func seed99Table(t *testing.T) goldenTable {
 	rec.Requests = 20000
 	for _, sc := range []struct {
 		scheme memctrl.Scheme
-		family sim.Family
+		family memctrl.Family
 	}{
-		{memctrl.SchemeAGITPlus, sim.FamilyBonsai},
-		{memctrl.SchemeASIT, sim.FamilySGX},
-		{memctrl.SchemeOsiris, sim.FamilyBonsai},
+		{memctrl.SchemeAGITPlus, memctrl.FamilyBonsai},
+		{memctrl.SchemeASIT, memctrl.FamilySGX},
+		{memctrl.SchemeOsiris, memctrl.FamilyBonsai},
 	} {
 		res, err := RecoverySweep(RecoverySweepConfig{
 			Run: rec, Scheme: sc.scheme, Family: sc.family, App: "libquantum",

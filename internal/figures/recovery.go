@@ -36,7 +36,7 @@ type RecoverySweepConfig struct {
 	Run RunConfig
 	// Scheme/Family select the controller under test.
 	Scheme memctrl.Scheme
-	Family sim.Family
+	Family memctrl.Family
 	// App names the workload profile (default: first of Run's set).
 	App string
 	// Warm is the fill-phase length in requests: the state every trial
@@ -189,7 +189,7 @@ func (c *RecoverySweepConfig) result(trials []RecoveryTrial) *RecoverySweepResul
 // the shared frozen pages and copy-on-write into their own
 // directories, so a batch's trials are independent.
 func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Config) ([]RecoveryTrial, error) {
-	warm, err := sim.NewController(c.Family, cfg)
+	warm, err := memctrl.New(c.Family, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -245,10 +245,10 @@ func PrintRecoverySweep(w io.Writer, rc RunConfig, trials int) error {
 		"scheme", "app", "trials", "min", "mean", "p95", "max", "dominant phase")
 	for _, sc := range []struct {
 		scheme memctrl.Scheme
-		family sim.Family
+		family memctrl.Family
 	}{
-		{memctrl.SchemeAGITPlus, sim.FamilyBonsai},
-		{memctrl.SchemeASIT, sim.FamilySGX},
+		{memctrl.SchemeAGITPlus, memctrl.FamilyBonsai},
+		{memctrl.SchemeASIT, memctrl.FamilySGX},
 	} {
 		res, err := RecoverySweep(RecoverySweepConfig{
 			Run: rc, Scheme: sc.scheme, Family: sc.family, Trials: trials,

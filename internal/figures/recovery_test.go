@@ -15,7 +15,7 @@ import (
 // sweepQuick is a small but non-trivial sweep configuration: enough
 // warm-up to dirty the caches and shadow tables, several crash points,
 // and a parallel pool so the fork path's concurrency is exercised.
-func sweepQuick(scheme memctrl.Scheme, family sim.Family) RecoverySweepConfig {
+func sweepQuick(scheme memctrl.Scheme, family memctrl.Family) RecoverySweepConfig {
 	rc := QuickRunConfig()
 	rc.MemoryBytes = 32 << 20
 	rc.Requests = 2500
@@ -42,7 +42,7 @@ func coldSweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 	cfg := c.Run.config(c.Scheme)
 	trials, err := parallel.Map(c.Run.pool(), c.Trials, func(t int) (RecoveryTrial, error) {
 		extra := (t + 1) * c.ExtraPerTrial
-		ctrl, err := sim.NewController(c.Family, cfg)
+		ctrl, err := memctrl.New(c.Family, cfg)
 		if err != nil {
 			return RecoveryTrial{}, err
 		}
@@ -75,13 +75,13 @@ func TestRecoverySweepForkEqualsCold(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
 		scheme memctrl.Scheme
-		family sim.Family
+		family memctrl.Family
 	}{
-		{"agit-plus", memctrl.SchemeAGITPlus, sim.FamilyBonsai},
-		{"asit", memctrl.SchemeASIT, sim.FamilySGX},
-		{"osiris", memctrl.SchemeOsiris, sim.FamilyBonsai},
-		{"agit-read", memctrl.SchemeAGITRead, sim.FamilyBonsai},
-		{"strict", memctrl.SchemeStrict, sim.FamilyBonsai},
+		{"agit-plus", memctrl.SchemeAGITPlus, memctrl.FamilyBonsai},
+		{"asit", memctrl.SchemeASIT, memctrl.FamilySGX},
+		{"osiris", memctrl.SchemeOsiris, memctrl.FamilyBonsai},
+		{"agit-read", memctrl.SchemeAGITRead, memctrl.FamilyBonsai},
+		{"strict", memctrl.SchemeStrict, memctrl.FamilyBonsai},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, epoch := range []int{0, 16} {
@@ -156,13 +156,13 @@ func TestRecoveryPercentileNearestRank(t *testing.T) {
 // TestRecoverySweepDeterministicAcrossWorkers pins the sweep output to
 // the worker count: 1 worker (sequential) and many workers must agree.
 func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
-	base := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai)
+	base := sweepQuick(memctrl.SchemeAGITPlus, memctrl.FamilyBonsai)
 	base.Run.Parallel = 1
 	seq, err := RecoverySweep(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := sweepQuick(memctrl.SchemeAGITPlus, sim.FamilyBonsai)
+	par := sweepQuick(memctrl.SchemeAGITPlus, memctrl.FamilyBonsai)
 	par.Run.Parallel = 8
 	got, err := RecoverySweep(par)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestRecoverySweepDeterministicAcrossWorkers(t *testing.T) {
 // growing crash windows, recovery times are positive, and the
 // percentile/mean helpers stay within [min, max].
 func TestRecoverySweepShape(t *testing.T) {
-	res, err := RecoverySweep(sweepQuick(memctrl.SchemeASIT, sim.FamilySGX))
+	res, err := RecoverySweep(sweepQuick(memctrl.SchemeASIT, memctrl.FamilySGX))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func benchSweep(b *testing.B, cold bool) {
 		_, err := sweep(RecoverySweepConfig{
 			Run:           rc,
 			Scheme:        memctrl.SchemeAGITPlus,
-			Family:        sim.FamilyBonsai,
+			Family:        memctrl.FamilyBonsai,
 			App:           "libquantum",
 			Trials:        20,
 			ExtraPerTrial: 40,

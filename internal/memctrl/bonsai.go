@@ -59,7 +59,7 @@ type Bonsai struct {
 // The epoch pipeline is armed only for the schemes defersTreeUpdates
 // names; the others ignore cfg.EpochRequests.
 func NewBonsai(cfg Config) (*Bonsai, error) {
-	b, err := buildBonsai(cfg, nvm.NewDevice(cfg.Timing))
+	b, err := buildBonsai(cfg, nvm.NewDevice())
 	if err != nil {
 		return nil, err
 	}

@@ -112,20 +112,18 @@ func (b *Bonsai) closeEpoch() error {
 	// (nvm.Device.EarliestBankFree per bank; deterministic, ties broken
 	// by bank then node index).
 	if treeWrites := b.pending; len(treeWrites) > 1 {
-		banks := b.dev.Timing().Banks
-		free := make([]uint64, banks)
-		order := make([]int, banks)
-		for i := 0; i < banks; i++ {
+		var free [nvm.Banks]uint64
+		var order, rank [nvm.Banks]int
+		for i := range free {
 			free[i] = b.dev.EarliestBankFree(i)
 			order[i] = i
 		}
-		sort.SliceStable(order, func(i, j int) bool {
+		sort.SliceStable(order[:], func(i, j int) bool {
 			if free[order[i]] != free[order[j]] {
 				return free[order[i]] < free[order[j]]
 			}
 			return order[i] < order[j]
 		})
-		rank := make([]int, banks)
 		for r, bank := range order {
 			rank[bank] = r
 		}

@@ -600,7 +600,7 @@ func TestBonsaiRejectsASITScheme(t *testing.T) {
 	if _, err := NewBonsai(cfg); err == nil {
 		t.Fatal("Bonsai accepted the ASIT scheme")
 	}
-	if _, err := OpenBonsai(cfg, nvm.NewDevice(cfg.Timing)); err == nil {
+	if _, err := OpenBonsai(cfg, nvm.NewDevice()); err == nil {
 		t.Fatal("OpenBonsai accepted the ASIT scheme")
 	}
 }
@@ -616,7 +616,7 @@ func TestConstructorsAcceptExactlyTheTable(t *testing.T) {
 			if _, err := New(f, cfg); (err == nil) != want {
 				t.Errorf("New(%v, %v): err = %v, want accepted = %v", f, s, err, want)
 			}
-			if _, err := Open(f, cfg, nvm.NewDevice(cfg.Timing)); (err == nil) != want {
+			if _, err := Open(f, cfg, nvm.NewDevice()); (err == nil) != want {
 				t.Errorf("Open(%v, %v): err = %v, want accepted = %v", f, s, err, want)
 			}
 		}

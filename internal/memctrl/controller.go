@@ -301,9 +301,6 @@ type Config struct {
 	// is nothing to coalesce (DESIGN.md §12).
 	EpochRequests int
 
-	// Timing parameterizes the NVM device.
-	Timing nvm.Timing
-
 	Scheme Scheme
 }
 
@@ -320,7 +317,6 @@ func DefaultConfig(s Scheme) Config {
 		MetaCacheBlocks:    512 * 1024 / BlockBytes,
 		MetaCacheWays:      8,
 		StopLoss:           4,
-		Timing:             nvm.DefaultTiming(),
 		Scheme:             s,
 	}
 }

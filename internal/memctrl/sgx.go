@@ -63,7 +63,7 @@ type SGX struct {
 // NewSGX constructs an SGX-family controller over a fresh, zeroed
 // device for cfg.Scheme, which must be a FamilySGX row of Variants.
 func NewSGX(cfg Config) (*SGX, error) {
-	c, err := buildSGX(cfg, nvm.NewDevice(cfg.Timing))
+	c, err := buildSGX(cfg, nvm.NewDevice())
 	if err != nil {
 		return nil, err
 	}
@@ -612,7 +612,7 @@ func (c *SGX) FlushCaches() error {
 			if !ok || !l.Dirty {
 				continue
 			}
-			v := &cache.Victim{Key: key, Data: l.Data, Dirty: true, Slot: l.Slot()}
+			v := &cache.Victim{Key: key, Data: l.Data, Dirty: true}
 			l.Dirty, l.Unpersisted = false, 0
 			err := c.writeBackVictim(v)
 			if err == nil {

@@ -486,7 +486,7 @@ func TestSGXRejectsAGITScheme(t *testing.T) {
 	if _, err := NewSGX(cfg); err == nil {
 		t.Fatal("SGX controller accepted an AGIT scheme")
 	}
-	if _, err := OpenSGX(cfg, nvm.NewDevice(cfg.Timing)); err == nil {
+	if _, err := OpenSGX(cfg, nvm.NewDevice()); err == nil {
 		t.Fatal("OpenSGX accepted an AGIT scheme")
 	}
 }

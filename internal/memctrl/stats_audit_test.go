@@ -133,19 +133,28 @@ func statScenarios() []statScenario {
 			},
 		},
 		{
-			// A 2-entry WPQ makes nearly every commit-group entry stall
-			// on a full queue, so back-pressure lands on shadow-region
-			// entries too: the ASIT/AGIT-specific stall component the
-			// paper's overhead argument is about.
+			// Shadow-region entries stall on a full WPQ: the ASIT/AGIT-
+			// specific stall component the paper's overhead argument is
+			// about. Every fill read first waits for the queue to drain
+			// below the watermark, so the shadow pushes must follow a
+			// full queue with no fill in between: a read caches a far
+			// page's counter and tree lines clean, an overflow of page 0
+			// re-encrypts all 64 of its blocks into the WPQ, and the far
+			// page's next write dirties both cached lines at once.
 			name: "agit-tiny-wpq",
-			mk: mk(func() (Controller, error) {
-				cfg := TestConfig(SchemeAGITPlus)
-				cfg.Timing.WPQEntries = 2
-				cfg.Timing.DrainWatermark = 1
-				return NewBonsai(cfg)
-			}),
+			mk:   mk(func() (Controller, error) { return NewBonsai(TestConfig(SchemeAGITPlus)) }),
 			run: func(t *testing.T, ctrl Controller) {
-				burst(t, ctrl, 64, 64)
+				far := ctrl.NumBlocks() / 2
+				if _, err := ctrl.ReadBlock(far); err != nil {
+					t.Fatal(err)
+				}
+				burst(t, ctrl, 64, 1)
+				for ctrl.Stats().PageOverflows == 0 {
+					burst(t, ctrl, 1, 0)
+				}
+				if err := ctrl.WriteBlock(far, [BlockBytes]byte{}); err != nil {
+					t.Fatal(err)
+				}
 			},
 		},
 		{

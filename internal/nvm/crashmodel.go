@@ -220,11 +220,9 @@ func (d *Device) CrashWith(model CrashModel, rng *rand.Rand) {
 	if !d.doneBit {
 		d.staged = d.staged[:0]
 	}
-	for i := range d.bankFree {
-		d.bankFree[i] = 0
-	}
-	d.ports.reset()
-	d.wpq.reset()
+	d.bankFree = [Banks]uint64{}
+	d.ports = [WritePorts]uint64{}
+	d.wpq = wpqRing{}
 	// A budgeted power-loss trial must not leak its throttle into the
 	// recovered run: commit groups after the crash drain in full.
 	d.pushBudget = -1

@@ -247,7 +247,7 @@ func TestInflightPruneOnDrain(t *testing.T) {
 		t.Fatalf("inflight = %d, want 1", d.InflightLen())
 	}
 	// A push far in the future prunes the (long-drained) first entry.
-	late := 100 * d.Timing().WriteNS
+	late := uint64(100 * WriteNS)
 	d.Push(PendingWrite{Region: RegionData, Index: 1, Block: blk(2)}, late)
 	if d.InflightLen() != 1 {
 		t.Fatalf("drained entry not pruned: inflight = %d, want 1", d.InflightLen())

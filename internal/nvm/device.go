@@ -15,9 +15,9 @@
 //     secure processor keeps on chip (Merkle root, SGX root nonces,
 //     SHADOW_TREE_ROOT).
 //
-// Storage is a paged sparse store (see paged.go) and WPQ/write-port
-// occupancy is a sorted ring plus an earliest-free port heap (see
-// sched.go), so the simulation hot path — ReadAt and Push — performs
+// Storage is a paged sparse store (see paged.go), WPQ occupancy is a
+// sorted ring (see sched.go) and the bank and write-port clocks are
+// fixed arrays, so the simulation hot path — ReadAt and Push — performs
 // no map operations and no allocations.
 //
 // Crash semantics: everything written through the WPQ, the persistent
@@ -111,28 +111,25 @@ type Sideband struct {
 	Phase uint8
 }
 
-// Timing parameterizes the device's latency model.
-type Timing struct {
-	ReadNS     uint64 // media read latency
-	WriteNS    uint64 // media write latency
-	Banks      int    // independently schedulable banks (reads)
-	WPQEntries int    // write pending queue capacity
+// The device's latency model: Table 1 of the paper (60 ns reads, 150 ns
+// writes) plus typical controller parameters (bank-level parallelism,
+// tens of WPQ entries). Every figure, tool and tenant simulates this one
+// device, so the values are constants.
+const (
+	ReadNS     = 60  // media read latency
+	WriteNS    = 150 // media write latency
+	Banks      = 4   // independently schedulable banks (reads)
+	WPQEntries = 32  // write pending queue capacity
 	// WritePorts is the number of concurrent PCM write drains the power
-	// budget allows (write traffic beyond ports*1/WriteNS queues up).
-	WritePorts int
+	// budget allows (write traffic beyond WritePorts/WriteNS queues up).
+	WritePorts = 2
 	// DrainWatermark is the outstanding-write count above which the
 	// controller enters write-drain mode and arriving reads wait for the
 	// queue to fall back below the watermark — the standard high-
 	// watermark policy of DDR memory controllers. This is what couples
 	// metadata write amplification to read latency.
-	DrainWatermark int
-}
-
-// DefaultTiming matches Table 1 of the paper plus typical controller
-// parameters (bank-level parallelism, tens of WPQ entries).
-func DefaultTiming() Timing {
-	return Timing{ReadNS: 60, WriteNS: 150, Banks: 4, WritePorts: 2, WPQEntries: 32, DrainWatermark: 16}
-}
+	DrainWatermark = 16
+)
 
 // Stats accumulates device activity.
 type Stats struct {
@@ -167,13 +164,11 @@ type PendingWrite struct {
 // Device is the NVM DIMM plus WPQ plus persistent registers. It is not
 // safe for concurrent use.
 type Device struct {
-	timing Timing
-
 	store [numRegions]pagedStore
 
-	bankFree []uint64 // per-bank next-free time for reads (ns)
-	ports    portHeap // per-write-port next-free times (PCM writes are drain-limited)
-	wpq      wpqRing  // completion times of writes still occupying the WPQ
+	bankFree [Banks]uint64      // per-bank next-free time for reads (ns)
+	ports    [WritePorts]uint64 // per-write-port next-free times (PCM writes are drain-limited)
+	wpq      wpqRing            // completion times of writes still occupying the WPQ
 
 	stats Stats
 	// att decomposes every nanosecond of caller-visible latency the
@@ -207,19 +202,9 @@ type Device struct {
 	journalIdx map[uint64]int
 }
 
-// NewDevice creates an empty device with the given timing.
-func NewDevice(t Timing) *Device {
-	if t.Banks <= 0 || t.WPQEntries <= 0 {
-		panic("nvm: timing needs at least one bank and one WPQ entry")
-	}
-	if t.WritePorts <= 0 {
-		t.WritePorts = 1
-	}
+// NewDevice creates an empty device.
+func NewDevice() *Device {
 	return &Device{
-		timing:     t,
-		bankFree:   make([]uint64, t.Banks),
-		ports:      newPortHeap(t.WritePorts),
-		wpq:        newWPQRing(t.WPQEntries),
 		regs:       make(map[string][BlockBytes]byte),
 		pushBudget: -1,
 	}
@@ -234,9 +219,6 @@ func NewDevice(t Timing) *Device {
 func (d *Device) Reserve(r Region, blocks uint64) {
 	d.store[r].reserve((blocks + pageMask) >> pageShift)
 }
-
-// Timing returns the device's timing parameters.
-func (d *Device) Timing() Timing { return d.timing }
 
 // Stats returns a snapshot of accumulated statistics.
 func (d *Device) Stats() Stats { return d.stats }
@@ -257,7 +239,7 @@ func (d *Device) Attr() *obs.Ledger { return &d.att }
 
 func (d *Device) bankOf(r Region, idx uint64) int {
 	h := (idx ^ uint64(r)<<40) * 0x9e3779b97f4a7c15
-	return int(h>>32) % d.timing.Banks
+	return int((h >> 32) % Banks)
 }
 
 // BankOf exposes the bank mapping of a block, so an epoch scheduler can
@@ -269,7 +251,19 @@ func (d *Device) BankOf(r Region, idx uint64) int { return d.bankOf(r, idx) }
 // write port's free times. Nothing is mutated, so the epoch scheduler
 // can place a coalesced drain window without committing to it.
 func (d *Device) EarliestBankFree(bank int) uint64 {
-	return max(d.bankFree[bank], d.ports.minFree())
+	return max(d.bankFree[bank], d.ports[d.earliestPort()])
+}
+
+// earliestPort returns the write port that frees up first, the lowest
+// index among ties: the port the next drain occupies.
+func (d *Device) earliestPort() int {
+	p := 0
+	for i := 1; i < WritePorts; i++ {
+		if d.ports[i] < d.ports[p] {
+			p = i
+		}
+	}
+	return p
 }
 
 // readClock advances the device's read-side clocks for a request
@@ -281,19 +275,17 @@ func (d *Device) EarliestBankFree(bank int) uint64 {
 // form and charge only the visible residual themselves.
 func (d *Device) readClock(r Region, idx uint64, now uint64, attr bool) uint64 {
 	start := now
-	if wm := d.timing.DrainWatermark; wm > 0 {
-		d.wpq.prune(now)
-		if excess := d.wpq.size - wm; excess >= 0 {
-			// Wait for the (excess+1)-th earliest completion, after which
-			// the queue is back below the watermark.
-			t := d.wpq.kth(excess)
-			if t > start {
-				d.stats.DrainStallNS += t - start
-				if attr {
-					d.att[obs.CompDrainStall] += t - start
-				}
-				start = t
+	d.wpq.prune(now)
+	if excess := d.wpq.size - DrainWatermark; excess >= 0 {
+		// Wait for the (excess+1)-th earliest completion, after which the
+		// queue is back below the watermark.
+		t := d.wpq.kth(excess)
+		if t > start {
+			d.stats.DrainStallNS += t - start
+			if attr {
+				d.att[obs.CompDrainStall] += t - start
 			}
+			start = t
 		}
 	}
 	b := d.bankOf(r, idx)
@@ -303,9 +295,9 @@ func (d *Device) readClock(r Region, idx uint64, now uint64, attr bool) uint64 {
 		}
 		start = d.bankFree[b]
 	}
-	done := start + d.timing.ReadNS
+	done := start + ReadNS
 	if attr {
-		d.att[readComp[r]] += d.timing.ReadNS
+		d.att[readComp[r]] += ReadNS
 	}
 	d.bankFree[b] = done
 	return done
@@ -425,7 +417,7 @@ func (d *Device) Push(w PendingWrite, now uint64) uint64 {
 		return now
 	}
 	d.wpq.prune(now)
-	for d.wpq.size >= d.timing.WPQEntries {
+	for d.wpq.size >= WPQEntries {
 		// Stall until the earliest queued write completes.
 		earliest := d.wpq.min()
 		d.stats.WPQStallNS += earliest - now
@@ -438,11 +430,8 @@ func (d *Device) Push(w PendingWrite, now uint64) uint64 {
 	// persistence's write amplification so expensive. The caller does
 	// not wait for the drain — only for a free WPQ slot above.
 	// The drain occupies the earliest-free write port.
-	start := now
-	if f := d.ports.minFree(); f > start {
-		start = f
-	}
-	done := start + d.timing.WriteNS
+	port := d.earliestPort()
+	done := max(now, d.ports[port]) + WriteNS
 	if d.trackInflight {
 		// Relaxed crash models: snapshot the media state this write
 		// replaces, tagged with its drain completion time (see
@@ -450,7 +439,7 @@ func (d *Device) Push(w PendingWrite, now uint64) uint64 {
 		d.recordInflight(&w, now, done)
 	}
 	d.apply(&w)
-	d.ports.occupyMin(done)
+	d.ports[port] = done
 	// The drain also occupies the target bank: reads to it wait out the
 	// write, which is how metadata write amplification inflates read
 	// latency even below saturation.
@@ -706,9 +695,10 @@ func (d *Device) GetReg64(name string) (uint64, bool) {
 // --- snapshot / fork --------------------------------------------------------
 
 // Fork snapshots the device and returns an independent child sharing
-// the frozen stored image copy-on-write. Everything else — timing
-// clocks, bank/port/WPQ occupancy, stats, the staged commit group,
-// DONE_BIT, and the persistent register file — is value-cloned, so the
+// the frozen stored image copy-on-write. Everything else — the bank,
+// port and WPQ clocks (fixed arrays, copied with the struct), stats, the
+// staged commit group, DONE_BIT, and the persistent register file — is
+// value-cloned, so the
 // child behaves byte-for-byte like a device that lived through the
 // parent's entire history. The eager cost is each region's top-level
 // page directory, one pointer per 2 MiB of reserved region; chunks and
@@ -716,10 +706,9 @@ func (d *Device) GetReg64(name string) (uint64, bool) {
 // child may both be forked again, any number of times.
 func (d *Device) Fork() *Device {
 	n := &Device{
-		timing:        d.timing,
-		bankFree:      append([]uint64(nil), d.bankFree...),
-		ports:         d.ports.clone(),
-		wpq:           d.wpq.clone(),
+		bankFree:      d.bankFree,
+		ports:         d.ports,
+		wpq:           d.wpq,
 		stats:         d.stats,
 		att:           d.att,
 		staged:        append([]PendingWrite(nil), d.staged...),

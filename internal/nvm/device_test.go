@@ -16,7 +16,7 @@ func blk(b byte) (d [BlockBytes]byte) {
 	return d
 }
 
-func newDev() *Device { return NewDevice(DefaultTiming()) }
+func newDev() *Device { return NewDevice() }
 
 // sideband returns the sideband ReadData reports for a data block.
 func sideband(d *Device, idx uint64) Sideband {
@@ -66,13 +66,13 @@ func TestSidebandOutsideDataPanics(t *testing.T) {
 func TestReadTiming(t *testing.T) {
 	d := newDev()
 	_, done := d.ReadAt(RegionData, 5, 100)
-	if done != 100+d.Timing().ReadNS {
-		t.Fatalf("done = %d, want %d", done, 100+d.Timing().ReadNS)
+	if done != 100+ReadNS {
+		t.Fatalf("done = %d, want %d", done, 100+ReadNS)
 	}
 	// Back-to-back reads of the same bank serialize.
 	_, done2 := d.ReadAt(RegionData, 5, 100)
-	if done2 != done+d.Timing().ReadNS {
-		t.Fatalf("second read done = %d, want %d", done2, done+d.Timing().ReadNS)
+	if done2 != done+ReadNS {
+		t.Fatalf("second read done = %d, want %d", done2, done+ReadNS)
 	}
 }
 
@@ -99,36 +99,34 @@ func TestBankParallelism(t *testing.T) {
 }
 
 func TestWPQBackPressure(t *testing.T) {
-	tm := DefaultTiming()
-	tm.WPQEntries = 2
-	tm.Banks = 1
-	d := NewDevice(tm)
+	d := newDev()
 	now := uint64(0)
-	// With one bank, write k completes at (k+1)*WriteNS. Queue holds 2.
-	now = d.Push(PendingWrite{Region: RegionData, Index: 0, Block: blk(0)}, now)
-	now = d.Push(PendingWrite{Region: RegionData, Index: 1, Block: blk(1)}, now)
+	// The queue holds WPQEntries writes; the first drains complete at
+	// WriteNS.
+	for i := uint64(0); i < WPQEntries; i++ {
+		now = d.Push(PendingWrite{Region: RegionData, Index: i, Block: blk(byte(i))}, now)
+	}
 	if now != 0 {
-		t.Fatalf("first two pushes stalled: now=%d", now)
+		t.Fatalf("first %d pushes stalled: now=%d", WPQEntries, now)
 	}
-	now = d.Push(PendingWrite{Region: RegionData, Index: 2, Block: blk(2)}, now)
-	if now == 0 {
-		t.Fatal("third push should stall on a full WPQ")
+	now = d.Push(PendingWrite{Region: RegionData, Index: WPQEntries}, now)
+	if now != WriteNS {
+		t.Fatalf("push on a full WPQ resumed at %d, want %d (the earliest drain)", now, WriteNS)
 	}
-	if d.Stats().WPQStallNS == 0 {
-		t.Fatal("stall time not accounted")
+	if d.Stats().WPQStallNS != WriteNS {
+		t.Fatalf("stall time = %d, want %d", d.Stats().WPQStallNS, WriteNS)
 	}
 }
 
 func TestWPQDrainFreesSlots(t *testing.T) {
-	tm := DefaultTiming()
-	tm.WPQEntries = 2
-	tm.Banks = 1
-	d := NewDevice(tm)
-	d.Push(PendingWrite{Region: RegionData, Index: 0}, 0)
-	d.Push(PendingWrite{Region: RegionData, Index: 1}, 0)
-	// At a late enough time both writes have drained: no stall.
-	late := uint64(10 * tm.WriteNS)
-	got := d.Push(PendingWrite{Region: RegionData, Index: 2}, late)
+	d := newDev()
+	for i := uint64(0); i < WPQEntries; i++ {
+		d.Push(PendingWrite{Region: RegionData, Index: i}, 0)
+	}
+	// Once every write has drained, the full queue is empty again: no
+	// stall.
+	late := d.WPQDrainTime()
+	got := d.Push(PendingWrite{Region: RegionData, Index: WPQEntries}, late)
 	if got != late {
 		t.Fatalf("push at %d stalled to %d despite drained WPQ", late, got)
 	}
@@ -404,52 +402,67 @@ func TestRegionString(t *testing.T) {
 }
 
 func TestCrashResetsTimingState(t *testing.T) {
-	tm := DefaultTiming()
-	tm.Banks = 1
-	d := NewDevice(tm)
+	d := newDev()
+	for i := uint64(0); i < WPQEntries; i++ {
+		d.Push(PendingWrite{Region: RegionData, Index: i}, 0)
+	}
 	d.ReadAt(RegionData, 0, 0)
 	d.CrashWith(CrashFullADR, nil)
-	_, done := d.ReadAt(RegionData, 0, 0)
-	if done != tm.ReadNS {
+	if n := d.WPQOccupancy(0); n != 0 {
+		t.Fatalf("WPQ survived crash: %d writes queued", n)
+	}
+	if _, done := d.ReadAt(RegionData, 0, 0); done != ReadNS {
 		t.Fatalf("bank state survived crash: done=%d", done)
 	}
-}
-
-func TestNewDevicePanicsOnBadTiming(t *testing.T) {
-	for _, tm := range []Timing{{Banks: 0, WPQEntries: 1}, {Banks: 1, WPQEntries: 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			NewDevice(tm)
-		}()
+	if d.Push(PendingWrite{Region: RegionData, Index: 1}, 0) != 0 || d.WPQDrainTime() != WriteNS {
+		t.Fatalf("port state survived crash: drain at %d", d.WPQDrainTime())
 	}
 }
 
-// TestLoadDeviceRejectsBadTiming: a damaged image's saved timing must
-// come back as an error, not a NewDevice panic or an allocation that
-// kills the process.
+// TestLoadDeviceRejectsBadTiming: images written while the device's
+// timing was configurable carry a Timing field under the same magic.
+// Gob skips it, so an image whose saved timing is damaged — counts that
+// once had to be refused because they sized the device's allocations —
+// loads, and the device runs at Table 1 timing.
 func TestLoadDeviceRejectsBadTiming(t *testing.T) {
+	type timing struct {
+		ReadNS, WriteNS                               uint64
+		Banks, WPQEntries, WritePorts, DrainWatermark int
+	}
+	type timedImage struct {
+		Magic  string
+		Timing timing
+		Store  [numRegions]map[uint64][BlockBytes]byte
+	}
 	for _, tc := range []struct {
 		name string
-		set  func(*Timing)
+		set  func(*timing)
 	}{
-		{"zero banks", func(tm *Timing) { tm.Banks = 0 }},
-		{"zero wpq entries", func(tm *Timing) { tm.WPQEntries = 0 }},
-		{"huge banks", func(tm *Timing) { tm.Banks = 1 << 40 }},
-		{"huge write ports", func(tm *Timing) { tm.WritePorts = 1 << 40 }},
+		{"zero banks", func(tm *timing) { tm.Banks = 0 }},
+		{"zero wpq entries", func(tm *timing) { tm.WPQEntries = 0 }},
+		{"huge banks", func(tm *timing) { tm.Banks = 1 << 40 }},
+		{"huge write ports", func(tm *timing) { tm.WritePorts = 1 << 40 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tm := DefaultTiming()
-			tc.set(&tm)
+			img := timedImage{Magic: imageMagic, Timing: timing{60, 150, 4, 32, 2, 16}}
+			tc.set(&img.Timing)
+			img.Store[RegionData] = map[uint64][BlockBytes]byte{3: blk(7)}
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(deviceImage{Magic: imageMagic, Timing: tm}); err != nil {
+			if err := gob.NewEncoder(&buf).Encode(img); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := LoadDevice(&buf); err == nil {
-				t.Fatalf("LoadDevice accepted timing %+v", tm)
+			d, err := LoadDevice(&buf)
+			if err != nil {
+				t.Fatalf("LoadDevice(timing %+v) = %v", img.Timing, err)
+			}
+			if got, done := d.ReadAt(RegionData, 3, 0); got != blk(7) || done != ReadNS {
+				t.Fatalf("read block 3 = %x at %d, want %x at %d", got[0], done, byte(7), ReadNS)
+			}
+			for i := uint64(0); i < WPQEntries; i++ {
+				d.Push(PendingWrite{Region: RegionData, Index: 100 + i}, 0)
+			}
+			if now := d.Push(PendingWrite{Region: RegionData, Index: 99}, 0); now != WriteNS {
+				t.Fatalf("push on a full %d-entry WPQ resumed at %d, want %d", WPQEntries, now, WriteNS)
 			}
 		})
 	}
@@ -460,7 +473,7 @@ func TestLoadDeviceRejectsBadTiming(t *testing.T) {
 // error that names the format and wraps ErrOldImage. A current image
 // with the same contents loads.
 func TestLoadDeviceRefusesV1Image(t *testing.T) {
-	img := deviceImage{Magic: "anubis-nvm-image-v1", Timing: DefaultTiming()}
+	img := deviceImage{Magic: "anubis-nvm-image-v1"}
 	img.Store[RegionData] = map[uint64][BlockBytes]byte{3: blk(7)}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
@@ -484,7 +497,7 @@ func TestLoadDeviceRefusesV1Image(t *testing.T) {
 // --- micro-benchmarks --------------------------------------------------------
 
 // BenchmarkDevicePush measures the durable-write fast path: WPQ prune +
-// sorted-ring insert + port-heap occupy + paged-store apply.
+// sorted-ring insert + port scan + paged-store apply.
 func BenchmarkDevicePush(b *testing.B) {
 	d := newDev()
 	b.ReportAllocs()

@@ -17,7 +17,7 @@ func TestForkedDeviceSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates on instrumented accesses; counts are not meaningful")
 	}
-	d := NewDevice(DefaultTiming())
+	d := NewDevice()
 	const blocks = 4096
 	var blk [BlockBytes]byte
 	for i := uint64(0); i < blocks; i++ {

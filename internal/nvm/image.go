@@ -5,7 +5,9 @@ package nvm
 // process (not just a power) cycle. The image captures everything in
 // the persistence domain — the block stores, data sideband, on-chip
 // persistent registers, committed-but-undrained groups, and wear
-// counters. Volatile timing state is deliberately excluded.
+// counters. Volatile timing state is deliberately excluded, and so is
+// the latency model, which is constant (an image written while it was
+// configurable carries a Timing field, which gob skips on load).
 //
 // The on-disk format is a map-based gob encoding: Save flattens the
 // paged store into maps, and Load rebuilds pages from them. Version 2
@@ -35,8 +37,7 @@ var ErrOldImage = errors.New("nvm: image format too old")
 
 // deviceImage is the serialized form of a Device.
 type deviceImage struct {
-	Magic  string
-	Timing Timing
+	Magic string
 
 	Store [numRegions]map[uint64][BlockBytes]byte
 	Side  map[uint64]Sideband
@@ -56,7 +57,6 @@ type deviceImage struct {
 func (d *Device) Save(w io.Writer) error {
 	img := deviceImage{
 		Magic:   imageMagic,
-		Timing:  d.timing,
 		Side:    make(map[uint64]Sideband),
 		Regs:    d.regs,
 		Staged:  d.staged,
@@ -118,8 +118,8 @@ func (d *Device) StateDigest() uint64 {
 		mix64(s.MAC)
 		mix(s.Phase)
 	}
-	mix64(d.timing.ReadNS)
-	mix64(d.timing.WriteNS)
+	mix64(ReadNS)
+	mix64(WriteNS)
 	for r := Region(0); r < numRegions; r++ {
 		mix64(uint64(r))
 		// forEachPage visits pages in ascending page-index order, and
@@ -215,16 +215,7 @@ func LoadDevice(r io.Reader) (*Device, error) {
 	default:
 		return nil, fmt.Errorf("nvm: not an NVM image (magic %q)", img.Magic)
 	}
-	// NewDevice allocates per bank, WPQ entry and write port, so a
-	// damaged count would panic it (below one) or exhaust memory (huge,
-	// which no recover can catch). The bounds sit far above any modeled
-	// configuration (Table 1: 4 banks, 32 WPQ entries, 2 write ports).
-	if t := img.Timing; t.Banks < 1 || t.Banks > 1<<10 ||
-		t.WPQEntries < 1 || t.WPQEntries > 1<<16 || t.WritePorts > 1<<10 {
-		return nil, fmt.Errorf("nvm: image timing out of bounds: %d banks (1..1024), %d WPQ entries (1..65536), %d write ports (at most 1024)",
-			t.Banks, t.WPQEntries, t.WritePorts)
-	}
-	d := NewDevice(img.Timing)
+	d := NewDevice()
 	for reg := Region(0); reg < numRegions; reg++ {
 		s := &d.store[reg]
 		for idx, blk := range img.Store[reg] {

@@ -3,6 +3,7 @@ package nvm
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -148,28 +149,33 @@ func TestJournalImageRoundTrip(t *testing.T) {
 }
 
 // TestPeekEarliestMatchesBruteForce is the property test for the write
-// port heap's peek: after arbitrary occupancy sequences, the root —
-// minFree, which EarliestBankFree reads, and the port occupyMin hands
-// the next drain — must be the lexicographic minimum of the heap's
-// (free, port) pairs.
+// port scan: across arbitrary push sequences, the port earliestPort
+// picks — whose clock EarliestBankFree reads — is the brute-force
+// argmin of the port clocks, the lowest index among ties, and it is the
+// one port the next drain occupies.
 func TestPeekEarliestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(8)
-		h := newPortHeap(n)
+		d := newDev()
 		now := uint64(0)
-		for op := rng.Intn(32); op > 0; op-- {
-			now += uint64(rng.Intn(200))
-			h.occupyMin(now + uint64(rng.Intn(500)))
-			wantPort, wantFree := h.port[0], h.free[0]
-			for i := range h.free {
-				if h.free[i] < wantFree || (h.free[i] == wantFree && h.port[i] < wantPort) {
-					wantPort, wantFree = h.port[i], h.free[i]
+		for op := rng.Intn(64); op > 0; op-- {
+			want := 0
+			for i, free := range d.ports {
+				if free < d.ports[want] {
+					want = i
 				}
 			}
-			if h.minFree() != wantFree || h.port[0] != wantPort {
-				t.Fatalf("trial %d: heap root (%d, %d), brute force (%d, %d)",
-					trial, h.port[0], h.minFree(), wantPort, wantFree)
+			if got := d.earliestPort(); got != want {
+				t.Fatalf("trial %d: scan picks port %d of %v, brute force %d", trial, got, d.ports, want)
+			}
+			before := d.ports
+			// Arrivals at most WriteNS apart keep ports tied often.
+			now += uint64(rng.Intn(2)) * WriteNS
+			d.Push(PendingWrite{Region: RegionData, Index: uint64(rng.Intn(64))}, now)
+			for i := range d.ports {
+				if changed := d.ports[i] != before[i]; changed != (i == want) {
+					t.Fatalf("trial %d: push moved port clocks %v to %v, want only port %d", trial, before, d.ports, want)
+				}
 			}
 		}
 	}
@@ -190,7 +196,7 @@ func TestEarliestBankFreeMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		dig := d.StateDigest()
-		for b := 0; b < d.Timing().Banks; b++ {
+		for b := 0; b < Banks; b++ {
 			got := d.EarliestBankFree(b)
 			if d.StateDigest() != dig {
 				t.Fatal("EarliestBankFree mutated persistent state")
@@ -198,8 +204,8 @@ func TestEarliestBankFreeMatchesBruteForce(t *testing.T) {
 			if again := d.EarliestBankFree(b); again != got {
 				t.Fatalf("peek not stable: %d then %d", got, again)
 			}
-			if want := max(d.bankFree[b], d.ports.minFree()); got != want {
-				t.Fatalf("bank %d: peek %d, want %d (bank free %d, port free %d)", b, got, want, d.bankFree[b], d.ports.minFree())
+			if want := max(d.bankFree[b], slices.Min(d.ports[:])); got != want {
+				t.Fatalf("bank %d: peek %d, want %d (bank free %d, port clocks %v)", b, got, want, d.bankFree[b], d.ports)
 			}
 		}
 	}

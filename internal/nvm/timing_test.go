@@ -5,86 +5,84 @@ import "testing"
 // TestWriteSerialization: PCM writes serialize on the write ports, not
 // across all banks — this is what makes strict persistence expensive.
 func TestWriteSerialization(t *testing.T) {
-	tm := DefaultTiming()
-	tm.WritePorts = 1
-	tm.WPQEntries = 64
-	d := NewDevice(tm)
-	// Push 4 writes at t=0; the 4th drains at 4*WriteNS.
+	d := newDev()
+	// Push 4 writes at t=0; the 4th drains at (4/WritePorts)*WriteNS.
 	for i := uint64(0); i < 4; i++ {
 		d.Push(PendingWrite{Region: RegionData, Index: i}, 0)
 	}
 	// A read of a freshly written block must wait for that block's bank
 	// to be released by its drain.
 	_, done := d.ReadAt(RegionData, 3, 0)
-	if done < 4*tm.WriteNS {
-		t.Fatalf("read of draining block finished at %d, want >= %d", done, 4*tm.WriteNS)
+	if want := uint64(4/WritePorts*WriteNS + ReadNS); done < want {
+		t.Fatalf("read of draining block finished at %d, want >= %d", done, want)
 	}
 }
 
+// TestWritePortsParallelism: N writes pushed at t=0 occupy the write
+// ports in turn, so the last one drains at ceil(N/WritePorts)*WriteNS,
+// and none stalls while the WPQ has room.
 func TestWritePortsParallelism(t *testing.T) {
-	tm := DefaultTiming()
-	tm.WritePorts = 2
-	tm.WPQEntries = 64
-	one := NewDevice(Timing{ReadNS: 60, WriteNS: 150, Banks: 8, WritePorts: 1, WPQEntries: 64, DrainWatermark: 64})
-	two := NewDevice(tm)
-	// 8 writes, then a push that stalls only when the queue is full —
-	// compare drain completion via a full-queue stall.
-	oneT := Timing{ReadNS: 60, WriteNS: 150, Banks: 8, WritePorts: 1, WPQEntries: 4, DrainWatermark: 64}
-	twoT := oneT
-	twoT.WritePorts = 2
-	d1 := NewDevice(oneT)
-	d2 := NewDevice(twoT)
-	var t1, t2 uint64
-	for i := uint64(0); i < 8; i++ {
-		t1 = d1.Push(PendingWrite{Region: RegionData, Index: i}, t1)
-		t2 = d2.Push(PendingWrite{Region: RegionData, Index: i}, t2)
+	for n := 1; n <= WPQEntries; n++ {
+		d := newDev()
+		for i := 0; i < n; i++ {
+			if now := d.Push(PendingWrite{Region: RegionData, Index: uint64(i)}, 0); now != 0 {
+				t.Fatalf("n=%d: push %d stalled to %d", n, i, now)
+			}
+		}
+		if got, want := d.WPQDrainTime(), uint64((n+WritePorts-1)/WritePorts*WriteNS); got != want {
+			t.Fatalf("%d writes at t=0 drain at %d, want %d", n, got, want)
+		}
 	}
-	if t2 >= t1 {
-		t.Fatalf("2 ports (stall to %d) not faster than 1 port (stall to %d)", t2, t1)
-	}
-	_ = one
-	_ = two
 }
 
 // TestDrainWatermarkBlocksReads: a read arriving with the write queue
 // above the watermark waits until it drops back below.
 func TestDrainWatermarkBlocksReads(t *testing.T) {
-	tm := Timing{ReadNS: 60, WriteNS: 150, Banks: 64, WritePorts: 1, WPQEntries: 32, DrainWatermark: 2}
-	d := NewDevice(tm)
-	for i := uint64(0); i < 6; i++ {
+	d := newDev()
+	const excess = 4
+	for i := uint64(0); i < DrainWatermark+excess; i++ {
 		d.Push(PendingWrite{Region: RegionData, Index: i + 100}, 0)
 	}
-	// Queue holds 6 writes completing at 150,300,...,900. Watermark 2:
-	// the read must wait until ≤... the (6-2+1)=5th earliest completes?
-	// Implementation waits for the (excess+1)-th earliest = (6-2+1)=5th
-	// at index excess=4 -> t=750.
+	// The read waits for the (excess+1)-th earliest completion: the
+	// ports drain WritePorts writes every WriteNS.
+	stall := uint64((excess + WritePorts) / WritePorts * WriteNS)
 	_, done := d.ReadAt(RegionData, 999, 0)
-	if done < 700 {
-		t.Fatalf("read finished at %d despite write-drain mode", done)
+	if done < stall+ReadNS {
+		t.Fatalf("read finished at %d despite write-drain mode (queue below the watermark at %d)", done, stall)
 	}
-	if d.Stats().DrainStallNS == 0 {
-		t.Fatal("drain stall not accounted")
+	if got := d.Stats().DrainStallNS; got != stall {
+		t.Fatalf("drain stall = %d, want %d", got, stall)
 	}
 }
 
+// TestDrainWatermarkDisabled: below the watermark, write-drain mode is
+// off, so a read to an idle bank completes in ReadNS.
 func TestDrainWatermarkDisabled(t *testing.T) {
-	tm := Timing{ReadNS: 60, WriteNS: 150, Banks: 64, WritePorts: 1, WPQEntries: 32, DrainWatermark: 0}
-	d := NewDevice(tm)
-	for i := uint64(0); i < 6; i++ {
-		d.Push(PendingWrite{Region: RegionData, Index: i + 100}, 0)
+	d := newDev()
+	// DrainWatermark-1 writes, all to bank 0.
+	for i, n := uint64(0), 0; n < DrainWatermark-1; i++ {
+		if d.bankOf(RegionData, i) == 0 {
+			d.Push(PendingWrite{Region: RegionData, Index: i}, 0)
+			n++
+		}
 	}
-	_, done := d.ReadAt(RegionData, 999, 0)
-	if done != 60 {
-		t.Fatalf("watermark 0 should disable drain blocking; done=%d", done)
+	idle := uint64(0)
+	for d.bankOf(RegionData, idle) == 0 {
+		idle++
+	}
+	_, done := d.ReadAt(RegionData, idle, 0)
+	if done != ReadNS || d.Stats().DrainStallNS != 0 {
+		t.Fatalf("read below the watermark: done=%d drain stall=%d, want %d and 0", done, d.Stats().DrainStallNS, ReadNS)
 	}
 }
 
 func TestRegisterWritesBypassTiming(t *testing.T) {
-	tm := DefaultTiming()
-	tm.WPQEntries = 1
-	d := NewDevice(tm)
-	d.Push(PendingWrite{Region: RegionData, Index: 0}, 0)
-	// Register writes must not consume WPQ slots or stall.
+	d := newDev()
+	for i := uint64(0); i < WPQEntries; i++ {
+		d.Push(PendingWrite{Region: RegionData, Index: i}, 0)
+	}
+	// Register writes must not consume WPQ slots or stall, even with
+	// the queue full.
 	now := d.Push(PendingWrite{RegName: "root", Block: blk(1)}, 0)
 	if now != 0 {
 		t.Fatalf("register write stalled to %d", now)
@@ -92,13 +90,13 @@ func TestRegisterWritesBypassTiming(t *testing.T) {
 	if v, ok := d.GetReg("root"); !ok || v != blk(1) {
 		t.Fatal("register write not applied")
 	}
-	if d.Stats().Writes != 1 {
+	if d.Stats().Writes != WPQEntries {
 		t.Fatalf("register write counted as NVM write: %d", d.Stats().Writes)
 	}
 }
 
 func TestRegisterWritesInCommitGroups(t *testing.T) {
-	d := NewDevice(DefaultTiming())
+	d := newDev()
 	d.BeginCommit()
 	d.Stage(PendingWrite{Region: RegionData, Index: 5, Block: blk(5)})
 	d.Stage(PendingWrite{RegName: "root", Block: blk(7)})
@@ -122,7 +120,7 @@ func TestRegisterWritesInCommitGroups(t *testing.T) {
 }
 
 func TestWPQRingKth(t *testing.T) {
-	q := newWPQRing(8)
+	var q wpqRing
 	// Out-of-order pushes exercise the insertion-sort fallback.
 	for _, v := range []uint64{30, 10, 20} {
 		q.push(v)
@@ -137,13 +135,21 @@ func TestWPQRingKth(t *testing.T) {
 	if q.size != 2 || q.min() != 20 {
 		t.Fatalf("after prune: size=%d min=%d", q.size, q.min())
 	}
-	// Wrap the ring around its backing array.
-	for _, v := range []uint64{40, 50, 60, 70, 80, 90} {
+	// Walk the head to the last slot of the backing array, so the queue
+	// wraps around it, then insert out of order across the wrap.
+	for v := uint64(40); q.head < WPQEntries-1; v += 10 {
 		q.push(v)
+		q.prune(q.min())
 	}
-	q.prune(45)
-	q.push(100)
-	want := []uint64{50, 60, 70, 80, 90, 100}
+	first, base := q.min(), q.latest()
+	for i := uint64(1); i <= 6; i++ {
+		q.push(base + 10*i)
+	}
+	q.push(base + 35)
+	want := []uint64{first, base, base + 10, base + 20, base + 30, base + 35, base + 40, base + 50, base + 60}
+	if q.size != len(want) || q.head != WPQEntries-1 {
+		t.Fatalf("ring holds %d entries from head %d, want %d from %d", q.size, q.head, len(want), WPQEntries-1)
+	}
 	for i, w := range want {
 		if q.kth(i) != w {
 			t.Fatalf("kth(%d) = %d, want %d", i, q.kth(i), w)
@@ -157,7 +163,7 @@ func TestWPQRingKth(t *testing.T) {
 // never reach size for wm >= 1) and must panic instead of silently
 // returning the latest completion.
 func TestWPQWatermarkImpossibleExcess(t *testing.T) {
-	q := newWPQRing(8)
+	var q wpqRing
 	q.push(10)
 	q.push(20)
 	for _, k := range []int{2, 99, -1} {
@@ -173,27 +179,28 @@ func TestWPQWatermarkImpossibleExcess(t *testing.T) {
 	}
 }
 
+// TestPortHeapTieBreak: the free port with the lowest index takes the
+// next drain, so equal port clocks schedule deterministically.
 func TestPortHeapTieBreak(t *testing.T) {
-	h := newPortHeap(3)
-	// All ports free at 0: the heap must hand out the lowest index
-	// first, matching the old linear scan's deterministic choice.
-	h.occupyMin(100) // port 0
-	h.occupyMin(100) // port 1
-	if h.minFree() != 0 {
-		t.Fatalf("minFree = %d, want 0 (port 2 still free)", h.minFree())
+	d := newDev()
+	var want [WritePorts]uint64
+	// Every port is free at 0: the drains fill them in index order, and
+	// once all tie again at WriteNS, in index order again.
+	for i := 0; i < 2*WritePorts; i++ {
+		d.Push(PendingWrite{Region: RegionData, Index: uint64(i)}, 0)
+		want[i%WritePorts] = uint64(i/WritePorts+1) * WriteNS
+		if d.ports != want {
+			t.Fatalf("after push %d: port clocks %v, want %v", i, d.ports, want)
+		}
 	}
-	h.occupyMin(50) // port 2
-	if h.minFree() != 50 {
-		t.Fatalf("minFree = %d, want 50", h.minFree())
-	}
-	h.reset()
-	if h.minFree() != 0 {
-		t.Fatal("reset did not free ports")
+	d.CrashWith(CrashFullADR, nil)
+	if d.ports != ([WritePorts]uint64{}) || d.earliestPort() != 0 {
+		t.Fatalf("crash left port clocks %v", d.ports)
 	}
 }
 
 func TestWearTracking(t *testing.T) {
-	d := NewDevice(DefaultTiming())
+	d := newDev()
 	for i := 0; i < 5; i++ {
 		d.Push(PendingWrite{Region: RegionData, Index: 7}, 0)
 	}
@@ -216,7 +223,7 @@ func TestWearTracking(t *testing.T) {
 }
 
 func TestWearRegisterWritesExcluded(t *testing.T) {
-	d := NewDevice(DefaultTiming())
+	d := newDev()
 	d.Push(PendingWrite{RegName: "x", Block: blk(1)}, 0)
 	if _, _, c := d.MaxWearAll(); c != 0 {
 		t.Fatal("register write counted as media wear")

@@ -51,7 +51,9 @@ func (r *Registry) Gauge(name string, v float64) {
 	r.gauges[name] = v
 }
 
-// Observe records one sample into the named histogram.
+// Observe records one sample into the named histogram. Every registry
+// histogram holds nanoseconds under a name ending in _ns: the /dash page
+// renders each one as a duration. A count goes in a counter.
 func (r *Registry) Observe(name string, v uint64) {
 	h := r.hists[name]
 	if h == nil {

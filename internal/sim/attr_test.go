@@ -13,20 +13,20 @@ import (
 // attrCells is the full figure matrix: every scheme of both controller
 // families the sweeps exercise.
 var attrCells = []struct {
-	family Family
+	family memctrl.Family
 	scheme memctrl.Scheme
 }{
-	{FamilyBonsai, memctrl.SchemeWriteBack},
-	{FamilyBonsai, memctrl.SchemeStrict},
-	{FamilyBonsai, memctrl.SchemeOsiris},
-	{FamilyBonsai, memctrl.SchemeAGITRead},
-	{FamilyBonsai, memctrl.SchemeAGITPlus},
-	{FamilyBonsai, memctrl.SchemeSelective},
-	{FamilyBonsai, memctrl.SchemeTriad},
-	{FamilySGX, memctrl.SchemeWriteBack},
-	{FamilySGX, memctrl.SchemeStrict},
-	{FamilySGX, memctrl.SchemeOsiris},
-	{FamilySGX, memctrl.SchemeASIT},
+	{memctrl.FamilyBonsai, memctrl.SchemeWriteBack},
+	{memctrl.FamilyBonsai, memctrl.SchemeStrict},
+	{memctrl.FamilyBonsai, memctrl.SchemeOsiris},
+	{memctrl.FamilyBonsai, memctrl.SchemeAGITRead},
+	{memctrl.FamilyBonsai, memctrl.SchemeAGITPlus},
+	{memctrl.FamilyBonsai, memctrl.SchemeSelective},
+	{memctrl.FamilyBonsai, memctrl.SchemeTriad},
+	{memctrl.FamilySGX, memctrl.SchemeWriteBack},
+	{memctrl.FamilySGX, memctrl.SchemeStrict},
+	{memctrl.FamilySGX, memctrl.SchemeOsiris},
+	{memctrl.FamilySGX, memctrl.SchemeASIT},
 }
 
 // sumCheckProbe asserts, for every completed request, that the
@@ -79,7 +79,7 @@ func TestAttributionSumExact(t *testing.T) {
 				for _, p := range profiles {
 					cfg := memctrl.TestConfig(cell.scheme)
 					cfg.EpochRequests = epoch
-					ctrl, err := NewController(cell.family, cfg)
+					ctrl, err := memctrl.New(cell.family, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -112,7 +112,7 @@ func TestAttributionSumExact(t *testing.T) {
 func TestRunObservedTimingUnchanged(t *testing.T) {
 	for _, cell := range attrCells[:4] {
 		run := func(probe obs.Probe) Result {
-			ctrl, err := NewController(cell.family, memctrl.TestConfig(cell.scheme))
+			ctrl, err := memctrl.New(cell.family, memctrl.TestConfig(cell.scheme))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestRunObservedTimingUnchanged(t *testing.T) {
 // like the rest of the stats across crash/recovery: preserved by Crash,
 // still sum-exact afterwards.
 func TestRecoveryAttributionLedgerSurvivesCrash(t *testing.T) {
-	ctrl, err := NewController(FamilyBonsai, memctrl.TestConfig(memctrl.SchemeAGITPlus))
+	ctrl, err := memctrl.New(memctrl.FamilyBonsai, memctrl.TestConfig(memctrl.SchemeAGITPlus))
 	if err != nil {
 		t.Fatal(err)
 	}

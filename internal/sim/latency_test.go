@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anubis/internal/memctrl"
 	"anubis/internal/obs"
 )
 
@@ -122,7 +123,7 @@ func TestLatencyHistMergeEmptyIdentity(t *testing.T) {
 
 func TestRunPopulatesLatencies(t *testing.T) {
 	prof := profFor(t, "milc")
-	res := runFor(t, FamilyBonsai, prof, 2000)
+	res := runFor(t, memctrl.FamilyBonsai, prof, 2000)
 	if res.ReadLat.Count == 0 || res.WriteLat.Count == 0 {
 		t.Fatal("latency histograms empty")
 	}
@@ -137,8 +138,8 @@ func TestRunPopulatesLatencies(t *testing.T) {
 
 func TestStrictInflatesWriteLatency(t *testing.T) {
 	prof := profFor(t, "libquantum")
-	wb := runSchemeFor(t, FamilyBonsai, "writeback", prof, 4000)
-	st := runSchemeFor(t, FamilyBonsai, "strict", prof, 4000)
+	wb := runSchemeFor(t, memctrl.FamilyBonsai, "writeback", prof, 4000)
+	st := runSchemeFor(t, memctrl.FamilyBonsai, "strict", prof, 4000)
 	if st.WriteLat.Mean() <= wb.WriteLat.Mean() {
 		t.Fatalf("strict write latency (%.0f) not above write-back (%.0f)",
 			st.WriteLat.Mean(), wb.WriteLat.Mean())

@@ -24,7 +24,7 @@ import (
 type Result struct {
 	Workload string           `json:"workload"`
 	Scheme   memctrl.Scheme   `json:"scheme"`
-	Family   Family           `json:"family"`
+	Family   memctrl.Family   `json:"family"`
 	Requests int              `json:"requests"`
 	ExecNS   uint64           `json:"exec_ns"`
 	Stats    memctrl.RunStats `json:"stats"`
@@ -53,7 +53,7 @@ func (r Result) Normalized(base Result) float64 {
 // working set still fit in the cache.
 func (r Result) CleanEvictionFrac() float64 {
 	cs := r.Stats.CounterCache
-	if r.Family == FamilySGX {
+	if r.Family == memctrl.FamilySGX {
 		cs = r.Stats.TreeCache
 	}
 	if cs.Evictions == 0 {
@@ -148,7 +148,7 @@ func (r *Runner) init(ctrl memctrl.Controller, gen trace.Source, probe obs.Probe
 	r.ctrl, r.gen, r.probe = ctrl, gen, probe
 	r.nBlocks = ctrl.NumBlocks()
 	r.att = ctrl.Device().Attr()
-	r.res = Result{Workload: gen.Name(), Scheme: ctrl.Scheme(), Family: FamilyOf(ctrl)}
+	r.res = Result{Workload: gen.Name(), Scheme: ctrl.Scheme(), Family: memctrl.FamilyOf(ctrl)}
 	// Arena-backed runs that start at position zero share the arena's
 	// memoized payload table instead of regenerating plaintext per cell:
 	// payload content is a pure function of (block, position), and a
@@ -258,7 +258,9 @@ func FillBlock(d *[memctrl.BlockBytes]byte, block, n uint64) {
 }
 
 // Family aliases memctrl.Family: memctrl.Variants lists the schemes
-// each family runs.
+// each family runs. The perfbench module is the only caller of Family,
+// its constants, FamilyOf and NewController; everything else uses
+// memctrl's names. They go once perfbench moves to memctrl's names.
 type Family = memctrl.Family
 
 const (

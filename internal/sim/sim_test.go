@@ -23,9 +23,9 @@ func simConfig(s memctrl.Scheme) memctrl.Config {
 	return cfg
 }
 
-func runOne(t *testing.T, f Family, s memctrl.Scheme, prof trace.Profile, n int) Result {
+func runOne(t *testing.T, f memctrl.Family, s memctrl.Scheme, prof trace.Profile, n int) Result {
 	t.Helper()
-	ctrl, err := NewController(f, simConfig(s))
+	ctrl, err := memctrl.New(f, simConfig(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func runOne(t *testing.T, f Family, s memctrl.Scheme, prof trace.Profile, n int)
 
 func TestRunCompletes(t *testing.T) {
 	prof, _ := trace.ByName("milc")
-	res := runOne(t, FamilyBonsai, memctrl.SchemeWriteBack, prof, 3000)
+	res := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeWriteBack, prof, 3000)
 	if res.ExecNS == 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -54,10 +54,10 @@ func TestBonsaiSchemeOrdering(t *testing.T) {
 	// AGIT-Read ≪ Strict.
 	prof, _ := trace.ByName("libquantum")
 	n := 6000
-	wb := runOne(t, FamilyBonsai, memctrl.SchemeWriteBack, prof, n)
-	os := runOne(t, FamilyBonsai, memctrl.SchemeOsiris, prof, n)
-	ap := runOne(t, FamilyBonsai, memctrl.SchemeAGITPlus, prof, n)
-	st := runOne(t, FamilyBonsai, memctrl.SchemeStrict, prof, n)
+	wb := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeWriteBack, prof, n)
+	os := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeOsiris, prof, n)
+	ap := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeAGITPlus, prof, n)
+	st := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeStrict, prof, n)
 
 	if os.ExecNS < wb.ExecNS {
 		t.Fatalf("osiris (%d) faster than write-back (%d)", os.ExecNS, wb.ExecNS)
@@ -77,9 +77,9 @@ func TestSGXSchemeOrdering(t *testing.T) {
 	// Figure 11: WB ≤ Osiris ≤ ASIT ≪ Strict.
 	prof, _ := trace.ByName("libquantum")
 	n := 6000
-	wb := runOne(t, FamilySGX, memctrl.SchemeWriteBack, prof, n)
-	as := runOne(t, FamilySGX, memctrl.SchemeASIT, prof, n)
-	st := runOne(t, FamilySGX, memctrl.SchemeStrict, prof, n)
+	wb := runOne(t, memctrl.FamilySGX, memctrl.SchemeWriteBack, prof, n)
+	as := runOne(t, memctrl.FamilySGX, memctrl.SchemeASIT, prof, n)
+	st := runOne(t, memctrl.FamilySGX, memctrl.SchemeStrict, prof, n)
 	if as.ExecNS < wb.ExecNS {
 		t.Fatalf("asit (%d) faster than write-back (%d)", as.ExecNS, wb.ExecNS)
 	}
@@ -96,8 +96,8 @@ func TestAGITReadCostlierOnReadIntensive(t *testing.T) {
 	// fill-tracking writes cost more than AGIT-Plus's dirty-tracking.
 	prof, _ := trace.ByName("mcf")
 	n := 6000
-	ar := runOne(t, FamilyBonsai, memctrl.SchemeAGITRead, prof, n)
-	ap := runOne(t, FamilyBonsai, memctrl.SchemeAGITPlus, prof, n)
+	ar := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeAGITRead, prof, n)
+	ap := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeAGITPlus, prof, n)
 	if ar.Stats.ShadowWrites <= ap.Stats.ShadowWrites {
 		t.Fatalf("AGIT-Read shadow writes (%d) not above AGIT-Plus (%d) on mcf",
 			ar.Stats.ShadowWrites, ap.Stats.ShadowWrites)
@@ -109,8 +109,8 @@ func TestAGITReadCostlierOnReadIntensive(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	prof, _ := trace.ByName("astar")
-	a := runOne(t, FamilyBonsai, memctrl.SchemeAGITPlus, prof, 2000)
-	b := runOne(t, FamilyBonsai, memctrl.SchemeAGITPlus, prof, 2000)
+	a := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeAGITPlus, prof, 2000)
+	b := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeAGITPlus, prof, 2000)
 	if a.ExecNS != b.ExecNS {
 		t.Fatalf("nondeterministic simulation: %d vs %d", a.ExecNS, b.ExecNS)
 	}
@@ -120,8 +120,8 @@ func TestCleanEvictionFraction(t *testing.T) {
 	// Figure 7: read-mostly apps evict mostly clean counter blocks.
 	mcf, _ := trace.ByName("mcf")
 	lbm, _ := trace.ByName("lbm")
-	rm := runOne(t, FamilyBonsai, memctrl.SchemeWriteBack, mcf, 8000)
-	rl := runOne(t, FamilyBonsai, memctrl.SchemeWriteBack, lbm, 8000)
+	rm := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeWriteBack, mcf, 8000)
+	rl := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeWriteBack, lbm, 8000)
 	if rm.CleanEvictionFrac() <= rl.CleanEvictionFrac() {
 		t.Fatalf("mcf clean-eviction fraction (%.2f) not above lbm (%.2f)",
 			rm.CleanEvictionFrac(), rl.CleanEvictionFrac())
@@ -133,8 +133,8 @@ func TestCleanEvictionFraction(t *testing.T) {
 
 func TestWritesPerRequest(t *testing.T) {
 	prof, _ := trace.ByName("lbm")
-	st := runOne(t, FamilyBonsai, memctrl.SchemeStrict, prof, 3000)
-	wb := runOne(t, FamilyBonsai, memctrl.SchemeWriteBack, prof, 3000)
+	st := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeStrict, prof, 3000)
+	wb := runOne(t, memctrl.FamilyBonsai, memctrl.SchemeWriteBack, prof, 3000)
 	if st.WritesPerRequest() < wb.WritesPerRequest()+3 {
 		t.Fatalf("strict write amplification %.2f vs wb %.2f; expected ≥ +levels",
 			st.WritesPerRequest(), wb.WritesPerRequest())
@@ -142,13 +142,13 @@ func TestWritesPerRequest(t *testing.T) {
 }
 
 func TestFamilyString(t *testing.T) {
-	if FamilyBonsai.String() != "bonsai" || FamilySGX.String() != "sgx" {
+	if memctrl.FamilyBonsai.String() != "bonsai" || memctrl.FamilySGX.String() != "sgx" {
 		t.Fatal("family names wrong")
 	}
 }
 
 func TestNewControllerRejectsUnknownFamily(t *testing.T) {
-	if _, err := NewController(Family(9), simConfig(memctrl.SchemeWriteBack)); err == nil {
+	if _, err := memctrl.New(memctrl.Family(9), simConfig(memctrl.SchemeWriteBack)); err == nil {
 		t.Fatal("unknown family accepted")
 	}
 }
@@ -177,12 +177,12 @@ func profFor(t *testing.T, name string) trace.Profile {
 	return p
 }
 
-func runFor(t *testing.T, f Family, p trace.Profile, n int) Result {
+func runFor(t *testing.T, f memctrl.Family, p trace.Profile, n int) Result {
 	t.Helper()
 	return runOne(t, f, memctrl.SchemeAGITPlus, p, n)
 }
 
-func runSchemeFor(t *testing.T, f Family, scheme string, p trace.Profile, n int) Result {
+func runSchemeFor(t *testing.T, f memctrl.Family, scheme string, p trace.Profile, n int) Result {
 	t.Helper()
 	var s memctrl.Scheme
 	switch scheme {
@@ -220,7 +220,7 @@ func TestRunnerStepsEqualOneRun(t *testing.T) {
 			cfg.MemoryBytes = 4 << 20
 			cfg.EpochRequests = epoch
 			newCtrl := func() memctrl.Controller {
-				c, err := NewController(FamilyBonsai, cfg)
+				c, err := memctrl.New(memctrl.FamilyBonsai, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
