@@ -42,8 +42,9 @@ fork-race:
 # race detector (where they are skipped), with serve's concurrency tests
 # and the fork tests repeated under it (serve-race, fork-race). The
 # suite includes the root package's TestInternalFunctionsHaveCallers,
-# which fails on any function under internal/ that no non-test code
-# (perfbench/ included) names.
+# which type-checks every non-test package (perfbench/ included) and
+# fails on any function, method, constant, package variable, type or
+# struct field under internal/ that no non-test code uses.
 # bench-tools/fuzz-tools are build-only smokes for the tooling — no
 # wall-clock gate.
 verify: build vet test race serve-race fork-race bench-tools fuzz-tools serve-tools dash-smoke surface-smoke

@@ -379,7 +379,7 @@ func (s *System) AdvanceClock(ns uint64) { s.ctrl.AdvanceTo(s.ctrl.Now() + ns) }
 
 // StateDigest returns a deterministic digest of the device's entire
 // persistent and staged state (NVM regions, sideband, registers,
-// journal, commit staging). Two systems with equal digests hold
+// commit staging). Two systems with equal digests hold
 // byte-identical persistence domains — the equality oracle behind the
 // fork/crash isolation tests.
 func (s *System) StateDigest() uint64 { return s.ctrl.Device().StateDigest() }

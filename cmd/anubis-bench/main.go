@@ -39,6 +39,7 @@ import (
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"anubis/internal/figures"
@@ -57,13 +58,11 @@ func main() {
 		fig12    = flag.Bool("fig12", false, "Figure 12: Anubis recovery time vs cache size")
 		fig13    = flag.Bool("fig13", false, "Figure 13: performance sensitivity to cache size")
 		headline = flag.Bool("headline", false, "headline recovery comparison")
-		ablation = flag.Bool("ablations", false, "design-choice ablations (stop-loss, recovery backend, endurance)")
+		ablation = flag.Bool("ablations", false, "design-choice ablations (stop-loss, recovery backend, endurance, Triad persisted levels)")
 		recovery = flag.Bool("recovery", false, "recovery-time distribution from many crash points (forked warm state)")
 		trials   = flag.Int("trials", 100,
 			"crash points per recovery sweep: one warm controller advances through them and each is forked off it, so a trial costs one stride of requests plus one recovery")
-		n     = flag.Int("n", 40000, "requests per (app, scheme) simulation")
-		epoch = flag.Int("epoch", 0,
-			"epoch pipeline window in write requests (coalesced integrity-tree updates, general-tree strict only: every other Fig 10 column and Fig 11 are epoch-invariant); 0 or 1 = eager path")
+		n       = flag.Int("n", 40000, "requests per (app, scheme) simulation")
 		mem     = flag.Uint64("mem", 256<<20, "simulated memory bytes for performance runs")
 		apps    = flag.String("apps", "", "comma-separated app subset (default: all 11)")
 		seed    = flag.Int64("seed", 99, "trace generator seed")
@@ -128,7 +127,6 @@ func main() {
 	rc.MemoryBytes = *mem
 	rc.Seed = *seed
 	rc.Parallel = *workers
-	rc.Epoch = *epoch
 	if *apps != "" {
 		rc.Apps = strings.Split(*apps, ",")
 	}
@@ -152,6 +150,17 @@ func main() {
 		rc.OnCell = observeCells(tel)
 		fmt.Fprintf(out, "telemetry: http://%s/metrics (Prometheus)\n", msrv.Addr())
 	}
+	// Every figure and ablation cell reports through OnCell, so counting
+	// there counts the cells that ran. The recovery sweeps' warm fills
+	// are not cells and are not counted.
+	var cells atomic.Int64
+	observe := rc.OnCell
+	rc.OnCell = func(res sim.Result) {
+		cells.Add(1)
+		if observe != nil {
+			observe(res)
+		}
+	}
 	var tracer *obs.Tracer
 	if *traceEvents != "" {
 		if *traceSample < 1 {
@@ -162,36 +171,33 @@ func main() {
 	}
 
 	var wall time.Duration
-	cells := 0
-	section := func(n int, fn func() error) {
+	section := func(fn func() error) {
 		any = true
 		start := time.Now()
 		if err := fn(); err != nil {
 			fail(err)
 		}
 		wall += time.Since(start)
-		cells += n
 		fmt.Fprintln(out)
 	}
-	nApps := rc.NumApps()
 
 	if *all || *table1 {
-		section(0, func() error {
+		section(func() error {
 			figures.Table1(out)
 			return nil
 		})
 	}
 	if *all || *fig5 {
-		section(0, func() error {
+		section(func() error {
 			figures.PrintFig5(out)
 			return nil
 		})
 	}
 	if *all || *fig7 {
-		section(nApps, func() error { return figures.PrintFig7(out, rc) })
+		section(func() error { return figures.PrintFig7(out, rc) })
 	}
 	if *all || *fig10 {
-		section(nApps*len(figures.Fig10Schemes), func() error {
+		section(func() error {
 			rows, avg, err := figures.Fig10(rc)
 			if err != nil {
 				return err
@@ -201,7 +207,7 @@ func main() {
 		})
 	}
 	if *all || *fig11 {
-		section(nApps*len(figures.Fig11Schemes), func() error {
+		section(func() error {
 			rows, avg, err := figures.Fig11(rc)
 			if err != nil {
 				return err
@@ -211,29 +217,25 @@ func main() {
 		})
 	}
 	if *all || *fig12 {
-		section(0, func() error {
+		section(func() error {
 			figures.PrintFig12(out)
 			return nil
 		})
 	}
 	if *all || *fig13 {
-		// 5 sizes × apps × (2 write-back baselines + 3 schemes).
-		section(5*nApps*(2+len(figures.Fig13Schemes)), func() error { return figures.PrintFig13(out, rc) })
+		section(func() error { return figures.PrintFig13(out, rc) })
 	}
 	if *all || *ablation {
-		section(5, func() error { return figures.PrintAblationStopLoss(out, rc) })
-		section(2, func() error { return figures.PrintAblationRecoveryBackend(out, rc) })
-		section(7, func() error { return figures.PrintAblationEndurance(out, rc) })
-		section(4, func() error { return figures.PrintAblationTriad(out, rc) })
+		section(func() error { return figures.PrintAblationStopLoss(out, rc) })
+		section(func() error { return figures.PrintAblationRecoveryBackend(out, rc) })
+		section(func() error { return figures.PrintAblationEndurance(out, rc) })
+		section(func() error { return figures.PrintAblationTriad(out, rc) })
 	}
 	if *all || *recovery {
-		// One fill per scheme plus trials × (stride + recovery); the
-		// fills are the only whole-trace simulations, so the cell count
-		// reported is 2 (AGIT-Plus + ASIT warm-ups).
-		section(2, func() error { return figures.PrintRecoverySweep(out, rc, *trials) })
+		section(func() error { return figures.PrintRecoverySweep(out, rc, *trials) })
 	}
 	if *all || *headline {
-		section(0, func() error {
+		section(func() error {
 			figures.PrintHeadline(out)
 			return nil
 		})
@@ -260,7 +262,7 @@ func main() {
 	// Wall time varies run to run, so it goes to stderr: stdout holds
 	// only the deterministic tables and compares byte for byte.
 	fmt.Fprintf(os.Stderr, "total: %.0f ms wall, %d simulation cells, parallel=%d\n",
-		float64(wall.Microseconds())/1000, cells, *workers)
+		float64(wall.Microseconds())/1000, cells.Load(), *workers)
 }
 
 // observeCells returns a cell observer that publishes each completed

@@ -5,11 +5,10 @@
 // power failure, so recovery correctness must be a continuously searched
 // property, not a handful of golden tests. A fuzz trial is a seeded
 // random schedule: workload profile × controller scheme × crash point ×
-// crash model × epoch coalescing-window size × optional post-crash ECC
-// faults, optionally landing the crash inside a two-stage commit group
-// (the SetPushBudget mid-drain hook — which, with a Bonsai epoch window
-// armed, can tear the close's coalesced commit group half-drained). The trial forks a warmed controller copy-on-write (PR 3), runs
-// the schedule, and checks a differential oracle against a golden
+// crash model × optional post-crash ECC faults, optionally landing the
+// crash inside a two-stage commit group (the SetPushBudget mid-drain
+// hook). The trial forks a warmed controller copy-on-write, runs the
+// schedule, and checks a differential oracle against a golden
 // shadow copy of every value the workload wrote:
 //
 //	(a) recovery never panics and never silently returns corrupt data:
@@ -114,16 +113,6 @@ type Schedule struct {
 	Variant memctrl.Variant // the controller under test: a memctrl.Variants row
 	Model   nvm.CrashModel
 
-	// Epoch is the controller's coalescing-window size
-	// (memctrl.Config.EpochRequests): 0 (or 1) runs the eager path;
-	// larger values arm the epoch pipeline of bonsai/strict and
-	// bonsai/triad, so crashes can land mid-window with deferred tree
-	// updates only in the epoch journal, or inside a half-drained close
-	// commit group. Every other variant ignores it and runs eager; it
-	// is drawn for every variant anyway so the seeded schedule stream
-	// stays the same.
-	Epoch int
-
 	Warm  int // requests the shared warm parent executes before forking
 	Extra int // requests the forked child executes before the crash
 
@@ -146,22 +135,18 @@ func (s Schedule) strictEnvelope() bool {
 }
 
 // String renders the single-line replay token ParseSchedule inverts.
-// epoch is emitted only when armed, so pre-epoch tokens and their
-// replays stay byte-identical.
 func (s Schedule) String() string {
-	tok := fmt.Sprintf("v1 profile=%s combo=%s model=%s warm=%d extra=%d mid=%d faults=%d tseed=%d cseed=%d",
+	return fmt.Sprintf("v1 profile=%s combo=%s model=%s warm=%d extra=%d mid=%d faults=%d tseed=%d cseed=%d",
 		s.Profile, comboName(s.Variant), s.Model, s.Warm, s.Extra, s.MidCommit, s.Faults, s.TraceSeed, s.CrashSeed)
-	if s.Epoch != 0 {
-		tok += fmt.Sprintf(" epoch=%d", s.Epoch)
-	}
-	return tok
 }
 
 // ParseSchedule parses a replay token produced by Schedule.String.
-// Tokens from builds that still had the sharded warm fill or the
-// hit-burst fast lane may carry shard=N and fastpath=N; both engines
-// were byte-identical to the one warm fill that remains, so the keys
-// are accepted and ignored and those repros keep replaying.
+// Tokens from builds that still had the sharded warm fill, the
+// hit-burst fast lane or the epoch pipeline may carry shard=N,
+// fastpath=N and epoch=N. The keys are accepted and ignored, so those
+// repros keep replaying on the one write path that remains: the first
+// two engines were byte-identical to it, and an epoch=N trial replays
+// as the eager trial of the same schedule.
 func ParseSchedule(tok string) (Schedule, error) {
 	fields := strings.Fields(strings.TrimSpace(tok))
 	if len(fields) == 0 || fields[0] != "v1" {
@@ -210,8 +195,6 @@ func ParseSchedule(tok string) (Schedule, error) {
 				s.TraceSeed = n
 			case "cseed":
 				s.CrashSeed = n
-			case "epoch":
-				s.Epoch = int(n)
 			}
 		default:
 			return Schedule{}, fmt.Errorf("crashfuzz: unknown token field %q", k)
@@ -227,7 +210,7 @@ func (s *Schedule) validate() error {
 	if s.Profile == "" {
 		return errors.New("crashfuzz: schedule has no profile")
 	}
-	if s.Warm < 0 || s.Faults < 0 || s.Epoch < 0 {
+	if s.Warm < 0 || s.Faults < 0 {
 		return errors.New("crashfuzz: negative schedule dimension")
 	}
 	if s.Extra < 1 || s.Extra > MaxExtra {
@@ -240,18 +223,19 @@ func (s *Schedule) validate() error {
 // is shared across a whole fuzzing run so warm parents are reused.
 func RandomSchedule(rng *rand.Rand, traceSeed int64) Schedule {
 	warms := []int{64, 256}
-	epochs := []int{0, 4, 16} // legacy eager path plus two coalescing-window sizes
 	s := Schedule{
-		Profile:   Profiles[rng.Intn(len(Profiles))],
-		Variant:   memctrl.Variants[rng.Intn(len(memctrl.Variants))],
-		Model:     nvm.CrashModel(rng.Intn(len(nvm.CrashModels()))),
-		Epoch:     epochs[rng.Intn(len(epochs))],
-		Warm:      warms[rng.Intn(len(warms))],
-		Extra:     1 + rng.Intn(MaxExtra),
-		MidCommit: -1,
-		TraceSeed: traceSeed,
-		CrashSeed: rng.Int63(),
+		Profile: Profiles[rng.Intn(len(Profiles))],
+		Variant: memctrl.Variants[rng.Intn(len(memctrl.Variants))],
+		Model:   nvm.CrashModel(rng.Intn(len(nvm.CrashModels()))),
 	}
+	// The retired epoch window's draw (one of three sizes) stays, so
+	// every seed keeps drawing the schedules it drew before.
+	rng.Intn(3)
+	s.Warm = warms[rng.Intn(len(warms))]
+	s.Extra = 1 + rng.Intn(MaxExtra)
+	s.MidCommit = -1
+	s.TraceSeed = traceSeed
+	s.CrashSeed = rng.Int63()
 	if rng.Intn(2) == 0 {
 		s.MidCommit = rng.Intn(6)
 	}
@@ -292,7 +276,6 @@ type parent struct {
 type parentKey struct {
 	profile string
 	variant memctrl.Variant
-	epoch   int
 	warm    int
 	tseed   int64
 }
@@ -326,7 +309,7 @@ func NewRunner() *Runner {
 func arenaLen(warm int) int { return warm + MaxExtra + 1 + PostRunRequests }
 
 func (r *Runner) parent(s Schedule) (*parent, error) {
-	key := parentKey{profile: s.Profile, variant: s.Variant, epoch: s.Epoch, warm: s.Warm, tseed: s.TraceSeed}
+	key := parentKey{profile: s.Profile, variant: s.Variant, warm: s.Warm, tseed: s.TraceSeed}
 	if p, ok := r.parents[key]; ok {
 		return p, nil
 	}
@@ -334,9 +317,7 @@ func (r *Runner) parent(s Schedule) (*parent, error) {
 	if !ok {
 		return nil, fmt.Errorf("crashfuzz: unknown profile %q", s.Profile)
 	}
-	cfg := memctrl.TestConfig(s.Variant.Scheme)
-	cfg.EpochRequests = s.Epoch
-	ctrl, err := r.NewController(s.Variant.Family, cfg)
+	ctrl, err := r.NewController(s.Variant.Family, memctrl.TestConfig(s.Variant.Scheme))
 	if err != nil {
 		return nil, fmt.Errorf("crashfuzz: %s: %w", comboName(s.Variant), err)
 	}

@@ -40,7 +40,7 @@ func TestReplayTokenRoundTrip(t *testing.T) {
 // changes the campaign every earlier fuzz result was found with, so it
 // must be deliberate.
 func TestScheduleStreamPinned(t *testing.T) {
-	const want = 0x2f00ef2f03d865e1 // FNV-1a 64 of the newline-joined tokens
+	const want = 0x73d2c580600130d7 // FNV-1a 64 of the newline-joined tokens
 	rng := rand.New(rand.NewSource(99))
 	toks := make([]string, 500)
 	for i := range toks {
@@ -60,7 +60,7 @@ func TestScheduleStreamPinned(t *testing.T) {
 // StateDigest, fold into one FNV-1a 64 value. A change to how a trial
 // drives its controller (or to any controller) moves it.
 func TestTrialOutcomesPinned(t *testing.T) {
-	const want uint64 = 0xaee284581ec610f6 // FNV-1a 64 of the folded trial outcomes
+	const want uint64 = 0x43ab20a60ebc874d // FNV-1a 64 of the folded trial outcomes
 	d := &trialDigest{h: fnv.New64a()}
 	r := NewRunner()
 	r.NewController = func(f memctrl.Family, cfg memctrl.Config) (memctrl.Controller, error) {
@@ -95,8 +95,8 @@ type trialDigest struct {
 }
 
 // digestCtrl records what a trial observes from the controller it
-// wraps. Clones stay wrapped, and FlushEpoch and SetProbe are
-// forwarded so that sim's type assertions still find them.
+// wraps. Clones stay wrapped, and SetProbe is forwarded so that sim's
+// type assertion still finds it.
 type digestCtrl struct {
 	memctrl.Controller
 	d *trialDigest
@@ -132,13 +132,6 @@ func (c *digestCtrl) Clone() memctrl.Controller {
 	child := &digestCtrl{Controller: c.Controller.Clone(), d: c.d}
 	c.d.last = child
 	return child
-}
-
-func (c *digestCtrl) FlushEpoch() error {
-	if f, ok := c.Controller.(interface{ FlushEpoch() error }); ok {
-		return f.FlushEpoch()
-	}
-	return nil
 }
 
 func (c *digestCtrl) SetProbe(p obs.Probe) {
@@ -230,17 +223,14 @@ func TestTrialDeterminism(t *testing.T) {
 	}
 }
 
-// TestEpochMidDrainRegressionSeeds pins the epoch-pipeline crash
-// surface: with a coalescing window armed (Epoch=4), the mid-commit
-// budget hook sweeps over small budgets and crash points so the power
-// failure lands mid-window (deferred tree updates only in the epoch
-// journal, stale root register) and — on crash points that close a
-// window — inside the close's coalesced commit group, half-drained.
-// bonsai/strict defers; AGIT-Plus and ASIT ignore the window, so their
-// rows pin the eager path under the same crashes. Every variant must
-// satisfy the oracle under all three crash models; these are the seeds
-// that caught torn close groups during development, kept as a
-// deterministic regression net.
+// TestEpochMidDrainRegressionSeeds sweeps the mid-commit budget hook
+// over small budgets and two crash points, so the power failure lands
+// inside a half-drained commit group that DONE_BIT redo must retire.
+// Strict persists the most per write; AGIT-Plus and ASIT are the two
+// Anubis schemes. Every variant must satisfy the oracle under all three
+// crash models. The seeds are the ones that caught torn commit groups
+// in the retired epoch pipeline's close, kept as a deterministic
+// regression net for the one eager write path.
 func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 	r := NewRunner()
 	cseed := int64(4242)
@@ -250,7 +240,7 @@ func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 				for _, extra := range []int{4, 9} {
 					s := Schedule{
 						Profile: "libquantum", Variant: variant(name), Model: model,
-						Epoch: 4, Warm: 64, Extra: extra, MidCommit: mid,
+						Warm: 64, Extra: extra, MidCommit: mid,
 						TraceSeed: 99, CrashSeed: cseed,
 					}
 					cseed++
@@ -263,55 +253,49 @@ func TestEpochMidDrainRegressionSeeds(t *testing.T) {
 	}
 }
 
-// TestEpochReplayTokens replays checked-in epoch-pipeline repro tokens
-// (the epoch=N token extension; absent = legacy path for old corpora)
-// and requires a clean run on the fixed controllers. AGIT-Plus and ASIT
-// ignore the window, so their tokens pin the eager path under the same
-// crashes.
+// TestEpochReplayTokens replays the epoch pipeline's checked-in repro
+// tokens exactly as they were stored, epoch=N included: each parses,
+// re-encodes without the retired key, and runs clean as an eager trial.
+// Two of them crash inside a half-drained commit group that DONE_BIT
+// redo must retire.
 func TestEpochReplayTokens(t *testing.T) {
 	r := NewRunner()
-	tokens := []string{
-		// Epoch set on schemes that ignore it: both recover their eager
-		// state.
+	for _, tok := range []string{
 		"v1 profile=libquantum combo=sgx/asit model=full-adr warm=64 extra=13 mid=-1 faults=0 tseed=99 cseed=11 epoch=16",
 		"v1 profile=mcf combo=bonsai/agit-plus model=torn-block warm=64 extra=21 mid=-1 faults=0 tseed=99 cseed=12 epoch=16",
-		// Half-drained group: DONE_BIT redo must retire it (for
-		// bonsai/strict, the window's close group).
 		"v1 profile=libquantum combo=bonsai/strict model=full-adr warm=64 extra=8 mid=1 faults=0 tseed=99 cseed=13 epoch=4",
 		"v1 profile=libquantum combo=sgx/asit model=partial-drain warm=64 extra=8 mid=1 faults=0 tseed=99 cseed=14 epoch=4",
-	}
-	for _, tok := range tokens {
+	} {
 		s, err := ParseSchedule(tok)
 		if err != nil {
 			t.Fatalf("token %q: %v", tok, err)
 		}
-		if s.Epoch == 0 {
-			t.Fatalf("token %q lost its epoch dimension", tok)
+		if want := tok[:strings.LastIndex(tok, " epoch=")]; s.String() != want {
+			t.Fatalf("token %q re-encoded as %q, want %q", tok, s.String(), want)
 		}
 		if v := r.RunTrial(s); v != nil {
 			t.Fatalf("%v", v)
 		}
 	}
-	// Back-compat: a pre-epoch token parses to the legacy path.
-	s, err := ParseSchedule("v1 profile=mcf combo=bonsai/strict model=full-adr warm=64 extra=5 mid=-1 faults=0 tseed=99 cseed=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch != 0 {
-		t.Fatalf("epoch-less token parsed to Epoch=%d, want 0", s.Epoch)
-	}
 }
 
 // TestRetiredEngineKeysReplay pins replay-token compatibility with
-// builds that had the sharded warm fill and the hit-burst fast lane:
-// a token carrying shard=N fastpath=N parses to the same Schedule as the
-// token without them, and both replay to the same verdict — a clean
-// pass, an expected refusal, or a violation from a broken controller.
+// builds that had the sharded warm fill, the hit-burst fast lane or the
+// epoch pipeline: a token carrying shard=N, fastpath=N and epoch=N
+// parses to the same Schedule as the token without them, and both
+// replay to the same verdict — a clean pass, an expected refusal, or a
+// violation from a broken controller. The last four tokens were the
+// epoch pipeline's checked-in repros, among them half-drained commit
+// groups; they replay as eager trials.
 func TestRetiredEngineKeysReplay(t *testing.T) {
 	tokens := []string{
 		"v1 profile=libquantum combo=bonsai/agit-plus model=full-adr warm=256 extra=16 mid=-1 faults=0 tseed=99 cseed=9000",
-		"v1 profile=libquantum combo=sgx/asit model=full-adr warm=256 extra=16 mid=-1 faults=0 tseed=99 cseed=9001 epoch=4",
+		"v1 profile=libquantum combo=sgx/asit model=full-adr warm=256 extra=16 mid=-1 faults=0 tseed=99 cseed=9001",
 		"v1 profile=mcf combo=bonsai/writeback model=torn-block warm=64 extra=9 mid=2 faults=1 tseed=99 cseed=9002",
+		"v1 profile=libquantum combo=sgx/asit model=full-adr warm=64 extra=13 mid=-1 faults=0 tseed=99 cseed=11",
+		"v1 profile=mcf combo=bonsai/agit-plus model=torn-block warm=64 extra=21 mid=-1 faults=0 tseed=99 cseed=12",
+		"v1 profile=libquantum combo=bonsai/strict model=full-adr warm=64 extra=8 mid=1 faults=0 tseed=99 cseed=13",
+		"v1 profile=libquantum combo=sgx/asit model=partial-drain warm=64 extra=8 mid=1 faults=0 tseed=99 cseed=14",
 	}
 	broken := NewRunner()
 	broken.NewController = func(f memctrl.Family, cfg memctrl.Config) (memctrl.Controller, error) {
@@ -327,7 +311,7 @@ func TestRetiredEngineKeysReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, extra := range []string{" shard=4 fastpath=1", " shard=0 fastpath=0", " fastpath=1 shard=8"} {
+			for _, extra := range []string{" shard=4 fastpath=1 epoch=4", " shard=0 fastpath=0 epoch=0", " epoch=16 fastpath=1 shard=8"} {
 				old, err := ParseSchedule(tok + extra)
 				if err != nil {
 					t.Fatalf("token with%s rejected: %v", extra, err)
@@ -339,7 +323,7 @@ func TestRetiredEngineKeysReplay(t *testing.T) {
 					t.Fatalf("re-encoded token %q, want %q", old.String(), tok)
 				}
 			}
-			old, _ := ParseSchedule(tok + " shard=4 fastpath=1")
+			old, _ := ParseSchedule(tok + " shard=4 fastpath=1 epoch=16")
 			want, got := r.RunTrial(plain), r.RunTrial(old)
 			if (want == nil) == (r == broken) {
 				t.Fatalf("%s: unexpected verdict %v", tok, want)
@@ -466,16 +450,14 @@ var fuzzRunner = NewRunner()
 // mutates the schedule dimensions and every execution must satisfy the
 // differential oracle.
 func FuzzTrial(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(10), int8(-1), uint8(0), uint8(0))
-	f.Add(int64(99), uint8(4), uint8(1), uint8(2), uint16(33), int8(3), uint8(1), uint8(1))
-	f.Add(int64(7), uint8(10), uint8(2), uint8(1), uint16(80), int8(0), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, cseed int64, combo, model, profile uint8, extra uint16, mid int8, faults, epoch uint8) {
-		epochs := []int{0, 4, 16}
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(10), int8(-1), uint8(0))
+	f.Add(int64(99), uint8(4), uint8(1), uint8(2), uint16(33), int8(3), uint8(1))
+	f.Add(int64(7), uint8(10), uint8(2), uint8(1), uint16(80), int8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, cseed int64, combo, model, profile uint8, extra uint16, mid int8, faults uint8) {
 		s := Schedule{
 			Profile:   Profiles[int(profile)%len(Profiles)],
 			Variant:   memctrl.Variants[int(combo)%len(memctrl.Variants)],
 			Model:     nvm.CrashModel(int(model) % len(nvm.CrashModels())),
-			Epoch:     epochs[int(epoch)%len(epochs)],
 			Warm:      64,
 			Extra:     1 + int(extra)%MaxExtra,
 			MidCommit: -1,

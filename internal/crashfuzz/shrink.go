@@ -3,9 +3,8 @@ package crashfuzz
 // Shrinking: reduce a failing schedule to a minimal repro.
 //
 // The order is deliberate — drop whole crash-model features first
-// (fault injection, the mid-commit hook, the relaxed persistence
-// model, then the epoch coalescing window), because a repro without
-// them implicates a much smaller slice of the system; only then bisect
+// (fault injection, the mid-commit hook, then the relaxed persistence
+// model), because a repro without them implicates a much smaller slice of the system; only then bisect
 // the crash point (Extra) and the warm fill (Warm), which shortens the
 // trace a human must replay.
 
@@ -50,15 +49,6 @@ func (r *Runner) Shrink(s Schedule) (Schedule, *Violation) {
 	if s.Model != 0 {
 		cand := s
 		cand.Model = 0 // CrashFullADR
-		if v := try(cand); v != nil {
-			s, best = cand, v
-		}
-	}
-	if s.Epoch != 0 {
-		// A repro surviving on the legacy eager path clears the epoch
-		// pipeline (deferred tree updates, journal, close group) entirely.
-		cand := s
-		cand.Epoch = 0
 		if v := try(cand); v != nil {
 			s, best = cand, v
 		}

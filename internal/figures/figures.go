@@ -36,12 +36,6 @@ type RunConfig struct {
 	CounterCacheBytes int
 	TreeCacheBytes    int
 	MetaCacheBytes    int
-	// Epoch is the bank-parallel epoch pipeline's window size in write
-	// requests (memctrl.Config.EpochRequests). 0 or 1 selects the eager
-	// path. It moves only Fig 10's strict column (the only Fig 10 scheme
-	// that defers tree updates); every other column and all of Fig 11
-	// are epoch-invariant.
-	Epoch int
 	// Parallel is the evaluation engine's worker count: how many
 	// (scheme, app, size) simulation cells run concurrently. 0 means
 	// runtime.GOMAXPROCS(0); 1 reproduces the legacy sequential path.
@@ -135,7 +129,6 @@ func (rc RunConfig) config(s memctrl.Scheme) memctrl.Config {
 	if rc.MetaCacheBytes > 0 {
 		cfg.MetaCacheBlocks = rc.MetaCacheBytes / memctrl.BlockBytes
 	}
-	cfg.EpochRequests = rc.Epoch
 	return cfg
 }
 
@@ -224,14 +217,6 @@ func (rc RunConfig) recoverAfter(f memctrl.Family, cfg memctrl.Config, p trace.P
 	}
 	ctrl.Crash()
 	return ctrl.Recover()
-}
-
-// NumApps reports how many application profiles the configuration runs
-// (used by cmd/anubis-bench to count simulation cells); 0 when the
-// configuration is invalid, which the sweep itself then reports.
-func (rc RunConfig) NumApps() int {
-	ps, _ := rc.profiles()
-	return len(ps)
 }
 
 // --- Table 1 -------------------------------------------------------------------

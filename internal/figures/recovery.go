@@ -180,14 +180,13 @@ func (c *RecoverySweepConfig) result(trials []RecoveryTrial) *RecoverySweepResul
 
 // forkedTrials fills one warm controller, then advances it as the
 // spine: each crash point is ExtraPerTrial more requests, forked off
-// with its window closed on the fork (sim.Runner.Fork), so the spine
-// itself never flushes an epoch. Forks are taken sequentially in
-// batches of the pool's size — forking freezes the spine's page
-// stores, which must not race with the spine advancing — and each
-// batch is crashed and recovered on the pool before the next is
-// taken. Forks only read
-// the shared frozen pages and copy-on-write into their own
-// directories, so a batch's trials are independent.
+// with its window closed on the fork (sim.Runner.Fork). Forks are
+// taken sequentially in batches of the pool's size — forking freezes
+// the spine's page stores, which must not race with the spine
+// advancing — and each batch is crashed and recovered on the pool
+// before the next is taken. Forks only read the shared frozen pages
+// and copy-on-write into their own directories, so a batch's trials
+// are independent.
 func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Config) ([]RecoveryTrial, error) {
 	warm, err := memctrl.New(c.Family, cfg)
 	if err != nil {
@@ -207,10 +206,7 @@ func (c *RecoverySweepConfig) forkedTrials(arena *trace.Arena, cfg memctrl.Confi
 			if err := spine.Step(c.ExtraPerTrial); err != nil {
 				return nil, fmt.Errorf("figures: trial %d window: %w", t, err)
 			}
-			fork, window, err := spine.Fork()
-			if err != nil {
-				return nil, fmt.Errorf("figures: trial %d window: %w", t, err)
-			}
+			fork, window := spine.Fork()
 			forks[k] = fork
 			trials[t] = RecoveryTrial{Extra: (t + 1) * c.ExtraPerTrial, Window: window}
 		}

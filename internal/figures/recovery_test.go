@@ -67,10 +67,9 @@ func coldSweep(c RecoverySweepConfig) (*RecoverySweepResult, error) {
 // trial of a spine-forked sweep — measurement-window results, recovery
 // reports, and merged histograms — must be identical to the cold-start
 // sweep that re-fills a fresh controller per trial and runs its whole
-// window at once. At epoch 16 strict's windows end mid-epoch, so a
-// spine that flushed at a crash point (instead of only the fork) would
-// shift every later trial; the other schemes ignore the window. Seven trials leave a partial last batch at four
-// workers.
+// window at once. Seven trials leave a partial last batch at four
+// workers. The subtests keep the epoch0- prefix the eager rows carried
+// while the tree-update window was a sweep dimension.
 func TestRecoverySweepForkEqualsCold(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
@@ -84,42 +83,39 @@ func TestRecoverySweepForkEqualsCold(t *testing.T) {
 		{"strict", memctrl.SchemeStrict, memctrl.FamilyBonsai},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			for _, epoch := range []int{0, 16} {
-				cfg := sweepQuick(sc.scheme, sc.family)
-				cfg.Run.Epoch = epoch
-				cfg.Trials = 7
-				cold, err := coldSweep(cfg)
-				if err != nil {
-					t.Fatalf("epoch %d cold: %v", epoch, err)
-				}
-				for _, workers := range []int{1, 4} {
-					t.Run(fmt.Sprintf("epoch%d-parallel%d", epoch, workers), func(t *testing.T) {
-						fc := cfg
-						fc.Run.Parallel = workers
-						forked, err := RecoverySweep(fc)
-						if err != nil {
-							t.Fatal(err)
+			cfg := sweepQuick(sc.scheme, sc.family)
+			cfg.Trials = 7
+			cold, err := coldSweep(cfg)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("epoch0-parallel%d", workers), func(t *testing.T) {
+					fc := cfg
+					fc.Run.Parallel = workers
+					forked, err := RecoverySweep(fc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(forked.Trials) != len(cold.Trials) {
+						t.Fatalf("trial counts differ: %d vs %d", len(forked.Trials), len(cold.Trials))
+					}
+					for i := range forked.Trials {
+						if !reflect.DeepEqual(forked.Trials[i], cold.Trials[i]) {
+							t.Errorf("trial %d diverged\nforked: %+v\ncold:   %+v",
+								i, forked.Trials[i], cold.Trials[i])
 						}
-						if len(forked.Trials) != len(cold.Trials) {
-							t.Fatalf("trial counts differ: %d vs %d", len(forked.Trials), len(cold.Trials))
-						}
-						for i := range forked.Trials {
-							if !reflect.DeepEqual(forked.Trials[i], cold.Trials[i]) {
-								t.Errorf("trial %d diverged\nforked: %+v\ncold:   %+v",
-									i, forked.Trials[i], cold.Trials[i])
-							}
-						}
-						if !reflect.DeepEqual(forked.ReadLat, cold.ReadLat) {
-							t.Error("merged read-latency histograms diverged")
-						}
-						if !reflect.DeepEqual(forked.WriteLat, cold.WriteLat) {
-							t.Error("merged write-latency histograms diverged")
-						}
-						if forked.PhaseTotals != cold.PhaseTotals {
-							t.Error("merged recovery-phase ledgers diverged")
-						}
-					})
-				}
+					}
+					if !reflect.DeepEqual(forked.ReadLat, cold.ReadLat) {
+						t.Error("merged read-latency histograms diverged")
+					}
+					if !reflect.DeepEqual(forked.WriteLat, cold.WriteLat) {
+						t.Error("merged write-latency histograms diverged")
+					}
+					if forked.PhaseTotals != cold.PhaseTotals {
+						t.Error("merged recovery-phase ledgers diverged")
+					}
+				})
 			}
 		})
 	}

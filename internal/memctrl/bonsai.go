@@ -41,23 +41,10 @@ type Bonsai struct {
 	defLeafHash uint64
 	defNode     []merkle.GNode
 	defNodeHash []uint64
-
-	// Epoch pipeline state (see bonsai_epoch.go; epochDirty is nil
-	// unless NewBonsai armed the pipeline): writes since the last close,
-	// the set of counter pages with deferred tree-path updates, and
-	// reusable close-time scratch. All volatile — lost at crash; the
-	// device-side epoch journal is the persistent record of the open
-	// window.
-	epochWrites int
-	epochDirty  map[uint64]struct{}
-	epochPages  []uint64
-	epochHash   []uint64
 }
 
 // NewBonsai constructs a Bonsai-family controller over a fresh, zeroed
 // device for cfg.Scheme, which must be a FamilyBonsai row of Variants.
-// The epoch pipeline is armed only for the schemes defersTreeUpdates
-// names; the others ignore cfg.EpochRequests.
 func NewBonsai(cfg Config) (*Bonsai, error) {
 	b, err := buildBonsai(cfg, nvm.NewDevice())
 	if err != nil {
@@ -84,7 +71,7 @@ func OpenBonsai(cfg Config, dev *nvm.Device) (*Bonsai, error) {
 
 // buildBonsai validates cfg and builds the controller state both a fresh
 // device and a reopened image need: geometry, caches, shadow tables,
-// the epoch buffer, and the zero-memory tree defaults.
+// and the zero-memory tree defaults.
 func buildBonsai(cfg Config, dev *nvm.Device) (*Bonsai, error) {
 	if err := cfg.validate(FamilyBonsai); err != nil {
 		return nil, err
@@ -103,9 +90,6 @@ func buildBonsai(cfg Config, dev *nvm.Device) (*Bonsai, error) {
 		b.smt = shadow.NewAddrTable(b.tCache.NumSlots())
 		b.dev.Reserve(nvm.RegionSCT, b.sct.NumBlocks())
 		b.dev.Reserve(nvm.RegionSMT, b.smt.NumBlocks())
-	}
-	if cfg.EpochRequests > 1 && defersTreeUpdates(cfg.Scheme) {
-		b.epochDirty = make(map[uint64]struct{}, cfg.EpochRequests)
 	}
 	b.computeTreeDefaults()
 	return b, nil
@@ -239,17 +223,6 @@ func (b *Bonsai) getCounterBlock(page uint64) (*cache.Line, error) {
 	// the Insert copy, so the pointer stays valid.
 	blk, _, done := b.dev.ReadAtPtr(nvm.RegionCounter, page, b.now)
 	b.now = done
-	if b.dev.JournalLen() > 0 {
-		if je, ok := b.dev.JournalLookup(page); ok {
-			// Mid-epoch refetch of a journaled block: the on-chip epoch
-			// journal holds the authoritative content (NVM and the tree
-			// still describe the epoch start). The journal lives inside
-			// the persistence domain, so no tree verification applies.
-			line, victim := b.cCache.Insert(page, je.New)
-			b.writeBackVictim(nvm.RegionCounter, victim)
-			return line, nil
-		}
-	}
 	h := b.eng.ContentHash(blk[:])
 	pnode, slot := b.geom.LeafParent(page)
 	parent, err := b.getTreeNode(0, pnode)
@@ -316,11 +289,9 @@ func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 }
 
 // WriteBlock encrypts and persists one data block with all metadata
-// updates the configured scheme requires, atomically (§2.7). Only the
-// tree update and the window's close depend on whether the epoch
-// pipeline is armed: the eager path propagates the leaf change to the
-// root register in this commit group, while the pipeline
-// (bonsai_epoch.go) defers it to the close.
+// updates the configured scheme requires, atomically (§2.7): the leaf
+// change propagates up the tree to the root register in the same
+// commit group.
 func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 	if err := b.checkAddr(idx); err != nil {
 		return err
@@ -333,23 +304,8 @@ func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 		return err
 	}
 	s := counter.UnpackSplit(line.Data)
-	deferTree := b.epochDirty != nil
-	if deferTree && s.Minors[lane] == counter.MinorMax {
-		// Page overflow ahead: the re-encryption rewrites every lane of
-		// the page, which the coalescing window cannot express. Close
-		// the window and update the tree eagerly for this one write.
-		if err := b.closeEpoch(); err != nil {
-			return err
-		}
-		deferTree = false
-		if line, err = b.getCounterBlock(page); err != nil {
-			return err
-		}
-		s = counter.UnpackSplit(line.Data)
-	}
 	b.pending = b.pending[:0]
 
-	prev := line.Data
 	old := s
 	if s.Increment(lane) {
 		// Minor overflow: the page is re-encrypted under the new major
@@ -403,37 +359,20 @@ func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
 
 	b.seal(idx, s.Counter(lane), &data)
 
-	if deferTree {
-		// Deferred tree update: remember the page and journal the change.
-		// Old pins the epoch-start content (sticky across the window: a
-		// later note for the same page refreshes only New), so the stale
-		// root register plus the journal always describe a recoverable
-		// state, under every crash model.
-		b.epochDirty[page] = struct{}{}
-		b.pending = append(b.pending, nvm.PendingWrite{JOp: nvm.JournalNote, JKey: page, JOld: prev, Block: line.Data})
-	} else {
-		// Eager tree update: propagate the leaf change to the on-chip
-		// root. The root register joins the atomic group so NVM content
-		// and the root can never disagree across a crash.
-		if err := b.updateTreePath(page, line.Data); err != nil {
-			return err
-		}
-		var rootBlk [BlockBytes]byte
-		putU64(rootBlk[:], b.rootHash)
-		b.pending = append(b.pending, nvm.PendingWrite{RegName: regBonsaiRoot, Block: rootBlk})
+	// Eager tree update: propagate the leaf change to the on-chip root.
+	// The root register joins the atomic group so NVM content and the
+	// root can never disagree across a crash.
+	if err := b.updateTreePath(page, line.Data); err != nil {
+		return err
 	}
+	var rootBlk [BlockBytes]byte
+	putU64(rootBlk[:], b.rootHash)
+	b.pending = append(b.pending, nvm.PendingWrite{RegName: regBonsaiRoot, Block: rootBlk})
 
 	b.now += HashNS // pipelined encrypt+MAC engine occupancy
 	b.dev.Attr().Add(obs.CompCrypto, HashNS)
 	b.commitPending()
 	b.now = b.wl.recordWrite(b.now)
-
-	if deferTree {
-		b.epochWrites++
-		if b.epochWrites >= b.cfg.EpochRequests {
-			return b.closeEpoch()
-		}
-	}
 	return nil
 }
 
@@ -461,8 +400,7 @@ func (b *Bonsai) updateTreePath(page uint64, counterBlock [BlockBytes]byte) erro
 }
 
 // persistTreeNode applies the scheme's per-node persistence policy to a
-// freshly updated tree node, for the eager path and the epoch close
-// alike. Strict, and Triad below TriadLevels, stage the node in the
+// freshly updated tree node. Strict, and Triad below TriadLevels, stage the node in the
 // current commit group (Triad keeps its cached copy dirty); every other
 // scheme only dirties the cached line, which AGIT-Plus tracks in the
 // SMT on its first dirtying.
@@ -521,12 +459,6 @@ func (b *Bonsai) inPersistentRegion(idx uint64) bool {
 
 // FlushCaches writes back all dirty metadata (orderly shutdown).
 func (b *Bonsai) FlushCaches() error {
-	// An open epoch window drains first: flushed counter lines may carry
-	// content the stale root register does not cover yet, so a close
-	// that fails verification flushes nothing.
-	if err := b.FlushEpoch(); err != nil {
-		return err
-	}
 	b.cCache.FlushAll(func(page uint64, data [BlockBytes]byte) {
 		b.now = b.dev.Push(nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: data}, b.now)
 	})
@@ -552,10 +484,6 @@ func (b *Bonsai) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
 	if b.sct != nil {
 		b.sct.Drop()
 		b.smt.Drop()
-	}
-	b.epochWrites = 0
-	for p := range b.epochDirty {
-		delete(b.epochDirty, p)
 	}
 	b.rootHash = 0
 }

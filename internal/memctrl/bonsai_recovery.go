@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"anubis/internal/counter"
 	"anubis/internal/merkle"
@@ -25,9 +24,6 @@ import (
 //     level, then compare the resulting root with the on-chip root.
 //   - Triad rebuilds the tree levels it does not persist; Selective
 //     rebuilds the whole tree and re-anchors the root to it.
-//
-// Strict and Triad also replay the epoch journal of a window the crash
-// left open; every other recoverable scheme fails closed on an entry.
 func (b *Bonsai) Recover() (*RecoveryReport, error) { return b.recoverFrame(b.recoverScheme) }
 
 func (b *Bonsai) recoverScheme(rep *RecoveryReport) error {
@@ -42,35 +38,11 @@ func (b *Bonsai) recoverScheme(rep *RecoveryReport) error {
 		b.crashed = false
 		return fmt.Errorf("%w: write-back persists no security metadata", ErrNotRecoverable)
 	}
-	// Only the deferring schemes write the epoch journal. For the others
-	// an entry describes no state the root register can vouch for, so
-	// recovery fails closed rather than replay it.
-	if n := b.dev.JournalLen(); n > 0 && !defersTreeUpdates(b.cfg.Scheme) {
-		return fmt.Errorf("%w: %v device holds %d epoch journal entries", ErrUnrecoverable, b.cfg.Scheme, n)
-	}
 	switch b.cfg.Scheme {
 	case SchemeStrict:
 		root, ok := b.dev.GetReg64(regBonsaiRoot)
 		if !ok {
 			return fmt.Errorf("%w: missing root register", ErrUnrecoverable)
-		}
-		if b.dev.JournalLen() > 0 {
-			// The crash fell inside an open epoch window: NVM counters
-			// are current (strict persistence) but the tree and register
-			// still describe the epoch start. Two-pass journal recovery:
-			// roll journaled counters back to Old, check the stale
-			// register, then replay New and re-anchor.
-			entries, levels, err := b.journalPassA(rep)
-			if err != nil {
-				return err
-			}
-			rep.enterPhase(obs.RPRootAnchor)
-			if got := b.rootNVM(rep); got != root {
-				return fmt.Errorf("%w: epoch-start root %#x != stored root %#x", ErrUnrecoverable, got, root)
-			}
-			b.journalPassB(entries, levels, rep)
-			b.crashed = false
-			return nil
 		}
 		b.rootHash = root
 		b.crashed = false
@@ -208,15 +180,6 @@ func (b *Bonsai) recoverOsirisFull(rep *RecoveryReport) error {
 // still memory-bound, which is the contrast with Anubis the paper draws
 // in §7.
 func (b *Bonsai) recoverTriad(rep *RecoveryReport) error {
-	// Epoch-journal pass A: with the pipeline on, the per-write counter
-	// persists are current but the coalesced lower-level node persists
-	// only land at epoch close — NVM's lower tree describes the epoch
-	// start. Roll journaled counters back and restore their lower paths
-	// before the upper rebuild checks the (stale) register.
-	entries, jLevels, err := b.journalPassA(rep)
-	if err != nil {
-		return err
-	}
 	rep.enterPhase(obs.RPMerkleRebuild)
 	start := b.cfg.TriadLevels
 	if start > b.geom.Levels() {
@@ -233,11 +196,7 @@ func (b *Bonsai) recoverTriad(rep *RecoveryReport) error {
 	if root != want {
 		return fmt.Errorf("%w: rebuilt root %#x != stored root %#x", ErrUnrecoverable, root, want)
 	}
-	if len(entries) > 0 {
-		b.journalPassB(entries, jLevels, rep)
-	} else {
-		b.rootHash = root
-	}
+	b.rootHash = root
 	b.crashed = false
 	return nil
 }
@@ -404,94 +363,4 @@ func (b *Bonsai) rootNVM(rep *RecoveryReport) uint64 {
 	rep.FetchOps++
 	rep.CryptoOps++
 	return b.eng.ContentHash(rootNode[:])
-}
-
-// --- epoch-journal two-pass recovery helpers --------------------------------
-//
-// A crash inside an open epoch window (bonsai_epoch.go) leaves the root
-// register anchoring the epoch-start state while NVM may already hold
-// newer journaled content. The on-chip journal records, per touched
-// counter page, both the epoch-start content (Old — what the stale
-// register covers) and the authoritative latest content (New). Recovery
-// runs two passes over it:
-//
-//	pass A  write Old back, restore the journaled root paths, and
-//	        verify the recomputed root against the stale register;
-//	pass B  write New, recompute the same paths, anchor the fresh
-//	        root, and clear the journal.
-
-// journalPassA is pass A. It bounds-checks the journal's keys, records
-// their count in the report, and returns the entries with their root
-// paths for journalPassB; both are empty when no window was open.
-func (b *Bonsai) journalPassA(rep *RecoveryReport) ([]nvm.JournalEntry, [][]uint64, error) {
-	entries := b.dev.JournalEntries()
-	for i := range entries {
-		if entries[i].Key >= b.numPages {
-			return nil, nil, fmt.Errorf("%w: epoch journal tracks counter page %#x beyond memory (%d pages)",
-				ErrUnrecoverable, entries[i].Key, b.numPages)
-		}
-	}
-	rep.JournalPages = uint64(len(entries))
-	levels := b.epochAncestorLevels(entries)
-	rep.enterPhase(obs.RPJournalPassA)
-	b.epochWriteCounters(entries, true, rep)
-	b.epochRecompute(levels, rep)
-	return entries, levels, nil
-}
-
-// journalPassB is pass B.
-func (b *Bonsai) journalPassB(entries []nvm.JournalEntry, levels [][]uint64, rep *RecoveryReport) {
-	rep.enterPhase(obs.RPJournalPassB)
-	b.epochWriteCounters(entries, false, rep)
-	b.epochRecompute(levels, rep)
-	root := b.rootNVM(rep)
-	b.rootHash = root
-	b.dev.SetReg64(regBonsaiRoot, root)
-	b.dev.JournalReset()
-}
-
-// epochAncestorLevels returns, per tree level, the sorted deduplicated
-// node indices on the journaled pages' root paths. The outer slice
-// always has geom.Levels() entries (all nil for an empty journal).
-func (b *Bonsai) epochAncestorLevels(entries []nvm.JournalEntry) [][]uint64 {
-	out := make([][]uint64, b.geom.Levels())
-	seen := make(map[uint64]bool)
-	for i := range entries {
-		child := entries[i].Key
-		for level := 0; level < b.geom.Levels(); level++ {
-			idx := child / merkle.Arity
-			flat := b.geom.Flat(level, idx)
-			if !seen[flat] {
-				seen[flat] = true
-				out[level] = append(out[level], idx)
-			}
-			child = idx
-		}
-	}
-	for _, idxs := range out {
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	}
-	return out
-}
-
-// epochWriteCounters lands each journaled page's Old (pass A) or New
-// (pass B) content in the counter region.
-func (b *Bonsai) epochWriteCounters(entries []nvm.JournalEntry, old bool, rep *RecoveryReport) {
-	for i := range entries {
-		blk := entries[i].New
-		if old {
-			blk = entries[i].Old
-		}
-		b.dev.WriteRaw(nvm.RegionCounter, entries[i].Key, blk)
-		rep.FetchOps++
-	}
-}
-
-// epochRecompute rebuilds the given per-level node sets bottom-up.
-func (b *Bonsai) epochRecompute(levels [][]uint64, rep *RecoveryReport) {
-	for level, idxs := range levels {
-		for _, idx := range idxs {
-			b.recomputeNode(level, idx, rep)
-		}
-	}
 }

@@ -63,15 +63,6 @@ func (b *Bonsai) Clone() Controller {
 	}
 	n.defNode = append([]merkle.GNode(nil), b.defNode...)
 	n.defNodeHash = append([]uint64(nil), b.defNodeHash...)
-	if b.epochDirty != nil {
-		n.epochDirty = make(map[uint64]struct{}, len(b.epochDirty))
-		for p := range b.epochDirty {
-			n.epochDirty[p] = struct{}{}
-		}
-	}
-	// Close-time scratch is rebuilt on demand; sharing the backing
-	// arrays across goroutines would race.
-	n.epochPages, n.epochHash = nil, nil
 	return n
 }
 

@@ -289,18 +289,6 @@ type Config struct {
 	// memory is treated as persistent.
 	PersistentBlocks uint64
 
-	// EpochRequests enables the bank-parallel epoch pipeline of Bonsai
-	// Strict and Triad when > 1: eager tree-path updates are deferred
-	// into a coalescing buffer and drained as one commit group every
-	// EpochRequests data writes — one persisted ancestor per epoch
-	// instead of one per request. The window between drains is covered
-	// by the persistent epoch journal (nvm.JournalEntry), which keeps
-	// recovery exact. 0 or 1 selects the eager per-request path. Every
-	// other scheme, and the whole SGX family (Fig 11), ignores it and
-	// always runs eager: they persist no tree node per write, so there
-	// is nothing to coalesce (DESIGN.md §12).
-	EpochRequests int
-
 	Scheme Scheme
 }
 
@@ -443,11 +431,6 @@ type RecoveryReport struct {
 	EntriesScanned uint64 `json:"entries_scanned"` // shadow table entries visited
 
 	RedoneWrites int `json:"redone_writes"` // commit-group writes replayed via DONE_BIT
-
-	// JournalPages counts epoch-journal entries replayed by Bonsai
-	// Strict's and Triad's two-pass mid-epoch recovery (0 when the crash
-	// fell between epoch windows or the epoch pipeline was off).
-	JournalPages uint64 `json:"journal_pages,omitempty"`
 
 	// Phases decomposes the modeled recovery time into the recovery
 	// phase taxonomy (DESIGN.md §16). Every counted op is attributed to

@@ -100,29 +100,6 @@ func TestSGXFlushReportsCorruptTree(t *testing.T) {
 	}
 }
 
-// TestBonsaiFlushReportsEpochCloseError: the flush drains an open epoch
-// window first; when the close fails verification, FlushCaches returns
-// the error instead of flushing lines the stale root does not cover.
-func TestBonsaiFlushReportsEpochCloseError(t *testing.T) {
-	cfg := TestConfig(SchemeStrict)
-	cfg.EpochRequests = 16
-	b, err := NewBonsai(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 5; i++ {
-		if err := b.WriteBlock(i, pattern(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.tCache.DropAll()
-	b.Device().WriteRaw(nvm.RegionTree, b.geom.Flat(0, 0), pattern(99))
-	var ie *IntegrityError
-	if err := b.FlushCaches(); !errors.As(err, &ie) {
-		t.Fatalf("flush with a corrupted tree under an open window: %v, want an IntegrityError", err)
-	}
-}
-
 // TestAuditReportsStrayBlocks: a counter- or tree-region block outside
 // the geometry was written by no controller, so the image is damaged.
 // The audit reports it as a violation, in both families.

@@ -11,7 +11,7 @@ import (
 
 // TestRecoveryAttributionSumExact is the recovery-phase twin of the run
 // ledger's sum-exact contract (DESIGN.md §16): for every scheme × crash
-// model × epoch cell, the phase ledger must decompose the modeled
+// model cell, the phase ledger must decompose the modeled
 // recovery time exactly — Phases.Total() == ModeledNS() — whether the
 // recovery succeeds or fails typed.
 func TestRecoveryAttributionSumExact(t *testing.T) {
@@ -38,82 +38,73 @@ func TestRecoveryAttributionSumExact(t *testing.T) {
 	}
 	for _, tc := range cells {
 		for _, model := range nvm.CrashModels() {
-			for _, epoch := range []int{0, 8} {
-				name := tc.name + "/" + model.String()
-				if epoch > 0 {
-					name += "/epoch8"
+			t.Run(tc.name+"/"+model.String(), func(t *testing.T) {
+				cfg := TestConfig(tc.sch)
+				if tc.sch == SchemeTriad {
+					cfg.TriadLevels = 2
 				}
-				t.Run(name, func(t *testing.T) {
-					cfg := TestConfig(tc.sch)
-					if tc.sch == SchemeTriad {
-						cfg.TriadLevels = 2
-					}
-					cfg.EpochRequests = epoch
-					ctrl, err := tc.ctor(cfg)
-					if err != nil {
+				ctrl, err := tc.ctor(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rng *rand.Rand
+				if model != nvm.CrashFullADR {
+					ctrl.Device().TrackInflight(true)
+					rng = rand.New(rand.NewSource(99))
+				}
+				wrng := rand.New(rand.NewSource(42))
+				for i := 0; i < 300; i++ {
+					addr := uint64(wrng.Intn(int(ctrl.NumBlocks())))
+					var d [BlockBytes]byte
+					wrng.Read(d[:])
+					if err := ctrl.WriteBlock(addr, d); err != nil {
 						t.Fatal(err)
 					}
-					var rng *rand.Rand
-					if model != nvm.CrashFullADR {
-						ctrl.Device().TrackInflight(true)
-						rng = rand.New(rand.NewSource(99))
-					}
-					wrng := rand.New(rand.NewSource(42))
-					for i := 0; i < 300; i++ {
-						addr := uint64(wrng.Intn(int(ctrl.NumBlocks())))
-						var d [BlockBytes]byte
-						wrng.Read(d[:])
-						if err := ctrl.WriteBlock(addr, d); err != nil {
-							t.Fatal(err)
+				}
+				ctrl.CrashWith(model, rng)
+				rep, rerr := ctrl.Recover()
+				if rep == nil {
+					t.Fatalf("Recover returned nil report (err=%v)", rerr)
+				}
+				if tc.recov && rerr != nil &&
+					!errors.Is(rerr, ErrUnrecoverable) && !errors.Is(rerr, ErrNotRecoverable) {
+					t.Fatalf("Recover: %v", rerr)
+				}
+				if got, want := rep.Phases.Total(), rep.ModeledNS(); got != want {
+					t.Fatalf("phase total %d != modeled recovery %d (phases %v)",
+						got, want, rep.Phases.Map())
+				}
+				// Spot-check the wiring, not just the sum: schemes with
+				// real work must attribute it to their signature phases.
+				switch tc.sch {
+				case SchemeOsiris:
+					if tc.name == "bonsai/osiris" && rerr == nil {
+						if rep.Phases.Get(obs.RPCounterScan) == 0 || rep.Phases.Get(obs.RPMerkleRebuild) == 0 {
+							t.Fatalf("osiris missing scan/rebuild phases: %v", rep.Phases.Map())
+						}
+						if rep.Phases.Get(obs.RPECCVerify) == 0 {
+							t.Fatalf("osiris ECC trials not attributed: %v", rep.Phases.Map())
 						}
 					}
-					ctrl.CrashWith(model, rng)
-					rep, rerr := ctrl.Recover()
-					if rep == nil {
-						t.Fatalf("Recover returned nil report (err=%v)", rerr)
+				case SchemeAGITRead, SchemeAGITPlus:
+					if rerr == nil && rep.Phases.Get(obs.RPShadowReplay) == 0 {
+						t.Fatalf("AGIT missing shadow replay phase: %v", rep.Phases.Map())
 					}
-					if tc.recov && rerr != nil &&
-						!errors.Is(rerr, ErrUnrecoverable) && !errors.Is(rerr, ErrNotRecoverable) {
-						t.Fatalf("Recover: %v", rerr)
+					if rerr == nil && rep.Phases.Get(obs.RPRootAnchor) == 0 {
+						t.Fatalf("AGIT missing root anchor phase: %v", rep.Phases.Map())
 					}
-					if got, want := rep.Phases.Total(), rep.ModeledNS(); got != want {
-						t.Fatalf("phase total %d != modeled recovery %d (phases %v)",
-							got, want, rep.Phases.Map())
+				case SchemeASIT:
+					if rerr == nil && rep.Phases.Get(obs.RPShadowReplay) == 0 {
+						t.Fatalf("ASIT missing shadow replay phase: %v", rep.Phases.Map())
 					}
-					// Spot-check the wiring, not just the sum: schemes with
-					// real work must attribute it to their signature phases.
-					switch tc.sch {
-					case SchemeOsiris:
-						if tc.name == "bonsai/osiris" && rerr == nil {
-							if rep.Phases.Get(obs.RPCounterScan) == 0 || rep.Phases.Get(obs.RPMerkleRebuild) == 0 {
-								t.Fatalf("osiris missing scan/rebuild phases: %v", rep.Phases.Map())
-							}
-							if rep.Phases.Get(obs.RPECCVerify) == 0 {
-								t.Fatalf("osiris ECC trials not attributed: %v", rep.Phases.Map())
-							}
-						}
-					case SchemeAGITRead, SchemeAGITPlus:
-						if rerr == nil && rep.Phases.Get(obs.RPShadowReplay) == 0 {
-							t.Fatalf("AGIT missing shadow replay phase: %v", rep.Phases.Map())
-						}
-						if rerr == nil && rep.Phases.Get(obs.RPRootAnchor) == 0 {
-							t.Fatalf("AGIT missing root anchor phase: %v", rep.Phases.Map())
-						}
-					case SchemeASIT:
-						if rerr == nil && rep.Phases.Get(obs.RPShadowReplay) == 0 {
-							t.Fatalf("ASIT missing shadow replay phase: %v", rep.Phases.Map())
-						}
-					}
-					if epoch > 0 && rerr == nil && rep.JournalPages > 0 {
-						if rep.Phases.Get(obs.RPJournalPassB) == 0 {
-							t.Fatalf("mid-epoch crash but pass B empty: %v", rep.Phases.Map())
-						}
-					}
-					if !tc.recov && rep.Phases.Total() != rep.ModeledNS() {
-						t.Fatalf("non-recoverable scheme broke sum-exactness")
-					}
-				})
-			}
+				}
+				if rep.Phases.Get(obs.RPJournalPassA) != 0 || rep.Phases.Get(obs.RPJournalPassB) != 0 {
+					t.Fatalf("a retired epoch-journal phase holds time: %v", rep.Phases.Map())
+				}
+				if !tc.recov && rep.Phases.Total() != rep.ModeledNS() {
+					t.Fatalf("non-recoverable scheme broke sum-exactness")
+				}
+			})
 		}
 	}
 }

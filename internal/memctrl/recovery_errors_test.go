@@ -125,50 +125,3 @@ func TestIntegrityErrorAs(t *testing.T) {
 		t.Fatal("errors.As failed through a wrapping layer")
 	}
 }
-
-// TestJournalEntryFailsClosed: only Bonsai Strict and Triad write the
-// epoch journal. For every other recoverable scheme a journal entry
-// found at recovery is state no root register can vouch for, so
-// Recover must refuse it rather than replay it. Write-back still
-// reports that it has no recovery at all.
-func TestJournalEntryFailsClosed(t *testing.T) {
-	bonsai := func(s Scheme) (Controller, error) { return NewBonsai(TestConfig(s)) }
-	sgx := func(s Scheme) (Controller, error) { return NewSGX(TestConfig(s)) }
-	cases := []struct {
-		name   string
-		ctor   func(Scheme) (Controller, error)
-		scheme Scheme
-		region nvm.Region // where the journal key points
-		want   error
-	}{
-		{"sgx/asit", sgx, SchemeASIT, nvm.RegionST, ErrUnrecoverable},
-		{"bonsai/osiris", bonsai, SchemeOsiris, nvm.RegionCounter, ErrUnrecoverable},
-		{"bonsai/agit-read", bonsai, SchemeAGITRead, nvm.RegionCounter, ErrUnrecoverable},
-		{"bonsai/agit-plus", bonsai, SchemeAGITPlus, nvm.RegionCounter, ErrUnrecoverable},
-		{"bonsai/selective", bonsai, SchemeSelective, nvm.RegionCounter, ErrUnrecoverable},
-		{"bonsai/write-back", bonsai, SchemeWriteBack, nvm.RegionCounter, ErrNotRecoverable},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := tc.ctor(tc.scheme)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := uint64(0); i < 40; i++ {
-				if err := c.WriteBlock(i*64%c.NumBlocks(), pattern(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// A well-formed note: both sides equal block 0's media content.
-			dev := c.Device()
-			blk := dev.Read(tc.region, 0)
-			dev.BeginCommit()
-			dev.Stage(nvm.PendingWrite{JOp: nvm.JournalNote, JKey: 0, JOld: blk, Block: blk})
-			dev.CommitGroup(c.Now())
-			c.Crash()
-			if _, err := c.Recover(); !errors.Is(err, tc.want) {
-				t.Fatalf("Recover with a journal entry = %v, want %v", err, tc.want)
-			}
-		})
-	}
-}

@@ -43,13 +43,6 @@ func (c *SGX) recoverScheme(rep *RecoveryReport) error {
 
 // recoverASIT implements Algorithm 2 of the paper.
 func (c *SGX) recoverASIT(rep *RecoveryReport) error {
-	// ASIT refreshes SHADOW_TREE_ROOT with every shadow-table write and
-	// never writes the epoch journal. An entry there describes no ASIT
-	// state the register can vouch for, so recovery fails closed.
-	if n := c.dev.JournalLen(); n > 0 {
-		return fmt.Errorf("%w: ASIT device holds %d epoch journal entries", ErrUnrecoverable, n)
-	}
-
 	// 1. Read the Shadow Table from NVM and verify its integrity by
 	// regenerating SHADOW_TREE_ROOT and comparing with the on-chip copy.
 	rep.enterPhase(obs.RPShadowReplay)

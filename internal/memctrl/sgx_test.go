@@ -509,47 +509,3 @@ func TestSGXCrashedControllerRefusesIO(t *testing.T) {
 		t.Fatal("read accepted on crashed controller")
 	}
 }
-
-// TestSGXEpochOneIsStructurallyLegacy checks that the SGX family
-// ignores EpochRequests: at windows 1, 4 and 16 every scheme, ASIT
-// included, runs the eager path of window 0, with identical timing,
-// statistics and persistent state.
-func TestSGXEpochOneIsStructurallyLegacy(t *testing.T) {
-	for _, s := range sgxSchemes {
-		t.Run(s.String(), func(t *testing.T) {
-			run := func(epoch int) *SGX {
-				cfg := TestConfig(s)
-				cfg.EpochRequests = epoch
-				c, err := NewSGX(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := uint64(0); i < 120; i++ {
-					addr := (i * 37) % c.NumBlocks()
-					if err := c.WriteBlock(addr, pattern(i)); err != nil {
-						t.Fatal(err)
-					}
-					if i%3 == 0 {
-						if _, err := c.ReadBlock(addr); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				return c
-			}
-			base := run(0)
-			for _, e := range []int{1, 4, 16} {
-				other := run(e)
-				if base.Now() != other.Now() {
-					t.Fatalf("epoch %d: virtual clocks diverge: %d vs %d", e, base.Now(), other.Now())
-				}
-				if base.Stats() != other.Stats() {
-					t.Fatalf("epoch %d: stats diverge:\n%+v\n%+v", e, base.Stats(), other.Stats())
-				}
-				if base.Device().StateDigest() != other.Device().StateDigest() {
-					t.Fatalf("epoch %d: persistent state diverges", e)
-				}
-			}
-		})
-	}
-}

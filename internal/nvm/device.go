@@ -145,9 +145,6 @@ type Stats struct {
 // with RegName set targets an on-chip persistent register instead of an
 // NVM block; including register updates in a commit group makes root
 // values update atomically with the tree/counter writes they authenticate.
-// A PendingWrite with JOp set is an epoch-journal operation (see
-// journal.go) and is likewise on-chip: Region/Index are ignored, Block
-// carries the New content of a JournalNote.
 type PendingWrite struct {
 	Region  Region
 	Index   uint64
@@ -155,10 +152,6 @@ type PendingWrite struct {
 	HasSide bool
 	Side    Sideband
 	RegName string // when non-empty: register write, Region/Index ignored
-
-	JOp  JournalOp        // when non-zero: epoch-journal op, Region/Index ignored
-	JKey uint64           // journaled block key
-	JOld [BlockBytes]byte // epoch-start content (first JournalNote for JKey)
 }
 
 // Device is the NVM DIMM plus WPQ plus persistent registers. It is not
@@ -194,12 +187,6 @@ type Device struct {
 
 	// regs is the on-chip persistent register file.
 	regs map[string][BlockBytes]byte
-
-	// journal is the persistent epoch journal (see journal.go); like
-	// regs it lives on chip, inside the persistence domain, and survives
-	// every crash model.
-	journal    []JournalEntry
-	journalIdx map[uint64]int
 }
 
 // NewDevice creates an empty device.
@@ -240,18 +227,6 @@ func (d *Device) Attr() *obs.Ledger { return &d.att }
 func (d *Device) bankOf(r Region, idx uint64) int {
 	h := (idx ^ uint64(r)<<40) * 0x9e3779b97f4a7c15
 	return int((h >> 32) % Banks)
-}
-
-// BankOf exposes the bank mapping of a block, so an epoch scheduler can
-// reason about which banks a coalesced drain will occupy.
-func (d *Device) BankOf(r Region, idx uint64) int { return d.bankOf(r, idx) }
-
-// EarliestBankFree reports the earliest instant at which a write drain
-// on bank could begin: the later of the bank's and the earliest-free
-// write port's free times. Nothing is mutated, so the epoch scheduler
-// can place a coalesced drain window without committing to it.
-func (d *Device) EarliestBankFree(bank int) uint64 {
-	return max(d.bankFree[bank], d.ports[d.earliestPort()])
 }
 
 // earliestPort returns the write port that frees up first, the lowest
@@ -412,7 +387,7 @@ func (d *Device) Has64(r Region, group uint64) uint64 {
 // its drain to media. It returns the time at which the caller proceeds:
 // normally `now`, later if the WPQ was full and the caller had to stall.
 func (d *Device) Push(w PendingWrite, now uint64) uint64 {
-	if w.RegName != "" || w.JOp != JournalNone {
+	if w.RegName != "" {
 		d.apply(&w)
 		return now
 	}
@@ -454,11 +429,6 @@ func (d *Device) Push(w PendingWrite, now uint64) uint64 {
 // apply commits a write to the persistent store (the functional effect
 // of reaching the ADR domain).
 func (d *Device) apply(w *PendingWrite) {
-	if w.JOp != JournalNone {
-		// On-chip journal op: durable immediately, no media traffic.
-		d.applyJournal(w)
-		return
-	}
 	if w.RegName != "" {
 		// On-chip register: durable immediately, no media traffic.
 		d.regs[w.RegName] = w.Block
@@ -724,6 +694,5 @@ func (d *Device) Fork() *Device {
 	for k, v := range d.regs {
 		n.regs[k] = v
 	}
-	d.cloneJournal(n)
 	return n
 }

@@ -494,6 +494,79 @@ func TestLoadDeviceRefusesV1Image(t *testing.T) {
 	}
 }
 
+// parentImage is the v2 image as it was saved while the epoch pipeline
+// existed, with the fields these tests set: a staged write could carry
+// an epoch-journal operation (1 a note, 2 a clear), and the journal's
+// entries were saved beside the commit group.
+type parentImage struct {
+	Magic   string
+	Store   [numRegions]map[uint64][BlockBytes]byte
+	Regs    map[string][BlockBytes]byte
+	Staged  []parentWrite
+	DoneBit bool
+	Journal []parentEntry
+}
+
+type parentWrite struct {
+	Region  Region
+	Index   uint64
+	Block   [BlockBytes]byte
+	RegName string
+	JOp     uint8
+	JKey    uint64
+	JOld    [BlockBytes]byte
+}
+
+type parentEntry struct {
+	Key      uint64
+	Old, New [BlockBytes]byte
+}
+
+// TestLoadDeviceRefusesEpochState: an image saved inside an open epoch
+// window, or inside a commit group that stages a journal operation, is
+// refused with ErrOldImage: gob would otherwise drop the journal and
+// redo a staged note into data block 0. A parent-format image without
+// either loads, and its committed group is redone.
+func TestLoadDeviceRefusesEpochState(t *testing.T) {
+	encode := func(img parentImage) *bytes.Buffer {
+		img.Magic = imageMagic
+		img.Store[RegionData] = map[uint64][BlockBytes]byte{3: blk(7)}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	for _, tc := range []struct {
+		name string
+		img  parentImage
+	}{
+		{"journal-entry", parentImage{Journal: []parentEntry{{Key: 0, Old: blk(1), New: blk(2)}}}},
+		{"staged-note", parentImage{Staged: []parentWrite{{JOp: 1, JKey: 0, JOld: blk(1), Block: blk(2)}}, DoneBit: true}},
+		{"staged-clear", parentImage{Staged: []parentWrite{{JOp: 2}}, DoneBit: true}},
+	} {
+		if _, err := LoadDevice(encode(tc.img)); !errors.Is(err, ErrOldImage) {
+			t.Errorf("%s: LoadDevice = %v, want ErrOldImage", tc.name, err)
+		}
+	}
+	d, err := LoadDevice(encode(parentImage{
+		Staged:  []parentWrite{{Region: RegionData, Index: 5, Block: blk(9)}, {RegName: "root", Block: blk(4)}},
+		DoneBit: true,
+	}))
+	if err != nil {
+		t.Fatalf("LoadDevice(committed register write) = %v", err)
+	}
+	if n := d.RedoCommitted(); n != 2 {
+		t.Fatalf("RedoCommitted = %d, want 2", n)
+	}
+	if reg, ok := d.GetReg("root"); !ok || reg != blk(4) {
+		t.Fatalf("redo left register root %v (present %v), want the staged block", reg, ok)
+	}
+	if d.Read(RegionData, 5) != blk(9) || d.Read(RegionData, 3) != blk(7) {
+		t.Fatal("redo did not land the staged data write beside the stored block")
+	}
+}
+
 // --- micro-benchmarks --------------------------------------------------------
 
 // BenchmarkDevicePush measures the durable-write fast path: WPQ prune +

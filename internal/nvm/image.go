@@ -14,7 +14,9 @@ package nvm
 // kept version 1's encoding and changed what the data region holds:
 // ciphertext under the keyed-mix pad instead of AES-128 (see
 // cryptoeng). A v1 image is refused with ErrOldImage, since every read
-// of its data would fail as a MAC mismatch and look like tampering.
+// of its data would fail as a MAC mismatch and look like tampering. So
+// is a v2 image that holds state of the retired epoch pipeline (see
+// loadImage).
 
 import (
 	"encoding/gob"
@@ -46,11 +48,23 @@ type deviceImage struct {
 
 	Staged  []PendingWrite
 	DoneBit bool
+}
 
-	// Journal is the persistent epoch journal (see journal.go). Absent
-	// in pre-epoch images; gob leaves the field nil, which loads as an
-	// empty journal.
-	Journal []JournalEntry
+// loadImage is what LoadDevice decodes an image into. Gob matches
+// fields by name, so besides deviceImage's fields it reads the two that
+// only an image saved while the epoch pipeline existed can hold: a
+// staged write's journal operation (1 a note, 2 a clear) and the epoch
+// journal's entries. LoadDevice reads them only to refuse such an
+// image. Were they not read, gob would drop both silently: an image
+// saved inside an open window would recover into a tree its counters
+// no longer match, and a staged note would be redone into data block 0.
+type loadImage struct {
+	deviceImage
+	Staged []struct {
+		PendingWrite
+		JOp uint8
+	}
+	Journal []struct{ Key uint64 }
 }
 
 // Save writes the device's persistent state to w.
@@ -61,7 +75,6 @@ func (d *Device) Save(w io.Writer) error {
 		Regs:    d.regs,
 		Staged:  d.staged,
 		DoneBit: d.doneBit,
-		Journal: d.journal,
 	}
 	for r := Region(0); r < numRegions; r++ {
 		store := make(map[uint64][BlockBytes]byte)
@@ -172,28 +185,9 @@ func (d *Device) StateDigest() uint64 {
 		for i := 0; i < len(w.RegName); i++ {
 			mix(w.RegName[i])
 		}
-		if w.JOp != JournalNone {
-			mix(byte(w.JOp))
-			mix64(w.JKey)
-			for _, b := range w.JOld {
-				mix(b)
-			}
-		}
 	}
 	if d.doneBit {
 		mix(1)
-	}
-	// Journal entries in note order: the order recovery replays them in
-	// is part of the persistent state.
-	for i := range d.journal {
-		e := &d.journal[i]
-		mix64(e.Key)
-		for _, b := range e.Old {
-			mix(b)
-		}
-		for _, b := range e.New {
-			mix(b)
-		}
 	}
 	return h
 }
@@ -203,7 +197,7 @@ func (d *Device) StateDigest() uint64 {
 // reset, and any committed-but-undrained group is still pending its
 // RedoCommitted.
 func LoadDevice(r io.Reader) (*Device, error) {
-	var img deviceImage
+	var img loadImage
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("nvm: load image: %w", err)
 	}
@@ -214,6 +208,16 @@ func LoadDevice(r io.Reader) (*Device, error) {
 			ErrOldImage, imageMagicV1, imageMagic)
 	default:
 		return nil, fmt.Errorf("nvm: not an NVM image (magic %q)", img.Magic)
+	}
+	if n := len(img.Journal); n > 0 {
+		return nil, fmt.Errorf("%w: the image holds %d entries of the retired epoch journal", ErrOldImage, n)
+	}
+	var staged []PendingWrite
+	for _, w := range img.Staged {
+		if w.JOp != 0 {
+			return nil, fmt.Errorf("%w: the image stages an operation on the retired epoch journal", ErrOldImage)
+		}
+		staged = append(staged, w.PendingWrite)
 	}
 	d := NewDevice()
 	for reg := Region(0); reg < numRegions; reg++ {
@@ -235,14 +239,7 @@ func LoadDevice(r io.Reader) (*Device, error) {
 	if img.Regs != nil {
 		d.regs = img.Regs
 	}
-	d.staged = img.Staged
+	d.staged = staged
 	d.doneBit = img.DoneBit
-	if len(img.Journal) > 0 {
-		d.journal = img.Journal
-		d.journalIdx = make(map[uint64]int, len(img.Journal))
-		for i := range img.Journal {
-			d.journalIdx[img.Journal[i].Key] = i
-		}
-	}
 	return d, nil
 }

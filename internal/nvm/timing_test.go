@@ -1,6 +1,9 @@
 package nvm
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestWriteSerialization: PCM writes serialize on the write ports, not
 // across all banks — this is what makes strict persistence expensive.
@@ -196,6 +199,38 @@ func TestPortHeapTieBreak(t *testing.T) {
 	d.CrashWith(CrashFullADR, nil)
 	if d.ports != ([WritePorts]uint64{}) || d.earliestPort() != 0 {
 		t.Fatalf("crash left port clocks %v", d.ports)
+	}
+}
+
+// TestPeekEarliestMatchesBruteForce is the property test for the write
+// port scan: across arbitrary push sequences, the port earliestPort
+// picks is the brute-force argmin of the port clocks, the lowest index
+// among ties, and it is the one port the next drain occupies.
+func TestPeekEarliestMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 200; trial++ {
+		d := newDev()
+		now := uint64(0)
+		for op := rng.Intn(64); op > 0; op-- {
+			want := 0
+			for i, free := range d.ports {
+				if free < d.ports[want] {
+					want = i
+				}
+			}
+			if got := d.earliestPort(); got != want {
+				t.Fatalf("trial %d: scan picks port %d of %v, brute force %d", trial, got, d.ports, want)
+			}
+			before := d.ports
+			// Arrivals at most WriteNS apart keep ports tied often.
+			now += uint64(rng.Intn(2)) * WriteNS
+			d.Push(PendingWrite{Region: RegionData, Index: uint64(rng.Intn(64))}, now)
+			for i := range d.ports {
+				if changed := d.ports[i] != before[i]; changed != (i == want) {
+					t.Fatalf("trial %d: push moved port clocks %v to %v, want only port %d", trial, before, d.ports, want)
+				}
+			}
+		}
 	}
 }
 

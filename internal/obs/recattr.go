@@ -32,12 +32,14 @@ const (
 	// and hash recomputation to rebuild (or splice and verify) the
 	// tree bottom-up.
 	RPMerkleRebuild
-	// RPJournalPassA is pass A of the epoch-journal two-pass recovery:
-	// replaying *old* journal content to reconstruct the pre-epoch
-	// state and verify it against the stale persisted root.
+	// RPJournalPassA and RPJournalPassB were the two passes of the
+	// retired epoch pipeline's journal recovery. No recovery enters
+	// them, so they are always zero. They keep their slots and names
+	// because every recovery_phase_ns object lists all phases (golden
+	// rows, anubis-recover -json, perfbench's recovery digest), and
+	// perfbench builds its per-layer metric list from RecPhases and
+	// checks it against BENCHMARK.json; they go when that list does.
 	RPJournalPassA
-	// RPJournalPassB is pass B: replaying *new* journal content,
-	// recomputing the affected spine, and re-anchoring the root.
 	RPJournalPassB
 	// RPECCVerify is ECC-trial and MAC verification work: the crypto
 	// trials Osiris-style correction runs per candidate counter, and

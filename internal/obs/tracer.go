@@ -25,17 +25,12 @@ const (
 	// EvRecovery is a post-crash recovery run (duration in modeled ns,
 	// arg = fetch+crypto op count).
 	EvRecovery
-	// EvEpochClose is one coalesced epoch drain: the deferred integrity-
-	// tree updates of a whole epoch hitting the WPQ as one commit group
-	// (arg = coalesced ancestor count).
-	EvEpochClose
 
 	numEventKinds = iota
 )
 
 var eventNames = [numEventKinds]string{
 	"read", "write", "eviction", "commit", "page_overflow", "recovery",
-	"epoch_close",
 }
 
 // String returns the kind's trace-event name.
@@ -65,8 +60,7 @@ type Probe interface {
 // Tracer collects sampled probe events and writes them as Chrome
 // trace-event JSON (the "JSON Array Format" chrome://tracing and
 // Perfetto load). Request events are sampled 1/N per scope; structural
-// events (commits, evictions, overflows, recovery, epoch closes)
-// are always kept.
+// events (commits, evictions, overflows, recovery) are always kept.
 //
 // A Tracer is shared by every simulation cell of a sweep: each cell
 // attaches its own Scope (one trace "thread"), so the only

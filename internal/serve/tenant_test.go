@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -368,14 +369,20 @@ func TestUnattachedTenantStaysInManifest(t *testing.T) {
 // TestOldFormatImageStaysUnattached: a tenant whose image is in the v1
 // format, written before the keyed-mix pad, is refused at LoadState
 // with nvm.ErrOldImage rather than opened into reads that all fail as
-// MAC mismatches, and stays in the manifest, image untouched, as a
-// tenant that failed to reattach. The v1 image is a current one with
-// its magic rewritten (same length, so the gob stays well-formed).
+// MAC mismatches, and so is a tenant whose image was saved inside an
+// open window of the retired epoch pipeline, rather than opened into a
+// tree its counters no longer match. Both stay in the manifest, images
+// untouched, as tenants that failed to reattach. The v1 image is a
+// current one with its magic rewritten (same length, so the gob stays
+// well-formed); the open-window image is a Strict tenant's current one
+// with an epoch-journal entry added.
 func TestOldFormatImageStaysUnattached(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{})
 	mustCreate(t, s, "old", TenantConfig{Scheme: "asit", MemoryBytes: 1 << 20})
 	mustWrite(t, s, "old", 3, []byte("old3"))
+	mustCreate(t, s, "window", TenantConfig{Scheme: "strict", MemoryBytes: 1 << 20})
+	mustWrite(t, s, "window", 3, []byte("window3"))
 	if err := s.Shutdown(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -391,9 +398,12 @@ func TestOldFormatImageStaysUnattached(t *testing.T) {
 	if err := os.WriteFile(imgPath, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	windowPath := filepath.Join(dir, "window.img")
+	window := openWindowImage(t, windowPath)
 	s2 := New(Config{})
-	if err := s2.LoadState(dir); !errors.Is(err, nvm.ErrOldImage) || !strings.Contains(err.Error(), `"old"`) {
-		t.Fatalf("LoadState = %v, want old's nvm.ErrOldImage", err)
+	err = s2.LoadState(dir)
+	if !errors.Is(err, nvm.ErrOldImage) || !strings.Contains(err.Error(), `"old"`) || !strings.Contains(err.Error(), `"window"`) {
+		t.Fatalf("LoadState = %v, want nvm.ErrOldImage for old and window", err)
 	}
 	if ids := s2.Tenants(); len(ids) != 0 {
 		t.Fatalf("attached tenants = %v, want none", ids)
@@ -401,10 +411,55 @@ func TestOldFormatImageStaysUnattached(t *testing.T) {
 	if err := s2.Shutdown(dir); err != nil {
 		t.Fatal(err)
 	}
-	if ids := manifestIDs(t, dir); fmt.Sprint(ids) != "[old]" {
-		t.Fatalf("manifest = %v, want [old]", ids)
+	if ids := manifestIDs(t, dir); fmt.Sprint(ids) != "[old window]" {
+		t.Fatalf("manifest = %v, want [old window]", ids)
 	}
 	if got, err := os.ReadFile(imgPath); err != nil || !bytes.Equal(got, v1) {
 		t.Fatalf("old.img changed (%v)", err)
 	}
+	if got, err := os.ReadFile(windowPath); err != nil || !bytes.Equal(got, window) {
+		t.Fatalf("window.img changed (%v)", err)
+	}
+}
+
+// openWindowImage rewrites the image at path as one saved inside an
+// open epoch window: the same contents plus one entry of the epoch
+// journal, which images carried while the pipeline existed. It returns
+// the bytes written.
+func openWindowImage(t *testing.T, path string) []byte {
+	t.Helper()
+	const regions = len(nvm.Stats{}.WritesByRegion)
+	type journalEntry struct {
+		Key      uint64
+		Old, New [nvm.BlockBytes]byte
+	}
+	var img struct {
+		Magic   string
+		Store   [regions]map[uint64][nvm.BlockBytes]byte
+		Side    map[uint64]nvm.Sideband
+		Regs    map[string][nvm.BlockBytes]byte
+		Wear    [regions]map[uint64]uint64
+		Staged  []nvm.PendingWrite
+		DoneBit bool
+		Journal []journalEntry
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = gob.NewDecoder(f).Decode(&img)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := img.Store[nvm.RegionCounter][0]
+	img.Journal = []journalEntry{{Key: 0, Old: page, New: page}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -106,7 +106,7 @@ func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 	if err := r.Step(nReq); err != nil {
 		return r.res, err
 	}
-	return r.finish(ctrl)
+	return r.finish(ctrl), nil
 }
 
 // Runner is the request loop in resumable form. Step issues requests
@@ -114,8 +114,7 @@ func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 // one Step that then closes the run on the runner's controller. A
 // recovery sweep instead keeps one Runner on its warm controller,
 // Steps it from crash point to crash point, and closes each point's
-// window on a Fork, so every window request is simulated once and the
-// advancing controller never flushes.
+// window on a Fork, so every window request is simulated once.
 //
 // The request counter that seeds FillBlock continues across Steps, so
 // Step(a) then Step(b) writes exactly the data of one Step(a+b).
@@ -212,37 +211,22 @@ func (r *Runner) Step(n int) error {
 }
 
 // Fork clones the runner's controller and closes the run on the clone:
-// the epoch flush, ExecNS and Stats all happen there, and the Result
-// carries the histograms accumulated so far: the clone and its Result
-// are what one Run of every request issued so far would have produced
-// from the controller the runner started on. The runner's controller
-// is left unflushed, so Step may continue it toward the next fork.
-func (r *Runner) Fork() (memctrl.Controller, Result, error) {
+// the clone and its Result, which carries the histograms accumulated so
+// far, are what one Run of every request issued so far would have
+// produced from the controller the runner started on. Step may continue
+// the runner's own controller toward the next fork.
+func (r *Runner) Fork() (memctrl.Controller, Result) {
 	c := r.ctrl.Clone()
-	res, err := r.finish(c)
-	return c, res, err
+	return c, r.finish(c)
 }
 
-// finish closes the run on ctrl and returns its Result. Any open epoch
-// window (bank-parallel epoch pipeline) is flushed so the execution
-// time and device state cover the whole workload; controllers without
-// the pipeline don't implement it or no-op it.
-func (r *Runner) finish(ctrl memctrl.Controller) (Result, error) {
+// finish closes the run on ctrl and returns its Result.
+func (r *Runner) finish(ctrl memctrl.Controller) Result {
 	res := r.res
-	if f, ok := ctrl.(epochFlusher); ok {
-		if err := f.FlushEpoch(); err != nil {
-			return res, fmt.Errorf("sim: epoch flush: %w", err)
-		}
-	}
 	res.ExecNS = ctrl.Now()
 	res.Stats = ctrl.Stats()
-	return res, nil
+	return res
 }
-
-// epochFlusher is implemented by controllers with a deferred-update
-// epoch pipeline (the Bonsai family); matched by assertion like
-// probeSetter, so the Controller interface stays family-agnostic.
-type epochFlusher interface{ FlushEpoch() error }
 
 // FillBlock writes deterministic content so every write has distinct
 // data. Exported so the crash-injection fuzzer can regenerate the exact

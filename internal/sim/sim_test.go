@@ -199,13 +199,13 @@ func runSchemeFor(t *testing.T, f memctrl.Family, scheme string, p trace.Profile
 // TestRunnerStepsEqualOneRun pins the resumable loop to Run: a Runner
 // stepped in uneven pieces and closed on a Fork must give Run's Result
 // and leave the same NVM data image, and a second Fork after more
-// steps must match a longer Run (the first Fork left the runner's
-// controller unflushed). The data image is what checks that FillBlock's
+// steps must match a longer Run (the first Fork did not close the
+// runner's own run). The data image is what checks that FillBlock's
 // request counter continues across Steps; no timing figure depends on
 // the payload bytes. Sources cover a generator, a mid-stream arena
 // cursor (FillBlock path) and a cursor at position zero (memoized
-// payload path), at epoch 0 and 16 on Strict, a scheme that defers
-// tree updates, so the epoch-16 forks land inside open windows.
+// payload path), on Strict, the scheme that persists the most per
+// write.
 func TestRunnerStepsEqualOneRun(t *testing.T) {
 	prof, _ := trace.ByName("libquantum")
 	arena := trace.NewArena(prof, 99, 3000)
@@ -214,49 +214,43 @@ func TestRunnerStepsEqualOneRun(t *testing.T) {
 		"cursor-mid": func() trace.Source { return arena.SourceAt(500) },
 		"cursor-0":   func() trace.Source { return arena.Source() },
 	}
+	cfg := memctrl.DefaultConfig(memctrl.SchemeStrict)
+	cfg.MemoryBytes = 4 << 20
+	newCtrl := func() memctrl.Controller {
+		c, err := memctrl.New(memctrl.FamilyBonsai, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	for name, src := range sources {
-		for _, epoch := range []int{0, 16} {
-			cfg := memctrl.DefaultConfig(memctrl.SchemeStrict)
-			cfg.MemoryBytes = 4 << 20
-			cfg.EpochRequests = epoch
-			newCtrl := func() memctrl.Controller {
-				c, err := memctrl.New(memctrl.FamilyBonsai, cfg)
-				if err != nil {
+		r := NewRunner(newCtrl(), src())
+		issued := 0
+		for _, steps := range [][]int{{1, 299, 0, 700}, {5, 495}} {
+			for _, n := range steps {
+				if err := r.Step(n); err != nil {
 					t.Fatal(err)
 				}
-				return c
+				issued += n
 			}
-			r := NewRunner(newCtrl(), src())
-			issued := 0
-			for _, steps := range [][]int{{1, 299, 0, 700}, {5, 495}} {
-				for _, n := range steps {
-					if err := r.Step(n); err != nil {
-						t.Fatal(err)
-					}
-					issued += n
-				}
-				fork, got, err := r.Fork()
-				if err != nil {
-					t.Fatal(err)
-				}
-				one := newCtrl()
-				want, err := Run(one, src(), issued)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s epoch %d: fork after %d requests differs from Run\ngot:  %+v\nwant: %+v",
-						name, epoch, issued, got, want)
-				}
-				blocks := one.Device().BlocksIn(nvm.RegionData)
-				if !reflect.DeepEqual(fork.Device().BlocksIn(nvm.RegionData), blocks) {
-					t.Fatalf("%s epoch %d: fork after %d requests wrote other data blocks than Run", name, epoch, issued)
-				}
-				for _, idx := range blocks {
-					if fork.Device().Read(nvm.RegionData, idx) != one.Device().Read(nvm.RegionData, idx) {
-						t.Errorf("%s epoch %d: fork after %d requests: data block %d differs from Run's", name, epoch, issued, idx)
-						break
-					}
+			fork, got := r.Fork()
+			one := newCtrl()
+			want, err := Run(one, src(), issued)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: fork after %d requests differs from Run\ngot:  %+v\nwant: %+v",
+					name, issued, got, want)
+			}
+			blocks := one.Device().BlocksIn(nvm.RegionData)
+			if !reflect.DeepEqual(fork.Device().BlocksIn(nvm.RegionData), blocks) {
+				t.Fatalf("%s: fork after %d requests wrote other data blocks than Run", name, issued)
+			}
+			for _, idx := range blocks {
+				if fork.Device().Read(nvm.RegionData, idx) != one.Device().Read(nvm.RegionData, idx) {
+					t.Errorf("%s: fork after %d requests: data block %d differs from Run's", name, issued, idx)
+					break
 				}
 			}
 		}
