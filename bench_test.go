@@ -112,22 +112,26 @@ func BenchmarkFig12RecoveryTime(b *testing.B) {
 }
 
 // BenchmarkFig12MeasuredRecovery executes real recoveries (AGIT and
-// ASIT) at test scale and reports their modeled times.
+// ASIT) at test scale and reports their modeled times: a one-trial
+// recovery sweep crashes each after 3000 mcf requests (a 2800-request
+// warm fill and one 200-request window).
 func BenchmarkFig12MeasuredRecovery(b *testing.B) {
 	rc := figures.QuickRunConfig()
 	rc.MemoryBytes = 32 << 20
-	rc.Requests = 3000
-	var agit, asit *memctrl.RecoveryReport
+	rc.Requests = 2800
+	measure := func(s memctrl.Scheme, f memctrl.Family) memctrl.RecoveryReport {
+		res, err := figures.RecoverySweep(figures.RecoverySweepConfig{
+			Run: rc, Scheme: s, Family: f, Trials: 1, ExtraPerTrial: 200,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Trials[0].Report
+	}
+	var agit, asit memctrl.RecoveryReport
 	for i := 0; i < b.N; i++ {
-		var err error
-		agit, err = figures.MeasuredRecovery(memctrl.SchemeAGITPlus, memctrl.FamilyBonsai, rc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		asit, err = figures.MeasuredRecovery(memctrl.SchemeASIT, memctrl.FamilySGX, rc)
-		if err != nil {
-			b.Fatal(err)
-		}
+		agit = measure(memctrl.SchemeAGITPlus, memctrl.FamilyBonsai)
+		asit = measure(memctrl.SchemeASIT, memctrl.FamilySGX)
 	}
 	b.ReportMetric(float64(agit.ModeledNS())/1e6, "ms-agit")
 	b.ReportMetric(float64(asit.ModeledNS())/1e6, "ms-asit")
@@ -236,55 +240,28 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks -------------------------------------------------------
+// --- ablation benchmark --------------------------------------------------------
 
-// BenchmarkAblationStopLoss sweeps the Osiris stop-loss limit.
-func BenchmarkAblationStopLoss(b *testing.B) {
+// BenchmarkAblations runs the ablation sweep: the Osiris stop-loss
+// limit, ECC-trial vs phase-bit counter recovery, per-scheme write
+// amplification and hot-spot wear, and the Triad-NVM persisted-levels
+// knob.
+func BenchmarkAblations(b *testing.B) {
 	rc := figures.QuickRunConfig()
 	rc.Requests = 3000
-	var rows []figures.StopLossRow
+	var t figures.AblationTables
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = figures.AblationStopLoss(rc)
+		t, err = figures.Ablations(rc)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(rows[0].Normalized, "x-stoploss-1")
-	b.ReportMetric(rows[len(rows)-1].Normalized, "x-stoploss-16")
-}
-
-// BenchmarkAblationRecoveryBackend compares ECC-trial vs phase-bit
-// counter recovery.
-func BenchmarkAblationRecoveryBackend(b *testing.B) {
-	rc := figures.QuickRunConfig()
-	rc.Requests = 3000
-	var rows []figures.BackendRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.AblationRecoveryBackend(rc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Normalized, "x-ecc")
-	b.ReportMetric(rows[1].Normalized, "x-phase")
-}
-
-// BenchmarkAblationEndurance measures per-scheme write amplification
-// and hot-spot wear.
-func BenchmarkAblationEndurance(b *testing.B) {
-	rc := figures.QuickRunConfig()
-	rc.Requests = 3000
-	var rows []figures.EnduranceRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.AblationEndurance(rc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
+	b.ReportMetric(t.StopLoss[0].Normalized, "x-stoploss-1")
+	b.ReportMetric(t.StopLoss[len(t.StopLoss)-1].Normalized, "x-stoploss-16")
+	b.ReportMetric(t.Backend[0].Normalized, "x-ecc")
+	b.ReportMetric(t.Backend[1].Normalized, "x-phase")
+	for _, r := range t.Endurance {
 		if r.Scheme == memctrl.SchemeStrict {
 			b.ReportMetric(r.WritesPerRequest, "writes/req-strict")
 		}
@@ -292,6 +269,8 @@ func BenchmarkAblationEndurance(b *testing.B) {
 			b.ReportMetric(r.WritesPerRequest, "writes/req-agit-plus")
 		}
 	}
+	b.ReportMetric(t.Triad[0].Normalized, "x-triad-0")
+	b.ReportMetric(t.Triad[len(t.Triad)-1].Normalized, "x-triad-3")
 }
 
 // BenchmarkAuditNVM measures the whole-memory audit (fsck) rate.
@@ -332,20 +311,4 @@ func BenchmarkImageSaveLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationTriad sweeps the Triad-NVM persisted-levels knob.
-func BenchmarkAblationTriad(b *testing.B) {
-	rc := figures.QuickRunConfig()
-	rc.Requests = 3000
-	var rows []figures.TriadRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.AblationTriad(rc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Normalized, "x-triad-0")
-	b.ReportMetric(rows[len(rows)-1].Normalized, "x-triad-3")
 }

@@ -33,11 +33,10 @@ var stdMethods = map[string]bool{
 // in non-test code.
 var callerAllowlist = map[string]bool{
 	// Test hooks that tests in another package call.
-	"nvm.Device.WearOf":        true, // memctrl's TestPagedEquivalenceAGIT and TestPagedEquivalenceASIT
-	"nvm.Device.WriteRawData":  true, // memctrl's TestSelectiveReplayVulnerability and TestPageOverflowRejectsForgedBlock
-	"cache.Cache.Invalidate":   true, // memctrl's TestSGXFlushReportsCorruptTree
-	"figures.QuickRunConfig":   true, // the root package's BenchmarkFig12MeasuredRecovery and BenchmarkAblation*
-	"figures.MeasuredRecovery": true, // the root package's BenchmarkFig12MeasuredRecovery
+	"nvm.Device.WearOf":       true, // memctrl's TestPagedEquivalenceAGIT and TestPagedEquivalenceASIT
+	"nvm.Device.WriteRawData": true, // memctrl's TestSelectiveReplayVulnerability and TestPageOverflowRejectsForgedBlock
+	"cache.Cache.Invalidate":  true, // memctrl's TestSGXFlushReportsCorruptTree
+	"figures.QuickRunConfig":  true, // the root package's BenchmarkFig12MeasuredRecovery, BenchmarkFig13CacheSensitivity and BenchmarkAblations
 
 	// The retired epoch pipeline's two recovery phases, always zero.
 	// They stay while every recovery_phase_ns object lists all phases

@@ -226,10 +226,7 @@ func main() {
 		section(func() error { return figures.PrintFig13(out, rc) })
 	}
 	if *all || *ablation {
-		section(func() error { return figures.PrintAblationStopLoss(out, rc) })
-		section(func() error { return figures.PrintAblationRecoveryBackend(out, rc) })
-		section(func() error { return figures.PrintAblationEndurance(out, rc) })
-		section(func() error { return figures.PrintAblationTriad(out, rc) })
+		section(func() error { return figures.PrintAblations(out, rc) })
 	}
 	if *all || *recovery {
 		section(func() error { return figures.PrintRecoverySweep(out, rc, *trials) })

@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// TestTotalCountsEveryCell runs the command itself on Fig 7 and the four
-// ablations and checks that the stderr total line counts one simulation
-// cell per thread of the -trace-events trace: every figure and ablation
-// cell runs in a trace scope of its own.
+// TestTotalCountsEveryCell runs the command itself on Fig 7 and the
+// ablation sweep and checks that the stderr total line counts one
+// simulation cell per thread of the -trace-events trace: every figure
+// and ablation cell runs in a trace scope of its own.
 func TestTotalCountsEveryCell(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")

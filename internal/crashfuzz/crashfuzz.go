@@ -210,6 +210,9 @@ func (s *Schedule) validate() error {
 	if s.Profile == "" {
 		return errors.New("crashfuzz: schedule has no profile")
 	}
+	if !slices.Contains(memctrl.Variants, s.Variant) {
+		return errors.New("crashfuzz: schedule has no combo (a memctrl.Variants row)")
+	}
 	if s.Warm < 0 || s.Faults < 0 {
 		return errors.New("crashfuzz: negative schedule dimension")
 	}

@@ -31,6 +31,11 @@ func TestReplayTokenRoundTrip(t *testing.T) {
 	if _, err := ParseSchedule("v1 combo=bogus/zap extra=1 profile=mcf"); err == nil {
 		t.Fatal("bad combo accepted")
 	}
+	// String would print the zero Variant as combo=bonsai/writeback, which
+	// is not that Variants row, so the token could not round-trip.
+	if _, err := ParseSchedule("v1 profile=lbm extra=1"); err == nil {
+		t.Fatal("token without a combo accepted")
+	}
 }
 
 // TestScheduleStreamPinned pins the seed-99 schedule stream that
@@ -482,6 +487,7 @@ func FuzzParseSchedule(f *testing.F) {
 	f.Add("v1 profile=lbm combo=sgx/asit model=partial-drain warm=64 extra=7 mid=1 faults=0 tseed=99 cseed=8 epoch=4")
 	f.Add("v1 profile=mcf combo=bonsai/agit-plus model=full-adr warm=64 extra=9 mid=-1 faults=0 tseed=99 cseed=21 shard=4 fastpath=1")
 	f.Add("v1 garbage")
+	f.Add("v1 profile=lbm extra=1")
 	f.Fuzz(func(t *testing.T, tok string) {
 		s, err := ParseSchedule(tok)
 		if err != nil {

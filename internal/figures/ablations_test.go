@@ -3,6 +3,7 @@ package figures
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"slices"
 	"strings"
@@ -20,11 +21,21 @@ func ablationRC() RunConfig {
 	return rc
 }
 
-func TestAblationStopLossTradeoff(t *testing.T) {
-	rows, err := AblationStopLoss(ablationRC())
+// quickAblations runs the ablation sweep at ablationRC once for every
+// test that reads its tables.
+var quickAblations = sync.OnceValues(func() (AblationTables, error) { return Ablations(ablationRC()) })
+
+func ablationTables(t *testing.T) AblationTables {
+	t.Helper()
+	tables, err := quickAblations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tables
+}
+
+func TestAblationStopLossTradeoff(t *testing.T) {
+	rows := ablationTables(t).StopLoss
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -46,10 +57,7 @@ func TestAblationStopLossTradeoff(t *testing.T) {
 }
 
 func TestAblationRecoveryBackend(t *testing.T) {
-	rows, err := AblationRecoveryBackend(ablationRC())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationTables(t).Backend
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -70,9 +78,9 @@ func TestAblationRecoveryBackend(t *testing.T) {
 }
 
 func TestAblationEndurance(t *testing.T) {
-	rows, err := AblationEndurance(ablationRC())
-	if err != nil {
-		t.Fatal(err)
+	rows := ablationTables(t).Endurance
+	if len(rows) != 7 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	byScheme := map[memctrl.Scheme]EnduranceRow{}
 	for _, r := range rows {
@@ -103,52 +111,59 @@ func TestAblationPrinters(t *testing.T) {
 	rc := ablationRC()
 	rc.Requests = 1500
 	var buf bytes.Buffer
-	if err := PrintAblationStopLoss(&buf, rc); err != nil {
+	if err := PrintAblations(&buf, rc); err != nil {
 		t.Fatal(err)
 	}
-	if err := PrintAblationRecoveryBackend(&buf, rc); err != nil {
-		t.Fatal(err)
-	}
-	if err := PrintAblationEndurance(&buf, rc); err != nil {
-		t.Fatal(err)
-	}
-	if err := PrintAblationTriad(&buf, rc); err != nil {
-		t.Fatal(err)
-	}
+	out := buf.String()
 	for _, want := range []string{"stop-loss", "backend", "endurance", "lifetime", "Triad-NVM"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}
 	}
-	// The Triad sweep runs no Anubis cell: its contrast row prints the
-	// analytic recovery and no normalized time.
-	if !regexp.MustCompile(`(?m)^  anubis +- +\S`).MatchString(buf.String()) {
-		t.Fatalf("Triad ablation's anubis row is not \"-\" plus a recovery time:\n%s", buf.String())
+	// Four tables, one blank line apart; the caller ends the section.
+	if tables := strings.Split(out, "\n\n"); len(tables) != 4 || strings.HasSuffix(out, "\n\n") {
+		t.Fatalf("output is not four tables one blank line apart:\n%s", out)
+	}
+	// The Triad table's Anubis contrast row prints the analytic recovery
+	// and no normalized time.
+	if !regexp.MustCompile(`(?m)^  anubis +- +\S`).MatchString(out) {
+		t.Fatalf("Triad ablation's anubis row is not \"-\" plus a recovery time:\n%s", out)
 	}
 }
 
 // TestAblationCellsReachObservers: ablation cells, reduced-scale
 // recoveries included, run like figure cells, so each one reaches
-// OnCell and the event trace.
+// OnCell and the event trace, and each distinct cell runs once. The
+// tables read 32 cells, of which 27 differ: 16 runs at rc.Requests
+// (the write-back baseline, five stop-loss limits, two recovery
+// backends, four more endurance schemes and four Triad levels) and 11
+// crash-recovery cells of 3000 requests (the stop-loss, backend and
+// Triad points). Each has a trace thread with a name of its own.
 func TestAblationCellsReachObservers(t *testing.T) {
-	requests, threads := tracedCells(t, func(rc RunConfig) error {
-		_, err := AblationRecoveryBackend(rc)
-		return err
-	})
-	// The write-back baseline and the two backends' runs at rc.Requests,
-	// then each backend's 3000-request crash-recovery cell.
-	if want := []int{800, 800, 800, 3000, 3000}; !slices.Equal(requests, want) {
+	requests, threads := tracedCells(t)
+	want := make([]int, 27)
+	for i := range want {
+		want[i] = 800
+		if i >= 16 {
+			want[i] = 3000
+		}
+	}
+	if !slices.Equal(requests, want) {
 		t.Fatalf("OnCell saw cells of %v requests, want %v", requests, want)
 	}
-	if len(threads) != len(requests) {
-		t.Fatalf("trace names %d cells, want %d", len(threads), len(requests))
+	if len(threads) != len(want) {
+		t.Fatalf("trace has %d threads, want %d", len(threads), len(want))
+	}
+	slices.Sort(threads)
+	if distinct := slices.Compact(slices.Clone(threads)); len(distinct) != len(threads) {
+		t.Fatalf("trace names %d distinct cells in %d threads: %q", len(distinct), len(threads), threads)
 	}
 }
 
-// tracedCells runs an ablation with an OnCell observer and a tracer, and
-// returns the request count of every cell it ran, sorted, and the name
-// of every trace thread.
-func tracedCells(t *testing.T, ablation func(RunConfig) error) (requests []int, threads []string) {
+// tracedCells runs the ablation sweep with an OnCell observer and a
+// tracer, and returns the request count of every cell it ran, sorted,
+// and the name of every trace thread.
+func tracedCells(t *testing.T) (requests []int, threads []string) {
 	t.Helper()
 	rc := ablationRC()
 	rc.Requests = 800
@@ -160,7 +175,7 @@ func tracedCells(t *testing.T, ablation func(RunConfig) error) (requests []int, 
 		requests = append(requests, res.Requests)
 		mu.Unlock()
 	}
-	if err := ablation(rc); err != nil {
+	if _, err := Ablations(rc); err != nil {
 		t.Fatal(err)
 	}
 	slices.Sort(requests)
@@ -183,52 +198,58 @@ func tracedCells(t *testing.T, ablation func(RunConfig) error) (requests []int, 
 	return requests, threads
 }
 
-// TestAblationStopLossRunsBaselineOnce: the stop-loss sweep simulates
-// its write-back baseline once, not once per limit, so it runs 11 cells
-// (the baseline, five Osiris runs and their five crash-recovery cells),
-// and each has a name of its own.
+// TestAblationStopLossRunsBaselineOnce: the write-back baseline, which
+// the stop-loss, backend and Triad tables normalize to and the
+// endurance table lists, runs once in the sweep, and so do the cells
+// two tables share: Osiris at stop-loss 4 (Table 1's limit, so the bare
+// name) and AGIT-Plus with ECC recovery. Each stop-loss limit has its
+// run and its crash-recovery cell.
 func TestAblationStopLossRunsBaselineOnce(t *testing.T) {
-	requests, threads := tracedCells(t, func(rc RunConfig) error {
-		_, err := AblationStopLoss(rc)
-		return err
-	})
-	want := []int{800, 800, 800, 800, 800, 800, 3000, 3000, 3000, 3000, 3000}
-	if !slices.Equal(requests, want) {
-		t.Fatalf("OnCell saw cells of %v requests, want %v", requests, want)
+	_, threads := tracedCells(t)
+	count := map[string]int{}
+	for _, name := range threads {
+		count[name]++
 	}
-	slices.Sort(threads)
-	if distinct := slices.Compact(threads); len(distinct) != len(want) {
-		t.Fatalf("trace names %d distinct cells, want %d: %q", len(distinct), len(want), distinct)
+	for _, name := range []string{"bonsai/writeback/libquantum", "bonsai/osiris/libquantum", "bonsai/agit-plus/libquantum"} {
+		if count[name] != 1 {
+			t.Errorf("%s ran %d times, want once", name, count[name])
+		}
+	}
+	for _, sl := range []int{1, 2, 4, 8, 16} {
+		knob := ""
+		if sl != 4 {
+			knob = fmt.Sprintf(" stop-loss=%d", sl)
+		}
+		for _, name := range []string{"bonsai/osiris/libquantum" + knob, "bonsai/osiris/libquantum" + knob + " mem=16MB"} {
+			if count[name] != 1 {
+				t.Errorf("%s ran %d times, want once", name, count[name])
+			}
+		}
 	}
 }
 
 // TestAblationCellNamesDistinct: cells that differ only by a knob get
 // distinct trace (and pprof) names — here the recovery backend and the
 // crash-recovery cells' memory size — while the default-configuration
-// baseline keeps the bare family/scheme/profile name.
+// baseline keeps the bare family/scheme/profile name. The backend
+// table's five cells are all in the sweep's trace.
 func TestAblationCellNamesDistinct(t *testing.T) {
-	_, threads := tracedCells(t, func(rc RunConfig) error {
-		_, err := AblationRecoveryBackend(rc)
-		return err
-	})
-	slices.Sort(threads)
-	want := []string{
+	_, threads := tracedCells(t)
+	for _, want := range []string{
 		"bonsai/agit-plus/libquantum",
 		"bonsai/agit-plus/libquantum mem=16MB",
 		"bonsai/agit-plus/libquantum recovery=phase",
 		"bonsai/agit-plus/libquantum recovery=phase mem=16MB",
 		"bonsai/writeback/libquantum",
-	}
-	if !slices.Equal(threads, want) {
-		t.Fatalf("trace thread names %q, want %q", threads, want)
+	} {
+		if !slices.Contains(threads, want) {
+			t.Errorf("no trace thread named %q in %q", want, threads)
+		}
 	}
 }
 
 func TestAblationTriad(t *testing.T) {
-	rows, err := AblationTriad(ablationRC())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationTables(t).Triad
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -7,6 +7,7 @@ package figures
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/pprof"
@@ -31,25 +32,18 @@ type RunConfig struct {
 	Seed int64
 	// Apps restricts the benchmark list (nil = all 11).
 	Apps []string
-	// CounterCacheBytes / TreeCacheBytes / MetaCacheBytes override
-	// Table 1's cache sizes when nonzero (used by Figure 13).
-	CounterCacheBytes int
-	TreeCacheBytes    int
-	MetaCacheBytes    int
 	// Parallel is the evaluation engine's worker count: how many
 	// (scheme, app, size) simulation cells run concurrently. 0 means
 	// runtime.GOMAXPROCS(0); 1 reproduces the legacy sequential path.
 	// Results are identical for any value — see DESIGN.md § Parallel
 	// evaluation.
 	Parallel int
-	// Arenas, when non-nil, interns each (profile, seed) request stream
-	// into an immutable arena shared read-only across every simulation
-	// cell (and across workers), instead of re-running the trace
-	// generator per cell. Streams are deterministic per (profile, seed),
-	// so outputs are byte-identical either way — see DESIGN.md §9.
-	// RunConfig is copied by value inside sweeps (e.g. Figure 13's
-	// per-size configs), which is why this is a pointer: every copy
-	// shares the same cache.
+	// Arenas interns each (profile, seed) request stream into an
+	// immutable arena shared read-only across every simulation cell and
+	// worker: every sweep reads its requests from here, and a nil cache
+	// is rejected (DefaultRunConfig sets one). RunConfig is copied by
+	// value, which is why this is a pointer: every copy shares the same
+	// cache. See DESIGN.md §9.
 	Arenas *trace.ArenaCache
 	// OnCell, when non-nil, observes every completed simulation cell.
 	// It runs on worker goroutines and must be safe for concurrent use
@@ -94,6 +88,9 @@ func (rc RunConfig) check() error {
 	if rc.Requests <= 0 {
 		return fmt.Errorf("figures: requests per cell must be positive, got %d", rc.Requests)
 	}
+	if rc.Arenas == nil {
+		return errors.New("figures: RunConfig.Arenas is nil; start from DefaultRunConfig, which sets it")
+	}
 	return nil
 }
 
@@ -120,26 +117,7 @@ func (rc RunConfig) profiles() ([]trace.Profile, error) {
 func (rc RunConfig) config(s memctrl.Scheme) memctrl.Config {
 	cfg := memctrl.DefaultConfig(s)
 	cfg.MemoryBytes = rc.MemoryBytes
-	if rc.CounterCacheBytes > 0 {
-		cfg.CounterCacheBlocks = rc.CounterCacheBytes / memctrl.BlockBytes
-	}
-	if rc.TreeCacheBytes > 0 {
-		cfg.TreeCacheBlocks = rc.TreeCacheBytes / memctrl.BlockBytes
-	}
-	if rc.MetaCacheBytes > 0 {
-		cfg.MetaCacheBlocks = rc.MetaCacheBytes / memctrl.BlockBytes
-	}
 	return cfg
-}
-
-// source returns the request stream for one simulation cell: a cursor
-// into the shared immutable arena when arenas are enabled, otherwise a
-// fresh per-cell generator. Both produce byte-identical streams.
-func (rc RunConfig) source(p trace.Profile) trace.Source {
-	if rc.Arenas != nil {
-		return rc.Arenas.Get(p, rc.Seed, rc.Requests).Source()
-	}
-	return trace.NewGenerator(p, rc.Seed)
 }
 
 // run executes one simulation cell: a controller of family f built
@@ -148,10 +126,9 @@ func (rc RunConfig) source(p trace.Profile) trace.Source {
 // labels and OnCell report. The controller is returned for the cells
 // that go on to read its device or crash it (recoverAfter). Each cell
 // constructs its own controller and gets an independent read cursor
-// into the shared per-(profile, seed) arena (or its own generator when
-// arenas are disabled), so cells are fully independent — the property
-// that lets the worker pool run them concurrently with bit-identical
-// results.
+// into the shared per-(profile, seed) arena, so cells are fully
+// independent — the property that lets the worker pool run them
+// concurrently with bit-identical results.
 func (rc RunConfig) run(f memctrl.Family, cfg memctrl.Config, p trace.Profile) (memctrl.Controller, sim.Result, error) {
 	ctrl, err := memctrl.New(f, cfg)
 	if err != nil {
@@ -173,7 +150,7 @@ func (rc RunConfig) run(f memctrl.Family, cfg memctrl.Config, p trace.Profile) (
 		"scheme", cfg.Scheme.String(),
 		"family", f.String(),
 	), func(context.Context) {
-		res, err = sim.RunObserved(ctrl, rc.source(p), rc.Requests, probe)
+		res, err = sim.RunObserved(ctrl, rc.Arenas.Get(p, rc.Seed, rc.Requests).Source(), rc.Requests, probe)
 	})
 	if err == nil && rc.OnCell != nil {
 		rc.OnCell(res)
@@ -456,17 +433,6 @@ func PrintFig12(w io.Writer) {
 	}
 }
 
-// MeasuredRecovery executes a real crash+recovery at the given scale and
-// returns the recovery report — validating the analytic op counts with
-// the actual implementation.
-func MeasuredRecovery(scheme memctrl.Scheme, family memctrl.Family, rc RunConfig) (*memctrl.RecoveryReport, error) {
-	profiles, err := rc.profiles()
-	if err != nil {
-		return nil, err
-	}
-	return rc.recoverAfter(family, rc.config(scheme), profiles[0])
-}
-
 // --- Figure 13 -----------------------------------------------------------------
 
 // Fig13Row is one cache-size point of the sensitivity study.
@@ -512,18 +478,13 @@ func Fig13(rc RunConfig) ([]Fig13Row, error) {
 		return nil, err
 	}
 	nP, nC := len(profiles), len(cells)
-	withCaches := func(size uint64) RunConfig {
-		cc := rc
-		cc.CounterCacheBytes = int(size)
-		cc.TreeCacheBytes = int(size)
-		cc.MetaCacheBytes = int(2 * size)
-		return cc
-	}
 	results, err := parallel.Map(rc.pool(), len(sizes)*nP*nC, func(i int) (sim.Result, error) {
 		si, rem := i/(nP*nC), i%(nP*nC)
 		pi, ci := rem/nC, rem%nC
-		cc := withCaches(sizes[si])
-		_, res, err := cc.run(cells[ci].fam, cc.config(cells[ci].scheme), profiles[pi])
+		cfg := rc.config(cells[ci].scheme)
+		blocks := int(sizes[si] / memctrl.BlockBytes)
+		cfg.CounterCacheBlocks, cfg.TreeCacheBlocks, cfg.MetaCacheBlocks = blocks, blocks, 2*blocks
+		_, res, err := rc.run(cells[ci].fam, cfg, profiles[pi])
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("fig13 %s/%s/%s: %w",
 				memName(sizes[si]), profiles[pi].Name, cells[ci].scheme, err)

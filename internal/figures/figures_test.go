@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"anubis/internal/memctrl"
 	"anubis/internal/recmodel"
+	"anubis/internal/trace"
 )
 
 func TestFig5Shape(t *testing.T) {
@@ -107,15 +109,26 @@ func TestFig12Shape(t *testing.T) {
 	}
 }
 
-func TestMeasuredRecoveryAGITBelowOsiris(t *testing.T) {
+// measuredRecoveryRC is the scale of the measured-recovery tests: 3000
+// mcf requests on 16 MiB, then a crash and a recovery (recoverAfter).
+func measuredRecoveryRC() (RunConfig, trace.Profile) {
 	rc := QuickRunConfig()
 	rc.MemoryBytes = 16 << 20
 	rc.Requests = 3000
-	agit, err := MeasuredRecovery(memctrl.SchemeAGITPlus, memctrl.FamilyBonsai, rc)
+	mcf, _ := trace.ByName("mcf")
+	return rc, mcf
+}
+
+// TestMeasuredRecoveryAGITBelowOsiris validates the analytic op counts
+// with the implementation: a real AGIT-Plus recovery takes less modeled
+// time than Osiris's after the same run.
+func TestMeasuredRecoveryAGITBelowOsiris(t *testing.T) {
+	rc, mcf := measuredRecoveryRC()
+	agit, err := rc.recoverAfter(memctrl.FamilyBonsai, rc.config(memctrl.SchemeAGITPlus), mcf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	osiris, err := MeasuredRecovery(memctrl.SchemeOsiris, memctrl.FamilyBonsai, rc)
+	osiris, err := rc.recoverAfter(memctrl.FamilyBonsai, rc.config(memctrl.SchemeOsiris), mcf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +139,8 @@ func TestMeasuredRecoveryAGITBelowOsiris(t *testing.T) {
 }
 
 func TestMeasuredRecoveryASIT(t *testing.T) {
-	rc := QuickRunConfig()
-	rc.MemoryBytes = 16 << 20
-	rc.Requests = 3000
-	rep, err := MeasuredRecovery(memctrl.SchemeASIT, memctrl.FamilySGX, rc)
+	rc, mcf := measuredRecoveryRC()
+	rep, err := rc.recoverAfter(memctrl.FamilySGX, rc.config(memctrl.SchemeASIT), mcf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +258,22 @@ func TestRunConfigProfiles(t *testing.T) {
 }
 
 // TestSweepsRejectBadInput: every sweep entry point returns an error
-// for an unknown app or a non-positive request count, before any cell
-// runs, instead of panicking or printing an empty table. The ablations
-// always run libquantum, so only the request count applies to them.
+// for an unknown app, a non-positive request count or a missing arena
+// cache, before any cell runs, instead of panicking or printing an
+// empty table. Each of the four ablation tables is checked through
+// Ablations, which must return the error with that table empty. The
+// ablations always run libquantum, so the app inputs do not apply to
+// them.
 func TestSweepsRejectBadInput(t *testing.T) {
+	ablation := func(table func(AblationTables) int) func(RunConfig) error {
+		return func(rc RunConfig) error {
+			tabs, err := Ablations(rc)
+			if n := table(tabs); n != 0 {
+				return fmt.Errorf("%d rows returned", n)
+			}
+			return err
+		}
+	}
 	entries := []struct {
 		name  string
 		apps  bool
@@ -264,14 +287,10 @@ func TestSweepsRejectBadInput(t *testing.T) {
 			_, err := RecoverySweep(RecoverySweepConfig{Run: rc, Scheme: memctrl.SchemeAGITPlus, Family: memctrl.FamilyBonsai})
 			return err
 		}},
-		{"MeasuredRecovery", true, func(rc RunConfig) error {
-			_, err := MeasuredRecovery(memctrl.SchemeASIT, memctrl.FamilySGX, rc)
-			return err
-		}},
-		{"AblationStopLoss", false, func(rc RunConfig) error { _, err := AblationStopLoss(rc); return err }},
-		{"AblationRecoveryBackend", false, func(rc RunConfig) error { _, err := AblationRecoveryBackend(rc); return err }},
-		{"AblationEndurance", false, func(rc RunConfig) error { _, err := AblationEndurance(rc); return err }},
-		{"AblationTriad", false, func(rc RunConfig) error { _, err := AblationTriad(rc); return err }},
+		{"AblationStopLoss", false, ablation(func(t AblationTables) int { return len(t.StopLoss) })},
+		{"AblationRecoveryBackend", false, ablation(func(t AblationTables) int { return len(t.Backend) })},
+		{"AblationEndurance", false, ablation(func(t AblationTables) int { return len(t.Endurance) })},
+		{"AblationTriad", false, ablation(func(t AblationTables) int { return len(t.Triad) })},
 	}
 	inputs := []struct {
 		name string
@@ -283,6 +302,7 @@ func TestSweepsRejectBadInput(t *testing.T) {
 		{"one_unknown_app", true, func(rc *RunConfig) { rc.Apps = []string{"mcf", "nosuch"} }, `unknown app "nosuch"`},
 		{"zero_requests", false, func(rc *RunConfig) { rc.Requests = 0 }, "must be positive, got 0"},
 		{"negative_requests", false, func(rc *RunConfig) { rc.Requests = -5 }, "must be positive, got -5"},
+		{"nil_arenas", false, func(rc *RunConfig) { rc.Arenas = nil }, "start from DefaultRunConfig"},
 	}
 	for _, e := range entries {
 		for _, in := range inputs {

@@ -132,8 +132,8 @@ func seed99Table(t *testing.T) goldenTable {
 	return table
 }
 
-// quickTables returns the rows of Fig 7, Fig 13 and the four ablations
-// at the quick scale, as anubis-bench prints them: counts as they are,
+// quickTables returns the rows of Fig 7, Fig 13 and the four ablation
+// tables at the quick scale, as anubis-bench prints them: counts as they are,
 // and each float field by its math.Float64bits, so the comparison is
 // exact.
 func quickTables(t *testing.T, rc RunConfig) goldenTable {
@@ -158,27 +158,19 @@ func quickTables(t *testing.T, rc RunConfig) goldenTable {
 		}
 		table["fig13/quick/"+memName(r.CacheBytes)] = row
 	}
-	stopLoss, err := AblationStopLoss(rc)
+	ablations, err := Ablations(rc)
 	if err != nil {
-		t.Fatalf("stop-loss ablation: %v", err)
+		t.Fatalf("ablations: %v", err)
 	}
-	for _, r := range stopLoss {
+	for _, r := range ablations.StopLoss {
 		table[fmt.Sprintf("ablation/stoploss/%d", r.StopLoss)] = goldenRow{
 			"normalized": bits(r.Normalized), "stop_loss_writes": r.StopLossWrites, "recovery_crypto": r.RecoveryCrypto}
 	}
-	backends, err := AblationRecoveryBackend(rc)
-	if err != nil {
-		t.Fatalf("backend ablation: %v", err)
-	}
-	for _, r := range backends {
+	for _, r := range ablations.Backend {
 		table["ablation/backend/"+r.Backend.String()] = goldenRow{
 			"normalized": bits(r.Normalized), "stop_loss_writes": r.StopLossWrites, "recovery_ops": r.RecoveryOps}
 	}
-	endurance, err := AblationEndurance(rc)
-	if err != nil {
-		t.Fatalf("endurance ablation: %v", err)
-	}
-	for _, r := range endurance {
+	for _, r := range ablations.Endurance {
 		name := r.Scheme.String()
 		if r.WearLeveled {
 			name += "+wl"
@@ -186,11 +178,7 @@ func quickTables(t *testing.T, rc RunConfig) goldenTable {
 		table["ablation/endurance/"+name] = goldenRow{
 			"writes_per_request": bits(r.WritesPerRequest), "hottest_wear": r.HottestWear, "lifetime_factor": bits(r.LifetimeFactor)}
 	}
-	triad, err := AblationTriad(rc)
-	if err != nil {
-		t.Fatalf("Triad ablation: %v", err)
-	}
-	for _, r := range triad {
+	for _, r := range ablations.Triad {
 		table[fmt.Sprintf("ablation/triad/levels%d", r.Levels)] = goldenRow{
 			"normalized": bits(r.Normalized), "recovery_8tb_s": bits(r.Recovery8TBS), "measured_ops": r.MeasuredOps}
 	}

@@ -64,23 +64,23 @@ func TestFig7AndFig13ParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestAblationParallelDeterminism pins the ablation sweeps to their
-// sequential results as well.
+// TestAblationParallelDeterminism pins the ablation sweep, all four
+// tables, to its sequential result as well.
 func TestAblationParallelDeterminism(t *testing.T) {
 	rc := QuickRunConfig()
 	rc.Requests = 1200
 
 	rc.Parallel = 1
-	seq, err := AblationEndurance(rc)
+	seq, err := Ablations(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc.Parallel = 6
-	par, err := AblationEndurance(rc)
+	par, err := Ablations(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("endurance rows differ:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("ablation tables differ:\nseq: %+v\npar: %+v", seq, par)
 	}
 }

@@ -31,8 +31,8 @@ import (
 
 // RecoverySweepConfig parameterizes a crash/recovery sweep.
 type RecoverySweepConfig struct {
-	// Run supplies scale, seed, cache overrides, the worker pool, and
-	// the shared trace arenas.
+	// Run supplies scale, seed, the worker pool, and the shared trace
+	// arenas.
 	Run RunConfig
 	// Scheme/Family select the controller under test.
 	Scheme memctrl.Scheme
@@ -121,9 +121,9 @@ func (r *RecoverySweepResult) RecoveryPercentileNS(p float64) uint64 {
 }
 
 // arena applies c's defaults and returns the request stream every
-// trial reads: the warm fill and every window. Trial windows resume
-// consumption mid-stream, which needs a materialized arena; it is a
-// private one if the RunConfig doesn't carry a cache.
+// trial reads, the warm fill and every window, from Run's arena cache.
+// Trial windows resume consumption mid-stream, which needs a
+// materialized arena.
 func (c *RecoverySweepConfig) arena() (*trace.Arena, error) {
 	profiles, err := c.Run.profiles()
 	if err != nil {
@@ -145,11 +145,7 @@ func (c *RecoverySweepConfig) arena() (*trace.Arena, error) {
 	if !ok {
 		return nil, fmt.Errorf("figures: unknown app %q", c.App)
 	}
-	maxReq := c.Warm + c.Trials*c.ExtraPerTrial
-	if c.Run.Arenas != nil {
-		return c.Run.Arenas.Get(p, c.Run.Seed, maxReq), nil
-	}
-	return trace.NewArena(p, c.Run.Seed, maxReq), nil
+	return c.Run.Arenas.Get(p, c.Run.Seed, c.Warm+c.Trials*c.ExtraPerTrial), nil
 }
 
 // RecoverySweep executes the sweep and returns the per-trial recovery

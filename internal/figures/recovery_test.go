@@ -248,40 +248,3 @@ func BenchmarkRecoverySweepForked(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkRecoverySweepCold measures the per-trial re-fill baseline.
 func BenchmarkRecoverySweepCold(b *testing.B) { benchSweep(b, true) }
-
-// TestFigureSweepArenaByteIdentity asserts the satellite contract that
-// interning traces into shared arenas does not change a single output
-// bit: Figure 7 and Figure 10 rows computed with Arenas enabled match
-// the generator-per-cell path exactly at the default seed.
-func TestFigureSweepArenaByteIdentity(t *testing.T) {
-	with := QuickRunConfig() // Arenas enabled by default
-	without := QuickRunConfig()
-	without.Arenas = nil
-
-	r7a, err := Fig7(with)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r7b, err := Fig7(without)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r7a, r7b) {
-		t.Fatal("Fig7 rows differ between arena and generator paths")
-	}
-
-	r10a, avgA, err := Fig10(with)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r10b, avgB, err := Fig10(without)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r10a, r10b) {
-		t.Fatal("Fig10 rows differ between arena and generator paths")
-	}
-	if !reflect.DeepEqual(avgA, avgB) {
-		t.Fatal("Fig10 averages differ between arena and generator paths")
-	}
-}

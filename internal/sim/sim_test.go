@@ -256,3 +256,38 @@ func TestRunnerStepsEqualOneRun(t *testing.T) {
 		}
 	}
 }
+
+// TestPayloadTableMatchesFillBlock: a run that reads an arena from
+// position zero takes its write data from the arena's payload table
+// (Arena.Payloads); every other run calls FillBlock per write. Both
+// must write the same bytes, so one stream run from an arena cursor and
+// from a generator must give the same Result and the same device image,
+// for a general-tree and an SGX-tree Variants row on two profiles.
+func TestPayloadTableMatchesFillBlock(t *testing.T) {
+	const n = 3000
+	for _, app := range []string{"libquantum", "mcf"} {
+		prof, _ := trace.ByName(app)
+		for _, name := range []string{"agit-plus", "asit"} {
+			v, _ := memctrl.VariantByName(name)
+			run := func(src trace.Source) (Result, uint64) {
+				ctrl, err := memctrl.New(v.Family, simConfig(v.Scheme))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(ctrl, src, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, ctrl.Device().StateDigest()
+			}
+			table, tableDigest := run(trace.NewArena(prof, 99, n).Source())
+			fill, fillDigest := run(trace.NewGenerator(prof, 99))
+			if !reflect.DeepEqual(table, fill) {
+				t.Errorf("%s/%s: payload-table run differs from FillBlock run\ntable: %+v\nfill:  %+v", app, name, table, fill)
+			}
+			if tableDigest != fillDigest {
+				t.Errorf("%s/%s: payload-table run leaves device digest %#x, FillBlock run %#x", app, name, tableDigest, fillDigest)
+			}
+		}
+	}
+}
