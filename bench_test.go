@@ -53,11 +53,11 @@ func BenchmarkFig7CleanEvictions(b *testing.B) {
 	rc := benchRC()
 	var rows []figures.Fig7Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.Fig7(rc)
+		t, err := figures.Sweep(rc, figures.TableFig7)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows = t.Fig7
 	}
 	for _, r := range rows {
 		if r.App == "mcf" {
@@ -144,11 +144,11 @@ func BenchmarkFig13CacheSensitivity(b *testing.B) {
 	rc.Apps = []string{"libquantum", "mcf"}
 	var rows []figures.Fig13Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.Fig13(rc)
+		t, err := figures.Sweep(rc, figures.TableFig13)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows = t.Fig13
 	}
 	b.ReportMetric(rows[0].Norm[memctrl.SchemeASIT], "x-asit-256KB")
 	b.ReportMetric(rows[len(rows)-1].Norm[memctrl.SchemeASIT], "x-asit-4MB")
@@ -242,7 +242,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 
 // --- ablation benchmark --------------------------------------------------------
 
-// BenchmarkAblations runs the ablation sweep: the Osiris stop-loss
+// BenchmarkAblations sweeps the ablation tables: the Osiris stop-loss
 // limit, ECC-trial vs phase-bit counter recovery, per-scheme write
 // amplification and hot-spot wear, and the Triad-NVM persisted-levels
 // knob.
@@ -251,11 +251,11 @@ func BenchmarkAblations(b *testing.B) {
 	rc.Requests = 3000
 	var t figures.AblationTables
 	for i := 0; i < b.N; i++ {
-		var err error
-		t, err = figures.Ablations(rc)
+		tabs, err := figures.Sweep(rc, figures.TableAblations)
 		if err != nil {
 			b.Fatal(err)
 		}
+		t = tabs.Ablations
 	}
 	b.ReportMetric(t.StopLoss[0].Normalized, "x-stoploss-1")
 	b.ReportMetric(t.StopLoss[len(t.StopLoss)-1].Normalized, "x-stoploss-16")

@@ -2,14 +2,15 @@
 // Table 1 and Figures 5, 7, 10, 11, 12 and 13, plus the headline
 // recovery comparison.
 //
-// Simulation cells — each (scheme, app, cache-size) run — fan out on
-// the parallel evaluation engine (internal/parallel); the output is
-// identical for every -parallel value (see DESIGN.md § Parallel
-// evaluation).
+// The selected figures and ablations are one sweep (figures.Sweep):
+// its simulation cells — each (scheme, app, cache-size) run — fan out
+// on the parallel evaluation engine (internal/parallel), and a cell
+// that two tables read runs once; the output is identical for every
+// -parallel value (see DESIGN.md § Parallel evaluation).
 //
 // Usage:
 //
-//	anubis-bench -all                 # everything (minutes)
+//	anubis-bench -all                 # everything (about 5 s on 2 cores)
 //	anubis-bench -fig10 -n 40000      # one figure at a given scale
 //	anubis-bench -fig10 -apps mcf,lbm # restrict the benchmark list
 //	anubis-bench -all -parallel 8     # 8 concurrent simulation cells
@@ -81,29 +82,33 @@ func main() {
 	)
 	flag.Parse()
 
+	out := os.Stdout
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "anubis-bench:", err)
+		os.Exit(1)
+	}
+	if *trials < 1 {
+		fail(fmt.Errorf("-trials must be >= 1 (got %d)", *trials))
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "anubis-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "anubis-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "anubis-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer f.Close()
 		if err := rtrace.Start(f); err != nil {
-			fmt.Fprintln(os.Stderr, "anubis-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer rtrace.Stop()
 	}
@@ -129,13 +134,6 @@ func main() {
 	rc.Parallel = *workers
 	if *apps != "" {
 		rc.Apps = strings.Split(*apps, ",")
-	}
-
-	any := false
-	out := os.Stdout
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "anubis-bench:", err)
-		os.Exit(1)
 	}
 
 	// Observability: -metrics-addr publishes every completed cell live,
@@ -170,77 +168,58 @@ func main() {
 		rc.Trace = tracer
 	}
 
-	var wall time.Duration
-	section := func(fn func() error) {
-		any = true
-		start := time.Now()
-		if err := fn(); err != nil {
-			fail(err)
+	// Each section prints one table; need selects the simulated tables
+	// it prints, whose cells one Sweep runs, each distinct cell once.
+	sections := []struct {
+		on    bool
+		need  figures.Table
+		print func(figures.Tables)
+	}{
+		{*table1, 0, func(figures.Tables) { figures.Table1(out) }},
+		{*fig5, 0, func(figures.Tables) { figures.PrintFig5(out) }},
+		{*fig7, figures.TableFig7, func(t figures.Tables) { figures.PrintFig7(out, t.Fig7) }},
+		{*fig10, figures.TableFig10, func(t figures.Tables) {
+			figures.PrintPerf(out, "Figure 10: AGIT Performance (normalized to write-back)", t.Fig10.Rows, t.Fig10.Avg, figures.Fig10Schemes)
+		}},
+		{*fig11, figures.TableFig11, func(t figures.Tables) {
+			figures.PrintPerf(out, "Figure 11: ASIT Performance (normalized to write-back)", t.Fig11.Rows, t.Fig11.Avg, figures.Fig11Schemes)
+		}},
+		{*fig12, 0, func(figures.Tables) { figures.PrintFig12(out) }},
+		{*fig13, figures.TableFig13, func(t figures.Tables) { figures.PrintFig13(out, t.Fig13) }},
+		{*ablation, figures.TableAblations, func(t figures.Tables) { figures.PrintAblations(out, t.Ablations) }},
+		{*recovery, 0, func(figures.Tables) {
+			if err := figures.PrintRecoverySweep(out, rc, *trials); err != nil {
+				fail(err)
+			}
+		}},
+		{*headline, 0, func(figures.Tables) { figures.PrintHeadline(out) }},
+	}
+	var want figures.Table
+	selected := false
+	for _, s := range sections {
+		if *all || s.on {
+			want, selected = want|s.need, true
 		}
-		wall += time.Since(start)
-		fmt.Fprintln(out)
 	}
-
-	if *all || *table1 {
-		section(func() error {
-			figures.Table1(out)
-			return nil
-		})
-	}
-	if *all || *fig5 {
-		section(func() error {
-			figures.PrintFig5(out)
-			return nil
-		})
-	}
-	if *all || *fig7 {
-		section(func() error { return figures.PrintFig7(out, rc) })
-	}
-	if *all || *fig10 {
-		section(func() error {
-			rows, avg, err := figures.Fig10(rc)
-			if err != nil {
-				return err
-			}
-			figures.PrintPerf(out, "Figure 10: AGIT Performance (normalized to write-back)", rows, avg, figures.Fig10Schemes)
-			return nil
-		})
-	}
-	if *all || *fig11 {
-		section(func() error {
-			rows, avg, err := figures.Fig11(rc)
-			if err != nil {
-				return err
-			}
-			figures.PrintPerf(out, "Figure 11: ASIT Performance (normalized to write-back)", rows, avg, figures.Fig11Schemes)
-			return nil
-		})
-	}
-	if *all || *fig12 {
-		section(func() error {
-			figures.PrintFig12(out)
-			return nil
-		})
-	}
-	if *all || *fig13 {
-		section(func() error { return figures.PrintFig13(out, rc) })
-	}
-	if *all || *ablation {
-		section(func() error { return figures.PrintAblations(out, rc) })
-	}
-	if *all || *recovery {
-		section(func() error { return figures.PrintRecoverySweep(out, rc, *trials) })
-	}
-	if *all || *headline {
-		section(func() error {
-			figures.PrintHeadline(out)
-			return nil
-		})
-	}
-	if !any {
+	if !selected {
 		flag.Usage()
 		os.Exit(2)
 	}
+	start := time.Now()
+	var tables figures.Tables
+	if want != 0 {
+		var err error
+		if tables, err = figures.Sweep(rc, want); err != nil {
+			fail(err)
+		}
+	}
+	for _, s := range sections {
+		if *all || s.on {
+			s.print(tables)
+			fmt.Fprintln(out)
+		}
+	}
+	wall := time.Since(start)
 	if tracer != nil {
 		f, err := os.Create(*traceEvents)
 		if err != nil {

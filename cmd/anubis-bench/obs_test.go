@@ -29,7 +29,7 @@ func TestCellObserverFeedsTelemetry(t *testing.T) {
 	tel := obs.NewTelemetry()
 	rc := tinyRun()
 	rc.OnCell = observeCells(tel)
-	if _, err := figures.Fig7(rc); err != nil {
+	if _, err := figures.Sweep(rc, figures.TableFig7); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,7 +59,7 @@ func TestHistogramNamesEndInNS(t *testing.T) {
 	tel := obs.NewTelemetry()
 	rc := tinyRun()
 	rc.OnCell = observeCells(tel)
-	if _, err := figures.Fig7(rc); err != nil {
+	if _, err := figures.Sweep(rc, figures.TableFig7); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
@@ -92,7 +92,7 @@ func TestTraceEventsOutputValid(t *testing.T) {
 	tracer := obs.NewTracer(8)
 	rc := tinyRun()
 	rc.Trace = tracer
-	if _, err := figures.Fig7(rc); err != nil {
+	if _, err := figures.Sweep(rc, figures.TableFig7); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -141,19 +141,19 @@ func TestTraceEventsOutputValid(t *testing.T) {
 // must produce exactly the rows an unobserved run produces.
 func TestObservedSweepIsByteIdentical(t *testing.T) {
 	plainRC := tinyRun()
-	plain, err := figures.Fig7(plainRC)
+	plain, err := figures.Sweep(plainRC, figures.TableFig7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obsRC := tinyRun()
 	obsRC.OnCell = observeCells(obs.NewTelemetry())
 	obsRC.Trace = obs.NewTracer(4)
-	observed, err := figures.Fig7(obsRC)
+	observed, err := figures.Sweep(obsRC, figures.TableFig7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(plain)
-	b, _ := json.Marshal(observed)
+	a, _ := json.Marshal(plain.Fig7)
+	b, _ := json.Marshal(observed.Fig7)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("observation changed figure rows:\nplain:    %s\nobserved: %s", a, b)
 	}

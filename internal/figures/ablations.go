@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"anubis/internal/memctrl"
-	"anubis/internal/parallel"
 	"anubis/internal/recmodel"
-	"anubis/internal/sim"
 	"anubis/internal/trace"
 )
 
@@ -22,7 +20,8 @@ import (
 //     lifetime of NVMs", §6.2),
 //   - Triad-NVM's persisted-levels knob (the §7 contrast).
 //
-// All four run on libquantum, a write-heavy workload, as one sweep.
+// All four run on libquantum, a write-heavy workload; Sweep runs them
+// with TableAblations.
 
 // AblationTables holds the four ablation tables.
 type AblationTables struct {
@@ -66,65 +65,30 @@ type TriadRow struct {
 	MeasuredOps  uint64  `json:"measured_ops"`   // executed recovery ops at test scale
 }
 
-// ablationCell keys one simulation the tables read: a libquantum run of
-// a fam controller built from cfg or, with recovery set, cfg's
-// reduced-scale crash-recovery cell (miniRecovery). memctrl.Config has
-// only scalar fields, so two tables that read one configuration ask for
-// one key, and its cell runs once.
-type ablationCell struct {
-	fam      memctrl.Family
-	cfg      memctrl.Config
-	recovery bool
-}
-
-// ablationOut is one cell and what the tables read of it.
-type ablationOut struct {
-	ablationCell
-	readWear bool // the endurance table reads the hottest block's wear
-	res      sim.Result
-	wear     uint64
-	rep      *memctrl.RecoveryReport // recovery cells
-}
-
-// Ablations runs the four ablation tables as one sweep on the pool.
-// Each distinct cell runs once: the write-back baseline, which three
-// tables normalize to and the endurance table lists, Osiris at Table
-// 1's stop-loss limit, and AGIT-Plus with ECC recovery are each read by
-// more than one table, so the tables' 32 reads take 27 cells.
-func Ablations(rc RunConfig) (AblationTables, error) {
-	if err := rc.check(); err != nil {
-		return AblationTables{}, err
-	}
-	var (
-		t     AblationTables
-		cells []*ablationOut
-		byKey = map[ablationCell]*ablationOut{}
-		rows  []func() // each appends one row once every cell has run
-	)
-	cell := func(c ablationCell) *ablationOut {
-		o := byKey[c]
-		if o == nil {
-			o = &ablationOut{ablationCell: c}
-			byKey[c] = o
-			cells = append(cells, o)
-		}
-		return o
-	}
+// ablations declares the four ablation tables. The write-back
+// baseline, which three tables normalize to and the endurance table
+// lists, Osiris at Table 1's stop-loss limit, and AGIT-Plus with ECC
+// recovery are each read by more than one table, so the tables' 32
+// reads take 27 cells; six of them (write-back, osiris, agit-read,
+// agit-plus, strict and asit at Table 1's configuration) are also Fig
+// 10 and Fig 11 cells.
+func (p *plan) ablations(t *AblationTables) {
+	prof, _ := trace.ByName("libquantum")
 	bonsai := memctrl.FamilyBonsai
-	base := cell(ablationCell{fam: bonsai, cfg: rc.config(memctrl.SchemeWriteBack)})
+	base := p.cell(cellKey{fam: bonsai, cfg: p.rc.config(memctrl.SchemeWriteBack), prof: prof})
 	// point returns a general-tree scheme's run and crash-recovery cells
 	// with one knob set.
-	point := func(s memctrl.Scheme, knob func(*memctrl.Config)) (run, rec *ablationOut) {
-		cfg := rc.config(s)
+	point := func(s memctrl.Scheme, knob func(*memctrl.Config)) (run, rec *cellOut) {
+		cfg := p.rc.config(s)
 		knob(&cfg)
-		return cell(ablationCell{fam: bonsai, cfg: cfg}), cell(ablationCell{fam: bonsai, cfg: cfg, recovery: true})
+		return p.cell(cellKey{fam: bonsai, cfg: cfg, prof: prof}), p.cell(cellKey{fam: bonsai, cfg: cfg, prof: prof, recovery: true})
 	}
 
 	// The Osiris stop-loss limit: run-time persists against recovery
 	// trials.
 	for _, sl := range []int{1, 2, 4, 8, 16} {
 		run, rec := point(memctrl.SchemeOsiris, func(c *memctrl.Config) { c.StopLoss = sl })
-		rows = append(rows, func() {
+		p.rows = append(p.rows, func() {
 			t.StopLoss = append(t.StopLoss, StopLossRow{
 				StopLoss:       sl,
 				Normalized:     run.res.Normalized(base.res),
@@ -137,7 +101,7 @@ func Ablations(rc RunConfig) (AblationTables, error) {
 	// (§2.4's data-bus extension) under AGIT-Plus.
 	for _, backend := range []memctrl.CounterRecovery{memctrl.RecoveryECC, memctrl.RecoveryPhase} {
 		run, rec := point(memctrl.SchemeAGITPlus, func(c *memctrl.Config) { c.Recovery = backend })
-		rows = append(rows, func() {
+		p.rows = append(p.rows, func() {
 			t.Backend = append(t.Backend, BackendRow{
 				Backend:        backend,
 				Normalized:     run.res.Normalized(base.res),
@@ -147,8 +111,9 @@ func Ablations(rc RunConfig) (AblationTables, error) {
 		})
 	}
 	// NVM write amplification and hot-spot wear per scheme: the paper's
-	// lifetime argument quantified. A lifetime factor below 1 means the
-	// scheme wears the device out faster than plain write-back.
+	// lifetime argument quantified. Lifetime is relative to the first
+	// row, write-back without leveling, whose cell is the baseline; a
+	// factor below 1 means the scheme wears the device out faster.
 	for _, e := range []struct {
 		s    memctrl.Scheme
 		f    memctrl.Family
@@ -162,18 +127,22 @@ func Ablations(rc RunConfig) (AblationTables, error) {
 		{memctrl.SchemeStrict, bonsai, 0},
 		{memctrl.SchemeASIT, memctrl.FamilySGX, 0},
 	} {
-		cfg := rc.config(e.s)
+		cfg := p.rc.config(e.s)
 		cfg.WearPeriod = e.wear
-		run := cell(ablationCell{fam: e.f, cfg: cfg})
+		run := p.cell(cellKey{fam: e.f, cfg: cfg, prof: prof})
 		run.readWear = true
-		rows = append(rows, func() {
-			t.Endurance = append(t.Endurance, EnduranceRow{
+		p.rows = append(p.rows, func() {
+			row := EnduranceRow{
 				Scheme:           e.s,
 				Family:           e.f,
 				WearLeveled:      e.wear > 0,
 				WritesPerRequest: run.res.WritesPerRequest(),
 				HottestWear:      run.wear,
-			})
+			}
+			if run.wear > 0 {
+				row.LifetimeFactor = float64(base.wear) / float64(run.wear)
+			}
+			t.Endurance = append(t.Endurance, row)
 		})
 	}
 	// Triad-NVM's persisted levels, the trade-off the paper contrasts
@@ -182,7 +151,7 @@ func Ablations(rc RunConfig) (AblationTables, error) {
 	// memory-bound at every setting.
 	for _, levels := range []int{0, 1, 2, 3} {
 		run, rec := point(memctrl.SchemeTriad, func(c *memctrl.Config) { c.TriadLevels = levels })
-		rows = append(rows, func() {
+		p.rows = append(p.rows, func() {
 			t.Triad = append(t.Triad, TriadRow{
 				Levels:       levels,
 				Normalized:   run.res.Normalized(base.res),
@@ -191,61 +160,13 @@ func Ablations(rc RunConfig) (AblationTables, error) {
 			})
 		})
 	}
-
-	prof, _ := trace.ByName("libquantum")
-	err := parallel.Do(rc.pool(), len(cells), func(i int) error {
-		o := cells[i]
-		if o.recovery {
-			var err error
-			o.rep, err = rc.miniRecovery(o.fam, o.cfg, prof)
-			return err
-		}
-		ctrl, res, err := rc.run(o.fam, o.cfg, prof)
-		if err != nil {
-			return err
-		}
-		o.res = res
-		if o.readWear {
-			_, _, o.wear = ctrl.Device().MaxWearAll()
-		}
-		return nil
-	})
-	if err != nil {
-		return AblationTables{}, err
-	}
-	for _, row := range rows {
-		row()
-	}
-	// Lifetime is relative to the first endurance row: write-back
-	// without leveling.
-	for i := range t.Endurance {
-		if wear := t.Endurance[i].HottestWear; wear > 0 {
-			t.Endurance[i].LifetimeFactor = float64(t.Endurance[0].HottestWear) / float64(wear)
-		}
-	}
-	return t, nil
-}
-
-// miniRecovery runs 3000 requests on a fresh 16 MiB controller,
-// crashes it, and returns the recovery report. The warm-up, crash, and
-// recovery are inherently sequential within one cell; the warm-up
-// stream comes from the shared arena (scaled profiles have their own
-// arena key, so every recovery cell shares one materialization).
-func (rc RunConfig) miniRecovery(f memctrl.Family, cfg memctrl.Config, prof trace.Profile) (*memctrl.RecoveryReport, error) {
-	rc.Requests = 3000
-	cfg.MemoryBytes = 16 << 20
-	return rc.recoverAfter(f, cfg, prof.Scaled(cfg.MemoryBytes/64))
 }
 
 // PrintAblations renders the four tables, one blank line apart. The
 // Triad table ends with the Anubis row for contrast: its analytic 8 TB
 // recovery. That row prints no normalized time; the backend table's ecc
 // row is AGIT-Plus's.
-func PrintAblations(w io.Writer, rc RunConfig) error {
-	t, err := Ablations(rc)
-	if err != nil {
-		return err
-	}
+func PrintAblations(w io.Writer, t AblationTables) {
 	fmt.Fprintln(w, "Ablation: Osiris stop-loss limit (libquantum)")
 	fmt.Fprintf(w, "  %-10s %12s %16s %16s\n", "stop-loss", "normalized", "extra persists", "recovery trials")
 	for _, r := range t.StopLoss {
@@ -280,5 +201,4 @@ func PrintAblations(w io.Writer, rc RunConfig) error {
 	}
 	fmt.Fprintf(w, "  %-10s %12s %16s\n", "anubis", "-",
 		recmodel.FormatDuration(recmodel.AGITNS(256<<10, 256<<10)))
-	return nil
 }

@@ -23,7 +23,10 @@ func ablationRC() RunConfig {
 
 // quickAblations runs the ablation sweep at ablationRC once for every
 // test that reads its tables.
-var quickAblations = sync.OnceValues(func() (AblationTables, error) { return Ablations(ablationRC()) })
+var quickAblations = sync.OnceValues(func() (AblationTables, error) {
+	tabs, err := Sweep(ablationRC(), TableAblations)
+	return tabs.Ablations, err
+})
 
 func ablationTables(t *testing.T) AblationTables {
 	t.Helper()
@@ -110,10 +113,12 @@ func TestAblationEndurance(t *testing.T) {
 func TestAblationPrinters(t *testing.T) {
 	rc := ablationRC()
 	rc.Requests = 1500
-	var buf bytes.Buffer
-	if err := PrintAblations(&buf, rc); err != nil {
+	tabs, err := Sweep(rc, TableAblations)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	PrintAblations(&buf, tabs.Ablations)
 	out := buf.String()
 	for _, want := range []string{"stop-loss", "backend", "endurance", "lifetime", "Triad-NVM"} {
 		if !strings.Contains(out, want) {
@@ -160,14 +165,22 @@ func TestAblationCellsReachObservers(t *testing.T) {
 	}
 }
 
-// tracedCells runs the ablation sweep with an OnCell observer and a
-// tracer, and returns the request count of every cell it ran, sorted,
-// and the name of every trace thread.
+// tracedCells runs the ablation sweep at 800 requests on one worker
+// and returns what tracedSweep returns of it but the tables.
 func tracedCells(t *testing.T) (requests []int, threads []string) {
 	t.Helper()
 	rc := ablationRC()
 	rc.Requests = 800
 	rc.Parallel = 1
+	_, requests, threads = tracedSweep(t, rc, TableAblations)
+	return requests, threads
+}
+
+// tracedSweep runs a Sweep of want with an OnCell observer and a
+// tracer, and returns its tables, the request count of every cell it
+// ran, sorted, and the name of every trace thread.
+func tracedSweep(t *testing.T, rc RunConfig, want Table) (tabs Tables, requests []int, threads []string) {
+	t.Helper()
 	rc.Trace = obs.NewTracer(64)
 	var mu sync.Mutex
 	rc.OnCell = func(res sim.Result) {
@@ -175,7 +188,8 @@ func tracedCells(t *testing.T) (requests []int, threads []string) {
 		requests = append(requests, res.Requests)
 		mu.Unlock()
 	}
-	if _, err := Ablations(rc); err != nil {
+	tabs, err := Sweep(rc, want)
+	if err != nil {
 		t.Fatal(err)
 	}
 	slices.Sort(requests)
@@ -195,7 +209,7 @@ func tracedCells(t *testing.T) (requests []int, threads []string) {
 			threads = append(threads, e.Args["name"].(string))
 		}
 	}
-	return requests, threads
+	return tabs, requests, threads
 }
 
 // TestAblationStopLossRunsBaselineOnce: the write-back baseline, which

@@ -124,7 +124,7 @@ func (rc RunConfig) config(s memctrl.Scheme) memctrl.Config {
 // from cfg runs rc.Requests requests of p's stream. Every figure and
 // ablation cell runs here, so each gets the same trace scope, profile
 // labels and OnCell report. The controller is returned for the cells
-// that go on to read its device or crash it (recoverAfter). Each cell
+// that go on to read its device or crash it (runCell). Each cell
 // constructs its own controller and gets an independent read cursor
 // into the shared per-(profile, seed) arena, so cells are fully
 // independent — the property that lets the worker pool run them
@@ -185,15 +185,135 @@ func (rc RunConfig) cellName(f memctrl.Family, cfg memctrl.Config, p trace.Profi
 	return name
 }
 
-// recoverAfter runs one cell (see run), then crashes its controller
-// and recovers it.
-func (rc RunConfig) recoverAfter(f memctrl.Family, cfg memctrl.Config, p trace.Profile) (*memctrl.RecoveryReport, error) {
-	ctrl, _, err := rc.run(f, cfg, p)
-	if err != nil {
-		return nil, err
+// --- the sweep -----------------------------------------------------------------
+
+// Table selects what a Sweep builds; or them together to ask for
+// several.
+type Table uint8
+
+// The simulated tables.
+const (
+	TableFig7 Table = 1 << iota
+	TableFig10
+	TableFig11
+	TableFig13
+	TableAblations // all four ablation tables
+)
+
+// Tables holds what a Sweep built; a table it was not asked for is
+// empty.
+type Tables struct {
+	Fig7      []Fig7Row
+	Fig10     PerfTable
+	Fig11     PerfTable
+	Fig13     []Fig13Row
+	Ablations AblationTables
+}
+
+// cellKey keys one simulation cell: a run of prof's stream on a fam
+// controller built from cfg or, with recovery set, cfg's reduced-scale
+// crash-recovery cell (runCell). memctrl.Config and trace.Profile have
+// only scalar fields, so tables that read one configuration ask for one
+// key, and its cell runs once.
+type cellKey struct {
+	fam      memctrl.Family
+	cfg      memctrl.Config
+	prof     trace.Profile
+	recovery bool
+}
+
+// cellOut is one cell and what the tables read of it.
+type cellOut struct {
+	cellKey
+	readWear bool // the endurance table reads the hottest block's wear
+	res      sim.Result
+	wear     uint64
+	rep      *memctrl.RecoveryReport // recovery cells
+}
+
+// plan is a sweep's declarations: each distinct cell once, in the order
+// the tables first ask for it, and the row builders that read them.
+type plan struct {
+	rc       RunConfig
+	profiles []trace.Profile
+	cells    []*cellOut
+	byKey    map[cellKey]*cellOut
+	rows     []func() // each builds one row once every cell has run
+}
+
+// cell returns k's cell, declaring it on first use.
+func (p *plan) cell(k cellKey) *cellOut {
+	o := p.byKey[k]
+	if o == nil {
+		o = &cellOut{cellKey: k}
+		p.byKey[k] = o
+		p.cells = append(p.cells, o)
 	}
-	ctrl.Crash()
-	return ctrl.Recover()
+	return o
+}
+
+// Sweep builds the tables want selects. The tables declare their cells
+// and row builders; each distinct cell then runs once on the pool (on
+// one worker, in declaration order), however many tables read it, and
+// the rows are built in declaration order, so every float sum adds in
+// one order at any worker count. A failing cell's error names the cell.
+func Sweep(rc RunConfig, want Table) (Tables, error) {
+	profiles, err := []trace.Profile(nil), rc.check()
+	if err == nil && want&^TableAblations != 0 { // the ablations always run libquantum
+		profiles, err = rc.profiles()
+	}
+	if err != nil {
+		return Tables{}, err
+	}
+	var t Tables
+	p := &plan{rc: rc, profiles: profiles, byKey: map[cellKey]*cellOut{}}
+	if want&TableFig7 != 0 {
+		p.fig7(&t.Fig7)
+	}
+	if want&TableFig10 != 0 {
+		p.perf(memctrl.FamilyBonsai, Fig10Schemes, &t.Fig10)
+	}
+	if want&TableFig11 != 0 {
+		p.perf(memctrl.FamilySGX, Fig11Schemes, &t.Fig11)
+	}
+	if want&TableFig13 != 0 {
+		p.fig13(&t.Fig13)
+	}
+	if want&TableAblations != 0 {
+		p.ablations(&t.Ablations)
+	}
+	if err := parallel.Do(rc.pool(), len(p.cells), func(i int) error { return rc.runCell(p.cells[i]) }); err != nil {
+		return Tables{}, err
+	}
+	for _, build := range p.rows {
+		build()
+	}
+	return t, nil
+}
+
+// runCell runs one cell (see run) and records what its tables read. A
+// crash-recovery cell runs 3000 requests of its profile scaled to a
+// fresh 16 MiB controller (one arena serves every such cell), then
+// crashes and recovers it.
+func (rc RunConfig) runCell(o *cellOut) error {
+	cfg, prof := o.cfg, o.prof
+	if o.recovery {
+		rc.Requests, cfg.MemoryBytes = 3000, 16<<20
+		prof = prof.Scaled(cfg.MemoryBytes / 64)
+	}
+	ctrl, res, err := rc.run(o.fam, cfg, prof)
+	if err == nil && o.recovery {
+		ctrl.Crash()
+		o.rep, err = ctrl.Recover()
+	}
+	if err != nil {
+		return fmt.Errorf("figures: %s: %w", rc.cellName(o.fam, cfg, prof), err)
+	}
+	o.res = res
+	if o.readWear {
+		_, _, o.wear = ctrl.Device().MaxWearAll()
+	}
+	return nil
 }
 
 // --- Table 1 -------------------------------------------------------------------
@@ -260,50 +380,31 @@ type Fig7Row struct {
 	FirstDirty uint64  `json:"first_dirty"`
 }
 
-// Fig7 measures the fraction of clean counter-cache evictions per app
-// under the write-back baseline (the observation motivating AGIT-Plus).
-// Apps run concurrently on the evaluation pool; rows come back in
-// profile order.
-func Fig7(rc RunConfig) ([]Fig7Row, error) {
-	profiles, err := rc.profiles()
-	if err != nil {
-		return nil, err
-	}
-	results, err := parallel.Map(rc.pool(), len(profiles), func(i int) (sim.Result, error) {
-		_, res, err := rc.run(memctrl.FamilyBonsai, rc.config(memctrl.SchemeWriteBack), profiles[i])
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("fig7 %s: %w", profiles[i].Name, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig7Row
-	for i, res := range results {
-		cs := res.Stats.CounterCache
-		rows = append(rows, Fig7Row{
-			App:        profiles[i].Name,
-			CleanFrac:  res.CleanEvictionFrac(),
-			Evictions:  cs.Evictions,
-			FirstDirty: cs.FirstDirties,
+// fig7 declares Figure 7: the fraction of clean counter-cache
+// evictions per app under the write-back baseline (the observation
+// motivating AGIT-Plus), read from Fig 10's write-back cells.
+func (p *plan) fig7(rows *[]Fig7Row) {
+	for _, prof := range p.profiles {
+		c := p.cell(cellKey{fam: memctrl.FamilyBonsai, cfg: p.rc.config(memctrl.SchemeWriteBack), prof: prof})
+		p.rows = append(p.rows, func() {
+			cs := c.res.Stats.CounterCache
+			*rows = append(*rows, Fig7Row{
+				App:        prof.Name,
+				CleanFrac:  c.res.CleanEvictionFrac(),
+				Evictions:  cs.Evictions,
+				FirstDirty: cs.FirstDirties,
+			})
 		})
 	}
-	return rows, nil
 }
 
 // PrintFig7 renders Figure 7.
-func PrintFig7(w io.Writer, rc RunConfig) error {
-	rows, err := Fig7(rc)
-	if err != nil {
-		return err
-	}
+func PrintFig7(w io.Writer, rows []Fig7Row) {
 	fmt.Fprintln(w, "Figure 7: Fraction of Clean Counter-Cache Evictions")
 	fmt.Fprintf(w, "  %-12s %10s %12s\n", "app", "clean", "evictions")
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-12s %9.1f%% %12d\n", r.App, 100*r.CleanFrac, r.Evictions)
 	}
-	return nil
 }
 
 // --- Figures 10 and 11 ------------------------------------------------------------
@@ -326,54 +427,46 @@ var Fig11Schemes = []memctrl.Scheme{
 	memctrl.SchemeASIT,
 }
 
-// perfFigure runs every (app, scheme) pair and normalizes to write-back.
-//
-// All len(profiles)×len(schemes) cells fan out on the evaluation pool;
-// the reduction below consumes the results in exactly the order the old
-// sequential loop produced them (profile-major, scheme-minor, baseline
-// first), so the output — including the floating-point accumulation of
-// the averages — is identical for any worker count.
-func perfFigure(rc RunConfig, f memctrl.Family, schemes []memctrl.Scheme) ([]PerfRow, map[memctrl.Scheme]float64, error) {
-	profiles, err := rc.profiles()
-	if err != nil {
-		return nil, nil, err
-	}
-	nS := len(schemes)
-	results, err := parallel.Map(rc.pool(), len(profiles)*nS, func(i int) (sim.Result, error) {
-		p, s := profiles[i/nS], schemes[i%nS]
-		_, res, err := rc.run(f, rc.config(s), p)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("%s/%s: %w", p.Name, s, err)
+// PerfTable is Figure 10 or 11: each app's row and each scheme's
+// average over the apps.
+type PerfTable struct {
+	Rows []PerfRow
+	Avg  map[memctrl.Scheme]float64
+}
+
+// perf declares Figure 10 or 11: every (app, scheme) cell, each app's
+// times normalized to its write-back cell (schemes[0]), and each
+// scheme's average, which adds the apps in profile order.
+func (p *plan) perf(f memctrl.Family, schemes []memctrl.Scheme, t *PerfTable) {
+	t.Avg = map[memctrl.Scheme]float64{}
+	for _, prof := range p.profiles {
+		cells := make([]*cellOut, len(schemes))
+		for i, s := range schemes {
+			cells[i] = p.cell(cellKey{fam: f, cfg: p.rc.config(s), prof: prof})
 		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, nil, err
+		p.rows = append(p.rows, func() {
+			row := PerfRow{App: prof.Name, Norm: map[memctrl.Scheme]float64{schemes[0]: 1}}
+			for i := 1; i < len(schemes); i++ {
+				row.Norm[schemes[i]] = cells[i].res.Normalized(cells[0].res)
+			}
+			t.Rows = append(t.Rows, row)
+			for s, v := range row.Norm {
+				t.Avg[s] += v / float64(len(p.profiles))
+			}
+		})
 	}
-	var rows []PerfRow
-	avg := map[memctrl.Scheme]float64{}
-	for pi, p := range profiles {
-		base := results[pi*nS]
-		row := PerfRow{App: p.Name, Norm: map[memctrl.Scheme]float64{schemes[0]: 1}}
-		for si := 1; si < nS; si++ {
-			row.Norm[schemes[si]] = results[pi*nS+si].Normalized(base)
-		}
-		rows = append(rows, row)
-		for s, v := range row.Norm {
-			avg[s] += v / float64(len(profiles))
-		}
-	}
-	return rows, avg, nil
 }
 
 // Fig10 runs the AGIT performance evaluation (general tree family).
 func Fig10(rc RunConfig) ([]PerfRow, map[memctrl.Scheme]float64, error) {
-	return perfFigure(rc, memctrl.FamilyBonsai, Fig10Schemes)
+	t, err := Sweep(rc, TableFig10)
+	return t.Fig10.Rows, t.Fig10.Avg, err
 }
 
 // Fig11 runs the ASIT performance evaluation (SGX tree family).
 func Fig11(rc RunConfig) ([]PerfRow, map[memctrl.Scheme]float64, error) {
-	return perfFigure(rc, memctrl.FamilySGX, Fig11Schemes)
+	t, err := Sweep(rc, TableFig11)
+	return t.Fig11.Rows, t.Fig11.Avg, err
 }
 
 // PrintPerf renders Figure 10 or 11.
@@ -446,79 +539,45 @@ var Fig13Schemes = []memctrl.Scheme{
 	memctrl.SchemeAGITRead, memctrl.SchemeAGITPlus, memctrl.SchemeASIT,
 }
 
-// Fig13 sweeps metadata cache sizes (per-cache; ASIT uses the combined
-// total) and reports each scheme's average normalized performance.
-//
-// This is the evaluation's biggest sweep — sizes × apps × (2 baselines
-// + 3 schemes) cells — and the flagship case for the parallel engine:
-// every cell fans out, and the per-(size, app) normalization plus the
-// per-size averaging happen afterwards in the legacy accumulation
-// order, keeping the output independent of the worker count.
-func Fig13(rc RunConfig) ([]Fig13Row, error) {
-	sizes := []uint64{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20}
-	type cell struct {
-		fam    memctrl.Family
-		scheme memctrl.Scheme
-	}
-	// Per (size, profile): the two write-back baselines first, then the
-	// plotted schemes in Fig13Schemes order.
-	cells := []cell{
-		{memctrl.FamilyBonsai, memctrl.SchemeWriteBack},
-		{memctrl.FamilySGX, memctrl.SchemeWriteBack},
-	}
-	for _, s := range Fig13Schemes {
-		fam := memctrl.FamilyBonsai
-		if s == memctrl.SchemeASIT {
-			fam = memctrl.FamilySGX
+// fig13 declares Figure 13: at each metadata cache size (per cache;
+// ASIT's combined cache has their total), each plotted scheme's
+// execution time normalized to the same-size write-back run of its
+// family and averaged over the apps. The 256 KB point is Table 1's
+// cache sizes, so its cells are Fig 10's and Fig 11's.
+func (p *plan) fig13(rows *[]Fig13Row) {
+	for _, size := range []uint64{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20} {
+		blocks := int(size / memctrl.BlockBytes)
+		cell := func(f memctrl.Family, s memctrl.Scheme, prof trace.Profile) *cellOut {
+			cfg := p.rc.config(s)
+			cfg.CounterCacheBlocks, cfg.TreeCacheBlocks, cfg.MetaCacheBlocks = blocks, blocks, 2*blocks
+			return p.cell(cellKey{fam: f, cfg: cfg, prof: prof})
 		}
-		cells = append(cells, cell{fam, s})
-	}
-	profiles, err := rc.profiles()
-	if err != nil {
-		return nil, err
-	}
-	nP, nC := len(profiles), len(cells)
-	results, err := parallel.Map(rc.pool(), len(sizes)*nP*nC, func(i int) (sim.Result, error) {
-		si, rem := i/(nP*nC), i%(nP*nC)
-		pi, ci := rem/nC, rem%nC
-		cfg := rc.config(cells[ci].scheme)
-		blocks := int(sizes[si] / memctrl.BlockBytes)
-		cfg.CounterCacheBlocks, cfg.TreeCacheBlocks, cfg.MetaCacheBlocks = blocks, blocks, 2*blocks
-		_, res, err := rc.run(cells[ci].fam, cfg, profiles[pi])
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("fig13 %s/%s/%s: %w",
-				memName(sizes[si]), profiles[pi].Name, cells[ci].scheme, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig13Row
-	for si, size := range sizes {
-		row := Fig13Row{CacheBytes: size, Norm: map[memctrl.Scheme]float64{}}
-		for pi := range profiles {
-			at := func(ci int) sim.Result { return results[si*nP*nC+pi*nC+ci] }
-			baseB, baseS := at(0), at(1)
-			for k, s := range Fig13Schemes {
-				base := baseB
+		// Per app: the two write-back baselines, then the plotted schemes
+		// in Fig13Schemes order, each paired with its family's baseline.
+		var runs, bases []*cellOut
+		for _, prof := range p.profiles {
+			baseB := cell(memctrl.FamilyBonsai, memctrl.SchemeWriteBack, prof)
+			baseS := cell(memctrl.FamilySGX, memctrl.SchemeWriteBack, prof)
+			for _, s := range Fig13Schemes {
+				f, base := memctrl.FamilyBonsai, baseB
 				if s == memctrl.SchemeASIT {
-					base = baseS
+					f, base = memctrl.FamilySGX, baseS
 				}
-				row.Norm[s] += at(2+k).Normalized(base) / float64(nP)
+				runs, bases = append(runs, cell(f, s, prof)), append(bases, base)
 			}
 		}
-		rows = append(rows, row)
+		p.rows = append(p.rows, func() {
+			row := Fig13Row{CacheBytes: size, Norm: map[memctrl.Scheme]float64{}}
+			for i, run := range runs {
+				row.Norm[run.cfg.Scheme] += run.res.Normalized(bases[i].res) / float64(len(p.profiles))
+			}
+			*rows = append(*rows, row)
+		})
 	}
-	return rows, nil
 }
 
 // PrintFig13 renders Figure 13.
-func PrintFig13(w io.Writer, rc RunConfig) error {
-	rows, err := Fig13(rc)
-	if err != nil {
-		return err
-	}
+func PrintFig13(w io.Writer, rows []Fig13Row) {
 	fmt.Fprintln(w, "Figure 13: Performance Sensitivity to Cache Size (normalized to write-back)")
 	fmt.Fprintf(w, "  %-10s", "cache")
 	for _, s := range Fig13Schemes {
@@ -532,7 +591,6 @@ func PrintFig13(w io.Writer, rc RunConfig) error {
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
 // --- headline -------------------------------------------------------------------

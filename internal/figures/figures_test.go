@@ -33,13 +33,12 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig7ShapeMatchesPaper(t *testing.T) {
-	rc := QuickRunConfig()
-	rows, err := Fig7(rc)
+	tabs, err := Sweep(QuickRunConfig(), TableFig7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byApp := map[string]float64{}
-	for _, r := range rows {
+	for _, r := range tabs.Fig7 {
 		byApp[r.App] = r.CleanFrac
 	}
 	// Paper Figure 7: most applications evict a large number of clean
@@ -107,6 +106,17 @@ func TestFig12Shape(t *testing.T) {
 	if s := recmodel.Seconds(rows[4].AGITNS); s < 0.42 || s > 0.53 {
 		t.Fatalf("AGIT@4MB = %.4f s, want ≈0.48", s)
 	}
+}
+
+// recoverAfter runs one cell (see run), then crashes its controller
+// and recovers it.
+func (rc RunConfig) recoverAfter(f memctrl.Family, cfg memctrl.Config, p trace.Profile) (*memctrl.RecoveryReport, error) {
+	ctrl, _, err := rc.run(f, cfg, p)
+	if err != nil {
+		return nil, err
+	}
+	ctrl.Crash()
+	return ctrl.Recover()
 }
 
 // measuredRecoveryRC is the scale of the measured-recovery tests: 3000
@@ -191,16 +201,14 @@ func TestTable1AndHeadlinePinned(t *testing.T) {
 func TestPrintFig7AndPerf(t *testing.T) {
 	rc := QuickRunConfig()
 	rc.Requests = 1500
-	var buf bytes.Buffer
-	if err := PrintFig7(&buf, rc); err != nil {
-		t.Fatal(err)
-	}
-	rows, avg, err := Fig10(rc)
+	tabs, err := Sweep(rc, TableFig7|TableFig10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintPerf(&buf, "Figure 10", rows, avg, Fig10Schemes)
-	if !strings.Contains(buf.String(), "average") {
+	var buf bytes.Buffer
+	PrintFig7(&buf, tabs.Fig7)
+	PrintPerf(&buf, "Figure 10", tabs.Fig10.Rows, tabs.Fig10.Avg, Fig10Schemes)
+	if !strings.Contains(buf.String(), "Figure 7") || !strings.Contains(buf.String(), "average") {
 		t.Fatal("perf table missing average row")
 	}
 }
@@ -209,10 +217,11 @@ func TestFig13Shape(t *testing.T) {
 	rc := QuickRunConfig()
 	rc.Requests = 1500
 	rc.Apps = []string{"libquantum"}
-	rows, err := Fig13(rc)
+	tabs, err := Sweep(rc, TableFig13)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := tabs.Fig13
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -224,9 +233,7 @@ func TestFig13Shape(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := PrintFig13(&buf, rc); err != nil {
-		t.Fatal(err)
-	}
+	PrintFig13(&buf, rows)
 	if !strings.Contains(buf.String(), "Figure 13") {
 		t.Fatal("missing title")
 	}
@@ -260,14 +267,14 @@ func TestRunConfigProfiles(t *testing.T) {
 // TestSweepsRejectBadInput: every sweep entry point returns an error
 // for an unknown app, a non-positive request count or a missing arena
 // cache, before any cell runs, instead of panicking or printing an
-// empty table. Each of the four ablation tables is checked through
-// Ablations, which must return the error with that table empty. The
-// ablations always run libquantum, so the app inputs do not apply to
-// them.
+// empty table. Fig 7, Fig 13 and each of the four ablation tables are
+// checked through a one-table Sweep, which must return the error with
+// that table empty. The ablations always run libquantum, so the app
+// inputs do not apply to them.
 func TestSweepsRejectBadInput(t *testing.T) {
-	ablation := func(table func(AblationTables) int) func(RunConfig) error {
+	sweep := func(want Table, table func(Tables) int) func(RunConfig) error {
 		return func(rc RunConfig) error {
-			tabs, err := Ablations(rc)
+			tabs, err := Sweep(rc, want)
 			if n := table(tabs); n != 0 {
 				return fmt.Errorf("%d rows returned", n)
 			}
@@ -279,18 +286,18 @@ func TestSweepsRejectBadInput(t *testing.T) {
 		apps  bool
 		sweep func(RunConfig) error
 	}{
-		{"Fig7", true, func(rc RunConfig) error { _, err := Fig7(rc); return err }},
+		{"Fig7", true, sweep(TableFig7, func(t Tables) int { return len(t.Fig7) })},
 		{"Fig10", true, func(rc RunConfig) error { _, _, err := Fig10(rc); return err }},
 		{"Fig11", true, func(rc RunConfig) error { _, _, err := Fig11(rc); return err }},
-		{"Fig13", true, func(rc RunConfig) error { _, err := Fig13(rc); return err }},
+		{"Fig13", true, sweep(TableFig13, func(t Tables) int { return len(t.Fig13) })},
 		{"RecoverySweep", true, func(rc RunConfig) error {
 			_, err := RecoverySweep(RecoverySweepConfig{Run: rc, Scheme: memctrl.SchemeAGITPlus, Family: memctrl.FamilyBonsai})
 			return err
 		}},
-		{"AblationStopLoss", false, ablation(func(t AblationTables) int { return len(t.StopLoss) })},
-		{"AblationRecoveryBackend", false, ablation(func(t AblationTables) int { return len(t.Backend) })},
-		{"AblationEndurance", false, ablation(func(t AblationTables) int { return len(t.Endurance) })},
-		{"AblationTriad", false, ablation(func(t AblationTables) int { return len(t.Triad) })},
+		{"AblationStopLoss", false, sweep(TableAblations, func(t Tables) int { return len(t.Ablations.StopLoss) })},
+		{"AblationRecoveryBackend", false, sweep(TableAblations, func(t Tables) int { return len(t.Ablations.Backend) })},
+		{"AblationEndurance", false, sweep(TableAblations, func(t Tables) int { return len(t.Ablations.Endurance) })},
+		{"AblationTriad", false, sweep(TableAblations, func(t Tables) int { return len(t.Ablations.Triad) })},
 	}
 	inputs := []struct {
 		name string

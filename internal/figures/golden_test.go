@@ -133,35 +133,28 @@ func seed99Table(t *testing.T) goldenTable {
 }
 
 // quickTables returns the rows of Fig 7, Fig 13 and the four ablation
-// tables at the quick scale, as anubis-bench prints them: counts as they are,
-// and each float field by its math.Float64bits, so the comparison is
-// exact.
+// tables at the quick scale, from one Sweep as anubis-bench runs them,
+// as it prints them: counts as they are, and each float field by its
+// math.Float64bits, so the comparison is exact.
 func quickTables(t *testing.T, rc RunConfig) goldenTable {
 	t.Helper()
 	table := goldenTable{}
 	bits := math.Float64bits
-	fig7, err := Fig7(rc)
+	tabs, err := Sweep(rc, TableFig7|TableFig13|TableAblations)
 	if err != nil {
-		t.Fatalf("fig7: %v", err)
+		t.Fatalf("fig7, fig13 and ablations: %v", err)
 	}
-	for _, r := range fig7 {
+	for _, r := range tabs.Fig7 {
 		table["fig7/quick/"+r.App] = goldenRow{"clean_frac": bits(r.CleanFrac), "evictions": r.Evictions, "first_dirty": r.FirstDirty}
 	}
-	fig13, err := Fig13(rc)
-	if err != nil {
-		t.Fatalf("fig13: %v", err)
-	}
-	for _, r := range fig13 {
+	for _, r := range tabs.Fig13 {
 		row := goldenRow{}
 		for _, s := range Fig13Schemes {
 			row[s.String()] = bits(r.Norm[s])
 		}
 		table["fig13/quick/"+memName(r.CacheBytes)] = row
 	}
-	ablations, err := Ablations(rc)
-	if err != nil {
-		t.Fatalf("ablations: %v", err)
-	}
+	ablations := tabs.Ablations
 	for _, r := range ablations.StopLoss {
 		table[fmt.Sprintf("ablation/stoploss/%d", r.StopLoss)] = goldenRow{
 			"normalized": bits(r.Normalized), "stop_loss_writes": r.StopLossWrites, "recovery_crypto": r.RecoveryCrypto}

@@ -6,10 +6,11 @@
 // Every (scheme, app, cache-size) cell of the paper's evaluation
 // constructs its own controller and its own seeded trace source, so
 // cells share no mutable state and the fan-out is embarrassingly
-// parallel. Because Map writes result i to slot i regardless of which
-// worker ran it — and the figure code reduces those slots in exactly
-// the order the old sequential loops used — a run with Workers=N is
-// byte-identical to Workers=1 (see DESIGN.md § Parallel evaluation).
+// parallel. Map writes result i to slot i regardless of which worker
+// ran it, and the figure code (figures.Sweep) builds its rows only
+// after every cell has run, in the order the tables declared them, so
+// a run with Workers=N is byte-identical to Workers=1 (see DESIGN.md §
+// Parallel evaluation).
 //
 // Error handling follows the "first error wins, abort the sweep"
 // policy: after the first failing cell, in-flight cells finish, queued
